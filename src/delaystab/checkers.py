@@ -20,7 +20,6 @@ ceiling shell in the radius argument, step-left in the time argument.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,11 +76,11 @@ def _inv(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+def _step_defaults(r: float, h: float | None,
+                   horizon: float | None = None) -> tuple[float, float]:
+    """Solver step and horizon, defaulting to r/100 and 20 r."""
+    return (r / 100.0 if h is None else h,
+            20.0 * r if horizon is None else horizon)
 
 
 def _json_safe(v):
@@ -134,6 +133,18 @@ def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,
     return SamplerConfig(family=family, order=order, target_space=space,
                          target_norm=radius, dimension=sys.dimension,
                          delay_r=sys.delay_r, seed=seed, n_nodes=n_nodes)
+
+
+def _ensemble(sys: DelaySystem, cfg: SamplerConfig, indices, T: float,
+              h: float):
+    """Yield (i, x0, traj): sample i of cfg integrated over [0, T].
+
+    Lazy, so a caller that stops at its first counterexample integrates
+    nothing after it.
+    """
+    for i in indices:
+        x0 = sample_one(cfg, i)
+        yield i, x0, simulate(sys, x0, T, h)
 
 
 def _witness(cfg: SamplerConfig, index: int, seg: Segment, time: float,
@@ -277,66 +288,42 @@ def _shell_counts(budget: int, shells: int) -> np.ndarray:
     return counts
 
 
-def fit_kl_envelope(sys: DelaySystem, space: SpaceSpec, rho_max: float,
-                    shells: int, t_grid: np.ndarray | None, budget: int, *,
-                    report_space: SpaceSpec | None = None,
-                    family: str = "fourier", order: int = 3, seed: int = 0,
-                    n_nodes: int = 65, h: float | None = None,
-                    horizon: float | None = None, grid_points: int = 200,
-                    threads: int = 1) -> KLEnvelope:
-    """Fit the smallest monotone-shape grid majorant of sampled trajectories.
-
-    Initial histories are drawn per shell from geometric annuli of the
-    `space` ball of radius rho_max; the recorded norm is `report_space`
-    (defaulting to `space` itself; passing the sup space measures decay of
-    the state while the shells still classify initial data in the stronger
-    norm).  The time-zero column is raised to at least the shell radius
-    whenever the report norm is the shell norm's lower bound, keeping the
-    envelope usable as a bound at t = 0.  Escaped trajectories contribute
-    +inf beyond their coverage.
-    """
+def _shell_plan(rho_max: float, shells: int, budget: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric shell radii (outermost rho_max) and samples per shell."""
     if not (rho_max > 0.0 and math.isfinite(rho_max)):
         raise ParameterError("ball radius must be positive")
     if shells < 1:
         raise ParameterError("need at least one shell")
     if budget < 1:
         raise ParameterError("need a positive sample budget")
-    r = sys.delay_r
-    if h is None:
-        h = r / 100.0
-    if t_grid is None:
-        t_grid = default_time_grid(horizon if horizon is not None else 20.0 * r,
-                                   r, grid_points)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if report_space is None:
-        report_space = space
-    T = float(t_grid[-1])
     if shells == 1:
         s_grid = np.array([rho_max])
     else:
         s_grid = rho_max * (1.0 / 16.0) ** (
             np.arange(shells - 1, -1, -1) / (shells - 1))
-    counts = _shell_counts(budget, shells)
-    raw = np.full((shells, t_grid.size), np.nan)
+    return s_grid, _shell_counts(budget, shells)
 
-    def run_shell(j: int) -> np.ndarray | None:
-        if counts[j] < 1:
-            return None
+
+def _shell_runs(sys: DelaySystem, space: SpaceSpec, s_grid: np.ndarray,
+                counts: np.ndarray, T: float, h: float, family: str,
+                order: int, seed: int, n_nodes: int):
+    """Yield (j, cfg, i, x0, traj) for every sample of every shell j.
+
+    Shell j draws from the annulus between radii s_grid[j-1] and s_grid[j]
+    of the `space` ball.
+    """
+    for j in range(s_grid.size):
         lo_frac = s_grid[j - 1] / s_grid[j] if j > 0 else 0.0
         cfg = _ball_cfg(sys, space, float(s_grid[j]), family, order,
                         seed, n_nodes).with_shell(lo_frac, j)
-        best = np.full(t_grid.size, -np.inf)
-        for i in range(int(counts[j])):
-            x0 = sample_one(cfg, i)
-            traj = simulate(sys, x0, T, h)
-            track = _norm_track(traj, report_space, t_grid, n_nodes)
-            best = np.maximum(best, track)
-        return best
+        for i, x0, traj in _ensemble(sys, cfg, range(int(counts[j])), T, h):
+            yield j, cfg, i, x0, traj
 
-    rows = _pmap(run_shell, range(shells), threads)
-    for j, row in enumerate(rows):
-        if row is not None:
-            raw[j] = row
+
+def _close_envelope(s_grid: np.ndarray, t_grid: np.ndarray, raw: np.ndarray,
+                    counts: np.ndarray) -> KLEnvelope:
+    """Envelope from the per-shell worst tracks; empty shells interpolated."""
     interpolated = counts == 0
     if np.all(interpolated):
         raise ParameterError("budget too small: every shell is empty")
@@ -355,6 +342,41 @@ def fit_kl_envelope(sys: DelaySystem, space: SpaceSpec, rho_max: float,
                      decayed=decayed, nondecay=nondecay)
     env.assert_kl_shape()
     return env
+
+
+def fit_kl_envelope(sys: DelaySystem, space: SpaceSpec, rho_max: float,
+                    shells: int, t_grid: np.ndarray | None, budget: int, *,
+                    report_space: SpaceSpec | None = None,
+                    family: str = "fourier", order: int = 3, seed: int = 0,
+                    n_nodes: int = 65, h: float | None = None,
+                    horizon: float | None = None,
+                    grid_points: int = 200) -> KLEnvelope:
+    """Fit the smallest monotone-shape grid majorant of sampled trajectories.
+
+    Initial histories are drawn per shell from geometric annuli of the
+    `space` ball of radius rho_max; the recorded norm is `report_space`
+    (defaulting to `space` itself; passing the sup space measures decay of
+    the state while the shells still classify initial data in the stronger
+    norm).  The time-zero column is raised to at least the shell radius
+    whenever the report norm is the shell norm's lower bound, keeping the
+    envelope usable as a bound at t = 0.  Escaped trajectories contribute
+    +inf beyond their coverage.
+    """
+    s_grid, counts = _shell_plan(rho_max, shells, budget)
+    r = sys.delay_r
+    h, horizon = _step_defaults(r, h, horizon)
+    if t_grid is None:
+        t_grid = default_time_grid(horizon, r, grid_points)
+    t_grid = np.asarray(t_grid, dtype=float)
+    if report_space is None:
+        report_space = space
+    raw = np.full((shells, t_grid.size), -np.inf)
+    for j, _, _, _, traj in _shell_runs(sys, space, s_grid, counts,
+                                        float(t_grid[-1]), h, family, order,
+                                        seed, n_nodes):
+        raw[j] = np.maximum(raw[j],
+                            _norm_track(traj, report_space, t_grid, n_nodes))
+    return _close_envelope(s_grid, t_grid, raw, counts)
 
 
 def lift_sup_envelope(sigma_env: KLEnvelope, r: float, p: float,
@@ -424,26 +446,18 @@ def lipschitz_propagation_bound(R: float, T: float, r: float, p: float,
 def check_rfc(sys: DelaySystem, space: SpaceSpec, rho: float, T: float,
               budget: int, *, family: str = "fourier", order: int = 3,
               seed: int = 0, n_nodes: int = 65, h: float | None = None,
-              grid_points: int = 200, threads: int = 1) -> StabilityReport:
+              grid_points: int = 200) -> StabilityReport:
     """Bounded reachable sets: no sampled trajectory may escape before T."""
     if not (rho > 0.0 and T > 0.0 and budget >= 1):
         raise ParameterError("need positive rho, T and budget")
     r = sys.delay_r
-    if h is None:
-        h = r / 100.0
+    h, _ = _step_defaults(r, h)
     grid = default_time_grid(T, r, grid_points)
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
-
-    def run(i: int):
-        x0 = sample_one(cfg, i)
-        traj = simulate(sys, x0, T, h)
-        track = _norm_track(traj, space, grid, n_nodes)
-        return x0, traj, track
-
-    results = _pmap(run, range(budget), threads)
     sup = 0.0
     escapes = []
-    for i, (x0, traj, track) in enumerate(results):
+    for i, x0, traj in _ensemble(sys, cfg, range(budget), T, h):
+        track = _norm_track(traj, space, grid, n_nodes)
         finite = track[np.isfinite(track)]
         if finite.size:
             sup = max(sup, float(finite.max()))
@@ -462,22 +476,17 @@ def check_rfc(sys: DelaySystem, space: SpaceSpec, rho: float, T: float,
 def check_lags(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int, *,
                horizon: float | None = None, family: str = "fourier",
                order: int = 3, seed: int = 0, n_nodes: int = 65,
-               h: float | None = None, grid_points: int = 200,
-               threads: int = 1) -> StabilityReport:
+               h: float | None = None,
+               grid_points: int = 200) -> StabilityReport:
     """Uniform boundedness from the ball, truncated at the horizon."""
     if not (rho > 0.0 and budget >= 1):
         raise ParameterError("need positive rho and budget")
     r = sys.delay_r
-    if horizon is None:
-        horizon = 20.0 * r
-    if h is None:
-        h = r / 100.0
+    h, horizon = _step_defaults(r, h, horizon)
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     peak = np.full(grid.size, 0.0)
-    for i in range(budget):
-        x0 = sample_one(cfg, i)
-        traj = simulate(sys, x0, horizon, h)
+    for i, x0, traj in _ensemble(sys, cfg, range(budget), horizon, h):
         track = _norm_track(traj, space, grid, n_nodes)
         if traj.escaped:
             wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
@@ -501,7 +510,7 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
              horizon: float | None = None, bisection_steps: int = 20,
              family: str = "fourier", order: int = 3, seed: int = 0,
              n_nodes: int = 65, h: float | None = None,
-             grid_points: int = 100, threads: int = 1) -> StabilityReport:
+             grid_points: int = 100) -> StabilityReport:
     """Stability at the origin: search the largest safe initial radius.
 
     For each tolerance eps, a log-scale bisection over delta in
@@ -516,10 +525,7 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
     if budget < 1:
         raise ParameterError("need a positive sample budget")
     r = sys.delay_r
-    if horizon is None:
-        horizon = 20.0 * r
-    if h is None:
-        h = r / 100.0
+    h, horizon = _step_defaults(r, h, horizon)
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, 1.0, family, order, seed, n_nodes)
     base = [sample_one(cfg, i) for i in range(budget)]
@@ -574,7 +580,7 @@ def check_ga(sys: DelaySystem, space: SpaceSpec, rho: float, eps: float,
              budget: int, *, horizon: float | None = None,
              family: str = "fourier", order: int = 3, seed: int = 0,
              n_nodes: int = 65, h: float | None = None,
-             grid_points: int = 200, threads: int = 1) -> StabilityReport:
+             grid_points: int = 200) -> StabilityReport:
     """Attractivity: every sampled trajectory should settle below eps.
 
     A sample that has not converged and whose norm has stopped moving over
@@ -584,18 +590,13 @@ def check_ga(sys: DelaySystem, space: SpaceSpec, rho: float, eps: float,
     if not (rho > 0.0 and eps > 0.0 and budget >= 1):
         raise ParameterError("need positive rho, eps and budget")
     r = sys.delay_r
-    if horizon is None:
-        horizon = 20.0 * r
-    if h is None:
-        h = r / 100.0
+    h, horizon = _step_defaults(r, h, horizon)
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     q = 3 * grid.size // 4
     worst_end = 0.0
     undecided = False
-    for i in range(budget):
-        x0 = sample_one(cfg, i)
-        traj = simulate(sys, x0, horizon, h)
+    for i, x0, traj in _ensemble(sys, cfg, range(budget), horizon, h):
         track = _norm_track(traj, space, grid, n_nodes)
         tail = track[q:]
         worst_end = max(worst_end, float(track[-1]))
@@ -625,21 +626,16 @@ def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
               budget: int, *, horizon: float | None = None,
               family: str = "fourier", order: int = 3, seed: int = 0,
               n_nodes: int = 65, h: float | None = None,
-              grid_points: int = 200, threads: int = 1) -> StabilityReport:
+              grid_points: int = 200) -> StabilityReport:
     """Uniform attractivity: one settling time for the whole ball."""
     if not (rho > 0.0 and eps > 0.0 and budget >= 1):
         raise ParameterError("need positive rho, eps and budget")
     r = sys.delay_r
-    if horizon is None:
-        horizon = 20.0 * r
-    if h is None:
-        h = r / 100.0
+    h, horizon = _step_defaults(r, h, horizon)
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     peak = np.zeros(grid.size)
-    for i in range(budget):
-        x0 = sample_one(cfg, i)
-        traj = simulate(sys, x0, horizon, h)
+    for i, x0, traj in _ensemble(sys, cfg, range(budget), horizon, h):
         if traj.escaped:
             wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
             return StabilityReport(
@@ -664,8 +660,7 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
                        pairs: int, *, family: str = "fourier", order: int = 3,
                        seed: int = 0, n_nodes: int = 65,
                        h: float | None = None, grid_points: int = 40,
-                       sigma0: float | None = None,
-                       threads: int = 1) -> StabilityReport:
+                       sigma0: float | None = None) -> StabilityReport:
     """Trajectory-pair propagation bounds on the R-ball over [0, T].
 
     Checks, for sampled history pairs, the a-priori growth bound on the
@@ -675,8 +670,7 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
     if not (R > 0.0 and T > 0.0 and pairs >= 1):
         raise ParameterError("need positive R, T and pairs")
     r = sys.delay_r
-    if h is None:
-        h = r / 100.0
+    h, _ = _step_defaults(r, h)
     L = sys.lipschitz_modulus
     if sigma0 is None:
         sigma0 = math.exp(float(L(R)) * T) * R
@@ -688,15 +682,9 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
     sup_space = SpaceSpec.sup()
     worst_sup = 0.0
     worst_full = 0.0
-
-    def run(i: int):
-        x0 = sample_one(cfg, 2 * i)
-        y0 = sample_one(cfg, 2 * i + 1)
-        tx = simulate(sys, x0, T, h)
-        ty = simulate(sys, y0, T, h)
-        return x0, y0, tx, ty
-
-    for i, (x0, y0, tx, ty) in enumerate(_pmap(run, range(pairs), threads)):
+    firsts = _ensemble(sys, cfg, range(0, 2 * pairs, 2), T, h)
+    seconds = _ensemble(sys, cfg, range(1, 2 * pairs, 2), T, h)
+    for (i, x0, tx), (_, y0, ty) in zip(firsts, seconds):
         d0_sup = space_norm(x0 - y0, sup_space)
         d0_full = space_norm(x0 - y0, space)
         for t in grid:
@@ -708,9 +696,9 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
             lim_full = M * d0_full
             if d_sup > lim_sup * (1.0 + 1e-6) + 1e-15 \
                     or d_full > lim_full * (1.0 + 1e-6) + 1e-15:
-                wit = _witness(cfg, 2 * i, x0, float(t),
+                wit = _witness(cfg, i, x0, float(t),
                                float(max(d_sup, d_full)))
-                wit["pair_index"] = 2 * i + 1
+                wit["pair_index"] = i + 1
                 return StabilityReport(
                     "pair_bounds", space, "falsified", wit,
                     {"growth_factor": growth, "propagation_constant": M},
@@ -734,60 +722,55 @@ def check_envelope_lift(sys: DelaySystem, space: SpaceSpec, rho_max: float,
                         t_grid: np.ndarray | None = None,
                         family: str = "fourier", order: int = 3,
                         seed: int = 0, n_nodes: int = 65,
-                        h: float | None = None, grid_points: int = 200,
-                        threads: int = 1) -> StabilityReport:
+                        h: float | None = None,
+                        grid_points: int = 200) -> StabilityReport:
     """Fit a sup-norm envelope against full-norm shells and verify its lift.
 
     The envelope records sup-norm decay of trajectories binned by the full
     norm of their initial data; the lifted envelope must then dominate the
     measured full norm of every sampled trajectory at every report time.
+    Each sample is integrated once and yields both tracks.
     """
+    s_grid, counts = _shell_plan(rho_max, shells, budget)
     r = sys.delay_r
-    if h is None:
-        h = r / 100.0
+    h, horizon = _step_defaults(r, h, horizon)
+    if t_grid is None:
+        t_grid = default_time_grid(horizon, r, grid_points)
+    grid = np.asarray(t_grid, dtype=float)
     if lipschitz_modulus is None:
         lipschitz_modulus = sys.lipschitz_modulus
-    env = fit_kl_envelope(sys, space, rho_max, shells, t_grid, budget,
-                          report_space=SpaceSpec.sup(), family=family,
-                          order=order, seed=seed, n_nodes=n_nodes, h=h,
-                          horizon=horizon, grid_points=grid_points,
-                          threads=threads)
-    p = _exponent_of(space)
-    lifted = lift_sup_envelope(env, r, p, lipschitz_modulus)
-    grid = env.t_grid
-    T = float(grid[-1])
+    sup_space = SpaceSpec.sup()
+    raw = np.full((shells, grid.size), -np.inf)
+    runs = []
+    for j, cfg, i, x0, traj in _shell_runs(sys, space, s_grid, counts,
+                                           float(grid[-1]), h, family, order,
+                                           seed, n_nodes):
+        raw[j] = np.maximum(raw[j],
+                            _norm_track(traj, sup_space, grid, n_nodes))
+        runs.append((j, cfg, i, x0, _norm_track(traj, space, grid, n_nodes)))
+    env = _close_envelope(s_grid, grid, raw, counts)
+    lifted = lift_sup_envelope(env, r, _exponent_of(space), lipschitz_modulus)
     worst = 0.0
-    checked = 0
-    for j in range(env.s_grid.size):
-        if env.shell_counts[j] == 0:
-            continue
-        lo_frac = env.s_grid[j - 1] / env.s_grid[j] if j > 0 else 0.0
-        cfg = _ball_cfg(sys, space, float(env.s_grid[j]), family, order,
-                        seed, n_nodes).with_shell(lo_frac, j)
-        for i in range(int(env.shell_counts[j])):
-            x0 = sample_one(cfg, i)
-            traj = simulate(sys, x0, T, h)
-            track = _norm_track(traj, space, grid, n_nodes)
-            bound = lifted.sigma[j]
-            bad = np.nonzero(track > bound * (1.0 + 1e-6) + 1e-12)[0]
-            checked += 1
-            if bad.size:
-                k = int(bad[0])
-                wit = _witness(cfg, i, x0, float(grid[k]), float(track[k]))
-                wit["shell"] = int(j)
-                return StabilityReport(
-                    "envelope_lift", space, "falsified", wit,
-                    {"bound": float(bound[k]), "measured": float(track[k])},
-                    {"samples": budget, "shells": shells},
-                    {"envelope": env.to_json_dict()})
-            with np.errstate(invalid="ignore"):
-                ratios = track / bound
-            finite = ratios[np.isfinite(ratios)]
-            if finite.size:
-                worst = max(worst, float(finite.max()))
+    for j, cfg, i, x0, track in runs:
+        bound = lifted.sigma[j]
+        bad = np.nonzero(track > bound * (1.0 + 1e-6) + 1e-12)[0]
+        if bad.size:
+            k = int(bad[0])
+            wit = _witness(cfg, i, x0, float(grid[k]), float(track[k]))
+            wit["shell"] = int(j)
+            return StabilityReport(
+                "envelope_lift", space, "falsified", wit,
+                {"bound": float(bound[k]), "measured": float(track[k])},
+                {"samples": budget, "shells": shells},
+                {"envelope": env.to_json_dict()})
+        with np.errstate(invalid="ignore"):
+            ratios = track / bound
+        finite = ratios[np.isfinite(ratios)]
+        if finite.size:
+            worst = max(worst, float(finite.max()))
     return StabilityReport(
         "envelope_lift", space, "consistent", None,
-        {"worst_ratio": worst, "trajectories_checked": float(checked)},
+        {"worst_ratio": worst, "trajectories_checked": float(len(runs))},
         {"samples": budget, "shells": shells},
         {"envelope": env.to_json_dict(), "decayed": env.decayed})
 
@@ -796,8 +779,8 @@ def check_gas_vs_ugas(sys: DelaySystem, space: SpaceSpec, rho_list, eps_list,
                       budget: int, *, horizon: float | None = None,
                       family: str = "fourier", order: int = 3, seed: int = 0,
                       n_nodes: int = 65, h: float | None = None,
-                      grid_points: int = 200, shells: int = 8,
-                      threads: int = 1) -> StabilityReport:
+                      grid_points: int = 200,
+                      shells: int = 8) -> StabilityReport:
     """Composite experiment: stability + attractivity + bounded reach + decay.
 
     Consistent means every component check passed and the fitted envelope
@@ -809,13 +792,9 @@ def check_gas_vs_ugas(sys: DelaySystem, space: SpaceSpec, rho_list, eps_list,
     eps_list = [float(x) for x in np.atleast_1d(eps_list)]
     if not rho_list or not eps_list:
         raise ParameterError("need at least one rho and one eps")
-    r = sys.delay_r
-    if horizon is None:
-        horizon = 20.0 * r
-    if h is None:
-        h = r / 100.0
+    h, horizon = _step_defaults(sys.delay_r, h, horizon)
     kw = dict(family=family, order=order, seed=seed, n_nodes=n_nodes, h=h,
-              grid_points=grid_points, threads=threads)
+              grid_points=grid_points)
     ls = check_ls(sys, space, eps_list, budget, horizon=horizon, **kw)
     rho_max = max(rho_list)
     eps_min = min(eps_list)

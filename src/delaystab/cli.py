@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys as _sys
 from pathlib import Path
@@ -30,7 +29,6 @@ from . import __version__
 from .checkers import (
     _exponent_of,
     _json_safe,
-    check_envelope_lift,
     check_ga,
     check_gas_vs_ugas,
     check_lags,
@@ -75,9 +73,13 @@ def _check_keys(cfg: dict, required: set, optional: set, where: str) -> None:
 
 def _atomic_write(path: Path, write_body) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        write_body(fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            write_body(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -105,7 +107,8 @@ def _common_sampler_opts(cfg: dict, seed: int) -> dict:
     return opts
 
 
-COMMON_OPTIONAL = {"family", "order", "n_nodes", "h", "grid_points"}
+SAMPLER_OPTIONAL = {"family", "order", "n_nodes", "h"}
+COMMON_OPTIONAL = SAMPLER_OPTIONAL | {"grid_points"}
 
 
 # -- simulate ----------------------------------------------------------
@@ -131,8 +134,7 @@ def _history_segment(spec: dict, sys, seed: int) -> Segment:
                          "'n_nodes') or 'sampler' (+ optional 'index')")
 
 
-def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
-    del threads
+def cmd_simulate(cfg: dict, seed: int, out: Path) -> int:
     _check_keys(cfg, {"system", "history", "T"}, {"h"}, "simulate config")
     sys = system_from_json_dict(cfg["system"])
     x0 = _history_segment(cfg["history"], sys, seed)
@@ -158,8 +160,7 @@ def cmd_simulate(cfg: dict, seed: int, out: Path, threads: int) -> int:
 # -- norms -------------------------------------------------------------
 
 
-def cmd_norms(cfg: dict, seed: int, out: Path, threads: int) -> int:
-    del threads
+def cmd_norms(cfg: dict, seed: int, out: Path) -> int:
     _check_keys(cfg, {"sampler", "count"}, {"spaces"}, "norms config")
     samp = dict(cfg["sampler"])
     samp["seed"] = seed
@@ -203,7 +204,7 @@ CHECK_PARAMS = {
 }
 
 
-def cmd_check(cfg: dict, seed: int, out: Path, threads: int) -> int:
+def cmd_check(cfg: dict, seed: int, out: Path) -> int:
     base = {"property", "system", "space"}
     prop = cfg.get("property") if isinstance(cfg, dict) else None
     if prop not in CHECK_PARAMS:
@@ -215,7 +216,6 @@ def cmd_check(cfg: dict, seed: int, out: Path, threads: int) -> int:
     sys = system_from_json_dict(cfg["system"])
     space = SpaceSpec.from_json_dict(cfg["space"])
     opts = _common_sampler_opts(cfg, seed)
-    opts["threads"] = threads
     budget = int(cfg["budget"])
     if "horizon" in cfg:
         opts["horizon"] = float(cfg["horizon"])
@@ -253,14 +253,13 @@ def cmd_check(cfg: dict, seed: int, out: Path, threads: int) -> int:
 # -- envelope ----------------------------------------------------------
 
 
-def cmd_envelope(cfg: dict, seed: int, out: Path, threads: int) -> int:
+def cmd_envelope(cfg: dict, seed: int, out: Path) -> int:
     _check_keys(cfg, {"system", "space", "rho_max", "shells", "budget"},
                 {"horizon", "t_grid", "report_space", "lipschitz_constant"}
                 | COMMON_OPTIONAL, "envelope config")
     sys = system_from_json_dict(cfg["system"])
     space = SpaceSpec.from_json_dict(cfg["space"])
     opts = _common_sampler_opts(cfg, seed)
-    opts["threads"] = threads
     if "horizon" in cfg:
         opts["horizon"] = float(cfg["horizon"])
     if "report_space" in cfg:
@@ -294,30 +293,27 @@ def cmd_envelope(cfg: dict, seed: int, out: Path, threads: int) -> int:
 
 
 LYAP_PARAMS = {
-    "exponential": ({"a1", "a2", "T"}, {"rho"}),
+    "exponential": ({"a1", "a2", "T"}, {"rho", "grid_points"}),
     "dissipation": ({"a1", "a2", "rate"},
                     {"rho", "T", "integral_trajectories"}),
-    "growth": ({"a", "mu"}, {"rho", "T", "traj_check"}),
+    "growth": ({"a", "mu"}, {"rho", "T", "traj_check", "grid_points"}),
 }
 
 
-def cmd_lyapunov(cfg: dict, seed: int, out: Path, threads: int) -> int:
-    del threads
+def cmd_lyapunov(cfg: dict, seed: int, out: Path) -> int:
     base = {"check", "system", "functional", "space", "samples"}
     kind = cfg.get("check") if isinstance(cfg, dict) else None
     if kind not in LYAP_PARAMS:
         raise ParameterError(f"lyapunov config: check must be one of "
                              f"{sorted(LYAP_PARAMS)}")
     required, extra = LYAP_PARAMS[kind]
-    _check_keys(cfg, base | required, extra | COMMON_OPTIONAL,
+    _check_keys(cfg, base | required, extra | SAMPLER_OPTIONAL,
                 "lyapunov config")
     sys = system_from_json_dict(cfg["system"])
     space = SpaceSpec.from_json_dict(cfg["space"])
     V = functional_from_json_dict(cfg["functional"])
     samples = int(cfg["samples"])
     opts = _common_sampler_opts(cfg, seed)
-    if kind != "exponential":
-        opts.pop("grid_points", None)
     if "rho" in cfg:
         opts["rho"] = float(cfg["rho"])
     if kind == "exponential":
@@ -358,17 +354,6 @@ DISPATCH = {"simulate": cmd_simulate, "norms": cmd_norms,
             "lyapunov": cmd_lyapunov}
 
 
-def _resolve_threads(flag: int | None) -> int:
-    if flag is None:
-        env = os.environ.get("DELAYSTAB_THREADS", "")
-        flag = int(env) if env else 1
-    if flag == 0:
-        return os.cpu_count() or 1
-    if flag < 0:
-        raise ParameterError("threads must be >= 0")
-    return flag
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="delaystab",
@@ -387,9 +372,6 @@ def main(argv=None) -> int:
                        help="sampling seed (default 0)")
         p.add_argument("--out", default=".",
                        help="output directory (default .)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads; 0 = all cores "
-                            "(default: DELAYSTAB_THREADS or 1)")
     args = parser.parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -405,9 +387,8 @@ def main(argv=None) -> int:
         return 1
     out = Path(args.out)
     try:
-        threads = _resolve_threads(args.threads)
         out.mkdir(parents=True, exist_ok=True)
-        return DISPATCH[args.command](cfg, int(args.seed), out, threads)
+        return DISPATCH[args.command](cfg, int(args.seed), out)
     except (ParameterError, SegmentDataError, ValueError, KeyError,
             TypeError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

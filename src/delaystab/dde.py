@@ -24,7 +24,6 @@ not an error.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -162,7 +161,7 @@ def _distributed_linear(r: float, params: dict) -> DelaySystem:
 
     L = np.linalg.norm(A0, 2) + r * max(np.linalg.norm(K, 2) for K in pieces)
     return DelaySystem("distributed_linear", n, r, rhs, lambda R: L,
-                       {"A0": A0, "K": [K for K in pieces]})
+                       {"A0": A0, "K": np.array(pieces)})
 
 
 def _saturating(r: float, params: dict) -> DelaySystem:

@@ -29,7 +29,14 @@ from typing import Callable
 
 import numpy as np
 
-from .checkers import StabilityReport, _witness, default_time_grid
+from .checkers import (
+    StabilityReport,
+    _ball_cfg,
+    _ensemble,
+    _step_defaults,
+    _witness,
+    default_time_grid,
+)
 from .dde import DelaySystem, segment_at, simulate
 from .sampler import SamplerConfig, sample_one
 from .segment import (
@@ -302,13 +309,6 @@ def dini_derivative(sys: DelaySystem, V: Functional, x: Segment, *,
 # -- shared helpers ----------------------------------------------------
 
 
-def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,
-              order: int, seed: int, n_nodes: int) -> SamplerConfig:
-    return SamplerConfig(family=family, order=order, target_space=space,
-                         target_norm=radius, dimension=sys.dimension,
-                         delay_r=sys.delay_r, seed=seed, n_nodes=n_nodes)
-
-
 def _prolonged_weighted_sup(x: Segment, f: np.ndarray, h: float, lam: float,
                             refine: int) -> float:
     """Weighted sup of the h-prolongation, on shared sample points.
@@ -413,8 +413,7 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
     if not (samples >= 1 and T > 0.0 and rho > 0.0):
         raise ParameterError("need positive samples, T and rho")
     r = sys.delay_r
-    if h is None:
-        h = r / 100.0
+    h, _ = _step_defaults(r, h)
     a1_inv = a1.invert()
     grid = default_time_grid(T, r, grid_points)
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
@@ -507,8 +506,7 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     if not (samples >= 1 and rho > 0.0 and integral_trajectories >= 1):
         raise ParameterError("need positive samples, rho and trajectories")
     r = sys.delay_r
-    if h is None:
-        h = r / 100.0
+    h, _ = _step_defaults(r, h)
     if T is None:
         T = 2.0 * r
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
@@ -546,10 +544,9 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
                 {"dini_estimate": est, "required": -Q(x0.values[-1]),
                  "tolerance": dissipation_tol}, {"samples": samples},
                 {"failed": "dissipation"})
-    for i in range(integral_trajectories):
-        x0 = sample_one(cfg, i)
+    for i, x0, traj in _ensemble(sys, cfg, range(integral_trajectories),
+                                 T, h):
         v0 = V.evaluate(x0)
-        traj = simulate(sys, x0, T, h)
         if traj.escaped:
             wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
             return StabilityReport(
@@ -609,8 +606,7 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
     if not math.isfinite(mu):
         raise ParameterError("growth rate must be finite")
     r = sys.delay_r
-    if h is None:
-        h = r / 100.0
+    h, _ = _step_defaults(r, h)
     if T is None:
         T = 2.0 * r
     if space is None:
@@ -643,10 +639,9 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
     worst_traj = 0.0
     grid = default_time_grid(T, r, grid_points)
     lam = _weighted_kind(U)
-    for i in range(min(traj_check, samples)):
-        x0 = sample_one(cfg, i)
+    for i, x0, traj in _ensemble(sys, cfg, range(min(traj_check, samples)),
+                                 T, h):
         u0 = U.evaluate(x0)
-        traj = simulate(sys, x0, T, h)
         if traj.escaped:
             wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
             return StabilityReport(

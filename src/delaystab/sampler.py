@@ -16,7 +16,7 @@ uses for per-shell stratification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox

@@ -107,8 +107,7 @@ class SpaceSpec:
         if self.kind == "sup":
             return "sup"
         if self.kind == "sobolev":
-            return f"sobolev(p={'inf' if math.isinf(self.p) else self.p:g})" \
-                if not math.isinf(self.p) else "sobolev(p=inf)"
+            return f"sobolev(p={self.p:g})"
         return f"hoelder(a={self.a:g})"
 
     def to_json_dict(self) -> dict:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from delaystab import checkers
 from delaystab.checkers import (
     KLEnvelope,
     StabilityReport,
@@ -22,7 +23,7 @@ from delaystab.checkers import (
     lipschitz_propagation_bound,
     verify_pair_bounds,
 )
-from delaystab.dde import DelaySystem, make_system
+from delaystab.dde import DelaySystem, make_system, simulate
 from delaystab.sampler import SamplerConfig, sample_one
 from delaystab.segment import ParameterError, Segment, SpaceSpec
 
@@ -405,14 +406,6 @@ def test_envelope_escape_fills_infinities():
     assert not env.decayed
 
 
-def test_envelope_threads_do_not_change_results():
-    sys = linear(0.5, -1.0, 0.3)
-    kw = dict(horizon=2.0, h=0.02, grid_points=30)
-    a = fit_kl_envelope(sys, SUP, 1.0, 3, None, 6, threads=1, **kw)
-    b = fit_kl_envelope(sys, SUP, 1.0, 3, None, 6, threads=3, **kw)
-    assert np.array_equal(a.sigma, b.sigma)
-
-
 def test_envelope_explicit_time_grid_is_respected():
     grid = np.array([0.0, 0.5, 1.0, 2.0])
     env = fit_kl_envelope(linear(0.5, -1.0, 0.0), SUP, 1.0, 2, grid, 4,
@@ -472,6 +465,21 @@ def test_envelope_lift_dominates_full_norm_trajectories():
     assert rep.verdict == "consistent"
     assert rep.margins["worst_ratio"] < 1.0
     assert rep.details["decayed"]
+
+
+def test_envelope_lift_integrates_each_sample_once(monkeypatch):
+    calls = []
+
+    def counting_simulate(*args, **kwargs):
+        calls.append(args[1])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(checkers, "simulate", counting_simulate)
+    rep = check_envelope_lift(linear(1.0, -1.0, 0.3), SOB2, 1.5, 4, 8,
+                              horizon=4.0, h=0.05, grid_points=30)
+    assert rep.verdict == "consistent"
+    assert rep.margins["trajectories_checked"] == 8
+    assert len(calls) == 8
 
 
 # -- composite experiment ---------------------------------------------

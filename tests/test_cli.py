@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from delaystab.cli import _atomic_write
+from delaystab.dde import system_from_json_dict
+
 LINEAR_DECAY = {"name": "linear_scalar", "r": 1.0,
                 "params": {"a": -1.0, "b": 0.0}}
 ZERO_SYS = {"name": "linear_scalar", "r": 1.0,
@@ -183,3 +186,77 @@ def test_no_stray_temp_files(tmp_path):
     cfg = {"system": LINEAR_DECAY, "history": {"constant": [1.0]}, "T": 0.5}
     assert run_cli("simulate", cfg, tmp_path).returncode == 0
     assert not list(tmp_path.glob("*.tmp"))
+
+
+DISTRIBUTED = {"name": "distributed_linear", "r": 1.0,
+               "params": {"A0": [[-2.0]], "K": [[[0.5]], [[0.3]]]}}
+
+
+def test_distributed_system_outputs_round_trip(tmp_path):
+    sim = tmp_path / "sim"
+    chk = tmp_path / "chk"
+    sim.mkdir()
+    chk.mkdir()
+    cfg = {"system": DISTRIBUTED, "history": {"constant": [1.0]}, "T": 0.5}
+    proc = run_cli("simulate", cfg, sim)
+    assert proc.returncode == 0, proc.stderr
+    cfg = {"property": "rfc", "system": DISTRIBUTED,
+           "space": {"kind": "sup"}, "rho": 1.0, "T": 0.5, "budget": 1}
+    proc = run_cli("check", cfg, chk)
+    assert proc.returncode == 0, proc.stderr
+    for path in (sim / "summary.json", chk / "report.json"):
+        params = json.loads(path.read_text())["config"]["system"]["params"]
+        assert params["K"] == [[[0.5]], [[0.3]]]
+        again = system_from_json_dict(
+            json.loads(path.read_text())["config"]["system"])
+        assert again.to_json_dict()["params"] == params
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    def body(fh):
+        fh.write("partial")
+        raise TypeError("not serializable")
+
+    with pytest.raises(TypeError):
+        _atomic_write(tmp_path / "report.json", body)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_threads_flag_is_rejected(tmp_path):
+    cfg = {"system": LINEAR_DECAY, "history": {"constant": [1.0]}, "T": 0.5}
+    proc = run_cli("simulate", cfg, tmp_path, "--threads", "2")
+    assert proc.returncode == 2
+    assert "--threads" in proc.stderr
+
+
+GROWTH = {"check": "growth",
+          "system": {"name": "linear_scalar", "r": 1.0,
+                     "params": {"a": 0.0, "b": 1.0}},
+          "functional": {"type": "weighted_sup", "lam": 1.0},
+          "space": {"kind": "sup"}, "samples": 3, "mu": math.e,
+          "a": {"linear": 1.0}, "T": 2.0}
+
+
+def test_lyapunov_growth_uses_grid_points(tmp_path):
+    ratios = []
+    for name, extra in (("default", {}), ("coarse", {"grid_points": 5})):
+        out = tmp_path / name
+        out.mkdir()
+        assert run_cli("lyapunov", {**GROWTH, **extra}, out).returncode == 0
+        report = json.loads((out / "report.json").read_text())["report"]
+        ratios.append(report["margins"]["worst_trajectory_ratio"])
+    assert ratios[0] != ratios[1]
+
+
+def test_lyapunov_dissipation_rejects_grid_points(tmp_path):
+    cfg = {"check": "dissipation", "system": LINEAR_DECAY,
+           "functional": {"type": "weighted_sup", "lam": 1.0},
+           "space": {"kind": "sup"}, "samples": 2,
+           "a1": {"linear": math.exp(-1.0)}, "a2": {"linear": 1.0},
+           "rate": {"type": "scaled_abs", "c": math.exp(-1.0)},
+           "grid_points": 5}
+    proc = run_cli("lyapunov", cfg, tmp_path)
+    assert proc.returncode == 1
+    assert "grid_points" in proc.stderr
+    assert not (tmp_path / "report.json").exists()

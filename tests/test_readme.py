@@ -1,0 +1,14 @@
+"""The README's library quick tour runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_quick_tour_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("consistent ")

@@ -337,6 +337,14 @@ def test_space_spec_json_round_trip():
         assert back == sp
 
 
+def test_space_spec_labels():
+    # norms.csv headers are these labels
+    assert SpaceSpec.sup().label == "sup"
+    assert SpaceSpec.sobolev(2.0).label == "sobolev(p=2)"
+    assert SpaceSpec.sobolev(math.inf).label == "sobolev(p=inf)"
+    assert SpaceSpec.hoelder(0.5).label == "hoelder(a=0.5)"
+
+
 def test_space_spec_rejects_unknown_keys():
     with pytest.raises(ParameterError):
         SpaceSpec.from_json_dict({"kind": "sup", "q": 3})
