@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .dde import DelaySystem, Trajectory, segment_at, simulate
 from .sampler import SamplerConfig, sample_one
-from .segment import ParameterError, Segment, SpaceSpec, space_norm
+from .segment import DEFAULT_REFINE, ParameterError, Segment, SpaceSpec, \
+    _euclid, space_norm
 
 __all__ = [
     "KLEnvelope",
@@ -100,32 +102,44 @@ def _json_safe(v):
 # -- norm tracking -----------------------------------------------------
 
 
-def _norm_track(traj: Trajectory, space: SpaceSpec, grid: np.ndarray,
-                seg_nodes: int) -> np.ndarray:
-    """Report-space norm of the history segment at each grid time.
+def _track(traj: Trajectory, times, seg_nodes: int,
+           evaluate: Callable[[Segment], float], lam: float | None = None,
+           refine: int = DEFAULT_REFINE) -> np.ndarray:
+    """A functional of the history segment x_t at each time.
 
-    Times past the covered end (escape) give +inf.  The sup norm takes a
-    fast path over the dense solution mesh (a window max); other spaces
-    resample segments and pay the full norm evaluation.
+    Times past the covered end (escape) give +inf.  With lam the value is
+    the window max of e^(lam s)|x_t(s)|, taken over one candidate set that
+    every time shares: the initial segment's refined grid plus the forward
+    solver mesh, weighted once as e^(lam u)|x(u)|.  Each window max then
+    reads the same history points as the t = 0 evaluation, so decay ratios
+    carry no resampling noise (exact on constant histories).  Without lam
+    the value is evaluate(x_t) on a resampled segment.
     """
-    end = traj.end_time
-    out = np.full(grid.size, np.inf)
     r = traj.system.delay_r
-    if space.kind == "sup":
-        mags = np.sqrt(np.einsum("ij,ij->i", traj.values, traj.values))
-        times = traj.times
-        for k, t in enumerate(grid):
-            if t > end + 1e-12 * max(r, 1.0):
-                break
-            lo = np.searchsorted(times, t - r - 1e-15 * r, side="left")
-            hi = np.searchsorted(times, t + 1e-15 * max(r, t), side="right")
-            out[k] = mags[lo:hi].max()
-        return out
-    for k, t in enumerate(grid):
+    end = traj.end_time
+    out = np.full(len(times), np.inf)
+    if lam is not None:
+        s, vals, _ = traj.initial.refined(refine)
+        u = np.concatenate([s, traj.forward_times[1:]])
+        g = np.exp(lam * u) * np.concatenate(
+            [_euclid(vals), _euclid(traj.forward_values[1:])])
+    for k, t in enumerate(times):
         if t > end + 1e-12 * max(r, 1.0):
             break
-        out[k] = space_norm(segment_at(traj, t, n_nodes=seg_nodes), space)
+        if lam is None:
+            out[k] = evaluate(segment_at(traj, float(t), n_nodes=seg_nodes))
+            continue
+        lo = np.searchsorted(u, t - r - 1e-15 * r, side="left")
+        hi = np.searchsorted(u, t + 1e-15 * max(r, abs(t)), side="right")
+        out[k] = math.exp(-lam * t) * float(g[lo:hi].max())
     return out
+
+
+def _norm_track(traj: Trajectory, space: SpaceSpec, grid: np.ndarray,
+                seg_nodes: int) -> np.ndarray:
+    """Report-space norm of x_t at each grid time; sup is the lam = 0 max."""
+    return _track(traj, grid, seg_nodes, lambda seg: space_norm(seg, space),
+                  0.0 if space.kind == "sup" else None)
 
 
 def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,

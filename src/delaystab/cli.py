@@ -29,6 +29,7 @@ from . import __version__
 from .checkers import (
     _exponent_of,
     _json_safe,
+    _step_defaults,
     check_ga,
     check_gas_vs_ugas,
     check_lags,
@@ -139,7 +140,7 @@ def cmd_simulate(cfg: dict, seed: int, out: Path) -> int:
     sys = system_from_json_dict(cfg["system"])
     x0 = _history_segment(cfg["history"], sys, seed)
     T = float(cfg["T"])
-    h = float(cfg.get("h", sys.delay_r / 100.0))
+    h = float(_step_defaults(sys.delay_r, cfg.get("h"))[0])
     traj = simulate(sys, x0, T, h)
     _atomic_write(out / "trajectory.csv", traj.write_csv)
     resolved = {"system": sys.to_json_dict(), "history": cfg["history"],

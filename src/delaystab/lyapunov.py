@@ -33,7 +33,9 @@ from .checkers import (
     StabilityReport,
     _ball_cfg,
     _ensemble,
+    _norm_track,
     _step_defaults,
+    _track,
     _witness,
     default_time_grid,
 )
@@ -72,6 +74,11 @@ __all__ = [
 
 DINI_RUNGS = 6
 DINI_H0_FACTOR = 1e-2
+
+
+def _dini_steps(r: float, rungs: int = DINI_RUNGS) -> np.ndarray:
+    """Forward-quotient ladder: 1e-2 r, then quartered per rung."""
+    return DINI_H0_FACTOR * r * 4.0 ** (-np.arange(rungs))
 
 
 class EscapeError(RuntimeError):
@@ -287,10 +294,8 @@ def dini_derivative(sys: DelaySystem, V: Functional, x: Segment, *,
     """
     if rungs < 3:
         raise ParameterError("need at least three ladder rungs")
-    r = sys.delay_r
-    h0 = DINI_H0_FACTOR * r
-    hs = h0 * 4.0 ** (-np.arange(rungs))
-    traj = simulate(sys, x, h0, hs[-1] / 2.0)
+    hs = _dini_steps(sys.delay_r, rungs)
+    traj = simulate(sys, x, float(hs[0]), hs[-1] / 2.0)
     if traj.escaped:
         raise EscapeError(traj.escape_time)
     v0 = V.evaluate(x)
@@ -340,36 +345,12 @@ def _weighted_kind(V: Functional) -> float | None:
     return None
 
 
-def _flow_weighted_track(traj, lam: float, times, refine: int) -> np.ndarray:
-    """sup of e^(lam s)|x_t(s)| at each time, on shared sample points.
-
-    The candidates are the initial segment's refined grid plus the forward
-    solver mesh, weighted once as e^(lam u)|x(u)|; each window sup then
-    shares every history candidate with the t = 0 evaluation, so decay
-    ratios are free of resampling noise (exact on constant histories).
-    """
-    r = traj.initial.delay_r
-    s, vals, _ = traj.initial.refined(refine)
-    u = np.concatenate([s, traj.forward_times[1:]])
-    mag = np.concatenate([_euclid(vals), _euclid(traj.forward_values[1:])])
-    g = np.exp(lam * u) * mag
-    out = np.empty(len(times))
-    for idx, t in enumerate(times):
-        lo = np.searchsorted(u, t - r - 1e-15 * r, side="left")
-        hi = np.searchsorted(u, t + 1e-15 * max(r, abs(t)), side="right")
-        out[idx] = math.exp(-lam * t) * float(g[lo:hi].max())
-    return out
-
-
 def _growth_quotient(U: Functional, x: Segment, f: np.ndarray,
                      h: float) -> float:
     """(U(P_h x) - U(x)) / h with the noise-free path for sup functionals."""
-    if U.kind == "weighted_sup":
-        up = _prolonged_weighted_sup(x, f, h, float(U.param), U.refine)
-    elif U.kind == "space_norm" and U.param.kind == "sup":
-        up = _prolonged_weighted_sup(x, f, h, 0.0, U.refine)
-    else:
-        up = U.evaluate(prolong(x, f, h))
+    lam = _weighted_kind(U)
+    up = U.evaluate(prolong(x, f, h)) if lam is None \
+        else _prolonged_weighted_sup(x, f, h, lam, U.refine)
     return (up - U.evaluate(x)) / h
 
 
@@ -397,6 +378,32 @@ def functional_lipschitz_probe(V: Functional, space: SpaceSpec, R: float,
 # -- certificate checks ------------------------------------------------
 
 
+def _falsifier(prop: str, space: SpaceSpec, cfg: SamplerConfig,
+               samples: int):
+    """Report builder for a failed certificate condition of sample i."""
+    def falsified(i: int, x0: Segment, t: float, v: float, margins: dict,
+                  failed: str) -> StabilityReport:
+        return StabilityReport(prop, space, "falsified",
+                               _witness(cfg, i, x0, t, v), margins,
+                               {"samples": samples}, {"failed": failed})
+    return falsified
+
+
+def _mesh_weights(times: np.ndarray, h: float) -> np.ndarray:
+    """Quadrature weights on a solver mesh whose last step may be short.
+
+    Composite Simpson over the whole steps of length h, the trapezoid rule
+    on a short final step.
+    """
+    tail = float(times[-1] - times[-2])
+    if abs(tail - h) <= 1e-9 * h:
+        return _quadrature_weights(times.size, h)
+    w = np.zeros(times.size)
+    w[:-1] = _quadrature_weights(times.size - 1, h)
+    w[-2:] += tail / 2.0
+    return w
+
+
 def check_exponential_certificate(sys: DelaySystem, V: Functional,
                                   a1: MonotoneGridFn, a2: MonotoneGridFn,
                                   space: SpaceSpec, samples: int, T: float, *,
@@ -415,66 +422,43 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
     r = sys.delay_r
     h, _ = _step_defaults(r, h)
     a1_inv = a1.invert()
-    grid = default_time_grid(T, r, grid_points)
+    times = default_time_grid(T, r, grid_points)[1:]
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
+    fail = _falsifier("exponential_certificate", space, cfg, samples)
+    lam = _weighted_kind(V)
     worst_low = 0.0
     worst_up = 0.0
     worst_decay = 0.0
     worst_env = 0.0
-    for i in range(samples):
-        x0 = sample_one(cfg, i)
+    for i, x0, traj in _ensemble(sys, cfg, range(samples), T, h):
         v0 = V.evaluate(x0)
         nx = space_norm(x0, space)
         tol = 1e-12 * (1.0 + v0)
         lo, up = float(a1(nx)), float(a2(nx))
         if lo > v0 * (1.0 + 1e-6) + tol:
-            wit = _witness(cfg, i, x0, 0.0, v0)
-            return StabilityReport(
-                "exponential_certificate", space, "falsified", wit,
-                {"lower_bound": lo, "value": v0}, {"samples": samples},
-                {"failed": "lower_sandwich"})
+            return fail(i, x0, 0.0, v0, {"lower_bound": lo, "value": v0},
+                        "lower_sandwich")
         if v0 > up * (1.0 + 1e-6) + tol:
-            wit = _witness(cfg, i, x0, 0.0, v0)
-            return StabilityReport(
-                "exponential_certificate", space, "falsified", wit,
-                {"upper_bound": up, "value": v0}, {"samples": samples},
-                {"failed": "upper_sandwich"})
+            return fail(i, x0, 0.0, v0, {"upper_bound": up, "value": v0},
+                        "upper_sandwich")
         if v0 > 0.0:
             worst_low = max(worst_low, lo / v0)
         if up > 0.0:
             worst_up = max(worst_up, v0 / up)
-        traj = simulate(sys, x0, T, h)
         if traj.escaped:
-            wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
-            return StabilityReport(
-                "exponential_certificate", space, "falsified", wit,
-                {"escape_time": traj.escape_time}, {"samples": samples},
-                {"failed": "escape"})
-        lam = _weighted_kind(V)
-        vts = None if lam is None \
-            else _flow_weighted_track(traj, lam, grid[1:], V.refine)
-        nts = None if space.kind != "sup" \
-            else _flow_weighted_track(traj, 0.0, grid[1:], DEFAULT_REFINE)
-        for k, t in enumerate(grid[1:]):
-            seg = None
-            if vts is None or nts is None:
-                seg = segment_at(traj, float(t), n_nodes=n_nodes)
-            vt = float(vts[k]) if vts is not None else V.evaluate(seg)
+            return fail(i, x0, traj.escape_time, math.inf,
+                        {"escape_time": traj.escape_time}, "escape")
+        vts = _track(traj, times, n_nodes, V.evaluate, lam, V.refine)
+        nts = _norm_track(traj, space, times, n_nodes)
+        for t, vt, nt in zip(times, vts.tolist(), nts.tolist()):
             limit = math.exp(-t) * v0
             if vt > limit * (1.0 + 1e-6) + tol:
-                wit = _witness(cfg, i, x0, float(t), vt)
-                return StabilityReport(
-                    "exponential_certificate", space, "falsified", wit,
-                    {"value": vt, "limit": limit}, {"samples": samples},
-                    {"failed": "decay"})
+                return fail(i, x0, float(t), vt,
+                            {"value": vt, "limit": limit}, "decay")
             env = float(a1_inv(math.exp(-t) * up))
-            nt = float(nts[k]) if nts is not None else space_norm(seg, space)
             if nt > env * (1.0 + 1e-6) + 1e-9 * (1.0 + env):
-                wit = _witness(cfg, i, x0, float(t), nt)
-                return StabilityReport(
-                    "exponential_certificate", space, "falsified", wit,
-                    {"norm": nt, "envelope": env}, {"samples": samples},
-                    {"failed": "implied_envelope"})
+                return fail(i, x0, float(t), nt,
+                            {"norm": nt, "envelope": env}, "implied_envelope")
             if limit > 0.0:
                 worst_decay = max(worst_decay, vt / limit)
             if env > 0.0:
@@ -510,6 +494,7 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     if T is None:
         T = 2.0 * r
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
+    fail = _falsifier("pointwise_dissipation", space, cfg, samples)
     worst_dini = -math.inf
     worst_integral = -math.inf
     for i in range(samples):
@@ -520,64 +505,44 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
         tol = 1e-12 * (1.0 + v0)
         if float(a1(head)) > v0 * (1.0 + 1e-6) + tol \
                 or v0 > float(a2(nx)) * (1.0 + 1e-6) + tol:
-            wit = _witness(cfg, i, x0, 0.0, v0)
-            return StabilityReport(
-                "pointwise_dissipation", space, "falsified", wit,
-                {"value": v0, "lower": float(a1(head)),
-                 "upper": float(a2(nx))}, {"samples": samples},
-                {"failed": "sandwich"})
+            return fail(i, x0, 0.0, v0,
+                        {"value": v0, "lower": float(a1(head)),
+                         "upper": float(a2(nx))}, "sandwich")
         try:
             est = dini_derivative(sys, V, x0).estimate
         except EscapeError as exc:
-            wit = _witness(cfg, i, x0, exc.escape_time, math.inf)
-            return StabilityReport(
-                "pointwise_dissipation", space, "falsified", wit,
-                {"escape_time": exc.escape_time}, {"samples": samples},
-                {"failed": "escape"})
+            return fail(i, x0, exc.escape_time, math.inf,
+                        {"escape_time": exc.escape_time}, "escape")
         dissipation_tol = 1e-3 * (1.0 + v0)
         gap = est + Q(x0.values[-1])
         worst_dini = max(worst_dini, gap - dissipation_tol)
         if gap > dissipation_tol:
-            wit = _witness(cfg, i, x0, 0.0, est)
-            return StabilityReport(
-                "pointwise_dissipation", space, "falsified", wit,
-                {"dini_estimate": est, "required": -Q(x0.values[-1]),
-                 "tolerance": dissipation_tol}, {"samples": samples},
-                {"failed": "dissipation"})
+            return fail(i, x0, 0.0, est,
+                        {"dini_estimate": est, "required": -Q(x0.values[-1]),
+                         "tolerance": dissipation_tol}, "dissipation")
+    lam = _weighted_kind(V)
     for i, x0, traj in _ensemble(sys, cfg, range(integral_trajectories),
                                  T, h):
         v0 = V.evaluate(x0)
         if traj.escaped:
-            wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
-            return StabilityReport(
-                "pointwise_dissipation", space, "falsified", wit,
-                {"escape_time": traj.escape_time}, {"samples": samples},
-                {"failed": "escape"})
-        vals = traj.forward_values
+            return fail(i, x0, traj.escape_time, math.inf,
+                        {"escape_time": traj.escape_time}, "escape")
         times = traj.forward_times
-        rates = np.array([Q(row) for row in vals])
+        rates = np.array([Q(row) for row in traj.forward_values])
         slack = 1e-4 * (1.0 + v0)
         n_steps = times.size - 1
-        lam = _weighted_kind(V)
-        for c in range(1, checkpoints + 1):
-            idx = c * n_steps // checkpoints
-            if idx < 2:
-                continue
-            w = _quadrature_weights(idx + 1, traj.step_h)
+        idxs = [c * n_steps // checkpoints for c in range(1, checkpoints + 1)]
+        idxs = [idx for idx in idxs if idx >= 2]
+        vts = _track(traj, times[idxs], n_nodes, V.evaluate, lam, V.refine)
+        for idx, vt in zip(idxs, vts.tolist()):
+            w = _mesh_weights(times[:idx + 1], traj.step_h)
             integral = float(w @ rates[:idx + 1])
-            t_c = float(times[idx])
-            if lam is not None:
-                vt = float(_flow_weighted_track(traj, lam, [t_c], V.refine)[0])
-            else:
-                vt = V.evaluate(segment_at(traj, t_c, n_nodes=n_nodes))
             excess = vt + integral - v0
             worst_integral = max(worst_integral, excess - slack)
             if excess > slack:
-                wit = _witness(cfg, i, x0, t_c, vt)
-                return StabilityReport(
-                    "pointwise_dissipation", space, "falsified", wit,
-                    {"value": vt, "integral": integral, "start": v0},
-                    {"samples": samples}, {"failed": "integral"})
+                return fail(i, x0, float(times[idx]), vt,
+                            {"value": vt, "integral": integral, "start": v0},
+                            "integral")
     return StabilityReport(
         "pointwise_dissipation", space, "consistent", None,
         {"worst_dini_excess": worst_dini,
@@ -612,18 +577,17 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
     if space is None:
         space = SpaceSpec.sup()
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
-    hs = DINI_H0_FACTOR * r * 4.0 ** (-np.arange(DINI_RUNGS))
+    fail = _falsifier("growth_certificate", space, cfg, samples)
+    hs = _dini_steps(r)
     worst_quotient = -math.inf
     for i in range(samples):
         x0 = sample_one(cfg, i)
         u0 = U.evaluate(x0)
         head = float(np.linalg.norm(x0.values[-1]))
         if float(a(head)) > u0 * (1.0 + 1e-6) + 1e-12 * (1.0 + u0):
-            wit = _witness(cfg, i, x0, 0.0, u0)
-            return StabilityReport(
-                "growth_certificate", space, "falsified", wit,
-                {"value": u0, "required": float(a(head))},
-                {"samples": samples}, {"failed": "coercivity"})
+            return fail(i, x0, 0.0, u0,
+                        {"value": u0, "required": float(a(head))},
+                        "coercivity")
         f = np.asarray(sys.rhs(x0), dtype=float)
         tol = 1e-3 * (1.0 + u0)
         for hk in hs:
@@ -631,35 +595,25 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
             excess = q - mu * u0
             worst_quotient = max(worst_quotient, excess - tol)
             if excess > tol:
-                wit = _witness(cfg, i, x0, 0.0, q)
-                return StabilityReport(
-                    "growth_certificate", space, "falsified", wit,
-                    {"quotient": q, "limit": mu * u0, "step": float(hk)},
-                    {"samples": samples}, {"failed": "prolongation"})
+                return fail(i, x0, 0.0, q,
+                            {"quotient": q, "limit": mu * u0,
+                             "step": float(hk)}, "prolongation")
     worst_traj = 0.0
-    grid = default_time_grid(T, r, grid_points)
+    times = default_time_grid(T, r, grid_points)[1:]
     lam = _weighted_kind(U)
     for i, x0, traj in _ensemble(sys, cfg, range(min(traj_check, samples)),
                                  T, h):
         u0 = U.evaluate(x0)
         if traj.escaped:
-            wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
-            return StabilityReport(
-                "growth_certificate", space, "falsified", wit,
-                {"escape_time": traj.escape_time}, {"samples": samples},
-                {"failed": "escape"})
-        uts = None if lam is None \
-            else _flow_weighted_track(traj, lam, grid[1:], U.refine)
-        for k, t in enumerate(grid[1:]):
-            ut = float(uts[k]) if uts is not None \
-                else U.evaluate(segment_at(traj, float(t), n_nodes=n_nodes))
+            return fail(i, x0, traj.escape_time, math.inf,
+                        {"escape_time": traj.escape_time}, "escape")
+        uts = _track(traj, times, n_nodes, U.evaluate, lam, U.refine)
+        for t, ut in zip(times, uts.tolist()):
             limit = math.exp(mu * t) * u0
             if ut > limit * (1.0 + 1e-3) + 1e-12 * (1.0 + u0):
-                wit = _witness(cfg, i, x0, float(t), ut)
-                return StabilityReport(
-                    "growth_certificate", space, "falsified", wit,
-                    {"value": ut, "limit": limit}, {"samples": samples},
-                    {"failed": "trajectory_growth"})
+                return fail(i, x0, float(t), ut,
+                            {"value": ut, "limit": limit},
+                            "trajectory_growth")
             if limit > 0.0:
                 worst_traj = max(worst_traj, ut / limit)
     return StabilityReport(

@@ -23,9 +23,9 @@ from delaystab.checkers import (
     lipschitz_propagation_bound,
     verify_pair_bounds,
 )
-from delaystab.dde import DelaySystem, make_system, simulate
+from delaystab.dde import DelaySystem, make_system, segment_at, simulate
 from delaystab.sampler import SamplerConfig, sample_one
-from delaystab.segment import ParameterError, Segment, SpaceSpec
+from delaystab.segment import ParameterError, Segment, SpaceSpec, space_norm
 
 SUP = SpaceSpec.sup()
 SOB2 = SpaceSpec.sobolev(2.0)
@@ -453,6 +453,35 @@ def test_pair_bounds_catch_understated_modulus():
                              order=0, h=0.02, grid_points=10)
     assert rep.verdict == "falsified"
     assert rep.witness is not None
+
+
+# -- norm tracks -------------------------------------------------------
+
+
+def _fourier_runs(a, b, count, T, h):
+    sys = linear(1.0, a, b)
+    cfg = SamplerConfig(family="fourier", order=3, target_space=SUP,
+                        target_norm=1.0, dimension=1, delay_r=1.0, seed=0,
+                        n_nodes=65)
+    return checkers._ensemble(sys, cfg, range(count), T, h)
+
+
+def test_sup_track_at_zero_is_the_sup_norm():
+    """At t = 0 the sup track reads the same points as space_norm."""
+    for _, x0, traj in _fourier_runs(-1.0, 0.3, 20, 0.5, 0.01):
+        track = checkers._norm_track(traj, SUP, np.array([0.0, 0.25]), 65)
+        assert track[0] == space_norm(x0, SUP)
+
+
+def test_sup_track_follows_the_segment_norm_inside_the_first_window():
+    """For t in (0, r) the window max sees the refined history points."""
+    grid = default_time_grid(2.0, 1.0, 200)
+    inner = grid[(grid > 0.0) & (grid < 1.0)]
+    for _, _, traj in _fourier_runs(-1.0, 0.3, 20, 2.0, 0.01):
+        track = checkers._norm_track(traj, SUP, inner, 65)
+        full = [space_norm(segment_at(traj, float(t), n_nodes=65), SUP)
+                for t in inner]
+        assert np.all(track >= 0.95 * np.array(full))
 
 
 # -- lifted envelope domination ---------------------------------------

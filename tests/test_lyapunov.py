@@ -277,6 +277,25 @@ def test_dissipation_consistent():
     assert rep.margins["worst_integral_excess"] < 0.0
 
 
+def test_dissipation_integral_exact_off_the_step_grid():
+    """V(x_t) + integral of Q = V(x_0) holds with equality under pure decay.
+
+    A horizon off the step grid ends on a short final step, which the
+    quadrature must weight as such: the excess matches the on-grid one.
+    """
+    sys = linear(1.0, -1.0, 0.0)
+    idf = MonotoneGridFn.linear(1.0)
+    excess = []
+    for T in (2.0, 2.005):
+        rep = check_pointwise_dissipation(
+            sys, weighted_sup(1.0), idf, idf, scaled_abs_rate(1.0), SUP, 1,
+            integral_trajectories=3, T=T, family="polynomial", order=0,
+            h=0.01, seed=0)
+        assert rep.verdict == "consistent"
+        excess.append(rep.margins["worst_integral_excess"])
+    assert excess[1] == pytest.approx(excess[0], abs=1e-8)
+
+
 def test_dissipation_unstable_falsified():
     sys = linear(1.0, 1.0, 0.0)
     idf = MonotoneGridFn.linear(1.0)
