@@ -78,6 +78,16 @@ def _inv(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
+def _grown(start: float, x: float) -> float:
+    """start * e^x (start >= 0); 0 at start 0, +inf past the float range."""
+    if start == 0.0:
+        return 0.0
+    try:
+        return start * math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _step_defaults(r: float, h: float | None,
                    horizon: float | None = None) -> tuple[float, float]:
     """Solver step and horizon, defaulting to r/100 and 20 r."""
@@ -449,9 +459,9 @@ def lipschitz_propagation_bound(R: float, T: float, r: float, p: float,
     if not (p > 1.0):
         raise ParameterError("derivative exponent must satisfy p > 1")
     if sigma0 is None:
-        sigma0 = math.exp(float(lipschitz_modulus(R)) * T) * R
+        sigma0 = _grown(R, float(lipschitz_modulus(R)) * T)
     Ls = float(lipschitz_modulus(sigma0))
-    return 1.0 + (1.0 + r ** _inv(p)) * max(1.0, Ls * math.exp(Ls * T))
+    return 1.0 + (1.0 + r ** _inv(p)) * max(1.0, _grown(Ls, Ls * T))
 
 
 # -- property checkers -------------------------------------------------
@@ -679,7 +689,8 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
 
     Checks, for sampled history pairs, the a-priori growth bound on the
     sup distance (factor e^(L sigma0 T) wrt the initial sup distance) and
-    the full-norm bound with the propagation constant M.
+    the full-norm bound with the propagation constant M.  A pair member
+    that escapes before T falsifies the bounds at its escape time.
     """
     if not (R > 0.0 and T > 0.0 and pairs >= 1):
         raise ParameterError("need positive R, T and pairs")
@@ -687,10 +698,11 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
     h, _ = _step_defaults(r, h)
     L = sys.lipschitz_modulus
     if sigma0 is None:
-        sigma0 = math.exp(float(L(R)) * T) * R
-    growth = math.exp(float(L(sigma0)) * T)
+        sigma0 = _grown(R, float(L(R)) * T)
+    growth = _grown(1.0, float(L(sigma0)) * T)
     p = _exponent_of(space)
     M = lipschitz_propagation_bound(R, T, r, p, L, sigma0)
+    margins = {"growth_factor": growth, "propagation_constant": M}
     grid = default_time_grid(T, r, grid_points)
     cfg = _ball_cfg(sys, space, R, family, order, seed, n_nodes)
     sup_space = SpaceSpec.sup()
@@ -698,24 +710,33 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
     worst_full = 0.0
     firsts = _ensemble(sys, cfg, range(0, 2 * pairs, 2), T, h)
     seconds = _ensemble(sys, cfg, range(1, 2 * pairs, 2), T, h)
-    for (i, x0, tx), (_, y0, ty) in zip(firsts, seconds):
+    for (i, x0, tx), (k, y0, ty) in zip(firsts, seconds):
+        escapes = [(tr.escape_time, j, z0)
+                   for j, z0, tr in ((i, x0, tx), (k, y0, ty)) if tr.escaped]
+        if escapes:
+            e_time, j, z0 = min(escapes)
+            wit = _witness(cfg, j, z0, e_time, math.inf)
+            wit["pair_index"] = k if j == i else i
+            return StabilityReport("pair_bounds", space, "falsified", wit,
+                                   margins, {"pairs": pairs},
+                                   {"escape_time": e_time})
         d0_sup = space_norm(x0 - y0, sup_space)
         d0_full = space_norm(x0 - y0, space)
+        # an infinite factor on a zero distance still bounds by 0
+        lim_sup = growth * d0_sup if d0_sup else 0.0
+        lim_full = M * d0_full if d0_full else 0.0
         for t in grid:
             diff = segment_at(tx, float(t), n_nodes=n_nodes) \
                 - segment_at(ty, float(t), n_nodes=n_nodes)
             d_sup = space_norm(diff, sup_space)
             d_full = space_norm(diff, space)
-            lim_sup = growth * d0_sup
-            lim_full = M * d0_full
             if d_sup > lim_sup * (1.0 + 1e-6) + 1e-15 \
                     or d_full > lim_full * (1.0 + 1e-6) + 1e-15:
                 wit = _witness(cfg, i, x0, float(t),
                                float(max(d_sup, d_full)))
-                wit["pair_index"] = i + 1
+                wit["pair_index"] = k
                 return StabilityReport(
-                    "pair_bounds", space, "falsified", wit,
-                    {"growth_factor": growth, "propagation_constant": M},
+                    "pair_bounds", space, "falsified", wit, margins,
                     {"pairs": pairs},
                     {"d_sup": d_sup, "limit_sup": lim_sup,
                      "d_full": d_full, "limit_full": lim_full})
@@ -725,8 +746,8 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
                 worst_full = max(worst_full, d_full / lim_full)
     return StabilityReport(
         "pair_bounds", space, "consistent", None,
-        {"growth_factor": growth, "propagation_constant": M,
-         "worst_sup_ratio": worst_sup, "worst_full_ratio": worst_full},
+        {**margins, "worst_sup_ratio": worst_sup,
+         "worst_full_ratio": worst_full},
         {"pairs": pairs}, {"sigma0": sigma0})
 
 

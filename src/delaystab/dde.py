@@ -8,6 +8,9 @@ read the history through cubic Hermite dense output.  The forward mesh is
 chosen so that every multiple of the delay r is a mesh point; the
 derivative discontinuities that the method of steps propagates from t = 0
 therefore always land on nodes and each step integrates smooth data.
+Stages and :func:`segment_at` read x through the one Hermite formula of
+:mod:`segment` on the same cells, so each node of x_t left of its right end
+is bitwise the value a stage reads at that time once its step has settled.
 
 Right-hand sides access the state only through ``value_at_point(s)`` /
 ``value_at(array)`` queries with s in [-r, 0], which keeps distributed
@@ -34,6 +37,8 @@ from .segment import (
     ParameterError,
     Segment,
     SpaceSpec,
+    _hermite,
+    _hermite_slope,
     _quadrature_weights,
     sup_norm,
 )
@@ -294,18 +299,6 @@ class _SolutionView:
         self.stage_time = stage_time
         self.stage_value = stage_value
 
-    def _forward_point(self, u: float) -> np.ndarray:
-        h = self.h
-        j = min(int(u / h), self.settled - 1)
-        t = (u - j * h) / h
-        one_m = 1.0 - t
-        h00 = (1.0 + 2.0 * t) * one_m * one_m
-        h10 = t * one_m * one_m
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        return (h00 * self.values[j] + h * h10 * self.derivs[j]
-                + h01 * self.values[j + 1] + h * h11 * self.derivs[j + 1])
-
     def value_at_point(self, s: float) -> np.ndarray:
         u = self.stage_time + s
         if u >= self.settled_time:
@@ -316,7 +309,10 @@ class _SolutionView:
             return (1.0 - w) * self.values[self.settled] + w * self.stage_value
         if u <= 0.0:
             return self.initial.value_at_point(u)
-        return self._forward_point(u)
+        h = self.h
+        j = min(int(u / h), self.settled - 1)
+        return _hermite(self.values[j], self.derivs[j], self.values[j + 1],
+                        self.derivs[j + 1], (u - j * h) / h, h)
 
     def value_at(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -324,6 +320,13 @@ class _SolutionView:
         for i in range(s.size):
             out[i] = self.value_at_point(float(s[i]))
         return out
+
+
+def _mesh(T: float, h: float) -> tuple[int, float]:
+    """Full steps of width h in [0, T] and the short final step (or 0.0)."""
+    n_full = int(math.floor(T / h + 1e-9))
+    tail = T - n_full * h
+    return n_full, (tail if tail >= 1e-9 * h else 0.0)
 
 
 def simulate(sys: DelaySystem, x0: Segment, T: float, h: float | None = None
@@ -346,10 +349,7 @@ def simulate(sys: DelaySystem, x0: Segment, T: float, h: float | None = None
     if not (0.0 < h <= r / 10.0 + 1e-15 * r):
         raise ParameterError("step must satisfy 0 < h <= r/10")
     h_eff = r / math.ceil(r / h - 1e-12)
-    n_full = int(math.floor(T / h_eff + 1e-9))
-    tail = T - n_full * h_eff
-    if tail < 1e-9 * h_eff:
-        tail = 0.0
+    n_full, tail = _mesh(T, h_eff)
     n_steps = n_full + (1 if tail > 0.0 else 0)
 
     vals = np.empty((n_steps + 1, sys.dimension))
@@ -417,8 +417,9 @@ def segment_at(traj: Trajectory, t: float, n_nodes: int | None = None
     """The history segment x_t, resampled onto the standard uniform grid.
 
     Node values and derivatives come from the trajectory's dense output;
-    times at or before zero read the initial segment exactly.  Requires
-    0 <= t <= the covered end time.
+    times at or before zero read the initial segment exactly, later times
+    read the integrator's own cells.  Requires 0 <= t <= the covered end
+    time.
     """
     r = traj.system.delay_r
     end = traj.end_time
@@ -438,28 +439,17 @@ def segment_at(traj: Trajectory, t: float, n_nodes: int | None = None
         ders[hist] = traj.initial.deriv_at(q)
     fwd = ~hist
     if np.any(fwd):
-        ft = traj.forward_times
-        fv = traj.forward_values
-        fd = traj.forward_derivs
-        q = np.clip(u[fwd], 0.0, end)
-        j = np.clip(np.searchsorted(ft, q, side="right") - 1, 0, ft.size - 2)
-        width = ft[j + 1] - ft[j]
-        w = (q - ft[j]) / width
-        wc = w[:, None]
-        widthc = width[:, None]
-        one_m = 1.0 - wc
-        h00 = (1.0 + 2.0 * wc) * one_m * one_m
-        h10 = wc * one_m * one_m
-        h01 = wc * wc * (3.0 - 2.0 * wc)
-        h11 = wc * wc * (wc - 1.0)
-        vals[fwd] = (h00 * fv[j] + widthc * h10 * fd[j]
-                     + h01 * fv[j + 1] + widthc * h11 * fd[j + 1])
-        g00 = (6.0 * wc * wc - 6.0 * wc) / widthc
-        g10 = 3.0 * wc * wc - 4.0 * wc + 1.0
-        g01 = (6.0 * wc - 6.0 * wc * wc) / widthc
-        g11 = 3.0 * wc * wc - 2.0 * wc
-        ders[fwd] = (g00 * fv[j] + g10 * fd[j] + g01 * fv[j + 1]
-                     + g11 * fd[j + 1])
+        # the integrator's cells: width h, a short final step its own
+        h = traj.step_h
+        fv, fd = traj.forward_values, traj.forward_derivs
+        n_full, tail = _mesh(end, h)
+        q = np.minimum(u[fwd], end)
+        j = np.minimum((q / h).astype(int), fv.shape[0] - 2)
+        width = np.where(j < n_full, h, tail)
+        cell = (fv[j], fd[j], fv[j + 1], fd[j + 1],
+                ((q - j * h) / width)[:, None], width[:, None])
+        vals[fwd] = _hermite(*cell)
+        ders[fwd] = _hermite_slope(*cell)
     return Segment(r, s, vals, ders)
 
 

@@ -33,6 +33,7 @@ from .checkers import (
     StabilityReport,
     _ball_cfg,
     _ensemble,
+    _grown,
     _norm_track,
     _step_defaults,
     _track,
@@ -609,7 +610,7 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
                         {"escape_time": traj.escape_time}, "escape")
         uts = _track(traj, times, n_nodes, U.evaluate, lam, U.refine)
         for t, ut in zip(times, uts.tolist()):
-            limit = math.exp(mu * t) * u0
+            limit = _grown(u0, mu * t)
             if ut > limit * (1.0 + 1e-3) + 1e-12 * (1.0 + u0):
                 return fail(i, x0, float(t), ut,
                             {"value": ut, "limit": limit},

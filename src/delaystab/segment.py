@@ -9,6 +9,11 @@ integral quantities are quadrature approximations; both are exact statements
 about the concrete piecewise-cubic function the segment represents, which is
 what keeps the inequality checks in the rest of the toolkit honest.
 
+One value and one slope formula (``_hermite``, ``_hermite_slope``) serve
+every read of x here, in the integrator and in ``dde.segment_at``, so two
+reads of one time agree bitwise.  The exception is the right window end:
+``value_at(0)`` interpolates at u ~ 1, ``value_at_point(0)`` returns the node.
+
 Three norm families are supported:
 
 * ``sup``: the plain supremum of the Euclidean norm of x,
@@ -40,7 +45,6 @@ __all__ = [
     "lp_deriv_norm",
     "hoelder_seminorm",
     "space_norm",
-    "space_norm_report",
     "prolong",
 ]
 
@@ -142,6 +146,31 @@ class SpaceSpec:
         raise ParameterError(f"unknown space kind {kind!r}")
 
 
+# -- cubic Hermite reader ----------------------------------------------
+
+
+def _hermite(v0, d0, v1, d1, u, h):
+    """Value at fraction u of the Hermite cell (v0, d0), (v1, d1) of width h.
+
+    u and h are scalars or (m, 1) columns, node rows (n,) or (m, n).
+    """
+    one_m = 1.0 - u
+    h00 = (1.0 + 2.0 * u) * (one_m * one_m)
+    h10 = u * (one_m * one_m)
+    h01 = u * u * (3.0 - 2.0 * u)
+    h11 = u * u * (u - 1.0)
+    return h00 * v0 + h * h10 * d0 + h01 * v1 + h * h11 * d1
+
+
+def _hermite_slope(v0, d0, v1, d1, u, h):
+    """Derivative of the cell of :func:`_hermite`, with the same shapes."""
+    g00 = (6.0 * u * u - 6.0 * u) / h
+    g10 = 3.0 * u * u - 4.0 * u + 1.0
+    g01 = (6.0 * u - 6.0 * u * u) / h
+    g11 = 3.0 * u * u - 2.0 * u
+    return g00 * v0 + g10 * d0 + g01 * v1 + g11 * d1
+
+
 @dataclass(frozen=True, eq=False)
 class Segment:
     """A sampled history x : [-r, 0] -> R^n with cubic Hermite interpolation.
@@ -222,13 +251,7 @@ class Segment:
     def from_callable(delay_r, f, df, n_nodes=201) -> "Segment":
         """Sample vectorized callables f(s), df(s) on the uniform grid."""
         s = np.linspace(-float(delay_r), 0.0, int(n_nodes))
-        vals = np.asarray(f(s), dtype=float)
-        ders = np.asarray(df(s), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if ders.ndim == 1:
-            ders = ders[:, None]
-        return Segment(float(delay_r), s, vals, ders)
+        return Segment(float(delay_r), s, f(s), df(s))
 
     @staticmethod
     def constant(delay_r, value, n_nodes=201) -> "Segment":
@@ -243,7 +266,9 @@ class Segment:
 
     # -- evaluation ----------------------------------------------------
 
-    def _locate(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _cells(self, s):
+        """Hermite cell data of the times s, in the order _hermite takes."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
         r = self.delay_r
         tol = 1e-9 * r
         if np.any(s < -r - tol) or np.any(s > tol):
@@ -252,35 +277,16 @@ class Segment:
         h = self.spacing
         j = np.clip(((s + r) / h).astype(int), 0, self.n_cells - 1)
         u = (s - self.nodes[j]) / h
-        return j, u
+        return (self.values[j], self.derivs[j], self.values[j + 1],
+                self.derivs[j + 1], u[:, None], h)
 
     def value_at(self, s) -> np.ndarray:
         """Hermite value at times s (scalar or array); returns (m, n)."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        j, u = self._locate(s)
-        u = u[:, None]
-        h = self.spacing
-        v0, v1 = self.values[j], self.values[j + 1]
-        d0, d1 = self.derivs[j], self.derivs[j + 1]
-        h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-        h10 = u * (1.0 - u) ** 2
-        h01 = u * u * (3.0 - 2.0 * u)
-        h11 = u * u * (u - 1.0)
-        return h00 * v0 + h * h10 * d0 + h01 * v1 + h * h11 * d1
+        return _hermite(*self._cells(s))
 
     def deriv_at(self, s) -> np.ndarray:
         """Derivative of the Hermite interpolant at times s; returns (m, n)."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        j, u = self._locate(s)
-        u = u[:, None]
-        h = self.spacing
-        v0, v1 = self.values[j], self.values[j + 1]
-        d0, d1 = self.derivs[j], self.derivs[j + 1]
-        g00 = (6.0 * u * u - 6.0 * u) / h
-        g10 = 3.0 * u * u - 4.0 * u + 1.0
-        g01 = (6.0 * u - 6.0 * u * u) / h
-        g11 = 3.0 * u * u - 2.0 * u
-        return g00 * v0 + g10 * d0 + g01 * v1 + g11 * d1
+        return _hermite_slope(*self._cells(s))
 
     def value_at_point(self, s: float) -> np.ndarray:
         """Scalar-time fast path used by right-hand-side evaluation."""
@@ -290,17 +296,9 @@ class Segment:
         if s <= -r:
             return self.values[0]
         h = self.spacing
-        j = int((s + r) / h)
-        if j >= self.n_cells:
-            j = self.n_cells - 1
-        u = (s - (j * h - r)) / h
-        one_m = 1.0 - u
-        h00 = (1.0 + 2.0 * u) * one_m * one_m
-        h10 = u * one_m * one_m
-        h01 = u * u * (3.0 - 2.0 * u)
-        h11 = u * u * (u - 1.0)
-        return (h00 * self.values[j] + h * h10 * self.derivs[j]
-                + h01 * self.values[j + 1] + h * h11 * self.derivs[j + 1])
+        j = min(int((s + r) / h), self.n_cells - 1)
+        return _hermite(self.values[j], self.derivs[j], self.values[j + 1],
+                        self.derivs[j + 1], (s - (j * h - r)) / h, h)
 
     def refined(self, refine: int = DEFAULT_REFINE):
         """Sample grid, values and derivatives at refine points per cell."""
@@ -483,21 +481,6 @@ def space_norm(seg: Segment, space: SpaceSpec, refine: int = DEFAULT_REFINE) -> 
     if space.kind == "sobolev":
         return sup_norm(seg, refine) + lp_deriv_norm(seg, space.p, refine)
     return max(sup_norm(seg, refine), hoelder_seminorm(seg, space.a, refine))
-
-
-def space_norm_report(seg: Segment, space: SpaceSpec,
-                      refine: int = DEFAULT_REFINE) -> dict:
-    """Norm value plus the grid diagnostics that bound its resolution."""
-    count = seg.n_cells * refine + 1
-    rep = {
-        "space": space.to_json_dict(),
-        "value": space_norm(seg, space, refine),
-        "refine": int(refine),
-        "grid_points": int(count),
-    }
-    if space.kind == "hoelder":
-        rep["pair_grid_points"] = int(min(count, HOELDER_GRID_CAP))
-    return rep
 
 
 # -- prolongation ------------------------------------------------------

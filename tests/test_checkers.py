@@ -175,6 +175,13 @@ def test_propagation_constant_validation():
         lipschitz_propagation_bound(1.0, 1.0, 1.0, 1.0, lambda R: 0.0)
 
 
+def test_propagation_constant_overflow_is_vacuous():
+    # e^(L T) R = e^800 is past the float range: the bound is +inf
+    got = lipschitz_propagation_bound(10.0, 40.0, 1.0, math.inf,
+                                      lambda R: 2.0 * R)
+    assert got == math.inf
+
+
 # -- report container --------------------------------------------------
 
 
@@ -453,6 +460,37 @@ def test_pair_bounds_catch_understated_modulus():
                              order=0, h=0.02, grid_points=10)
     assert rep.verdict == "falsified"
     assert rep.witness is not None
+
+
+def test_pair_bounds_overflowing_factors_are_vacuous():
+    sat = make_system("saturating", r=1.0, params={"c": 1.0, "k": 0.5})
+    rep = verify_pair_bounds(sat, SUP, 1.0, 500.0, 1, h=0.1)
+    assert rep.verdict == "consistent"
+    assert rep.margins["growth_factor"] == math.inf
+    assert rep.margins["propagation_constant"] == math.inf
+    assert rep.margins["worst_sup_ratio"] == 0.0
+    assert rep.details["sigma0"] == math.inf
+
+
+def test_grown_bound_saturates_without_nan():
+    assert checkers._grown(0.0, 800.0) == 0.0
+    assert checkers._grown(2.0, 800.0) == math.inf
+    assert checkers._grown(2.0, math.inf) == math.inf
+    assert checkers._grown(3.0, 1.0) == 3.0 * math.e
+
+
+def test_pair_bounds_escape_is_falsified():
+    quad = make_system("quadratic", r=1.0, params={"c": 1.0})
+    rep = verify_pair_bounds(quad, SUP, 1.0, 1.5, 1, family="polynomial",
+                             order=0, seed=0, h=0.01, grid_points=10)
+    assert rep.verdict == "falsified"
+    wit = rep.witness
+    assert wit["norm"] == math.inf
+    assert wit["time"] == rep.details["escape_time"]
+    assert {wit["index"], wit["pair_index"]} == {0, 1}
+    cfg = SamplerConfig.from_json_dict(wit["sampler"])
+    again = simulate(quad, sample_one(cfg, wit["index"]), 1.5, 0.01)
+    assert again.escaped and again.escape_time == wit["time"]
 
 
 # -- norm tracks -------------------------------------------------------

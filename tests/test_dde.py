@@ -11,12 +11,14 @@ from delaystab.dde import (
     DelaySystem,
     LipschitzViolation,
     SYSTEM_BUILDERS,
+    _SolutionView,
     lipschitz_probe,
     make_system,
     segment_at,
     simulate,
     system_from_json_dict,
 )
+from delaystab.sampler import SamplerConfig, sample_one
 from delaystab.segment import (
     ParameterError,
     Segment,
@@ -255,6 +257,27 @@ def test_segment_derivs_track_rhs():
     seg = segment_at(traj, 1.5)
     want = sys.rhs(seg)[0]
     assert seg.derivs[-1, 0] == pytest.approx(want, rel=1e-9)
+
+
+def test_segment_nodes_are_the_integrator_reads():
+    # segment_at reads the cells the integrator built, by its own rule, so
+    # every node left of the window end is bitwise the value a right-hand
+    # side would read at that absolute time once all steps have settled
+    sys = make_system("saturating", 1.0, {"c": 1.0, "k": 0.5})
+    cfg = SamplerConfig(family="fourier", order=3, target_space=SpaceSpec.sup(),
+                        target_norm=1.0, dimension=1, delay_r=1.0, seed=0,
+                        n_nodes=65)
+    traj = simulate(sys, sample_one(cfg, 0), 3.0, h=0.01)
+    view = _SolutionView(traj.initial, traj.step_h, traj.forward_values,
+                         traj.forward_derivs)
+    times = np.random.default_rng(0).uniform(0.0, traj.end_time, 300)
+    for t in np.concatenate([[0.0, 0.5, 1.0, traj.end_time], times]):
+        seg = segment_at(traj, float(t))
+        view.set_stage(traj.forward_values.shape[0] - 1, float(t),
+                       traj.forward_values[-1])
+        reads = np.array([view.value_at_point(float(s))
+                          for s in seg.nodes[:-1]])
+        assert np.array_equal(seg.values[:-1], reads)
 
 
 def test_semigroup_restart_smooth_history():

@@ -365,6 +365,21 @@ def test_growth_certificate_coercivity_falsified():
     assert rep.details["failed"] == "coercivity"
 
 
+def test_growth_certificate_overflowing_limit_is_vacuous():
+    # e^(mu t) overflows for t > 0.24; the limit turns +inf instead of
+    # raising, the decaying negative constants pass and sample 2 escapes
+    sys = make_system("quadratic", 1.0, {"c": 1.0})
+    args = (sys, weighted_sup(1.0), MonotoneGridFn.linear(1.0), 3000.0)
+    kw = dict(rho=3.0, T=1.0, family="polynomial", order=0, seed=2)
+    rep = check_growth_certificate(*args, 2, **kw)
+    assert rep.verdict == "consistent"
+    assert 0.0 < rep.margins["worst_trajectory_ratio"] < 1e-40
+    rep = check_growth_certificate(*args, 4, **kw)
+    assert rep.verdict == "falsified"
+    assert rep.details["failed"] == "escape"
+    assert rep.witness["index"] == 2
+
+
 # -- cross-checks and continuity ---------------------------------------
 
 

@@ -25,6 +25,7 @@ from delaystab.segment import (
     space_norm,
     sup_norm,
 )
+from delaystab.sampler import FAMILIES, SamplerConfig, sample_one
 
 SQRT2 = 1.4142135623730951
 
@@ -114,6 +115,24 @@ def test_value_at_point_matches_vectorized():
         a = seg.value_at_point(s)
         b = seg.value_at(np.array([s]))[0]
         assert np.allclose(a, b, atol=1e-14)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("r", [1.0, 0.3, 0.04])
+def test_point_and_array_reads_agree_bitwise(family, r):
+    # one Hermite formula serves both reads, so they agree to the last bit
+    # inside the window (the right end s = 0 is the documented exception)
+    rng = np.random.default_rng(11)
+    cfg = SamplerConfig(family=family, order=3, target_space=SpaceSpec.sup(),
+                        target_norm=1.0, dimension=2, delay_r=r, seed=5,
+                        n_nodes=65)
+    for index in range(4):
+        seg = sample_one(cfg, index)
+        s = np.concatenate([rng.uniform(-r, 0.0, 300), seg.nodes[1:-1]])
+        s = s[(s > -r) & (s < 0.0)]
+        arr = seg.value_at(s)
+        pts = np.array([seg.value_at_point(float(x)) for x in s])
+        assert np.array_equal(arr, pts)
 
 
 def test_evaluation_outside_window_raises():
