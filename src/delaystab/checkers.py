@@ -113,8 +113,8 @@ def _json_safe(v):
 
 
 def _track(traj: Trajectory, times, seg_nodes: int,
-           evaluate: Callable[[Segment], float], lam: float | None = None,
-           refine: int = DEFAULT_REFINE) -> np.ndarray:
+           evaluate: Callable[[Segment], float],
+           lam: float | None = None) -> np.ndarray:
     """A functional of the history segment x_t at each time.
 
     Times past the covered end (escape) give +inf.  With lam the value is
@@ -129,7 +129,7 @@ def _track(traj: Trajectory, times, seg_nodes: int,
     end = traj.end_time
     out = np.full(len(times), np.inf)
     if lam is not None:
-        s, vals, _ = traj.initial.refined(refine)
+        s, vals, _ = traj.initial.refined(DEFAULT_REFINE)
         u = np.concatenate([s, traj.forward_times[1:]])
         g = np.exp(lam * u) * np.concatenate(
             [_euclid(vals), _euclid(traj.forward_values[1:])])
@@ -432,9 +432,7 @@ def lift_sup_envelope(sigma_env: KLEnvelope, r: float, p: float,
             if t <= r * (1.0 + _REL_TOL):
                 base = math.exp(r - t) * s0
             else:
-                kk = int(np.searchsorted(t_grid, (t - r) * (1.0 + _REL_TOL),
-                                         side="right")) - 1
-                base = sig[j, max(kk, 0)]
+                base = sigma_env.value_at(s_grid[j], t - r)
             out[j, k] = sig[j, k] + gain * base
     decayed, nondecay = _envelope_flags(out)
     env = KLEnvelope(s_grid=s_grid, t_grid=t_grid, sigma=out,

@@ -4,8 +4,15 @@ Five subcommands: simulate a system and dump the trajectory, compute
 segment norms for a sample batch, run a stability property check, fit a
 decay envelope (optionally lifting it to a stronger norm), and check an
 energy-functional certificate.  Every run takes --config pointing at a
-JSON file that is validated strictly before any computation; unknown keys
-are rejected so typos fail loudly instead of silently using defaults.
+JSON file that is validated strictly before any computation: every object
+in it (the config itself, system, per-family params, per-kind space,
+history, sampler, functional, rate) passes the one key check
+``segment._check_keys``, so a missing key or an unknown one (a typo, or a
+key of another system or space kind) fails loudly instead of silently
+running a different experiment.  ``check``, ``lyapunov`` and ``envelope``
+bind their keys to the function they call through one table: CONVERT
+gives each key's converter, CHECKS, LYAP_CHECKS and ENVELOPE each entry's
+required and optional keys (all also take family, order, n_nodes and h).
 
 Exit codes: 0 success or consistent verdict, 1 bad configuration,
 2 trajectory escape, 3 falsified, 4 inconclusive.  Outputs are written
@@ -50,7 +57,7 @@ from .lyapunov import (
 )
 from .sampler import SamplerConfig, sample_one
 from .segment import ParameterError, Segment, SegmentDataError, SpaceSpec, \
-    space_norm
+    _check_keys, _select, space_norm
 
 __all__ = ["main"]
 
@@ -59,17 +66,6 @@ VERDICT_EXIT = {"consistent": 0, "falsified": 3, "inconclusive": 4}
 SUMMARY_SPACES = (("sup", SpaceSpec.sup()),
                   ("sobolev2", SpaceSpec.sobolev(2.0)),
                   ("hoelder05", SpaceSpec.hoelder(0.5)))
-
-
-def _check_keys(cfg: dict, required: set, optional: set, where: str) -> None:
-    if not isinstance(cfg, dict):
-        raise ParameterError(f"{where}: expected a JSON object")
-    missing = required - set(cfg)
-    if missing:
-        raise ParameterError(f"{where}: missing keys {sorted(missing)}")
-    unknown = set(cfg) - required - optional
-    if unknown:
-        raise ParameterError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _atomic_write(path: Path, write_body) -> None:
@@ -91,38 +87,12 @@ def _write_json(path: Path, obj: dict) -> None:
     _atomic_write(path, body)
 
 
-def _report_payload(command: str, resolved: dict, report) -> dict:
-    return {"command": command, "config": resolved, "version": __version__,
-            "report": report.to_json_dict()}
-
-
-def _common_sampler_opts(cfg: dict, seed: int) -> dict:
-    opts = {"family": cfg.get("family", "fourier"),
-            "order": int(cfg.get("order", 3)),
-            "n_nodes": int(cfg.get("n_nodes", 65)),
-            "seed": seed}
-    if "h" in cfg:
-        opts["h"] = float(cfg["h"])
-    if "grid_points" in cfg:
-        opts["grid_points"] = int(cfg["grid_points"])
-    return opts
-
-
-SAMPLER_OPTIONAL = {"family", "order", "n_nodes", "h"}
-COMMON_OPTIONAL = SAMPLER_OPTIONAL | {"grid_points"}
-
-
 # -- simulate ----------------------------------------------------------
 
 
 def _history_segment(spec: dict, sys, seed: int) -> Segment:
-    if not isinstance(spec, dict):
-        raise ParameterError("history: expected a JSON object")
-    if set(spec) <= {"constant", "n_nodes"} and "constant" in spec:
-        vals = np.atleast_1d(np.asarray(spec["constant"], dtype=float))
-        return Segment.constant(sys.delay_r, vals,
-                                int(spec.get("n_nodes", 65)))
-    if set(spec) <= {"sampler", "index"} and "sampler" in spec:
+    if isinstance(spec, dict) and "sampler" in spec:
+        _check_keys(spec, {"sampler"}, {"index"}, "history")
         samp = dict(spec["sampler"])
         samp.setdefault("dimension", sys.dimension)
         samp.setdefault("delay_r", sys.delay_r)
@@ -131,8 +101,9 @@ def _history_segment(spec: dict, sys, seed: int) -> Segment:
         if cfg.delay_r != sys.delay_r or cfg.dimension != sys.dimension:
             raise ParameterError("history sampler does not match the system")
         return sample_one(cfg, int(spec.get("index", 0)))
-    raise ParameterError("history: expected either 'constant' (+ optional "
-                         "'n_nodes') or 'sampler' (+ optional 'index')")
+    _check_keys(spec, {"constant"}, {"n_nodes"}, "history")
+    vals = np.atleast_1d(np.asarray(spec["constant"], dtype=float))
+    return Segment.constant(sys.delay_r, vals, int(spec.get("n_nodes", 65)))
 
 
 def cmd_simulate(cfg: dict, seed: int, out: Path) -> int:
@@ -191,160 +162,125 @@ def cmd_norms(cfg: dict, seed: int, out: Path) -> int:
     return 0
 
 
-# -- check -------------------------------------------------------------
+# -- check, lyapunov, envelope -----------------------------------------
 
 
-CHECK_PARAMS = {
-    "ls": ({"eps_list", "budget"}, {"horizon", "bisection_steps"}),
-    "ga": ({"rho", "eps", "budget"}, {"horizon"}),
-    "uga": ({"eps", "rho", "budget"}, {"horizon"}),
-    "lags": ({"rho", "budget"}, {"horizon"}),
-    "rfc": ({"rho", "T", "budget"}, set()),
-    "gas-vs-ugas": ({"rho_list", "eps_list", "budget"},
-                    {"horizon", "shells"}),
+SAMPLER_KEYS = {"family", "order", "n_nodes", "h"}
+
+
+def _floats(values) -> list:
+    return [float(v) for v in values]
+
+
+# Converter of every command-specific config key; "system" and "space" are
+# read before binding.  A key binds the function parameter of its own name,
+# except "rate", which binds Q, and "functional", passed by position after
+# the system because the certificate checks name it V or U.
+CONVERT = {
+    "T": float, "a": grid_fn_from_json_dict, "a1": grid_fn_from_json_dict,
+    "a2": grid_fn_from_json_dict, "bisection_steps": int, "budget": int,
+    "eps": float, "eps_list": _floats, "family": str,
+    "functional": functional_from_json_dict, "grid_points": int, "h": float,
+    "horizon": float, "integral_trajectories": int,
+    "lipschitz_constant": float, "mu": float, "n_nodes": int, "order": int,
+    "rate": rate_from_json_dict, "report_space": SpaceSpec.from_json_dict,
+    "rho": float, "rho_list": _floats, "rho_max": float, "samples": int,
+    "shells": int, "t_grid": lambda v: np.asarray(v, dtype=float),
+    "traj_check": int,
 }
+PARAM_OF = {"rate": "Q"}
 
 
-def cmd_check(cfg: dict, seed: int, out: Path) -> int:
-    base = {"property", "system", "space"}
-    prop = cfg.get("property") if isinstance(cfg, dict) else None
-    if prop not in CHECK_PARAMS:
-        raise ParameterError(f"check config: property must be one of "
-                             f"{sorted(CHECK_PARAMS)}")
-    required, extra = CHECK_PARAMS[prop]
-    _check_keys(cfg, base | required, extra | COMMON_OPTIONAL,
-                "check config")
+def _bind(cfg: dict, seed: int) -> dict:
+    """Converted config values by parameter name, plus the seed."""
+    kw = {PARAM_OF.get(k, k): CONVERT[k](v) for k, v in cfg.items()
+          if k in CONVERT}
+    kw["seed"] = seed
+    return kw
+
+
+# property or check: (function, required keys, optional keys); every entry
+# also takes SAMPLER_KEYS
+CHECKS = {
+    "ls": (check_ls, {"eps_list", "budget"},
+           {"horizon", "bisection_steps", "grid_points"}),
+    "ga": (check_ga, {"rho", "eps", "budget"}, {"horizon", "grid_points"}),
+    "uga": (check_uga, {"eps", "rho", "budget"}, {"horizon", "grid_points"}),
+    "lags": (check_lags, {"rho", "budget"}, {"horizon", "grid_points"}),
+    "rfc": (check_rfc, {"rho", "T", "budget"}, {"grid_points"}),
+    "gas-vs-ugas": (check_gas_vs_ugas, {"rho_list", "eps_list", "budget"},
+                    {"horizon", "shells", "grid_points"}),
+}
+LYAP_CHECKS = {
+    "exponential": (check_exponential_certificate,
+                    {"functional", "samples", "a1", "a2", "T"},
+                    {"rho", "grid_points"}),
+    "dissipation": (check_pointwise_dissipation,
+                    {"functional", "samples", "a1", "a2", "rate"},
+                    {"rho", "T", "integral_trajectories"}),
+    "growth": (check_growth_certificate, {"functional", "samples", "a", "mu"},
+               {"rho", "T", "traj_check", "grid_points"}),
+}
+ENVELOPE = (fit_kl_envelope, {"rho_max", "shells", "budget"},
+            {"horizon", "t_grid", "report_space", "grid_points"})
+
+
+def _resolved(cfg: dict, sys, space: SpaceSpec, seed: int) -> dict:
+    return {**cfg, "system": sys.to_json_dict(),
+            "space": space.to_json_dict(), "seed": seed}
+
+
+def _run_check(command: str, selector: str, table: dict, cfg: dict,
+               seed: int, out: Path) -> int:
+    """Run the entry of table that cfg[selector] names; write report.json."""
+    name = _select(cfg, selector, table, f"{command} config")
+    fn, required, optional = table[name]
+    _check_keys(cfg, {selector, "system", "space"} | required,
+                optional | SAMPLER_KEYS, f"{command} config")
     sys = system_from_json_dict(cfg["system"])
     space = SpaceSpec.from_json_dict(cfg["space"])
-    opts = _common_sampler_opts(cfg, seed)
-    budget = int(cfg["budget"])
-    if "horizon" in cfg:
-        opts["horizon"] = float(cfg["horizon"])
-    if prop == "ls":
-        if "bisection_steps" in cfg:
-            opts["bisection_steps"] = int(cfg["bisection_steps"])
-        rep = check_ls(sys, space, [float(e) for e in cfg["eps_list"]],
-                       budget, **opts)
-    elif prop == "ga":
-        rep = check_ga(sys, space, float(cfg["rho"]), float(cfg["eps"]),
-                       budget, **opts)
-    elif prop == "uga":
-        rep = check_uga(sys, space, float(cfg["eps"]), float(cfg["rho"]),
-                        budget, **opts)
-    elif prop == "lags":
-        rep = check_lags(sys, space, float(cfg["rho"]), budget, **opts)
-    elif prop == "rfc":
-        rep = check_rfc(sys, space, float(cfg["rho"]), float(cfg["T"]),
-                        budget, **opts)
-    else:
-        if "shells" in cfg:
-            opts["shells"] = int(cfg["shells"])
-        rep = check_gas_vs_ugas(sys, space,
-                                [float(v) for v in cfg["rho_list"]],
-                                [float(e) for e in cfg["eps_list"]],
-                                budget, **opts)
-    resolved = dict(cfg)
-    resolved.update({"system": sys.to_json_dict(),
-                     "space": space.to_json_dict(), "seed": seed})
+    kw = _bind(cfg, seed)
+    lead = [kw.pop("functional")] if "functional" in kw else []
+    rep = fn(sys, *lead, space=space, **kw)
     _write_json(out / "report.json",
-                _report_payload("check", resolved, rep))
+                {"command": command,
+                 "config": _resolved(cfg, sys, space, seed),
+                 "version": __version__, "report": rep.to_json_dict()})
     return VERDICT_EXIT[rep.verdict]
 
 
-# -- envelope ----------------------------------------------------------
+def cmd_check(cfg: dict, seed: int, out: Path) -> int:
+    return _run_check("check", "property", CHECKS, cfg, seed, out)
+
+
+def cmd_lyapunov(cfg: dict, seed: int, out: Path) -> int:
+    return _run_check("lyapunov", "check", LYAP_CHECKS, cfg, seed, out)
 
 
 def cmd_envelope(cfg: dict, seed: int, out: Path) -> int:
-    _check_keys(cfg, {"system", "space", "rho_max", "shells", "budget"},
-                {"horizon", "t_grid", "report_space", "lipschitz_constant"}
-                | COMMON_OPTIONAL, "envelope config")
+    fit, required, optional = ENVELOPE
+    _check_keys(cfg, {"system", "space"} | required,
+                optional | SAMPLER_KEYS | {"lipschitz_constant"},
+                "envelope config")
     sys = system_from_json_dict(cfg["system"])
     space = SpaceSpec.from_json_dict(cfg["space"])
-    opts = _common_sampler_opts(cfg, seed)
-    if "horizon" in cfg:
-        opts["horizon"] = float(cfg["horizon"])
-    if "report_space" in cfg:
-        opts["report_space"] = SpaceSpec.from_json_dict(cfg["report_space"])
-    t_grid = None
-    if "t_grid" in cfg:
-        t_grid = np.asarray(cfg["t_grid"], dtype=float)
-    env = fit_kl_envelope(sys, space, float(cfg["rho_max"]),
-                          int(cfg["shells"]), t_grid, int(cfg["budget"]),
-                          **opts)
+    kw = _bind(cfg, seed)
+    L = kw.pop("lipschitz_constant", None)
+    env = fit(sys, space, t_grid=kw.pop("t_grid", None), **kw)
     _atomic_write(out / "sigma.csv", env.write_csv)
-    resolved = dict(cfg)
-    resolved.update({"system": sys.to_json_dict(),
-                     "space": space.to_json_dict(), "seed": seed})
-    summary = {"command": "envelope", "config": resolved,
+    summary = {"command": "envelope",
+               "config": _resolved(cfg, sys, space, seed),
                "version": __version__, "decayed": env.decayed,
                "nondecay": env.nondecay,
                "shell_counts": env.shell_counts.tolist(),
                "interpolated": env.interpolated.tolist()}
-    if "lipschitz_constant" in cfg:
-        L = float(cfg["lipschitz_constant"])
+    if L is not None:
         lifted = lift_sup_envelope(env, sys.delay_r, _exponent_of(space),
                                    lambda R: L)
         _atomic_write(out / "omega.csv", lifted.write_csv)
         summary["omega_written"] = True
     _write_json(out / "summary.json", summary)
     return 0
-
-
-# -- lyapunov ----------------------------------------------------------
-
-
-LYAP_PARAMS = {
-    "exponential": ({"a1", "a2", "T"}, {"rho", "grid_points"}),
-    "dissipation": ({"a1", "a2", "rate"},
-                    {"rho", "T", "integral_trajectories"}),
-    "growth": ({"a", "mu"}, {"rho", "T", "traj_check", "grid_points"}),
-}
-
-
-def cmd_lyapunov(cfg: dict, seed: int, out: Path) -> int:
-    base = {"check", "system", "functional", "space", "samples"}
-    kind = cfg.get("check") if isinstance(cfg, dict) else None
-    if kind not in LYAP_PARAMS:
-        raise ParameterError(f"lyapunov config: check must be one of "
-                             f"{sorted(LYAP_PARAMS)}")
-    required, extra = LYAP_PARAMS[kind]
-    _check_keys(cfg, base | required, extra | SAMPLER_OPTIONAL,
-                "lyapunov config")
-    sys = system_from_json_dict(cfg["system"])
-    space = SpaceSpec.from_json_dict(cfg["space"])
-    V = functional_from_json_dict(cfg["functional"])
-    samples = int(cfg["samples"])
-    opts = _common_sampler_opts(cfg, seed)
-    if "rho" in cfg:
-        opts["rho"] = float(cfg["rho"])
-    if kind == "exponential":
-        rep = check_exponential_certificate(
-            sys, V, grid_fn_from_json_dict(cfg["a1"]),
-            grid_fn_from_json_dict(cfg["a2"]), space, samples,
-            float(cfg["T"]), **opts)
-    elif kind == "dissipation":
-        if "T" in cfg:
-            opts["T"] = float(cfg["T"])
-        if "integral_trajectories" in cfg:
-            opts["integral_trajectories"] = int(cfg["integral_trajectories"])
-        rep = check_pointwise_dissipation(
-            sys, V, grid_fn_from_json_dict(cfg["a1"]),
-            grid_fn_from_json_dict(cfg["a2"]),
-            rate_from_json_dict(cfg["rate"]), space, samples, **opts)
-    else:
-        if "T" in cfg:
-            opts["T"] = float(cfg["T"])
-        if "traj_check" in cfg:
-            opts["traj_check"] = int(cfg["traj_check"])
-        rep = check_growth_certificate(
-            sys, V, grid_fn_from_json_dict(cfg["a"]), float(cfg["mu"]),
-            samples, space=space, **opts)
-    resolved = dict(cfg)
-    resolved.update({"system": sys.to_json_dict(),
-                     "space": space.to_json_dict(), "seed": seed})
-    _write_json(out / "report.json",
-                _report_payload("lyapunov", resolved, rep))
-    return VERDICT_EXIT[rep.verdict]
 
 
 # -- entry point -------------------------------------------------------

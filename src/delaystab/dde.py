@@ -37,6 +37,7 @@ from .segment import (
     ParameterError,
     Segment,
     SpaceSpec,
+    _check_keys,
     _hermite,
     _hermite_slope,
     _quadrature_weights,
@@ -107,6 +108,7 @@ def _params_to_json(params: dict) -> dict:
 
 
 def _linear_scalar(r: float, params: dict) -> DelaySystem:
+    _check_keys(params, {"a", "b"}, set(), "linear_scalar params")
     a = float(params["a"])
     b = float(params["b"])
 
@@ -123,6 +125,7 @@ def _linear_scalar(r: float, params: dict) -> DelaySystem:
 
 
 def _linear_vector(r: float, params: dict) -> DelaySystem:
+    _check_keys(params, {"A0", "A1"}, set(), "linear_vector params")
     A0 = np.asarray(params["A0"], dtype=float)
     A1 = np.asarray(params["A1"], dtype=float)
     if A0.ndim != 2 or A0.shape[0] != A0.shape[1] or A0.shape != A1.shape:
@@ -138,6 +141,7 @@ def _linear_vector(r: float, params: dict) -> DelaySystem:
 
 
 def _distributed_linear(r: float, params: dict) -> DelaySystem:
+    _check_keys(params, {"A0", "K"}, set(), "distributed_linear params")
     A0 = np.asarray(params["A0"], dtype=float)
     pieces = [np.asarray(K, dtype=float) for K in params["K"]]
     if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
@@ -170,6 +174,7 @@ def _distributed_linear(r: float, params: dict) -> DelaySystem:
 
 
 def _saturating(r: float, params: dict) -> DelaySystem:
+    _check_keys(params, {"c", "k"}, set(), "saturating params")
     c = float(params["c"])
     k = float(params["k"])
     if c < 0.0:
@@ -183,6 +188,7 @@ def _saturating(r: float, params: dict) -> DelaySystem:
 
 
 def _quadratic(r: float, params: dict) -> DelaySystem:
+    _check_keys(params, set(), {"c"}, "quadratic params")
     c = float(params.get("c", 1.0))
 
     def rhs(seg):
@@ -211,9 +217,7 @@ def make_system(name: str, r: float, params: dict) -> DelaySystem:
 
 
 def system_from_json_dict(d: dict) -> DelaySystem:
-    missing = {"name", "r", "params"} - set(d)
-    if missing:
-        raise ParameterError(f"system JSON missing keys {sorted(missing)}")
+    _check_keys(d, {"name", "r", "params"}, {"n"}, "system")
     sys = make_system(d["name"], float(d["r"]), d["params"])
     if "n" in d and int(d["n"]) != sys.dimension:
         raise ParameterError("declared dimension does not match the system")

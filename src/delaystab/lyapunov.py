@@ -47,8 +47,10 @@ from .segment import (
     ParameterError,
     Segment,
     SpaceSpec,
+    _check_keys,
     _euclid,
     _quadrature_weights,
+    _select,
     prolong,
     space_norm,
 )
@@ -75,11 +77,13 @@ __all__ = [
 
 DINI_RUNGS = 6
 DINI_H0_FACTOR = 1e-2
+# mesh points of the dissipation integral check: the ends of each quarter
+DISSIPATION_CHECKPOINTS = 4
 
 
-def _dini_steps(r: float, rungs: int = DINI_RUNGS) -> np.ndarray:
+def _dini_steps(r: float) -> np.ndarray:
     """Forward-quotient ladder: 1e-2 r, then quartered per rung."""
-    return DINI_H0_FACTOR * r * 4.0 ** (-np.arange(rungs))
+    return DINI_H0_FACTOR * r * 4.0 ** (-np.arange(DINI_RUNGS))
 
 
 class EscapeError(RuntimeError):
@@ -150,15 +154,12 @@ class MonotoneGridFn:
 
 
 def grid_fn_from_json_dict(data: dict) -> MonotoneGridFn:
-    if not isinstance(data, dict):
-        raise ParameterError("grid function config must be an object")
-    if set(data) == {"linear"}:
+    if isinstance(data, dict) and "linear" in data:
+        _check_keys(data, {"linear"}, set(), "grid function")
         return MonotoneGridFn.linear(float(data["linear"]))
-    if set(data) == {"xs", "ys"}:
-        return MonotoneGridFn(np.asarray(data["xs"], dtype=float),
-                              np.asarray(data["ys"], dtype=float))
-    raise ParameterError("grid function config needs either 'linear' "
-                         "or 'xs'/'ys'")
+    _check_keys(data, {"xs", "ys"}, set(), "grid function")
+    return MonotoneGridFn(np.asarray(data["xs"], dtype=float),
+                          np.asarray(data["ys"], dtype=float))
 
 
 # -- functionals -------------------------------------------------------
@@ -172,38 +173,37 @@ class Functional:
     evaluate: Callable[[Segment], float]
     kind: str | None = None
     param: object = None
-    refine: int = DEFAULT_REFINE
 
 
-def weighted_sup(lam: float, refine: int = DEFAULT_REFINE) -> Functional:
+def weighted_sup(lam: float) -> Functional:
     """V(x) = sup over the window of e^(lam s) |x(s)|."""
     lam = float(lam)
     if not math.isfinite(lam):
         raise ParameterError("weight exponent must be finite")
 
     def evaluate(seg: Segment) -> float:
-        s, vals, _ = seg.refined(refine)
+        s, vals, _ = seg.refined(DEFAULT_REFINE)
         return float((np.exp(lam * s) * _euclid(vals)).max())
 
     return Functional(name=f"weighted_sup({lam:g})", evaluate=evaluate,
-                      kind="weighted_sup", param=lam, refine=refine)
+                      kind="weighted_sup", param=lam)
 
 
-def quadratic_integral(mu: float, refine: int = DEFAULT_REFINE) -> Functional:
+def quadratic_integral(mu: float) -> Functional:
     """V(x) = |x(0)|^2 + integral of e^(mu s) |x(s)|^2 over the window."""
     mu = float(mu)
     if not math.isfinite(mu):
         raise ParameterError("weight exponent must be finite")
 
     def evaluate(seg: Segment) -> float:
-        s, vals, _ = seg.refined(refine)
+        s, vals, _ = seg.refined(DEFAULT_REFINE)
         sq = np.einsum("ij,ij->i", vals, vals)
         w = _quadrature_weights(s.size, s[1] - s[0])
         head = float(sq[-1])
         return head + float(w @ (np.exp(mu * s) * sq))
 
     return Functional(name=f"quadratic_integral({mu:g})", evaluate=evaluate,
-                      kind="quadratic_integral", param=mu, refine=refine)
+                      kind="quadratic_integral", param=mu)
 
 
 def space_norm_functional(space: SpaceSpec) -> Functional:
@@ -212,27 +212,6 @@ def space_norm_functional(space: SpaceSpec) -> Functional:
 
     return Functional(name=f"space_norm[{space.label}]", evaluate=evaluate,
                       kind="space_norm", param=space)
-
-
-def functional_from_json_dict(data: dict) -> Functional:
-    if not isinstance(data, dict) or "type" not in data:
-        raise ParameterError("functional config must be an object with "
-                             "a 'type'")
-    kind = data["type"]
-    extra = set(data) - {"type"}
-    if kind == "weighted_sup":
-        if extra != {"lam"}:
-            raise ParameterError("weighted_sup takes exactly 'lam'")
-        return weighted_sup(float(data["lam"]))
-    if kind == "quadratic_integral":
-        if extra != {"mu"}:
-            raise ParameterError("quadratic_integral takes exactly 'mu'")
-        return quadratic_integral(float(data["mu"]))
-    if kind == "space_norm":
-        if extra != {"space"}:
-            raise ParameterError("space_norm takes exactly 'space'")
-        return space_norm_functional(SpaceSpec.from_json_dict(data["space"]))
-    raise ParameterError(f"unknown functional type {kind!r}")
 
 
 def scaled_abs_rate(c: float) -> Callable[[np.ndarray], float]:
@@ -251,17 +230,30 @@ def scaled_square_rate(c: float) -> Callable[[np.ndarray], float]:
     return lambda v: c * float(np.linalg.norm(np.atleast_1d(v)) ** 2)
 
 
+def _from_table(data: dict, table: dict, what: str):
+    """Build {"type": t, key: v} as table[t] = (key, builder) says."""
+    kind = _select(data, "type", table, what)
+    key, build = table[kind]
+    _check_keys(data, {"type", key}, set(), f"{kind} {what}")
+    return build(data[key])
+
+
+_FUNCTIONALS = {
+    "weighted_sup": ("lam", weighted_sup),
+    "quadratic_integral": ("mu", quadratic_integral),
+    "space_norm": ("space", lambda d: space_norm_functional(
+        SpaceSpec.from_json_dict(d))),
+}
+_RATES = {"scaled_abs": ("c", scaled_abs_rate),
+          "scaled_square": ("c", scaled_square_rate)}
+
+
+def functional_from_json_dict(data: dict) -> Functional:
+    return _from_table(data, _FUNCTIONALS, "functional")
+
+
 def rate_from_json_dict(data: dict) -> Callable[[np.ndarray], float]:
-    if not isinstance(data, dict) or "type" not in data:
-        raise ParameterError("rate config must be an object with a 'type'")
-    extra = set(data) - {"type"}
-    if extra != {"c"}:
-        raise ParameterError("rate config takes exactly 'type' and 'c'")
-    if data["type"] == "scaled_abs":
-        return scaled_abs_rate(float(data["c"]))
-    if data["type"] == "scaled_square":
-        return scaled_square_rate(float(data["c"]))
-    raise ParameterError(f"unknown rate type {data['type']!r}")
+    return _from_table(data, _RATES, "rate")
 
 
 # -- Dini derivative ---------------------------------------------------
@@ -284,8 +276,8 @@ class DiniEstimate:
             raise ParameterError("Dini estimate must be finite")
 
 
-def dini_derivative(sys: DelaySystem, V: Functional, x: Segment, *,
-                    rungs: int = DINI_RUNGS) -> DiniEstimate:
+def dini_derivative(sys: DelaySystem, V: Functional,
+                    x: Segment) -> DiniEstimate:
     """Estimate the upper-right derivative of V along the flow at x.
 
     One short simulation covers the whole ladder; the solver step divides
@@ -293,9 +285,7 @@ def dini_derivative(sys: DelaySystem, V: Functional, x: Segment, *,
     quotients, and the trend flag warns when the two smallest rungs still
     differ by more than 10 percent.
     """
-    if rungs < 3:
-        raise ParameterError("need at least three ladder rungs")
-    hs = _dini_steps(sys.delay_r, rungs)
+    hs = _dini_steps(sys.delay_r)
     traj = simulate(sys, x, float(hs[0]), hs[-1] / 2.0)
     if traj.escaped:
         raise EscapeError(traj.escape_time)
@@ -315,8 +305,8 @@ def dini_derivative(sys: DelaySystem, V: Functional, x: Segment, *,
 # -- shared helpers ----------------------------------------------------
 
 
-def _prolonged_weighted_sup(x: Segment, f: np.ndarray, h: float, lam: float,
-                            refine: int) -> float:
+def _prolonged_weighted_sup(x: Segment, f: np.ndarray, h: float,
+                            lam: float) -> float:
     """Weighted sup of the h-prolongation, on shared sample points.
 
     The shifted-history part reuses the original refined grid (points that
@@ -325,7 +315,7 @@ def _prolonged_weighted_sup(x: Segment, f: np.ndarray, h: float, lam: float,
     densely.  The sliver below one refined cell at the far end is dropped,
     making this a lower approximation like every discrete sup here.
     """
-    s, vals, _ = x.refined(refine)
+    s, vals, _ = x.refined(DEFAULT_REFINE)
     r = x.delay_r
     keep = s >= -r + h - 1e-15 * r
     cand = -math.inf
@@ -351,7 +341,7 @@ def _growth_quotient(U: Functional, x: Segment, f: np.ndarray,
     """(U(P_h x) - U(x)) / h with the noise-free path for sup functionals."""
     lam = _weighted_kind(U)
     up = U.evaluate(prolong(x, f, h)) if lam is None \
-        else _prolonged_weighted_sup(x, f, h, lam, U.refine)
+        else _prolonged_weighted_sup(x, f, h, lam)
     return (up - U.evaluate(x)) / h
 
 
@@ -449,7 +439,7 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
         if traj.escaped:
             return fail(i, x0, traj.escape_time, math.inf,
                         {"escape_time": traj.escape_time}, "escape")
-        vts = _track(traj, times, n_nodes, V.evaluate, lam, V.refine)
+        vts = _track(traj, times, n_nodes, V.evaluate, lam)
         nts = _norm_track(traj, space, times, n_nodes)
         for t, vt, nt in zip(times, vts.tolist(), nts.tolist()):
             limit = math.exp(-t) * v0
@@ -480,8 +470,7 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
                                 T: float | None = None,
                                 family: str = "fourier", order: int = 3,
                                 seed: int = 0, n_nodes: int = 65,
-                                h: float | None = None,
-                                checkpoints: int = 4) -> StabilityReport:
+                                h: float | None = None) -> StabilityReport:
     """Non-coercive sandwich, Dini dissipation, and its integral form.
 
     Checks a1(|x(0)|) <= V(x) <= a2(||x||_X) and Dini V <= -Q(x(0)) on
@@ -532,9 +521,10 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
         rates = np.array([Q(row) for row in traj.forward_values])
         slack = 1e-4 * (1.0 + v0)
         n_steps = times.size - 1
-        idxs = [c * n_steps // checkpoints for c in range(1, checkpoints + 1)]
+        idxs = [c * n_steps // DISSIPATION_CHECKPOINTS
+                for c in range(1, DISSIPATION_CHECKPOINTS + 1)]
         idxs = [idx for idx in idxs if idx >= 2]
-        vts = _track(traj, times[idxs], n_nodes, V.evaluate, lam, V.refine)
+        vts = _track(traj, times[idxs], n_nodes, V.evaluate, lam)
         for idx, vt in zip(idxs, vts.tolist()):
             w = _mesh_weights(times[:idx + 1], traj.step_h)
             integral = float(w @ rates[:idx + 1])
@@ -608,7 +598,7 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
         if traj.escaped:
             return fail(i, x0, traj.escape_time, math.inf,
                         {"escape_time": traj.escape_time}, "escape")
-        uts = _track(traj, times, n_nodes, U.evaluate, lam, U.refine)
+        uts = _track(traj, times, n_nodes, U.evaluate, lam)
         for t, ut in zip(times, uts.tolist()):
             limit = _grown(u0, mu * t)
             if ut > limit * (1.0 + 1e-3) + 1e-12 * (1.0 + u0):

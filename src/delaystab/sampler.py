@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .segment import ParameterError, Segment, SpaceSpec, space_norm
+from .segment import ParameterError, Segment, SpaceSpec, _check_keys, \
+    space_norm
 
 __all__ = ["FAMILIES", "SamplerConfig", "sample", "sample_one"]
 
@@ -88,15 +89,9 @@ class SamplerConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SamplerConfig":
-        known = {"family", "order", "target_space", "target_norm", "dimension",
-                 "delay_r", "seed", "n_nodes", "radial_min"}
-        extra = set(d) - known
-        if extra:
-            raise ParameterError(f"unknown sampler keys {sorted(extra)}")
-        missing = {"family", "order", "target_space", "target_norm",
-                   "dimension", "delay_r", "seed"} - set(d)
-        if missing:
-            raise ParameterError(f"sampler config missing keys {sorted(missing)}")
+        _check_keys(d, {"family", "order", "target_space", "target_norm",
+                        "dimension", "delay_r", "seed"},
+                    {"n_nodes", "radial_min"}, "sampler config")
         return SamplerConfig(
             family=d["family"], order=int(d["order"]),
             target_space=SpaceSpec.from_json_dict(d["target_space"]),

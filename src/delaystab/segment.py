@@ -62,6 +62,32 @@ class SegmentDataError(ValueError):
     """Segment node data violates the representation invariants."""
 
 
+def _check_keys(d: dict, required: set, optional: set, where: str) -> None:
+    """The one key check of every config reader: d is an object holding
+    all required keys and nothing outside required | optional."""
+    if not isinstance(d, dict):
+        raise ParameterError(f"{where}: expected a JSON object")
+    missing = required - set(d)
+    if missing:
+        raise ParameterError(f"{where}: missing keys {sorted(missing)}")
+    unknown = set(d) - required - optional
+    if unknown:
+        raise ParameterError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _select(d: dict, key: str, table: dict, where: str) -> str:
+    """The value of d[key], which must name an entry of table."""
+    choice = d.get(key) if isinstance(d, dict) else None
+    if not isinstance(choice, str) or choice not in table:
+        raise ParameterError(f"{where}: {key!r} must be one of "
+                             f"{sorted(table)}")
+    return choice
+
+
+# the exponent each space kind carries
+_SPACE_PARAMS = {"sup": (), "sobolev": ("p",), "hoelder": ("a",)}
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """Which norm a computation should use.
@@ -124,26 +150,12 @@ class SpaceSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SpaceSpec":
-        if not isinstance(d, dict) or "kind" not in d:
-            raise ParameterError("space spec must be an object with a 'kind'")
-        kind = d["kind"]
-        extra = set(d) - {"kind", "p", "a"}
-        if extra:
-            raise ParameterError(f"unknown space keys {sorted(extra)}")
-        if kind == "sup":
-            return SpaceSpec.sup()
-        if kind == "sobolev":
-            p = d.get("p")
-            if p == "inf":
-                p = math.inf
-            if p is None:
-                raise ParameterError("sobolev space spec needs 'p'")
-            return SpaceSpec.sobolev(float(p))
-        if kind == "hoelder":
-            if d.get("a") is None:
-                raise ParameterError("hoelder space spec needs 'a'")
-            return SpaceSpec.hoelder(float(d["a"]))
-        raise ParameterError(f"unknown space kind {kind!r}")
+        kind = _select(d, "kind", _SPACE_PARAMS, "space")
+        names = _SPACE_PARAMS[kind]
+        _check_keys(d, {"kind", *names}, set(), f"{kind} space")
+        if any(d[k] is None for k in names):
+            raise ParameterError(f"{kind} space: {names[0]} must be a number")
+        return SpaceSpec(kind, **{k: float(d[k]) for k in names})
 
 
 # -- cubic Hermite reader ----------------------------------------------

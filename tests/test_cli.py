@@ -1,5 +1,7 @@
-"""End-to-end tests of the command line front door via subprocess."""
+"""End-to-end tests of the command line front door, via subprocess or
+in-process through `main`."""
 
+import inspect
 import json
 import math
 import subprocess
@@ -7,7 +9,16 @@ import sys
 
 import pytest
 
-from delaystab.cli import _atomic_write
+from delaystab.cli import (
+    CHECKS,
+    CONVERT,
+    ENVELOPE,
+    LYAP_CHECKS,
+    PARAM_OF,
+    SAMPLER_KEYS,
+    _atomic_write,
+    main,
+)
 from delaystab.dde import system_from_json_dict
 
 LINEAR_DECAY = {"name": "linear_scalar", "r": 1.0,
@@ -260,3 +271,57 @@ def test_lyapunov_dissipation_rejects_grid_points(tmp_path):
     assert proc.returncode == 1
     assert "grid_points" in proc.stderr
     assert not (tmp_path / "report.json").exists()
+
+
+GA = {"property": "ga", "system": LINEAR_DECAY, "space": {"kind": "sup"},
+      "rho": 1.0, "eps": 0.1, "budget": 2, "horizon": 2.0}
+ENV = {"system": LINEAR_DECAY, "space": {"kind": "sobolev", "p": 2.0},
+       "rho_max": 1.0, "shells": 2, "budget": 2, "horizon": 2.0}
+
+# Each of these once ran, without an error, a different experiment than
+# the one it names: the stray key was dropped.
+SILENT = [
+    ("check", {**GA, "system": {"name": "quadratic", "r": 1.0,
+                                "params": {"C": 5.0}}}, "C"),
+    ("check", {**GA, "system": {"name": "linear_scalar", "r": 1.0,
+                                "params": {"a": -1.0, "b": 0.0,
+                                           "k": 0.5}}}, "k"),
+    ("check", {**GA, "system": {**LINEAR_DECAY, "delay": 2.0}}, "delay"),
+    ("check", {**GA, "space": {"kind": "sup", "p": 2}}, "p"),
+    ("check", {**GA, "space": {"kind": "hoelder", "a": 0.5, "p": 2}}, "p"),
+    ("envelope", {**ENV, "space": {"kind": "sobolev", "p": 2,
+                                   "a": 0.5}}, "a"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,key", SILENT,
+                         ids=[f"{c}-{k}" for c, _, k in SILENT])
+def test_silent_configs_exit_one_without_output(tmp_path, capsys, command,
+                                                cfg, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code = main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert f"unknown keys ['{key}']" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_config_tables_bind_checker_parameters():
+    """Every key a command accepts converts and binds a named parameter."""
+    entries = [*CHECKS.values(), *LYAP_CHECKS.values(), ENVELOPE]
+    used = {"lipschitz_constant"}  # read by cmd_envelope for the lift
+    for fn, required, optional in entries:
+        params = inspect.signature(fn).parameters
+        assert not required & optional
+        for key in required | optional | SAMPLER_KEYS:
+            assert key in CONVERT, key
+            used.add(key)
+            if key == "functional":  # by position, named V or U
+                assert list(params)[1] in ("V", "U")
+                continue
+            param = params.get(PARAM_OF.get(key, key))
+            assert param is not None, (fn.__name__, key)
+            assert param.kind in (param.POSITIONAL_OR_KEYWORD,
+                                  param.KEYWORD_ONLY), (fn.__name__, key)
+        assert "seed" in params and "space" in params
+    assert used == set(CONVERT)

@@ -58,6 +58,33 @@ def test_unknown_system_rejected():
         make_system("pendulum", 1.0, {})
 
 
+SILENT_SYSTEMS = [
+    ({"name": "quadratic", "r": 1.0, "params": {"C": 5.0}}, "C"),
+    ({"name": "linear_scalar", "r": 1.0,
+      "params": {"a": -1.0, "b": 0.0, "k": 0.5}}, "k"),
+    ({"name": "linear_scalar", "r": 1.0, "delay": 2.0,
+      "params": {"a": -1.0, "b": 0.0}}, "delay"),
+    ({"name": "saturating", "r": 1.0,
+      "params": {"c": 1.0, "k": 0.5, "b": 0.0}}, "b"),
+    ({"name": "linear_vector", "r": 1.0,
+      "params": {"A0": [[-1.0]], "A1": [[0.0]], "K": []}}, "K"),
+    ({"name": "distributed_linear", "r": 1.0,
+      "params": {"A0": [[-1.0]], "K": [[[0.1]]], "A1": [[0.0]]}}, "A1"),
+]
+
+
+def test_system_rejects_unknown_keys():
+    for d, key in SILENT_SYSTEMS:
+        with pytest.raises(ParameterError, match=f"unknown keys.*'{key}'"):
+            system_from_json_dict(d)
+    with pytest.raises(ParameterError, match="missing keys"):
+        make_system("saturating", 1.0, {"c": 1.0})
+    with pytest.raises(ParameterError):
+        make_system("linear_scalar", 1.0, [-1.0, 0.0])
+    # quadratic's c is optional and defaults to 1
+    assert make_system("quadratic", 1.0, {}).params == {"c": 1.0}
+
+
 def test_linear_scalar_modulus():
     sys = make_system("linear_scalar", 1.0, {"a": -1.0, "b": 0.5})
     assert sys.lipschitz_modulus(10.0) == 1.5

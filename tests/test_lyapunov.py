@@ -124,8 +124,11 @@ def test_functional_json_round():
     assert W.evaluate(x) == pytest.approx(space_norm(x, SUP))
     with pytest.raises(ParameterError):
         functional_from_json_dict({"type": "weighted_sup"})
-    with pytest.raises(ParameterError):
-        functional_from_json_dict({"type": "mystery", "lam": 1.0})
+    for d in ({"type": "mystery", "lam": 1.0}, {"type": ["weighted_sup"]},
+              {"type": "weighted_sup", "lam": 1.0, "mu": 1.0},
+              {"type": "space_norm", "space": {"kind": "sup", "p": 2}}):
+        with pytest.raises(ParameterError):
+            functional_from_json_dict(d)
 
 
 def test_rate_builders():
@@ -137,8 +140,10 @@ def test_rate_builders():
         scaled_abs_rate(0.0)
     Qj = rate_from_json_dict({"type": "scaled_abs", "c": 1.0})
     assert Qj(np.array([2.0])) == pytest.approx(2.0)
-    with pytest.raises(ParameterError):
-        rate_from_json_dict({"type": "scaled_abs"})
+    for d in ({"type": "scaled_abs"}, {"type": "scaled_abs", "c": 1.0,
+                                       "k": 1.0}, [1.0]):
+        with pytest.raises(ParameterError):
+            rate_from_json_dict(d)
 
 
 def test_lipschitz_probe_bounds():
@@ -193,10 +198,6 @@ def test_dini_escape_carries_time():
 
 
 def test_dini_validation():
-    sys = linear(1.0, -1.0, 0.0)
-    with pytest.raises(ParameterError):
-        dini_derivative(sys, weighted_sup(1.0), Segment.zero(1.0, 1, 65),
-                        rungs=2)
     with pytest.raises(ParameterError):
         DiniEstimate(((1e-2, 0.0), (1e-2, 0.0), (1e-3, 0.0)), 0.0, False)
     with pytest.raises(ParameterError):

@@ -209,6 +209,10 @@ def test_config_rejects_unknown_keys():
     d["bogus"] = 1
     with pytest.raises(ParameterError):
         SamplerConfig.from_json_dict(d)
+    d = cfg().to_json_dict()
+    d["target_space"] = {"kind": "sup", "p": 2}
+    with pytest.raises(ParameterError, match="'p'"):
+        SamplerConfig.from_json_dict(d)
 
 
 def test_all_families_listed():

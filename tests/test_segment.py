@@ -365,8 +365,17 @@ def test_space_spec_labels():
 
 
 def test_space_spec_rejects_unknown_keys():
-    with pytest.raises(ParameterError):
-        SpaceSpec.from_json_dict({"kind": "sup", "q": 3})
+    # each kind takes only its own exponent: a foreign one is not dropped
+    for d, key in (({"kind": "sup", "q": 3}, "q"),
+                   ({"kind": "sup", "p": 2}, "p"),
+                   ({"kind": "hoelder", "a": 0.5, "p": 2}, "p"),
+                   ({"kind": "sobolev", "p": 2, "a": 0.5}, "a")):
+        with pytest.raises(ParameterError, match=f"unknown keys.*'{key}'"):
+            SpaceSpec.from_json_dict(d)
+    for d in ({"kind": "sobolev"}, {"kind": "hoelder", "a": None},
+              {"kind": ["sup"]}, {"p": 2}, ["sup"]):
+        with pytest.raises(ParameterError):
+            SpaceSpec.from_json_dict(d)
 
 
 def test_segment_json_round_trip():
