@@ -20,12 +20,14 @@ ceiling shell in the radius argument, step-left in the time argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .dde import DelaySystem, Trajectory, segment_at, simulate
+from .dde import DelaySystem, Trajectory, _block_members, segment_at, \
+    simulate_many
+from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
 from .sampler import SamplerConfig, sample_one
 from .segment import DEFAULT_REFINE, ParameterError, Segment, SpaceSpec, \
     _euclid, space_norm
@@ -159,16 +161,34 @@ def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,
                          delay_r=sys.delay_r, seed=seed, n_nodes=n_nodes)
 
 
-def _ensemble(sys: DelaySystem, cfg: SamplerConfig, indices, T: float,
-              h: float):
-    """Yield (i, x0, traj): sample i of cfg integrated over [0, T].
+def _ensemble(sys: DelaySystem, jobs, T: float, h: float):
+    """Yield (cfg, i, x0, traj) per job (cfg, i): sample i of cfg
+    integrated over [0, T], in the order of the jobs.
 
-    Lazy, so a caller that stops at its first counterexample integrates
-    nothing after it.
+    The jobs are sampled and integrated a block at a time, as many as fit
+    dde.BLOCK_BYTES of dense output.  Lazy per block, so a caller that
+    stops at its first counterexample integrates nothing past its block.
+    Each trajectory is yielded as a copy and nothing here keeps what was
+    yielded, so once the last one is yielded nothing holds the block
+    before the next one is integrated.
     """
-    for i in indices:
-        x0 = sample_one(cfg, i)
-        yield i, x0, simulate(sys, x0, T, h)
+    jobs = list(jobs)
+    size = _block_members(sys, T, h)
+    for start in range(0, len(jobs), size):
+        block = jobs[start:start + size]
+        trajs = simulate_many(sys, [sample_one(cfg, i) for cfg, i in block],
+                              T, h)[::-1]
+        for cfg, i in block:
+            traj = trajs.pop()
+            yield cfg, i, traj.initial, replace(
+                traj, times=traj.times.copy(), values=traj.values.copy(),
+                derivs=traj.derivs.copy())
+            del traj
+
+
+def _jobs(cfg: SamplerConfig, count: int) -> list:
+    """The ensemble jobs for samples 0 .. count-1 of cfg."""
+    return [(cfg, i) for i in range(count)]
 
 
 def _witness(cfg: SamplerConfig, index: int, seg: Segment, time: float,
@@ -335,14 +355,17 @@ def _shell_runs(sys: DelaySystem, space: SpaceSpec, s_grid: np.ndarray,
     """Yield (j, cfg, i, x0, traj) for every sample of every shell j.
 
     Shell j draws from the annulus between radii s_grid[j-1] and s_grid[j]
-    of the `space` ball.
+    of the `space` ball.  The samples of all shells share the blocks.
     """
+    jobs, shell_of = [], []
     for j in range(s_grid.size):
         lo_frac = s_grid[j - 1] / s_grid[j] if j > 0 else 0.0
         cfg = _ball_cfg(sys, space, float(s_grid[j]), family, order,
                         seed, n_nodes).with_shell(lo_frac, j)
-        for i, x0, traj in _ensemble(sys, cfg, range(int(counts[j])), T, h):
-            yield j, cfg, i, x0, traj
+        jobs += [(cfg, i) for i in range(int(counts[j]))]
+        shell_of += [j] * int(counts[j])
+    for j, run in zip(shell_of, _ensemble(sys, jobs, T, h)):
+        yield (j, *run)
 
 
 def _close_envelope(s_grid: np.ndarray, t_grid: np.ndarray, raw: np.ndarray,
@@ -478,7 +501,7 @@ def check_rfc(sys: DelaySystem, space: SpaceSpec, rho: float, T: float,
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     sup = 0.0
     escapes = []
-    for i, x0, traj in _ensemble(sys, cfg, range(budget), T, h):
+    for _, i, x0, traj in _ensemble(sys, _jobs(cfg, budget), T, h):
         track = _norm_track(traj, space, grid, n_nodes)
         finite = track[np.isfinite(track)]
         if finite.size:
@@ -508,7 +531,7 @@ def check_lags(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int, *,
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     peak = np.full(grid.size, 0.0)
-    for i, x0, traj in _ensemble(sys, cfg, range(budget), horizon, h):
+    for _, i, x0, traj in _ensemble(sys, _jobs(cfg, budget), horizon, h):
         track = _norm_track(traj, space, grid, n_nodes)
         if traj.escaped:
             wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
@@ -553,8 +576,8 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
     base = [sample_one(cfg, i) for i in range(budget)]
 
     def probe(delta: float, eps: float):
-        for i, seg in enumerate(base):
-            traj = simulate(sys, delta * seg, horizon, h)
+        trajs = simulate_many(sys, [delta * seg for seg in base], horizon, h)
+        for i, traj in enumerate(trajs):
             track = _norm_track(traj, space, grid, n_nodes)
             bad = np.nonzero(track > eps * (1.0 + _REL_TOL))[0]
             if bad.size:
@@ -618,7 +641,7 @@ def check_ga(sys: DelaySystem, space: SpaceSpec, rho: float, eps: float,
     q = 3 * grid.size // 4
     worst_end = 0.0
     undecided = False
-    for i, x0, traj in _ensemble(sys, cfg, range(budget), horizon, h):
+    for _, i, x0, traj in _ensemble(sys, _jobs(cfg, budget), horizon, h):
         track = _norm_track(traj, space, grid, n_nodes)
         tail = track[q:]
         worst_end = max(worst_end, float(track[-1]))
@@ -657,7 +680,7 @@ def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     peak = np.zeros(grid.size)
-    for i, x0, traj in _ensemble(sys, cfg, range(budget), horizon, h):
+    for _, i, x0, traj in _ensemble(sys, _jobs(cfg, budget), horizon, h):
         if traj.escaped:
             wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
             return StabilityReport(
@@ -706,9 +729,8 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
     sup_space = SpaceSpec.sup()
     worst_sup = 0.0
     worst_full = 0.0
-    firsts = _ensemble(sys, cfg, range(0, 2 * pairs, 2), T, h)
-    seconds = _ensemble(sys, cfg, range(1, 2 * pairs, 2), T, h)
-    for (i, x0, tx), (k, y0, ty) in zip(firsts, seconds):
+    runs = _ensemble(sys, _jobs(cfg, 2 * pairs), T, h)
+    for (_, i, x0, tx), (_, k, y0, ty) in zip(runs, runs):
         escapes = [(tr.escape_time, j, z0)
                    for j, z0, tr in ((i, x0, tx), (k, y0, ty)) if tr.escaped]
         if escapes:

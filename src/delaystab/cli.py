@@ -13,6 +13,7 @@ running a different experiment.  ``check``, ``lyapunov`` and ``envelope``
 bind their keys to the function they call through one table: CONVERT
 gives each key's converter, CHECKS, LYAP_CHECKS and ENVELOPE each entry's
 required and optional keys (all also take family, order, n_nodes and h).
+``"h": null`` means the default step in every command, as if h were absent.
 
 Exit codes: 0 success or consistent verdict, 1 bad configuration,
 2 trajectory escape, 3 falsified, 4 inconclusive.  Outputs are written
@@ -180,7 +181,8 @@ CONVERT = {
     "T": float, "a": grid_fn_from_json_dict, "a1": grid_fn_from_json_dict,
     "a2": grid_fn_from_json_dict, "bisection_steps": int, "budget": int,
     "eps": float, "eps_list": _floats, "family": str,
-    "functional": functional_from_json_dict, "grid_points": int, "h": float,
+    "functional": functional_from_json_dict, "grid_points": int,
+    "h": lambda v: None if v is None else float(v),
     "horizon": float, "integral_trajectories": int,
     "lipschitz_constant": float, "mu": float, "n_nodes": int, "order": int,
     "rate": rate_from_json_dict, "report_space": SpaceSpec.from_json_dict,
@@ -226,8 +228,10 @@ ENVELOPE = (fit_kl_envelope, {"rho_max", "shells", "budget"},
 
 
 def _resolved(cfg: dict, sys, space: SpaceSpec, seed: int) -> dict:
-    return {**cfg, "system": sys.to_json_dict(),
-            "space": space.to_json_dict(), "seed": seed}
+    # a null value (only "h" converts one) means the default, as if absent
+    return {**{k: v for k, v in cfg.items() if v is not None},
+            "system": sys.to_json_dict(), "space": space.to_json_dict(),
+            "seed": seed}
 
 
 def _run_check(command: str, selector: str, table: dict, cfg: dict,

@@ -2,27 +2,39 @@
 
 A :class:`DelaySystem` wraps a right-hand side f mapping a history segment
 to a state derivative, together with the declared Lipschitz modulus L(R)
-that the bound checkers rely on.  :func:`simulate` integrates
-dx/dt = f(x_t) with a classical fourth-order one-step scheme whose stages
-read the history through cubic Hermite dense output.  The forward mesh is
-chosen so that every multiple of the delay r is a mesh point; the
-derivative discontinuities that the method of steps propagates from t = 0
-therefore always land on nodes and each step integrates smooth data.
-Stages and :func:`segment_at` read x through the one Hermite formula of
-:mod:`segment` on the same cells, so each node of x_t left of its right end
-is bitwise the value a stage reads at that time once its step has settled.
+that the bound checkers rely on.  :func:`simulate_many` integrates
+dx/dt = f(x_t) from a block of histories at once, as one (B, n) state, with
+a classical fourth-order one-step scheme whose stages read the history
+through cubic Hermite dense output; :func:`simulate` is its batch of one.
+Member b of a block is bitwise the integration of its own history alone,
+so results do not depend on how histories are grouped into blocks.  The
+forward mesh is chosen so that every multiple of the delay r is a mesh
+point; the derivative discontinuities that the method of steps propagates
+from t = 0 therefore always land on nodes and each step integrates smooth
+data.  Stages and :func:`segment_at` read x through the one Hermite formula
+of :mod:`segment` on the same cells, so each node of x_t left of its right
+end is bitwise the value a stage reads at that time once its step has
+settled.
 
 Right-hand sides access the state only through ``value_at_point(s)`` /
 ``value_at(array)`` queries with s in [-r, 0], which keeps distributed
-delays first class.  During a step, queries into the not yet settled part
-of the current interval (an overlap of at most one step) are answered by
-linear interpolation toward the running stage value; this is the standard
-method-of-steps compromise and is documented behavior, not an accident.
+delays first class.  On a plain :class:`Segment` the reads return (n,) and
+(m, n); during integration the block view returns (B, n) and (B, m, n), one
+row per member, so a right-hand side must act row-wise on the last axis
+(write ``A @ v`` as a product that maps rows, as the built-ins do).  During
+a step, queries into the not yet settled part of the current interval (an
+overlap of at most one step) are answered by linear interpolation toward
+the running stage value; this is the standard method-of-steps compromise
+and is documented behavior, not an accident.
 
-Solutions that leave the ball |x| <= 1e12, or turn non-finite, end the
+Solutions that leave the ball |x| <= 1e12, or turn non-finite, end their
 integration early and mark the trajectory ``escaped`` with the crossing
 time; finite-time blowup is data here (failure of forward completeness),
-not an error.
+not an error.  The other members of the block carry on.
+
+Ensembles integrate in memory-bounded blocks: a block holds the most
+histories whose dense output (values plus derivatives, 16 n (steps + 1)
+bytes per member) fits :data:`BLOCK_BYTES`, and at least one.
 """
 
 from __future__ import annotations
@@ -40,7 +52,10 @@ from .segment import (
     _check_keys,
     _hermite,
     _hermite_slope,
+    _point_read,
+    _points_read,
     _quadrature_weights,
+    _typed,
     sup_norm,
 )
 
@@ -54,9 +69,12 @@ __all__ = [
     "make_system",
     "segment_at",
     "simulate",
+    "simulate_many",
 ]
 
 ESCAPE_THRESHOLD = 1e12
+# dense output of one block of an ensemble, in bytes (see the module doc)
+BLOCK_BYTES = 1 << 20
 
 
 class LipschitzViolation(RuntimeError):
@@ -68,7 +86,11 @@ class DelaySystem:
     """A time-invariant delay system dx/dt = f(x_t) with zero equilibrium.
 
     rhs maps any Segment-like state (value_at_point / value_at queries) to
-    an (n,) derivative vector.  lipschitz_modulus(R) bounds the sup-norm
+    its derivative: on a Segment the reads are (n,) and (m, n) and rhs
+    returns (n,); on the integrator's block view they are (B, n) and
+    (B, m, n) and rhs returns (B, n), row b depending on member b alone.
+    Blocks hold as many histories as fit BLOCK_BYTES of dense output
+    (16 n (steps + 1) bytes each).  lipschitz_modulus(R) bounds the sup-norm
     Lipschitz constant of rhs on the R-ball.  Construction checks that the
     zero segment is an equilibrium.
     """
@@ -107,6 +129,13 @@ def _params_to_json(params: dict) -> dict:
 # -- builtin systems ---------------------------------------------------
 
 
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M x for each row x of v, (n,) or (B, n): v @ M.T, one (1, n) @ (n, n)
+    product per row, so a row's bits do not depend on how many rows are
+    stacked (a (B, n) @ (n, n) product rounds differently at B = 1)."""
+    return (v[..., None, :] @ M.T)[..., 0, :]
+
+
 def _linear_scalar(r: float, params: dict) -> DelaySystem:
     _check_keys(params, {"a", "b"}, set(), "linear_scalar params")
     a = float(params["a"])
@@ -133,7 +162,8 @@ def _linear_vector(r: float, params: dict) -> DelaySystem:
     n = A0.shape[0]
 
     def rhs(seg):
-        return A0 @ seg.value_at_point(0.0) + A1 @ seg.value_at_point(-r)
+        return _matvec(A0, seg.value_at_point(0.0)) \
+            + _matvec(A1, seg.value_at_point(-r))
 
     L = np.linalg.norm(A0, 2) + np.linalg.norm(A1, 2)
     return DelaySystem("linear_vector", n, r, rhs, lambda R: L,
@@ -162,10 +192,10 @@ def _distributed_linear(r: float, params: dict) -> DelaySystem:
 
     def rhs(seg):
         vals = seg.value_at(times)
-        acc = A0 @ seg.value_at_point(0.0)
+        acc = _matvec(A0, seg.value_at_point(0.0))
         for j, K in enumerate(pieces):
-            chunk = vals[j * pts:(j + 1) * pts]
-            acc = acc + K @ (w @ chunk)
+            chunk = vals[..., j * pts:(j + 1) * pts, :]
+            acc = acc + _matvec(K, w @ chunk)
         return acc
 
     L = np.linalg.norm(A0, 2) + r * max(np.linalg.norm(K, 2) for K in pieces)
@@ -213,14 +243,17 @@ def make_system(name: str, r: float, params: dict) -> DelaySystem:
     if name not in SYSTEM_BUILDERS:
         raise ParameterError(f"unknown system {name!r}; "
                              f"known: {sorted(SYSTEM_BUILDERS)}")
-    return SYSTEM_BUILDERS[name](float(r), params)
+    with _typed(f"{name} params"):
+        return SYSTEM_BUILDERS[name](float(r), params)
 
 
 def system_from_json_dict(d: dict) -> DelaySystem:
     _check_keys(d, {"name", "r", "params"}, {"n"}, "system")
-    sys = make_system(d["name"], float(d["r"]), d["params"])
-    if "n" in d and int(d["n"]) != sys.dimension:
-        raise ParameterError("declared dimension does not match the system")
+    with _typed("system"):
+        sys = make_system(d["name"], float(d["r"]), d["params"])
+        if "n" in d and int(d["n"]) != sys.dimension:
+            raise ParameterError(
+                "declared dimension does not match the system")
     return sys
 
 
@@ -273,29 +306,36 @@ class Trajectory:
 
 
 class _SolutionView:
-    """Segment-like read access to the partially built solution.
+    """Segment-like read access to the partially built solutions of a block.
 
     Queries are relative to stage_time: s in [-r, 0] maps to absolute time
-    stage_time + s.  Absolute times at or before settled_time use dense
-    output (history segment or forward Hermite cells); later times lie in
-    the overlap of the step being built and interpolate linearly toward
-    the running stage value.
+    stage_time + s, the same for every member.  Absolute times at or before
+    settled_time use dense output (the stacked history nodes or the forward
+    Hermite cells); later times lie in the overlap of the step being built
+    and interpolate linearly toward the running stage value.  values and
+    derivs are the block's dense output, (B, rows, n) laid out like
+    Trajectory.values: each member's history nodes but the last, then its
+    forward nodes from t = 0 on.  Reads return (B, n) for a point and
+    (B, m, n) for an array of m times, by the rules of the scalar reads.
     """
 
-    __slots__ = ("initial", "delay_r", "dim", "h", "values", "derivs",
-                 "settled", "settled_time", "stage_time", "stage_value")
+    __slots__ = ("delay_r", "dim", "h", "hist_values", "hist_derivs",
+                 "values", "derivs", "settled", "settled_time", "stage_time",
+                 "stage_value")
 
-    def __init__(self, initial: Segment, h: float, values, derivs):
-        self.initial = initial
-        self.delay_r = initial.delay_r
-        self.dim = initial.dim
+    def __init__(self, histories, values, derivs, h: float):
+        start = histories[0].n_nodes - 1
+        self.delay_r = histories[0].delay_r
+        self.dim = histories[0].dim
         self.h = h
-        self.values = values
-        self.derivs = derivs
+        self.hist_values = np.stack([x.values for x in histories])
+        self.hist_derivs = np.stack([x.derivs for x in histories])
+        self.values = values[:, start:]
+        self.derivs = derivs[:, start:]
         self.settled = 0
         self.settled_time = 0.0
         self.stage_time = 0.0
-        self.stage_value = initial.values[-1]
+        self.stage_value = self.values[:, 0]
 
     def set_stage(self, settled: int, stage_time: float, stage_value):
         self.settled = settled
@@ -310,19 +350,45 @@ class _SolutionView:
             if gap <= 0.0 or u >= self.stage_time:
                 return self.stage_value
             w = (u - self.settled_time) / gap
-            return (1.0 - w) * self.values[self.settled] + w * self.stage_value
+            return (1.0 - w) * self.values[:, self.settled] \
+                + w * self.stage_value
         if u <= 0.0:
-            return self.initial.value_at_point(u)
+            return _point_read(self.hist_values, self.hist_derivs,
+                               self.delay_r, u)
         h = self.h
         j = min(int(u / h), self.settled - 1)
-        return _hermite(self.values[j], self.derivs[j], self.values[j + 1],
-                        self.derivs[j + 1], (u - j * h) / h, h)
+        return _hermite(self.values[:, j], self.derivs[:, j],
+                        self.values[:, j + 1], self.derivs[:, j + 1],
+                        (u - j * h) / h, h)
 
     def value_at(self, s) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty((s.size, self.dim))
-        for i in range(s.size):
-            out[i] = self.value_at_point(float(s[i]))
+        u = self.stage_time + np.atleast_1d(np.asarray(s, dtype=float))
+        out = np.empty(self.stage_value.shape[:1] + (u.size, self.dim))
+        late = u >= self.settled_time
+        if np.any(late):
+            gap = self.stage_time - self.settled_time
+            ul = u[late]
+            mix = np.broadcast_to(self.stage_value[:, None],
+                                  (out.shape[0], ul.size, self.dim))
+            if gap > 0.0:
+                w = ((ul - self.settled_time) / gap)[:, None]
+                mix = (1.0 - w) * self.values[:, self.settled, None] \
+                    + w * self.stage_value[:, None]
+                mix[:, ul >= self.stage_time] = self.stage_value[:, None]
+            out[:, late] = mix
+        hist = ~late & (u <= 0.0)
+        if np.any(hist):
+            out[:, hist] = _points_read(self.hist_values, self.hist_derivs,
+                                        self.delay_r, u[hist])
+        fwd = ~late & ~hist
+        if np.any(fwd):
+            uf = u[fwd]
+            h = self.h
+            j = np.minimum((uf / h).astype(int), self.settled - 1)
+            out[:, fwd] = _hermite(self.values[:, j], self.derivs[:, j],
+                                   self.values[:, j + 1],
+                                   self.derivs[:, j + 1],
+                                   ((uf - j * h) / h)[:, None], h)
         return out
 
 
@@ -333,46 +399,93 @@ def _mesh(T: float, h: float) -> tuple[int, float]:
     return n_full, (tail if tail >= 1e-9 * h else 0.0)
 
 
-def simulate(sys: DelaySystem, x0: Segment, T: float, h: float | None = None
-             ) -> Trajectory:
-    """Integrate dx/dt = f(x_t) from history x0 over [0, T].
-
-    h defaults to r/200 and is shrunk so the delay is an exact multiple of
-    the working step (breakpoints on mesh nodes); a shorter final step
-    lands exactly on T.  Requires h <= r/10.
-    """
-    r = sys.delay_r
-    if abs(x0.delay_r - r) > 1e-12 * r:
-        raise ParameterError("history window does not match the system delay")
-    if x0.dim != sys.dimension:
-        raise ParameterError("history dimension does not match the system")
+def _working_step(r: float, T: float, h: float | None) -> float:
+    """The solver step for a request: h (default r/200) shrunk to divide r."""
     if not (T > 0.0 and math.isfinite(T)):
         raise ParameterError("horizon T must be positive and finite")
     if h is None:
         h = r / 200.0
     if not (0.0 < h <= r / 10.0 + 1e-15 * r):
         raise ParameterError("step must satisfy 0 < h <= r/10")
-    h_eff = r / math.ceil(r / h - 1e-12)
+    return r / math.ceil(r / h - 1e-12)
+
+
+def _block_members(sys: DelaySystem, T: float, h: float | None) -> int:
+    """Histories per block: the most whose dense output fits BLOCK_BYTES."""
+    n_full, tail = _mesh(T, _working_step(sys.delay_r, T, h))
+    rows = n_full + (2 if tail > 0.0 else 1)
+    return max(1, BLOCK_BYTES // (16 * sys.dimension * rows))
+
+
+def simulate(sys: DelaySystem, x0: Segment, T: float, h: float | None = None
+             ) -> Trajectory:
+    """Integrate dx/dt = f(x_t) from history x0 over [0, T].
+
+    h defaults to r/200 and is shrunk so the delay is an exact multiple of
+    the working step (breakpoints on mesh nodes); a shorter final step
+    lands exactly on T.  Requires h <= r/10.  The batch of one of
+    :func:`simulate_many`.
+    """
+    return simulate_many(sys, [x0], T, h)[0]
+
+
+def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None
+                  ) -> list[Trajectory]:
+    """Integrate every history of x0s over [0, T] as one (B, n) state.
+
+    The histories must share one node grid.  Trajectory b is bitwise
+    :func:`simulate` of x0s[b]; a member that escapes stops there while
+    the others carry on.  The whole list is one block, and the
+    trajectories that reach T are views of the block's dense output and
+    share one times array, so callers bound its memory (see BLOCK_BYTES)
+    and copy what they keep.
+    """
+    x0s = list(x0s)
+    r = sys.delay_r
+    for x0 in x0s:
+        if abs(x0.delay_r - r) > 1e-12 * r:
+            raise ParameterError(
+                "history window does not match the system delay")
+        if x0.dim != sys.dimension:
+            raise ParameterError("history dimension does not match the system")
+        if x0.delay_r != x0s[0].delay_r \
+                or not np.array_equal(x0.nodes, x0s[0].nodes):
+            raise ParameterError("histories of one block must share a grid")
+    h_eff = _working_step(r, T, h)
+    if not x0s:
+        return []
     n_full, tail = _mesh(T, h_eff)
     n_steps = n_full + (1 if tail > 0.0 else 0)
+    fwd_times = np.minimum(np.arange(n_steps + 1) * h_eff, T)
+    if tail > 0.0:
+        fwd_times[-1] = T
+    times = np.concatenate([x0s[0].nodes[:-1], fwd_times])
+    start = x0s[0].n_nodes - 1
+    out = [None] * len(x0s)
 
-    vals = np.empty((n_steps + 1, sys.dimension))
-    ders = np.empty((n_steps + 1, sys.dimension))
-    vals[0] = x0.values[-1]
-    view = _SolutionView(x0, h_eff, vals, ders)
-    view.set_stage(0, 0.0, vals[0])
-    ders[0] = np.asarray(sys.rhs(view), dtype=float)
+    def finish(b: int, values, derivs, escape_time):
+        out[b] = Trajectory(
+            system=sys, initial=x0s[b], times=times[:values.shape[0]],
+            values=values, derivs=derivs, step_h=h_eff,
+            escaped=escape_time is not None, escape_time=escape_time,
+            forward_start=start)
 
-    escaped = False
-    escape_time = None
-    last = 0
+    # the block's dense output, each member's rows as in Trajectory.values
+    members = list(range(len(x0s)))
+    values = np.empty((len(x0s), start + n_steps + 1, sys.dimension))
+    derivs = np.empty_like(values)
+    values[:, :start + 1] = [x0.values for x0 in x0s]
+    derivs[:, :start] = [x0.derivs[:-1] for x0 in x0s]
+    view = _SolutionView(x0s, values, derivs, h_eff)
+    vals, ders = view.values, view.derivs
+    ders[:, 0] = np.asarray(sys.rhs(view), dtype=float)
     rhs = sys.rhs
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             t_k = k * h_eff
             step = h_eff if k < n_full else tail
-            y = vals[k]
-            k1 = ders[k]
+            y = vals[:, k]
+            k1 = ders[:, k]
             y2 = y + (0.5 * step) * k1
             view.set_stage(k, t_k + 0.5 * step, y2)
             k2 = np.asarray(rhs(view), dtype=float)
@@ -384,36 +497,38 @@ def simulate(sys: DelaySystem, x0: Segment, T: float, h: float | None = None
             k4 = np.asarray(rhs(view), dtype=float)
             y_next = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t_next = t_k + step
-            if not np.all(np.isfinite(y_next)):
-                escaped = True
-                escape_time = t_next
-                break
-            vals[k + 1] = y_next
+            vals[:, k + 1] = y_next
             # derivative at the fresh node: the step interior is still the
             # linear overlay (its Hermite data needs this very derivative)
             view.set_stage(k, t_next, y_next)
             d_next = np.asarray(rhs(view), dtype=float)
-            if not np.all(np.isfinite(d_next)):
-                escaped = True
-                escape_time = t_next
+            ders[:, k + 1] = d_next
+            # one block-wide test; a NaN or inf state fails the bound too
+            sq = np.sum(y_next * y_next, axis=1)
+            if math.sqrt(sq.max()) <= ESCAPE_THRESHOLD \
+                    and np.isfinite(d_next).all():
+                continue
+            # a non-finite state or derivative ends before the fresh node,
+            # a state past the threshold just after it
+            broken = ~(np.isfinite(y_next).all(axis=1)
+                       & np.isfinite(d_next).all(axis=1))
+            gone = broken | (np.sqrt(sq) > ESCAPE_THRESHOLD)
+            for pos in np.flatnonzero(gone):
+                stop = start + k + (1 if broken[pos] else 2)
+                finish(members[pos], values[pos, :stop].copy(),
+                       derivs[pos, :stop].copy(), t_next)
+            keep = ~gone
+            if not keep.any():
                 break
-            ders[k + 1] = d_next
-            last = k + 1
-            if np.sqrt(float(y_next @ y_next)) > ESCAPE_THRESHOLD:
-                escaped = True
-                escape_time = t_next
-                break
-
-    fwd_times = np.array([min(k * h_eff, T) for k in range(last + 1)])
-    if last == n_steps and tail > 0.0:
-        fwd_times[-1] = T
-    times = np.concatenate([x0.nodes[:-1], fwd_times])
-    values = np.concatenate([x0.values[:-1], vals[: last + 1]])
-    derivs = np.concatenate([x0.derivs[:-1], ders[: last + 1]])
-    return Trajectory(system=sys, initial=x0, times=times, values=values,
-                      derivs=derivs, step_h=h_eff, escaped=escaped,
-                      escape_time=escape_time,
-                      forward_start=x0.n_nodes - 1)
+            members = [b for b, kept in zip(members, keep) if kept]
+            values, derivs = values[keep], derivs[keep]
+            view = _SolutionView([x0s[b] for b in members], values, derivs,
+                                 h_eff)
+            vals, ders = view.values, view.derivs
+    for pos, b in enumerate(members):
+        if out[b] is None:
+            finish(b, values[pos], derivs[pos], None)
+    return out
 
 
 def segment_at(traj: Trajectory, t: float, n_nodes: int | None = None

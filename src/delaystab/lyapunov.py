@@ -34,6 +34,7 @@ from .checkers import (
     _ball_cfg,
     _ensemble,
     _grown,
+    _jobs,
     _norm_track,
     _step_defaults,
     _track,
@@ -421,7 +422,7 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
     worst_up = 0.0
     worst_decay = 0.0
     worst_env = 0.0
-    for i, x0, traj in _ensemble(sys, cfg, range(samples), T, h):
+    for _, i, x0, traj in _ensemble(sys, _jobs(cfg, samples), T, h):
         v0 = V.evaluate(x0)
         nx = space_norm(x0, space)
         tol = 1e-12 * (1.0 + v0)
@@ -511,8 +512,8 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
                         {"dini_estimate": est, "required": -Q(x0.values[-1]),
                          "tolerance": dissipation_tol}, "dissipation")
     lam = _weighted_kind(V)
-    for i, x0, traj in _ensemble(sys, cfg, range(integral_trajectories),
-                                 T, h):
+    for _, i, x0, traj in _ensemble(
+            sys, _jobs(cfg, integral_trajectories), T, h):
         v0 = V.evaluate(x0)
         if traj.escaped:
             return fail(i, x0, traj.escape_time, math.inf,
@@ -592,8 +593,8 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
     worst_traj = 0.0
     times = default_time_grid(T, r, grid_points)[1:]
     lam = _weighted_kind(U)
-    for i, x0, traj in _ensemble(sys, cfg, range(min(traj_check, samples)),
-                                 T, h):
+    for _, i, x0, traj in _ensemble(
+            sys, _jobs(cfg, min(traj_check, samples)), T, h):
         u0 = U.evaluate(x0)
         if traj.escaped:
             return fail(i, x0, traj.escape_time, math.inf,

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .segment import ParameterError, Segment, SpaceSpec, _check_keys, \
-    space_norm
+    _typed, space_norm
 
 __all__ = ["FAMILIES", "SamplerConfig", "sample", "sample_one"]
 
@@ -92,13 +92,14 @@ class SamplerConfig:
         _check_keys(d, {"family", "order", "target_space", "target_norm",
                         "dimension", "delay_r", "seed"},
                     {"n_nodes", "radial_min"}, "sampler config")
-        return SamplerConfig(
-            family=d["family"], order=int(d["order"]),
-            target_space=SpaceSpec.from_json_dict(d["target_space"]),
-            target_norm=float(d["target_norm"]), dimension=int(d["dimension"]),
-            delay_r=float(d["delay_r"]), seed=int(d["seed"]),
-            n_nodes=int(d.get("n_nodes", 201)),
-            radial_min=float(d.get("radial_min", 0.0)))
+        with _typed("sampler config"):
+            return SamplerConfig(
+                family=d["family"], order=int(d["order"]),
+                target_space=SpaceSpec.from_json_dict(d["target_space"]),
+                target_norm=float(d["target_norm"]),
+                dimension=int(d["dimension"]), delay_r=float(d["delay_r"]),
+                seed=int(d["seed"]), n_nodes=int(d.get("n_nodes", 201)),
+                radial_min=float(d.get("radial_min", 0.0)))
 
 
 def _rng_for(cfg: SamplerConfig, index: int) -> Generator:

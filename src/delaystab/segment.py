@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,18 @@ def _check_keys(d: dict, required: set, optional: set, where: str) -> None:
     unknown = set(d) - required - optional
     if unknown:
         raise ParameterError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+@contextmanager
+def _typed(where: str):
+    """Report a wrong-typed config value (TypeError or ValueError from a
+    conversion) as the ParameterError every config reader raises."""
+    try:
+        yield
+    except ParameterError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{where}: {exc}") from None
 
 
 def _select(d: dict, key: str, table: dict, where: str) -> str:
@@ -153,9 +166,8 @@ class SpaceSpec:
         kind = _select(d, "kind", _SPACE_PARAMS, "space")
         names = _SPACE_PARAMS[kind]
         _check_keys(d, {"kind", *names}, set(), f"{kind} space")
-        if any(d[k] is None for k in names):
-            raise ParameterError(f"{kind} space: {names[0]} must be a number")
-        return SpaceSpec(kind, **{k: float(d[k]) for k in names})
+        with _typed(f"{kind} space"):
+            return SpaceSpec(kind, **{k: float(d[k]) for k in names})
 
 
 # -- cubic Hermite reader ----------------------------------------------
@@ -181,6 +193,39 @@ def _hermite_slope(v0, d0, v1, d1, u, h):
     g01 = (6.0 * u - 6.0 * u * u) / h
     g11 = 3.0 * u * u - 2.0 * u
     return g00 * v0 + g10 * d0 + g01 * v1 + g11 * d1
+
+
+def _point_read(values, derivs, r: float, s: float):
+    """x(s) from uniform nodes on [-r, 0] by the scalar cell rule.
+
+    The node axis is the second to last, so values (N + 1, n) give an (n,)
+    row and stacked nodes (B, N + 1, n) give (B, n).  s >= 0 and s <= -r
+    return the end nodes exactly.
+    """
+    if s >= 0.0:
+        return values[..., -1, :]
+    if s <= -r:
+        return values[..., 0, :]
+    cells = values.shape[-2] - 1
+    h = r / cells
+    j = min(int((s + r) / h), cells - 1)
+    return _hermite(values[..., j, :], derivs[..., j, :],
+                    values[..., j + 1, :], derivs[..., j + 1, :],
+                    (s - (j * h - r)) / h, h)
+
+
+def _points_read(values, derivs, r: float, s: np.ndarray):
+    """:func:`_point_read` at each time of the array s, bitwise alike;
+    returns (m, n) or, for stacked nodes, (B, m, n)."""
+    cells = values.shape[-2] - 1
+    h = r / cells
+    j = np.clip(((s + r) / h).astype(int), 0, cells - 1)
+    out = _hermite(values[..., j, :], derivs[..., j, :],
+                   values[..., j + 1, :], derivs[..., j + 1, :],
+                   ((s - (j * h - r)) / h)[:, None], h)
+    out[..., s >= 0.0, :] = values[..., -1, None, :]
+    out[..., s <= -r, :] = values[..., 0, None, :]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,15 +347,7 @@ class Segment:
 
     def value_at_point(self, s: float) -> np.ndarray:
         """Scalar-time fast path used by right-hand-side evaluation."""
-        r = self.delay_r
-        if s >= 0.0:
-            return self.values[-1]
-        if s <= -r:
-            return self.values[0]
-        h = self.spacing
-        j = min(int((s + r) / h), self.n_cells - 1)
-        return _hermite(self.values[j], self.derivs[j], self.values[j + 1],
-                        self.derivs[j + 1], (s - (j * h - r)) / h, h)
+        return _point_read(self.values, self.derivs, self.delay_r, s)
 
     def refined(self, refine: int = DEFAULT_REFINE):
         """Sample grid, values and derivatives at refine points per cell."""

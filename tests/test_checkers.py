@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from delaystab import checkers
+from delaystab import checkers, dde
 from delaystab.checkers import (
     KLEnvelope,
     StabilityReport,
@@ -23,7 +23,10 @@ from delaystab.checkers import (
     lipschitz_propagation_bound,
     verify_pair_bounds,
 )
-from delaystab.dde import DelaySystem, make_system, segment_at, simulate
+from delaystab.dde import DelaySystem, make_system, segment_at, simulate, \
+    simulate_many
+from delaystab.lyapunov import MonotoneGridFn, check_pointwise_dissipation, \
+    scaled_abs_rate, weighted_sup
 from delaystab.sampler import SamplerConfig, sample_one
 from delaystab.segment import ParameterError, Segment, SpaceSpec, space_norm
 
@@ -501,7 +504,9 @@ def _fourier_runs(a, b, count, T, h):
     cfg = SamplerConfig(family="fourier", order=3, target_space=SUP,
                         target_norm=1.0, dimension=1, delay_r=1.0, seed=0,
                         n_nodes=65)
-    return checkers._ensemble(sys, cfg, range(count), T, h)
+    for _, i, x0, traj in checkers._ensemble(sys, checkers._jobs(cfg, count),
+                                             T, h):
+        yield i, x0, traj
 
 
 def test_sup_track_at_zero_is_the_sup_norm():
@@ -535,18 +540,18 @@ def test_envelope_lift_dominates_full_norm_trajectories():
 
 
 def test_envelope_lift_integrates_each_sample_once(monkeypatch):
-    calls = []
+    histories = []
 
-    def counting_simulate(*args, **kwargs):
-        calls.append(args[1])
-        return simulate(*args, **kwargs)
+    def counting_simulate_many(sys, x0s, *args, **kwargs):
+        histories.extend(x0s)
+        return simulate_many(sys, x0s, *args, **kwargs)
 
-    monkeypatch.setattr(checkers, "simulate", counting_simulate)
+    monkeypatch.setattr(checkers, "simulate_many", counting_simulate_many)
     rep = check_envelope_lift(linear(1.0, -1.0, 0.3), SOB2, 1.5, 4, 8,
                               horizon=4.0, h=0.05, grid_points=30)
     assert rep.verdict == "consistent"
     assert rep.margins["trajectories_checked"] == 8
-    assert len(calls) == 8
+    assert len(histories) == 8
 
 
 # -- composite experiment ---------------------------------------------
@@ -577,3 +582,81 @@ def test_composite_frozen_system_fails_attractivity():
     assert rep.details["ga"] == ["falsified"]
     assert rep.details["envelope_nondecay"]
     assert rep.margins["coherent"] == 1.0
+
+
+# -- block size --------------------------------------------------------
+
+
+QUAD = make_system("quadratic", r=1.0, params={"c": 1.0})
+VECTOR = make_system("linear_vector", r=1.0,
+                     params={"A0": [[-1.0, 0.5], [0.2, -1.5]],
+                             "A1": [[0.3, 0.1], [0.0, 0.4]]})
+DISTRIBUTED = make_system("distributed_linear", r=1.0,
+                          params={"A0": [[-2.0, 0.3], [0.1, -1.0]],
+                                  "K": [[[0.5, 0.1], [0.0, 0.2]],
+                                        [[0.3, 0.0], [0.1, 0.1]]]})
+# (system, ball radius, horizon, step), each member 2432 bytes of dense
+# output (16 n (steps + 1)); at radius 3 about half of the quadratic
+# histories blow up, each at its own time
+ENSEMBLES = [(QUAD, 3.0, 1.51, 0.01), (VECTOR, 1.0, 1.5, 0.02),
+             (DISTRIBUTED, 1.0, 1.5, 0.02)]
+MEMBER_BYTES = 2432
+
+
+def _block_run():
+    """Every trajectory and report of the ensemble-driven checkers."""
+    trajs = []
+    for sys, rho, T, h in ENSEMBLES:
+        cfg = SamplerConfig(family="fourier", order=2, target_space=SUP,
+                            target_norm=rho, dimension=sys.dimension,
+                            delay_r=1.0, seed=1, n_nodes=33)
+        trajs += [(t.times, t.values, t.derivs, t.escaped, t.escape_time)
+                  for _, _, _, t in checkers._ensemble(
+                      sys, checkers._jobs(cfg, 11), T, h)]
+    env = fit_kl_envelope(QUAD, SUP, 3.0, 3, None, 9, seed=1, h=0.01,
+                          horizon=1.5, grid_points=20)
+    reports = [
+        check_uga(VECTOR, SUP, 0.1, 1.0, 5, horizon=4.0, h=0.02,
+                  grid_points=20),
+        check_ls(QUAD, SUP, [0.5], 3, horizon=2.0, bisection_steps=4,
+                 h=0.02, grid_points=20, seed=1),
+        verify_pair_bounds(QUAD, SUP, 3.0, 1.5, 4, seed=1, h=0.01,
+                           grid_points=10),
+        verify_pair_bounds(DISTRIBUTED, SUP, 1.0, 1.0, 3, h=0.02,
+                           grid_points=10),
+        check_pointwise_dissipation(
+            linear(1.0, -1.0, 0.0), weighted_sup(1.0),
+            MonotoneGridFn.linear(math.exp(-1.0)), MonotoneGridFn.linear(1.0),
+            scaled_abs_rate(math.exp(-1.0)), SUP, 2, integral_trajectories=9,
+            T=2.0, h=0.02)]
+    return trajs, env, [rep.to_json_dict() for rep in reports]
+
+
+def test_results_do_not_depend_on_block_size(monkeypatch):
+    runs = []
+    for members in (1, 7, 10**6):
+        monkeypatch.setattr(dde, "BLOCK_BYTES", members * MEMBER_BYTES)
+        for sys, _, T, h in ENSEMBLES:
+            assert dde._block_members(sys, T, h) == members
+        runs.append(_block_run())
+    trajs, env, reports = runs[0]
+    serial = []
+    for sys, rho, T, h in ENSEMBLES:
+        cfg = SamplerConfig(family="fourier", order=2, target_space=SUP,
+                            target_norm=rho, dimension=sys.dimension,
+                            delay_r=1.0, seed=1, n_nodes=33)
+        serial += [simulate(sys, sample_one(cfg, i), T, h) for i in range(11)]
+    escapes = {t[4] for t in trajs if t[3]}
+    assert len(escapes) >= 3 and not all(t[3] for t in trajs)
+    for other_trajs, other_env, other_reports in runs[1:]:
+        assert other_reports == reports
+        assert other_env.to_json_dict() == env.to_json_dict()
+        assert np.array_equal(other_env.sigma, env.sigma)
+        assert len(other_trajs) == len(trajs) == len(serial)
+    for k, ref in enumerate(serial):
+        want = (ref.times, ref.values, ref.derivs, ref.escaped,
+                ref.escape_time)
+        for other_trajs, _, _ in runs:
+            got = other_trajs[k]
+            assert all(np.array_equal(a, b) for a, b in zip(got[:3], want[:3]))
+            assert got[3:] == want[3:]

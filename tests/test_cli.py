@@ -111,6 +111,20 @@ def test_check_rfc_saturating_consistent(tmp_path):
     assert proc.returncode == 0
 
 
+def test_null_step_is_the_default_step(tmp_path):
+    cfg = {"property": "rfc", "system": LINEAR_DECAY,
+           "space": {"kind": "sup"}, "rho": 1.0, "T": 2.0, "budget": 3}
+    outs = []
+    for name, extra in (("absent", {}), ("null", {"h": None})):
+        out = tmp_path / name
+        out.mkdir()
+        (out / "config.json").write_text(json.dumps({**cfg, **extra}))
+        assert main(["check", "--config", str(out / "config.json"),
+                     "--out", str(out)]) == 0
+        outs.append((out / "report.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_check_ls_stable_linear_consistent(tmp_path):
     cfg = {"property": "ls", "system": LINEAR_DECAY,
            "space": {"kind": "sup"}, "eps_list": [0.5], "budget": 5,

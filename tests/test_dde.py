@@ -16,6 +16,7 @@ from delaystab.dde import (
     make_system,
     segment_at,
     simulate,
+    simulate_many,
     system_from_json_dict,
 )
 from delaystab.sampler import SamplerConfig, sample_one
@@ -81,6 +82,10 @@ def test_system_rejects_unknown_keys():
         make_system("saturating", 1.0, {"c": 1.0})
     with pytest.raises(ParameterError):
         make_system("linear_scalar", 1.0, [-1.0, 0.0])
+    # a wrong-typed value is a ParameterError too, not a TypeError
+    with pytest.raises(ParameterError, match="linear_scalar params"):
+        system_from_json_dict({"name": "linear_scalar", "r": 1.0,
+                               "params": {"a": [1], "b": 0.0}})
     # quadratic's c is optional and defaults to 1
     assert make_system("quadratic", 1.0, {}).params == {"c": 1.0}
 
@@ -295,16 +300,51 @@ def test_segment_nodes_are_the_integrator_reads():
                         target_norm=1.0, dimension=1, delay_r=1.0, seed=0,
                         n_nodes=65)
     traj = simulate(sys, sample_one(cfg, 0), 3.0, h=0.01)
-    view = _SolutionView(traj.initial, traj.step_h, traj.forward_values,
-                         traj.forward_derivs)
+    # the block view of this one trajectory, all of its steps settled
+    view = _SolutionView([traj.initial], traj.values[None], traj.derivs[None],
+                         traj.step_h)
     times = np.random.default_rng(0).uniform(0.0, traj.end_time, 300)
     for t in np.concatenate([[0.0, 0.5, 1.0, traj.end_time], times]):
         seg = segment_at(traj, float(t))
         view.set_stage(traj.forward_values.shape[0] - 1, float(t),
-                       traj.forward_values[-1])
-        reads = np.array([view.value_at_point(float(s))
+                       traj.forward_values[-1][None])
+        reads = np.array([view.value_at_point(float(s))[0]
                           for s in seg.nodes[:-1]])
         assert np.array_equal(seg.values[:-1], reads)
+
+
+def test_block_members_escape_like_their_serial_runs():
+    # x' = x(t - r/2) until |x(t - r/2)| reaches 2, where the derivative
+    # turns infinite; each member escapes at its own time, and the zero
+    # history stays put next to them
+    def rhs(seg):
+        v = seg.value_at_point(-0.5)
+        return np.where(np.abs(v) < 2.0, v, np.inf)
+
+    cliff = DelaySystem("cliff", 1, 1.0, rhs, lambda R: 1.0)
+    x0s = [const_history(value=c, n_nodes=65)
+           for c in (0.0, 0.3, -0.7, 1.0, 1.5, 1.9, 1.99)]
+    many = simulate_many(cliff, x0s, 4.0, 0.05)
+    assert sum(t.escaped for t in many) == 6
+    assert len({t.escape_time for t in many}) == 7
+    for x0, got in zip(x0s, many):
+        # the node whose derivative turned infinite is not kept
+        assert np.all(np.isfinite(got.values))
+        assert np.all(np.isfinite(got.derivs))
+        want = simulate(cliff, x0, 4.0, 0.05)
+        assert got.escaped == want.escaped
+        assert got.escape_time == want.escape_time
+        for a, b in ((got.times, want.times), (got.values, want.values),
+                     (got.derivs, want.derivs)):
+            assert np.array_equal(a, b)
+
+
+def test_block_histories_share_one_grid():
+    sys = make_system("linear_scalar", 1.0, {"a": -1.0, "b": 0.3})
+    with pytest.raises(ParameterError, match="share a grid"):
+        simulate_many(sys, [const_history(n_nodes=33),
+                            const_history(n_nodes=65)], 1.0)
+    assert simulate_many(sys, [], 1.0) == []
 
 
 def test_semigroup_restart_smooth_history():

@@ -213,6 +213,11 @@ def test_config_rejects_unknown_keys():
     d["target_space"] = {"kind": "sup", "p": 2}
     with pytest.raises(ParameterError, match="'p'"):
         SamplerConfig.from_json_dict(d)
+    # a wrong-typed value is a ParameterError too, not a TypeError
+    d = cfg().to_json_dict()
+    d["order"] = None
+    with pytest.raises(ParameterError, match="sampler config"):
+        SamplerConfig.from_json_dict(d)
 
 
 def test_all_families_listed():
