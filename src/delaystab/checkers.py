@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from typing import Callable
 
 import numpy as np
@@ -65,6 +66,21 @@ def default_time_grid(horizon: float, r: float, points: int = 200) -> np.ndarray
     lin = np.linspace(0.0, r, n_lin, endpoint=False)
     geo = np.geomspace(r, horizon, points - n_lin)
     return np.concatenate([lin, geo])
+
+
+def _report_grid(t_grid, horizon: float, r: float,
+                 points: int) -> np.ndarray:
+    """A caller's report times, checked, or the default grid without them."""
+    if t_grid is None:
+        return default_time_grid(horizon, r, points)
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ParameterError("t_grid must be a non-empty list of times")
+    if not np.all(np.isfinite(t_grid)) or t_grid[0] < 0.0 \
+            or np.any(np.diff(t_grid) <= 0.0):
+        raise ParameterError(
+            "t_grid must be finite, nonnegative and strictly increasing")
+    return t_grid
 
 
 def _exponent_of(space: SpaceSpec) -> float:
@@ -161,34 +177,35 @@ def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,
                          delay_r=sys.delay_r, seed=seed, n_nodes=n_nodes)
 
 
-def _ensemble(sys: DelaySystem, jobs, T: float, h: float):
-    """Yield (cfg, i, x0, traj) per job (cfg, i): sample i of cfg
-    integrated over [0, T], in the order of the jobs.
+def _ensemble(sys: DelaySystem, x0s, T: float, h: float):
+    """Yield (x0, traj) per history x0 of the iterable x0s: x0 integrated
+    over [0, T], in the order of x0s.
 
-    The jobs are sampled and integrated a block at a time, as many as fit
-    dde.BLOCK_BYTES of dense output.  Lazy per block, so a caller that
-    stops at its first counterexample integrates nothing past its block.
+    Every integration of sampled histories goes through here: the
+    checkers' ensembles, the `ls` bisection probes and the Dini ladders
+    of the dissipation certificate.  The histories are drawn from x0s and
+    integrated a block at a time, as many as fit dde.BLOCK_BYTES of dense
+    output.  Lazy per block, so a caller that stops at its first
+    counterexample neither draws nor integrates anything past its block.
     Each trajectory is yielded as a copy and nothing here keeps what was
     yielded, so once the last one is yielded nothing holds the block
     before the next one is integrated.
     """
-    jobs = list(jobs)
+    x0s = iter(x0s)
     size = _block_members(sys, T, h)
-    for start in range(0, len(jobs), size):
-        block = jobs[start:start + size]
-        trajs = simulate_many(sys, [sample_one(cfg, i) for cfg, i in block],
-                              T, h)[::-1]
-        for cfg, i in block:
+    while block := list(islice(x0s, size)):
+        trajs = simulate_many(sys, block, T, h)[::-1]
+        while trajs:
             traj = trajs.pop()
-            yield cfg, i, traj.initial, replace(
+            yield traj.initial, replace(
                 traj, times=traj.times.copy(), values=traj.values.copy(),
                 derivs=traj.derivs.copy())
             del traj
 
 
-def _jobs(cfg: SamplerConfig, count: int) -> list:
-    """The ensemble jobs for samples 0 .. count-1 of cfg."""
-    return [(cfg, i) for i in range(count)]
+def _samples(cfg: SamplerConfig, count: int):
+    """Samples 0 .. count-1 of cfg, drawn lazily."""
+    return (sample_one(cfg, i) for i in range(count))
 
 
 def _witness(cfg: SamplerConfig, index: int, seg: Segment, time: float,
@@ -357,15 +374,15 @@ def _shell_runs(sys: DelaySystem, space: SpaceSpec, s_grid: np.ndarray,
     Shell j draws from the annulus between radii s_grid[j-1] and s_grid[j]
     of the `space` ball.  The samples of all shells share the blocks.
     """
-    jobs, shell_of = [], []
+    labels, x0s = [], []
     for j in range(s_grid.size):
         lo_frac = s_grid[j - 1] / s_grid[j] if j > 0 else 0.0
         cfg = _ball_cfg(sys, space, float(s_grid[j]), family, order,
                         seed, n_nodes).with_shell(lo_frac, j)
-        jobs += [(cfg, i) for i in range(int(counts[j]))]
-        shell_of += [j] * int(counts[j])
-    for j, run in zip(shell_of, _ensemble(sys, jobs, T, h)):
-        yield (j, *run)
+        labels += [(j, cfg, i) for i in range(int(counts[j]))]
+        x0s.append(_samples(cfg, int(counts[j])))
+    for label, run in zip(labels, _ensemble(sys, chain(*x0s), T, h)):
+        yield (*label, *run)
 
 
 def _close_envelope(s_grid: np.ndarray, t_grid: np.ndarray, raw: np.ndarray,
@@ -412,9 +429,7 @@ def fit_kl_envelope(sys: DelaySystem, space: SpaceSpec, rho_max: float,
     s_grid, counts = _shell_plan(rho_max, shells, budget)
     r = sys.delay_r
     h, horizon = _step_defaults(r, h, horizon)
-    if t_grid is None:
-        t_grid = default_time_grid(horizon, r, grid_points)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _report_grid(t_grid, horizon, r, grid_points)
     if report_space is None:
         report_space = space
     raw = np.full((shells, t_grid.size), -np.inf)
@@ -501,7 +516,8 @@ def check_rfc(sys: DelaySystem, space: SpaceSpec, rho: float, T: float,
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     sup = 0.0
     escapes = []
-    for _, i, x0, traj in _ensemble(sys, _jobs(cfg, budget), T, h):
+    runs = _ensemble(sys, _samples(cfg, budget), T, h)
+    for i, (x0, traj) in enumerate(runs):
         track = _norm_track(traj, space, grid, n_nodes)
         finite = track[np.isfinite(track)]
         if finite.size:
@@ -531,7 +547,8 @@ def check_lags(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int, *,
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     peak = np.full(grid.size, 0.0)
-    for _, i, x0, traj in _ensemble(sys, _jobs(cfg, budget), horizon, h):
+    runs = _ensemble(sys, _samples(cfg, budget), horizon, h)
+    for i, (x0, traj) in enumerate(runs):
         track = _norm_track(traj, space, grid, n_nodes)
         if traj.escaped:
             wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
@@ -569,15 +586,17 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
         raise ParameterError("tolerances must be positive")
     if budget < 1:
         raise ParameterError("need a positive sample budget")
+    if bisection_steps < 0:
+        raise ParameterError("bisection_steps must be nonnegative")
     r = sys.delay_r
     h, horizon = _step_defaults(r, h, horizon)
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, 1.0, family, order, seed, n_nodes)
-    base = [sample_one(cfg, i) for i in range(budget)]
+    base = list(_samples(cfg, budget))
 
     def probe(delta: float, eps: float):
-        trajs = simulate_many(sys, [delta * seg for seg in base], horizon, h)
-        for i, traj in enumerate(trajs):
+        runs = _ensemble(sys, (delta * seg for seg in base), horizon, h)
+        for i, (_, traj) in enumerate(runs):
             track = _norm_track(traj, space, grid, n_nodes)
             bad = np.nonzero(track > eps * (1.0 + _REL_TOL))[0]
             if bad.size:
@@ -641,7 +660,8 @@ def check_ga(sys: DelaySystem, space: SpaceSpec, rho: float, eps: float,
     q = 3 * grid.size // 4
     worst_end = 0.0
     undecided = False
-    for _, i, x0, traj in _ensemble(sys, _jobs(cfg, budget), horizon, h):
+    runs = _ensemble(sys, _samples(cfg, budget), horizon, h)
+    for i, (x0, traj) in enumerate(runs):
         track = _norm_track(traj, space, grid, n_nodes)
         tail = track[q:]
         worst_end = max(worst_end, float(track[-1]))
@@ -680,7 +700,8 @@ def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     peak = np.zeros(grid.size)
-    for _, i, x0, traj in _ensemble(sys, _jobs(cfg, budget), horizon, h):
+    runs = _ensemble(sys, _samples(cfg, budget), horizon, h)
+    for i, (x0, traj) in enumerate(runs):
         if traj.escaped:
             wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
             return StabilityReport(
@@ -729,8 +750,8 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
     sup_space = SpaceSpec.sup()
     worst_sup = 0.0
     worst_full = 0.0
-    runs = _ensemble(sys, _jobs(cfg, 2 * pairs), T, h)
-    for (_, i, x0, tx), (_, k, y0, ty) in zip(runs, runs):
+    runs = enumerate(_ensemble(sys, _samples(cfg, 2 * pairs), T, h))
+    for (i, (x0, tx)), (k, (y0, ty)) in zip(runs, runs):
         escapes = [(tr.escape_time, j, z0)
                    for j, z0, tr in ((i, x0, tx), (k, y0, ty)) if tr.escaped]
         if escapes:
@@ -789,9 +810,7 @@ def check_envelope_lift(sys: DelaySystem, space: SpaceSpec, rho_max: float,
     s_grid, counts = _shell_plan(rho_max, shells, budget)
     r = sys.delay_r
     h, horizon = _step_defaults(r, h, horizon)
-    if t_grid is None:
-        t_grid = default_time_grid(horizon, r, grid_points)
-    grid = np.asarray(t_grid, dtype=float)
+    grid = _report_grid(t_grid, horizon, r, grid_points)
     if lipschitz_modulus is None:
         lipschitz_modulus = sys.lipschitz_modulus
     sup_space = SpaceSpec.sup()

@@ -58,7 +58,7 @@ from .lyapunov import (
 )
 from .sampler import SamplerConfig, sample_one
 from .segment import ParameterError, Segment, SegmentDataError, SpaceSpec, \
-    _check_keys, _select, space_norm
+    _check_keys, _integer, _select, _typed, space_norm
 
 __all__ = ["main"]
 
@@ -101,10 +101,14 @@ def _history_segment(spec: dict, sys, seed: int) -> Segment:
         cfg = SamplerConfig.from_json_dict(samp)
         if cfg.delay_r != sys.delay_r or cfg.dimension != sys.dimension:
             raise ParameterError("history sampler does not match the system")
-        return sample_one(cfg, int(spec.get("index", 0)))
+        with _typed("history"):
+            index = _integer(spec.get("index", 0))
+        return sample_one(cfg, index)
     _check_keys(spec, {"constant"}, {"n_nodes"}, "history")
     vals = np.atleast_1d(np.asarray(spec["constant"], dtype=float))
-    return Segment.constant(sys.delay_r, vals, int(spec.get("n_nodes", 65)))
+    with _typed("history"):
+        n_nodes = _integer(spec.get("n_nodes", 65))
+    return Segment.constant(sys.delay_r, vals, n_nodes)
 
 
 def cmd_simulate(cfg: dict, seed: int, out: Path) -> int:
@@ -140,7 +144,8 @@ def cmd_norms(cfg: dict, seed: int, out: Path) -> int:
     scfg = SamplerConfig.from_json_dict(samp)
     spaces = [SpaceSpec.from_json_dict(d) for d in cfg.get("spaces", [])] \
         or [sp for _, sp in SUMMARY_SPACES]
-    count = int(cfg["count"])
+    with _typed("norms config: count"):
+        count = _integer(cfg["count"])
     if count < 1:
         raise ParameterError("norms config: count must be >= 1")
     rows = []
@@ -179,24 +184,28 @@ def _floats(values) -> list:
 # the system because the certificate checks name it V or U.
 CONVERT = {
     "T": float, "a": grid_fn_from_json_dict, "a1": grid_fn_from_json_dict,
-    "a2": grid_fn_from_json_dict, "bisection_steps": int, "budget": int,
-    "eps": float, "eps_list": _floats, "family": str,
-    "functional": functional_from_json_dict, "grid_points": int,
+    "a2": grid_fn_from_json_dict, "bisection_steps": _integer,
+    "budget": _integer, "eps": float, "eps_list": _floats, "family": str,
+    "functional": functional_from_json_dict, "grid_points": _integer,
     "h": lambda v: None if v is None else float(v),
-    "horizon": float, "integral_trajectories": int,
-    "lipschitz_constant": float, "mu": float, "n_nodes": int, "order": int,
-    "rate": rate_from_json_dict, "report_space": SpaceSpec.from_json_dict,
-    "rho": float, "rho_list": _floats, "rho_max": float, "samples": int,
-    "shells": int, "t_grid": lambda v: np.asarray(v, dtype=float),
-    "traj_check": int,
+    "horizon": float, "integral_trajectories": _integer,
+    "lipschitz_constant": float, "mu": float, "n_nodes": _integer,
+    "order": _integer, "rate": rate_from_json_dict,
+    "report_space": SpaceSpec.from_json_dict, "rho": float,
+    "rho_list": _floats, "rho_max": float, "samples": _integer,
+    "shells": _integer, "t_grid": lambda v: np.asarray(v, dtype=float),
+    "traj_check": _integer,
 }
 PARAM_OF = {"rate": "Q"}
 
 
 def _bind(cfg: dict, seed: int) -> dict:
     """Converted config values by parameter name, plus the seed."""
-    kw = {PARAM_OF.get(k, k): CONVERT[k](v) for k, v in cfg.items()
-          if k in CONVERT}
+    kw = {}
+    for k, v in cfg.items():
+        if k in CONVERT:
+            with _typed(f"config key {k!r}"):
+                kw[PARAM_OF.get(k, k)] = CONVERT[k](v)
     kw["seed"] = seed
     return kw
 

@@ -52,6 +52,7 @@ from .segment import (
     _check_keys,
     _hermite,
     _hermite_slope,
+    _integer,
     _point_read,
     _points_read,
     _quadrature_weights,
@@ -251,7 +252,7 @@ def system_from_json_dict(d: dict) -> DelaySystem:
     _check_keys(d, {"name", "r", "params"}, {"n"}, "system")
     with _typed("system"):
         sys = make_system(d["name"], float(d["r"]), d["params"])
-        if "n" in d and int(d["n"]) != sys.dimension:
+        if "n" in d and _integer(d["n"]) != sys.dimension:
             raise ParameterError(
                 "declared dimension does not match the system")
     return sys

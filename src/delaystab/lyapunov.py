@@ -13,6 +13,12 @@ functional under window prolongation (which rules out finite-time escape).
 None of the checks prove anything; they falsify with witnesses or report
 consistency at stated tolerances, like the rest of the toolkit.
 
+Every trajectory the checks need is integrated through the one ensemble
+primitive, checkers._ensemble, in memory-bounded blocks: the sampled
+trajectories of the three checks and the Dini ladders of the dissipation
+check, one short simulation per sample.  dini_derivative is the batch of
+one of such a ladder.
+
 Forward quotients of a sup-type functional are delicate: the quotient
 divides by steps down to 1e-7 of the delay, so the two sup evaluations
 must share their sample points or grid-placement noise of order (cell)^2
@@ -34,14 +40,14 @@ from .checkers import (
     _ball_cfg,
     _ensemble,
     _grown,
-    _jobs,
     _norm_track,
+    _samples,
     _step_defaults,
     _track,
     _witness,
     default_time_grid,
 )
-from .dde import DelaySystem, segment_at, simulate
+from .dde import DelaySystem, Trajectory, segment_at, simulate
 from .sampler import SamplerConfig, sample_one
 from .segment import (
     DEFAULT_REFINE,
@@ -281,15 +287,28 @@ def dini_derivative(sys: DelaySystem, V: Functional,
                     x: Segment) -> DiniEstimate:
     """Estimate the upper-right derivative of V along the flow at x.
 
-    One short simulation covers the whole ladder; the solver step divides
-    every rung time exactly.  The estimate is the max of the last three
-    quotients, and the trend flag warns when the two smallest rungs still
-    differ by more than 10 percent.
+    One short simulation covers the whole ladder; the solver step, half
+    the smallest rung, divides every rung time exactly.  An escape before
+    the ladder's end raises EscapeError.  This is the batch of one of the
+    ladders that check_pointwise_dissipation integrates in blocks through
+    checkers._ensemble; both read the ladder with _read_dini.
     """
     hs = _dini_steps(sys.delay_r)
     traj = simulate(sys, x, float(hs[0]), hs[-1] / 2.0)
     if traj.escaped:
         raise EscapeError(traj.escape_time)
+    return _read_dini(V, x, traj)
+
+
+def _read_dini(V: Functional, x: Segment, traj: Trajectory) -> DiniEstimate:
+    """The forward-quotient ladder of V at x, read off its ladder
+    trajectory traj.
+
+    The estimate is the max of the last three quotients, and the trend
+    flag warns when the two smallest rungs still differ by more than 10
+    percent.
+    """
+    hs = _dini_steps(traj.system.delay_r)
     v0 = V.evaluate(x)
     quotients = []
     for hk in hs:
@@ -422,7 +441,8 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
     worst_up = 0.0
     worst_decay = 0.0
     worst_env = 0.0
-    for _, i, x0, traj in _ensemble(sys, _jobs(cfg, samples), T, h):
+    runs = _ensemble(sys, _samples(cfg, samples), T, h)
+    for i, (x0, traj) in enumerate(runs):
         v0 = V.evaluate(x0)
         nx = space_norm(x0, space)
         tol = 1e-12 * (1.0 + v0)
@@ -488,8 +508,10 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     fail = _falsifier("pointwise_dissipation", space, cfg, samples)
     worst_dini = -math.inf
     worst_integral = -math.inf
-    for i in range(samples):
-        x0 = sample_one(cfg, i)
+    hs = _dini_steps(r)
+    ladders = _ensemble(sys, _samples(cfg, samples), float(hs[0]),
+                        hs[-1] / 2.0)
+    for i, (x0, ladder) in enumerate(ladders):
         v0 = V.evaluate(x0)
         head = float(np.linalg.norm(x0.values[-1]))
         nx = space_norm(x0, space)
@@ -499,11 +521,10 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
             return fail(i, x0, 0.0, v0,
                         {"value": v0, "lower": float(a1(head)),
                          "upper": float(a2(nx))}, "sandwich")
-        try:
-            est = dini_derivative(sys, V, x0).estimate
-        except EscapeError as exc:
-            return fail(i, x0, exc.escape_time, math.inf,
-                        {"escape_time": exc.escape_time}, "escape")
+        if ladder.escaped:
+            return fail(i, x0, ladder.escape_time, math.inf,
+                        {"escape_time": ladder.escape_time}, "escape")
+        est = _read_dini(V, x0, ladder).estimate
         dissipation_tol = 1e-3 * (1.0 + v0)
         gap = est + Q(x0.values[-1])
         worst_dini = max(worst_dini, gap - dissipation_tol)
@@ -512,8 +533,8 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
                         {"dini_estimate": est, "required": -Q(x0.values[-1]),
                          "tolerance": dissipation_tol}, "dissipation")
     lam = _weighted_kind(V)
-    for _, i, x0, traj in _ensemble(
-            sys, _jobs(cfg, integral_trajectories), T, h):
+    runs = _ensemble(sys, _samples(cfg, integral_trajectories), T, h)
+    for i, (x0, traj) in enumerate(runs):
         v0 = V.evaluate(x0)
         if traj.escaped:
             return fail(i, x0, traj.escape_time, math.inf,
@@ -558,8 +579,8 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
     cross-checks U(x_t) <= e^(mu t) U(x_0) along simulated trajectories.
     A consistent report supports boundedness of reachable sets.
     """
-    if not (samples >= 1 and rho > 0.0):
-        raise ParameterError("need positive samples and rho")
+    if not (samples >= 1 and rho > 0.0 and traj_check >= 1):
+        raise ParameterError("need positive samples, rho and traj_check")
     if not math.isfinite(mu):
         raise ParameterError("growth rate must be finite")
     r = sys.delay_r
@@ -572,8 +593,7 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
     fail = _falsifier("growth_certificate", space, cfg, samples)
     hs = _dini_steps(r)
     worst_quotient = -math.inf
-    for i in range(samples):
-        x0 = sample_one(cfg, i)
+    for i, x0 in enumerate(_samples(cfg, samples)):
         u0 = U.evaluate(x0)
         head = float(np.linalg.norm(x0.values[-1]))
         if float(a(head)) > u0 * (1.0 + 1e-6) + 1e-12 * (1.0 + u0):
@@ -593,8 +613,8 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
     worst_traj = 0.0
     times = default_time_grid(T, r, grid_points)[1:]
     lam = _weighted_kind(U)
-    for _, i, x0, traj in _ensemble(
-            sys, _jobs(cfg, min(traj_check, samples)), T, h):
+    runs = _ensemble(sys, _samples(cfg, min(traj_check, samples)), T, h)
+    for i, (x0, traj) in enumerate(runs):
         u0 = U.evaluate(x0)
         if traj.escaped:
             return fail(i, x0, traj.escape_time, math.inf,

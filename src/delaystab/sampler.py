@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .segment import ParameterError, Segment, SpaceSpec, _check_keys, \
-    _typed, space_norm
+    _integer, _typed, space_norm
 
 __all__ = ["FAMILIES", "SamplerConfig", "sample", "sample_one"]
 
@@ -94,11 +94,12 @@ class SamplerConfig:
                     {"n_nodes", "radial_min"}, "sampler config")
         with _typed("sampler config"):
             return SamplerConfig(
-                family=d["family"], order=int(d["order"]),
+                family=d["family"], order=_integer(d["order"]),
                 target_space=SpaceSpec.from_json_dict(d["target_space"]),
                 target_norm=float(d["target_norm"]),
-                dimension=int(d["dimension"]), delay_r=float(d["delay_r"]),
-                seed=int(d["seed"]), n_nodes=int(d.get("n_nodes", 201)),
+                dimension=_integer(d["dimension"]), delay_r=float(d["delay_r"]),
+                seed=_integer(d["seed"]),
+                n_nodes=_integer(d.get("n_nodes", 201)),
                 radial_min=float(d.get("radial_min", 0.0)))
 
 

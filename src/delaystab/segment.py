@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -86,6 +87,16 @@ def _typed(where: str):
         raise
     except (TypeError, ValueError) as exc:
         raise ParameterError(f"{where}: {exc}") from None
+
+
+def _integer(v) -> int:
+    """A config value that must be a whole number, as an int.  Booleans
+    and non-integral numbers are refused, where int() would take them or
+    round them down; a TypeError that _typed reports."""
+    if isinstance(v, bool) or not (isinstance(v, numbers.Integral) or (
+            isinstance(v, float) and v.is_integer())):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
 
 
 def _select(d: dict, key: str, table: dict, where: str) -> str:

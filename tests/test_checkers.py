@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from delaystab import checkers, dde
+from delaystab import checkers, dde, lyapunov
 from delaystab.checkers import (
     KLEnvelope,
     StabilityReport,
@@ -433,6 +433,21 @@ def test_envelope_validation():
         fit_kl_envelope(sys, SUP, 1.0, 4, None, 0)
 
 
+@pytest.mark.parametrize("t_grid", [[], [[0.0, 1.0]], [0.0, 2.0, 1.0],
+                                    [0.0, 1.0, 1.0], [-0.5, 1.0],
+                                    [0.0, math.nan], [0.0, math.inf]])
+def test_bad_time_grid_is_rejected_before_integration(monkeypatch, t_grid):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before checking the time grid")
+
+    monkeypatch.setattr(checkers, "simulate_many", no_integration)
+    sys = linear(0.5, -1.0, 0.0)
+    with pytest.raises(ParameterError, match="t_grid"):
+        fit_kl_envelope(sys, SUP, 1.0, 2, t_grid, 4)
+    with pytest.raises(ParameterError, match="t_grid"):
+        check_envelope_lift(sys, SOB2, 1.0, 2, 4, t_grid=t_grid)
+
+
 # -- pair propagation bounds ------------------------------------------
 
 
@@ -504,8 +519,8 @@ def _fourier_runs(a, b, count, T, h):
     cfg = SamplerConfig(family="fourier", order=3, target_space=SUP,
                         target_norm=1.0, dimension=1, delay_r=1.0, seed=0,
                         n_nodes=65)
-    for _, i, x0, traj in checkers._ensemble(sys, checkers._jobs(cfg, count),
-                                             T, h):
+    runs = checkers._ensemble(sys, checkers._samples(cfg, count), T, h)
+    for i, (x0, traj) in enumerate(runs):
         yield i, x0, traj
 
 
@@ -554,6 +569,40 @@ def test_envelope_lift_integrates_each_sample_once(monkeypatch):
     assert len(histories) == 8
 
 
+def test_dini_ladders_and_ls_probes_run_in_blocks(monkeypatch):
+    calls, serial = [], []
+
+    def counting_simulate_many(sys, x0s, T, h=None):
+        calls.append((T, len(x0s)))
+        return simulate_many(sys, x0s, T, h)
+
+    def counting_simulate(*args, **kwargs):
+        serial.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(checkers, "simulate_many", counting_simulate_many)
+    monkeypatch.setattr(lyapunov, "simulate", counting_simulate)
+    sys = linear(1.0, -1.0, 0.0)
+    hs = lyapunov._dini_steps(1.0)
+    ladder_bytes = 16 * (round(hs[0] / (hs[-1] / 2.0)) + 1)
+    monkeypatch.setattr(dde, "BLOCK_BYTES", 3 * ladder_bytes)
+    assert dde._block_members(sys, float(hs[0]), hs[-1] / 2.0) == 3
+    rep = check_pointwise_dissipation(
+        sys, weighted_sup(1.0), MonotoneGridFn.linear(math.exp(-1.0)),
+        MonotoneGridFn.linear(1.0), scaled_abs_rate(math.exp(-1.0)), SUP, 7,
+        integral_trajectories=2, seed=0)
+    assert rep.verdict == "consistent"
+    assert [n for T, n in calls if T == hs[0]] == [3, 3, 1]
+    assert serial == []
+    calls.clear()
+    monkeypatch.setattr(dde, "BLOCK_BYTES", 2 * 16 * 41)
+    block = dde._block_members(sys, 2.0, 0.05)
+    assert block == 2
+    check_ls(linear(1.0, -1.0, 0.3), SUP, [0.5], 5, horizon=2.0,
+             bisection_steps=3, h=0.05, grid_points=10)
+    assert calls and max(n for _, n in calls) <= block
+
+
 # -- composite experiment ---------------------------------------------
 
 
@@ -597,7 +646,9 @@ DISTRIBUTED = make_system("distributed_linear", r=1.0,
                                         [[0.3, 0.0], [0.1, 0.1]]]})
 # (system, ball radius, horizon, step), each member 2432 bytes of dense
 # output (16 n (steps + 1)); at radius 3 about half of the quadratic
-# histories blow up, each at its own time
+# histories blow up, each at its own time.  The ls probes of _block_run
+# take 1616 bytes a member (1, 10 and all 12 a block), its Dini ladders
+# 32784 (1, 1 and all 4 a block).
 ENSEMBLES = [(QUAD, 3.0, 1.51, 0.01), (VECTOR, 1.0, 1.5, 0.02),
              (DISTRIBUTED, 1.0, 1.5, 0.02)]
 MEMBER_BYTES = 2432
@@ -611,14 +662,14 @@ def _block_run():
                             target_norm=rho, dimension=sys.dimension,
                             delay_r=1.0, seed=1, n_nodes=33)
         trajs += [(t.times, t.values, t.derivs, t.escaped, t.escape_time)
-                  for _, _, _, t in checkers._ensemble(
-                      sys, checkers._jobs(cfg, 11), T, h)]
+                  for _, t in checkers._ensemble(
+                      sys, checkers._samples(cfg, 11), T, h)]
     env = fit_kl_envelope(QUAD, SUP, 3.0, 3, None, 9, seed=1, h=0.01,
                           horizon=1.5, grid_points=20)
     reports = [
         check_uga(VECTOR, SUP, 0.1, 1.0, 5, horizon=4.0, h=0.02,
                   grid_points=20),
-        check_ls(QUAD, SUP, [0.5], 3, horizon=2.0, bisection_steps=4,
+        check_ls(QUAD, SUP, [0.5], 12, horizon=2.0, bisection_steps=4,
                  h=0.02, grid_points=20, seed=1),
         verify_pair_bounds(QUAD, SUP, 3.0, 1.5, 4, seed=1, h=0.01,
                            grid_points=10),
@@ -627,7 +678,7 @@ def _block_run():
         check_pointwise_dissipation(
             linear(1.0, -1.0, 0.0), weighted_sup(1.0),
             MonotoneGridFn.linear(math.exp(-1.0)), MonotoneGridFn.linear(1.0),
-            scaled_abs_rate(math.exp(-1.0)), SUP, 2, integral_trajectories=9,
+            scaled_abs_rate(math.exp(-1.0)), SUP, 4, integral_trajectories=9,
             T=2.0, h=0.02)]
     return trajs, env, [rep.to_json_dict() for rep in reports]
 

@@ -320,6 +320,60 @@ def test_silent_configs_exit_one_without_output(tmp_path, capsys, command,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+GROWTH = {"check": "growth", "system": LINEAR_DECAY,
+          "functional": {"type": "weighted_sup", "lam": 1.0},
+          "space": {"kind": "sup"}, "samples": 3, "mu": 1.0,
+          "a": {"linear": math.exp(-1.0)}}
+LS = {"property": "ls", "system": LINEAR_DECAY, "space": {"kind": "sup"},
+      "eps_list": [0.5], "budget": 2, "horizon": 2.0}
+NORMS = {"sampler": {"family": "fourier", "order": 3,
+                     "target_space": {"kind": "sup"}, "target_norm": 1.0,
+                     "dimension": 1, "delay_r": 1.0, "seed": 0},
+         "count": 2}
+SIMULATE = {"system": LINEAR_DECAY, "T": 1.0,
+            "history": {"sampler": {"family": "fourier", "order": 3,
+                                    "target_space": {"kind": "sup"},
+                                    "target_norm": 1.0}}}
+
+# Each of these once exited 0 having run something other than what it
+# asks for: a negative count ran no bisection or no trajectory check, an
+# integer key took a fraction or a boolean and rounded it; or it died with
+# a traceback (an empty t_grid), or only after every shell was integrated
+# (a descending one).
+BAD_VALUES = [
+    ("lyapunov", {**GROWTH, "traj_check": -3}, "traj_check"),
+    ("check", {**LS, "bisection_steps": -5}, "bisection_steps"),
+    ("check", {**GA, "budget": 2.7}, "budget"),
+    ("check", {**GA, "budget": True}, "budget"),
+    ("check", {**GA, "order": 1.5}, "order"),
+    ("check", {**GA, "system": {**LINEAR_DECAY, "n": True}}, "system"),
+    ("norms", {**NORMS, "count": 2.5}, "count"),
+    ("norms", {**NORMS, "sampler": {**NORMS["sampler"], "dimension": 1.5}},
+     "sampler"),
+    ("simulate", {**SIMULATE, "history": {
+        "sampler": {**SIMULATE["history"]["sampler"], "order": True}}},
+     "sampler"),
+    ("simulate", {**SIMULATE, "history": {
+        **SIMULATE["history"], "index": 0.5}}, "history"),
+    ("envelope", {**ENV, "t_grid": []}, "t_grid"),
+    ("envelope", {**ENV, "t_grid": [0.0, 2.0, 1.0]}, "t_grid"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,key", BAD_VALUES,
+                         ids=[f"{c}-{k}-{i}"
+                              for i, (c, _, k) in enumerate(BAD_VALUES)])
+def test_bad_values_exit_one_without_output(tmp_path, capsys, command, cfg,
+                                            key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code = main([command, "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and key in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_config_tables_bind_checker_parameters():
     """Every key a command accepts converts and binds a named parameter."""
     entries = [*CHECKS.values(), *LYAP_CHECKS.values(), ENVELOPE]
