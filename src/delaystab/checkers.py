@@ -26,12 +26,12 @@ from typing import Callable
 
 import numpy as np
 
-from .dde import DelaySystem, Trajectory, _block_members, segment_at, \
-    simulate_many
+from .dde import DelaySystem, Trajectory, _block_members, _segment_chunk, \
+    _segment_nodes, segment_at, simulate_many
 from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
 from .sampler import SamplerConfig, sample_one
 from .segment import DEFAULT_REFINE, ParameterError, Segment, SpaceSpec, \
-    _euclid, space_norm
+    _euclid, _norms, space_norm
 
 __all__ = [
     "KLEnvelope",
@@ -130,6 +130,23 @@ def _json_safe(v):
 # -- norm tracking -----------------------------------------------------
 
 
+def _covered(traj: Trajectory, times) -> int:
+    """How many leading times lie in the covered range (up to escape)."""
+    tol = 1e-12 * max(traj.system.delay_r, 1.0)
+    past = np.flatnonzero(np.asarray(times) > traj.end_time + tol)
+    return int(past[0]) if past.size else len(times)
+
+
+def _segment_stacks(traj: Trajectory, times, seg_nodes: int):
+    """Yield (lo, s, values, derivs): the node data of the segments x_t
+    at times[lo:lo + K], stacked (K, seg_nodes, n), K times at a time as
+    dde._segment_chunk allows."""
+    times = np.asarray(times, dtype=float)
+    size = _segment_chunk(seg_nodes, traj.system.dimension)
+    for lo in range(0, times.size, size):
+        yield (lo, *_segment_nodes(traj, times[lo:lo + size], seg_nodes))
+
+
 def _track(traj: Trajectory, times, seg_nodes: int,
            evaluate: Callable[[Segment], float],
            lam: float | None = None) -> np.ndarray:
@@ -144,19 +161,19 @@ def _track(traj: Trajectory, times, seg_nodes: int,
     the value is evaluate(x_t) on a resampled segment.
     """
     r = traj.system.delay_r
-    end = traj.end_time
     out = np.full(len(times), np.inf)
-    if lam is not None:
-        s, vals, _ = traj.initial.refined(DEFAULT_REFINE)
-        u = np.concatenate([s, traj.forward_times[1:]])
-        g = np.exp(lam * u) * np.concatenate(
-            [_euclid(vals), _euclid(traj.forward_values[1:])])
-    for k, t in enumerate(times):
-        if t > end + 1e-12 * max(r, 1.0):
-            break
-        if lam is None:
-            out[k] = evaluate(segment_at(traj, float(t), n_nodes=seg_nodes))
-            continue
+    covered = _covered(traj, times)
+    if lam is None:
+        for k in range(covered):
+            out[k] = evaluate(segment_at(traj, float(times[k]),
+                                         n_nodes=seg_nodes))
+        return out
+    s, vals, _ = traj.initial.refined(DEFAULT_REFINE)
+    u = np.concatenate([s, traj.forward_times[1:]])
+    g = np.exp(lam * u) * np.concatenate(
+        [_euclid(vals), _euclid(traj.forward_values[1:])])
+    for k in range(covered):
+        t = times[k]
         lo = np.searchsorted(u, t - r - 1e-15 * r, side="left")
         hi = np.searchsorted(u, t + 1e-15 * max(r, abs(t)), side="right")
         out[k] = math.exp(-lam * t) * float(g[lo:hi].max())
@@ -165,9 +182,18 @@ def _track(traj: Trajectory, times, seg_nodes: int,
 
 def _norm_track(traj: Trajectory, space: SpaceSpec, grid: np.ndarray,
                 seg_nodes: int) -> np.ndarray:
-    """Report-space norm of x_t at each grid time; sup is the lam = 0 max."""
-    return _track(traj, grid, seg_nodes, lambda seg: space_norm(seg, space),
-                  0.0 if space.kind == "sup" else None)
+    """Report-space norm of x_t at each grid time; +inf past the covered
+    end.  Sup is the lam = 0 window max of _track; the other spaces take
+    the stacked norms of x_t a chunk of times at a time, each value
+    bitwise space_norm(segment_at(traj, t, seg_nodes), space)."""
+    if space.kind == "sup":
+        return _track(traj, grid, seg_nodes, None, 0.0)
+    r = traj.system.delay_r
+    out = np.full(len(grid), np.inf)
+    covered = grid[:_covered(traj, grid)]
+    for lo, s, vals, ders in _segment_stacks(traj, covered, seg_nodes):
+        out[lo:lo + len(vals)] = _norms(r, s, vals, ders, space)
+    return out
 
 
 def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,
@@ -766,25 +792,27 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
         # an infinite factor on a zero distance still bounds by 0
         lim_sup = growth * d0_sup if d0_sup else 0.0
         lim_full = M * d0_full if d0_full else 0.0
-        for t in grid:
-            diff = segment_at(tx, float(t), n_nodes=n_nodes) \
-                - segment_at(ty, float(t), n_nodes=n_nodes)
-            d_sup = space_norm(diff, sup_space)
-            d_full = space_norm(diff, space)
-            if d_sup > lim_sup * (1.0 + 1e-6) + 1e-15 \
-                    or d_full > lim_full * (1.0 + 1e-6) + 1e-15:
-                wit = _witness(cfg, i, x0, float(t),
-                               float(max(d_sup, d_full)))
-                wit["pair_index"] = k
-                return StabilityReport(
-                    "pair_bounds", space, "falsified", wit, margins,
-                    {"pairs": pairs},
-                    {"d_sup": d_sup, "limit_sup": lim_sup,
-                     "d_full": d_full, "limit_full": lim_full})
-            if lim_sup > 0.0:
-                worst_sup = max(worst_sup, d_sup / lim_sup)
-            if lim_full > 0.0:
-                worst_full = max(worst_full, d_full / lim_full)
+        stacks = zip(_segment_stacks(tx, grid, n_nodes),
+                     _segment_stacks(ty, grid, n_nodes))
+        for (lo, s, vx, dx), (_, _, vy, dy) in stacks:
+            diff = (r, s, vx - vy, dx - dy)
+            for t, d_sup, d_full in zip(grid[lo:],
+                                        _norms(*diff, sup_space).tolist(),
+                                        _norms(*diff, space).tolist()):
+                if d_sup > lim_sup * (1.0 + 1e-6) + 1e-15 \
+                        or d_full > lim_full * (1.0 + 1e-6) + 1e-15:
+                    wit = _witness(cfg, i, x0, float(t),
+                                   float(max(d_sup, d_full)))
+                    wit["pair_index"] = k
+                    return StabilityReport(
+                        "pair_bounds", space, "falsified", wit, margins,
+                        {"pairs": pairs},
+                        {"d_sup": d_sup, "limit_sup": lim_sup,
+                         "d_full": d_full, "limit_full": lim_full})
+                if lim_sup > 0.0:
+                    worst_sup = max(worst_sup, d_sup / lim_sup)
+                if lim_full > 0.0:
+                    worst_full = max(worst_full, d_full / lim_full)
     return StabilityReport(
         "pair_bounds", space, "consistent", None,
         {**margins, "worst_sup_ratio": worst_sup,

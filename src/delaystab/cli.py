@@ -58,7 +58,8 @@ from .lyapunov import (
 )
 from .sampler import SamplerConfig, sample_one
 from .segment import ParameterError, Segment, SegmentDataError, SpaceSpec, \
-    _check_keys, _integer, _select, _typed, space_norm
+    _check_keys, _field, _integer, _real, _reals, _select, _typed, \
+    space_norm
 
 __all__ = ["main"]
 
@@ -101,13 +102,10 @@ def _history_segment(spec: dict, sys, seed: int) -> Segment:
         cfg = SamplerConfig.from_json_dict(samp)
         if cfg.delay_r != sys.delay_r or cfg.dimension != sys.dimension:
             raise ParameterError("history sampler does not match the system")
-        with _typed("history"):
-            index = _integer(spec.get("index", 0))
-        return sample_one(cfg, index)
+        return sample_one(cfg, _field(spec, "index", _integer, "history", 0))
     _check_keys(spec, {"constant"}, {"n_nodes"}, "history")
-    vals = np.atleast_1d(np.asarray(spec["constant"], dtype=float))
-    with _typed("history"):
-        n_nodes = _integer(spec.get("n_nodes", 65))
+    vals = np.atleast_1d(_field(spec, "constant", _reals, "history"))
+    n_nodes = _field(spec, "n_nodes", _integer, "history", 65)
     return Segment.constant(sys.delay_r, vals, n_nodes)
 
 
@@ -115,8 +113,9 @@ def cmd_simulate(cfg: dict, seed: int, out: Path) -> int:
     _check_keys(cfg, {"system", "history", "T"}, {"h"}, "simulate config")
     sys = system_from_json_dict(cfg["system"])
     x0 = _history_segment(cfg["history"], sys, seed)
-    T = float(cfg["T"])
-    h = float(_step_defaults(sys.delay_r, cfg.get("h"))[0])
+    kw = _bind(cfg, seed)
+    T = kw["T"]
+    h = float(_step_defaults(sys.delay_r, kw.get("h"))[0])
     traj = simulate(sys, x0, T, h)
     _atomic_write(out / "trajectory.csv", traj.write_csv)
     resolved = {"system": sys.to_json_dict(), "history": cfg["history"],
@@ -144,8 +143,7 @@ def cmd_norms(cfg: dict, seed: int, out: Path) -> int:
     scfg = SamplerConfig.from_json_dict(samp)
     spaces = [SpaceSpec.from_json_dict(d) for d in cfg.get("spaces", [])] \
         or [sp for _, sp in SUMMARY_SPACES]
-    with _typed("norms config: count"):
-        count = _integer(cfg["count"])
+    count = _field(cfg, "count", _integer, "norms config")
     if count < 1:
         raise ParameterError("norms config: count must be >= 1")
     rows = []
@@ -175,7 +173,7 @@ SAMPLER_KEYS = {"family", "order", "n_nodes", "h"}
 
 
 def _floats(values) -> list:
-    return [float(v) for v in values]
+    return [_real(v) for v in values]
 
 
 # Converter of every command-specific config key; "system" and "space" are
@@ -183,17 +181,17 @@ def _floats(values) -> list:
 # except "rate", which binds Q, and "functional", passed by position after
 # the system because the certificate checks name it V or U.
 CONVERT = {
-    "T": float, "a": grid_fn_from_json_dict, "a1": grid_fn_from_json_dict,
+    "T": _real, "a": grid_fn_from_json_dict, "a1": grid_fn_from_json_dict,
     "a2": grid_fn_from_json_dict, "bisection_steps": _integer,
-    "budget": _integer, "eps": float, "eps_list": _floats, "family": str,
+    "budget": _integer, "eps": _real, "eps_list": _floats, "family": str,
     "functional": functional_from_json_dict, "grid_points": _integer,
-    "h": lambda v: None if v is None else float(v),
-    "horizon": float, "integral_trajectories": _integer,
-    "lipschitz_constant": float, "mu": float, "n_nodes": _integer,
+    "h": lambda v: None if v is None else _real(v),
+    "horizon": _real, "integral_trajectories": _integer,
+    "lipschitz_constant": _real, "mu": _real, "n_nodes": _integer,
     "order": _integer, "rate": rate_from_json_dict,
-    "report_space": SpaceSpec.from_json_dict, "rho": float,
-    "rho_list": _floats, "rho_max": float, "samples": _integer,
-    "shells": _integer, "t_grid": lambda v: np.asarray(v, dtype=float),
+    "report_space": SpaceSpec.from_json_dict, "rho": _real,
+    "rho_list": _floats, "rho_max": _real, "samples": _integer,
+    "shells": _integer, "t_grid": _reals,
     "traj_check": _integer,
 }
 PARAM_OF = {"rate": "Q"}

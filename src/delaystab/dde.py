@@ -35,6 +35,12 @@ not an error.  The other members of the block carry on.
 Ensembles integrate in memory-bounded blocks: a block holds the most
 histories whose dense output (values plus derivatives, 16 n (steps + 1)
 bytes per member) fits :data:`BLOCK_BYTES`, and at least one.
+
+Segments x_t are read the same way: ``_segment_nodes`` gathers the node
+values and slopes of x_t for many times t as one (K, N + 1, n) stack, and
+:func:`segment_at` is its batch of one.  Norm tracks read their times in
+chunks of the most whose refined values fit BLOCK_BYTES // 8
+(``_segment_chunk``), so the stacked norms stay memory-bounded too.
 """
 
 from __future__ import annotations
@@ -46,16 +52,20 @@ import numpy as np
 
 from .sampler import SamplerConfig, sample_one
 from .segment import (
+    DEFAULT_REFINE,
     ParameterError,
     Segment,
     SpaceSpec,
     _check_keys,
+    _field,
     _hermite,
     _hermite_slope,
     _integer,
     _point_read,
     _points_read,
     _quadrature_weights,
+    _real,
+    _reals,
     _typed,
     sup_norm,
 )
@@ -139,8 +149,8 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _linear_scalar(r: float, params: dict) -> DelaySystem:
     _check_keys(params, {"a", "b"}, set(), "linear_scalar params")
-    a = float(params["a"])
-    b = float(params["b"])
+    a = _field(params, "a", _real, "linear_scalar params")
+    b = _field(params, "b", _real, "linear_scalar params")
 
     if b != 0.0:
         def rhs(seg):
@@ -156,8 +166,8 @@ def _linear_scalar(r: float, params: dict) -> DelaySystem:
 
 def _linear_vector(r: float, params: dict) -> DelaySystem:
     _check_keys(params, {"A0", "A1"}, set(), "linear_vector params")
-    A0 = np.asarray(params["A0"], dtype=float)
-    A1 = np.asarray(params["A1"], dtype=float)
+    A0 = _field(params, "A0", _reals, "linear_vector params")
+    A1 = _field(params, "A1", _reals, "linear_vector params")
     if A0.ndim != 2 or A0.shape[0] != A0.shape[1] or A0.shape != A1.shape:
         raise ParameterError("A0 and A1 must be equal square matrices")
     n = A0.shape[0]
@@ -173,8 +183,9 @@ def _linear_vector(r: float, params: dict) -> DelaySystem:
 
 def _distributed_linear(r: float, params: dict) -> DelaySystem:
     _check_keys(params, {"A0", "K"}, set(), "distributed_linear params")
-    A0 = np.asarray(params["A0"], dtype=float)
-    pieces = [np.asarray(K, dtype=float) for K in params["K"]]
+    A0 = _field(params, "A0", _reals, "distributed_linear params")
+    with _typed("distributed_linear params: 'K'"):
+        pieces = [_reals(K) for K in params["K"]]
     if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
         raise ParameterError("A0 must be square")
     n = A0.shape[0]
@@ -206,8 +217,8 @@ def _distributed_linear(r: float, params: dict) -> DelaySystem:
 
 def _saturating(r: float, params: dict) -> DelaySystem:
     _check_keys(params, {"c", "k"}, set(), "saturating params")
-    c = float(params["c"])
-    k = float(params["k"])
+    c = _field(params, "c", _real, "saturating params")
+    k = _field(params, "k", _real, "saturating params")
     if c < 0.0:
         raise ParameterError("damping c must be nonnegative")
 
@@ -220,7 +231,7 @@ def _saturating(r: float, params: dict) -> DelaySystem:
 
 def _quadratic(r: float, params: dict) -> DelaySystem:
     _check_keys(params, set(), {"c"}, "quadratic params")
-    c = float(params.get("c", 1.0))
+    c = _field(params, "c", _real, "quadratic params", 1.0)
 
     def rhs(seg):
         v = seg.value_at_point(0.0)
@@ -245,14 +256,15 @@ def make_system(name: str, r: float, params: dict) -> DelaySystem:
         raise ParameterError(f"unknown system {name!r}; "
                              f"known: {sorted(SYSTEM_BUILDERS)}")
     with _typed(f"{name} params"):
-        return SYSTEM_BUILDERS[name](float(r), params)
+        return SYSTEM_BUILDERS[name](_real(r), params)
 
 
 def system_from_json_dict(d: dict) -> DelaySystem:
     _check_keys(d, {"name", "r", "params"}, {"n"}, "system")
     with _typed("system"):
-        sys = make_system(d["name"], float(d["r"]), d["params"])
-        if "n" in d and _integer(d["n"]) != sys.dimension:
+        sys = make_system(d["name"], _field(d, "r", _real, "system"),
+                          d["params"])
+        if "n" in d and _field(d, "n", _integer, "system") != sys.dimension:
             raise ParameterError(
                 "declared dimension does not match the system")
     return sys
@@ -539,19 +551,27 @@ def segment_at(traj: Trajectory, t: float, n_nodes: int | None = None
     Node values and derivatives come from the trajectory's dense output;
     times at or before zero read the initial segment exactly, later times
     read the integrator's own cells.  Requires 0 <= t <= the covered end
-    time.
+    time.  The batch of one of :func:`_segment_nodes`.
     """
-    r = traj.system.delay_r
-    end = traj.end_time
-    if not (-1e-12 * r <= t <= end + 1e-12 * r):
-        raise ParameterError("segment time outside the covered range")
-    t = min(max(t, 0.0), end)
     if n_nodes is None:
         n_nodes = traj.initial.n_nodes
+    s, vals, ders = _segment_nodes(traj, np.array([t], dtype=float), n_nodes)
+    return Segment(traj.system.delay_r, s, vals[0], ders[0])
+
+
+def _segment_nodes(traj: Trajectory, times: np.ndarray, n_nodes: int):
+    """The node times s of the uniform grid of n_nodes on [-r, 0] and the
+    node values and slopes of x_t there for every t of times, stacked as
+    (K, n_nodes, n): row k is bitwise the nodes of segment_at(traj,
+    times[k], n_nodes)."""
+    r = traj.system.delay_r
+    end = traj.end_time
+    if not np.all((-1e-12 * r <= times) & (times <= end + 1e-12 * r)):
+        raise ParameterError("segment time outside the covered range")
     s = np.linspace(-r, 0.0, n_nodes)
-    u = t + s
-    vals = np.empty((n_nodes, traj.system.dimension))
-    ders = np.empty((n_nodes, traj.system.dimension))
+    u = np.minimum(np.maximum(times, 0.0), end)[:, None] + s
+    vals = np.empty(u.shape + (traj.system.dimension,))
+    ders = np.empty_like(vals)
     hist = u <= 1e-14 * r
     if np.any(hist):
         q = np.clip(u[hist], -r, 0.0)
@@ -570,7 +590,15 @@ def segment_at(traj: Trajectory, t: float, n_nodes: int | None = None
                 ((q - j * h) / width)[:, None], width[:, None])
         vals[fwd] = _hermite(*cell)
         ders[fwd] = _hermite_slope(*cell)
-    return Segment(r, s, vals, ders)
+    return s, vals, ders
+
+
+def _segment_chunk(n_nodes: int, dim: int) -> int:
+    """Times per stacked read of segments of n_nodes nodes: the most whose
+    refined values (DEFAULT_REFINE samples a cell) fit BLOCK_BYTES // 8,
+    and at least one."""
+    count = (n_nodes - 1) * DEFAULT_REFINE + 1
+    return max(1, BLOCK_BYTES // (64 * count * dim))
 
 
 # -- declared-modulus consistency --------------------------------------

@@ -57,6 +57,8 @@ from .segment import (
     _check_keys,
     _euclid,
     _quadrature_weights,
+    _real,
+    _reals,
     _select,
     prolong,
     space_norm,
@@ -163,10 +165,9 @@ class MonotoneGridFn:
 def grid_fn_from_json_dict(data: dict) -> MonotoneGridFn:
     if isinstance(data, dict) and "linear" in data:
         _check_keys(data, {"linear"}, set(), "grid function")
-        return MonotoneGridFn.linear(float(data["linear"]))
+        return MonotoneGridFn.linear(_real(data["linear"]))
     _check_keys(data, {"xs", "ys"}, set(), "grid function")
-    return MonotoneGridFn(np.asarray(data["xs"], dtype=float),
-                          np.asarray(data["ys"], dtype=float))
+    return MonotoneGridFn(_reals(data["xs"]), _reals(data["ys"]))
 
 
 # -- functionals -------------------------------------------------------
@@ -184,7 +185,7 @@ class Functional:
 
 def weighted_sup(lam: float) -> Functional:
     """V(x) = sup over the window of e^(lam s) |x(s)|."""
-    lam = float(lam)
+    lam = _real(lam)
     if not math.isfinite(lam):
         raise ParameterError("weight exponent must be finite")
 
@@ -198,7 +199,7 @@ def weighted_sup(lam: float) -> Functional:
 
 def quadratic_integral(mu: float) -> Functional:
     """V(x) = |x(0)|^2 + integral of e^(mu s) |x(s)|^2 over the window."""
-    mu = float(mu)
+    mu = _real(mu)
     if not math.isfinite(mu):
         raise ParameterError("weight exponent must be finite")
 
@@ -223,7 +224,7 @@ def space_norm_functional(space: SpaceSpec) -> Functional:
 
 def scaled_abs_rate(c: float) -> Callable[[np.ndarray], float]:
     """Q(v) = c |v|, positive definite for c > 0."""
-    c = float(c)
+    c = _real(c)
     if not (c > 0.0 and math.isfinite(c)):
         raise ParameterError("rate constant must be positive")
     return lambda v: c * float(np.linalg.norm(np.atleast_1d(v)))
@@ -231,7 +232,7 @@ def scaled_abs_rate(c: float) -> Callable[[np.ndarray], float]:
 
 def scaled_square_rate(c: float) -> Callable[[np.ndarray], float]:
     """Q(v) = c |v|^2, positive definite for c > 0."""
-    c = float(c)
+    c = _real(c)
     if not (c > 0.0 and math.isfinite(c)):
         raise ParameterError("rate constant must be positive")
     return lambda v: c * float(np.linalg.norm(np.atleast_1d(v)) ** 2)
@@ -356,6 +357,16 @@ def _weighted_kind(V: Functional) -> float | None:
     return None
 
 
+def _functional_track(V: Functional, traj: Trajectory, times,
+                      n_nodes: int) -> np.ndarray:
+    """V(x_t) at each time: a space norm by its norm track (stacked for
+    the non-sup spaces), a weighted sup by its window max, any other
+    functional by V.evaluate on each resampled segment."""
+    if V.kind == "space_norm":
+        return _norm_track(traj, V.param, times, n_nodes)
+    return _track(traj, times, n_nodes, V.evaluate, _weighted_kind(V))
+
+
 def _growth_quotient(U: Functional, x: Segment, f: np.ndarray,
                      h: float) -> float:
     """(U(P_h x) - U(x)) / h with the noise-free path for sup functionals."""
@@ -436,7 +447,6 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
     times = default_time_grid(T, r, grid_points)[1:]
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     fail = _falsifier("exponential_certificate", space, cfg, samples)
-    lam = _weighted_kind(V)
     worst_low = 0.0
     worst_up = 0.0
     worst_decay = 0.0
@@ -460,7 +470,7 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
         if traj.escaped:
             return fail(i, x0, traj.escape_time, math.inf,
                         {"escape_time": traj.escape_time}, "escape")
-        vts = _track(traj, times, n_nodes, V.evaluate, lam)
+        vts = _functional_track(V, traj, times, n_nodes)
         nts = _norm_track(traj, space, times, n_nodes)
         for t, vt, nt in zip(times, vts.tolist(), nts.tolist()):
             limit = math.exp(-t) * v0
@@ -532,7 +542,6 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
             return fail(i, x0, 0.0, est,
                         {"dini_estimate": est, "required": -Q(x0.values[-1]),
                          "tolerance": dissipation_tol}, "dissipation")
-    lam = _weighted_kind(V)
     runs = _ensemble(sys, _samples(cfg, integral_trajectories), T, h)
     for i, (x0, traj) in enumerate(runs):
         v0 = V.evaluate(x0)
@@ -546,7 +555,7 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
         idxs = [c * n_steps // DISSIPATION_CHECKPOINTS
                 for c in range(1, DISSIPATION_CHECKPOINTS + 1)]
         idxs = [idx for idx in idxs if idx >= 2]
-        vts = _track(traj, times[idxs], n_nodes, V.evaluate, lam)
+        vts = _functional_track(V, traj, times[idxs], n_nodes)
         for idx, vt in zip(idxs, vts.tolist()):
             w = _mesh_weights(times[:idx + 1], traj.step_h)
             integral = float(w @ rates[:idx + 1])
@@ -612,14 +621,13 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
                              "step": float(hk)}, "prolongation")
     worst_traj = 0.0
     times = default_time_grid(T, r, grid_points)[1:]
-    lam = _weighted_kind(U)
     runs = _ensemble(sys, _samples(cfg, min(traj_check, samples)), T, h)
     for i, (x0, traj) in enumerate(runs):
         u0 = U.evaluate(x0)
         if traj.escaped:
             return fail(i, x0, traj.escape_time, math.inf,
                         {"escape_time": traj.escape_time}, "escape")
-        uts = _track(traj, times, n_nodes, U.evaluate, lam)
+        uts = _functional_track(U, traj, times, n_nodes)
         for t, ut in zip(times, uts.tolist()):
             limit = _grown(u0, mu * t)
             if ut > limit * (1.0 + 1e-3) + 1e-12 * (1.0 + u0):

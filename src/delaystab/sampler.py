@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .segment import ParameterError, Segment, SpaceSpec, _check_keys, \
-    _integer, _typed, space_norm
+    _field, _integer, _real, _typed, space_norm
 
 __all__ = ["FAMILIES", "SamplerConfig", "sample", "sample_one"]
 
@@ -92,15 +92,17 @@ class SamplerConfig:
         _check_keys(d, {"family", "order", "target_space", "target_norm",
                         "dimension", "delay_r", "seed"},
                     {"n_nodes", "radial_min"}, "sampler config")
-        with _typed("sampler config"):
+        where = "sampler config"
+        with _typed(where):
             return SamplerConfig(
-                family=d["family"], order=_integer(d["order"]),
+                family=d["family"], order=_field(d, "order", _integer, where),
                 target_space=SpaceSpec.from_json_dict(d["target_space"]),
-                target_norm=float(d["target_norm"]),
-                dimension=_integer(d["dimension"]), delay_r=float(d["delay_r"]),
-                seed=_integer(d["seed"]),
-                n_nodes=_integer(d.get("n_nodes", 201)),
-                radial_min=float(d.get("radial_min", 0.0)))
+                target_norm=_field(d, "target_norm", _real, where),
+                dimension=_field(d, "dimension", _integer, where),
+                delay_r=_field(d, "delay_r", _real, where),
+                seed=_field(d, "seed", _integer, where),
+                n_nodes=_field(d, "n_nodes", _integer, where, 201),
+                radial_min=_field(d, "radial_min", _real, where, 0.0))
 
 
 def _rng_for(cfg: SamplerConfig, index: int) -> Generator:

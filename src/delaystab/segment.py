@@ -14,6 +14,13 @@ every read of x here, in the integrator and in ``dde.segment_at``, so two
 reads of one time agree bitwise.  The exception is the right window end:
 ``value_at(0)`` interpolates at u ~ 1, ``value_at_point(0)`` returns the node.
 
+The norm kernels work on stacks: K segments on one node grid, as
+(K, N + 1, n) node data, are refined and normed at once by ``_norms``,
+and each value is bitwise the norm of that segment alone.  The
+per-segment functions (``space_norm``, ``sup_norm``, ``lp_deriv_norm``,
+``hoelder_seminorm``) are batches of one of the same kernels, so the
+checkers' stacked norm tracks agree with them in every bit.
+
 Three norm families are supported:
 
 * ``sup``: the plain supremum of the Euclidean norm of x,
@@ -99,6 +106,30 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _real(v) -> float:
+    """A config value that must be a number, as a float.  Booleans are
+    refused, where float() would take them as 1.0 and 0.0; a TypeError
+    that _typed reports."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _reals(v) -> np.ndarray:
+    """A config array of numbers (nested lists) as a float array, with
+    booleans refused as by _real."""
+    if any(isinstance(x, bool) for x in np.asarray(v, dtype=object).flat):
+        raise TypeError(f"expected numbers, got {v!r}")
+    return np.asarray(v, dtype=float)
+
+
+def _field(d: dict, key: str, convert, where: str, *default):
+    """convert(d[key]), or convert(default) when the key is absent; a bad
+    value is a ParameterError that names where and the key."""
+    with _typed(f"{where}: {key!r}"):
+        return convert(d.get(key, *default))
+
+
 def _select(d: dict, key: str, table: dict, where: str) -> str:
     """The value of d[key], which must name an entry of table."""
     choice = d.get(key) if isinstance(d, dict) else None
@@ -177,8 +208,8 @@ class SpaceSpec:
         kind = _select(d, "kind", _SPACE_PARAMS, "space")
         names = _SPACE_PARAMS[kind]
         _check_keys(d, {"kind", *names}, set(), f"{kind} space")
-        with _typed(f"{kind} space"):
-            return SpaceSpec(kind, **{k: float(d[k]) for k in names})
+        return SpaceSpec(kind, **{k: _field(d, k, _real, f"{kind} space")
+                                  for k in names})
 
 
 # -- cubic Hermite reader ----------------------------------------------
@@ -237,6 +268,38 @@ def _points_read(values, derivs, r: float, s: np.ndarray):
     out[..., s >= 0.0, :] = values[..., -1, None, :]
     out[..., s <= -r, :] = values[..., 0, None, :]
     return out
+
+
+def _cells(r: float, nodes, values, derivs, s: np.ndarray):
+    """Hermite cell data of the times s in [-r, 0], in the order _hermite
+    takes, from uniform nodes on [-r, 0].
+
+    Node rows (N + 1, n) give cell rows (m, n); stacked node data
+    (K, N + 1, n) give (K, m, n), each segment of the stack read by the
+    same formula on the same cells as it would be alone.
+    """
+    h = r / (nodes.size - 1)
+    j = np.clip(((s + r) / h).astype(int), 0, nodes.size - 2)
+    u = (s - nodes[j]) / h
+    return (values[..., j, :], derivs[..., j, :], values[..., j + 1, :],
+            derivs[..., j + 1, :], u[:, None], h)
+
+
+def _refined_count(n_nodes: int, refine) -> int:
+    """Samples of the grid with refine points per cell of n_nodes nodes."""
+    refine = int(refine)
+    if refine < 1:
+        raise ParameterError("refinement factor must be >= 1")
+    return (n_nodes - 1) * refine + 1
+
+
+def _uniform_reads(r: float, nodes, values, derivs, count: int,
+                   slopes: bool):
+    """The count uniform times s from -r to 0, x at them and, if slopes,
+    x' (else None); (m, n) reads for node rows, (K, m, n) for stacks."""
+    s = np.linspace(-r, 0.0, count)
+    cells = _cells(r, nodes, values, derivs, s)
+    return s, _hermite(*cells), _hermite_slope(*cells) if slopes else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,12 +404,8 @@ class Segment:
         tol = 1e-9 * r
         if np.any(s < -r - tol) or np.any(s > tol):
             raise ParameterError("evaluation time outside [-r, 0]")
-        s = np.clip(s, -r, 0.0)
-        h = self.spacing
-        j = np.clip(((s + r) / h).astype(int), 0, self.n_cells - 1)
-        u = (s - self.nodes[j]) / h
-        return (self.values[j], self.derivs[j], self.values[j + 1],
-                self.derivs[j + 1], u[:, None], h)
+        return _cells(r, self.nodes, self.values, self.derivs,
+                      np.clip(s, -r, 0.0))
 
     def value_at(self, s) -> np.ndarray:
         """Hermite value at times s (scalar or array); returns (m, n)."""
@@ -362,16 +421,13 @@ class Segment:
 
     def refined(self, refine: int = DEFAULT_REFINE):
         """Sample grid, values and derivatives at refine points per cell."""
-        refine = int(refine)
-        if refine < 1:
-            raise ParameterError("refinement factor must be >= 1")
-        cached = self._cache.get(("refined", refine))
+        count = _refined_count(self.n_nodes, refine)
+        cached = self._cache.get(("refined", count))
         if cached is not None:
             return cached
-        count = self.n_cells * refine + 1
-        s = np.linspace(-self.delay_r, 0.0, count)
-        out = (s, self.value_at(s), self.deriv_at(s))
-        self._cache[("refined", refine)] = out
+        out = _uniform_reads(self.delay_r, self.nodes, self.values,
+                             self.derivs, count, True)
+        self._cache[("refined", count)] = out
         return out
 
     # -- linear structure ----------------------------------------------
@@ -467,17 +523,83 @@ def _quadrature_weights(count: int, spacing: float) -> np.ndarray:
     return w
 
 
+def _squares(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm along the last axis, (m, n) -> (m,) or
+    (K, m, n) -> (K, m); a row's bits do not depend on the others."""
+    return np.einsum("...j,...j->...", rows, rows)
+
+
 def _euclid(rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    return np.sqrt(_squares(rows))
 
 
 # -- norms -------------------------------------------------------------
+#
+# Each kernel takes a stack of K sampled segments, (K, m, n), and returns
+# one value per segment; a segment's value does not depend on the others
+# or on K.  The per-segment functions are their batches of one, and
+# _norms reads a stack of node data the way space_norm reads one segment.
+
+
+def _sup_norms(vals: np.ndarray) -> np.ndarray:
+    """Max Euclidean norm over the samples of each segment."""
+    return _euclid(vals).max(axis=1)
+
+
+def _lp_norms(ders: np.ndarray, p: float, spacing: float) -> np.ndarray:
+    """L^p norm of each segment's sampled derivative; p = inf the max."""
+    mags = _euclid(ders)
+    if math.isinf(p):
+        return mags.max(axis=1)
+    w = _quadrature_weights(mags.shape[1], spacing)
+    powered = mags ** p
+    # one dot of fresh rows a segment: the BLAS dot rounds differently on
+    # a row view that starts off the alignment of a fresh array
+    return np.array([np.dot(w, row.copy()) ** (1.0 / p) for row in powered])
+
+
+def _lag_profiles(vals: np.ndarray) -> np.ndarray:
+    """Per lag k = 1 .. m-1, the largest |x(s_i+k) - x(s_i)| over the
+    samples of each segment; (K, m, n) -> (K, m - 1)."""
+    m = vals.shape[1]
+    maxdiff = np.empty((vals.shape[0], m - 1))
+    for k in range(1, m):
+        maxdiff[:, k - 1] = _squares(vals[:, k:] - vals[:, :-k]).max(axis=1)
+    return np.sqrt(maxdiff, out=maxdiff)
+
+
+def _hoelder_norms(profiles: np.ndarray, a: float, r: float) -> np.ndarray:
+    """Max of |x(t) - x(s)| / |t - s|^a over the sample pairs of each
+    segment, from its lag profile over samples uniform on [-r, 0]."""
+    lags = np.arange(1, profiles.shape[1] + 1) * (r / profiles.shape[1])
+    return (profiles / lags ** a).max(axis=1)
+
+
+def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
+           refine: int = DEFAULT_REFINE) -> np.ndarray:
+    """space_norm of each segment of a stack: node data (K, N + 1, n) on
+    the uniform nodes from -r to 0 give K norms, each bitwise the norm of
+    that segment alone.  Sobolev refines slopes too, and the Hoelder
+    seminorm reads its own grid when the refined one exceeds
+    HOELDER_GRID_CAP samples."""
+    count = _refined_count(nodes.size, refine)
+    s, vals, ders = _uniform_reads(r, nodes, values, derivs, count,
+                                   space.kind == "sobolev")
+    sup = _sup_norms(vals)
+    if space.kind == "sup":
+        return sup
+    if space.kind == "sobolev":
+        return sup + _lp_norms(ders, space.p, s[1] - s[0])
+    if count > HOELDER_GRID_CAP:
+        vals = _uniform_reads(r, nodes, values, derivs, HOELDER_GRID_CAP,
+                              False)[1]
+    return np.maximum(sup, _hoelder_norms(_lag_profiles(vals), space.a, r))
 
 
 def sup_norm(seg: Segment, refine: int = DEFAULT_REFINE) -> float:
     """Max Euclidean norm of x over the refined grid (nodes included)."""
     _, vals, _ = seg.refined(refine)
-    return float(_euclid(vals).max())
+    return float(_sup_norms(vals[None])[0])
 
 
 def lp_deriv_norm(seg: Segment, p: float, refine: int = DEFAULT_REFINE) -> float:
@@ -486,35 +608,7 @@ def lp_deriv_norm(seg: Segment, p: float, refine: int = DEFAULT_REFINE) -> float
     if not p > 1.0:
         raise ParameterError("derivative exponent must satisfy p > 1")
     s, _, ders = seg.refined(refine)
-    mags = _euclid(ders)
-    if math.isinf(p):
-        return float(mags.max())
-    w = _quadrature_weights(s.size, s[1] - s[0])
-    return float(np.dot(w, mags ** p) ** (1.0 / p))
-
-
-def _hoelder_lag_profile(seg: Segment, refine: int, grid_cap: int):
-    key = ("hoelder", refine, grid_cap)
-    cached = seg._cache.get(key)
-    if cached is not None:
-        return cached
-    count = seg.n_cells * refine + 1
-    if count > grid_cap:
-        m = grid_cap
-        s = np.linspace(-seg.delay_r, 0.0, m)
-        vals = seg.value_at(s)
-    else:
-        m = count
-        _, vals, _ = seg.refined(refine)
-    delta = seg.delay_r / (m - 1)
-    maxdiff = np.empty(m - 1)
-    for k in range(1, m):
-        d = vals[k:] - vals[:-k]
-        maxdiff[k - 1] = np.einsum("ij,ij->i", d, d).max()
-    np.sqrt(maxdiff, out=maxdiff)
-    out = (delta, maxdiff)
-    seg._cache[key] = out
-    return out
+    return float(_lp_norms(ders[None], p, s[1] - s[0])[0])
 
 
 def hoelder_seminorm(seg: Segment, a: float, refine: int = DEFAULT_REFINE,
@@ -529,18 +623,20 @@ def hoelder_seminorm(seg: Segment, a: float, refine: int = DEFAULT_REFINE,
     a = float(a)
     if not (0.0 < a <= 1.0):
         raise ParameterError("hoelder exponent must lie in (0, 1]")
-    delta, maxdiff = _hoelder_lag_profile(seg, int(refine), int(grid_cap))
-    lags = np.arange(1, maxdiff.size + 1) * delta
-    return float((maxdiff / lags ** a).max())
+    count = min(_refined_count(seg.n_nodes, refine), int(grid_cap))
+    profile = seg._cache.get(("hoelder", count))
+    if profile is None:
+        _, vals, _ = _uniform_reads(seg.delay_r, seg.nodes, seg.values,
+                                    seg.derivs, count, False)
+        profile = seg._cache[("hoelder", count)] = _lag_profiles(vals[None])
+    return float(_hoelder_norms(profile, a, seg.delay_r)[0])
 
 
 def space_norm(seg: Segment, space: SpaceSpec, refine: int = DEFAULT_REFINE) -> float:
-    """Norm of the segment in the given space."""
-    if space.kind == "sup":
-        return sup_norm(seg, refine)
-    if space.kind == "sobolev":
-        return sup_norm(seg, refine) + lp_deriv_norm(seg, space.p, refine)
-    return max(sup_norm(seg, refine), hoelder_seminorm(seg, space.a, refine))
+    """Norm of the segment in the given space: the batch of one of the
+    stacked norms of x_t that the checkers' norm tracks take."""
+    return float(_norms(seg.delay_r, seg.nodes, seg.values[None],
+                        seg.derivs[None], space, refine)[0])
 
 
 # -- prolongation ------------------------------------------------------

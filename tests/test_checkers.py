@@ -28,7 +28,8 @@ from delaystab.dde import DelaySystem, make_system, segment_at, simulate, \
 from delaystab.lyapunov import MonotoneGridFn, check_pointwise_dissipation, \
     scaled_abs_rate, weighted_sup
 from delaystab.sampler import SamplerConfig, sample_one
-from delaystab.segment import ParameterError, Segment, SpaceSpec, space_norm
+from delaystab.segment import ParameterError, Segment, SpaceSpec, \
+    hoelder_seminorm, lp_deriv_norm, space_norm, sup_norm
 
 SUP = SpaceSpec.sup()
 SOB2 = SpaceSpec.sobolev(2.0)
@@ -540,6 +541,67 @@ def test_sup_track_follows_the_segment_norm_inside_the_first_window():
         full = [space_norm(segment_at(traj, float(t), n_nodes=65), SUP)
                 for t in inner]
         assert np.all(track >= 0.95 * np.array(full))
+
+
+VECTOR3 = make_system("linear_vector", r=0.7,
+                      params={"A0": [[-1.0, 0.2, 0.0], [0.1, -2.0, 0.3],
+                                     [0.0, 0.0, -0.5]],
+                              "A1": [[0.1, 0.0, 0.2], [0.0, 0.3, 0.0],
+                                     [0.2, 0.0, -0.1]]})
+
+
+def _fourier_history(sys, n_nodes):
+    cfg = SamplerConfig(family="fourier", order=3, target_space=SUP,
+                        target_norm=1.0, dimension=sys.dimension,
+                        delay_r=sys.delay_r, seed=2, n_nodes=n_nodes)
+    return sample_one(cfg, 0)
+
+
+QUAD_RISING = make_system("quadratic", r=1.0, params={"c": 1.0})
+# (system, history, horizon): a 3-dimensional system, a quadratic history
+# that escapes at about t = 0.5 (the grid runs to 3), and n_nodes 257,
+# whose refined grid of 2049 samples exceeds the Hoelder cap
+TRACK_CASES = [
+    (linear(1.0, -1.0, 0.3), _fourier_history(linear(1.0, -1.0, 0.3), 65)),
+    (VECTOR3, _fourier_history(VECTOR3, 65)),
+    (QUAD_RISING, Segment.from_callable(1.0, lambda s: 2.0 + 0.3 * s * s,
+                                        lambda s: 0.6 * s, 33)),
+    (linear(1.0, -1.0, 0.3), _fourier_history(linear(1.0, -1.0, 0.3), 257)),
+]
+
+
+def _composed_norm(seg, space):
+    if space.kind == "sobolev":
+        return sup_norm(seg) + lp_deriv_norm(seg, space.p)
+    return max(sup_norm(seg), hoelder_seminorm(seg, space.a))
+
+
+@pytest.mark.parametrize("space", [SpaceSpec.hoelder(0.5),
+                                   SpaceSpec.hoelder(1.0), SOB2,
+                                   SpaceSpec.sobolev(math.inf)],
+                         ids=lambda sp: sp.label)
+def test_norm_track_is_the_per_segment_norm_bitwise(monkeypatch, space):
+    """The stacked track equals space_norm(segment_at(traj, t)) in every
+    bit, for any number of times a chunk, and is +inf past the end."""
+    grid = np.linspace(0.0, 3.0, 13)
+    for sys, x0 in TRACK_CASES:
+        traj = simulate(sys, x0, 2.5, 0.01)
+        assert traj.escaped == (sys is QUAD_RISING)
+        past = grid > traj.end_time
+        assert past.any() and not past[:2].any()
+        segs = [segment_at(traj, float(t), n_nodes=x0.n_nodes)
+                for t in grid[~past]]
+        want = np.array([space_norm(seg, space) for seg in segs]
+                        + [math.inf] * past.sum())
+        # the same norms composed from the per-segment seminorms
+        assert want[:len(segs)].tobytes() == np.array(
+            [_composed_norm(seg, space) for seg in segs]).tobytes()
+        for chunk_bytes, chunk in ((1, 1), (10**12, grid.size)):
+            monkeypatch.setattr(dde, "BLOCK_BYTES", chunk_bytes)
+            assert min(dde._segment_chunk(x0.n_nodes, sys.dimension),
+                       grid.size) == chunk
+            track = checkers._norm_track(traj, space, grid, x0.n_nodes)
+            assert track.tobytes() == want.tobytes()
 
 
 # -- lifted envelope domination ---------------------------------------

@@ -357,6 +357,36 @@ BAD_VALUES = [
         **SIMULATE["history"], "index": 0.5}}, "history"),
     ("envelope", {**ENV, "t_grid": []}, "t_grid"),
     ("envelope", {**ENV, "t_grid": [0.0, 2.0, 1.0]}, "t_grid"),
+    # a JSON boolean where a number belongs once ran as 1.0 or 0.0
+    ("simulate", {**SIMULATE, "T": True}, "'T'"),
+    ("simulate", {**SIMULATE, "h": True}, "'h'"),
+    ("check", {**GA, "rho": True}, "'rho'"),
+    ("check", {**GA, "eps": False}, "'eps'"),
+    ("check", {**GA, "horizon": True}, "'horizon'"),
+    ("check", {**LS, "eps_list": [0.5, True]}, "'eps_list'"),
+    ("check", {"property": "gas-vs-ugas", "system": LINEAR_DECAY,
+               "space": {"kind": "sup"}, "rho_list": [True],
+               "eps_list": [0.5], "budget": 1}, "'rho_list'"),
+    ("lyapunov", {**GROWTH, "mu": True}, "'mu'"),
+    ("envelope", {**ENV, "rho_max": True}, "'rho_max'"),
+    ("envelope", {**ENV, "lipschitz_constant": True},
+     "'lipschitz_constant'"),
+    ("envelope", {**ENV, "t_grid": [0.0, True]}, "'t_grid'"),
+    ("norms", {**NORMS, "sampler": {**NORMS["sampler"],
+                                    "target_norm": True}}, "'target_norm'"),
+    ("norms", {**NORMS, "sampler": {**NORMS["sampler"], "delay_r": True}},
+     "'delay_r'"),
+    ("norms", {**NORMS, "sampler": {**NORMS["sampler"],
+                                    "radial_min": False}}, "'radial_min'"),
+    ("check", {**GA, "system": {**LINEAR_DECAY, "r": True}}, "'r'"),
+    ("check", {**GA, "space": {"kind": "hoelder", "a": True}}, "'a'"),
+    ("check", {**GA, "system": {**LINEAR_DECAY,
+                                "params": {"a": True, "b": 0.0}}},
+     "'a'"),
+    ("check", {**GA, "system": {"name": "linear_vector", "r": 1.0,
+                                "params": {"A0": [[-1.0, True], [0.0, -1.0]],
+                                           "A1": [[0.0, 0.0], [0.0, 0.0]]}}},
+     "'A0'"),
 ]
 
 

@@ -1,5 +1,6 @@
 """The package namespace exports exactly the public names it imports, and
-its sources integrate histories along one path."""
+its sources integrate histories along one path and take norm tracks from
+stacked segment reads."""
 
 import ast
 import inspect
@@ -38,3 +39,29 @@ def test_every_integration_goes_through_one_path():
                                          ("dde", "simulate")}
     assert _callers("simulate") == {("lyapunov", "dini_derivative"),
                                     ("cli", "cmd_simulate")}
+
+
+def test_norm_tracks_read_stacked_segments():
+    """Norm tracks and pair distances read the segments x_t of many times
+    as one stack (dde._segment_nodes) and take their norms across it
+    (segment._norms); the per-segment segment_at and space_norm are left
+    to single segments, of which they are the batches of one."""
+    assert _callers("_segment_nodes") == {("dde", "segment_at"),
+                                          ("checkers", "_segment_stacks")}
+    assert _callers("_segment_stacks") == {("checkers", "_norm_track"),
+                                           ("checkers", "verify_pair_bounds")}
+    assert _callers("_norms") == {("segment", "space_norm"),
+                                  ("checkers", "_norm_track"),
+                                  ("checkers", "verify_pair_bounds")}
+    # _track reads segments only for functionals that are no space norm
+    assert _callers("segment_at") == {("checkers", "_track"),
+                                      ("lyapunov", "_read_dini"),
+                                      ("cli", "cmd_simulate")}
+    assert _callers("space_norm") == {
+        ("checkers", "verify_pair_bounds"),  # the initial distance only
+        ("cli", "cmd_norms"), ("cli", "cmd_simulate"),
+        ("lyapunov", "check_exponential_certificate"),
+        ("lyapunov", "check_pointwise_dissipation"),
+        ("lyapunov", "functional_lipschitz_probe"),
+        ("lyapunov", "space_norm_functional"),
+        ("sampler", "sample_one")}
