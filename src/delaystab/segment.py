@@ -19,7 +19,10 @@ The norm kernels work on stacks: K segments on one node grid, as
 and each value is bitwise the norm of that segment alone.  The
 per-segment functions (``space_norm``, ``sup_norm``, ``lp_deriv_norm``,
 ``hoelder_seminorm``) are batches of one of the same kernels, so the
-checkers' stacked norm tracks agree with them in every bit.
+checkers' stacked norm tracks agree with them in every bit.  The Hoelder
+seminorm is one pruned, exact sweep over the sample lags
+(``_hoelder_norms``): it skips the lags that provably cannot reach the
+norm, so its value is the max over all lags in every bit.
 
 Three norm families are supported:
 
@@ -286,8 +289,11 @@ def _cells(r: float, nodes, values, derivs, s: np.ndarray):
 
 
 def _refined_count(n_nodes: int, refine) -> int:
-    """Samples of the grid with refine points per cell of n_nodes nodes."""
-    refine = int(refine)
+    """Samples of the grid with refine points per cell of n_nodes nodes;
+    refine must be a whole number of at least 1, else a ParameterError
+    names it."""
+    with _typed("refine"):
+        refine = _integer(refine)
     if refine < 1:
         raise ParameterError("refinement factor must be >= 1")
     return (n_nodes - 1) * refine + 1
@@ -558,21 +564,60 @@ def _lp_norms(ders: np.ndarray, p: float, spacing: float) -> np.ndarray:
     return np.array([np.dot(w, row.copy()) ** (1.0 / p) for row in powered])
 
 
-def _lag_profiles(vals: np.ndarray) -> np.ndarray:
-    """Per lag k = 1 .. m-1, the largest |x(s_i+k) - x(s_i)| over the
-    samples of each segment; (K, m, n) -> (K, m - 1)."""
-    m = vals.shape[1]
-    maxdiff = np.empty((vals.shape[0], m - 1))
-    for k in range(1, m):
-        maxdiff[:, k - 1] = _squares(vals[:, k:] - vals[:, :-k]).max(axis=1)
-    return np.sqrt(maxdiff, out=maxdiff)
+def _lag_maxima(vals: np.ndarray, k: int, width: int) -> np.ndarray:
+    """Per lag j = k .. k + width - 1, the largest |x(s_i+j) - x(s_i)|
+    over the samples of each segment; (K, m, n) -> (K, width), a row's
+    bits independent of the others and of width."""
+    K, m, n = vals.shape
+    diff = np.zeros((K, width, m - k, n))  # lag k + c: m - k - c pairs
+    for c in range(width):
+        np.subtract(vals[:, k + c:], vals[:, :m - k - c],
+                    out=diff[:, c, :m - k - c])
+    return np.sqrt(_squares(diff).max(axis=2))
 
 
-def _hoelder_norms(profiles: np.ndarray, a: float, r: float) -> np.ndarray:
-    """Max of |x(t) - x(s)| / |t - s|^a over the sample pairs of each
-    segment, from its lag profile over samples uniform on [-r, 0]."""
-    lags = np.arange(1, profiles.shape[1] + 1) * (r / profiles.shape[1])
-    return (profiles / lags ** a).max(axis=1)
+def _hoelder_norms(vals: np.ndarray, a: float, r: float,
+                   floor) -> np.ndarray:
+    """max(floor, Hoelder seminorm) of each segment of a stack of samples
+    uniform on [-r, 0]: the seminorm is the max over lags k of the lag-k
+    quotient, the largest |x(s_i+k) - x(s_i)| over |s_i+k - s_i|^a.
+
+    One sweep over the lags in ascending order skips the lags that
+    cannot reach the result.  By the triangle inequality the lag-k
+    quotient is at most (min(k M1, R) + 1e-150) (1 + 1e-9) / den_k, where
+    M1 is the lag-1 maximum and R the norm of the componentwise range.
+    The slack covers squares that underflow: differences below about
+    1.5e-154 square into the subnormals or to 0, where M1 loses its
+    relative accuracy, and m - 1 <= 2047 of them stay under 1e-150.
+    The factor covers rounding.  The lags go in blocks of 32 // K (at
+    least one), so that a stack of few segments, such as a standalone
+    seminorm, makes about as few numpy calls per lag as a track chunk of
+    31.  A row takes a block only if some lag's bound in it is not below
+    what the row's result already reaches (an inf or NaN bound always
+    is), so each skipped quotient is below the result, and the max,
+    which is exact, is bitwise the max over all lags.  A row's value
+    does not depend on the others or on K.
+    """
+    K, m = vals.shape[:2]
+    width = max(1, 32 // K)
+    ks = np.arange(1, m)
+    den = (ks * (r / (m - 1))) ** a
+    m1 = _lag_maxima(vals, 1, 1)[:, 0]
+    thr = np.maximum(floor, m1 / den[0])
+    spread = _euclid(vals.max(axis=1) - vals.min(axis=1))
+    # bound[k - 1, i]: row i at lag k
+    bound = ((np.minimum(ks[:, None] * m1, spread) + 1e-150)
+             * (1.0 + 1e-9) / den[:, None])
+    # the blocks of lags 2 .. m - 1 that some row needs at the start
+    need = (~(bound[1:] < thr)).any(axis=1)
+    starts = np.arange(0, m - 2, width)
+    for k in 2 + starts[np.logical_or.reduceat(need, starts)]:
+        lags = slice(k - 1, min(k - 1 + width, m - 1))  # rows of bound
+        rows = np.nonzero((~(bound[lags] < thr)).any(axis=0))[0]
+        if rows.size:
+            q = _lag_maxima(vals[rows], k, lags.stop - lags.start)
+            thr[rows] = np.maximum(thr[rows], (q / den[lags]).max(axis=1))
+    return thr
 
 
 def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
@@ -593,7 +638,7 @@ def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
     if count > HOELDER_GRID_CAP:
         vals = _uniform_reads(r, nodes, values, derivs, HOELDER_GRID_CAP,
                               False)[1]
-    return np.maximum(sup, _hoelder_norms(_lag_profiles(vals), space.a, r))
+    return _hoelder_norms(vals, space.a, r, sup)
 
 
 def sup_norm(seg: Segment, refine: int = DEFAULT_REFINE) -> float:
@@ -611,25 +656,22 @@ def lp_deriv_norm(seg: Segment, p: float, refine: int = DEFAULT_REFINE) -> float
     return float(_lp_norms(ders[None], p, s[1] - s[0])[0])
 
 
-def hoelder_seminorm(seg: Segment, a: float, refine: int = DEFAULT_REFINE,
-                     grid_cap: int = HOELDER_GRID_CAP) -> float:
+def hoelder_seminorm(seg: Segment, a: float,
+                     refine: int = DEFAULT_REFINE) -> float:
     """Max of |x(t) - x(s)| / |t - s|^a over sample pairs.
 
-    Pairs come from the refined grid, capped at grid_cap uniformly spaced
-    samples, so the result is a lower approximation of the continuum
-    seminorm.  The per-lag maxima are cached on the segment, which makes
-    evaluating several exponents on one segment cheap.
+    Pairs come from the refined grid, capped at HOELDER_GRID_CAP uniformly
+    spaced samples, so the result is a lower approximation of the
+    continuum seminorm.  It is the batch of one of the stacked kernel
+    behind space_norm, with floor 0.
     """
     a = float(a)
     if not (0.0 < a <= 1.0):
         raise ParameterError("hoelder exponent must lie in (0, 1]")
-    count = min(_refined_count(seg.n_nodes, refine), int(grid_cap))
-    profile = seg._cache.get(("hoelder", count))
-    if profile is None:
-        _, vals, _ = _uniform_reads(seg.delay_r, seg.nodes, seg.values,
-                                    seg.derivs, count, False)
-        profile = seg._cache[("hoelder", count)] = _lag_profiles(vals[None])
-    return float(_hoelder_norms(profile, a, seg.delay_r)[0])
+    count = min(_refined_count(seg.n_nodes, refine), HOELDER_GRID_CAP)
+    _, vals, _ = _uniform_reads(seg.delay_r, seg.nodes, seg.values,
+                                seg.derivs, count, False)
+    return float(_hoelder_norms(vals[None], a, seg.delay_r, 0.0)[0])
 
 
 def space_norm(seg: Segment, space: SpaceSpec, refine: int = DEFAULT_REFINE) -> float:

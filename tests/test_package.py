@@ -65,3 +65,13 @@ def test_norm_tracks_read_stacked_segments():
         ("lyapunov", "functional_lipschitz_probe"),
         ("lyapunov", "space_norm_functional"),
         ("sampler", "sample_one")}
+
+
+def test_one_hoelder_kernel():
+    """The Hoelder seminorm has one kernel, the pruned lag sweep, which
+    the stacked norms and the per-segment seminorm share; the full lag
+    profile it replaced is gone."""
+    assert _callers("_hoelder_norms") == {("segment", "_norms"),
+                                          ("segment", "hoelder_seminorm")}
+    assert _callers("_lag_profiles") == set()
+    assert not hasattr(delaystab.segment, "_lag_profiles")

@@ -12,8 +12,10 @@ import math
 import numpy as np
 import pytest
 
+from delaystab import checkers, dde, segment
 from delaystab.segment import (
     DEFAULT_REFINE,
+    HOELDER_GRID_CAP,
     ParameterError,
     Segment,
     SegmentDataError,
@@ -232,6 +234,176 @@ def test_parameter_validation():
         SpaceSpec.hoelder(1.2)
     with pytest.raises(ParameterError):
         SpaceSpec("banana")
+    # refine is a whole number: a fraction or a boolean is refused by
+    # name, where int() took both as refine 1
+    for bad in (1.5, True, "8"):
+        for norm in (lambda: sup_norm(seg, refine=bad),
+                     lambda: hoelder_seminorm(seg, 0.5, refine=bad),
+                     lambda: space_norm(seg, SpaceSpec.hoelder(0.5), bad)):
+            with pytest.raises(ParameterError, match="refine"):
+                norm()
+    with pytest.raises(ParameterError, match="refine"):
+        sup_norm(seg, refine=0)
+    assert sup_norm(seg, refine=2.0) == sup_norm(seg, refine=2)
+
+
+# ------------------------------------------------ pruned Hoelder lag sweep
+#
+# The oracle is the full lag profile the pruned sweep replaced: every lag
+# of every segment, then the max of the quotients.
+
+
+def _full_lag_profiles(vals):
+    """Per lag k = 1 .. m-1, the largest |x(s_i+k) - x(s_i)| over the
+    samples of each segment; (K, m, n) -> (K, m - 1)."""
+    m = vals.shape[1]
+    maxdiff = np.empty((vals.shape[0], m - 1))
+    for k in range(1, m):
+        diff = vals[:, k:] - vals[:, :-k]
+        maxdiff[:, k - 1] = np.einsum("...j,...j->...", diff, diff).max(axis=1)
+    return np.sqrt(maxdiff, out=maxdiff)
+
+
+def _profile_seminorms(profiles, a, r):
+    lags = np.arange(1, profiles.shape[1] + 1) * (r / profiles.shape[1])
+    return (profiles / lags ** a).max(axis=1)
+
+
+def _full_profiles(segs):
+    """The lag profiles of the seminorm's (capped) grids of segs, which
+    share one node grid."""
+    count = min((segs[0].n_nodes - 1) * DEFAULT_REFINE + 1, HOELDER_GRID_CAP)
+    s = np.linspace(-segs[0].delay_r, 0.0, count)
+    return _full_lag_profiles(np.array([seg.value_at(s) for seg in segs]))
+
+
+def _sampled(family, n, n_nodes):
+    cfg = SamplerConfig(family=family, order=3, target_space=SpaceSpec.sup(),
+                        target_norm=1.0, dimension=n, delay_r=1.0, seed=4,
+                        n_nodes=n_nodes)
+    return sample_one(cfg, 0)
+
+
+def _linear(n, n_nodes):
+    k = np.arange(1.0, n + 1.0)
+    return Segment.from_callable(0.7, lambda s: np.outer(s, k),
+                                 lambda s: np.outer(np.ones_like(s), k),
+                                 n_nodes)
+
+
+def _exactness_segments():
+    """(label, segment): sampled, constant and linear histories in one
+    and three dimensions, and a sampled and a linear one whose refined
+    grid exceeds HOELDER_GRID_CAP."""
+    out = []
+    for n in (1, 3):
+        out += [(f"fourier n={n}", _sampled("fourier", n, 65)),
+                (f"polynomial n={n}", _sampled("polynomial", n, 65)),
+                (f"constant n={n}", Segment.constant(
+                    0.7, np.linspace(-1.0, 2.0, n), 65)),
+                (f"linear n={n}", _linear(n, 65)),
+                (f"fourier n={n} capped", _sampled("fourier", n, 1025)),
+                (f"linear n={n} capped", _linear(n, 1025))]
+    return out
+
+
+@pytest.mark.parametrize("label,seg0", _exactness_segments(),
+                         ids=[lab for lab, _ in _exactness_segments()])
+def test_pruned_hoelder_sweep_is_the_full_sweep_bitwise(label, seg0):
+    """hoelder_seminorm and the Hoelder space_norm equal the max over
+    every lag in every bit, also where squares underflow (scale 1e-160)
+    and near overflow (1e150)."""
+    scales = (1.0, 1e-160, 1e150)
+    segs = [seg0 * scale for scale in scales]
+    profiles = _full_profiles(segs)
+    for a in (0.05, 0.5, 1.0):
+        semis = _profile_seminorms(profiles, a, seg0.delay_r)
+        for scale, seg, semi in zip(scales, segs, semis):
+            assert np.float64(hoelder_seminorm(seg, a)).tobytes() \
+                == semi.tobytes(), (scale, a)
+            want = np.maximum(sup_norm(seg), semi)
+            assert np.float64(space_norm(seg, SpaceSpec.hoelder(a))) \
+                .tobytes() == want.tobytes(), (scale, a)
+        if "constant" not in label:
+            assert semis[1] > 0.0  # though the lag-1 squares underflow
+
+
+# affine samples x0 + i d: every lag quotient at a = 1 ties up to
+# rounding, and one lag's computed maximum exceeds k times the computed
+# lag-1 maximum by an ulp
+ROUNDING_TIES = [
+    ([-0.4397900259035405, -0.3550031292012924],
+     [5.343366143592687e-10, -1.3168225668255961e-08], 129),
+    ([-6.504655846559341, 14.61717359332307, 9.750916711242603],
+     [5.4889880276353135e-05, -6.365596204244256e-05,
+      0.00020368509003671569], 257),
+]
+
+
+@pytest.mark.parametrize("x0,d,count", ROUNDING_TIES)
+def test_pruned_hoelder_sweep_keeps_lags_that_tie_up_to_rounding(x0, d,
+                                                                 count):
+    """The bound's rounding margin keeps the lag that holds the max, in
+    a stack of 32 segments, which takes the lags one at a time, and in a
+    standalone seminorm read at the nodes (refine 1)."""
+    vals = np.asarray(x0) + np.arange(count)[:, None] * np.asarray(d)
+    semi = _profile_seminorms(_full_lag_profiles(vals[None]), 1.0, 1.0)
+    stack = np.repeat(vals[None], 32, axis=0)
+    assert segment._hoelder_norms(stack, 1.0, 1.0, 0.0).tobytes() \
+        == np.repeat(semi, 32).tobytes()
+    seg = Segment.from_samples(1.0, vals, np.zeros_like(vals))
+    assert np.float64(hoelder_seminorm(seg, 1.0, refine=1)).tobytes() \
+        == semi.tobytes()
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 1.0])
+def test_pruned_hoelder_track_mixing_rough_and_smooth_rows(monkeypatch, a):
+    """A track whose stacks mix rows whose seminorm exceeds the sup norm
+    with rows it does not equals the full sweep in every bit, for chunks
+    of one time and of all times."""
+    sys = dde.make_system("linear_scalar", r=1.0,
+                          params={"a": -1.0, "b": 0.3})
+    x0 = Segment.from_callable(1.0, lambda s: np.sin(12.0 * s),
+                               lambda s: 12.0 * np.cos(12.0 * s), 65)
+    traj = dde.simulate(sys, x0, 6.0, 0.01)
+    grid = np.linspace(0.0, 6.0, 25)
+    segs = [dde.segment_at(traj, float(t), n_nodes=65) for t in grid]
+    sups = np.array([sup_norm(s) for s in segs])
+    semis = _profile_seminorms(_full_profiles(segs), a, 1.0)
+    assert (semis > sups).any() and (semis < sups).any()
+    want = np.maximum(sups, semis)
+    space = SpaceSpec.hoelder(a)
+    for chunk_bytes, chunk in ((1, 1), (10**12, grid.size)):
+        monkeypatch.setattr(dde, "BLOCK_BYTES", chunk_bytes)
+        assert min(dde._segment_chunk(65, 1), grid.size) == chunk
+        track = checkers._norm_track(traj, space, grid, 65)
+        assert track.tobytes() == want.tobytes()
+
+
+def test_pruned_hoelder_sweep_skips_most_lag_pairs(monkeypatch):
+    """Work guard, not a wall gate: on a 200-time Hoelder(0.5) track of
+    the saturating system the sweep evaluates at most 35% of the
+    K m (m - 1) / 2 sample pairs of the full lag profiles."""
+    sys = dde.make_system("saturating", r=1.0, params={"c": 1.0, "k": 0.5})
+    space = SpaceSpec.hoelder(0.5)
+    cfg = SamplerConfig(family="fourier", order=3, target_space=space,
+                        target_norm=1.0, dimension=1, delay_r=1.0, seed=0,
+                        n_nodes=65)
+    traj = dde.simulate(sys, sample_one(cfg, 0), 20.0, 0.01)
+    grid = checkers.default_time_grid(20.0, 1.0, 200)
+    pairs = []
+    lag_maxima = segment._lag_maxima
+
+    def counting(vals, k, width):
+        # the pairs of lags k .. k + width - 1, padding included
+        pairs.append(vals.shape[0] * width * (vals.shape[1] - k))
+        return lag_maxima(vals, k, width)
+
+    monkeypatch.setattr(segment, "_lag_maxima", counting)
+    track = checkers._norm_track(traj, space, grid, 65)
+    assert np.isfinite(track).all()
+    m = 64 * DEFAULT_REFINE + 1
+    assert sum(pairs) <= 0.35 * grid.size * m * (m - 1) // 2
 
 
 # ---------------------------------------------------------- norm inequalities
