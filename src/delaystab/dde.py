@@ -30,7 +30,11 @@ and is documented behavior, not an accident.
 Solutions that leave the ball |x| <= 1e12, or turn non-finite, end their
 integration early and mark the trajectory ``escaped`` with the crossing
 time; finite-time blowup is data here (failure of forward completeness),
-not an error.  The other members of the block carry on.
+not an error.  The other members of the block carry on.  The block is
+tested once per delay interval (r / h steps, a whole number) and after
+the last step: a member that fails inside the interval steps on, on its
+own rows, until the test, which finds its first failing step, so its
+kept rows and escape time are those of a test after every step.
 
 Ensembles integrate in memory-bounded blocks: a block holds the most
 histories whose dense output (values plus derivatives, 16 n (steps + 1)
@@ -330,11 +334,19 @@ class _SolutionView:
     Trajectory.values: each member's history nodes but the last, then its
     forward nodes from t = 0 on.  Reads return (B, n) for a point and
     (B, m, n) for an array of m times, by the rules of the scalar reads.
+
+    Reads of dense output are memoised until set_stage moves settled or
+    stage_time: stages k2 and k3 share a stage time, and so do k4 and the
+    derivative at the fresh node, so each such read is computed once per
+    stage time.  Point reads are keyed by s, array reads by the values of
+    s; an array read keeps its dense columns and fills the late columns
+    afresh on every call, and a late point read is never memoised, since
+    both follow stage_value.  Memoised reads are read-only arrays.
     """
 
     __slots__ = ("delay_r", "dim", "h", "hist_values", "hist_derivs",
                  "values", "derivs", "settled", "settled_time", "stage_time",
-                 "stage_value")
+                 "stage_value", "memo")
 
     def __init__(self, histories, values, derivs, h: float):
         start = histories[0].n_nodes - 1
@@ -349,8 +361,11 @@ class _SolutionView:
         self.settled_time = 0.0
         self.stage_time = 0.0
         self.stage_value = self.values[:, 0]
+        self.memo = {}
 
     def set_stage(self, settled: int, stage_time: float, stage_value):
+        if settled != self.settled or stage_time != self.stage_time:
+            self.memo.clear()
         self.settled = settled
         self.settled_time = settled * self.h
         self.stage_time = stage_time
@@ -365,30 +380,47 @@ class _SolutionView:
             w = (u - self.settled_time) / gap
             return (1.0 - w) * self.values[:, self.settled] \
                 + w * self.stage_value
-        if u <= 0.0:
-            return _point_read(self.hist_values, self.hist_derivs,
-                               self.delay_r, u)
-        h = self.h
-        j = min(int(u / h), self.settled - 1)
-        return _hermite(self.values[:, j], self.derivs[:, j],
-                        self.values[:, j + 1], self.derivs[:, j + 1],
-                        (u - j * h) / h, h)
+        read = self.memo.get(s)
+        if read is None:
+            if u <= 0.0:
+                read = _point_read(self.hist_values, self.hist_derivs,
+                                   self.delay_r, u)
+            else:
+                h = self.h
+                j = min(int(u / h), self.settled - 1)
+                read = _hermite(self.values[:, j], self.derivs[:, j],
+                                self.values[:, j + 1], self.derivs[:, j + 1],
+                                (u - j * h) / h, h)
+            read.flags.writeable = False
+            self.memo[s] = read
+        return read
 
     def value_at(self, s) -> np.ndarray:
-        u = self.stage_time + np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty(self.stage_value.shape[:1] + (u.size, self.dim))
-        late = u >= self.settled_time
-        if np.any(late):
-            gap = self.stage_time - self.settled_time
-            ul = u[late]
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        key = s.tobytes()
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = self._dense_reads(self.stage_time + s)
+        out, late, ul = hit
+        if late.size:
+            out = out.copy()
             mix = np.broadcast_to(self.stage_value[:, None],
                                   (out.shape[0], ul.size, self.dim))
+            gap = self.stage_time - self.settled_time
             if gap > 0.0:
                 w = ((ul - self.settled_time) / gap)[:, None]
                 mix = (1.0 - w) * self.values[:, self.settled, None] \
                     + w * self.stage_value[:, None]
                 mix[:, ul >= self.stage_time] = self.stage_value[:, None]
             out[:, late] = mix
+        return out
+
+    def _dense_reads(self, u: np.ndarray):
+        """The memo entry of an array read at absolute times u: the reads
+        with every column before settled_time filled (read-only),
+        and the indices and times of the late columns."""
+        out = np.empty(self.stage_value.shape[:1] + (u.size, self.dim))
+        late = u >= self.settled_time
         hist = ~late & (u <= 0.0)
         if np.any(hist):
             out[:, hist] = _points_read(self.hist_values, self.hist_derivs,
@@ -402,7 +434,8 @@ class _SolutionView:
                                    self.values[:, j + 1],
                                    self.derivs[:, j + 1],
                                    ((uf - j * h) / h)[:, None], h)
-        return out
+        out.flags.writeable = False
+        return out, np.flatnonzero(late), u[late]
 
 
 def _mesh(T: float, h: float) -> tuple[int, float]:
@@ -493,6 +526,11 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None
     vals, ders = view.values, view.derivs
     ders[:, 0] = np.asarray(sys.rhs(view), dtype=float)
     rhs = sys.rhs
+    per = round(r / h_eff)  # steps per delay interval (h_eff divides r)
+    # components of at most screen give |x| <= sqrt(n) screen, half the
+    # threshold, so no state they make can fail the bound
+    screen = ESCAPE_THRESHOLD / (2.0 * math.sqrt(sys.dimension))
+    tested = 0  # forward rows 1 .. tested have passed the escape test
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             t_k = k * h_eff
@@ -509,28 +547,43 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None
             view.set_stage(k, t_k + step, y4)
             k4 = np.asarray(rhs(view), dtype=float)
             y_next = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_next = t_k + step
             vals[:, k + 1] = y_next
             # derivative at the fresh node: the step interior is still the
             # linear overlay (its Hermite data needs this very derivative)
-            view.set_stage(k, t_next, y_next)
-            d_next = np.asarray(rhs(view), dtype=float)
-            ders[:, k + 1] = d_next
-            # one block-wide test; a NaN or inf state fails the bound too
-            sq = np.sum(y_next * y_next, axis=1)
-            if math.sqrt(sq.max()) <= ESCAPE_THRESHOLD \
-                    and np.isfinite(d_next).all():
+            view.set_stage(k, t_k + step, y_next)
+            ders[:, k + 1] = np.asarray(rhs(view), dtype=float)
+            if (k + 1) % per and k + 1 < n_steps:
                 continue
-            # a non-finite state or derivative ends before the fresh node,
-            # a state past the threshold just after it
-            broken = ~(np.isfinite(y_next).all(axis=1)
-                       & np.isfinite(d_next).all(axis=1))
-            gone = broken | (np.sqrt(sq) > ESCAPE_THRESHOLD)
-            for pos in np.flatnonzero(gone):
-                stop = start + k + (1 if broken[pos] else 2)
+            # one test of the interval's fresh nodes.  Rows are
+            # independent, so a member that failed early in the interval
+            # has stepped on alone.  The screen allocates nothing the size
+            # of the rows: a NaN or inf shows in a max or a min.
+            ys = vals[:, tested + 1:k + 2]
+            ds = ders[:, tested + 1:k + 2]
+            big = np.maximum(ys.max(axis=(1, 2)), -ys.min(axis=(1, 2)))
+            steep = np.maximum(ds.max(axis=(1, 2)), -ds.min(axis=(1, 2)))
+            keep = (big <= screen) & (steep < np.inf)
+            for pos in np.flatnonzero(~keep):
+                # the per-step test on this member's rows: a non-finite
+                # state or derivative ends before the node of its first
+                # failing step, a state past the threshold just after it
+                row_y, row_d = ys[pos], ds[pos]
+                broken = ~(np.isfinite(row_y).all(axis=1)
+                           & np.isfinite(row_d).all(axis=1))
+                fail = broken | (np.sqrt(np.sum(row_y * row_y, axis=1))
+                                 > ESCAPE_THRESHOLD)
+                if not fail.any():
+                    keep[pos] = True
+                    continue
+                first = int(np.argmax(fail))
+                kf = tested + first
+                t_fail = kf * h_eff + (h_eff if kf < n_full else tail)
+                stop = start + kf + (1 if broken[first] else 2)
                 finish(members[pos], values[pos, :stop].copy(),
-                       derivs[pos, :stop].copy(), t_next)
-            keep = ~gone
+                       derivs[pos, :stop].copy(), t_fail)
+            tested = k + 1
+            if keep.all():
+                continue
             if not keep.any():
                 break
             members = [b for b, kept in zip(members, keep) if kept]

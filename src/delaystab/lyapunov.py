@@ -47,7 +47,7 @@ from .checkers import (
     _witness,
     default_time_grid,
 )
-from .dde import DelaySystem, Trajectory, segment_at, simulate
+from .dde import DelaySystem, Trajectory, _segment_nodes, simulate
 from .sampler import SamplerConfig, sample_one
 from .segment import (
     DEFAULT_REFINE,
@@ -309,11 +309,14 @@ def _read_dini(V: Functional, x: Segment, traj: Trajectory) -> DiniEstimate:
     flag warns when the two smallest rungs still differ by more than 10
     percent.
     """
-    hs = _dini_steps(traj.system.delay_r)
+    r = traj.system.delay_r
+    hs = _dini_steps(r)
     v0 = V.evaluate(x)
+    # every rung's segment in one stacked read, row k bitwise segment_at
+    s, vals, ders = _segment_nodes(traj, hs, x.n_nodes)
     quotients = []
-    for hk in hs:
-        seg = segment_at(traj, float(hk), n_nodes=x.n_nodes)
+    for hk, v, d in zip(hs, vals, ders):
+        seg = Segment(r, s, v, d)
         quotients.append((float(hk), (V.evaluate(seg) - v0) / float(hk)))
     tail = [q for _, q in quotients[-3:]]
     q_prev, q_last = quotients[-2][1], quotients[-1][1]

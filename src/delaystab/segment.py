@@ -582,21 +582,22 @@ def _hoelder_norms(vals: np.ndarray, a: float, r: float,
     uniform on [-r, 0]: the seminorm is the max over lags k of the lag-k
     quotient, the largest |x(s_i+k) - x(s_i)| over |s_i+k - s_i|^a.
 
-    One sweep over the lags in ascending order skips the lags that
-    cannot reach the result.  By the triangle inequality the lag-k
-    quotient is at most (min(k M1, R) + 1e-150) (1 + 1e-9) / den_k, where
-    M1 is the lag-1 maximum and R the norm of the componentwise range.
+    One sweep over the lags skips the lags that cannot reach the result.
+    By the triangle inequality the lag-k quotient is at most
+    (min(k M1, R) + 1e-150) (1 + 1e-9) / den_k, where M1 is the lag-1
+    maximum and R the norm of the componentwise range.
     The slack covers squares that underflow: differences below about
     1.5e-154 square into the subnormals or to 0, where M1 loses its
     relative accuracy, and m - 1 <= 2047 of them stay under 1e-150.
     The factor covers rounding.  The lags go in blocks of 32 // K (at
     least one), so that a stack of few segments, such as a standalone
     seminorm, makes about as few numpy calls per lag as a track chunk of
-    31.  A row takes a block only if some lag's bound in it is not below
-    what the row's result already reaches (an inf or NaN bound always
-    is), so each skipped quotient is below the result, and the max,
-    which is exact, is bitwise the max over all lags.  A row's value
-    does not depend on the others or on K.
+    31.  The blocks go in descending order of their largest bound, so the
+    results rise early and prune more.  A row takes a block only if some
+    lag's bound in it is not below what the row's result already
+    reaches (an inf or NaN bound always is), so each skipped quotient is
+    below the result, and the max, which is exact, is bitwise the max
+    over all lags.  A row's value does not depend on the others or on K.
     """
     K, m = vals.shape[:2]
     width = max(1, 32 // K)
@@ -608,10 +609,14 @@ def _hoelder_norms(vals: np.ndarray, a: float, r: float,
     # bound[k - 1, i]: row i at lag k
     bound = ((np.minimum(ks[:, None] * m1, spread) + 1e-150)
              * (1.0 + 1e-9) / den[:, None])
-    # the blocks of lags 2 .. m - 1 that some row needs at the start
+    # the blocks of lags 2 .. m - 1 that some row needs at the start,
+    # largest bound first, so that thresholds rise early
     need = (~(bound[1:] < thr)).any(axis=1)
     starts = np.arange(0, m - 2, width)
-    for k in 2 + starts[np.logical_or.reduceat(need, starts)]:
+    top = np.maximum.reduceat(bound[1:].max(axis=1), starts)
+    keep = np.logical_or.reduceat(need, starts)
+    starts, top = starts[keep], top[keep]
+    for k in 2 + starts[np.argsort(-top, kind="stable")]:
         lags = slice(k - 1, min(k - 1 + width, m - 1))  # rows of bound
         rows = np.nonzero((~(bound[lags] < thr)).any(axis=0))[0]
         if rows.size:

@@ -604,6 +604,56 @@ def test_norm_track_is_the_per_segment_norm_bitwise(monkeypatch, space):
             assert track.tobytes() == want.tobytes()
 
 
+def _per_time_window_max(traj, times, lam):
+    """The oracle of _track with lam: one pair of searchsorted calls and
+    one slice max per report time, over the same candidate set."""
+    r = traj.system.delay_r
+    out = np.full(len(times), np.inf)
+    s, vals, _ = traj.initial.refined()
+    u = np.concatenate([s, traj.forward_times[1:]])
+    g = np.exp(lam * u) * np.concatenate(
+        [np.sqrt(np.einsum("ij,ij->i", vals, vals)),
+         np.sqrt(np.einsum("ij,ij->i", traj.forward_values[1:],
+                           traj.forward_values[1:]))])
+    for k in range(checkers._covered(traj, times)):
+        t = times[k]
+        lo = np.searchsorted(u, t - r - 1e-15 * r, side="left")
+        hi = np.searchsorted(u, t + 1e-15 * max(r, abs(t)), side="right")
+        out[k] = math.exp(-lam * t) * float(g[lo:hi].max())
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, -0.5])
+def test_window_max_track_is_the_per_time_max_bitwise(lam):
+    """All report windows of a weighted sup track in one reduceat give
+    the per-time slice maxima in every bit: on grids that start at t = 0,
+    on report times that are mesh nodes (the window's ends then sit on
+    candidates), past the end and past an escape (+inf), and in three
+    dimensions."""
+    for sys, x0 in TRACK_CASES[:3]:
+        traj = simulate(sys, x0, 2.5, 0.01)
+        grid = np.linspace(0.0, 3.0, 41)
+        # times past the horizon, and for the quadratic history, which
+        # escapes at about t = 0.5, past the escape
+        assert traj.escaped == (sys is QUAD_RISING)
+        assert checkers._covered(traj, grid) < grid.size
+        for times in (grid, traj.forward_times[::7],
+                      default_time_grid(2.5, sys.delay_r, 60),
+                      [0.0], [0.0, 0.5 * sys.delay_r, sys.delay_r]):
+            want = _per_time_window_max(traj, times, lam)
+            got = checkers._track(traj, times, x0.n_nodes, None, lam)
+            assert got.tobytes() == want.tobytes()
+    # r = 0.04 and times an ulp below mesh nodes past t = r: the node
+    # just after t falls inside the window's relative end tolerance
+    short = linear(0.04, -1.0, 0.0)
+    x0 = _fourier_history(short, 65)
+    traj = simulate(short, x0, 1.5, 0.0004)
+    times = np.nextafter(traj.forward_times[150::97], -np.inf)
+    want = _per_time_window_max(traj, times, lam)
+    assert want.tobytes() == checkers._track(traj, times, 65, None,
+                                             lam).tobytes()
+
+
 # -- lifted envelope domination ---------------------------------------
 
 

@@ -11,7 +11,10 @@ from delaystab.dde import (
     DelaySystem,
     LipschitzViolation,
     SYSTEM_BUILDERS,
+    Trajectory,
     _SolutionView,
+    _mesh,
+    _working_step,
     lipschitz_probe,
     make_system,
     segment_at,
@@ -337,6 +340,213 @@ def test_block_members_escape_like_their_serial_runs():
         for a, b in ((got.times, want.times), (got.values, want.values),
                      (got.derivs, want.derivs)):
             assert np.array_equal(a, b)
+
+
+def _per_step_escapes(sys, x0s, T, h):
+    """The oracle of simulate_many's escape handling: the same steps with
+    a block-wide escape test after every step, each escaped member
+    removed at once."""
+    r = sys.delay_r
+    h_eff = _working_step(r, T, h)
+    n_full, tail = _mesh(T, h_eff)
+    n_steps = n_full + (1 if tail > 0.0 else 0)
+    fwd_times = np.minimum(np.arange(n_steps + 1) * h_eff, T)
+    if tail > 0.0:
+        fwd_times[-1] = T
+    times = np.concatenate([x0s[0].nodes[:-1], fwd_times])
+    start = x0s[0].n_nodes - 1
+    out = [None] * len(x0s)
+
+    def finish(b, values, derivs, escape_time):
+        out[b] = Trajectory(
+            system=sys, initial=x0s[b], times=times[:values.shape[0]],
+            values=values, derivs=derivs, step_h=h_eff,
+            escaped=escape_time is not None, escape_time=escape_time,
+            forward_start=start)
+
+    members = list(range(len(x0s)))
+    values = np.empty((len(x0s), start + n_steps + 1, sys.dimension))
+    derivs = np.empty_like(values)
+    values[:, :start + 1] = [x0.values for x0 in x0s]
+    derivs[:, :start] = [x0.derivs[:-1] for x0 in x0s]
+    view = _SolutionView(x0s, values, derivs, h_eff)
+    vals, ders = view.values, view.derivs
+    ders[:, 0] = sys.rhs(view)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t_k = k * h_eff
+            step = h_eff if k < n_full else tail
+            y, k1 = vals[:, k], ders[:, k]
+            view.set_stage(k, t_k + 0.5 * step, y + (0.5 * step) * k1)
+            k2 = sys.rhs(view)
+            view.set_stage(k, t_k + 0.5 * step, y + (0.5 * step) * k2)
+            k3 = sys.rhs(view)
+            view.set_stage(k, t_k + step, y + step * k3)
+            k4 = sys.rhs(view)
+            y_next = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_next = t_k + step
+            vals[:, k + 1] = y_next
+            view.set_stage(k, t_next, y_next)
+            d_next = sys.rhs(view)
+            ders[:, k + 1] = d_next
+            sq = np.sum(y_next * y_next, axis=1)
+            if math.sqrt(sq.max()) <= ESCAPE_THRESHOLD \
+                    and np.isfinite(d_next).all():
+                continue
+            broken = ~(np.isfinite(y_next).all(axis=1)
+                       & np.isfinite(d_next).all(axis=1))
+            gone = broken | (np.sqrt(sq) > ESCAPE_THRESHOLD)
+            for pos in np.flatnonzero(gone):
+                stop = start + k + (1 if broken[pos] else 2)
+                finish(members[pos], values[pos, :stop].copy(),
+                       derivs[pos, :stop].copy(), t_next)
+            if gone.all():
+                break
+            members = [b for b, g in zip(members, gone) if not g]
+            values, derivs = values[~gone], derivs[~gone]
+            view = _SolutionView([x0s[b] for b in members], values, derivs,
+                                 h_eff)
+            vals, ders = view.values, view.derivs
+    for pos, b in enumerate(members):
+        if out[b] is None:
+            finish(b, values[pos], derivs[pos], None)
+    return out
+
+
+def test_escapes_tested_per_delay_interval_are_the_per_step_escapes():
+    # x' = x^3 + x(t - r)/2 with r = 0.1 and h = 0.01, 10 steps a delay
+    # interval: the histories escape at different steps of one interval,
+    # past 1e12 with a finite state (kept as the last node) or with a
+    # non-finite state or derivative (node not kept; from 1.5 and -1.5
+    # the state at step 21 is still finite and only its cube overflows),
+    # one from 1.0 in the short final step of T = 0.425, and 0 and 0.5
+    # reach T; at T = 0.22 the cube of 1.5 overflows in the last step
+    def rhs(seg):
+        v = seg.value_at_point(0.0)
+        return v ** 3 + 0.5 * seg.value_at_point(-0.1)
+
+    cubic = DelaySystem("cubic", 1, 0.1, rhs, lambda R: 3.0 * R * R + 0.5)
+    x0s = [const_history(0.1, c, 17) for c in
+           (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, -1.5,
+            -3.0)]
+    for T in (0.22, 0.425):
+        for order in (slice(None), slice(None, None, -1)):
+            block = x0s[order]
+            got = simulate_many(cubic, block, T, 0.01)
+            want = _per_step_escapes(cubic, block, T, 0.01)
+            for a, b in zip(got, want):
+                assert a.escaped == b.escaped
+                assert a.escape_time == b.escape_time
+                for u, v in ((a.times, b.times), (a.values, b.values),
+                             (a.derivs, b.derivs)):
+                    assert u.tobytes() == v.tobytes()
+    # what the case covers at T = 0.425, read off the trajectories
+    ends = [t.escape_time for t in got if t.escaped]
+    first = [e for e in ends if e <= 0.1 + 1e-12]
+    assert len(set(first)) >= 4 and len(first) > len(set(first))
+    assert T in ends and sum(not t.escaped for t in got) == 2
+    past = [t.escaped and abs(t.forward_values[-1, 0]) > ESCAPE_THRESHOLD
+            for t in got]
+    kept_finite = [t.escaped and not p for t, p in zip(got, past)]
+    assert any(past) and any(kept_finite)
+    for t in got:
+        assert np.isfinite(t.values).all() and np.isfinite(t.derivs).all()
+
+
+def test_escapes_near_the_threshold_are_the_per_step_escapes():
+    # x' = x from states between half the threshold and the threshold,
+    # which the interval test has to look at row by row for several
+    # intervals before they cross 1e12, in one and in two dimensions
+    grow = make_system("linear_scalar", 0.1, {"a": 1.0, "b": 0.0})
+    plane = make_system("linear_vector", 0.1, {"A0": [[1.0, 0.0], [0.0, 1.0]],
+                                               "A1": [[0.0, 0.0], [0.0, 0.0]]})
+    cases = [(grow, [const_history(0.1, c, 17)
+                     for c in (6e11, -9.9e11, 1e11, 1.1e12)]),
+             (plane, [Segment.constant(0.1, v, 17)
+                      for v in ([5e11, 5e11], [-3e11, 2e11],
+                                [7.07e11, 0.0])])]
+    for sys, x0s in cases:
+        got = simulate_many(sys, x0s, 1.0, 0.01)
+        want = _per_step_escapes(sys, x0s, 1.0, 0.01)
+        assert [t.escaped for t in got] == [t.escaped for t in want]
+        assert sum(t.escaped for t in got) == len(x0s) - 1
+        for a, b in zip(got, want):
+            assert a.escape_time == b.escape_time
+            for u, v in ((a.times, b.times), (a.values, b.values),
+                         (a.derivs, b.derivs)):
+                assert u.tobytes() == v.tobytes()
+
+
+def test_non_finite_derivative_at_a_small_state_ends_the_interval():
+    # x' = x, but infinite on a band around the node x(0.1) of the history
+    # 1: RK4's last stage overshoots the node, so only the derivative at
+    # that node, the last of the first delay interval, turns infinite
+    # while the state stays near 1.1
+    x0s = [const_history(0.1, c, 17) for c in (1.0, 0.5)]
+    plain = make_system("linear_scalar", 0.1, {"a": 1.0, "b": 0.0})
+    node = simulate(plain, x0s[0], 0.1, 0.01).forward_values[-1, 0]
+    lo, hi = node * (1.0 - 1e-12), node * (1.0 + 1e-12)
+
+    def rhs(seg):
+        v = seg.value_at_point(0.0)
+        return np.where((v > lo) & (v < hi), np.inf, v)
+
+    band = DelaySystem("band", 1, 0.1, rhs, lambda R: 1.0)
+    got = simulate_many(band, x0s, 0.5, 0.01)
+    want = _per_step_escapes(band, x0s, 0.5, 0.01)
+    assert [t.escaped for t in got] == [True, False]
+    assert got[0].escape_time == want[0].escape_time
+    # the escape is the step to t = 0.1, whose node is not kept
+    assert got[0].escape_time == pytest.approx(0.1)
+    assert got[0].forward_times.size == 10
+    for a, b in zip(got, want):
+        for u, v in ((a.times, b.times), (a.values, b.values),
+                     (a.derivs, b.derivs)):
+            assert u.tobytes() == v.tobytes()
+
+
+def test_solution_view_memo_reads_equal_fresh_reads():
+    """Dense reads served from the memo, across repeated set_stage calls
+    that keep and that move the stage, equal the reads of a fresh view in
+    every bit; late reads follow the stage value every time."""
+    sys = make_system("saturating", 1.0, {"c": 1.0, "k": 0.5})
+    cfg = SamplerConfig(family="fourier", order=3, target_space=SpaceSpec.sup(),
+                        target_norm=1.0, dimension=1, delay_r=1.0, seed=0,
+                        n_nodes=65)
+    x0s = [sample_one(cfg, i) for i in range(3)]
+    trajs = simulate_many(sys, x0s, 3.0, 0.01)
+    values = np.stack([t.values for t in trajs])
+    derivs = np.stack([t.derivs for t in trajs])
+    h = trajs[0].step_h
+    memo = _SolutionView(x0s, values, derivs, h)
+    points = [-1.0, -0.73, -0.5, -0.02, -0.004, 0.0]
+    arrays = [np.linspace(-1.0, 0.0, 27), np.array([-0.3, -0.001, 0.0])]
+    rng = np.random.default_rng(1)
+    for settled in (0, 5, 100, 150, 299):
+        for frac in (0.0, 0.5, 0.5, 1.0, 1.0):
+            stage = rng.normal(size=(3, 1))
+            t = settled * h + frac * h
+            for _ in range(2):
+                memo.set_stage(settled, t, stage)
+                fresh = _SolutionView(x0s, values, derivs, h)
+                fresh.set_stage(settled, t, stage)
+                for s in points:
+                    got = memo.value_at_point(s)
+                    assert got.tobytes() == fresh.value_at_point(s).tobytes()
+                for s in arrays:
+                    got = memo.value_at(s)
+                    assert got.tobytes() == fresh.value_at(s).tobytes()
+                    assert got.tobytes() == fresh.value_at(
+                        s.tolist()).tobytes()
+                # the late read at s = 0 is the running stage value
+                assert memo.value_at_point(0.0) is stage
+                assert np.array_equal(memo.value_at(arrays[1])[:, -1], stage)
+                stage = stage + 1.0
+    # memoised reads cannot be changed in place
+    with pytest.raises(ValueError):
+        memo.value_at_point(-0.5)[...] = 0.0
+    with pytest.raises(ValueError):
+        memo.value_at(np.array([-0.7, -0.3]))[...] = 0.0
 
 
 def test_block_histories_share_one_grid():

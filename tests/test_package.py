@@ -42,12 +42,14 @@ def test_every_integration_goes_through_one_path():
 
 
 def test_norm_tracks_read_stacked_segments():
-    """Norm tracks and pair distances read the segments x_t of many times
-    as one stack (dde._segment_nodes) and take their norms across it
-    (segment._norms); the per-segment segment_at and space_norm are left
-    to single segments, of which they are the batches of one."""
+    """Norm tracks, pair distances and Dini ladders read the segments x_t
+    of many times as one stack (dde._segment_nodes), and tracks and pair
+    distances take their norms across it (segment._norms); the
+    per-segment segment_at and space_norm are left to single segments,
+    of which they are the batches of one."""
     assert _callers("_segment_nodes") == {("dde", "segment_at"),
-                                          ("checkers", "_segment_stacks")}
+                                          ("checkers", "_segment_stacks"),
+                                          ("lyapunov", "_read_dini")}
     assert _callers("_segment_stacks") == {("checkers", "_norm_track"),
                                            ("checkers", "verify_pair_bounds")}
     assert _callers("_norms") == {("segment", "space_norm"),
@@ -55,7 +57,6 @@ def test_norm_tracks_read_stacked_segments():
                                   ("checkers", "verify_pair_bounds")}
     # _track reads segments only for functionals that are no space norm
     assert _callers("segment_at") == {("checkers", "_track"),
-                                      ("lyapunov", "_read_dini"),
                                       ("cli", "cmd_simulate")}
     assert _callers("space_norm") == {
         ("checkers", "verify_pair_bounds"),  # the initial distance only

@@ -380,6 +380,41 @@ def test_pruned_hoelder_track_mixing_rough_and_smooth_rows(monkeypatch, a):
         assert track.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("a", [0.05, 0.5, 0.9])
+def test_pruned_hoelder_sweep_largest_lag_first(monkeypatch, a):
+    """With floor 0 and a < 1 a linear segment's quotient grows with the
+    lag, so the largest lag holds the seminorm.  Its block has the
+    largest bound and goes first; its quotient then prunes every other
+    block, and the value is the full sweep's in every bit, standalone
+    and in a stack with rows whose maximum sits elsewhere."""
+    lin = _linear(1, 65)
+    count = 64 * DEFAULT_REFINE + 1
+    profiles = _full_profiles([lin])
+    quotients = profiles / (np.arange(1, count) * (lin.delay_r / (count - 1))) ** a
+    assert np.argmax(quotients[0]) == count - 2  # lag m - 1
+    calls = []
+    lag_maxima = segment._lag_maxima
+
+    def logged(vals, k, width):
+        calls.append((vals.shape[0], k, width))
+        return lag_maxima(vals, k, width)
+
+    monkeypatch.setattr(segment, "_lag_maxima", logged)
+    semi = _profile_seminorms(profiles, a, lin.delay_r)
+    assert np.float64(hoelder_seminorm(lin, a)).tobytes() == semi.tobytes()
+    # lag 1, then only the last block of lags 2 + 32 j .., which holds
+    # lag m - 1 (an ascending sweep takes all 16 blocks here)
+    last = 2 + 32 * ((count - 3) // 32)
+    assert calls == [(1, 1, 1), (1, last, count - last)]
+    s = np.linspace(-lin.delay_r, 0.0, count)
+    segs = [lin, _sampled("fourier", 1, 65), lin * -3.0,
+            _sampled("polynomial", 1, 65)]
+    stack = np.array([seg.value_at(s) for seg in segs])
+    want = _profile_seminorms(_full_profiles(segs), a, lin.delay_r)
+    got = segment._hoelder_norms(stack, a, lin.delay_r, 0.0)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_pruned_hoelder_sweep_skips_most_lag_pairs(monkeypatch):
     """Work guard, not a wall gate: on a 200-time Hoelder(0.5) track of
     the saturating system the sweep evaluates at most 35% of the
