@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain, islice
 from typing import Callable
 
 import numpy as np
 
 from .dde import DelaySystem, Trajectory, _block_members, _segment_chunk, \
-    _segment_nodes, segment_at, simulate_many
+    _segment_nodes, simulate_many
 from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
 from .sampler import SamplerConfig, sample_one
 from .segment import DEFAULT_REFINE, ParameterError, Segment, SpaceSpec, \
@@ -148,62 +149,80 @@ def _segment_stacks(traj: Trajectory, times, seg_nodes: int):
 
 
 def _track(traj: Trajectory, times, seg_nodes: int,
-           evaluate: Callable[[Segment], float],
+           evaluate: Callable[..., np.ndarray] | None,
            lam: float | None = None) -> np.ndarray:
     """A functional of the history segment x_t at each time.
 
-    Times past the covered end (escape) give +inf.  With lam the value is
-    the window max of e^(lam s)|x_t(s)|, taken over one candidate set that
-    every time shares: the initial segment's refined grid plus the forward
-    solver mesh, weighted once as e^(lam u)|x(u)|.  Each window max then
-    reads the same history points as the t = 0 evaluation, so decay ratios
-    carry no resampling noise (exact on constant histories).  All windows
-    [t - r, t] are located by two searchsorted calls and their maxima
-    taken by one maximum.reduceat, which is exact, so each value is
-    bitwise that of a per-time slice max.  Without lam the value is
-    evaluate(x_t) on a resampled segment.
+    Times past the covered end (escape) give +inf.  Without lam, evaluate
+    takes stacked segments, (r, nodes, values, derivs) with node data
+    (K, seg_nodes, n), to K values, and the track reads a chunk of times
+    at a time through _segment_stacks (each row bitwise segment_at), so
+    each value is evaluate of x_t alone whatever the chunk size.
+
+    With lam the value is the window max of e^(lam s)|x_t(s)|, taken over
+    one candidate set that every time shares: the initial segment's
+    refined grid plus the forward solver mesh, weighted once as
+    e^(lam u)|x(u)|.  Each window max then reads the same history points
+    as the t = 0 evaluation, so decay ratios carry no resampling noise
+    (exact on constants).  All windows [t - r, t] are located by two
+    searchsorted calls and their maxima taken by one maximum.reduceat,
+    which is exact, so each value is bitwise that of a per-time slice
+    max.  Weighting relative to u = 0 is kept where it loses nothing:
+    |lam| max(t, r) < 708, so that e^(lam u) and e^(-lam t) are normal
+    floats, and the window max and the value are normal floats too
+    (always so with lam = 0).  Any other window, such as one far along a
+    long horizon where e^(lam u) overflows or its product with |x(u)|
+    underflows, is weighted relative to its own time, as
+    e^(lam (u - t))|x(u)|, which is e^(lam s)|x_t(s)| itself.
     """
     r = traj.system.delay_r
     out = np.full(len(times), np.inf)
     covered = _covered(traj, times)
+    t = np.asarray(times[:covered], dtype=float)
     if lam is None:
-        for k in range(covered):
-            out[k] = evaluate(segment_at(traj, float(times[k]),
-                                         n_nodes=seg_nodes))
+        for lo, s, vals, ders in _segment_stacks(traj, t, seg_nodes):
+            out[lo:lo + len(vals)] = evaluate(r, s, vals, ders)
         return out
     s, vals, _ = traj.initial.refined(DEFAULT_REFINE)
     u = np.concatenate([s, traj.forward_times[1:]])
-    g = np.exp(lam * u) * np.concatenate(
-        [_euclid(vals), _euclid(traj.forward_values[1:])])
-    t = np.asarray(times[:covered], dtype=float)
+    mags = np.concatenate([_euclid(vals), _euclid(traj.forward_values[1:])])
     lo = np.searchsorted(u, t - r - 1e-15 * r, side="left")
     hi = np.searchsorted(u, t + 1e-15 * np.maximum(r, np.abs(t)),
                          side="right")
     # every window holds a node: it is r long and no gap of the candidate
     # set (a refined history cell, a solver step) exceeds r / 10
     assert np.all(lo < hi)
-    # the -inf pad makes len(g) a valid bound; no window reaches it
-    peaks = np.maximum.reduceat(np.append(g, -np.inf),
-                                np.column_stack([lo, hi]).ravel())[::2]
-    out[:covered] = [math.exp(-lam * tk) * m
-                     for tk, m in zip(t.tolist(), peaks.tolist())]
+    near = abs(lam) * np.maximum(t, r) < 708.0
+    if np.any(near):
+        top = int(hi[near].max())
+        with np.errstate(over="ignore"):
+            g = np.exp(lam * u[:top]) * mags[:top]
+        # the -inf pad makes top a valid bound; no window reaches it
+        peaks = np.maximum.reduceat(
+            np.append(g, -np.inf),
+            np.column_stack([lo[near], hi[near]]).ravel())[::2]
+        got = np.array([math.exp(-lam * tk) * m for tk, m
+                        in zip(t[near].tolist(), peaks.tolist())])
+        out[:covered][near] = got
+        if lam != 0.0:
+            info = np.finfo(float)
+            near[near] = ((info.tiny <= peaks) & (peaks <= info.max)
+                          & (info.tiny <= got) & (got <= info.max))
+    for k in np.flatnonzero(~near):
+        w = slice(lo[k], hi[k])
+        out[k] = (np.exp(lam * (u[w] - t[k])) * mags[w]).max()
     return out
 
 
 def _norm_track(traj: Trajectory, space: SpaceSpec, grid: np.ndarray,
                 seg_nodes: int) -> np.ndarray:
     """Report-space norm of x_t at each grid time; +inf past the covered
-    end.  Sup is the lam = 0 window max of _track; the other spaces take
-    the stacked norms of x_t a chunk of times at a time, each value
-    bitwise space_norm(segment_at(traj, t, seg_nodes), space)."""
+    end.  Sup is the lam = 0 window max of _track; the other spaces are
+    its stacked track with segment._norms, each value bitwise
+    space_norm(segment_at(traj, t, seg_nodes), space)."""
     if space.kind == "sup":
         return _track(traj, grid, seg_nodes, None, 0.0)
-    r = traj.system.delay_r
-    out = np.full(len(grid), np.inf)
-    covered = grid[:_covered(traj, grid)]
-    for lo, s, vals, ders in _segment_stacks(traj, covered, seg_nodes):
-        out[lo:lo + len(vals)] = _norms(r, s, vals, ders, space)
-    return out
+    return _track(traj, grid, seg_nodes, partial(_norms, space=space))
 
 
 def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,

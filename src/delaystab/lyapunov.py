@@ -17,7 +17,18 @@ Every trajectory the checks need is integrated through the one ensemble
 primitive, checkers._ensemble, in memory-bounded blocks: the sampled
 trajectories of the three checks and the Dini ladders of the dissipation
 check, one short simulation per sample.  dini_derivative is the batch of
-one of such a ladder.
+one of such a ladder.  A check draws each sample index once and evaluates
+the functional at it once: the trajectory pass of the growth check and
+the integral pass of the dissipation check reuse the samples, and their
+values, of the pass before.
+
+The built-in functionals evaluate stacks of segments, node data
+(K, N + 1, n) to K values, the way segment._norms norms them (see
+_stacked); Functional.evaluate is the batch of one, so a value does not
+depend on the stack it is read in.  A functional track reads a chunk of
+report times as one stack, a Dini ladder all its rungs, and a growth
+quotient all the prolongations of a sample.  A functional given only by
+its per-segment callable is read one segment at a time.
 
 Forward quotients of a sup-type functional are delicate: the quotient
 divides by steps down to 1e-7 of the delay, so the two sup evaluations
@@ -31,6 +42,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -56,10 +69,14 @@ from .segment import (
     SpaceSpec,
     _check_keys,
     _euclid,
+    _norms,
     _quadrature_weights,
     _real,
     _reals,
+    _refined_count,
     _select,
+    _squares,
+    _uniform_reads,
     prolong,
     space_norm,
 )
@@ -175,12 +192,38 @@ def grid_fn_from_json_dict(data: dict) -> MonotoneGridFn:
 
 @dataclass(frozen=True)
 class Functional:
-    """Nonnegative functional on segments, vanishing at the origin."""
+    """Nonnegative functional on segments, vanishing at the origin.
+
+    evaluate gives the value of one segment.  The built-in kinds
+    (weighted_sup, quadratic_integral, space_norm, with their param) also
+    evaluate a stack of segments at once, and their evaluate is the batch
+    of one of the same kernel (see _stacked).  A functional given
+    only by its per-segment callable is read one segment at a time.
+    """
 
     name: str
     evaluate: Callable[[Segment], float]
     kind: str | None = None
     param: object = None
+
+
+def _weighted_sups(lam: float, s: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """weighted_sup(lam) of each segment of a stack of refined reads, the
+    sample times s and values (K, m, n), the weight taken once for the
+    stack; the max is exact, so each value is that of the segment alone."""
+    return (np.exp(lam * s) * _euclid(vals)).max(axis=1)
+
+
+def _quadratic_integrals(mu: float, s: np.ndarray,
+                         vals: np.ndarray) -> np.ndarray:
+    """quadratic_integral(mu) of each segment of a stack of refined reads,
+    weights and quadrature weights taken once for the stack."""
+    sq = _squares(vals)
+    w = _quadrature_weights(s.size, s[1] - s[0])
+    weighted = np.exp(mu * s) * sq
+    # one dot of fresh rows a segment, as segment._lp_norms takes them:
+    # the BLAS dot rounds differently on a row view of the stack
+    return sq[:, -1] + np.array([w @ row.copy() for row in weighted])
 
 
 def weighted_sup(lam: float) -> Functional:
@@ -191,7 +234,7 @@ def weighted_sup(lam: float) -> Functional:
 
     def evaluate(seg: Segment) -> float:
         s, vals, _ = seg.refined(DEFAULT_REFINE)
-        return float((np.exp(lam * s) * _euclid(vals)).max())
+        return float(_weighted_sups(lam, s, vals[None])[0])
 
     return Functional(name=f"weighted_sup({lam:g})", evaluate=evaluate,
                       kind="weighted_sup", param=lam)
@@ -205,10 +248,7 @@ def quadratic_integral(mu: float) -> Functional:
 
     def evaluate(seg: Segment) -> float:
         s, vals, _ = seg.refined(DEFAULT_REFINE)
-        sq = np.einsum("ij,ij->i", vals, vals)
-        w = _quadrature_weights(s.size, s[1] - s[0])
-        head = float(sq[-1])
-        return head + float(w @ (np.exp(mu * s) * sq))
+        return float(_quadratic_integrals(mu, s, vals[None])[0])
 
     return Functional(name=f"quadratic_integral({mu:g})", evaluate=evaluate,
                       kind="quadratic_integral", param=mu)
@@ -220,6 +260,37 @@ def space_norm_functional(space: SpaceSpec) -> Functional:
 
     return Functional(name=f"space_norm[{space.label}]", evaluate=evaluate,
                       kind="space_norm", param=space)
+
+
+def _stacked(V: Functional) -> Callable:
+    """V of each segment of a stack: (r, nodes, values, derivs), node data
+    (K, N + 1, n) on the uniform nodes from -r to 0, gives K values.
+
+    The built-in kinds read the whole stack at once, each value bitwise
+    V.evaluate of its segment alone: a weighted sup or quadratic integral
+    by its kernel on the stack's refined values, which Segment.refined
+    reads alike, and a space norm by segment._norms, of which space_norm
+    is the batch of one.  Any other functional is read one segment at a
+    time.
+    """
+    if V.kind == "space_norm":
+        return partial(_norms, space=V.param)
+    kernel = {"weighted_sup": _weighted_sups,
+              "quadratic_integral": _quadratic_integrals}.get(V.kind)
+    if kernel is None:
+        def one_at_a_time(r, nodes, values, derivs):
+            return np.array([V.evaluate(Segment(r, nodes, v.copy(),
+                                                d.copy()))
+                             for v, d in zip(values, derivs)])
+
+        return one_at_a_time
+
+    def stacked(r, nodes, values, derivs):
+        count = _refined_count(nodes.size, DEFAULT_REFINE)
+        s, vals, _ = _uniform_reads(r, nodes, values, derivs, count, False)
+        return kernel(V.param, s, vals)
+
+    return stacked
 
 
 def scaled_abs_rate(c: float) -> Callable[[np.ndarray], float]:
@@ -298,26 +369,24 @@ def dini_derivative(sys: DelaySystem, V: Functional,
     traj = simulate(sys, x, float(hs[0]), hs[-1] / 2.0)
     if traj.escaped:
         raise EscapeError(traj.escape_time)
-    return _read_dini(V, x, traj)
+    return _read_dini(V, x, V.evaluate(x), traj)
 
 
-def _read_dini(V: Functional, x: Segment, traj: Trajectory) -> DiniEstimate:
-    """The forward-quotient ladder of V at x, read off its ladder
-    trajectory traj.
+def _read_dini(V: Functional, x: Segment, v0: float,
+               traj: Trajectory) -> DiniEstimate:
+    """The forward-quotient ladder of V at x, where V(x) = v0, read off
+    its ladder trajectory traj.
 
-    The estimate is the max of the last three quotients, and the trend
-    flag warns when the two smallest rungs still differ by more than 10
-    percent.
+    Every rung's segment comes from one stacked read (row k bitwise
+    segment_at), and V takes the rungs as one stack.  The estimate is the
+    max of the last three quotients, and the trend flag warns when the
+    two smallest rungs still differ by more than 10 percent.
     """
     r = traj.system.delay_r
     hs = _dini_steps(r)
-    v0 = V.evaluate(x)
-    # every rung's segment in one stacked read, row k bitwise segment_at
-    s, vals, ders = _segment_nodes(traj, hs, x.n_nodes)
-    quotients = []
-    for hk, v, d in zip(hs, vals, ders):
-        seg = Segment(r, s, v, d)
-        quotients.append((float(hk), (V.evaluate(seg) - v0) / float(hk)))
+    vs = _stacked(V)(r, *_segment_nodes(traj, hs, x.n_nodes))
+    quotients = [(hk, (v - v0) / hk)
+                 for hk, v in zip(hs.tolist(), vs.tolist())]
     tail = [q for _, q in quotients[-3:]]
     q_prev, q_last = quotients[-2][1], quotients[-1][1]
     scale = max(abs(q_prev), abs(q_last), 1e-9 * (1.0 + v0))
@@ -329,26 +398,29 @@ def _read_dini(V: Functional, x: Segment, traj: Trajectory) -> DiniEstimate:
 # -- shared helpers ----------------------------------------------------
 
 
-def _prolonged_weighted_sup(x: Segment, f: np.ndarray, h: float,
-                            lam: float) -> float:
-    """Weighted sup of the h-prolongation, on shared sample points.
+def _prolonged_weighted_sups(x: Segment, f: np.ndarray, hs: np.ndarray,
+                             lam: float) -> np.ndarray:
+    """Weighted sup of the h-prolongation for each step h of hs, on shared
+    sample points.
 
     The shifted-history part reuses the original refined grid (points that
     remain in the window), so its candidates differ from the functional's
     own evaluation only by the weight shift; the linear tail is sampled
-    densely.  The sliver below one refined cell at the far end is dropped,
-    making this a lower approximation like every discrete sup here.
+    densely, 17 points a step.  The sliver below one refined cell at the
+    far end is dropped, making this a lower approximation like every
+    discrete sup here.  Row k of every array is step hs[k], computed as
+    that step alone would be.
     """
     s, vals, _ = x.refined(DEFAULT_REFINE)
     r = x.delay_r
-    keep = s >= -r + h - 1e-15 * r
-    cand = -math.inf
-    if np.any(keep):
-        cand = float((np.exp(lam * (s[keep] - h)) * _euclid(vals[keep])).max())
-    ss = np.linspace(-h, 0.0, 17)
-    tail = x.values[-1][None, :] + (ss + h)[:, None] * f[None, :]
-    cand_tail = float((np.exp(lam * ss) * _euclid(tail)).max())
-    return max(cand, cand_tail)
+    steps = hs[:, None]
+    keep = s >= -r + steps - 1e-15 * r
+    cand = np.where(keep, np.exp(lam * (s - steps)) * _euclid(vals),
+                    -np.inf).max(axis=1)
+    ss = np.linspace(-hs, 0.0, 17, axis=1)
+    tail = x.values[-1] + (ss + steps)[:, :, None] * f
+    cand_tail = (np.exp(lam * ss) * _euclid(tail)).max(axis=1)
+    return np.where(cand_tail > cand, cand_tail, cand)
 
 
 def _weighted_kind(V: Functional) -> float | None:
@@ -362,21 +434,25 @@ def _weighted_kind(V: Functional) -> float | None:
 
 def _functional_track(V: Functional, traj: Trajectory, times,
                       n_nodes: int) -> np.ndarray:
-    """V(x_t) at each time: a space norm by its norm track (stacked for
-    the non-sup spaces), a weighted sup by its window max, any other
-    functional by V.evaluate on each resampled segment."""
-    if V.kind == "space_norm":
-        return _norm_track(traj, V.param, times, n_nodes)
-    return _track(traj, times, n_nodes, V.evaluate, _weighted_kind(V))
+    """V(x_t) at each time: a weighted sup (the sup norm included) by its
+    window max, any other functional on the stacked segments x_t."""
+    return _track(traj, times, n_nodes, _stacked(V), _weighted_kind(V))
 
 
-def _growth_quotient(U: Functional, x: Segment, f: np.ndarray,
-                     h: float) -> float:
-    """(U(P_h x) - U(x)) / h with the noise-free path for sup functionals."""
+def _growth_quotients(U: Functional, x: Segment, u0: float, f: np.ndarray,
+                      hs: np.ndarray) -> np.ndarray:
+    """(U(P_h x) - U(x)) / h for each step h of hs, where U(x) = u0: a
+    weighted sup by its noise-free prolongation path, any other functional
+    on the stack of the prolongations."""
     lam = _weighted_kind(U)
-    up = U.evaluate(prolong(x, f, h)) if lam is None \
-        else _prolonged_weighted_sup(x, f, h, lam)
-    return (up - U.evaluate(x)) / h
+    if lam is not None:
+        up = _prolonged_weighted_sups(x, f, hs, lam)
+    else:
+        grown = [prolong(x, f, h) for h in hs.tolist()]
+        up = _stacked(U)(x.delay_r, grown[0].nodes,
+                         np.stack([p.values for p in grown]),
+                         np.stack([p.derivs for p in grown]))
+    return (up - u0) / hs
 
 
 def functional_lipschitz_probe(V: Functional, space: SpaceSpec, R: float,
@@ -524,8 +600,11 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     hs = _dini_steps(r)
     ladders = _ensemble(sys, _samples(cfg, samples), float(hs[0]),
                         hs[-1] / 2.0)
+    kept = []  # (x0, V(x0)) of the samples the integral pass reuses
     for i, (x0, ladder) in enumerate(ladders):
         v0 = V.evaluate(x0)
+        if i < integral_trajectories:
+            kept.append((x0, v0))
         head = float(np.linalg.norm(x0.values[-1]))
         nx = space_norm(x0, space)
         tol = 1e-12 * (1.0 + v0)
@@ -537,7 +616,7 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
         if ladder.escaped:
             return fail(i, x0, ladder.escape_time, math.inf,
                         {"escape_time": ladder.escape_time}, "escape")
-        est = _read_dini(V, x0, ladder).estimate
+        est = _read_dini(V, x0, v0, ladder).estimate
         dissipation_tol = 1e-3 * (1.0 + v0)
         gap = est + Q(x0.values[-1])
         worst_dini = max(worst_dini, gap - dissipation_tol)
@@ -545,9 +624,11 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
             return fail(i, x0, 0.0, est,
                         {"dini_estimate": est, "required": -Q(x0.values[-1]),
                          "tolerance": dissipation_tol}, "dissipation")
-    runs = _ensemble(sys, _samples(cfg, integral_trajectories), T, h)
+    fresh = (sample_one(cfg, i)
+             for i in range(samples, integral_trajectories))
+    runs = _ensemble(sys, chain((x0 for x0, _ in kept), fresh), T, h)
     for i, (x0, traj) in enumerate(runs):
-        v0 = V.evaluate(x0)
+        v0 = kept[i][1] if i < len(kept) else V.evaluate(x0)
         if traj.escaped:
             return fail(i, x0, traj.escape_time, math.inf,
                         {"escape_time": traj.escape_time}, "escape")
@@ -605,8 +686,12 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
     fail = _falsifier("growth_certificate", space, cfg, samples)
     hs = _dini_steps(r)
     worst_quotient = -math.inf
+    checked = min(traj_check, samples)
+    kept = []  # (x0, U(x0)) of the samples the trajectory pass reuses
     for i, x0 in enumerate(_samples(cfg, samples)):
         u0 = U.evaluate(x0)
+        if i < checked:
+            kept.append((x0, u0))
         head = float(np.linalg.norm(x0.values[-1]))
         if float(a(head)) > u0 * (1.0 + 1e-6) + 1e-12 * (1.0 + u0):
             return fail(i, x0, 0.0, u0,
@@ -614,19 +699,18 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
                         "coercivity")
         f = np.asarray(sys.rhs(x0), dtype=float)
         tol = 1e-3 * (1.0 + u0)
-        for hk in hs:
-            q = _growth_quotient(U, x0, f, float(hk))
+        qs = _growth_quotients(U, x0, u0, f, hs)
+        for hk, q in zip(hs.tolist(), qs.tolist()):
             excess = q - mu * u0
             worst_quotient = max(worst_quotient, excess - tol)
             if excess > tol:
                 return fail(i, x0, 0.0, q,
                             {"quotient": q, "limit": mu * u0,
-                             "step": float(hk)}, "prolongation")
+                             "step": hk}, "prolongation")
     worst_traj = 0.0
     times = default_time_grid(T, r, grid_points)[1:]
-    runs = _ensemble(sys, _samples(cfg, min(traj_check, samples)), T, h)
-    for i, (x0, traj) in enumerate(runs):
-        u0 = U.evaluate(x0)
+    runs = _ensemble(sys, (x0 for x0, _ in kept), T, h)
+    for i, ((x0, traj), (_, u0)) in enumerate(zip(runs, kept)):
         if traj.escaped:
             return fail(i, x0, traj.escape_time, math.inf,
                         {"escape_time": traj.escape_time}, "escape")
@@ -643,5 +727,5 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
         "growth_certificate", space, "consistent", None,
         {"worst_quotient_excess": worst_quotient,
          "worst_trajectory_ratio": worst_traj},
-        {"samples": samples, "trajectories": min(traj_check, samples)},
+        {"samples": samples, "trajectories": checked},
         {"mu": mu, "T": T})

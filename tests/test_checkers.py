@@ -654,6 +654,21 @@ def test_window_max_track_is_the_per_time_max_bitwise(lam):
                                              lam).tobytes()
 
 
+def test_weighted_track_stays_finite_along_a_long_horizon():
+    """x' = -x/10 from the constant 1 gives x(u) = e^(-u/10).  The weighted
+    sup of x_t with lam = 1 is e^(-t/10), at s = 0, and with lam = -1 it
+    is e^(1.1 - t/10), at s = -1.  Far along the horizon e^(lam u) alone
+    overflows (lam = 1, t > 709) or its product with |x(u)| underflows
+    (lam = -1, t near 700), where the weighted sup is about 1e-30."""
+    sys = linear(1.0, -0.1, 0.0)
+    traj = simulate(sys, Segment.constant(1.0, 1.0, 65), 800.0, 0.1)
+    times = np.array([5.0, 690.0, 700.0, 707.0, 708.5, 720.0, 750.0, 799.0])
+    for lam, peak in ((1.0, 0.0), (-1.0, 1.0)):
+        got = checkers._track(traj, times, 65, None, lam)
+        want = np.exp(lam * -peak - 0.1 * (times - peak))
+        assert np.allclose(got, want, rtol=1e-7, atol=0.0), lam
+
+
 # -- lifted envelope domination ---------------------------------------
 
 

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from delaystab import SpaceSpec, make_system
-from delaystab.dde import segment_at, simulate
+from delaystab import SpaceSpec, checkers, dde, lyapunov, make_system, sampler
+from delaystab.dde import _segment_nodes, segment_at, simulate
 from delaystab.sampler import SamplerConfig, sample_one
-from delaystab.segment import ParameterError, Segment, space_norm
+from delaystab.segment import ParameterError, Segment, _quadrature_weights, \
+    prolong, space_norm
 from delaystab.lyapunov import (
     DiniEstimate,
     EscapeError,
@@ -434,3 +435,293 @@ def test_norm_track_continuity_ladder():
     sobinf = SpaceSpec.sobolev(math.inf)
     assert _norm_jumps(traj, sobinf, 25, r) >= 0.9
     assert _norm_jumps(traj, sobinf, 193, r) >= 0.9
+
+
+# -- stacked evaluation --------------------------------------------------
+#
+# The per-segment code that the stacked functionals, the stacked Dini
+# rungs and the stacked prolongation quotients replaced, kept as oracles.
+
+
+def _old_weighted_sup(lam):
+    def evaluate(seg):
+        s, vals, _ = seg.refined()
+        return float((np.exp(lam * s)
+                      * np.sqrt(np.einsum("ij,ij->i", vals, vals))).max())
+    return evaluate
+
+
+def _old_quadratic_integral(mu):
+    def evaluate(seg):
+        s, vals, _ = seg.refined()
+        sq = np.einsum("ij,ij->i", vals, vals)
+        w = _quadrature_weights(s.size, s[1] - s[0])
+        return float(sq[-1]) + float(w @ (np.exp(mu * s) * sq))
+    return evaluate
+
+
+def _old_evaluate(V):
+    """The per-segment evaluation of a built-in functional before stacks."""
+    if V.kind == "weighted_sup":
+        return _old_weighted_sup(V.param)
+    if V.kind == "quadratic_integral":
+        return _old_quadratic_integral(V.param)
+    return lambda seg: space_norm(seg, V.param)
+
+
+def _old_read_dini(V, x, traj):
+    """One validated Segment and one evaluation per rung."""
+    r = traj.system.delay_r
+    hs = lyapunov._dini_steps(r)
+    v0 = V.evaluate(x)
+    s, vals, ders = _segment_nodes(traj, hs, x.n_nodes)
+    quotients = []
+    for hk, v, d in zip(hs, vals, ders):
+        seg = Segment(r, s, v, d)
+        quotients.append((float(hk), (V.evaluate(seg) - v0) / float(hk)))
+    tail = [q for _, q in quotients[-3:]]
+    q_prev, q_last = quotients[-2][1], quotients[-1][1]
+    scale = max(abs(q_prev), abs(q_last), 1e-9 * (1.0 + v0))
+    return DiniEstimate(quotients=tuple(quotients),
+                        estimate=float(max(tail)),
+                        trend=bool(abs(q_last - q_prev) > 0.1 * scale))
+
+
+def _old_prolonged_weighted_sup(x, f, h, lam):
+    s, vals, _ = x.refined()
+    r = x.delay_r
+    keep = s >= -r + h - 1e-15 * r
+    cand = -math.inf
+    if np.any(keep):
+        cand = float((np.exp(lam * (s[keep] - h))
+                      * np.sqrt(np.einsum("ij,ij->i", vals[keep],
+                                          vals[keep]))).max())
+    ss = np.linspace(-h, 0.0, 17)
+    tail = x.values[-1][None, :] + (ss + h)[:, None] * f[None, :]
+    cand_tail = float((np.exp(lam * ss)
+                       * np.sqrt(np.einsum("ij,ij->i", tail, tail))).max())
+    return max(cand, cand_tail)
+
+
+def _old_growth_quotient(U, x, f, h):
+    """One rung, U(x) evaluated afresh."""
+    lam = lyapunov._weighted_kind(U)
+    up = U.evaluate(prolong(x, f, h)) if lam is None \
+        else _old_prolonged_weighted_sup(x, f, h, lam)
+    return (up - U.evaluate(x)) / h
+
+
+BUILT_IN = [weighted_sup(-0.5), weighted_sup(0.0), weighted_sup(1.0),
+            quadratic_integral(0.5), quadratic_integral(-1.0),
+            space_norm_functional(SUP),
+            space_norm_functional(SpaceSpec.sobolev(2.0)),
+            space_norm_functional(SpaceSpec.hoelder(0.5))]
+VECTOR2 = make_system("linear_vector", 0.7,
+                      {"A0": [[-1.0, 0.2], [0.1, -0.8]],
+                       "A1": [[0.1, 0.0], [0.2, -0.1]]})
+
+
+def _histories(n, count, r=0.7, family="fourier", order=3):
+    cfg = SamplerConfig(family=family, order=order, target_space=SUP,
+                        target_norm=1.0, dimension=n, delay_r=r, seed=5,
+                        n_nodes=65)
+    return [sample_one(cfg, i) for i in range(count)]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("V", BUILT_IN, ids=lambda V: V.name)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("K", [1, 7])
+def test_stacked_functional_is_the_single_evaluation_bitwise(V, n, K):
+    """A stack of K segments gives, row by row, the per-segment value of
+    the code it replaced, and evaluate is its batch of one."""
+    xs = _histories(n, K)
+    stack = lyapunov._stacked(V)(
+        xs[0].delay_r, xs[0].nodes, np.stack([x.values for x in xs]),
+        np.stack([x.derivs for x in xs]))
+    assert stack.shape == (K,)
+    assert _bits(stack) == _bits([_old_evaluate(V)(x) for x in xs])
+    assert _bits(stack) == _bits([V.evaluate(x) for x in xs])
+
+
+def test_custom_functional_is_read_one_segment_at_a_time():
+    calls = []
+    base = weighted_sup(1.0)
+
+    def doubled(seg):
+        calls.append(seg)
+        return 2.0 * base.evaluate(seg)
+
+    xs = _histories(2, 3)
+    V = Functional("doubled", doubled)
+    stack = lyapunov._stacked(V)(
+        xs[0].delay_r, xs[0].nodes, np.stack([x.values for x in xs]),
+        np.stack([x.derivs for x in xs]))
+    assert len(calls) == 3 and all(isinstance(c, Segment) for c in calls)
+    assert _bits(stack) == _bits([2.0 * base.evaluate(x) for x in xs])
+
+
+DOUBLED = Functional("doubled", lambda s: 2.0 * weighted_sup(1.0).evaluate(s))
+
+
+def test_dini_rungs_as_one_stack_are_the_per_rung_ladder_bitwise():
+    hs = lyapunov._dini_steps(0.7)
+    for sys, n in ((linear(0.7, -1.0, 0.3), 1), (VECTOR2, 2)):
+        for x in _histories(n, 3) + _histories(n, 2, family="polynomial",
+                                                order=2):
+            ladder = simulate(sys, x, float(hs[0]), hs[-1] / 2.0)
+            for V in BUILT_IN + [DOUBLED]:
+                assert repr(lyapunov._read_dini(V, x, V.evaluate(x), ladder)) \
+                    == repr(_old_read_dini(V, x, ladder)), V.name
+
+
+@pytest.mark.parametrize("U", BUILT_IN + [DOUBLED], ids=lambda U: U.name)
+def test_growth_quotients_of_all_rungs_are_the_per_rung_quotients(U):
+    """All rungs of a sample in one call, from the known U(x0), give the
+    old one-rung quotients in every bit: weighted sups through the shared
+    prolongation grid, the other functionals on stacked prolongations."""
+    hs = lyapunov._dini_steps(0.7)
+    for sys, n in ((linear(0.7, 0.0, 1.0), 1), (VECTOR2, 2)):
+        for x in _histories(n, 3) + _histories(n, 2, family="polynomial",
+                                                order=0):
+            f = np.asarray(sys.rhs(x), dtype=float)
+            got = lyapunov._growth_quotients(U, x, U.evaluate(x), f, hs)
+            want = [_old_growth_quotient(U, x, f, float(h)) for h in hs]
+            assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("V", BUILT_IN + [DOUBLED], ids=lambda V: V.name)
+def test_functional_track_is_the_per_time_evaluation_bitwise(monkeypatch,
+                                                              V):
+    """A functional track reads chunks of report times as stacks; with one
+    time a chunk or all of them, each value is the old per-segment
+    evaluation of segment_at(traj, t), and +inf past an escape."""
+    grid = np.concatenate([np.linspace(0.0, 0.7, 9),
+                           np.linspace(0.8, 3.0, 23)])
+    cases = [(linear(0.7, -1.0, 0.3), _histories(1, 1)[0], 2.5),
+             (VECTOR2, _histories(2, 1)[0], 2.5),
+             (make_system("quadratic", 0.7, {"c": 1.0}),
+              Segment.constant(0.7, np.array([2.0]), 65), 2.5)]
+    evaluate = V.evaluate if V is DOUBLED else _old_evaluate(V)
+    for sys, x0, T in cases:
+        traj = simulate(sys, x0, T, 0.007)
+        covered = grid[:checkers._covered(traj, grid)]
+        assert 0 < covered.size < grid.size  # past the end: +inf
+        want = [evaluate(segment_at(traj, float(t), n_nodes=65))
+                for t in covered] + [math.inf] * (grid.size - covered.size)
+        lam = lyapunov._weighted_kind(V)
+        # one time a chunk, 5 (2 for n = 2), and all of them
+        for chunk_bytes in (1, 5 * 64 * 513, 10**12):
+            monkeypatch.setattr(dde, "BLOCK_BYTES", chunk_bytes)
+            got = lyapunov._functional_track(V, traj, grid, 65)
+            if lam is None:
+                assert _bits(got) == _bits(want)
+            else:  # the window max reads the shared candidate set
+                assert _bits(got) == _bits(
+                    checkers._track(traj, grid, 65, None, lam))
+
+
+def test_quadratic_certificate_equals_the_per_time_oracle(monkeypatch):
+    """check_exponential_certificate with a quadratic_integral V takes the
+    stacked track of _track without lam; its report is the one built
+    with the old per-time segment_at loop."""
+    sys = linear(1.0, -1.0, 0.0)
+    args = (sys, quadratic_integral(2.0), MonotoneGridFn.linear(1e-3),
+            MonotoneGridFn.linear(2.0), SUP, 4, 3.0)
+    got = check_exponential_certificate(*args, seed=0, grid_points=30)
+    assert got.verdict == "consistent"
+    assert got.margins["worst_decay_ratio"] > 0.9
+
+    def per_time(V, traj, times, n_nodes):
+        out = np.full(len(times), np.inf)
+        for k in range(checkers._covered(traj, times)):
+            seg = segment_at(traj, float(times[k]), n_nodes=n_nodes)
+            out[k] = _old_quadratic_integral(V.param)(seg)
+        return out
+
+    monkeypatch.setattr(lyapunov, "_functional_track", per_time)
+    want = check_exponential_certificate(*args, seed=0, grid_points=30)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def _count_draws(monkeypatch):
+    """Count the sample draws of the checks by index, wherever they are
+    drawn (the shared checkers._samples or lyapunov itself)."""
+    drawn = []
+    real = sampler.sample_one
+
+    def counting(cfg, index):
+        drawn.append(index)
+        return real(cfg, index)
+
+    monkeypatch.setattr(checkers, "sample_one", counting)
+    monkeypatch.setattr(lyapunov, "sample_one", counting)
+    return drawn
+
+
+E_INV = math.exp(-1.0)
+# the reports of the four checks below, as they were when every pass drew
+# its own samples
+GROWTH_BELOW = {
+    "property": "growth_certificate", "space": {"kind": "sup"},
+    "verdict": "consistent", "witness": None,
+    "margins": {"worst_quotient_excess": -0.23273397838968862,
+                "worst_trajectory_ratio": 0.742355144447584},
+    "sample_budget": {"samples": 6, "trajectories": 3},
+    "details": {"mu": 2.718281828459045, "T": 2.0}}
+GROWTH_EQUAL = {
+    "property": "growth_certificate", "space": {"kind": "sup"},
+    "verdict": "consistent", "witness": None,
+    "margins": {"worst_quotient_excess": -1.946439092497215,
+                "worst_trajectory_ratio": 0.678191233505411},
+    "sample_budget": {"samples": 4, "trajectories": 4},
+    "details": {"mu": 2.718281828459045, "T": 2.0}}
+DISSIPATION_BELOW = {
+    "property": "pointwise_dissipation", "space": {"kind": "sup"},
+    "verdict": "consistent", "witness": None,
+    "margins": {"worst_dini_excess": -0.05744034166467685,
+                "worst_integral_excess": -0.09664931716120263},
+    "sample_budget": {"samples": 5, "integral_trajectories": 2},
+    "details": {"T": 2.0}}
+DISSIPATION_ABOVE = {
+    "property": "pointwise_dissipation", "space": {"kind": "sup"},
+    "verdict": "consistent", "witness": None,
+    "margins": {"worst_dini_excess": -0.24663861652856958,
+                "worst_integral_excess": -0.021440838195619427},
+    "sample_budget": {"samples": 3, "integral_trajectories": 5},
+    "details": {"T": 2.0}}
+
+
+def test_growth_check_draws_each_sample_once(monkeypatch):
+    drawn = _count_draws(monkeypatch)
+    sys = linear(1.0, 0.0, 1.0)
+    rep = check_growth_certificate(
+        sys, weighted_sup(1.0), MonotoneGridFn.linear(E_INV), math.e, 6,
+        traj_check=3, T=2.0, seed=0)
+    assert drawn == list(range(6))
+    assert rep.to_json_dict() == GROWTH_BELOW
+    drawn.clear()
+    rep = check_growth_certificate(
+        sys, space_norm_functional(SUP), MonotoneGridFn.linear(1.0), math.e,
+        4, traj_check=4, T=2.0, seed=0)
+    assert drawn == list(range(4))
+    assert rep.to_json_dict() == GROWTH_EQUAL
+
+
+def test_dissipation_check_draws_each_sample_once(monkeypatch):
+    drawn = _count_draws(monkeypatch)
+    sys = linear(1.0, -1.0, 0.0)
+    args = (sys, weighted_sup(1.0), MonotoneGridFn.linear(E_INV),
+            MonotoneGridFn.linear(1.0), scaled_abs_rate(E_INV), SUP)
+    rep = check_pointwise_dissipation(*args, 5, integral_trajectories=2,
+                                      seed=0)
+    assert drawn == list(range(5))
+    assert rep.to_json_dict() == DISSIPATION_BELOW
+    drawn.clear()
+    rep = check_pointwise_dissipation(*args, 3, integral_trajectories=5,
+                                      seed=0)
+    assert drawn == list(range(5))
+    assert rep.to_json_dict() == DISSIPATION_ABOVE

@@ -41,23 +41,39 @@ def test_every_integration_goes_through_one_path():
                                     ("cli", "cmd_simulate")}
 
 
+def _referrers(name: str) -> set:
+    """(module, top-level function) pairs whose code names `name` as a
+    value, called or passed on."""
+    found = set()
+    for path in sorted(Path(delaystab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            where = getattr(top, "name", "<module>")
+            if any(isinstance(node, ast.Name) and node.id == name
+                   for node in ast.walk(top)):
+                found.add((path.stem, where))
+    return found
+
+
 def test_norm_tracks_read_stacked_segments():
-    """Norm tracks, pair distances and Dini ladders read the segments x_t
-    of many times as one stack (dde._segment_nodes), and tracks and pair
-    distances take their norms across it (segment._norms); the
-    per-segment segment_at and space_norm are left to single segments,
-    of which they are the batches of one."""
+    """Norm and functional tracks, pair distances and Dini ladders read
+    the segments x_t of many times as one stack (dde._segment_nodes), and
+    tracks and pair distances take their norms across it (segment._norms);
+    the per-segment segment_at and space_norm are left to single
+    segments, of which they are the batches of one."""
     assert _callers("_segment_nodes") == {("dde", "segment_at"),
                                           ("checkers", "_segment_stacks"),
                                           ("lyapunov", "_read_dini")}
-    assert _callers("_segment_stacks") == {("checkers", "_norm_track"),
+    # every track that is no window max reads chunks of stacked segments
+    assert _callers("_segment_stacks") == {("checkers", "_track"),
                                            ("checkers", "verify_pair_bounds")}
     assert _callers("_norms") == {("segment", "space_norm"),
-                                  ("checkers", "_norm_track"),
                                   ("checkers", "verify_pair_bounds")}
-    # _track reads segments only for functionals that are no space norm
-    assert _callers("segment_at") == {("checkers", "_track"),
-                                      ("cli", "cmd_simulate")}
+    # norm tracks and space-norm functionals hand _norms to the track
+    assert _referrers("_norms") - _callers("_norms") == {
+        ("checkers", "_norm_track"), ("lyapunov", "_stacked")}
+    # no track reads its segments one time at a time
+    assert _callers("segment_at") == {("cli", "cmd_simulate")}
     assert _callers("space_norm") == {
         ("checkers", "verify_pair_bounds"),  # the initial distance only
         ("cli", "cmd_norms"), ("cli", "cmd_simulate"),
