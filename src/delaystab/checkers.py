@@ -20,15 +20,15 @@ ceiling shell in the radius argument, step-left in the time argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dde import DelaySystem, Trajectory, _block_members, _segment_chunk, \
-    _segment_nodes, simulate_many
+from .dde import DelaySystem, Trajectory, _block_members, _row_counts, \
+    _Rows, _segment_chunk, _segment_nodes, simulate_many
 from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
 from .sampler import SamplerConfig, sample_one
 from .segment import DEFAULT_REFINE, ParameterError, Segment, SpaceSpec, \
@@ -131,14 +131,14 @@ def _json_safe(v):
 # -- norm tracking -----------------------------------------------------
 
 
-def _covered(traj: Trajectory, times) -> int:
+def _covered(traj: Trajectory | _Rows, times) -> int:
     """How many leading times lie in the covered range (up to escape)."""
     tol = 1e-12 * max(traj.system.delay_r, 1.0)
     past = np.flatnonzero(np.asarray(times) > traj.end_time + tol)
     return int(past[0]) if past.size else len(times)
 
 
-def _segment_stacks(traj: Trajectory, times, seg_nodes: int):
+def _segment_stacks(traj: Trajectory | _Rows, times, seg_nodes: int):
     """Yield (lo, s, values, derivs): the node data of the segments x_t
     at times[lo:lo + K], stacked (K, seg_nodes, n), K times at a time as
     dde._segment_chunk allows."""
@@ -148,16 +148,17 @@ def _segment_stacks(traj: Trajectory, times, seg_nodes: int):
         yield (lo, *_segment_nodes(traj, times[lo:lo + size], seg_nodes))
 
 
-def _track(traj: Trajectory, times, seg_nodes: int,
+def _track(traj: Trajectory | _Rows, times, seg_nodes: int | None,
            evaluate: Callable[..., np.ndarray] | None,
            lam: float | None = None) -> np.ndarray:
     """A functional of the history segment x_t at each time.
 
     Times past the covered end (escape) give +inf.  Without lam, evaluate
     takes stacked segments, (r, nodes, values, derivs) with node data
-    (K, seg_nodes, n), to K values, and the track reads a chunk of times
-    at a time through _segment_stacks (each row bitwise segment_at), so
-    each value is evaluate of x_t alone whatever the chunk size.
+    (K, seg_nodes, n), to K values (or K arrays of one shape), and the
+    track reads a chunk of times at a time through _segment_stacks (each
+    row bitwise segment_at), so each value is evaluate of x_t alone
+    whatever the chunk size.
 
     With lam the value is the window max of e^(lam s)|x_t(s)|, taken over
     one candidate set that every time shares: the initial segment's
@@ -174,24 +175,43 @@ def _track(traj: Trajectory, times, seg_nodes: int,
     long horizon where e^(lam u) overflows or its product with |x(u)|
     underflows, is weighted relative to its own time, as
     e^(lam (u - t))|x(u)|, which is e^(lam s)|x_t(s)| itself.
+
+    traj may be a piece of a trajectory's rows (dde._Rows) that holds
+    every row the times read: from the first row of each window (later
+    pieces start past the history) to the right node of the time's cell.
+    Every value is then bitwise that of the whole trajectory: the reads
+    of the cells gather fresh rows, and the window max takes the norms
+    of a contiguous copy of the piece's strided rows.
     """
     r = traj.system.delay_r
-    out = np.full(len(times), np.inf)
     covered = _covered(traj, times)
     t = np.asarray(times[:covered], dtype=float)
     if lam is None:
-        for lo, s, vals, ders in _segment_stacks(traj, t, seg_nodes):
-            out[lo:lo + len(vals)] = evaluate(r, s, vals, ders)
+        parts = [evaluate(r, s, vals, ders)
+                 for _, s, vals, ders in _segment_stacks(traj, t, seg_nodes)]
+        if not parts:
+            return np.full(len(times), np.inf)
+        got = np.concatenate(parts)
+        out = np.full((len(times),) + got.shape[1:], np.inf)
+        out[:covered] = got
         return out
-    s, vals, _ = traj.initial.refined(DEFAULT_REFINE)
-    u = np.concatenate([s, traj.forward_times[1:]])
-    mags = np.concatenate([_euclid(vals), _euclid(traj.forward_values[1:])])
+    out = np.full(len(times), np.inf)
+    ft, fv = traj.forward_times, np.ascontiguousarray(traj.forward_values)
+    if traj.first_row == 0:
+        # the history read shared with the functionals of x0, if any; an
+        # ensemble's block of histories keeps no reads of its own
+        s, vals = traj.initial._refined_values(DEFAULT_REFINE)
+        u = np.concatenate([s, ft[1:]])
+        mags = np.concatenate([_euclid(vals), _euclid(fv[1:])])
+    else:
+        u, mags = ft, _euclid(fv)
     lo = np.searchsorted(u, t - r - 1e-15 * r, side="left")
     hi = np.searchsorted(u, t + 1e-15 * np.maximum(r, np.abs(t)),
                          side="right")
     # every window holds a node: it is r long and no gap of the candidate
-    # set (a refined history cell, a solver step) exceeds r / 10
-    assert np.all(lo < hi)
+    # set (a refined history cell, a solver step) exceeds r / 10; in a
+    # later piece every window starts past its first row
+    assert np.all(lo < hi) and (traj.first_row == 0 or np.all(lo > 0))
     near = abs(lam) * np.maximum(t, r) < 708.0
     if np.any(near):
         top = int(hi[near].max())
@@ -214,15 +234,38 @@ def _track(traj: Trajectory, times, seg_nodes: int,
     return out
 
 
-def _norm_track(traj: Trajectory, space: SpaceSpec, grid: np.ndarray,
-                seg_nodes: int) -> np.ndarray:
-    """Report-space norm of x_t at each grid time; +inf past the covered
-    end.  Sup is the lam = 0 window max of _track; the other spaces are
-    its stacked track with segment._norms, each value bitwise
+class _Read(NamedTuple):
+    """One track an ensemble takes of each member: _track(traj, times,
+    seg_nodes, evaluate, lam), with times nondecreasing.  With times None
+    it is evaluate of the forward rows, (m, n) to m values, one a mesh
+    node.  A value is width floats (evaluate's shape past the first axis),
+    which the ensemble counts against the block's memory."""
+
+    times: np.ndarray | None
+    seg_nodes: int | None
+    evaluate: Callable | None
+    lam: float | None = None
+    width: int = 1
+
+    def track(self, traj: Trajectory | _Rows) -> np.ndarray:
+        """The track of a whole trajectory, or of a piece of its rows."""
+        return _track(traj, self.times, self.seg_nodes, self.evaluate,
+                      self.lam)
+
+    def held(self, rows: int) -> int:
+        """Bytes the track keeps of a member whose mesh has rows nodes."""
+        return 8 * self.width * (rows if self.times is None
+                                 else self.times.size)
+
+
+def _norm_read(space: SpaceSpec, grid: np.ndarray, seg_nodes: int) -> _Read:
+    """The report-space norm of x_t at each grid time; +inf past the
+    covered end.  Sup is the lam = 0 window max of _track; the other
+    spaces are its stacked track with segment._norms, each value bitwise
     space_norm(segment_at(traj, t, seg_nodes), space)."""
     if space.kind == "sup":
-        return _track(traj, grid, seg_nodes, None, 0.0)
-    return _track(traj, grid, seg_nodes, partial(_norms, space=space))
+        return _Read(grid, seg_nodes, None, 0.0)
+    return _Read(grid, seg_nodes, partial(_norms, space=space))
 
 
 def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,
@@ -232,30 +275,97 @@ def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,
                          delay_r=sys.delay_r, seed=seed, n_nodes=n_nodes)
 
 
-def _ensemble(sys: DelaySystem, x0s, T: float, h: float):
-    """Yield (x0, traj) per history x0 of the iterable x0s: x0 integrated
-    over [0, T], in the order of x0s.
+class _Run(NamedTuple):
+    """One history of an ensemble: its escape, if any, and its reads."""
+
+    x0: Segment
+    escaped: bool
+    escape_time: float | None
+    tracks: list
+
+
+class _Reader:
+    """The reads of one member, taken piece by piece as its rows settle.
+
+    A piece that is not the member's last reads the times whose cell,
+    int(t / h), ends at or before its last row; the final piece reads
+    the rest, +inf past the end.  Window maxima and stacked norms are
+    exact per time, so each value is bitwise that of the whole trajectory.
+    A row read takes each row once, and its values are one array at the
+    end.
+    """
+
+    def __init__(self, reads: list):
+        self.reads = reads
+        self.done = [0] * len(reads)
+        self.parts = [[] for _ in reads]
+        self.tracks = [None] * len(reads)
+        self.escape_time = None
+
+    def __call__(self, rows: _Rows):
+        last = rows.first_row + rows.forward_times.size - 1
+        for q, read in enumerate(self.reads):
+            done = self.done[q]
+            if read.times is None:
+                self.parts[q].append(read.evaluate(
+                    rows.forward_values[done - rows.first_row:]))
+                self.done[q] = last + 1
+                if rows.final:
+                    self.tracks[q] = np.concatenate(self.parts[q])
+                continue
+            times = read.times
+            stop = times.size if rows.final else done + int(np.count_nonzero(
+                (times[done:] / rows.step_h).astype(int) < last))
+            if stop == done:
+                continue
+            got = read._replace(times=times[done:stop]).track(rows)
+            if self.tracks[q] is None:
+                self.tracks[q] = np.full((times.size,) + got.shape[1:],
+                                         np.inf)
+            # past the end a node-stack read is +inf in every entry
+            self.tracks[q][done:stop] = got.reshape(
+                got.shape + (1,) * (self.tracks[q].ndim - got.ndim))
+            self.done[q] = stop
+        if rows.final:
+            self.escape_time = rows.escape_time
+            for q, read in enumerate(self.reads):
+                if self.tracks[q] is None:
+                    self.tracks[q] = np.full(read.times.size, np.inf)
+
+
+def _ensemble(sys: DelaySystem, x0s, T: float, h: float, reads: list,
+              every: bool = False):
+    """Yield a _Run per history x0 of the iterable x0s, in their order:
+    x0 integrated over [0, T], its escape, and one array per read of
+    reads (see _Read).
 
     Every integration of sampled histories goes through here: the
     checkers' ensembles, the `ls` bisection probes and the Dini ladders
     of the dissipation certificate.  The histories are drawn from x0s and
-    integrated a block at a time, as many as fit dde.BLOCK_BYTES of dense
-    output.  Lazy per block, so a caller that stops at its first
-    counterexample neither draws nor integrates anything past its block.
-    Each trajectory is yielded as a copy and nothing here keeps what was
-    yielded, so once the last one is yielded nothing holds the block
-    before the next one is integrated.
+    integrated a block at a time, as many as their windows of dense
+    output fit dde.BLOCK_BYTES together with what their reads keep
+    (dde._block_members), and each member's reads are taken from its rows
+    chunk by chunk as they settle, so no whole trajectory is held.  A
+    horizon that fits one window is one chunk.  Lazy per block, so a
+    caller that stops at its first counterexample neither draws nor
+    integrates anything past its block.  Such a caller's first block holds
+    only as many histories as whole horizons fit, one chunk, so an early
+    counterexample costs no more than that; the blocks after it, and every
+    block of a caller that reads every history (every), are as wide as
+    their windows allow.
     """
     x0s = iter(x0s)
-    size = _block_members(sys, T, h)
+    held = sum(read.held(_row_counts(sys, T, h)[0]) for read in reads)
+    wide = _block_members(sys, T, h, held)
+    size = wide if every else _block_members(sys, T, h, held, whole=True)
     while block := list(islice(x0s, size)):
-        trajs = simulate_many(sys, block, T, h)[::-1]
-        while trajs:
-            traj = trajs.pop()
-            yield traj.initial, replace(
-                traj, times=traj.times.copy(), values=traj.values.copy(),
-                derivs=traj.derivs.copy())
-            del traj
+        readers = [_Reader(reads) for _ in block]
+        simulate_many(sys, block, T, h, held=held,
+                      take=lambda b, rows: readers[b](rows))
+        for x0, got in zip(block, readers):
+            yield _Run(x0, got.escape_time is not None, got.escape_time,
+                       got.tracks)
+        size = wide
 
 
 def _samples(cfg: SamplerConfig, count: int):
@@ -423,8 +533,9 @@ def _shell_plan(rho_max: float, shells: int, budget: int
 
 def _shell_runs(sys: DelaySystem, space: SpaceSpec, s_grid: np.ndarray,
                 counts: np.ndarray, T: float, h: float, family: str,
-                order: int, seed: int, n_nodes: int):
-    """Yield (j, cfg, i, x0, traj) for every sample of every shell j.
+                order: int, seed: int, n_nodes: int, reads: list):
+    """Yield (j, cfg, i, run) for every sample of every shell j, run the
+    sample's _Run with its reads.
 
     Shell j draws from the annulus between radii s_grid[j-1] and s_grid[j]
     of the `space` ball.  The samples of all shells share the blocks.
@@ -436,8 +547,9 @@ def _shell_runs(sys: DelaySystem, space: SpaceSpec, s_grid: np.ndarray,
                         seed, n_nodes).with_shell(lo_frac, j)
         labels += [(j, cfg, i) for i in range(int(counts[j]))]
         x0s.append(_samples(cfg, int(counts[j])))
-    for label, run in zip(labels, _ensemble(sys, chain(*x0s), T, h)):
-        yield (*label, *run)
+    runs = _ensemble(sys, chain(*x0s), T, h, reads, every=True)
+    for label, run in zip(labels, runs):
+        yield (*label, run)
 
 
 def _close_envelope(s_grid: np.ndarray, t_grid: np.ndarray, raw: np.ndarray,
@@ -488,11 +600,11 @@ def fit_kl_envelope(sys: DelaySystem, space: SpaceSpec, rho_max: float,
     if report_space is None:
         report_space = space
     raw = np.full((shells, t_grid.size), -np.inf)
-    for j, _, _, _, traj in _shell_runs(sys, space, s_grid, counts,
-                                        float(t_grid[-1]), h, family, order,
-                                        seed, n_nodes):
-        raw[j] = np.maximum(raw[j],
-                            _norm_track(traj, report_space, t_grid, n_nodes))
+    read = _norm_read(report_space, t_grid, n_nodes)
+    for j, _, _, run in _shell_runs(sys, space, s_grid, counts,
+                                    float(t_grid[-1]), h, family, order,
+                                    seed, n_nodes, [read]):
+        raw[j] = np.maximum(raw[j], run.tracks[0])
     return _close_envelope(s_grid, t_grid, raw, counts)
 
 
@@ -571,14 +683,14 @@ def check_rfc(sys: DelaySystem, space: SpaceSpec, rho: float, T: float,
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     sup = 0.0
     escapes = []
-    runs = _ensemble(sys, _samples(cfg, budget), T, h)
-    for i, (x0, traj) in enumerate(runs):
-        track = _norm_track(traj, space, grid, n_nodes)
+    runs = _ensemble(sys, _samples(cfg, budget), T, h,
+                     [_norm_read(space, grid, n_nodes)], every=True)
+    for i, (x0, escaped, escape_time, (track,)) in enumerate(runs):
         finite = track[np.isfinite(track)]
         if finite.size:
             sup = max(sup, float(finite.max()))
-        if traj.escaped:
-            escapes.append((traj.escape_time, i, x0))
+        if escaped:
+            escapes.append((escape_time, i, x0))
     margins = {"sup": sup, "escape_count": float(len(escapes))}
     budgets = {"samples": budget}
     if escapes:
@@ -602,15 +714,15 @@ def check_lags(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int, *,
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     peak = np.full(grid.size, 0.0)
-    runs = _ensemble(sys, _samples(cfg, budget), horizon, h)
-    for i, (x0, traj) in enumerate(runs):
-        track = _norm_track(traj, space, grid, n_nodes)
-        if traj.escaped:
-            wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
+    runs = _ensemble(sys, _samples(cfg, budget), horizon, h,
+                     [_norm_read(space, grid, n_nodes)])
+    for i, (x0, escaped, escape_time, (track,)) in enumerate(runs):
+        if escaped:
+            wit = _witness(cfg, i, x0, escape_time, math.inf)
             return StabilityReport(
                 "lags", space, "falsified", wit,
                 {"sup": math.inf}, {"samples": budget},
-                {"escape_time": traj.escape_time})
+                {"escape_time": escape_time})
         peak = np.maximum(peak, track)
     running = np.maximum.accumulate(peak)
     sup = float(running[-1])
@@ -648,11 +760,12 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, 1.0, family, order, seed, n_nodes)
     base = list(_samples(cfg, budget))
+    reads = [_norm_read(space, grid, n_nodes)]
 
     def probe(delta: float, eps: float):
-        runs = _ensemble(sys, (delta * seg for seg in base), horizon, h)
-        for i, (_, traj) in enumerate(runs):
-            track = _norm_track(traj, space, grid, n_nodes)
+        runs = _ensemble(sys, (delta * seg for seg in base), horizon, h,
+                         reads)
+        for i, (_, _, _, (track,)) in enumerate(runs):
             bad = np.nonzero(track > eps * (1.0 + _REL_TOL))[0]
             if bad.size:
                 k = int(bad[0])
@@ -715,9 +828,9 @@ def check_ga(sys: DelaySystem, space: SpaceSpec, rho: float, eps: float,
     q = 3 * grid.size // 4
     worst_end = 0.0
     undecided = False
-    runs = _ensemble(sys, _samples(cfg, budget), horizon, h)
-    for i, (x0, traj) in enumerate(runs):
-        track = _norm_track(traj, space, grid, n_nodes)
+    runs = _ensemble(sys, _samples(cfg, budget), horizon, h,
+                     [_norm_read(space, grid, n_nodes)])
+    for i, (x0, _, _, (track,)) in enumerate(runs):
         tail = track[q:]
         worst_end = max(worst_end, float(track[-1]))
         if np.all(tail <= eps * (1.0 + _REL_TOL)):
@@ -755,14 +868,15 @@ def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
     peak = np.zeros(grid.size)
-    runs = _ensemble(sys, _samples(cfg, budget), horizon, h)
-    for i, (x0, traj) in enumerate(runs):
-        if traj.escaped:
-            wit = _witness(cfg, i, x0, traj.escape_time, math.inf)
+    runs = _ensemble(sys, _samples(cfg, budget), horizon, h,
+                     [_norm_read(space, grid, n_nodes)])
+    for i, (x0, escaped, escape_time, (track,)) in enumerate(runs):
+        if escaped:
+            wit = _witness(cfg, i, x0, escape_time, math.inf)
             return StabilityReport(
                 "uga", space, "falsified", wit, {"eps": eps, "rho": rho},
-                {"samples": budget}, {"escape_time": traj.escape_time})
-        peak = np.maximum(peak, _norm_track(traj, space, grid, n_nodes))
+                {"samples": budget}, {"escape_time": escape_time})
+        peak = np.maximum(peak, track)
     suffix = np.maximum.accumulate(peak[::-1])[::-1]
     ok = np.nonzero(suffix <= eps * (1.0 + _REL_TOL))[0]
     budgets = {"samples": budget}
@@ -805,10 +919,16 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
     sup_space = SpaceSpec.sup()
     worst_sup = 0.0
     worst_full = 0.0
-    runs = enumerate(_ensemble(sys, _samples(cfg, 2 * pairs), T, h))
-    for (i, (x0, tx)), (k, (y0, ty)) in zip(runs, runs):
-        escapes = [(tr.escape_time, j, z0)
-                   for j, z0, tr in ((i, x0, tx), (k, y0, ty)) if tr.escaped]
+    # each member's node values and slopes of x_t at the grid times
+    nodes = _Read(grid, n_nodes, lambda r, s, v, d: np.stack((v, d), axis=1),
+                  width=2 * n_nodes * sys.dimension)
+    s = np.linspace(-r, 0.0, n_nodes)
+    size = _segment_chunk(n_nodes, sys.dimension)
+    runs = enumerate(_ensemble(sys, _samples(cfg, 2 * pairs), T, h, [nodes]))
+    for (i, run_x), (k, run_y) in zip(runs, runs):
+        x0, y0 = run_x.x0, run_y.x0
+        escapes = [(run.escape_time, j, run.x0)
+                   for j, run in ((i, run_x), (k, run_y)) if run.escaped]
         if escapes:
             e_time, j, z0 = min(escapes)
             wit = _witness(cfg, j, z0, e_time, math.inf)
@@ -821,10 +941,9 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
         # an infinite factor on a zero distance still bounds by 0
         lim_sup = growth * d0_sup if d0_sup else 0.0
         lim_full = M * d0_full if d0_full else 0.0
-        stacks = zip(_segment_stacks(tx, grid, n_nodes),
-                     _segment_stacks(ty, grid, n_nodes))
-        for (lo, s, vx, dx), (_, _, vy, dy) in stacks:
-            diff = (r, s, vx - vy, dx - dy)
+        gap = run_x.tracks[0] - run_y.tracks[0]
+        for lo in range(0, grid.size, size):
+            diff = (r, s, gap[lo:lo + size, 0], gap[lo:lo + size, 1])
             for t, d_sup, d_full in zip(grid[lo:],
                                         _norms(*diff, sup_space).tolist(),
                                         _norms(*diff, space).tolist()):
@@ -873,12 +992,14 @@ def check_envelope_lift(sys: DelaySystem, space: SpaceSpec, rho_max: float,
     sup_space = SpaceSpec.sup()
     raw = np.full((shells, grid.size), -np.inf)
     runs = []
-    for j, cfg, i, x0, traj in _shell_runs(sys, space, s_grid, counts,
-                                           float(grid[-1]), h, family, order,
-                                           seed, n_nodes):
-        raw[j] = np.maximum(raw[j],
-                            _norm_track(traj, sup_space, grid, n_nodes))
-        runs.append((j, cfg, i, x0, _norm_track(traj, space, grid, n_nodes)))
+    reads = [_norm_read(sup_space, grid, n_nodes),
+             _norm_read(space, grid, n_nodes)]
+    for j, cfg, i, run in _shell_runs(sys, space, s_grid, counts,
+                                      float(grid[-1]), h, family, order,
+                                      seed, n_nodes, reads):
+        sup_track, track = run.tracks
+        raw[j] = np.maximum(raw[j], sup_track)
+        runs.append((j, cfg, i, run.x0, track))
     env = _close_envelope(s_grid, grid, raw, counts)
     lifted = lift_sup_envelope(env, r, _exponent_of(space), lipschitz_modulus)
     worst = 0.0

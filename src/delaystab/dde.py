@@ -36,21 +36,39 @@ the last step: a member that fails inside the interval steps on, on its
 own rows, until the test, which finds its first failing step, so its
 kept rows and escape time are those of a test after every step.
 
-Ensembles integrate in memory-bounded blocks: a block holds the most
-histories whose dense output (values plus derivatives, 16 n (steps + 1)
-bytes per member) fits :data:`BLOCK_BYTES`, and at least one.
+The block's dense output is one time-major buffer, (rows, B, n): a window
+of forward rows, each read at its absolute cell index and fraction
+(j = int(u / h)) less the window's first row.  The method of steps only
+reads x back one delay, so a window needs the last delay interval plus
+the rows being built.  :func:`simulate_many` hands each member's settled
+rows on as ``_Rows`` pieces, after each chunk's escape test; a window that
+spans the horizon hands on one piece per member, and :func:`simulate` and
+:func:`simulate_many` return it as a whole :class:`Trajectory`.
+
+Ensembles integrate in memory-bounded blocks (``_block_members``): a
+block holds the most histories whose smallest windows, two delay
+intervals and three rows (16 n bytes a row, values plus derivatives),
+fit :data:`BLOCK_BYTES` together with the bytes that each member's reads
+keep until the block ends, and at least one; a horizon shorter than that
+is one window.  The members of a block then share BLOCK_BYTES: each
+window holds (BLOCK_BYTES // B - held) // (16 n) rows (``_window_rows``),
+and the rows past the kept delay interval are one chunk, a whole number
+of delay intervals.  A window that holds the horizon is a single chunk.
+A block sized by whole horizons instead (``whole``) is one chunk.
 
 Segments x_t are read the same way: ``_segment_nodes`` gathers the node
-values and slopes of x_t for many times t as one (K, N + 1, n) stack, and
-:func:`segment_at` is its batch of one.  Norm tracks read their times in
-chunks of the most whose refined values fit BLOCK_BYTES // 8
-(``_segment_chunk``), so the stacked norms stay memory-bounded too.
+values and slopes of x_t for many times t as one (K, N + 1, n) stack, from
+a whole trajectory or from a piece of its rows, and :func:`segment_at` is
+its batch of one.  Norm tracks read their times in chunks of the most
+whose refined values fit BLOCK_BYTES // 8 (``_segment_chunk``), so the
+stacked norms stay memory-bounded too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -104,10 +122,10 @@ class DelaySystem:
     its derivative: on a Segment the reads are (n,) and (m, n) and rhs
     returns (n,); on the integrator's block view they are (B, n) and
     (B, m, n) and rhs returns (B, n), row b depending on member b alone.
-    Blocks hold as many histories as fit BLOCK_BYTES of dense output
-    (16 n (steps + 1) bytes each).  lipschitz_modulus(R) bounds the sup-norm
-    Lipschitz constant of rhs on the R-ball.  Construction checks that the
-    zero segment is an equilibrium.
+    Blocks hold as many histories as their windows of dense output fit
+    in BLOCK_BYTES (see the module doc).  lipschitz_modulus(R) bounds the
+    sup-norm Lipschitz constant of rhs on the R-ball.  Construction checks
+    that the zero segment is an equilibrium.
     """
 
     name: str
@@ -283,7 +301,9 @@ class Trajectory:
 
     times runs from -r through the forward mesh; values/derivs align with
     it.  forward_start is the row index of t = 0.  The initial segment is
-    kept whole so history queries use its exact grid.
+    kept whole so history queries use its exact grid.  Its forward rows
+    start at forward node 0 (first_row), where a piece of them that the
+    integrator hands on (_Rows) starts later.
     """
 
     system: DelaySystem
@@ -295,6 +315,7 @@ class Trajectory:
     escaped: bool
     escape_time: float | None
     forward_start: int
+    first_row: ClassVar[int] = 0
 
     @property
     def end_time(self) -> float:
@@ -322,6 +343,44 @@ class Trajectory:
             fileobj.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """Forward nodes first_row, first_row + 1, ... of one member's
+    solution, as simulate_many hands them on: forward_times, _values and
+    _derivs indexed like a Trajectory's forward part, so that reads of
+    x_t take a piece as they take a Trajectory.  A read of x_t needs the
+    rows from t - r to its cell's right node.  The rows are views of the
+    block's window, (m, n) with a stride of B rows, valid until take
+    returns.  final marks a member's last piece: its solution ends at
+    end_time, at its escape_time if it escaped (else None)."""
+
+    system: DelaySystem
+    initial: Segment
+    step_h: float
+    first_row: int
+    forward_times: np.ndarray
+    forward_values: np.ndarray
+    forward_derivs: np.ndarray
+    final: bool
+    escape_time: float | None
+
+    @property
+    def end_time(self) -> float:
+        return float(self.forward_times[-1])
+
+
+def _trajectory(rows: _Rows) -> Trajectory:
+    """The whole trajectory of a member's one final piece (first_row 0)."""
+    x0 = rows.initial
+    return Trajectory(
+        system=rows.system, initial=x0,
+        times=np.concatenate([x0.nodes[:-1], rows.forward_times]),
+        values=np.concatenate([x0.values[:-1], rows.forward_values]),
+        derivs=np.concatenate([x0.derivs[:-1], rows.forward_derivs]),
+        step_h=rows.step_h, escaped=rows.escape_time is not None,
+        escape_time=rows.escape_time, forward_start=x0.n_nodes - 1)
+
+
 class _SolutionView:
     """Segment-like read access to the partially built solutions of a block.
 
@@ -330,10 +389,12 @@ class _SolutionView:
     settled_time use dense output (the stacked history nodes or the forward
     Hermite cells); later times lie in the overlap of the step being built
     and interpolate linearly toward the running stage value.  values and
-    derivs are the block's dense output, (B, rows, n) laid out like
-    Trajectory.values: each member's history nodes but the last, then its
-    forward nodes from t = 0 on.  Reads return (B, n) for a point and
-    (B, m, n) for an array of m times, by the rules of the scalar reads.
+    derivs are the block's window of dense output, time-major (rows, B, n):
+    row i holds forward node first + i of every member.  A forward read
+    locates its cell j by its absolute time, as over the whole horizon, and
+    reads rows j - first and j + 1 - first; a read before the window's
+    first row is refused.  Reads return (B, n) for a point and (B, m, n)
+    for an array of m times, by the rules of the scalar reads.
 
     Reads of dense output are memoised until set_stage moves settled or
     stage_time: stages k2 and k3 share a stage time, and so do k4 and the
@@ -345,22 +406,22 @@ class _SolutionView:
     """
 
     __slots__ = ("delay_r", "dim", "h", "hist_values", "hist_derivs",
-                 "values", "derivs", "settled", "settled_time", "stage_time",
-                 "stage_value", "memo")
+                 "values", "derivs", "first", "settled", "settled_time",
+                 "stage_time", "stage_value", "memo")
 
-    def __init__(self, histories, values, derivs, h: float):
-        start = histories[0].n_nodes - 1
+    def __init__(self, histories, values, derivs, h: float, first: int = 0):
         self.delay_r = histories[0].delay_r
         self.dim = histories[0].dim
         self.h = h
         self.hist_values = np.stack([x.values for x in histories])
         self.hist_derivs = np.stack([x.derivs for x in histories])
-        self.values = values[:, start:]
-        self.derivs = derivs[:, start:]
+        self.values = values
+        self.derivs = derivs
+        self.first = first
         self.settled = 0
         self.settled_time = 0.0
         self.stage_time = 0.0
-        self.stage_value = self.values[:, 0]
+        self.stage_value = values[0]
         self.memo = {}
 
     def set_stage(self, settled: int, stage_time: float, stage_value):
@@ -371,6 +432,12 @@ class _SolutionView:
         self.stage_time = stage_time
         self.stage_value = stage_value
 
+    def _row(self, j: int) -> int:
+        """The window row of forward node j."""
+        if j < self.first:
+            raise ParameterError("right-hand side read x before t - r")
+        return j - self.first
+
     def value_at_point(self, s: float) -> np.ndarray:
         u = self.stage_time + s
         if u >= self.settled_time:
@@ -378,7 +445,7 @@ class _SolutionView:
             if gap <= 0.0 or u >= self.stage_time:
                 return self.stage_value
             w = (u - self.settled_time) / gap
-            return (1.0 - w) * self.values[:, self.settled] \
+            return (1.0 - w) * self.values[self.settled - self.first] \
                 + w * self.stage_value
         read = self.memo.get(s)
         if read is None:
@@ -388,8 +455,9 @@ class _SolutionView:
             else:
                 h = self.h
                 j = min(int(u / h), self.settled - 1)
-                read = _hermite(self.values[:, j], self.derivs[:, j],
-                                self.values[:, j + 1], self.derivs[:, j + 1],
+                i = self._row(j)
+                read = _hermite(self.values[i], self.derivs[i],
+                                self.values[i + 1], self.derivs[i + 1],
                                 (u - j * h) / h, h)
             read.flags.writeable = False
             self.memo[s] = read
@@ -409,8 +477,8 @@ class _SolutionView:
             gap = self.stage_time - self.settled_time
             if gap > 0.0:
                 w = ((ul - self.settled_time) / gap)[:, None]
-                mix = (1.0 - w) * self.values[:, self.settled, None] \
-                    + w * self.stage_value[:, None]
+                node = self.values[self.settled - self.first]
+                mix = (1.0 - w) * node[:, None] + w * self.stage_value[:, None]
                 mix[:, ul >= self.stage_time] = self.stage_value[:, None]
             out[:, late] = mix
         return out
@@ -430,10 +498,14 @@ class _SolutionView:
             uf = u[fwd]
             h = self.h
             j = np.minimum((uf / h).astype(int), self.settled - 1)
-            out[:, fwd] = _hermite(self.values[:, j], self.derivs[:, j],
-                                   self.values[:, j + 1],
-                                   self.derivs[:, j + 1],
-                                   ((uf - j * h) / h)[:, None], h)
+            i = j
+            if self.first:  # a window that has moved on
+                self._row(int(j.min()))
+                i = j - self.first
+            cells = _hermite(self.values[i], self.derivs[i],
+                             self.values[i + 1], self.derivs[i + 1],
+                             ((uf - j * h) / h)[:, None, None], h)
+            out[:, fwd] = cells.transpose(1, 0, 2)
         out.flags.writeable = False
         return out, np.flatnonzero(late), u[late]
 
@@ -443,6 +515,17 @@ def _mesh(T: float, h: float) -> tuple[int, float]:
     n_full = int(math.floor(T / h + 1e-9))
     tail = T - n_full * h
     return n_full, (tail if tail >= 1e-9 * h else 0.0)
+
+
+def _mesh_times(T: float, h: float) -> np.ndarray:
+    """The forward mesh on [0, T]: full steps of width h, then the short
+    final step, which lands exactly on T."""
+    n_full, tail = _mesh(T, h)
+    n_steps = n_full + (1 if tail > 0.0 else 0)
+    times = np.minimum(np.arange(n_steps + 1) * h, T)
+    if tail > 0.0:
+        times[-1] = T
+    return times
 
 
 def _working_step(r: float, T: float, h: float | None) -> float:
@@ -456,11 +539,32 @@ def _working_step(r: float, T: float, h: float | None) -> float:
     return r / math.ceil(r / h - 1e-12)
 
 
-def _block_members(sys: DelaySystem, T: float, h: float | None) -> int:
-    """Histories per block: the most whose dense output fits BLOCK_BYTES."""
-    n_full, tail = _mesh(T, _working_step(sys.delay_r, T, h))
-    rows = n_full + (2 if tail > 0.0 else 1)
-    return max(1, BLOCK_BYTES // (16 * sys.dimension * rows))
+def _row_counts(sys: DelaySystem, T: float,
+                h: float | None) -> tuple[int, int]:
+    """Forward rows of the horizon, and of the smallest window: the kept
+    delay interval (r / h + 3 rows) and one delay interval more."""
+    h_eff = _working_step(sys.delay_r, T, h)
+    return _mesh_times(T, h_eff).size, 2 * round(sys.delay_r / h_eff) + 3
+
+
+def _block_members(sys: DelaySystem, T: float, h: float | None,
+                   held: int = 0, whole: bool = False) -> int:
+    """Histories per block: the most whose smallest windows (whole
+    horizons if whole, or if shorter), each with the held bytes its reads
+    keep, fit BLOCK_BYTES, and at least one."""
+    total, smallest = _row_counts(sys, T, h)
+    rows = total if whole else min(total, smallest)
+    return max(1, BLOCK_BYTES // (16 * sys.dimension * rows + held))
+
+
+def _window_rows(sys: DelaySystem, T: float, h: float | None,
+                 members: int, held: int = 0) -> int:
+    """Rows of each window of a block of members, each keeping held bytes
+    of reads: their share of BLOCK_BYTES, at least the smallest window, at
+    most the horizon."""
+    total, smallest = _row_counts(sys, T, h)
+    share = (BLOCK_BYTES // members - held) // (16 * sys.dimension)
+    return min(total, max(smallest, share))
 
 
 def simulate(sys: DelaySystem, x0: Segment, T: float, h: float | None = None
@@ -475,16 +579,24 @@ def simulate(sys: DelaySystem, x0: Segment, T: float, h: float | None = None
     return simulate_many(sys, [x0], T, h)[0]
 
 
-def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None
-                  ) -> list[Trajectory]:
+def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
+                  *, take=None, held: int = 0) -> list[Trajectory] | None:
     """Integrate every history of x0s over [0, T] as one (B, n) state.
 
     The histories must share one node grid.  Trajectory b is bitwise
     :func:`simulate` of x0s[b]; a member that escapes stops there while
-    the others carry on.  The whole list is one block, and the
-    trajectories that reach T are views of the block's dense output and
-    share one times array, so callers bound its memory (see BLOCK_BYTES)
-    and copy what they keep.
+    the others carry on.  The whole list is one block, laid out as one
+    time-major window of forward rows.
+
+    Without take the window spans the horizon and the whole trajectories
+    are returned.  With take the window holds _window_rows rows a
+    member, leaving room for the held bytes that take keeps of each
+    member until the block ends, and take(b, rows) receives member b's
+    settled rows as _Rows pieces: after each chunk's escape test, the
+    rows since the window's first row, then the window moves on and
+    keeps the last delay interval (r / h + 3 rows); a member's last piece
+    is final.  A piece is a view of the window, handed on once and valid
+    until take returns; nothing is returned.
     """
     x0s = list(x0s)
     r = sys.delay_r
@@ -499,44 +611,50 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None
             raise ParameterError("histories of one block must share a grid")
     h_eff = _working_step(r, T, h)
     if not x0s:
-        return []
+        return [] if take is None else None
     n_full, tail = _mesh(T, h_eff)
-    n_steps = n_full + (1 if tail > 0.0 else 0)
-    fwd_times = np.minimum(np.arange(n_steps + 1) * h_eff, T)
-    if tail > 0.0:
-        fwd_times[-1] = T
-    times = np.concatenate([x0s[0].nodes[:-1], fwd_times])
-    start = x0s[0].n_nodes - 1
-    out = [None] * len(x0s)
-
-    def finish(b: int, values, derivs, escape_time):
-        out[b] = Trajectory(
-            system=sys, initial=x0s[b], times=times[:values.shape[0]],
-            values=values, derivs=derivs, step_h=h_eff,
-            escaped=escape_time is not None, escape_time=escape_time,
-            forward_start=start)
-
-    # the block's dense output, each member's rows as in Trajectory.values
-    members = list(range(len(x0s)))
-    values = np.empty((len(x0s), start + n_steps + 1, sys.dimension))
-    derivs = np.empty_like(values)
-    values[:, :start + 1] = [x0.values for x0 in x0s]
-    derivs[:, :start] = [x0.derivs[:-1] for x0 in x0s]
-    view = _SolutionView(x0s, values, derivs, h_eff)
-    vals, ders = view.values, view.derivs
-    ders[:, 0] = np.asarray(sys.rhs(view), dtype=float)
-    rhs = sys.rhs
+    fwd_times = _mesh_times(T, h_eff)
+    n_steps = fwd_times.size - 1
     per = round(r / h_eff)  # steps per delay interval (h_eff divides r)
+    back = per + 3  # rows a window keeps when it moves on
+    out = None
+    if take is None:
+        window = fwd_times.size
+        out = [None] * len(x0s)
+
+        def take(b: int, rows: _Rows):
+            out[b] = _trajectory(rows)
+    else:
+        window = _window_rows(sys, T, h, len(x0s), held)
+
+    members = list(range(len(x0s)))
+    first = 0  # the forward node in row 0 of the window
+    values = np.empty((window, len(x0s), sys.dimension))
+    derivs = np.empty_like(values)
+    values[0] = [x0.values[-1] for x0 in x0s]
+
+    def hand_on(pos: int, stop: int, final: bool = True,
+                escape_time: float | None = None):
+        """Forward rows first .. stop - 1 of the member at pos to take."""
+        b = members[pos]
+        take(b, _Rows(sys, x0s[b], h_eff, first, fwd_times[first:stop],
+                      values[:stop - first, pos], derivs[:stop - first, pos],
+                      final, escape_time))
+
+    view = _SolutionView(x0s, values, derivs, h_eff)
+    derivs[0] = np.asarray(sys.rhs(view), dtype=float)
+    rhs = sys.rhs
     # components of at most screen give |x| <= sqrt(n) screen, half the
     # threshold, so no state they make can fail the bound
     screen = ESCAPE_THRESHOLD / (2.0 * math.sqrt(sys.dimension))
     tested = 0  # forward rows 1 .. tested have passed the escape test
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
+            i = k - first
             t_k = k * h_eff
             step = h_eff if k < n_full else tail
-            y = vals[:, k]
-            k1 = ders[:, k]
+            y = values[i]
+            k1 = derivs[i]
             y2 = y + (0.5 * step) * k1
             view.set_stage(k, t_k + 0.5 * step, y2)
             k2 = np.asarray(rhs(view), dtype=float)
@@ -547,27 +665,27 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None
             view.set_stage(k, t_k + step, y4)
             k4 = np.asarray(rhs(view), dtype=float)
             y_next = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            vals[:, k + 1] = y_next
+            values[i + 1] = y_next
             # derivative at the fresh node: the step interior is still the
             # linear overlay (its Hermite data needs this very derivative)
             view.set_stage(k, t_k + step, y_next)
-            ders[:, k + 1] = np.asarray(rhs(view), dtype=float)
+            derivs[i + 1] = np.asarray(rhs(view), dtype=float)
             if (k + 1) % per and k + 1 < n_steps:
                 continue
             # one test of the interval's fresh nodes.  Rows are
             # independent, so a member that failed early in the interval
             # has stepped on alone.  The screen allocates nothing the size
             # of the rows: a NaN or inf shows in a max or a min.
-            ys = vals[:, tested + 1:k + 2]
-            ds = ders[:, tested + 1:k + 2]
-            big = np.maximum(ys.max(axis=(1, 2)), -ys.min(axis=(1, 2)))
-            steep = np.maximum(ds.max(axis=(1, 2)), -ds.min(axis=(1, 2)))
+            ys = values[tested + 1 - first:i + 2]
+            ds = derivs[tested + 1 - first:i + 2]
+            big = np.maximum(ys.max(axis=(0, 2)), -ys.min(axis=(0, 2)))
+            steep = np.maximum(ds.max(axis=(0, 2)), -ds.min(axis=(0, 2)))
             keep = (big <= screen) & (steep < np.inf)
             for pos in np.flatnonzero(~keep):
                 # the per-step test on this member's rows: a non-finite
                 # state or derivative ends before the node of its first
                 # failing step, a state past the threshold just after it
-                row_y, row_d = ys[pos], ds[pos]
+                row_y, row_d = ys[:, pos], ds[:, pos]
                 broken = ~(np.isfinite(row_y).all(axis=1)
                            & np.isfinite(row_d).all(axis=1))
                 fail = broken | (np.sqrt(np.sum(row_y * row_y, axis=1))
@@ -575,25 +693,30 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None
                 if not fail.any():
                     keep[pos] = True
                     continue
-                first = int(np.argmax(fail))
-                kf = tested + first
+                kf = tested + int(np.argmax(fail))
                 t_fail = kf * h_eff + (h_eff if kf < n_full else tail)
-                stop = start + kf + (1 if broken[first] else 2)
-                finish(members[pos], values[pos, :stop].copy(),
-                       derivs[pos, :stop].copy(), t_fail)
+                hand_on(pos, kf + (1 if broken[kf - tested] else 2),
+                        escape_time=t_fail)
             tested = k + 1
-            if keep.all():
-                continue
-            if not keep.any():
-                break
-            members = [b for b, kept in zip(members, keep) if kept]
-            values, derivs = values[keep], derivs[keep]
-            view = _SolutionView([x0s[b] for b in members], values, derivs,
-                                 h_eff)
-            vals, ders = view.values, view.derivs
-    for pos, b in enumerate(members):
-        if out[b] is None:
-            finish(b, values[pos], derivs[pos], None)
+            if not keep.all():
+                members = [b for b, kept in zip(members, keep) if kept]
+                if not members:
+                    break
+                values, derivs = values[:, keep], derivs[:, keep]
+                view = _SolutionView([x0s[b] for b in members], values,
+                                     derivs, h_eff, first)
+            # no room for the rows up to the next test: hand on the
+            # settled rows and keep the last delay interval
+            if k + 1 < n_steps \
+                    and i + 2 + min(per, n_steps - k - 1) > window:
+                for pos in range(len(members)):
+                    hand_on(pos, k + 2, final=False)
+                start = k + 2 - back
+                values[:back] = values[start - first:i + 2]
+                derivs[:back] = derivs[start - first:i + 2]
+                first = view.first = start
+    for pos in range(len(members)):
+        hand_on(pos, n_steps + 1)
     return out
 
 
@@ -612,11 +735,14 @@ def segment_at(traj: Trajectory, t: float, n_nodes: int | None = None
     return Segment(traj.system.delay_r, s, vals[0], ders[0])
 
 
-def _segment_nodes(traj: Trajectory, times: np.ndarray, n_nodes: int):
+def _segment_nodes(traj: Trajectory | _Rows, times: np.ndarray,
+                   n_nodes: int):
     """The node times s of the uniform grid of n_nodes on [-r, 0] and the
     node values and slopes of x_t there for every t of times, stacked as
     (K, n_nodes, n): row k is bitwise the nodes of segment_at(traj,
-    times[k], n_nodes)."""
+    times[k], n_nodes).  traj may be a piece of a trajectory's rows
+    (_Rows) that holds every row the reads take: the cells are those of
+    the whole trajectory, at the same absolute indices."""
     r = traj.system.delay_r
     end = traj.end_time
     if not np.all((-1e-12 * r <= times) & (times <= end + 1e-12 * r)):
@@ -637,9 +763,11 @@ def _segment_nodes(traj: Trajectory, times: np.ndarray, n_nodes: int):
         fv, fd = traj.forward_values, traj.forward_derivs
         n_full, tail = _mesh(end, h)
         q = np.minimum(u[fwd], end)
-        j = np.minimum((q / h).astype(int), fv.shape[0] - 2)
+        j = np.minimum((q / h).astype(int), traj.first_row + fv.shape[0] - 2)
         width = np.where(j < n_full, h, tail)
-        cell = (fv[j], fd[j], fv[j + 1], fd[j + 1],
+        i = j - traj.first_row
+        assert i.min() >= 0, "read before the first row of a piece"
+        cell = (fv[i], fd[i], fv[i + 1], fd[i + 1],
                 ((q - j * h) / width)[:, None], width[:, None])
         vals[fwd] = _hermite(*cell)
         ders[fwd] = _hermite_slope(*cell)

@@ -16,11 +16,20 @@ consistency at stated tolerances, like the rest of the toolkit.
 Every trajectory the checks need is integrated through the one ensemble
 primitive, checkers._ensemble, in memory-bounded blocks: the sampled
 trajectories of the three checks and the Dini ladders of the dissipation
-check, one short simulation per sample.  dini_derivative is the batch of
+check, one short simulation per sample.  A check declares what it reads
+of each trajectory (checkers._Read), and the ensemble takes those reads
+as the rows settle: V and the norm at the report times, V at the rungs
+of a ladder, and for the dissipation integral V at its checkpoints and
+the rate Q on every row of the mesh.  dini_derivative is the batch of
 one of such a ladder.  A check draws each sample index once and evaluates
 the functional at it once: the trajectory pass of the growth check and
 the integral pass of the dissipation check reuse the samples, and their
-values, of the pass before.
+values, of the pass before.  space_norm reads a sample through the same
+refined values as its functional.
+
+The built-in rates (scaled_abs, scaled_square) evaluate the rows of a
+chunk at once, each value bitwise the rate of its row alone; a rate
+given only as a callable is called once a row.
 
 The built-in functionals evaluate stacks of segments, node data
 (K, N + 1, n) to K values, the way segment._norms norms them (see
@@ -53,14 +62,15 @@ from .checkers import (
     _ball_cfg,
     _ensemble,
     _grown,
-    _norm_track,
+    _norm_read,
+    _Read,
     _samples,
     _step_defaults,
-    _track,
     _witness,
     default_time_grid,
 )
-from .dde import DelaySystem, Trajectory, _segment_nodes, simulate
+from .dde import DelaySystem, Trajectory, _mesh_times, _working_step, \
+    simulate
 from .sampler import SamplerConfig, sample_one
 from .segment import (
     DEFAULT_REFINE,
@@ -293,20 +303,56 @@ def _stacked(V: Functional) -> Callable:
     return stacked
 
 
-def scaled_abs_rate(c: float) -> Callable[[np.ndarray], float]:
-    """Q(v) = c |v|, positive definite for c > 0."""
+@dataclass(frozen=True)
+class _Rate:
+    """A built-in rate, Q(v) = c |v| (power 1) or c |v|^2 (power 2).
+
+    Called on one state it gives Q of it; rows gives Q of each row of
+    (m, n) states at once, each value bitwise the call on its row.
+    """
+
+    c: float
+    power: int
+
+    def __call__(self, v) -> float:
+        norm = np.linalg.norm(np.atleast_1d(v))
+        return self.c * float(norm if self.power == 1 else norm ** 2)
+
+    def rows(self, rows: np.ndarray) -> np.ndarray:
+        # np.linalg.norm is the root of the row's dot with itself; a stack
+        # of (1, n) @ (n, 1) products takes that same dot per row, where
+        # a row-sum or einsum rounds differently for n > 1
+        norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+        if self.power == 1:
+            return self.c * norms
+        # the scalar power of a norm is libm's pow, which an array power
+        # (a square, or a vector pow) does not round alike
+        return np.array([self.c * v ** 2 for v in norms.tolist()])
+
+
+def _rate(c, power: int) -> _Rate:
     c = _real(c)
     if not (c > 0.0 and math.isfinite(c)):
         raise ParameterError("rate constant must be positive")
-    return lambda v: c * float(np.linalg.norm(np.atleast_1d(v)))
+    return _Rate(c, power)
+
+
+def scaled_abs_rate(c: float) -> Callable[[np.ndarray], float]:
+    """Q(v) = c |v|, positive definite for c > 0."""
+    return _rate(c, 1)
 
 
 def scaled_square_rate(c: float) -> Callable[[np.ndarray], float]:
     """Q(v) = c |v|^2, positive definite for c > 0."""
-    c = _real(c)
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ParameterError("rate constant must be positive")
-    return lambda v: c * float(np.linalg.norm(np.atleast_1d(v)) ** 2)
+    return _rate(c, 2)
+
+
+def _row_rates(Q: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """Q of each row of (m, n) states: a built-in rate on all rows at
+    once, any other callable one row at a time."""
+    if isinstance(Q, _Rate):
+        return Q.rows
+    return lambda rows: np.array([Q(row) for row in rows])
 
 
 def _from_table(data: dict, table: dict, what: str):
@@ -372,21 +418,29 @@ def dini_derivative(sys: DelaySystem, V: Functional,
     return _read_dini(V, x, V.evaluate(x), traj)
 
 
+def _dini_read(V: Functional, r: float, n_nodes: int) -> _Read:
+    """V at the rungs x_h of a ladder, one for each step h, read as a
+    stacked track (each value bitwise V of segment_at); the steps go in
+    increasing order, as a track takes its times."""
+    return _Read(_dini_steps(r)[::-1], n_nodes, _stacked(V))
+
+
 def _read_dini(V: Functional, x: Segment, v0: float,
                traj: Trajectory) -> DiniEstimate:
     """The forward-quotient ladder of V at x, where V(x) = v0, read off
-    its ladder trajectory traj.
-
-    Every rung's segment comes from one stacked read (row k bitwise
-    segment_at), and V takes the rungs as one stack.  The estimate is the
-    max of the last three quotients, and the trend flag warns when the
-    two smallest rungs still differ by more than 10 percent.
-    """
+    its ladder trajectory traj."""
     r = traj.system.delay_r
+    return _dini_ladder(r, v0, _dini_read(V, r, x.n_nodes).track(traj))
+
+
+def _dini_ladder(r: float, v0: float, vs: np.ndarray) -> DiniEstimate:
+    """The ladder of quotients from V(x) = v0 and the _dini_read values
+    vs.  The estimate is the max of the last three quotients, and the
+    trend flag warns when the two smallest rungs still differ by more
+    than 10 percent."""
     hs = _dini_steps(r)
-    vs = _stacked(V)(r, *_segment_nodes(traj, hs, x.n_nodes))
     quotients = [(hk, (v - v0) / hk)
-                 for hk, v in zip(hs.tolist(), vs.tolist())]
+                 for hk, v in zip(hs.tolist(), vs[::-1].tolist())]
     tail = [q for _, q in quotients[-3:]]
     q_prev, q_last = quotients[-2][1], quotients[-1][1]
     scale = max(abs(q_prev), abs(q_last), 1e-9 * (1.0 + v0))
@@ -432,11 +486,10 @@ def _weighted_kind(V: Functional) -> float | None:
     return None
 
 
-def _functional_track(V: Functional, traj: Trajectory, times,
-                      n_nodes: int) -> np.ndarray:
+def _functional_read(V: Functional, times, n_nodes: int) -> _Read:
     """V(x_t) at each time: a weighted sup (the sup norm included) by its
     window max, any other functional on the stacked segments x_t."""
-    return _track(traj, times, n_nodes, _stacked(V), _weighted_kind(V))
+    return _Read(times, n_nodes, _stacked(V), _weighted_kind(V))
 
 
 def _growth_quotients(U: Functional, x: Segment, u0: float, f: np.ndarray,
@@ -530,8 +583,10 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
     worst_up = 0.0
     worst_decay = 0.0
     worst_env = 0.0
-    runs = _ensemble(sys, _samples(cfg, samples), T, h)
-    for i, (x0, traj) in enumerate(runs):
+    reads = [_functional_read(V, times, n_nodes),
+             _norm_read(space, times, n_nodes)]
+    runs = _ensemble(sys, _samples(cfg, samples), T, h, reads)
+    for i, (x0, escaped, escape_time, (vts, nts)) in enumerate(runs):
         v0 = V.evaluate(x0)
         nx = space_norm(x0, space)
         tol = 1e-12 * (1.0 + v0)
@@ -546,11 +601,9 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
             worst_low = max(worst_low, lo / v0)
         if up > 0.0:
             worst_up = max(worst_up, v0 / up)
-        if traj.escaped:
-            return fail(i, x0, traj.escape_time, math.inf,
-                        {"escape_time": traj.escape_time}, "escape")
-        vts = _functional_track(V, traj, times, n_nodes)
-        nts = _norm_track(traj, space, times, n_nodes)
+        if escaped:
+            return fail(i, x0, escape_time, math.inf,
+                        {"escape_time": escape_time}, "escape")
         for t, vt, nt in zip(times, vts.tolist(), nts.tolist()):
             limit = math.exp(-t) * v0
             if vt > limit * (1.0 + 1e-6) + tol:
@@ -599,9 +652,9 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     worst_integral = -math.inf
     hs = _dini_steps(r)
     ladders = _ensemble(sys, _samples(cfg, samples), float(hs[0]),
-                        hs[-1] / 2.0)
+                        hs[-1] / 2.0, [_dini_read(V, r, n_nodes)])
     kept = []  # (x0, V(x0)) of the samples the integral pass reuses
-    for i, (x0, ladder) in enumerate(ladders):
+    for i, (x0, escaped, escape_time, (vs,)) in enumerate(ladders):
         v0 = V.evaluate(x0)
         if i < integral_trajectories:
             kept.append((x0, v0))
@@ -613,10 +666,10 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
             return fail(i, x0, 0.0, v0,
                         {"value": v0, "lower": float(a1(head)),
                          "upper": float(a2(nx))}, "sandwich")
-        if ladder.escaped:
-            return fail(i, x0, ladder.escape_time, math.inf,
-                        {"escape_time": ladder.escape_time}, "escape")
-        est = _read_dini(V, x0, v0, ladder).estimate
+        if escaped:
+            return fail(i, x0, escape_time, math.inf,
+                        {"escape_time": escape_time}, "escape")
+        est = _dini_ladder(r, v0, vs).estimate
         dissipation_tol = 1e-3 * (1.0 + v0)
         gap = est + Q(x0.values[-1])
         worst_dini = max(worst_dini, gap - dissipation_tol)
@@ -624,24 +677,27 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
             return fail(i, x0, 0.0, est,
                         {"dini_estimate": est, "required": -Q(x0.values[-1]),
                          "tolerance": dissipation_tol}, "dissipation")
+    # the solver mesh of a trajectory that reaches T, and the checkpoints
+    step = _working_step(r, T, h)
+    times = _mesh_times(T, step)
+    n_steps = times.size - 1
+    idxs = [c * n_steps // DISSIPATION_CHECKPOINTS
+            for c in range(1, DISSIPATION_CHECKPOINTS + 1)]
+    idxs = [idx for idx in idxs if idx >= 2]
+    # V at the checkpoints, and Q on every row of the mesh
+    reads = [_functional_read(V, times[idxs], n_nodes),
+             _Read(None, None, _row_rates(Q))]
     fresh = (sample_one(cfg, i)
              for i in range(samples, integral_trajectories))
-    runs = _ensemble(sys, chain((x0 for x0, _ in kept), fresh), T, h)
-    for i, (x0, traj) in enumerate(runs):
+    runs = _ensemble(sys, chain((x0 for x0, _ in kept), fresh), T, h, reads)
+    for i, (x0, escaped, escape_time, (vts, rates)) in enumerate(runs):
         v0 = kept[i][1] if i < len(kept) else V.evaluate(x0)
-        if traj.escaped:
-            return fail(i, x0, traj.escape_time, math.inf,
-                        {"escape_time": traj.escape_time}, "escape")
-        times = traj.forward_times
-        rates = np.array([Q(row) for row in traj.forward_values])
+        if escaped:
+            return fail(i, x0, escape_time, math.inf,
+                        {"escape_time": escape_time}, "escape")
         slack = 1e-4 * (1.0 + v0)
-        n_steps = times.size - 1
-        idxs = [c * n_steps // DISSIPATION_CHECKPOINTS
-                for c in range(1, DISSIPATION_CHECKPOINTS + 1)]
-        idxs = [idx for idx in idxs if idx >= 2]
-        vts = _functional_track(V, traj, times[idxs], n_nodes)
         for idx, vt in zip(idxs, vts.tolist()):
-            w = _mesh_weights(times[:idx + 1], traj.step_h)
+            w = _mesh_weights(times[:idx + 1], step)
             integral = float(w @ rates[:idx + 1])
             excess = vt + integral - v0
             worst_integral = max(worst_integral, excess - slack)
@@ -709,12 +765,13 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
                              "step": hk}, "prolongation")
     worst_traj = 0.0
     times = default_time_grid(T, r, grid_points)[1:]
-    runs = _ensemble(sys, (x0 for x0, _ in kept), T, h)
-    for i, ((x0, traj), (_, u0)) in enumerate(zip(runs, kept)):
-        if traj.escaped:
-            return fail(i, x0, traj.escape_time, math.inf,
-                        {"escape_time": traj.escape_time}, "escape")
-        uts = _functional_track(U, traj, times, n_nodes)
+    runs = _ensemble(sys, (x0 for x0, _ in kept), T, h,
+                     [_functional_read(U, times, n_nodes)])
+    for i, ((x0, escaped, escape_time, (uts,)), (_, u0)) in enumerate(
+            zip(runs, kept)):
+        if escaped:
+            return fail(i, x0, escape_time, math.inf,
+                        {"escape_time": escape_time}, "escape")
         for t, ut in zip(times, uts.tolist()):
             limit = _grown(u0, mu * t)
             if ut > limit * (1.0 + 1e-3) + 1e-12 * (1.0 + u0):

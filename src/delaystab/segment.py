@@ -436,6 +436,17 @@ class Segment:
         self._cache[("refined", count)] = out
         return out
 
+    def _refined_values(self, refine: int = DEFAULT_REFINE):
+        """The sample grid and values of refined(refine): its cached read
+        if there is one, else a fresh read of the values that leaves the
+        cache empty, for a caller that reads many segments once."""
+        count = _refined_count(self.n_nodes, refine)
+        cached = self._cache.get(("refined", count))
+        if cached is not None:
+            return cached[:2]
+        return _uniform_reads(self.delay_r, self.nodes, self.values,
+                              self.derivs, count, False)[:2]
+
     # -- linear structure ----------------------------------------------
 
     def _check_compatible(self, other: "Segment"):
@@ -633,14 +644,22 @@ def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
     seminorm reads its own grid when the refined one exceeds
     HOELDER_GRID_CAP samples."""
     count = _refined_count(nodes.size, refine)
-    s, vals, ders = _uniform_reads(r, nodes, values, derivs, count,
-                                   space.kind == "sobolev")
+    reads = _uniform_reads(r, nodes, values, derivs, count,
+                           space.kind == "sobolev")
+    return _read_norms(r, nodes, values, derivs, reads, space)
+
+
+def _read_norms(r: float, nodes, values, derivs, reads,
+                space: SpaceSpec) -> np.ndarray:
+    """The norms of _norms from the stack's refined reads (s, values,
+    slopes), the slopes needed for Sobolev only."""
+    s, vals, ders = reads
     sup = _sup_norms(vals)
     if space.kind == "sup":
         return sup
     if space.kind == "sobolev":
         return sup + _lp_norms(ders, space.p, s[1] - s[0])
-    if count > HOELDER_GRID_CAP:
+    if s.size > HOELDER_GRID_CAP:
         vals = _uniform_reads(r, nodes, values, derivs, HOELDER_GRID_CAP,
                               False)[1]
     return _hoelder_norms(vals, space.a, r, sup)
@@ -681,9 +700,18 @@ def hoelder_seminorm(seg: Segment, a: float,
 
 def space_norm(seg: Segment, space: SpaceSpec, refine: int = DEFAULT_REFINE) -> float:
     """Norm of the segment in the given space: the batch of one of the
-    stacked norms of x_t that the checkers' norm tracks take."""
-    return float(_norms(seg.delay_r, seg.nodes, seg.values[None],
-                        seg.derivs[None], space, refine)[0])
+    stacked norms of x_t that the checkers' norm tracks take.  A segment
+    that a functional has read (Segment.refined) is normed from that
+    cached read; any other is read afresh, slopes only for Sobolev, and
+    fills no cache."""
+    cached = seg._cache.get(("refined", _refined_count(seg.n_nodes, refine)))
+    if cached is None:
+        return float(_norms(seg.delay_r, seg.nodes, seg.values[None],
+                            seg.derivs[None], space, refine)[0])
+    s, vals, ders = cached
+    return float(_read_norms(seg.delay_r, seg.nodes, seg.values[None],
+                             seg.derivs[None], (s, vals[None], ders[None]),
+                             space)[0])
 
 
 # -- prolongation ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,8 +305,8 @@ def test_segment_nodes_are_the_integrator_reads():
                         n_nodes=65)
     traj = simulate(sys, sample_one(cfg, 0), 3.0, h=0.01)
     # the block view of this one trajectory, all of its steps settled
-    view = _SolutionView([traj.initial], traj.values[None], traj.derivs[None],
-                         traj.step_h)
+    view = _SolutionView([traj.initial], traj.forward_values[:, None],
+                         traj.forward_derivs[:, None], traj.step_h)
     times = np.random.default_rng(0).uniform(0.0, traj.end_time, 300)
     for t in np.concatenate([[0.0, 0.5, 1.0, traj.end_time], times]):
         seg = segment_at(traj, float(t))
@@ -358,25 +359,28 @@ def _per_step_escapes(sys, x0s, T, h):
     out = [None] * len(x0s)
 
     def finish(b, values, derivs, escape_time):
+        # forward rows of member b, after its history nodes
+        x0 = x0s[b]
         out[b] = Trajectory(
-            system=sys, initial=x0s[b], times=times[:values.shape[0]],
-            values=values, derivs=derivs, step_h=h_eff,
+            system=sys, initial=x0, times=times[:start + values.shape[0]],
+            values=np.concatenate([x0.values[:-1], values]),
+            derivs=np.concatenate([x0.derivs[:-1], derivs]), step_h=h_eff,
             escaped=escape_time is not None, escape_time=escape_time,
             forward_start=start)
 
+    # the block's forward rows, time-major as the integrator holds them
     members = list(range(len(x0s)))
-    values = np.empty((len(x0s), start + n_steps + 1, sys.dimension))
+    values = np.empty((n_steps + 1, len(x0s), sys.dimension))
     derivs = np.empty_like(values)
-    values[:, :start + 1] = [x0.values for x0 in x0s]
-    derivs[:, :start] = [x0.derivs[:-1] for x0 in x0s]
+    values[0] = [x0.values[-1] for x0 in x0s]
     view = _SolutionView(x0s, values, derivs, h_eff)
     vals, ders = view.values, view.derivs
-    ders[:, 0] = sys.rhs(view)
+    ders[0] = sys.rhs(view)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             t_k = k * h_eff
             step = h_eff if k < n_full else tail
-            y, k1 = vals[:, k], ders[:, k]
+            y, k1 = vals[k], ders[k]
             view.set_stage(k, t_k + 0.5 * step, y + (0.5 * step) * k1)
             k2 = sys.rhs(view)
             view.set_stage(k, t_k + 0.5 * step, y + (0.5 * step) * k2)
@@ -385,10 +389,10 @@ def _per_step_escapes(sys, x0s, T, h):
             k4 = sys.rhs(view)
             y_next = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t_next = t_k + step
-            vals[:, k + 1] = y_next
+            vals[k + 1] = y_next
             view.set_stage(k, t_next, y_next)
             d_next = sys.rhs(view)
-            ders[:, k + 1] = d_next
+            ders[k + 1] = d_next
             sq = np.sum(y_next * y_next, axis=1)
             if math.sqrt(sq.max()) <= ESCAPE_THRESHOLD \
                     and np.isfinite(d_next).all():
@@ -397,19 +401,19 @@ def _per_step_escapes(sys, x0s, T, h):
                        & np.isfinite(d_next).all(axis=1))
             gone = broken | (np.sqrt(sq) > ESCAPE_THRESHOLD)
             for pos in np.flatnonzero(gone):
-                stop = start + k + (1 if broken[pos] else 2)
-                finish(members[pos], values[pos, :stop].copy(),
-                       derivs[pos, :stop].copy(), t_next)
+                stop = k + (1 if broken[pos] else 2)
+                finish(members[pos], values[:stop, pos],
+                       derivs[:stop, pos], t_next)
             if gone.all():
                 break
             members = [b for b, g in zip(members, gone) if not g]
-            values, derivs = values[~gone], derivs[~gone]
+            values, derivs = values[:, ~gone], derivs[:, ~gone]
             view = _SolutionView([x0s[b] for b in members], values, derivs,
                                  h_eff)
             vals, ders = view.values, view.derivs
     for pos, b in enumerate(members):
         if out[b] is None:
-            finish(b, values[pos], derivs[pos], None)
+            finish(b, values[:, pos], derivs[:, pos], None)
     return out
 
 
@@ -515,8 +519,8 @@ def test_solution_view_memo_reads_equal_fresh_reads():
                         n_nodes=65)
     x0s = [sample_one(cfg, i) for i in range(3)]
     trajs = simulate_many(sys, x0s, 3.0, 0.01)
-    values = np.stack([t.values for t in trajs])
-    derivs = np.stack([t.derivs for t in trajs])
+    values = np.stack([t.forward_values for t in trajs], axis=1)
+    derivs = np.stack([t.forward_derivs for t in trajs], axis=1)
     h = trajs[0].step_h
     memo = _SolutionView(x0s, values, derivs, h)
     points = [-1.0, -0.73, -0.5, -0.02, -0.004, 0.0]
@@ -547,6 +551,59 @@ def test_solution_view_memo_reads_equal_fresh_reads():
         memo.value_at_point(-0.5)[...] = 0.0
     with pytest.raises(ValueError):
         memo.value_at(np.array([-0.7, -0.3]))[...] = 0.0
+
+
+def test_window_pieces_are_the_whole_trajectories(monkeypatch):
+    """With a window of two delay intervals and three rows, the pieces a
+    block hands on overlap by the kept rows, settle in order, and put
+    together are the whole trajectories in every bit, escapes included;
+    the last piece of each member is final.  A right-hand side that reads
+    x before t - r is refused, where the window no longer holds it."""
+    from delaystab import dde
+
+    cubic = DelaySystem("cubic", 1, 0.1, lambda seg: seg.value_at_point(0.0)
+                        ** 3 + 0.5 * seg.value_at_point(-0.1),
+                        lambda R: 3.0 * R * R + 0.5)
+    x0s = [const_history(0.1, c, 17) for c in
+           (0.0, 0.5, 1.0, 1.5, 2.0, -1.5, 0.3)]
+    whole = simulate_many(cubic, x0s, 0.425, 0.01)
+    monkeypatch.setattr(dde, "BLOCK_BYTES", 1)
+    assert dde._window_rows(cubic, 0.425, 0.01, len(x0s)) == 23
+    pieces = [[] for _ in x0s]
+
+    def keep(b, rows):
+        # a piece is a view of the window, valid until take returns
+        pieces[b].append(replace(
+            rows, forward_values=rows.forward_values.copy(),
+            forward_derivs=rows.forward_derivs.copy()))
+
+    assert simulate_many(cubic, x0s, 0.425, 0.01, take=keep) is None
+    assert sum(len(p) for p in pieces) > 2 * len(x0s)
+    for got, want in zip(pieces, whole):
+        assert [p.final for p in got] == [False] * (len(got) - 1) + [True]
+        assert got[-1].escape_time == want.escape_time
+        assert all(p.escape_time is None for p in got[:-1])
+        rows = np.concatenate([p.forward_values for p in got])
+        for p in got:
+            lo = p.first_row
+            for a, b in ((p.forward_times, want.forward_times),
+                         (p.forward_values, want.forward_values),
+                         (p.forward_derivs, want.forward_derivs)):
+                assert a.tobytes() == b[lo:lo + a.shape[0]].tobytes()
+        assert got[-1].end_time == want.end_time
+        assert rows.shape[0] >= want.forward_values.shape[0]
+        # each piece starts no later than a delay interval and three rows
+        # before the end of the one before it
+        for a, b in zip(got, got[1:]):
+            end = a.first_row + a.forward_times.size
+            assert b.first_row == end - 13
+
+    def reaching_back(seg):
+        return seg.value_at_point(-0.15)
+
+    far = DelaySystem("far", 1, 0.1, reaching_back, lambda R: 0.0)
+    with pytest.raises(ParameterError, match="before t - r"):
+        simulate_many(far, x0s[:1], 1.0, 0.01, take=lambda b, rows: None)
 
 
 def test_block_histories_share_one_grid():

@@ -147,6 +147,36 @@ def test_rate_builders():
             rate_from_json_dict(d)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_built_in_rates_of_stacked_rows_are_the_per_row_calls_bitwise(n):
+    """A built-in rate reads all rows of a chunk at once, and each value
+    is bitwise c * float(np.linalg.norm(v)), or its square, of the row
+    alone, over magnitudes from subnormal squares to near overflow; a
+    user-supplied rate is called once a row."""
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(4000, n)) * rng.choice(
+        [1e-160, 1e-3, 1.0, 1e5, 1e150], size=(4000, 1))
+    rows[:3] = np.array([0.0, -0.0, 2.0])[:, None]
+    for c in (math.exp(-1.0), 3.0):
+        for Q, want in (
+                (scaled_abs_rate(c),
+                 [c * float(np.linalg.norm(v)) for v in rows]),
+                (scaled_square_rate(c),
+                 [c * float(np.linalg.norm(v) ** 2) for v in rows])):
+            got = lyapunov._row_rates(Q)(rows)
+            assert _bits(got) == _bits(want)
+            assert _bits(got[5:9]) == _bits([Q(v) for v in rows[5:9]])
+    calls = []
+
+    def custom(v):
+        calls.append(v)
+        return float(np.abs(v).sum())
+
+    got = lyapunov._row_rates(custom)(rows[:7])
+    assert len(calls) == 7 and _bits(got) == _bits(
+        [float(np.abs(v).sum()) for v in rows[:7]])
+
+
 def test_lipschitz_probe_bounds():
     # weighted sup is 1-Lipschitz against the plain sup norm
     C = functional_lipschitz_probe(weighted_sup(1.0), SUP, 1.0, 20, r=1.0,
@@ -616,7 +646,7 @@ def test_functional_track_is_the_per_time_evaluation_bitwise(monkeypatch,
         # one time a chunk, 5 (2 for n = 2), and all of them
         for chunk_bytes in (1, 5 * 64 * 513, 10**12):
             monkeypatch.setattr(dde, "BLOCK_BYTES", chunk_bytes)
-            got = lyapunov._functional_track(V, traj, grid, 65)
+            got = lyapunov._functional_read(V, grid, 65).track(traj)
             if lam is None:
                 assert _bits(got) == _bits(want)
             else:  # the window max reads the shared candidate set
@@ -635,15 +665,20 @@ def test_quadratic_certificate_equals_the_per_time_oracle(monkeypatch):
     assert got.verdict == "consistent"
     assert got.margins["worst_decay_ratio"] > 0.9
 
-    def per_time(V, traj, times, n_nodes):
-        out = np.full(len(times), np.inf)
-        for k in range(checkers._covered(traj, times)):
-            seg = segment_at(traj, float(times[k]), n_nodes=n_nodes)
-            out[k] = _old_quadratic_integral(V.param)(seg)
-        return out
+    calls = []
 
-    monkeypatch.setattr(lyapunov, "_functional_track", per_time)
+    def per_time(V, times, n_nodes):
+        # the old evaluation of each x_t as its own Segment, read off the
+        # stacked nodes, each bitwise segment_at(traj, t)
+        def evaluate(r, s, vals, ders):
+            calls.append(len(vals))
+            return np.array([_old_quadratic_integral(V.param)(
+                Segment(r, s, v, d)) for v, d in zip(vals, ders)])
+        return checkers._Read(times, n_nodes, evaluate)
+
+    monkeypatch.setattr(lyapunov, "_functional_read", per_time)
     want = check_exponential_certificate(*args, seed=0, grid_points=30)
+    assert sum(calls) == 4 * 29
     assert got.to_json_dict() == want.to_json_dict()
 
 

@@ -57,21 +57,26 @@ def _referrers(name: str) -> set:
 
 def test_norm_tracks_read_stacked_segments():
     """Norm and functional tracks, pair distances and Dini ladders read
-    the segments x_t of many times as one stack (dde._segment_nodes), and
-    tracks and pair distances take their norms across it (segment._norms);
-    the per-segment segment_at and space_norm are left to single
-    segments, of which they are the batches of one."""
+    the segments x_t of many times as one stack (dde._segment_nodes)
+    through the one track primitive, and tracks and pair distances take
+    their norms across it (segment._norms); the per-segment segment_at
+    and space_norm are left to single segments, of which they are the
+    batches of one."""
     assert _callers("_segment_nodes") == {("dde", "segment_at"),
-                                          ("checkers", "_segment_stacks"),
-                                          ("lyapunov", "_read_dini")}
-    # every track that is no window max reads chunks of stacked segments
-    assert _callers("_segment_stacks") == {("checkers", "_track"),
-                                           ("checkers", "verify_pair_bounds")}
-    assert _callers("_norms") == {("segment", "space_norm"),
-                                  ("checkers", "verify_pair_bounds")}
-    # norm tracks and space-norm functionals hand _norms to the track
+                                          ("checkers", "_segment_stacks")}
+    # every track that is no window max reads chunks of stacked segments:
+    # the reads of an ensemble, piece by piece, and whole trajectories
+    assert _callers("_segment_stacks") == {("checkers", "_track")}
+    assert _callers("_track") == {("checkers", "_Read")}
+    # space_norm reads a segment afresh through _norms, unless a
+    # functional has cached its refined read
+    assert _callers("_norms") == {("checkers", "verify_pair_bounds"),
+                                  ("segment", "space_norm")}
+    assert _callers("_read_norms") == {("segment", "_norms"),
+                                       ("segment", "space_norm")}
+    # norm reads and space-norm functionals hand _norms to the track
     assert _referrers("_norms") - _callers("_norms") == {
-        ("checkers", "_norm_track"), ("lyapunov", "_stacked")}
+        ("checkers", "_norm_read"), ("lyapunov", "_stacked")}
     # no track reads its segments one time at a time
     assert _callers("segment_at") == {("cli", "cmd_simulate")}
     assert _callers("space_norm") == {
@@ -88,7 +93,7 @@ def test_one_hoelder_kernel():
     """The Hoelder seminorm has one kernel, the pruned lag sweep, which
     the stacked norms and the per-segment seminorm share; the full lag
     profile it replaced is gone."""
-    assert _callers("_hoelder_norms") == {("segment", "_norms"),
+    assert _callers("_hoelder_norms") == {("segment", "_read_norms"),
                                           ("segment", "hoelder_seminorm")}
     assert _callers("_lag_profiles") == set()
     assert not hasattr(delaystab.segment, "_lag_profiles")

@@ -153,6 +153,40 @@ def test_refined_grid_is_cached():
     assert a[0].size == 10 * 4 + 1
 
 
+def test_space_norm_shares_the_refined_read(monkeypatch):
+    """space_norm of a segment that Segment.refined has read norms that
+    cached read, so a norm and a functional of one segment refine it
+    once; any other segment is read afresh, slopes only for Sobolev, and
+    keeps no cache.  Either way the value is the stacked norm's in every
+    bit."""
+    spaces = [SpaceSpec.sup(), SpaceSpec.sobolev(2.0), SpaceSpec.hoelder(0.5)]
+    reads = segment._uniform_reads
+    count = 8 * 64 + 1
+    for cached in (False, True):
+        seg = Segment.from_callable(1.0, np.sin, np.cos, 65)
+        if cached:
+            seg.refined()
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-2:])
+            return reads(*args)
+
+        monkeypatch.setattr(segment, "_uniform_reads", counting)
+        got = [space_norm(seg, space) for space in spaces]
+        if cached:
+            assert calls == []
+        else:
+            assert calls == [(count, False), (count, True), (count, False)]
+            assert not seg._cache
+        monkeypatch.setattr(segment, "_uniform_reads", reads)
+        assert sup_norm(seg) == got[0]
+        want = [segment._norms(1.0, seg.nodes, seg.values[None],
+                               seg.derivs[None], space)[0]
+                for space in spaces]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 # ----------------------------------------------------------------- quadrature
 
 
@@ -376,7 +410,7 @@ def test_pruned_hoelder_track_mixing_rough_and_smooth_rows(monkeypatch, a):
     for chunk_bytes, chunk in ((1, 1), (10**12, grid.size)):
         monkeypatch.setattr(dde, "BLOCK_BYTES", chunk_bytes)
         assert min(dde._segment_chunk(65, 1), grid.size) == chunk
-        track = checkers._norm_track(traj, space, grid, 65)
+        track = checkers._norm_read(space, grid, 65).track(traj)
         assert track.tobytes() == want.tobytes()
 
 
@@ -435,7 +469,7 @@ def test_pruned_hoelder_sweep_skips_most_lag_pairs(monkeypatch):
         return lag_maxima(vals, k, width)
 
     monkeypatch.setattr(segment, "_lag_maxima", counting)
-    track = checkers._norm_track(traj, space, grid, 65)
+    track = checkers._norm_read(space, grid, 65).track(traj)
     assert np.isfinite(track).all()
     m = 64 * DEFAULT_REFINE + 1
     assert sum(pairs) <= 0.35 * grid.size * m * (m - 1) // 2
