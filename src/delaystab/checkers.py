@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dde import DelaySystem, Trajectory, _block_members, _row_counts, \
-    _Rows, _segment_chunk, _segment_nodes, simulate_many
+    _segment_chunk, _segment_nodes, simulate_many
 from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
 from .sampler import SamplerConfig, sample_one
 from .segment import DEFAULT_REFINE, ParameterError, Segment, SpaceSpec, \
@@ -131,14 +131,14 @@ def _json_safe(v):
 # -- norm tracking -----------------------------------------------------
 
 
-def _covered(traj: Trajectory | _Rows, times) -> int:
+def _covered(traj: Trajectory, times) -> int:
     """How many leading times lie in the covered range (up to escape)."""
     tol = 1e-12 * max(traj.system.delay_r, 1.0)
     past = np.flatnonzero(np.asarray(times) > traj.end_time + tol)
     return int(past[0]) if past.size else len(times)
 
 
-def _segment_stacks(traj: Trajectory | _Rows, times, seg_nodes: int):
+def _segment_stacks(traj: Trajectory, times, seg_nodes: int):
     """Yield (lo, s, values, derivs): the node data of the segments x_t
     at times[lo:lo + K], stacked (K, seg_nodes, n), K times at a time as
     dde._segment_chunk allows."""
@@ -148,7 +148,7 @@ def _segment_stacks(traj: Trajectory | _Rows, times, seg_nodes: int):
         yield (lo, *_segment_nodes(traj, times[lo:lo + size], seg_nodes))
 
 
-def _track(traj: Trajectory | _Rows, times, seg_nodes: int | None,
+def _track(traj: Trajectory, times, seg_nodes: int | None,
            evaluate: Callable[..., np.ndarray] | None,
            lam: float | None = None) -> np.ndarray:
     """A functional of the history segment x_t at each time.
@@ -176,7 +176,7 @@ def _track(traj: Trajectory | _Rows, times, seg_nodes: int | None,
     underflows, is weighted relative to its own time, as
     e^(lam (u - t))|x(u)|, which is e^(lam s)|x_t(s)| itself.
 
-    traj may be a piece of a trajectory's rows (dde._Rows) that holds
+    traj may be a piece that dde.simulate_many hands on, if it holds
     every row the times read: from the first row of each window (later
     pieces start past the history) to the right node of the time's cell.
     Every value is then bitwise that of the whole trajectory: the reads
@@ -247,7 +247,7 @@ class _Read(NamedTuple):
     lam: float | None = None
     width: int = 1
 
-    def track(self, traj: Trajectory | _Rows) -> np.ndarray:
+    def track(self, traj: Trajectory) -> np.ndarray:
         """The track of a whole trajectory, or of a piece of its rows."""
         return _track(traj, self.times, self.seg_nodes, self.evaluate,
                       self.lam)
@@ -302,23 +302,23 @@ class _Reader:
         self.tracks = [None] * len(reads)
         self.escape_time = None
 
-    def __call__(self, rows: _Rows):
-        last = rows.first_row + rows.forward_times.size - 1
+    def __call__(self, piece: Trajectory):
+        last = piece.first_row + piece.forward_times.size - 1
         for q, read in enumerate(self.reads):
             done = self.done[q]
             if read.times is None:
                 self.parts[q].append(read.evaluate(
-                    rows.forward_values[done - rows.first_row:]))
+                    piece.forward_values[done - piece.first_row:]))
                 self.done[q] = last + 1
-                if rows.final:
+                if piece.final:
                     self.tracks[q] = np.concatenate(self.parts[q])
                 continue
             times = read.times
-            stop = times.size if rows.final else done + int(np.count_nonzero(
-                (times[done:] / rows.step_h).astype(int) < last))
+            stop = times.size if piece.final else done + int(np.count_nonzero(
+                (times[done:] / piece.step_h).astype(int) < last))
             if stop == done:
                 continue
-            got = read._replace(times=times[done:stop]).track(rows)
+            got = read._replace(times=times[done:stop]).track(piece)
             if self.tracks[q] is None:
                 self.tracks[q] = np.full((times.size,) + got.shape[1:],
                                          np.inf)
@@ -326,8 +326,8 @@ class _Reader:
             self.tracks[q][done:stop] = got.reshape(
                 got.shape + (1,) * (self.tracks[q].ndim - got.ndim))
             self.done[q] = stop
-        if rows.final:
-            self.escape_time = rows.escape_time
+        if piece.final:
+            self.escape_time = piece.escape_time
             for q, read in enumerate(self.reads):
                 if self.tracks[q] is None:
                     self.tracks[q] = np.full(read.times.size, np.inf)
@@ -361,7 +361,7 @@ def _ensemble(sys: DelaySystem, x0s, T: float, h: float, reads: list,
     while block := list(islice(x0s, size)):
         readers = [_Reader(reads) for _ in block]
         simulate_many(sys, block, T, h, held=held,
-                      take=lambda b, rows: readers[b](rows))
+                      take=lambda b, piece: readers[b](piece))
         for x0, got in zip(block, readers):
             yield _Run(x0, got.escape_time is not None, got.escape_time,
                        got.tracks)
@@ -458,7 +458,7 @@ class KLEnvelope:
 
     def value_at(self, s: float, t: float) -> float:
         """Conservative lookup: ceiling shell, step-left time."""
-        if s < 0.0 or t < 0.0:
+        if not (s >= 0.0 and t >= 0.0):
             raise ParameterError("envelope arguments must be nonnegative")
         if s > self.s_grid[-1] * (1.0 + _REL_TOL):
             raise ParameterError("norm above the outermost fitted shell")

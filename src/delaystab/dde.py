@@ -41,9 +41,11 @@ of forward rows, each read at its absolute cell index and fraction
 (j = int(u / h)) less the window's first row.  The method of steps only
 reads x back one delay, so a window needs the last delay interval plus
 the rows being built.  :func:`simulate_many` hands each member's settled
-rows on as ``_Rows`` pieces, after each chunk's escape test; a window that
-spans the horizon hands on one piece per member, and :func:`simulate` and
-:func:`simulate_many` return it as a whole :class:`Trajectory`.
+rows on after each chunk's escape test, as a :class:`Trajectory` that
+views the window and starts at a later forward row once the window has
+moved on; a window that spans the horizon hands on one whole trajectory
+per member, which :func:`simulate` and :func:`simulate_many` return with
+its rows copied out of the window.
 
 Ensembles integrate in memory-bounded blocks (``_block_members``): a
 block holds the most histories whose smallest windows, two delay
@@ -67,8 +69,7 @@ stacked norms stay memory-bounded too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,7 +145,7 @@ class DelaySystem:
         fz = np.atleast_1d(np.asarray(self.rhs(zero), dtype=float))
         if fz.shape != (self.dimension,):
             raise ParameterError("rhs output dimension mismatch")
-        if np.max(np.abs(fz)) > 1e-12:
+        if not np.all(np.abs(fz) <= 1e-12):
             raise ParameterError("rhs must vanish on the zero segment")
 
     def to_json_dict(self) -> dict:
@@ -299,86 +300,63 @@ def system_from_json_dict(d: dict) -> DelaySystem:
 class Trajectory:
     """Dense solution record over [-r, T] (or up to the escape time).
 
-    times runs from -r through the forward mesh; values/derivs align with
-    it.  forward_start is the row index of t = 0.  The initial segment is
-    kept whole so history queries use its exact grid.  Its forward rows
-    start at forward node 0 (first_row), where a piece of them that the
-    integrator hands on (_Rows) starts later.
+    The initial segment is kept whole, so history queries use its exact
+    grid, and the forward rows first_row, first_row + 1, ... follow it:
+    forward_times and the node values and derivatives (m, n) there.  A
+    whole trajectory starts at forward node 0 and is final; times,
+    values and derivs join its history nodes and forward rows, and
+    forward_start is the row index of t = 0 in them.  A trajectory ends
+    at end_time, at its escape_time if it escaped (else None).
+
+    simulate_many also hands a member's solution on in pieces, each a
+    trajectory of the rows it has settled since the last: a later piece
+    starts past forward node 0, and only the member's last piece is
+    final.  A read of x_t needs the rows from t - r to its cell's right
+    node.  A piece views the block's window, (m, n) with a stride of B
+    rows, valid until take returns.
     """
 
     system: DelaySystem
     initial: Segment
-    times: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray
     step_h: float
-    escaped: bool
+    forward_times: np.ndarray
+    forward_values: np.ndarray
+    forward_derivs: np.ndarray
     escape_time: float | None
-    forward_start: int
-    first_row: ClassVar[int] = 0
+    first_row: int = 0
+    final: bool = True
+
+    @property
+    def escaped(self) -> bool:
+        return self.escape_time is not None
 
     @property
     def end_time(self) -> float:
-        return float(self.times[-1])
+        return float(self.forward_times[-1])
 
     @property
-    def forward_times(self) -> np.ndarray:
-        return self.times[self.forward_start:]
+    def forward_start(self) -> int:
+        return self.initial.n_nodes - 1
 
     @property
-    def forward_values(self) -> np.ndarray:
-        return self.values[self.forward_start:]
+    def times(self) -> np.ndarray:
+        return np.concatenate([self.initial.nodes[:-1], self.forward_times])
 
     @property
-    def forward_derivs(self) -> np.ndarray:
-        return self.derivs[self.forward_start:]
+    def values(self) -> np.ndarray:
+        return np.concatenate([self.initial.values[:-1], self.forward_values])
+
+    @property
+    def derivs(self) -> np.ndarray:
+        return np.concatenate([self.initial.derivs[:-1], self.forward_derivs])
 
     def write_csv(self, fileobj):
         n = self.system.dimension
         header = ["t"] + [f"x_{j+1}" for j in range(n)] \
             + [f"dx_{j+1}" for j in range(n)]
         fileobj.write(",".join(header) + "\n")
-        for i in range(self.times.size):
-            row = [self.times[i], *self.values[i], *self.derivs[i]]
-            fileobj.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-@dataclass(frozen=True, eq=False)
-class _Rows:
-    """Forward nodes first_row, first_row + 1, ... of one member's
-    solution, as simulate_many hands them on: forward_times, _values and
-    _derivs indexed like a Trajectory's forward part, so that reads of
-    x_t take a piece as they take a Trajectory.  A read of x_t needs the
-    rows from t - r to its cell's right node.  The rows are views of the
-    block's window, (m, n) with a stride of B rows, valid until take
-    returns.  final marks a member's last piece: its solution ends at
-    end_time, at its escape_time if it escaped (else None)."""
-
-    system: DelaySystem
-    initial: Segment
-    step_h: float
-    first_row: int
-    forward_times: np.ndarray
-    forward_values: np.ndarray
-    forward_derivs: np.ndarray
-    final: bool
-    escape_time: float | None
-
-    @property
-    def end_time(self) -> float:
-        return float(self.forward_times[-1])
-
-
-def _trajectory(rows: _Rows) -> Trajectory:
-    """The whole trajectory of a member's one final piece (first_row 0)."""
-    x0 = rows.initial
-    return Trajectory(
-        system=rows.system, initial=x0,
-        times=np.concatenate([x0.nodes[:-1], rows.forward_times]),
-        values=np.concatenate([x0.values[:-1], rows.forward_values]),
-        derivs=np.concatenate([x0.derivs[:-1], rows.forward_derivs]),
-        step_h=rows.step_h, escaped=rows.escape_time is not None,
-        escape_time=rows.escape_time, forward_start=x0.n_nodes - 1)
+        for t, x, dx in zip(self.times, self.values, self.derivs):
+            fileobj.write(",".join(f"{v:.17g}" for v in (t, *x, *dx)) + "\n")
 
 
 class _SolutionView:
@@ -589,14 +567,15 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
     time-major window of forward rows.
 
     Without take the window spans the horizon and the whole trajectories
-    are returned.  With take the window holds _window_rows rows a
-    member, leaving room for the held bytes that take keeps of each
-    member until the block ends, and take(b, rows) receives member b's
-    settled rows as _Rows pieces: after each chunk's escape test, the
-    rows since the window's first row, then the window moves on and
-    keeps the last delay interval (r / h + 3 rows); a member's last piece
-    is final.  A piece is a view of the window, handed on once and valid
-    until take returns; nothing is returned.
+    are returned, their rows copied out of the window.  With take the
+    window holds _window_rows rows a member, leaving room for the held
+    bytes that take keeps of each member until the block ends, and
+    take(b, piece) receives member b's settled rows as Trajectory pieces:
+    after each chunk's escape test, the rows since the window's first
+    row, then the window moves on and keeps the last delay interval
+    (r / h + 3 rows); a member's last piece is final.  A piece is a view
+    of the window, handed on once and valid until take returns; nothing
+    is returned.
     """
     x0s = list(x0s)
     r = sys.delay_r
@@ -622,8 +601,10 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
         window = fwd_times.size
         out = [None] * len(x0s)
 
-        def take(b: int, rows: _Rows):
-            out[b] = _trajectory(rows)
+        def take(b: int, piece: Trajectory):
+            out[b] = replace(piece, forward_times=piece.forward_times.copy(),
+                             forward_values=piece.forward_values.copy(),
+                             forward_derivs=piece.forward_derivs.copy())
     else:
         window = _window_rows(sys, T, h, len(x0s), held)
 
@@ -637,9 +618,10 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 escape_time: float | None = None):
         """Forward rows first .. stop - 1 of the member at pos to take."""
         b = members[pos]
-        take(b, _Rows(sys, x0s[b], h_eff, first, fwd_times[first:stop],
-                      values[:stop - first, pos], derivs[:stop - first, pos],
-                      final, escape_time))
+        take(b, Trajectory(sys, x0s[b], h_eff, fwd_times[first:stop],
+                           values[:stop - first, pos],
+                           derivs[:stop - first, pos], escape_time, first,
+                           final))
 
     view = _SolutionView(x0s, values, derivs, h_eff)
     derivs[0] = np.asarray(sys.rhs(view), dtype=float)
@@ -735,14 +717,13 @@ def segment_at(traj: Trajectory, t: float, n_nodes: int | None = None
     return Segment(traj.system.delay_r, s, vals[0], ders[0])
 
 
-def _segment_nodes(traj: Trajectory | _Rows, times: np.ndarray,
-                   n_nodes: int):
+def _segment_nodes(traj: Trajectory, times: np.ndarray, n_nodes: int):
     """The node times s of the uniform grid of n_nodes on [-r, 0] and the
     node values and slopes of x_t there for every t of times, stacked as
     (K, n_nodes, n): row k is bitwise the nodes of segment_at(traj,
-    times[k], n_nodes).  traj may be a piece of a trajectory's rows
-    (_Rows) that holds every row the reads take: the cells are those of
-    the whole trajectory, at the same absolute indices."""
+    times[k], n_nodes).  traj may be a piece that simulate_many hands
+    on, if it holds every row the reads take: the cells are those of the
+    whole trajectory, at the same absolute indices."""
     r = traj.system.delay_r
     end = traj.end_time
     if not np.all((-1e-12 * r <= times) & (times <= end + 1e-12 * r)):

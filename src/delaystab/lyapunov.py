@@ -13,19 +13,19 @@ functional under window prolongation (which rules out finite-time escape).
 None of the checks prove anything; they falsify with witnesses or report
 consistency at stated tolerances, like the rest of the toolkit.
 
-Every trajectory the checks need is integrated through the one ensemble
-primitive, checkers._ensemble, in memory-bounded blocks: the sampled
-trajectories of the three checks and the Dini ladders of the dissipation
-check, one short simulation per sample.  A check declares what it reads
-of each trajectory (checkers._Read), and the ensemble takes those reads
-as the rows settle: V and the norm at the report times, V at the rungs
-of a ladder, and for the dissipation integral V at its checkpoints and
-the rate Q on every row of the mesh.  dini_derivative is the batch of
-one of such a ladder.  A check draws each sample index once and evaluates
-the functional at it once: the trajectory pass of the growth check and
-the integral pass of the dissipation check reuse the samples, and their
-values, of the pass before.  space_norm reads a sample through the same
-refined values as its functional.
+Every trajectory this module needs is integrated through the one
+ensemble primitive, checkers._ensemble, in memory-bounded blocks: the
+sampled trajectories of the three checks and the Dini ladders, one short
+simulation per sample, of the dissipation check and of dini_derivative,
+which is a block of one.  A caller declares what it reads of each
+trajectory (checkers._Read), and the ensemble takes those reads as the
+rows settle: V and the norm at the report times, V at the rungs of a
+ladder, and for the dissipation integral V at its checkpoints and the
+rate Q on every row of the mesh.  A check draws each sample index once
+and evaluates the functional at it once: the trajectory pass of the
+growth check and the integral pass of the dissipation check reuse the
+samples, and their values, of the pass before.  space_norm reads a
+sample through the same refined values as its functional.
 
 The built-in rates (scaled_abs, scaled_square) evaluate the rows of a
 chunk at once, each value bitwise the rate of its row alone; a rate
@@ -69,8 +69,8 @@ from .checkers import (
     _witness,
     default_time_grid,
 )
-from .dde import DelaySystem, Trajectory, _mesh_times, _working_step, \
-    simulate
+from .dde import DelaySystem, _mesh_times, _working_step
+from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
 from .sampler import SamplerConfig, sample_one
 from .segment import (
     DEFAULT_REFINE,
@@ -408,14 +408,16 @@ def dini_derivative(sys: DelaySystem, V: Functional,
     One short simulation covers the whole ladder; the solver step, half
     the smallest rung, divides every rung time exactly.  An escape before
     the ladder's end raises EscapeError.  This is the batch of one of the
-    ladders that check_pointwise_dissipation integrates in blocks through
-    checkers._ensemble; both read the ladder with _read_dini.
+    ladders that check_pointwise_dissipation integrates in blocks: one
+    checkers._ensemble member with _dini_read, then _dini_ladder.
     """
-    hs = _dini_steps(sys.delay_r)
-    traj = simulate(sys, x, float(hs[0]), hs[-1] / 2.0)
-    if traj.escaped:
-        raise EscapeError(traj.escape_time)
-    return _read_dini(V, x, V.evaluate(x), traj)
+    r = sys.delay_r
+    hs = _dini_steps(r)
+    (run,) = _ensemble(sys, [x], float(hs[0]), hs[-1] / 2.0,
+                       [_dini_read(V, r, x.n_nodes)])
+    if run.escaped:
+        raise EscapeError(run.escape_time)
+    return _dini_ladder(r, V.evaluate(x), run.tracks[0])
 
 
 def _dini_read(V: Functional, r: float, n_nodes: int) -> _Read:
@@ -423,14 +425,6 @@ def _dini_read(V: Functional, r: float, n_nodes: int) -> _Read:
     stacked track (each value bitwise V of segment_at); the steps go in
     increasing order, as a track takes its times."""
     return _Read(_dini_steps(r)[::-1], n_nodes, _stacked(V))
-
-
-def _read_dini(V: Functional, x: Segment, v0: float,
-               traj: Trajectory) -> DiniEstimate:
-    """The forward-quotient ladder of V at x, where V(x) = v0, read off
-    its ladder trajectory traj."""
-    r = traj.system.delay_r
-    return _dini_ladder(r, v0, _dini_read(V, r, x.n_nodes).track(traj))
 
 
 def _dini_ladder(r: float, v0: float, vs: np.ndarray) -> DiniEstimate:

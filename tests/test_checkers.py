@@ -121,6 +121,11 @@ def test_envelope_lookup_is_conservative():
         env.value_at(2.5, 0.0)
     with pytest.raises(ParameterError):
         env.value_at(1.0, -0.1)
+    # a NaN radius would read the outermost shell and a NaN time the last
+    # report time, both bounds off in the direction no caller assumes
+    for s, t in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            env.value_at(s, t)
 
 
 def test_envelope_csv_round_trip():

@@ -111,6 +111,20 @@ def test_check_rfc_saturating_consistent(tmp_path):
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("system", [
+    {"name": "linear_scalar", "r": 1.0, "params": {"a": math.nan, "b": 0.0}},
+    {"name": "saturating", "r": 1.0, "params": {"c": 1.0, "k": math.inf}},
+])
+def test_non_finite_system_parameters_are_a_config_error(tmp_path, system):
+    # json reads NaN and Infinity; such a system is refused, not checked
+    cfg = {"property": "rfc", "system": system,
+           "space": {"kind": "sup"}, "rho": 1.0, "T": 2.0, "budget": 3}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_null_step_is_the_default_step(tmp_path):
     cfg = {"property": "rfc", "system": LINEAR_DECAY,
            "space": {"kind": "sup"}, "rho": 1.0, "T": 2.0, "budget": 3}

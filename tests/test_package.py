@@ -33,12 +33,14 @@ def _callers(name: str) -> set:
 
 
 def test_every_integration_goes_through_one_path():
-    """Ensembles integrate only in checkers._ensemble; the serial
-    simulate is left to the single runs that need it."""
+    """Ensembles integrate only in checkers._ensemble, Dini ladders
+    included; the serial simulate is left to the single run of the CLI.
+    The one solution record, whole or in pieces, is built only where
+    the integrator hands its rows on."""
     assert _callers("simulate_many") == {("checkers", "_ensemble"),
                                          ("dde", "simulate")}
-    assert _callers("simulate") == {("lyapunov", "dini_derivative"),
-                                    ("cli", "cmd_simulate")}
+    assert _callers("simulate") == {("cli", "cmd_simulate")}
+    assert _callers("Trajectory") == {("dde", "simulate_many")}
 
 
 def _referrers(name: str) -> set:
