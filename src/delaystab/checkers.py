@@ -198,8 +198,6 @@ def _track(traj: Trajectory, times, seg_nodes: int | None,
     out = np.full(len(times), np.inf)
     ft, fv = traj.forward_times, np.ascontiguousarray(traj.forward_values)
     if traj.first_row == 0:
-        # the history read shared with the functionals of x0, if any; an
-        # ensemble's block of histories keeps no reads of its own
         s, vals = traj.initial._refined_values(DEFAULT_REFINE)
         u = np.concatenate([s, ft[1:]])
         mags = np.concatenate([_euclid(vals), _euclid(fv[1:])])
@@ -749,8 +747,9 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
     then witnesses trajectories escaping an arbitrarily small ball.
     """
     eps_list = [float(e) for e in np.atleast_1d(eps_list)]
-    if not eps_list or any(e <= 0.0 for e in eps_list):
-        raise ParameterError("tolerances must be positive")
+    if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
+        raise ParameterError(
+            f"tolerances must be positive and finite, got {eps_list}")
     if budget < 1:
         raise ParameterError("need a positive sample budget")
     if bisection_steps < 0:

@@ -142,7 +142,8 @@ class DelaySystem:
         if not (self.delay_r > 0.0 and math.isfinite(self.delay_r)):
             raise ParameterError("delay r must be positive and finite")
         zero = Segment.zero(self.delay_r, self.dimension, n_nodes=33)
-        fz = np.atleast_1d(np.asarray(self.rhs(zero), dtype=float))
+        with np.errstate(all="ignore"):  # a NaN rhs is refused below
+            fz = np.atleast_1d(np.asarray(self.rhs(zero), dtype=float))
         if fz.shape != (self.dimension,):
             raise ParameterError("rhs output dimension mismatch")
         if not np.all(np.abs(fz) <= 1e-12):
@@ -163,6 +164,15 @@ def _params_to_json(params: dict) -> dict:
 # -- builtin systems ---------------------------------------------------
 
 
+def _param(params: dict, key: str, convert, family: str, *default):
+    """A parameter of a system family, read by _field, refused unless
+    every entry is finite; the error names the family and the key."""
+    v = _field(params, key, convert, f"{family} params", *default)
+    if not np.all(np.isfinite(v)):
+        raise ParameterError(f"{family} params: {key!r} must be finite")
+    return v
+
+
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M x for each row x of v, (n,) or (B, n): v @ M.T, one (1, n) @ (n, n)
     product per row, so a row's bits do not depend on how many rows are
@@ -172,8 +182,8 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _linear_scalar(r: float, params: dict) -> DelaySystem:
     _check_keys(params, {"a", "b"}, set(), "linear_scalar params")
-    a = _field(params, "a", _real, "linear_scalar params")
-    b = _field(params, "b", _real, "linear_scalar params")
+    a = _param(params, "a", _real, "linear_scalar")
+    b = _param(params, "b", _real, "linear_scalar")
 
     if b != 0.0:
         def rhs(seg):
@@ -189,8 +199,8 @@ def _linear_scalar(r: float, params: dict) -> DelaySystem:
 
 def _linear_vector(r: float, params: dict) -> DelaySystem:
     _check_keys(params, {"A0", "A1"}, set(), "linear_vector params")
-    A0 = _field(params, "A0", _reals, "linear_vector params")
-    A1 = _field(params, "A1", _reals, "linear_vector params")
+    A0 = _param(params, "A0", _reals, "linear_vector")
+    A1 = _param(params, "A1", _reals, "linear_vector")
     if A0.ndim != 2 or A0.shape[0] != A0.shape[1] or A0.shape != A1.shape:
         raise ParameterError("A0 and A1 must be equal square matrices")
     n = A0.shape[0]
@@ -206,18 +216,15 @@ def _linear_vector(r: float, params: dict) -> DelaySystem:
 
 def _distributed_linear(r: float, params: dict) -> DelaySystem:
     _check_keys(params, {"A0", "K"}, set(), "distributed_linear params")
-    A0 = _field(params, "A0", _reals, "distributed_linear params")
-    with _typed("distributed_linear params: 'K'"):
-        pieces = [_reals(K) for K in params["K"]]
+    A0 = _param(params, "A0", _reals, "distributed_linear")
+    K = _param(params, "K", _reals, "distributed_linear")
     if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
         raise ParameterError("A0 must be square")
     n = A0.shape[0]
-    for K in pieces:
-        if K.shape != (n, n):
-            raise ParameterError("kernel pieces must match the state dimension")
+    if K.ndim != 3 or len(K) < 1 or K.shape[1:] != (n, n):
+        raise ParameterError("K must hold at least one n x n kernel piece")
+    pieces = [k.copy() for k in K]  # BLAS may round a view of K apart
     m = len(pieces)
-    if m < 1:
-        raise ParameterError("need at least one kernel piece")
     # fixed quadrature: 8 Simpson cells per equal-width kernel piece
     pts = 9
     edges = np.linspace(-r, 0.0, m + 1)
@@ -235,13 +242,13 @@ def _distributed_linear(r: float, params: dict) -> DelaySystem:
 
     L = np.linalg.norm(A0, 2) + r * max(np.linalg.norm(K, 2) for K in pieces)
     return DelaySystem("distributed_linear", n, r, rhs, lambda R: L,
-                       {"A0": A0, "K": np.array(pieces)})
+                       {"A0": A0, "K": K})
 
 
 def _saturating(r: float, params: dict) -> DelaySystem:
     _check_keys(params, {"c", "k"}, set(), "saturating params")
-    c = _field(params, "c", _real, "saturating params")
-    k = _field(params, "k", _real, "saturating params")
+    c = _param(params, "c", _real, "saturating")
+    k = _param(params, "k", _real, "saturating")
     if c < 0.0:
         raise ParameterError("damping c must be nonnegative")
 
@@ -254,7 +261,7 @@ def _saturating(r: float, params: dict) -> DelaySystem:
 
 def _quadratic(r: float, params: dict) -> DelaySystem:
     _check_keys(params, set(), {"c"}, "quadratic params")
-    c = _field(params, "c", _real, "quadratic params", 1.0)
+    c = _param(params, "c", _real, "quadratic", 1.0)
 
     def rhs(seg):
         v = seg.value_at_point(0.0)

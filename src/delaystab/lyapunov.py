@@ -24,8 +24,7 @@ ladder, and for the dissipation integral V at its checkpoints and the
 rate Q on every row of the mesh.  A check draws each sample index once
 and evaluates the functional at it once: the trajectory pass of the
 growth check and the integral pass of the dissipation check reuse the
-samples, and their values, of the pass before.  space_norm reads a
-sample through the same refined values as its functional.
+samples, and their values, of the pass before.
 
 The built-in rates (scaled_abs, scaled_square) evaluate the rows of a
 chunk at once, each value bitwise the rate of its row alone; a rate
@@ -243,7 +242,7 @@ def weighted_sup(lam: float) -> Functional:
         raise ParameterError("weight exponent must be finite")
 
     def evaluate(seg: Segment) -> float:
-        s, vals, _ = seg.refined(DEFAULT_REFINE)
+        s, vals = seg._refined_values(DEFAULT_REFINE)
         return float(_weighted_sups(lam, s, vals[None])[0])
 
     return Functional(name=f"weighted_sup({lam:g})", evaluate=evaluate,
@@ -257,7 +256,7 @@ def quadratic_integral(mu: float) -> Functional:
         raise ParameterError("weight exponent must be finite")
 
     def evaluate(seg: Segment) -> float:
-        s, vals, _ = seg.refined(DEFAULT_REFINE)
+        s, vals = seg._refined_values(DEFAULT_REFINE)
         return float(_quadratic_integrals(mu, s, vals[None])[0])
 
     return Functional(name=f"quadratic_integral({mu:g})", evaluate=evaluate,
@@ -278,10 +277,10 @@ def _stacked(V: Functional) -> Callable:
 
     The built-in kinds read the whole stack at once, each value bitwise
     V.evaluate of its segment alone: a weighted sup or quadratic integral
-    by its kernel on the stack's refined values, which Segment.refined
-    reads alike, and a space norm by segment._norms, of which space_norm
-    is the batch of one.  Any other functional is read one segment at a
-    time.
+    by its kernel on the stack's refined values, which
+    Segment._refined_values reads alike, and a space norm by
+    segment._norms, of which space_norm is the batch of one.  Any other
+    functional is read one segment at a time.
     """
     if V.kind == "space_norm":
         return partial(_norms, space=V.param)
@@ -459,7 +458,7 @@ def _prolonged_weighted_sups(x: Segment, f: np.ndarray, hs: np.ndarray,
     discrete sup here.  Row k of every array is step hs[k], computed as
     that step alone would be.
     """
-    s, vals, _ = x.refined(DEFAULT_REFINE)
+    s, vals = x._refined_values(DEFAULT_REFINE)
     r = x.delay_r
     steps = hs[:, None]
     keep = s >= -r + steps - 1e-15 * r

@@ -24,6 +24,10 @@ seminorm is one pruned, exact sweep over the sample lags
 (``_hoelder_norms``): it skips the lags that provably cannot reach the
 norm, so its value is the max over all lags in every bit.
 
+Segments are plain values: every read of one is taken afresh from its four
+fields.  Only the grid arithmetic of a uniform read (``_uniform_grid``) is
+memoised, keyed on the exact nodes; it holds no data values.
+
 Three norm families are supported:
 
 * ``sup``: the plain supremum of the Euclidean norm of x,
@@ -43,6 +47,7 @@ import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -273,17 +278,22 @@ def _points_read(values, derivs, r: float, s: np.ndarray):
     return out
 
 
-def _cells(r: float, nodes, values, derivs, s: np.ndarray):
-    """Hermite cell data of the times s in [-r, 0], in the order _hermite
-    takes, from uniform nodes on [-r, 0].
+def _locate(r: float, nodes, s: np.ndarray):
+    """Cell index j, fraction u and width h of each time s in [-r, 0] on
+    the uniform nodes from -r to 0: the locate rule of every array read."""
+    h = r / (nodes.size - 1)
+    j = np.clip(((s + r) / h).astype(int), 0, nodes.size - 2)
+    return j, (s - nodes[j]) / h, h
+
+
+def _cells(values, derivs, j, u, h):
+    """Hermite cell data of the located times (j, u, h), in the order
+    _hermite takes.
 
     Node rows (N + 1, n) give cell rows (m, n); stacked node data
     (K, N + 1, n) give (K, m, n), each segment of the stack read by the
     same formula on the same cells as it would be alone.
     """
-    h = r / (nodes.size - 1)
-    j = np.clip(((s + r) / h).astype(int), 0, nodes.size - 2)
-    u = (s - nodes[j]) / h
     return (values[..., j, :], derivs[..., j, :], values[..., j + 1, :],
             derivs[..., j + 1, :], u[:, None], h)
 
@@ -299,12 +309,24 @@ def _refined_count(n_nodes: int, refine) -> int:
     return (n_nodes - 1) * refine + 1
 
 
+@lru_cache
+def _uniform_grid(r: float, node_bytes: bytes, count: int):
+    """The count uniform times s from -r to 0 located on the nodes whose
+    float64 bytes are node_bytes, (s, j, u, h) with read-only arrays: pure
+    grid arithmetic, memoised, holding no data values."""
+    s = np.linspace(-r, 0.0, count)
+    j, u, h = _locate(r, np.frombuffer(node_bytes), s)
+    for arr in (s, j, u):
+        arr.setflags(write=False)
+    return s, j, u, h
+
+
 def _uniform_reads(r: float, nodes, values, derivs, count: int,
                    slopes: bool):
     """The count uniform times s from -r to 0, x at them and, if slopes,
     x' (else None); (m, n) reads for node rows, (K, m, n) for stacks."""
-    s = np.linspace(-r, 0.0, count)
-    cells = _cells(r, nodes, values, derivs, s)
+    s, *grid = _uniform_grid(r, nodes.tobytes(), count)
+    cells = _cells(values, derivs, *grid)
     return s, _hermite(*cells), _hermite_slope(*cells) if slopes else None
 
 
@@ -356,7 +378,6 @@ class Segment:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivs", derivs)
-        object.__setattr__(self, "_cache", {})
 
     # -- shape helpers -------------------------------------------------
 
@@ -410,8 +431,8 @@ class Segment:
         tol = 1e-9 * r
         if np.any(s < -r - tol) or np.any(s > tol):
             raise ParameterError("evaluation time outside [-r, 0]")
-        return _cells(r, self.nodes, self.values, self.derivs,
-                      np.clip(s, -r, 0.0))
+        return _cells(self.values, self.derivs,
+                      *_locate(r, self.nodes, np.clip(s, -r, 0.0)))
 
     def value_at(self, s) -> np.ndarray:
         """Hermite value at times s (scalar or array); returns (m, n)."""
@@ -427,25 +448,15 @@ class Segment:
 
     def refined(self, refine: int = DEFAULT_REFINE):
         """Sample grid, values and derivatives at refine points per cell."""
-        count = _refined_count(self.n_nodes, refine)
-        cached = self._cache.get(("refined", count))
-        if cached is not None:
-            return cached
-        out = _uniform_reads(self.delay_r, self.nodes, self.values,
-                             self.derivs, count, True)
-        self._cache[("refined", count)] = out
-        return out
+        return _uniform_reads(self.delay_r, self.nodes, self.values,
+                              self.derivs, _refined_count(self.n_nodes, refine),
+                              True)
 
     def _refined_values(self, refine: int = DEFAULT_REFINE):
-        """The sample grid and values of refined(refine): its cached read
-        if there is one, else a fresh read of the values that leaves the
-        cache empty, for a caller that reads many segments once."""
-        count = _refined_count(self.n_nodes, refine)
-        cached = self._cache.get(("refined", count))
-        if cached is not None:
-            return cached[:2]
+        """The sample grid and values of refined(refine), without slopes."""
         return _uniform_reads(self.delay_r, self.nodes, self.values,
-                              self.derivs, count, False)[:2]
+                              self.derivs, _refined_count(self.n_nodes, refine),
+                              False)[:2]
 
     # -- linear structure ----------------------------------------------
 
@@ -644,22 +655,14 @@ def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
     seminorm reads its own grid when the refined one exceeds
     HOELDER_GRID_CAP samples."""
     count = _refined_count(nodes.size, refine)
-    reads = _uniform_reads(r, nodes, values, derivs, count,
-                           space.kind == "sobolev")
-    return _read_norms(r, nodes, values, derivs, reads, space)
-
-
-def _read_norms(r: float, nodes, values, derivs, reads,
-                space: SpaceSpec) -> np.ndarray:
-    """The norms of _norms from the stack's refined reads (s, values,
-    slopes), the slopes needed for Sobolev only."""
-    s, vals, ders = reads
+    s, vals, ders = _uniform_reads(r, nodes, values, derivs, count,
+                                   space.kind == "sobolev")
     sup = _sup_norms(vals)
     if space.kind == "sup":
         return sup
     if space.kind == "sobolev":
         return sup + _lp_norms(ders, space.p, s[1] - s[0])
-    if s.size > HOELDER_GRID_CAP:
+    if count > HOELDER_GRID_CAP:
         vals = _uniform_reads(r, nodes, values, derivs, HOELDER_GRID_CAP,
                               False)[1]
     return _hoelder_norms(vals, space.a, r, sup)
@@ -667,7 +670,7 @@ def _read_norms(r: float, nodes, values, derivs, reads,
 
 def sup_norm(seg: Segment, refine: int = DEFAULT_REFINE) -> float:
     """Max Euclidean norm of x over the refined grid (nodes included)."""
-    _, vals, _ = seg.refined(refine)
+    _, vals = seg._refined_values(refine)
     return float(_sup_norms(vals[None])[0])
 
 
@@ -700,18 +703,9 @@ def hoelder_seminorm(seg: Segment, a: float,
 
 def space_norm(seg: Segment, space: SpaceSpec, refine: int = DEFAULT_REFINE) -> float:
     """Norm of the segment in the given space: the batch of one of the
-    stacked norms of x_t that the checkers' norm tracks take.  A segment
-    that a functional has read (Segment.refined) is normed from that
-    cached read; any other is read afresh, slopes only for Sobolev, and
-    fills no cache."""
-    cached = seg._cache.get(("refined", _refined_count(seg.n_nodes, refine)))
-    if cached is None:
-        return float(_norms(seg.delay_r, seg.nodes, seg.values[None],
-                            seg.derivs[None], space, refine)[0])
-    s, vals, ders = cached
-    return float(_read_norms(seg.delay_r, seg.nodes, seg.values[None],
-                             seg.derivs[None], (s, vals[None], ders[None]),
-                             space)[0])
+    stacked norms of x_t that the checkers' norm tracks take (_norms)."""
+    return float(_norms(seg.delay_r, seg.nodes, seg.values[None],
+                        seg.derivs[None], space, refine)[0])
 
 
 # -- prolongation ------------------------------------------------------

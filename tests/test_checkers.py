@@ -284,6 +284,14 @@ def test_ls_growth_is_falsified_with_tiny_frontier():
     assert rep.margins["delta(0.1)"] < rep.details["frontier"]
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+def test_ls_refuses_a_tolerance_outside_the_positive_reals(eps):
+    # a NaN once passed the test and died as non-finite segment data
+    with pytest.raises(ParameterError,
+                       match=rf"positive and finite, got \[0.5, {eps}\]"):
+        check_ls(linear(0.5, -1.0, 0.0), SUP, [0.5, eps], 1)
+
+
 def test_ls_witness_regenerates_bitwise():
     rep = check_ls(linear(1.0, 0.0, 1.0), SUP, [0.1], 4, h=0.04,
                    grid_points=40)

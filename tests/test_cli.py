@@ -401,6 +401,13 @@ BAD_VALUES = [
                                 "params": {"A0": [[-1.0, True], [0.0, -1.0]],
                                            "A1": [[0.0, 0.0], [0.0, 0.0]]}}},
      "'A0'"),
+    # a non-finite tolerance once died as non-finite segment data
+    ("check", {**LS, "eps_list": [0.5, math.nan]},
+     "positive and finite"),
+    ("check", {"property": "gas-vs-ugas", "system": LINEAR_DECAY,
+               "space": {"kind": "sup"}, "rho_list": [1.0],
+               "eps_list": [math.inf], "budget": 1},
+     "positive and finite"),
 ]
 
 

@@ -140,11 +140,16 @@ def test_rhs_must_vanish_at_zero():
     ("quadratic", {"c": -math.inf}),
     ("distributed_linear", {"A0": [[math.nan]], "K": [[[0.5]]]}),
     ("distributed_linear", {"A0": [[-1.0]], "K": [[[math.inf]]]}),
+    ("linear_vector", {"A0": [[math.nan]], "A1": [[0.5]]}),
+    ("linear_vector", {"A0": [[-1.0, 0.0], [0.0, -1.0]],
+                       "A1": [[0.0, -math.inf], [0.0, 0.0]]}),
 ])
 def test_non_finite_parameters_are_refused(name, params):
-    # the rhs at zero is then NaN (inf * 0), which no tolerance test
-    # passes; distributed_linear's modulus refuses them first
-    with pytest.raises(ParameterError):
+    # one check of every family's parameters, before any is used, names
+    # the family and the non-finite key
+    (key,) = [k for k, v in params.items() if not np.all(np.isfinite(v))]
+    with pytest.raises(ParameterError,
+                       match=f"^{name} params: '{key}' must be finite$"):
         make_system(name, 1.0, params)
 
 

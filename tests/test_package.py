@@ -70,12 +70,11 @@ def test_norm_tracks_read_stacked_segments():
     # the reads of an ensemble, piece by piece, and whole trajectories
     assert _callers("_segment_stacks") == {("checkers", "_track")}
     assert _callers("_track") == {("checkers", "_Read")}
-    # space_norm reads a segment afresh through _norms, unless a
-    # functional has cached its refined read
+    # space_norm is the batch of one of _norms, and a segment keeps no
+    # read of its own for a second path to norm
     assert _callers("_norms") == {("checkers", "verify_pair_bounds"),
                                   ("segment", "space_norm")}
-    assert _callers("_read_norms") == {("segment", "_norms"),
-                                       ("segment", "space_norm")}
+    assert not hasattr(delaystab.segment, "_read_norms")
     # norm reads and space-norm functionals hand _norms to the track
     assert _referrers("_norms") - _callers("_norms") == {
         ("checkers", "_norm_read"), ("lyapunov", "_stacked")}
@@ -95,7 +94,7 @@ def test_one_hoelder_kernel():
     """The Hoelder seminorm has one kernel, the pruned lag sweep, which
     the stacked norms and the per-segment seminorm share; the full lag
     profile it replaced is gone."""
-    assert _callers("_hoelder_norms") == {("segment", "_read_norms"),
+    assert _callers("_hoelder_norms") == {("segment", "_norms"),
                                           ("segment", "hoelder_seminorm")}
     assert _callers("_lag_profiles") == set()
     assert not hasattr(delaystab.segment, "_lag_profiles")

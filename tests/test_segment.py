@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from delaystab import checkers, dde, segment
+from delaystab import checkers, dde, lyapunov, segment
 from delaystab.segment import (
     DEFAULT_REFINE,
     HOELDER_GRID_CAP,
@@ -145,27 +145,38 @@ def test_evaluation_outside_window_raises():
         seg.value_at(np.array([0.5]))
 
 
-def test_refined_grid_is_cached():
-    seg = Segment.constant(1.0, 1.0, n_nodes=11)
-    a = seg.refined(4)
-    b = seg.refined(4)
-    assert a[0] is b[0]
-    assert a[0].size == 10 * 4 + 1
+SPACES = [SpaceSpec.sup(), SpaceSpec.sobolev(2.0), SpaceSpec.hoelder(0.5)]
 
 
-def test_space_norm_shares_the_refined_read(monkeypatch):
-    """space_norm of a segment that Segment.refined has read norms that
-    cached read, so a norm and a functional of one segment refine it
-    once; any other segment is read afresh, slopes only for Sobolev, and
-    keeps no cache.  Either way the value is the stacked norm's in every
-    bit."""
-    spaces = [SpaceSpec.sup(), SpaceSpec.sobolev(2.0), SpaceSpec.hoelder(0.5)]
+def test_reads_store_nothing_on_the_segment():
+    """A segment is a plain value: refining it, norming it, a built-in
+    functional and the tracks of an ensemble leave its attributes its
+    four data fields, each the same object."""
+    seg = Segment.from_callable(1.0, np.sin, np.cos, 65)
+    before = dict(vars(seg))
+    assert set(before) == {"delay_r", "nodes", "values", "derivs"}
+    seg.refined()
+    for space in SPACES:
+        space_norm(seg, space)
+    for V in (lyapunov.weighted_sup(1.0), lyapunov.quadratic_integral(1.0)):
+        V.evaluate(seg)
+    sys = dde.make_system("linear_scalar", 1.0, {"a": -1.0, "b": 0.5})
+    grid = np.linspace(0.0, 2.0, 5)
+    (run,) = checkers._ensemble(
+        sys, [seg], 2.0, 0.01,
+        [checkers._norm_read(space, grid, seg.n_nodes) for space in SPACES])
+    assert all(np.all(np.isfinite(track)) for track in run.tracks)
+    assert vars(seg).keys() == before.keys()
+    assert all(vars(seg)[k] is v for k, v in before.items())
+
+
+def test_space_norm_is_the_stacked_norm_of_one(monkeypatch):
+    """space_norm is the batch of one of _norms in every bit, for the sup,
+    Sobolev and Hoelder spaces, and reads the segment once, slopes for
+    Sobolev only."""
+    seg = Segment.from_callable(1.0, np.sin, np.cos, 65)
     reads = segment._uniform_reads
-    count = 8 * 64 + 1
-    for cached in (False, True):
-        seg = Segment.from_callable(1.0, np.sin, np.cos, 65)
-        if cached:
-            seg.refined()
+    for space in SPACES:
         calls = []
 
         def counting(*args):
@@ -173,18 +184,32 @@ def test_space_norm_shares_the_refined_read(monkeypatch):
             return reads(*args)
 
         monkeypatch.setattr(segment, "_uniform_reads", counting)
-        got = [space_norm(seg, space) for space in spaces]
-        if cached:
-            assert calls == []
-        else:
-            assert calls == [(count, False), (count, True), (count, False)]
-            assert not seg._cache
+        got = space_norm(seg, space)
+        assert calls == [(8 * 64 + 1, space.kind == "sobolev")]
         monkeypatch.setattr(segment, "_uniform_reads", reads)
-        assert sup_norm(seg) == got[0]
-        want = [segment._norms(1.0, seg.nodes, seg.values[None],
-                               seg.derivs[None], space)[0]
-                for space in spaces]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        want = segment._norms(1.0, seg.nodes, seg.values[None],
+                              seg.derivs[None], space)
+        assert np.array([got]).tobytes() == want.tobytes()
+    assert sup_norm(seg) == space_norm(seg, SPACES[0])
+
+
+def test_refined_reads_are_point_reads_on_the_exact_nodes():
+    """The memoised grid of a uniform read locates its times by the rule
+    of Segment.value_at, on the segment's exact nodes: refined values and
+    slopes are value_at and deriv_at at the sample times in every bit,
+    also for nodes an ulp off the uniform grid, and the shared grid
+    arrays are read-only."""
+    rng = np.random.default_rng(5)
+    seg = random_fourier_segment(rng)
+    nodes = seg.nodes.copy()
+    nodes[1:-1] = np.nextafter(nodes[1:-1], 0.0)
+    off = Segment(seg.delay_r, nodes, seg.values, seg.derivs)
+    for x in (seg, off):
+        s, vals, ders = x.refined(4)
+        assert s.size == 64 * 4 + 1 and not s.flags.writeable
+        assert vals.tobytes() == x.value_at(s).tobytes()
+        assert ders.tobytes() == x.deriv_at(s).tobytes()
+        assert x._refined_values(4)[1].tobytes() == vals.tobytes()
 
 
 # ----------------------------------------------------------------- quadrature
