@@ -256,14 +256,17 @@ class _Read(NamedTuple):
                                  else self.times.size)
 
 
-def _norm_read(space: SpaceSpec, grid: np.ndarray, seg_nodes: int) -> _Read:
+def _norm_read(space: SpaceSpec, grid: np.ndarray, seg_nodes: int,
+               level: float | None = None) -> _Read:
     """The report-space norm of x_t at each grid time; +inf past the
     covered end.  Sup is the lam = 0 window max of _track; the other
     spaces are its stacked track with segment._norms, each value bitwise
-    space_norm(segment_at(traj, t, seg_nodes), space)."""
+    space_norm(segment_at(traj, t, seg_nodes), space).  With a level the
+    values are _norms' at that level: exact only in how they compare
+    with it (Hoelder values above it may fall short of the norm)."""
     if space.kind == "sup":
         return _Read(grid, seg_nodes, None, 0.0)
-    return _Read(grid, seg_nodes, partial(_norms, space=space))
+    return _Read(grid, seg_nodes, partial(_norms, space=space, level=level))
 
 
 def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,
@@ -733,6 +736,11 @@ def check_lags(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int, *,
     return StabilityReport("lags", space, "consistent", None, margins, budgets)
 
 
+def _check_tolerance(eps: float) -> None:
+    if not 0.0 < eps < math.inf:
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
+
+
 def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
              horizon: float | None = None, bisection_steps: int = 20,
              family: str = "fourier", order: int = 3, seed: int = 0,
@@ -816,10 +824,12 @@ def check_ga(sys: DelaySystem, space: SpaceSpec, rho: float, eps: float,
 
     A sample that has not converged and whose norm has stopped moving over
     the last quarter of the horizon falsifies the property; one that is
-    still visibly decreasing only leaves the check inconclusive.
+    still visibly decreasing only leaves the check inconclusive.  Only
+    that last quarter of the report times is read, exactly.
     """
-    if not (rho > 0.0 and eps > 0.0 and budget >= 1):
-        raise ParameterError("need positive rho, eps and budget")
+    if not (rho > 0.0 and budget >= 1):
+        raise ParameterError("need positive rho and budget")
+    _check_tolerance(eps)
     r = sys.delay_r
     h, horizon = _step_defaults(r, h, horizon)
     grid = default_time_grid(horizon, r, grid_points)
@@ -828,20 +838,19 @@ def check_ga(sys: DelaySystem, space: SpaceSpec, rho: float, eps: float,
     worst_end = 0.0
     undecided = False
     runs = _ensemble(sys, _samples(cfg, budget), horizon, h,
-                     [_norm_read(space, grid, n_nodes)])
-    for i, (x0, _, _, (track,)) in enumerate(runs):
-        tail = track[q:]
-        worst_end = max(worst_end, float(track[-1]))
+                     [_norm_read(space, grid[q:], n_nodes)])
+    for i, (x0, _, _, (tail,)) in enumerate(runs):
+        worst_end = max(worst_end, float(tail[-1]))
         if np.all(tail <= eps * (1.0 + _REL_TOL)):
             continue
         plateau = float(tail.max())
         stagnant = (not math.isfinite(plateau)) or \
-            track[-1] >= 0.99 * plateau
+            tail[-1] >= 0.99 * plateau
         if stagnant:
-            wit = _witness(cfg, i, x0, float(grid[-1]), float(track[-1]))
+            wit = _witness(cfg, i, x0, float(grid[-1]), float(tail[-1]))
             return StabilityReport(
                 "ga", space, "falsified", wit,
-                {"residual_norm": float(track[-1]), "eps": eps},
+                {"residual_norm": float(tail[-1]), "eps": eps},
                 {"samples": budget}, {"horizon": horizon})
         undecided = True
     margins = {"worst_end_norm": worst_end, "eps": eps}
@@ -859,25 +868,36 @@ def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
               family: str = "fourier", order: int = 3, seed: int = 0,
               n_nodes: int = 65, h: float | None = None,
               grid_points: int = 200) -> StabilityReport:
-    """Uniform attractivity: one settling time for the whole ball."""
-    if not (rho > 0.0 and eps > 0.0 and budget >= 1):
-        raise ParameterError("need positive rho, eps and budget")
+    """Uniform attractivity: one settling time for the whole ball.
+
+    The settling time is the first report time from which the peak over
+    the samples stays within eps.  Of the report times before the last
+    only that comparison matters, so they are read at the level
+    eps (1 + 1e-9) (see segment._norms): a Hoelder sweep stops once a
+    block of lags lifts a sample above it.  The last time is read
+    exactly, as the residual of an inconclusive report.
+    """
+    if not (rho > 0.0 and budget >= 1):
+        raise ParameterError("need positive rho and budget")
+    _check_tolerance(eps)
     r = sys.delay_r
     h, horizon = _step_defaults(r, h, horizon)
     grid = default_time_grid(horizon, r, grid_points)
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
+    level = eps * (1.0 + _REL_TOL)
     peak = np.zeros(grid.size)
     runs = _ensemble(sys, _samples(cfg, budget), horizon, h,
-                     [_norm_read(space, grid, n_nodes)])
-    for i, (x0, escaped, escape_time, (track,)) in enumerate(runs):
+                     [_norm_read(space, grid[:-1], n_nodes, level),
+                      _norm_read(space, grid[-1:], n_nodes)])
+    for i, (x0, escaped, escape_time, tracks) in enumerate(runs):
         if escaped:
             wit = _witness(cfg, i, x0, escape_time, math.inf)
             return StabilityReport(
                 "uga", space, "falsified", wit, {"eps": eps, "rho": rho},
                 {"samples": budget}, {"escape_time": escape_time})
-        peak = np.maximum(peak, track)
+        peak = np.maximum(peak, np.concatenate(tracks))
     suffix = np.maximum.accumulate(peak[::-1])[::-1]
-    ok = np.nonzero(suffix <= eps * (1.0 + _REL_TOL))[0]
+    ok = np.nonzero(suffix <= level)[0]
     budgets = {"samples": budget}
     if ok.size == 0:
         return StabilityReport("uga", space, "inconclusive", None,

@@ -55,7 +55,8 @@ class SamplerConfig:
         if self.order < 0 or (self.family != "polynomial" and self.order < 1):
             raise ParameterError("family order must be >= 1 (polynomial: >= 0)")
         if not (self.target_norm > 0.0 and math.isfinite(self.target_norm)):
-            raise ParameterError("ball radius target_norm must be positive")
+            raise ParameterError("ball radius target_norm must be positive "
+                                 f"and finite, got {self.target_norm}")
         if self.dimension < 1:
             raise ParameterError("dimension must be at least 1")
         if not (self.delay_r > 0.0 and math.isfinite(self.delay_r)):

@@ -22,7 +22,9 @@ per-segment functions (``space_norm``, ``sup_norm``, ``lp_deriv_norm``,
 checkers' stacked norm tracks agree with them in every bit.  The Hoelder
 seminorm is one pruned, exact sweep over the sample lags
 (``_hoelder_norms``): it skips the lags that provably cannot reach the
-norm, so its value is the max over all lags in every bit.
+norm, so its value is the max over all lags in every bit.  A caller
+that only compares norms with a level can ask ``_norms`` for values
+exact only against it; the sweep then stops where a value passes it.
 
 Segments are plain values: every read of one is taken afresh from its four
 fields.  Only the grid arithmetic of a uniform read (``_uniform_grid``) is
@@ -599,7 +601,7 @@ def _lag_maxima(vals: np.ndarray, k: int, width: int) -> np.ndarray:
 
 
 def _hoelder_norms(vals: np.ndarray, a: float, r: float,
-                   floor) -> np.ndarray:
+                   floor, cap: float = math.inf) -> np.ndarray:
     """max(floor, Hoelder seminorm) of each segment of a stack of samples
     uniform on [-r, 0]: the seminorm is the max over lags k of the lag-k
     quotient, the largest |x(s_i+k) - x(s_i)| over |s_i+k - s_i|^a.
@@ -620,6 +622,13 @@ def _hoelder_norms(vals: np.ndarray, a: float, r: float,
     reaches (an inf or NaN bound always is), so each skipped quotient is
     below the result, and the max, which is exact, is bitwise the max
     over all lags.  A row's value does not depend on the others or on K.
+
+    A row whose result passes cap leaves the sweep, at the start and at
+    each block, so its value is above cap and at most the exact one; a
+    row that never passes cap ends exact.  Its value then compares with
+    cap as the exact one does, but which blocks it took before leaving,
+    and so the value itself, may depend on the other rows and on K.
+    With cap = inf no row leaves and every bit is as above.
     """
     K, m = vals.shape[:2]
     width = max(1, 32 // K)
@@ -633,14 +642,21 @@ def _hoelder_norms(vals: np.ndarray, a: float, r: float,
              * (1.0 + 1e-9) / den[:, None])
     # the blocks of lags 2 .. m - 1 that some row needs at the start,
     # largest bound first, so that thresholds rise early
-    need = (~(bound[1:] < thr)).any(axis=1)
+    need = ~(bound[1:] < thr)
+    capped = cap < math.inf  # else no row leaves: no test is made
+    if capped:
+        need &= ~(thr > cap)
+    need = need.any(axis=1)
     starts = np.arange(0, m - 2, width)
     top = np.maximum.reduceat(bound[1:].max(axis=1), starts)
     keep = np.logical_or.reduceat(need, starts)
     starts, top = starts[keep], top[keep]
     for k in 2 + starts[np.argsort(-top, kind="stable")]:
         lags = slice(k - 1, min(k - 1 + width, m - 1))  # rows of bound
-        rows = np.nonzero((~(bound[lags] < thr)).any(axis=0))[0]
+        take = ~(bound[lags] < thr)
+        if capped:
+            take &= ~(thr > cap)
+        rows = np.nonzero(take.any(axis=0))[0]
         if rows.size:
             q = _lag_maxima(vals[rows], k, lags.stop - lags.start)
             thr[rows] = np.maximum(thr[rows], (q / den[lags]).max(axis=1))
@@ -648,12 +664,21 @@ def _hoelder_norms(vals: np.ndarray, a: float, r: float,
 
 
 def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
-           refine: int = DEFAULT_REFINE) -> np.ndarray:
+           refine: int = DEFAULT_REFINE, level: float | None = None
+           ) -> np.ndarray:
     """space_norm of each segment of a stack: node data (K, N + 1, n) on
     the uniform nodes from -r to 0 give K norms, each bitwise the norm of
     that segment alone.  Sobolev refines slopes too, and the Hoelder
     seminorm reads its own grid when the refined one exceeds
-    HOELDER_GRID_CAP samples."""
+    HOELDER_GRID_CAP samples.
+
+    With a level, a value is exact only in how it compares with the
+    level: it is at most the level exactly when the norm is, and
+    otherwise above the level and at most the norm.  Hoelder rows then
+    sweep with floor max(sup, level) and cap level, so a row leaves
+    after the first block of lags that lifts it above the level and
+    skips every lag whose bound stays below it; sup and Sobolev values
+    stay exact."""
     count = _refined_count(nodes.size, refine)
     s, vals, ders = _uniform_reads(r, nodes, values, derivs, count,
                                    space.kind == "sobolev")
@@ -665,7 +690,9 @@ def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
     if count > HOELDER_GRID_CAP:
         vals = _uniform_reads(r, nodes, values, derivs, HOELDER_GRID_CAP,
                               False)[1]
-    return _hoelder_norms(vals, space.a, r, sup)
+    if level is None:
+        return _hoelder_norms(vals, space.a, r, sup)
+    return _hoelder_norms(vals, space.a, r, np.maximum(sup, level), level)
 
 
 def sup_norm(seg: Segment, refine: int = DEFAULT_REFINE) -> float:

@@ -1,13 +1,14 @@
 """Tests for the empirical stability checkers and envelope machinery."""
 
 import io
+import json
 import math
 from itertools import chain
 
 import numpy as np
 import pytest
 
-from delaystab import checkers, dde, lyapunov
+from delaystab import checkers, dde, lyapunov, segment
 from delaystab.checkers import (
     KLEnvelope,
     StabilityReport,
@@ -355,6 +356,130 @@ def test_uga_saturating_settles():
     rep = check_uga(sat, SUP, 0.2, 1.0, 3, h=0.02, grid_points=60)
     assert rep.verdict == "consistent"
     assert 1.0 < rep.margins["settle_time"] < 9.0
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("check", [check_uga, check_ga])
+def test_uga_and_ga_refuse_a_tolerance_outside_the_positive_reals(check,
+                                                                  eps):
+    # an infinite eps once gave a vacuous consistent report
+    sys = linear(0.5, -1.0, 0.0)
+    args = (eps, 1.0) if check is check_uga else (1.0, eps)
+    with pytest.raises(ParameterError,
+                       match=rf"positive and finite, got {eps}"):
+        check(sys, SUP, *args, 1)
+
+
+# The oracles of uga at a level and of ga on its last quarter: both
+# checks as they read every report time exactly.
+
+
+def _exact_uga(sys, space, eps, rho, budget, *, horizon, h, seed):
+    r = sys.delay_r
+    grid = default_time_grid(horizon, r, 200)
+    cfg = checkers._ball_cfg(sys, space, rho, "fourier", 3, seed, 65)
+    peak = np.zeros(grid.size)
+    runs = checkers._ensemble(sys, checkers._samples(cfg, budget), horizon,
+                              h, [checkers._norm_read(space, grid, 65)])
+    for i, (x0, escaped, escape_time, (track,)) in enumerate(runs):
+        if escaped:
+            wit = checkers._witness(cfg, i, x0, escape_time, math.inf)
+            return StabilityReport(
+                "uga", space, "falsified", wit, {"eps": eps, "rho": rho},
+                {"samples": budget}, {"escape_time": escape_time})
+        peak = np.maximum(peak, track)
+    suffix = np.maximum.accumulate(peak[::-1])[::-1]
+    ok = np.nonzero(suffix <= eps * (1.0 + checkers._REL_TOL))[0]
+    budgets = {"samples": budget}
+    if ok.size == 0:
+        return StabilityReport("uga", space, "inconclusive", None,
+                               {"eps": eps, "rho": rho,
+                                "residual": float(suffix[-1])},
+                               budgets, {"horizon": horizon})
+    return StabilityReport("uga", space, "consistent", None,
+                           {"eps": eps, "rho": rho,
+                            "settle_time": float(grid[int(ok[0])])},
+                           budgets, {"horizon": horizon})
+
+
+def _exact_ga(sys, space, rho, eps, budget, *, horizon, h, seed):
+    r = sys.delay_r
+    grid = default_time_grid(horizon, r, 200)
+    cfg = checkers._ball_cfg(sys, space, rho, "fourier", 3, seed, 65)
+    q = 3 * grid.size // 4
+    worst_end = 0.0
+    undecided = False
+    runs = checkers._ensemble(sys, checkers._samples(cfg, budget), horizon,
+                              h, [checkers._norm_read(space, grid, 65)])
+    for i, (x0, _, _, (track,)) in enumerate(runs):
+        tail = track[q:]
+        worst_end = max(worst_end, float(track[-1]))
+        if np.all(tail <= eps * (1.0 + checkers._REL_TOL)):
+            continue
+        plateau = float(tail.max())
+        if (not math.isfinite(plateau)) or track[-1] >= 0.99 * plateau:
+            wit = checkers._witness(cfg, i, x0, float(grid[-1]),
+                                    float(track[-1]))
+            return StabilityReport(
+                "ga", space, "falsified", wit,
+                {"residual_norm": float(track[-1]), "eps": eps},
+                {"samples": budget}, {"horizon": horizon})
+        undecided = True
+    margins = {"worst_end_norm": worst_end, "eps": eps}
+    if undecided:
+        return StabilityReport("ga", space, "inconclusive", None, margins,
+                               {"samples": budget},
+                               {"horizon": horizon, "still_decreasing": True})
+    return StabilityReport("ga", space, "consistent", None, margins,
+                           {"samples": budget}, {"horizon": horizon})
+
+
+# (system, rho, eps, uga verdict): settling; too slow for the horizon,
+# smooth and oscillating (whose last Hoelder(0.5) norm is not reached
+# by the sup norm and the lag-1 quotient, so a residual read at the
+# level would fall short); and an escape from the ball
+LEVEL_CASES = [
+    (make_system("saturating", r=1.0, params={"c": 1.0, "k": 0.5}), 1.0,
+     0.05, "consistent"),
+    (linear(1.0, -0.2, 0.1), 1.0, 0.05, "inconclusive"),
+    (linear(1.0, 0.0, -1.5), 1.0, 0.05, "inconclusive"),
+    (make_system("quadratic", r=1.0, params={"c": 1.0}), 2.0, 0.05,
+     "falsified"),
+]
+LEVEL_SPACES = [SpaceSpec.hoelder(0.5), SpaceSpec.hoelder(1.0), SOB2]
+
+
+@pytest.mark.parametrize("space", LEVEL_SPACES, ids=lambda sp: sp.label)
+@pytest.mark.parametrize("case", range(len(LEVEL_CASES)),
+                         ids=["settling", "slow", "oscillating", "escape"])
+def test_uga_at_its_level_and_ga_on_its_tail_report_as_exact_reads(
+        monkeypatch, space, case):
+    """uga reads its report times but the last at eps and ga reads only
+    the last quarter; their reports are byte for byte those of the
+    loops that read every time exactly, in every verdict, and in the
+    Hoelder spaces the level leaves most lags unread."""
+    sys, rho, eps, verdict = LEVEL_CASES[case]
+    kw = {"horizon": 8.0, "h": 0.02, "seed": 3}
+    work = []
+    lag_maxima = segment._lag_maxima
+
+    def counting(vals, k, width):
+        work[-1] += vals.shape[0] * width
+        return lag_maxima(vals, k, width)
+
+    monkeypatch.setattr(segment, "_lag_maxima", counting)
+    got = []
+    for check in (_exact_uga, check_uga):
+        work.append(0)
+        got.append(json.dumps(check(sys, space, eps, rho, 4, **kw)
+                              .to_json_dict()))
+    assert got[1] == got[0]
+    assert json.loads(got[0])["verdict"] == verdict
+    if space.kind == "hoelder" and verdict != "falsified":
+        assert work[1] < work[0] / 4
+    ga = [json.dumps(check(sys, space, rho, eps, 4, **kw).to_json_dict())
+          for check in (_exact_ga, check_ga)]
+    assert ga[1] == ga[0]
 
 
 # -- envelope fitting --------------------------------------------------
@@ -926,7 +1051,11 @@ def _reports():
             linear(0.25, -1.0, 0.0), weighted_sup(1.0),
             MonotoneGridFn.linear(math.exp(-1.0)), MonotoneGridFn.linear(1.0),
             scaled_abs_rate(math.exp(-1.0)), SUP, 4, integral_trajectories=9,
-            T=1.0, h=0.01)]
+            T=1.0, h=0.01),
+        check_uga(VECTOR, SpaceSpec.hoelder(0.5), 0.1, 1.0, 5, horizon=4.0,
+                  h=0.02, grid_points=20),
+        check_ga(VECTOR, SpaceSpec.hoelder(0.5), 1.0, 0.05, 5, horizon=4.0,
+                 h=0.02, grid_points=20)]
     return env, [rep.to_json_dict() for rep in reports]
 
 
@@ -992,7 +1121,8 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
     env, reports = results[0]
     assert [rep["verdict"] for rep in reports] == [
         "inconclusive", "consistent", "consistent", "falsified",
-        "consistent", "consistent", "consistent"]
+        "consistent", "consistent", "consistent", "consistent",
+        "inconclusive"]
     for other_env, other_reports in results[1:]:
         assert other_reports == reports
         assert other_env.to_json_dict() == env.to_json_dict()

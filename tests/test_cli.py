@@ -408,6 +408,15 @@ BAD_VALUES = [
                "space": {"kind": "sup"}, "rho_list": [1.0],
                "eps_list": [math.inf], "budget": 1},
      "positive and finite"),
+    # an infinite eps once gave a vacuous consistent report
+    ("check", {**GA, "property": "uga", "eps": math.inf},
+     "positive and finite"),
+    ("check", {**GA, "eps": math.inf}, "positive and finite"),
+    ("check", {**GA, "property": "uga", "rho": math.inf},
+     "positive and finite"),
+    ("check", {**GA, "rho": math.inf}, "positive and finite"),
+    ("check", {**{k: v for k, v in GA.items() if k != "eps"},
+               "property": "lags", "rho": math.inf}, "positive and finite"),
 ]
 
 

@@ -16,20 +16,24 @@ def test_all_lists_every_public_import():
     assert len(delaystab.__all__) == len(set(delaystab.__all__))
 
 
-def _callers(name: str) -> set:
-    """(module, top-level function) pairs whose code calls `name` in the
-    package sources, by bare name or as an attribute."""
-    found = set()
+def _calls():
+    """(module, top-level function, called name, call node) for every
+    call in the package sources, by bare name or as an attribute."""
     for path in sorted(Path(delaystab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
             where = getattr(top, "name", "<module>")
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and name in (
-                        getattr(node.func, "id", None),
-                        getattr(node.func, "attr", None)):
-                    found.add((path.stem, where))
-    return found
+                if isinstance(node, ast.Call):
+                    yield (path.stem, where, getattr(node.func, "id", None)
+                           or getattr(node.func, "attr", None), node)
+
+
+def _callers(name: str) -> set:
+    """(module, top-level function) pairs whose code calls `name` in the
+    package sources, by bare name or as an attribute."""
+    return {(module, where) for module, where, called, _ in _calls()
+            if called == name}
 
 
 def test_every_integration_goes_through_one_path():
@@ -98,3 +102,35 @@ def test_one_hoelder_kernel():
                                           ("segment", "hoelder_seminorm")}
     assert _callers("_lag_profiles") == set()
     assert not hasattr(delaystab.segment, "_lag_profiles")
+
+
+def _passing(name: str, keyword: str, position: int) -> set:
+    """(module, top-level function) pairs whose code calls `name`, or
+    binds it with functools.partial, passing the parameter `keyword` by
+    name or at 0-based `position`."""
+    found = set()
+    for module, where, called, node in _calls():
+        args = node.args
+        if called == "partial" and args:
+            called, args = getattr(args[0], "id", None), args[1:]
+        if called == name and (len(args) > position or any(
+                kw.arg == keyword for kw in node.keywords)):
+            found.add((module, where))
+    return found
+
+
+def test_only_uga_reads_norms_at_a_level():
+    """A value read at a level is exact only against that level, so only
+    check_uga, which judges nothing else of the times it reads so, may
+    ask for one.  The exact consumers of norm reads (the envelope fits
+    and lift, rfc, lags, ls, ga, the pair bounds and the sampler) pass
+    none, and the level reaches the Hoelder sweep only as its cap."""
+    assert _passing("_norm_read", "level", 3) == {("checkers", "check_uga")}
+    assert _passing("_norms", "level", 6) == {("checkers", "_norm_read")}
+    assert _passing("_hoelder_norms", "cap", 4) == {("segment", "_norms")}
+    exact = {("checkers", name) for name in (
+        "fit_kl_envelope", "check_envelope_lift", "check_rfc", "check_lags",
+        "check_ls", "check_ga")}
+    assert exact < _callers("_norm_read")
+    assert ("checkers", "verify_pair_bounds") in _callers("_norms")
+    assert ("sampler", "sample_one") in _callers("space_norm")

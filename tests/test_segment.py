@@ -500,6 +500,116 @@ def test_pruned_hoelder_sweep_skips_most_lag_pairs(monkeypatch):
     assert sum(pairs) <= 0.35 * grid.size * m * (m - 1) // 2
 
 
+# ------------------------------------------- a level for the Hoelder sweep
+#
+# With a cap a value need only compare with the cap as the exact value
+# does: at most the cap exactly when the exact value is (and then
+# exact), otherwise above the cap and at most the exact value.
+
+
+def _random_stacks():
+    """(label, vals): stacks of 1, 3 and 32 random walks and smooth
+    curves on one grid, with rows that hold an infinite sample."""
+    rng = np.random.default_rng(15)
+    out = []
+    for K, m, n in ((1, 129, 1), (3, 257, 2), (32, 65, 3)):
+        walk = np.cumsum(rng.normal(size=(K, m, n)), axis=1)
+        smooth = np.sin(np.linspace(0.0, 1.0, m)[None, :, None]
+                        * rng.uniform(1.0, 30.0, size=(K, 1, n)))
+        scale = 10.0 ** rng.uniform(-3.0, 2.0, size=(K, 1, 1))
+        vals = np.where(rng.random((K, 1, 1)) < 0.5, walk, smooth) * scale
+        out.append((f"K={K}", vals))
+        with_inf = vals.copy()
+        with_inf[0, m // 3, n - 1] = np.inf
+        if K > 1:
+            with_inf[K - 1, 0, 0] = -np.inf
+        out.append((f"K={K} inf", with_inf))
+    return out
+
+
+def _levels(exact):
+    """Levels below, at, between and above the finite exact values (or
+    1 if none is finite)."""
+    fin = np.unique(exact[np.isfinite(exact)]) if np.isfinite(exact).any() \
+        else np.ones(1)
+    return [0.0, 0.5 * fin[0], *fin, *(0.5 * (fin[1:] + fin[:-1])),
+            np.nextafter(fin[-1], np.inf), 2.0 * fin[-1], math.inf]
+
+
+@pytest.mark.parametrize("label,vals", _random_stacks(),
+                         ids=[lab for lab, _ in _random_stacks()])
+@pytest.mark.parametrize("a", [0.3, 1.0])
+def test_capped_hoelder_sweep_compares_with_the_cap_as_the_exact_one(
+        monkeypatch, label, vals, a):
+    """Against the full lag profile: with cap inf the sweep takes the
+    very blocks it takes without one and is the full sweep in every bit;
+    with a finite cap each row compares with it as the exact value does,
+    for floors below the cap and at it (the level of segment._norms)."""
+    r = 1.3
+    sup = np.sqrt(segment._squares(vals).max(axis=1))
+    exact = np.maximum(sup, _profile_seminorms(_full_lag_profiles(vals),
+                                               a, r))
+    assert np.isinf(exact).any() == ("inf" in label)
+    calls = []
+    lag_maxima = segment._lag_maxima
+
+    def logged(v, k, width):
+        calls.append((v.shape[0], k, width))
+        return lag_maxima(v, k, width)
+
+    monkeypatch.setattr(segment, "_lag_maxima", logged)
+    plain = segment._hoelder_norms(vals, a, r, sup)
+    plain_calls, calls[:] = calls[:], []
+    assert plain.tobytes() == exact.tobytes()
+    assert segment._hoelder_norms(vals, a, r, sup, math.inf).tobytes() \
+        == exact.tobytes()
+    assert calls == plain_calls
+    for cap in _levels(exact):
+        for floor in (sup, np.maximum(sup, cap)):
+            want = np.maximum(floor, exact)
+            got = segment._hoelder_norms(vals, a, r, floor, cap)
+            low = want <= cap
+            assert got[low].tobytes() == want[low].tobytes(), cap
+            assert (cap < got[~low]).all() and (got[~low] <= want[~low]).all()
+
+
+def _sampled_stack():
+    """Node data of twelve sampled histories of one grid, (12, 65, 2)."""
+    segs = [sample_one(SamplerConfig(
+        family=FAMILIES[i % len(FAMILIES)], order=3,
+        target_space=SpaceSpec.sup(), target_norm=0.5 + i, dimension=2,
+        delay_r=0.8, seed=2, n_nodes=65), i) for i in range(12)]
+    return (0.8, segs[0].nodes, np.array([seg.values for seg in segs]),
+            np.array([seg.derivs for seg in segs]))
+
+
+@pytest.mark.parametrize("space", [SpaceSpec.sup(), SpaceSpec.sobolev(2.0),
+                                   SpaceSpec.hoelder(0.5),
+                                   SpaceSpec.hoelder(1.0)],
+                         ids=lambda sp: sp.label)
+def test_norms_at_a_level_compare_with_it_as_the_norms(space):
+    """_norms at a level: sup and Sobolev values are the exact norms in
+    every bit; a Hoelder value is at most the level exactly when the
+    norm is, and otherwise above the level and at most the norm; at
+    a = 0.5 some row stops short of its norm."""
+    stack = _sampled_stack()
+    exact = segment._norms(*stack, space)
+    assert segment._norms(*stack, space, level=None).tobytes() \
+        == exact.tobytes()
+    short = False
+    for level in _levels(exact):
+        got = segment._norms(*stack, space, level=level)
+        if space.kind != "hoelder":
+            assert got.tobytes() == exact.tobytes()
+            continue
+        low = exact <= level
+        assert ((got <= level) == low).all(), level
+        assert (level < got[~low]).all() and (got[~low] <= exact[~low]).all()
+        short |= bool((got < exact).any())
+    # at a = 1 the lag-1 quotient, read first, is about all of the norm
+    assert short == (space == SpaceSpec.hoelder(0.5))
+
+
 # ---------------------------------------------------------- norm inequalities
 
 
