@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -276,6 +276,40 @@ def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,
                          delay_r=sys.delay_r, seed=seed, n_nodes=n_nodes)
 
 
+class _Ball(NamedTuple):
+    """The sampled ball of a check: samples 0 .. budget-1 of cfg,
+    integrated with step h over [0, horizon] and read at the grid."""
+
+    cfg: SamplerConfig
+    budget: int
+    h: float
+    horizon: float
+    grid: np.ndarray
+
+    @property
+    def tail(self) -> np.ndarray:
+        """The last quarter of the report times, the ones ga judges."""
+        return self.grid[3 * self.grid.size // 4:]
+
+
+def _ball(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int,
+          family: str, order: int, seed: int, n_nodes: int, h: float | None,
+          grid_points: int, *, horizon: float | None = None,
+          T: float | None = None, eps: float | None = None,
+          error: str = "need positive rho and budget") -> _Ball:
+    """The ball of radius rho that a check samples, validated before any
+    draw: bad rho, budget or required horizon T raise error, and eps and
+    the defaulted horizon must be positive and finite."""
+    if not (rho > 0.0 and budget >= 1 and (T is None or T > 0.0)):
+        raise ParameterError(error)
+    if eps is not None and not 0.0 < eps < math.inf:
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
+    h, horizon = _step_defaults(sys.delay_r, h, horizon if T is None else T)
+    grid = default_time_grid(horizon, sys.delay_r, grid_points)
+    return _Ball(_ball_cfg(sys, space, rho, family, order, seed, n_nodes),
+                 budget, h, horizon, grid)
+
+
 class _Run(NamedTuple):
     """One history of an ensemble: its escape, if any, and its reads."""
 
@@ -341,8 +375,10 @@ def _ensemble(sys: DelaySystem, x0s, T: float, h: float, reads: list,
     reads (see _Read).
 
     Every integration of sampled histories goes through here: the
-    checkers' ensembles, the `ls` bisection probes and the Dini ladders
-    of the dissipation certificate.  The histories are drawn from x0s and
+    checkers' ensembles, the `ls` bisection probes, the one pass of
+    check_gas_vs_ugas (which validates every input first and integrates
+    each distinct history of its balls once) and the Dini ladders of the
+    dissipation certificate.  The histories are drawn from x0s and
     integrated a block at a time, as many as their windows of dense
     output fit dde.BLOCK_BYTES together with what their reads keep
     (dde._block_members), and each member's reads are taken from its rows
@@ -489,73 +525,60 @@ class KLEnvelope:
         })
 
 
-def _close_kl_shape(raw: np.ndarray) -> np.ndarray:
-    """Smallest majorant with the required two-argument monotonicity."""
-    out = np.maximum.accumulate(raw, axis=0)
-    return np.maximum.accumulate(out[:, ::-1], axis=1)[:, ::-1]
+def _envelope(s_grid: np.ndarray, t_grid: np.ndarray, sigma: np.ndarray,
+              counts: np.ndarray, interpolated: np.ndarray) -> KLEnvelope:
+    """The envelope of a sigma table, with its decay flags and checked."""
+    decayed, nondecay = False, True
+    if np.all(np.isfinite(sigma)):
+        start = sigma[:, 0]
+        endv = sigma[:, -1]
+        decayed = bool(np.all(endv <= 0.05 * start))
+        nondecay = bool(np.any(endv > 0.5 * start))
+    env = KLEnvelope(s_grid=s_grid, t_grid=t_grid, sigma=sigma,
+                     shell_counts=counts, interpolated=interpolated,
+                     decayed=decayed, nondecay=nondecay)
+    env.assert_kl_shape()
+    return env
 
 
-def _envelope_flags(sigma: np.ndarray) -> tuple[bool, bool]:
-    if not np.all(np.isfinite(sigma)):
-        return False, True
-    start = sigma[:, 0]
-    endv = sigma[:, -1]
-    decayed = bool(np.all(endv <= 0.05 * start))
-    nondecay = bool(np.any(endv > 0.5 * start))
-    return decayed, nondecay
-
-
-def _shell_counts(budget: int, shells: int) -> np.ndarray:
-    """Sample allocation per shell; a short budget favors the outer shells."""
-    counts = np.zeros(shells, dtype=int)
-    if budget >= shells:
-        counts[:] = budget // shells
-    else:
-        counts[shells - budget:] = 1
-    return counts
-
-
-def _shell_plan(rho_max: float, shells: int, budget: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Geometric shell radii (outermost rho_max) and samples per shell."""
+def _shell_plan(sys: DelaySystem, space: SpaceSpec, rho_max: float,
+                shells: int, budget: int, family: str, order: int, seed: int,
+                n_nodes: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Geometric shell radii s_grid (outermost rho_max), the samples per
+    shell (a short budget favors the outer ones), and (j, cfg, i) for each
+    sample i of shell j, drawn from the annulus s_grid[j-1] to s_grid[j]."""
     if not (rho_max > 0.0 and math.isfinite(rho_max)):
         raise ParameterError("ball radius must be positive")
     if shells < 1:
         raise ParameterError("need at least one shell")
     if budget < 1:
         raise ParameterError("need a positive sample budget")
+    counts = np.zeros(shells, dtype=int)
+    if budget >= shells:
+        counts[:] = budget // shells
+    else:
+        counts[shells - budget:] = 1
     if shells == 1:
         s_grid = np.array([rho_max])
     else:
         s_grid = rho_max * (1.0 / 16.0) ** (
             np.arange(shells - 1, -1, -1) / (shells - 1))
-    return s_grid, _shell_counts(budget, shells)
-
-
-def _shell_runs(sys: DelaySystem, space: SpaceSpec, s_grid: np.ndarray,
-                counts: np.ndarray, T: float, h: float, family: str,
-                order: int, seed: int, n_nodes: int, reads: list):
-    """Yield (j, cfg, i, run) for every sample of every shell j, run the
-    sample's _Run with its reads.
-
-    Shell j draws from the annulus between radii s_grid[j-1] and s_grid[j]
-    of the `space` ball.  The samples of all shells share the blocks.
-    """
-    labels, x0s = [], []
-    for j in range(s_grid.size):
+    members = []
+    for j in range(shells):
         lo_frac = s_grid[j - 1] / s_grid[j] if j > 0 else 0.0
         cfg = _ball_cfg(sys, space, float(s_grid[j]), family, order,
                         seed, n_nodes).with_shell(lo_frac, j)
-        labels += [(j, cfg, i) for i in range(int(counts[j]))]
-        x0s.append(_samples(cfg, int(counts[j])))
-    runs = _ensemble(sys, chain(*x0s), T, h, reads, every=True)
-    for label, run in zip(labels, runs):
-        yield (*label, run)
+        members += [(j, cfg, i) for i in range(int(counts[j]))]
+    return s_grid, counts, members
 
 
-def _close_envelope(s_grid: np.ndarray, t_grid: np.ndarray, raw: np.ndarray,
-                    counts: np.ndarray) -> KLEnvelope:
-    """Envelope from the per-shell worst tracks; empty shells interpolated."""
+def _close_envelope(s_grid: np.ndarray, t_grid: np.ndarray,
+                    counts: np.ndarray, tracks) -> KLEnvelope:
+    """The envelope judge: the worst track of each shell (tracks in shell
+    plan order), empty shells interpolated, closed to the KL shape."""
+    raw = np.full((s_grid.size, t_grid.size), -np.inf)
+    for j, track in zip(np.repeat(np.arange(s_grid.size), counts), tracks):
+        raw[j] = np.maximum(raw[j], track)
     interpolated = counts == 0
     if np.all(interpolated):
         raise ParameterError("budget too small: every shell is empty")
@@ -567,13 +590,10 @@ def _close_envelope(s_grid: np.ndarray, t_grid: np.ndarray, raw: np.ndarray,
     # a bound at t = 0 must cover the shell radius itself even when the
     # report norm only sees a weaker part of the initial data
     raw[:, 0] = np.maximum(raw[:, 0], s_grid)
-    sigma = _close_kl_shape(raw)
-    decayed, nondecay = _envelope_flags(sigma)
-    env = KLEnvelope(s_grid=s_grid, t_grid=t_grid, sigma=sigma,
-                     shell_counts=counts, interpolated=interpolated,
-                     decayed=decayed, nondecay=nondecay)
-    env.assert_kl_shape()
-    return env
+    # the smallest majorant with the two-argument monotonicity
+    sigma = np.maximum.accumulate(raw, axis=0)
+    sigma = np.maximum.accumulate(sigma[:, ::-1], axis=1)[:, ::-1]
+    return _envelope(s_grid, t_grid, sigma, counts, interpolated)
 
 
 def fit_kl_envelope(sys: DelaySystem, space: SpaceSpec, rho_max: float,
@@ -594,19 +614,18 @@ def fit_kl_envelope(sys: DelaySystem, space: SpaceSpec, rho_max: float,
     envelope usable as a bound at t = 0.  Escaped trajectories contribute
     +inf beyond their coverage.
     """
-    s_grid, counts = _shell_plan(rho_max, shells, budget)
+    s_grid, counts, members = _shell_plan(
+        sys, space, rho_max, shells, budget, family, order, seed, n_nodes)
     r = sys.delay_r
     h, horizon = _step_defaults(r, h, horizon)
     t_grid = _report_grid(t_grid, horizon, r, grid_points)
     if report_space is None:
         report_space = space
-    raw = np.full((shells, t_grid.size), -np.inf)
-    read = _norm_read(report_space, t_grid, n_nodes)
-    for j, _, _, run in _shell_runs(sys, space, s_grid, counts,
-                                    float(t_grid[-1]), h, family, order,
-                                    seed, n_nodes, [read]):
-        raw[j] = np.maximum(raw[j], run.tracks[0])
-    return _close_envelope(s_grid, t_grid, raw, counts)
+    runs = _ensemble(sys, (sample_one(cfg, i) for _, cfg, i in members),
+                     float(t_grid[-1]), h,
+                     [_norm_read(report_space, t_grid, n_nodes)], every=True)
+    return _close_envelope(s_grid, t_grid, counts,
+                           (run.tracks[0] for run in runs))
 
 
 def lift_sup_envelope(sigma_env: KLEnvelope, r: float, p: float,
@@ -640,13 +659,8 @@ def lift_sup_envelope(sigma_env: KLEnvelope, r: float, p: float,
             else:
                 base = sigma_env.value_at(s_grid[j], t - r)
             out[j, k] = sig[j, k] + gain * base
-    decayed, nondecay = _envelope_flags(out)
-    env = KLEnvelope(s_grid=s_grid, t_grid=t_grid, sigma=out,
-                     shell_counts=sigma_env.shell_counts,
-                     interpolated=sigma_env.interpolated,
-                     decayed=decayed, nondecay=nondecay)
-    env.assert_kl_shape()
-    return env
+    return _envelope(s_grid, t_grid, out, sigma_env.shell_counts,
+                     sigma_env.interpolated)
 
 
 def lipschitz_propagation_bound(R: float, T: float, r: float, p: float,
@@ -671,21 +685,10 @@ def lipschitz_propagation_bound(R: float, T: float, r: float, p: float,
 # -- property checkers -------------------------------------------------
 
 
-def check_rfc(sys: DelaySystem, space: SpaceSpec, rho: float, T: float,
-              budget: int, *, family: str = "fourier", order: int = 3,
-              seed: int = 0, n_nodes: int = 65, h: float | None = None,
-              grid_points: int = 200) -> StabilityReport:
-    """Bounded reachable sets: no sampled trajectory may escape before T."""
-    if not (rho > 0.0 and T > 0.0 and budget >= 1):
-        raise ParameterError("need positive rho, T and budget")
-    r = sys.delay_r
-    h, _ = _step_defaults(r, h)
-    grid = default_time_grid(T, r, grid_points)
-    cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
+def _rfc_report(space: SpaceSpec, ball: _Ball, runs) -> StabilityReport:
+    """The rfc judge of runs read at every report time: none may escape."""
     sup = 0.0
     escapes = []
-    runs = _ensemble(sys, _samples(cfg, budget), T, h,
-                     [_norm_read(space, grid, n_nodes)], every=True)
     for i, (x0, escaped, escape_time, (track,)) in enumerate(runs):
         finite = track[np.isfinite(track)]
         if finite.size:
@@ -693,13 +696,25 @@ def check_rfc(sys: DelaySystem, space: SpaceSpec, rho: float, T: float,
         if escaped:
             escapes.append((escape_time, i, x0))
     margins = {"sup": sup, "escape_count": float(len(escapes))}
-    budgets = {"samples": budget}
+    budgets = {"samples": ball.budget}
     if escapes:
         e_time, idx, x0 = min(escapes, key=lambda e: (e[0], e[1]))
-        wit = _witness(cfg, idx, x0, e_time, math.inf)
+        wit = _witness(ball.cfg, idx, x0, e_time, math.inf)
         return StabilityReport("rfc", space, "falsified", wit, margins,
                                budgets, {"escape_time": e_time})
     return StabilityReport("rfc", space, "consistent", None, margins, budgets)
+
+
+def check_rfc(sys: DelaySystem, space: SpaceSpec, rho: float, T: float,
+              budget: int, *, family: str = "fourier", order: int = 3,
+              seed: int = 0, n_nodes: int = 65, h: float | None = None,
+              grid_points: int = 200) -> StabilityReport:
+    """Bounded reachable sets: no sampled trajectory may escape before T."""
+    ball = _ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
+                 grid_points, T=T, error="need positive rho, T and budget")
+    runs = _ensemble(sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
+                     [_norm_read(space, ball.grid, n_nodes)], every=True)
+    return _rfc_report(space, ball, runs)
 
 
 def check_lags(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int, *,
@@ -708,18 +723,14 @@ def check_lags(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int, *,
                h: float | None = None,
                grid_points: int = 200) -> StabilityReport:
     """Uniform boundedness from the ball, truncated at the horizon."""
-    if not (rho > 0.0 and budget >= 1):
-        raise ParameterError("need positive rho and budget")
-    r = sys.delay_r
-    h, horizon = _step_defaults(r, h, horizon)
-    grid = default_time_grid(horizon, r, grid_points)
-    cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
-    peak = np.full(grid.size, 0.0)
-    runs = _ensemble(sys, _samples(cfg, budget), horizon, h,
-                     [_norm_read(space, grid, n_nodes)])
+    ball = _ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
+                 grid_points, horizon=horizon)
+    peak = np.full(ball.grid.size, 0.0)
+    runs = _ensemble(sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
+                     [_norm_read(space, ball.grid, n_nodes)])
     for i, (x0, escaped, escape_time, (track,)) in enumerate(runs):
         if escaped:
-            wit = _witness(cfg, i, x0, escape_time, math.inf)
+            wit = _witness(ball.cfg, i, x0, escape_time, math.inf)
             return StabilityReport(
                 "lags", space, "falsified", wit,
                 {"sup": math.inf}, {"samples": budget},
@@ -727,18 +738,12 @@ def check_lags(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int, *,
         peak = np.maximum(peak, track)
     running = np.maximum.accumulate(peak)
     sup = float(running[-1])
-    q = 3 * grid.size // 4
     margins = {"sup": sup}
     budgets = {"samples": budget}
-    if running[-1] > running[q] * (1.0 + _REL_TOL):
+    if running[-1] > running[-ball.tail.size] * (1.0 + _REL_TOL):
         return StabilityReport("lags", space, "inconclusive", None, margins,
                                budgets, {"still_growing": True})
     return StabilityReport("lags", space, "consistent", None, margins, budgets)
-
-
-def _check_tolerance(eps: float) -> None:
-    if not 0.0 < eps < math.inf:
-        raise ParameterError(f"eps must be positive and finite, got {eps}")
 
 
 def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
@@ -758,25 +763,22 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
     if not eps_list or not all(0.0 < e < math.inf for e in eps_list):
         raise ParameterError(
             f"tolerances must be positive and finite, got {eps_list}")
-    if budget < 1:
-        raise ParameterError("need a positive sample budget")
+    ball = _ball(sys, space, 1.0, budget, family, order, seed, n_nodes, h,
+                 grid_points, horizon=horizon,
+                 error="need a positive sample budget")
     if bisection_steps < 0:
         raise ParameterError("bisection_steps must be nonnegative")
-    r = sys.delay_r
-    h, horizon = _step_defaults(r, h, horizon)
-    grid = default_time_grid(horizon, r, grid_points)
-    cfg = _ball_cfg(sys, space, 1.0, family, order, seed, n_nodes)
-    base = list(_samples(cfg, budget))
-    reads = [_norm_read(space, grid, n_nodes)]
+    base = list(_samples(ball.cfg, budget))
+    reads = [_norm_read(space, ball.grid, n_nodes)]
 
     def probe(delta: float, eps: float):
-        runs = _ensemble(sys, (delta * seg for seg in base), horizon, h,
-                         reads)
+        runs = _ensemble(sys, (delta * seg for seg in base), ball.horizon,
+                         ball.h, reads)
         for i, (_, _, _, (track,)) in enumerate(runs):
             bad = np.nonzero(track > eps * (1.0 + _REL_TOL))[0]
             if bad.size:
                 k = int(bad[0])
-                return (i, float(grid[k]), float(track[k]))
+                return (i, float(ball.grid[k]), float(track[k]))
         return None
 
     margins = {}
@@ -804,15 +806,46 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
         if frontier is not None and frontier <= 1e-3 * eps and verdict != "falsified":
             verdict = "falsified"
             i, t_bad, v_bad = leak
-            witness = _witness(cfg, i, frontier * base[i], t_bad, v_bad,
+            witness = _witness(ball.cfg, i, frontier * base[i], t_bad, v_bad,
                                scale=frontier)
             first_bad = {"eps": eps, "frontier": frontier}
-    details = {"horizon": horizon}
+    details = {"horizon": ball.horizon}
     if first_bad:
         details.update(first_bad)
     return StabilityReport("ls", space, verdict, witness, margins,
                            {"samples": budget,
                             "bisection_steps": bisection_steps}, details)
+
+
+def _ga_report(space: SpaceSpec, ball: _Ball, eps: float,
+               runs) -> StabilityReport:
+    """The ga judge of runs read at least at ball.tail, all it judges."""
+    worst_end = 0.0
+    undecided = False
+    for i, (x0, _, _, (track,)) in enumerate(runs):
+        tail = track[-ball.tail.size:]
+        worst_end = max(worst_end, float(tail[-1]))
+        if np.all(tail <= eps * (1.0 + _REL_TOL)):
+            continue
+        plateau = float(tail.max())
+        stagnant = (not math.isfinite(plateau)) or \
+            tail[-1] >= 0.99 * plateau
+        if stagnant:
+            wit = _witness(ball.cfg, i, x0, float(ball.grid[-1]),
+                           float(tail[-1]))
+            return StabilityReport(
+                "ga", space, "falsified", wit,
+                {"residual_norm": float(tail[-1]), "eps": eps},
+                {"samples": ball.budget}, {"horizon": ball.horizon})
+        undecided = True
+    margins = {"worst_end_norm": worst_end, "eps": eps}
+    budgets = {"samples": ball.budget}
+    if undecided:
+        return StabilityReport("ga", space, "inconclusive", None, margins,
+                               budgets, {"horizon": ball.horizon,
+                                         "still_decreasing": True})
+    return StabilityReport("ga", space, "consistent", None, margins, budgets,
+                           {"horizon": ball.horizon})
 
 
 def check_ga(sys: DelaySystem, space: SpaceSpec, rho: float, eps: float,
@@ -827,40 +860,11 @@ def check_ga(sys: DelaySystem, space: SpaceSpec, rho: float, eps: float,
     still visibly decreasing only leaves the check inconclusive.  Only
     that last quarter of the report times is read, exactly.
     """
-    if not (rho > 0.0 and budget >= 1):
-        raise ParameterError("need positive rho and budget")
-    _check_tolerance(eps)
-    r = sys.delay_r
-    h, horizon = _step_defaults(r, h, horizon)
-    grid = default_time_grid(horizon, r, grid_points)
-    cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
-    q = 3 * grid.size // 4
-    worst_end = 0.0
-    undecided = False
-    runs = _ensemble(sys, _samples(cfg, budget), horizon, h,
-                     [_norm_read(space, grid[q:], n_nodes)])
-    for i, (x0, _, _, (tail,)) in enumerate(runs):
-        worst_end = max(worst_end, float(tail[-1]))
-        if np.all(tail <= eps * (1.0 + _REL_TOL)):
-            continue
-        plateau = float(tail.max())
-        stagnant = (not math.isfinite(plateau)) or \
-            tail[-1] >= 0.99 * plateau
-        if stagnant:
-            wit = _witness(cfg, i, x0, float(grid[-1]), float(tail[-1]))
-            return StabilityReport(
-                "ga", space, "falsified", wit,
-                {"residual_norm": float(tail[-1]), "eps": eps},
-                {"samples": budget}, {"horizon": horizon})
-        undecided = True
-    margins = {"worst_end_norm": worst_end, "eps": eps}
-    budgets = {"samples": budget}
-    if undecided:
-        return StabilityReport("ga", space, "inconclusive", None, margins,
-                               budgets, {"horizon": horizon,
-                                         "still_decreasing": True})
-    return StabilityReport("ga", space, "consistent", None, margins, budgets,
-                           {"horizon": horizon})
+    ball = _ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
+                 grid_points, horizon=horizon, eps=eps)
+    runs = _ensemble(sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
+                     [_norm_read(space, ball.tail, n_nodes)])
+    return _ga_report(space, ball, eps, runs)
 
 
 def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
@@ -877,21 +881,16 @@ def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
     block of lags lifts a sample above it.  The last time is read
     exactly, as the residual of an inconclusive report.
     """
-    if not (rho > 0.0 and budget >= 1):
-        raise ParameterError("need positive rho and budget")
-    _check_tolerance(eps)
-    r = sys.delay_r
-    h, horizon = _step_defaults(r, h, horizon)
-    grid = default_time_grid(horizon, r, grid_points)
-    cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
+    ball = _ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
+                 grid_points, horizon=horizon, eps=eps)
     level = eps * (1.0 + _REL_TOL)
-    peak = np.zeros(grid.size)
-    runs = _ensemble(sys, _samples(cfg, budget), horizon, h,
-                     [_norm_read(space, grid[:-1], n_nodes, level),
-                      _norm_read(space, grid[-1:], n_nodes)])
+    peak = np.zeros(ball.grid.size)
+    runs = _ensemble(sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
+                     [_norm_read(space, ball.grid[:-1], n_nodes, level),
+                      _norm_read(space, ball.grid[-1:], n_nodes)])
     for i, (x0, escaped, escape_time, tracks) in enumerate(runs):
         if escaped:
-            wit = _witness(cfg, i, x0, escape_time, math.inf)
+            wit = _witness(ball.cfg, i, x0, escape_time, math.inf)
             return StabilityReport(
                 "uga", space, "falsified", wit, {"eps": eps, "rho": rho},
                 {"samples": budget}, {"escape_time": escape_time})
@@ -903,11 +902,11 @@ def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
         return StabilityReport("uga", space, "inconclusive", None,
                                {"eps": eps, "rho": rho,
                                 "residual": float(suffix[-1])},
-                               budgets, {"horizon": horizon})
-    T_est = float(grid[int(ok[0])])
+                               budgets, {"horizon": ball.horizon})
+    T_est = float(ball.grid[int(ok[0])])
     return StabilityReport("uga", space, "consistent", None,
                            {"eps": eps, "rho": rho, "settle_time": T_est},
-                           budgets, {"horizon": horizon})
+                           budgets, {"horizon": ball.horizon})
 
 
 def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
@@ -922,10 +921,9 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
     the full-norm bound with the propagation constant M.  A pair member
     that escapes before T falsifies the bounds at its escape time.
     """
-    if not (R > 0.0 and T > 0.0 and pairs >= 1):
-        raise ParameterError("need positive R, T and pairs")
-    r = sys.delay_r
-    h, _ = _step_defaults(r, h)
+    ball = _ball(sys, space, R, pairs, family, order, seed, n_nodes, h,
+                 grid_points, T=T, error="need positive R, T and pairs")
+    r, grid = sys.delay_r, ball.grid
     L = sys.lipschitz_modulus
     if sigma0 is None:
         sigma0 = _grown(R, float(L(R)) * T)
@@ -933,8 +931,6 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
     p = _exponent_of(space)
     M = lipschitz_propagation_bound(R, T, r, p, L, sigma0)
     margins = {"growth_factor": growth, "propagation_constant": M}
-    grid = default_time_grid(T, r, grid_points)
-    cfg = _ball_cfg(sys, space, R, family, order, seed, n_nodes)
     sup_space = SpaceSpec.sup()
     worst_sup = 0.0
     worst_full = 0.0
@@ -943,14 +939,15 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
                   width=2 * n_nodes * sys.dimension)
     s = np.linspace(-r, 0.0, n_nodes)
     size = _segment_chunk(n_nodes, sys.dimension)
-    runs = enumerate(_ensemble(sys, _samples(cfg, 2 * pairs), T, h, [nodes]))
+    runs = enumerate(_ensemble(sys, _samples(ball.cfg, 2 * pairs), T,
+                               ball.h, [nodes]))
     for (i, run_x), (k, run_y) in zip(runs, runs):
         x0, y0 = run_x.x0, run_y.x0
         escapes = [(run.escape_time, j, run.x0)
                    for j, run in ((i, run_x), (k, run_y)) if run.escaped]
         if escapes:
             e_time, j, z0 = min(escapes)
-            wit = _witness(cfg, j, z0, e_time, math.inf)
+            wit = _witness(ball.cfg, j, z0, e_time, math.inf)
             wit["pair_index"] = k if j == i else i
             return StabilityReport("pair_bounds", space, "falsified", wit,
                                    margins, {"pairs": pairs},
@@ -968,7 +965,7 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
                                         _norms(*diff, space).tolist()):
                 if d_sup > lim_sup * (1.0 + 1e-6) + 1e-15 \
                         or d_full > lim_full * (1.0 + 1e-6) + 1e-15:
-                    wit = _witness(cfg, i, x0, float(t),
+                    wit = _witness(ball.cfg, i, x0, float(t),
                                    float(max(d_sup, d_full)))
                     wit["pair_index"] = k
                     return StabilityReport(
@@ -1002,32 +999,28 @@ def check_envelope_lift(sys: DelaySystem, space: SpaceSpec, rho_max: float,
     measured full norm of every sampled trajectory at every report time.
     Each sample is integrated once and yields both tracks.
     """
-    s_grid, counts = _shell_plan(rho_max, shells, budget)
+    s_grid, counts, members = _shell_plan(
+        sys, space, rho_max, shells, budget, family, order, seed, n_nodes)
     r = sys.delay_r
     h, horizon = _step_defaults(r, h, horizon)
     grid = _report_grid(t_grid, horizon, r, grid_points)
     if lipschitz_modulus is None:
         lipschitz_modulus = sys.lipschitz_modulus
-    sup_space = SpaceSpec.sup()
-    raw = np.full((shells, grid.size), -np.inf)
-    runs = []
-    reads = [_norm_read(sup_space, grid, n_nodes),
-             _norm_read(space, grid, n_nodes)]
-    for j, cfg, i, run in _shell_runs(sys, space, s_grid, counts,
-                                      float(grid[-1]), h, family, order,
-                                      seed, n_nodes, reads):
-        sup_track, track = run.tracks
-        raw[j] = np.maximum(raw[j], sup_track)
-        runs.append((j, cfg, i, run.x0, track))
-    env = _close_envelope(s_grid, grid, raw, counts)
+    runs = list(zip(members, _ensemble(
+        sys, (sample_one(cfg, i) for _, cfg, i in members), float(grid[-1]),
+        h, [_norm_read(SpaceSpec.sup(), grid, n_nodes),
+            _norm_read(space, grid, n_nodes)], every=True)))
+    env = _close_envelope(s_grid, grid, counts,
+                          (run.tracks[0] for _, run in runs))
     lifted = lift_sup_envelope(env, r, _exponent_of(space), lipschitz_modulus)
     worst = 0.0
-    for j, cfg, i, x0, track in runs:
+    for (j, cfg, i), run in runs:
+        track = run.tracks[1]
         bound = lifted.sigma[j]
         bad = np.nonzero(track > bound * (1.0 + 1e-6) + 1e-12)[0]
         if bad.size:
             k = int(bad[0])
-            wit = _witness(cfg, i, x0, float(grid[k]), float(track[k]))
+            wit = _witness(cfg, i, run.x0, float(grid[k]), float(track[k]))
             wit["shell"] = int(j)
             return StabilityReport(
                 "envelope_lift", space, "falsified", wit,
@@ -1058,42 +1051,58 @@ def check_gas_vs_ugas(sys: DelaySystem, space: SpaceSpec, rho_list, eps_list,
     decayed at the horizon; the report also cross-checks that the component
     verdicts and the envelope agree (a coherence flag on the tool itself,
     not a mathematical conclusion).
+
+    Every input is validated before anything integrates.  Past the ls
+    bisection, one ensemble pass integrates each distinct (sampler
+    config, index) of the ga, rfc and envelope balls once, and their
+    judges read it: the bytes of check_ga, check_rfc and fit_kl_envelope.
     """
     rho_list = [float(x) for x in np.atleast_1d(rho_list)]
     eps_list = [float(x) for x in np.atleast_1d(eps_list)]
     if not rho_list or not eps_list:
         raise ParameterError("need at least one rho and one eps")
-    h, horizon = _step_defaults(sys.delay_r, h, horizon)
-    kw = dict(family=family, order=order, seed=seed, n_nodes=n_nodes, h=h,
-              grid_points=grid_points)
-    ls = check_ls(sys, space, eps_list, budget, horizon=horizon, **kw)
+    balls = [_ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
+                   grid_points, horizon=horizon) for rho in rho_list]
     rho_max = max(rho_list)
-    eps_min = min(eps_list)
-    ga_reports = [check_ga(sys, space, rho, eps_min, budget, horizon=horizon,
-                           **kw) for rho in rho_list]
-    rfc = check_rfc(sys, space, rho_max, horizon, budget, **kw)
-    env = fit_kl_envelope(sys, space, rho_max, min(shells, budget), None,
-                          budget, horizon=horizon, **kw)
+    rfc_ball = balls[rho_list.index(rho_max)]
+    s_grid, counts, members = _shell_plan(
+        sys, space, rho_max, min(shells, budget), budget, family, order,
+        seed, n_nodes)
+    h, horizon, grid = rfc_ball.h, rfc_ball.horizon, rfc_ball.grid
+    ls = check_ls(sys, space, eps_list, budget, horizon=horizon,
+                  family=family, order=order, seed=seed, n_nodes=n_nodes,
+                  h=h, grid_points=grid_points)
+    # the envelope's T is its last report time: one pass needs T = horizon
+    assert grid[-1] == horizon
+    keys = dict.fromkeys([(ball.cfg, i) for ball in balls
+                          for i in range(budget)]
+                         + [(cfg, i) for _, cfg, i in members])
+    runs = dict(zip(keys, _ensemble(
+        sys, (sample_one(cfg, i) for cfg, i in keys), horizon, h,
+        [_norm_read(space, grid, n_nodes)], every=True)))
+    ga_reports = [_ga_report(space, ball, min(eps_list),
+                             (runs[ball.cfg, i] for i in range(budget)))
+                  for ball in balls]
+    rfc = _rfc_report(space, rfc_ball,
+                      (runs[rfc_ball.cfg, i] for i in range(budget)))
+    env = _close_envelope(s_grid, grid, counts,
+                          (runs[cfg, i].tracks[0] for _, cfg, i in members))
     parts = {"ls": ls.verdict, "rfc": rfc.verdict,
              "ga": [g.verdict for g in ga_reports],
              "envelope_decayed": env.decayed,
              "envelope_nondecay": env.nondecay}
-    point_ok = ls.verdict == "consistent" and rfc.verdict == "consistent" \
-        and all(g.verdict == "consistent" for g in ga_reports)
+    point_ok = all(rep.verdict == "consistent"
+                   for rep in [ls, rfc, *ga_reports])
     coherent = (not point_ok) or env.decayed
-    margins = {"coherent": float(coherent)}
-    for k, v in ls.margins.items():
-        margins[f"ls_{k}"] = v
-    margins["rfc_sup"] = rfc.margins["sup"]
+    margins = {"coherent": float(coherent),
+               **{f"ls_{k}": v for k, v in ls.margins.items()},
+               "rfc_sup": rfc.margins["sup"]}
     budgets = {"samples": budget, "shells": int(min(shells, budget))}
-    sub_falsified = [rep for rep in [ls, rfc, *ga_reports]
-                     if rep.verdict == "falsified"]
-    if sub_falsified:
-        first = sub_falsified[0]
+    falsified = [rep for rep in [ls, rfc, *ga_reports]
+                 if rep.verdict == "falsified"]
+    if falsified:
         return StabilityReport("gas_vs_ugas", space, "falsified",
-                               first.witness, margins, budgets, parts)
-    if point_ok and env.decayed:
-        return StabilityReport("gas_vs_ugas", space, "consistent", None,
-                               margins, budgets, parts)
-    return StabilityReport("gas_vs_ugas", space, "inconclusive", None,
-                           margins, budgets, parts)
+                               falsified[0].witness, margins, budgets, parts)
+    verdict = "consistent" if point_ok and env.decayed else "inconclusive"
+    return StabilityReport("gas_vs_ugas", space, verdict, None, margins,
+                           budgets, parts)

@@ -58,6 +58,7 @@ import numpy as np
 
 from .checkers import (
     StabilityReport,
+    _ball,
     _ball_cfg,
     _ensemble,
     _grown,
@@ -66,7 +67,6 @@ from .checkers import (
     _samples,
     _step_defaults,
     _witness,
-    default_time_grid,
 )
 from .dde import DelaySystem, _mesh_times, _working_step
 from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
@@ -159,13 +159,6 @@ class MonotoneGridFn:
         if not (slope >= 0.0 and math.isfinite(slope)):
             raise ParameterError("slope must be nonnegative and finite")
         return cls(np.array([0.0, 1.0]), np.array([0.0, slope]))
-
-    @classmethod
-    def from_points(cls, pairs) -> "MonotoneGridFn":
-        arr = np.asarray(pairs, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ParameterError("expected a sequence of (x, y) pairs")
-        return cls(arr[:, 0], arr[:, 1])
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
@@ -564,13 +557,10 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
     V(x_t) <= e^(-t) V(x) along trajectories; when both hold the inverted
     lower bound must dominate the norm: ||x_t||_X <= a1^-1(e^(-t) a2(s)).
     """
-    if not (samples >= 1 and T > 0.0 and rho > 0.0):
-        raise ParameterError("need positive samples, T and rho")
-    r = sys.delay_r
-    h, _ = _step_defaults(r, h)
+    ball = _ball(sys, space, rho, samples, family, order, seed, n_nodes, h,
+                 grid_points, T=T, error="need positive samples, T and rho")
     a1_inv = a1.invert()
-    times = default_time_grid(T, r, grid_points)[1:]
-    cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
+    times, cfg = ball.grid[1:], ball.cfg
     fail = _falsifier("exponential_certificate", space, cfg, samples)
     worst_low = 0.0
     worst_up = 0.0
@@ -578,7 +568,7 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
     worst_env = 0.0
     reads = [_functional_read(V, times, n_nodes),
              _norm_read(space, times, n_nodes)]
-    runs = _ensemble(sys, _samples(cfg, samples), T, h, reads)
+    runs = _ensemble(sys, _samples(cfg, samples), T, ball.h, reads)
     for i, (x0, escaped, escape_time, (vts, nts)) in enumerate(runs):
         v0 = V.evaluate(x0)
         nx = space_norm(x0, space)
@@ -726,12 +716,11 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
     if not math.isfinite(mu):
         raise ParameterError("growth rate must be finite")
     r = sys.delay_r
-    h, _ = _step_defaults(r, h)
-    if T is None:
-        T = 2.0 * r
     if space is None:
         space = SpaceSpec.sup()
-    cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
+    ball = _ball(sys, space, rho, samples, family, order, seed, n_nodes, h,
+                 grid_points, horizon=2.0 * r if T is None else T)
+    cfg, T, times = ball.cfg, ball.horizon, ball.grid[1:]
     fail = _falsifier("growth_certificate", space, cfg, samples)
     hs = _dini_steps(r)
     worst_quotient = -math.inf
@@ -757,8 +746,7 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
                             {"quotient": q, "limit": mu * u0,
                              "step": hk}, "prolongation")
     worst_traj = 0.0
-    times = default_time_grid(T, r, grid_points)[1:]
-    runs = _ensemble(sys, (x0 for x0, _ in kept), T, h,
+    runs = _ensemble(sys, (x0 for x0, _ in kept), T, ball.h,
                      [_functional_read(U, times, n_nodes)])
     for i, ((x0, escaped, escape_time, (uts,)), (_, u0)) in enumerate(
             zip(runs, kept)):

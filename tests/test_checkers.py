@@ -74,6 +74,15 @@ def test_time_grid_short_horizon_is_linear():
     assert np.allclose(grid, np.linspace(0.0, 0.3, 10))
 
 
+def test_time_grid_ends_exactly_at_the_horizon():
+    """The composite's one pass integrates to the horizon and serves the
+    envelope, which integrates to its last report time: the two agree."""
+    rng = np.random.default_rng(5)
+    for horizon, r in rng.uniform(0.01, 30.0, size=(300, 2)):
+        for points in (4, 7, 40, 200):
+            assert default_time_grid(horizon, r, points)[-1] == horizon
+
+
 def test_time_grid_validation():
     with pytest.raises(ParameterError):
         default_time_grid(0.0, 0.5)
@@ -953,10 +962,185 @@ def test_composite_frozen_system_fails_attractivity():
     assert rep.margins["coherent"] == 1.0
 
 
-# -- block size --------------------------------------------------------
+def _separate_composite(sys, space, rho_list, eps_list, budget, *,
+                        horizon=None, family="fourier", order=3, seed=0,
+                        n_nodes=65, h=None, grid_points=200, shells=8):
+    """The composite assembled from the public checkers, each integrating
+    its own ball: check_ls, check_ga at each rho, check_rfc at the largest
+    and fit_kl_envelope."""
+    r = sys.delay_r
+    h = r / 100.0 if h is None else h
+    horizon = 20.0 * r if horizon is None else horizon
+    kw = dict(family=family, order=order, seed=seed, n_nodes=n_nodes, h=h,
+              grid_points=grid_points)
+    ls = check_ls(sys, space, eps_list, budget, horizon=horizon, **kw)
+    ga = [check_ga(sys, space, rho, min(eps_list), budget, horizon=horizon,
+                   **kw) for rho in rho_list]
+    rfc = check_rfc(sys, space, max(rho_list), horizon, budget, **kw)
+    env = fit_kl_envelope(sys, space, max(rho_list), min(shells, budget),
+                          None, budget, horizon=horizon, **kw)
+    parts = {"ls": ls.verdict, "rfc": rfc.verdict,
+             "ga": [g.verdict for g in ga],
+             "envelope_decayed": env.decayed,
+             "envelope_nondecay": env.nondecay}
+    point_ok = all(rep.verdict == "consistent" for rep in [ls, rfc, *ga])
+    margins = {"coherent": float((not point_ok) or env.decayed),
+               **{f"ls_{k}": v for k, v in ls.margins.items()},
+               "rfc_sup": rfc.margins["sup"]}
+    budgets = {"samples": budget, "shells": min(shells, budget)}
+    falsified = [rep for rep in [ls, rfc, *ga] if rep.verdict == "falsified"]
+    if falsified:
+        verdict, witness = "falsified", falsified[0].witness
+    else:
+        verdict = "consistent" if point_ok and env.decayed else "inconclusive"
+        witness = None
+    return StabilityReport("gas_vs_ugas", space, verdict, witness, margins,
+                           budgets, parts)
 
 
 QUAD = make_system("quadratic", r=0.25, params={"c": 1.0})
+SATURATING = make_system("saturating", r=1.0, params={"c": 1.0, "k": 0.5})
+COMPOSITES = {
+    # (system, space, rho_list, eps_list, budget, options)
+    "sup-consistent": (linear(1.0, -1.0, 0.3), SUP, [0.5, 1.0], [0.2], 4,
+                       dict(h=0.1, grid_points=24, horizon=10.0, shells=4)),
+    "sup-ls-falsified": (linear(1.0, 0.0, 1.0), SUP, [1.0], [0.2], 3,
+                         dict(h=0.04, grid_points=40, shells=3)),
+    "sup-ga-falsified": (linear(0.5, 0.0, 0.0), SUP, [1.0], [0.2], 3,
+                         dict(family="polynomial", order=0, h=0.02,
+                              grid_points=40, shells=3)),
+    "sup-inconclusive": (linear(1.0, -0.3, 0.0), SUP, [0.5, 1.0], [0.05], 3,
+                         dict(h=0.05, grid_points=30, horizon=6.0, shells=2)),
+    "sup-rfc-falsified": (QUAD, SUP, [0.5, 3.0], [0.5], 6,
+                          dict(h=0.01, grid_points=20, horizon=1.5,
+                               shells=3)),
+    "sobolev-ga-falsified": (QUAD, SOB2, [0.5, 3.0], [0.5], 6,
+                             dict(h=0.01, grid_points=20, horizon=1.5,
+                                  shells=3)),
+    "hoelder-consistent": (SATURATING, SpaceSpec.hoelder(0.5), [0.5, 1.0],
+                           [0.5], 3, dict(h=0.1, grid_points=16, horizon=6.0,
+                                          shells=3)),
+}
+COMPOSITE_PARTS = {
+    # the composite's verdict, then those of ls, rfc and ga at each rho
+    "sup-consistent": ("consistent", "consistent", "consistent",
+                       ["consistent"] * 2),
+    "sup-ls-falsified": ("falsified", "falsified", "consistent",
+                         ["falsified"]),
+    "sup-ga-falsified": ("falsified", "consistent", "consistent",
+                         ["falsified"]),
+    "sup-inconclusive": ("inconclusive", "consistent", "consistent",
+                         ["inconclusive"] * 2),
+    "sup-rfc-falsified": ("falsified", "consistent", "falsified",
+                          ["consistent", "falsified"]),
+    "sobolev-ga-falsified": ("falsified", "consistent", "consistent",
+                             ["consistent", "falsified"]),
+    "hoelder-consistent": ("consistent", "consistent", "consistent",
+                           ["consistent"] * 2),
+}
+
+
+@pytest.mark.parametrize("case", COMPOSITES)
+def test_composite_is_its_checkers_run_one_after_another(case):
+    """One shared pass gives byte for byte the report of the public
+    checkers each integrating their own balls, witnesses included."""
+    sys, space, rho_list, eps_list, budget, kw = COMPOSITES[case]
+    rep = check_gas_vs_ugas(sys, space, rho_list, eps_list, budget, **kw)
+    got = rep.to_json_dict()
+    assert got == _separate_composite(sys, space, rho_list, eps_list, budget,
+                                      **kw).to_json_dict()
+    d = got["details"]
+    assert (got["verdict"], d["ls"], d["rfc"], d["ga"]) == \
+        COMPOSITE_PARTS[case]
+
+
+def _entered_ensembles(monkeypatch):
+    """The number of members of each _ensemble call made outside check_ls,
+    filled in as the calls run."""
+    outside, inside_ls = [], []
+    ensemble, ls = checkers._ensemble, checkers.check_ls
+
+    def counting(sys, x0s, *args, **kwargs):
+        x0s = list(x0s)
+        if not inside_ls:
+            outside.append(len(x0s))
+        return ensemble(sys, x0s, *args, **kwargs)
+
+    def marked(*args, **kwargs):
+        inside_ls.append(True)
+        try:
+            return ls(*args, **kwargs)
+        finally:
+            inside_ls.pop()
+
+    monkeypatch.setattr(checkers, "_ensemble", counting)
+    monkeypatch.setattr(checkers, "check_ls", marked)
+    return outside
+
+
+def test_composite_integrates_each_distinct_history_once(monkeypatch):
+    """Past the ls probes the composite enters _ensemble once, with one
+    member per distinct (sampler config, index): 4 histories at rho 0.5,
+    4 at rho 1.0 that rfc shares, and one in each of 4 shells; with one
+    sample and one shell, the shell's history is that of the rho 1.0
+    ball."""
+    outside = _entered_ensembles(monkeypatch)
+    check_gas_vs_ugas(linear(1.0, -1.0, 0.3), SUP, [0.5, 1.0], [0.2], 4,
+                      h=0.1, grid_points=24, horizon=4.0)
+    assert outside == [12]
+    outside.clear()
+    check_gas_vs_ugas(linear(1.0, -1.0, 0.3), SUP, [0.5, 1.0], [0.2], 1,
+                      h=0.1, grid_points=24, horizon=4.0)
+    assert outside == [2]
+
+
+@pytest.mark.parametrize("rho_list,shells,message", [
+    ([0.5, -1.0], 8, "need positive rho and budget"),
+    ([0.5, math.inf], 8, "target_norm must be positive and finite"),
+    ([0.5, 1.0], 0, "need at least one shell")])
+def test_composite_validates_before_integrating(monkeypatch, rho_list,
+                                                shells, message):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return simulate_many(*args, **kwargs)
+
+    monkeypatch.setattr(checkers, "simulate_many", counting)
+    with pytest.raises(ParameterError, match=message):
+        check_gas_vs_ugas(linear(1.0, -1.0, 0.3), SUP, rho_list, [0.2], 2,
+                          shells=shells, h=0.1, grid_points=24, horizon=4.0)
+    assert calls == []
+
+
+def _rightmost_root(a, b, r):
+    """a + W0(b r e^(-a r)) / r, the rightmost root of
+    lam = a + b e^(-lam r) for b >= 0, W0 by Halley's iteration."""
+    x = b * r * math.exp(-a * r)
+    w = math.log1p(x)
+    for _ in range(50):
+        f = w * math.exp(w) - x
+        w -= f / (math.exp(w) * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    return a + w / r
+
+
+@pytest.mark.parametrize("a,b", [(-1.0, 0.3), (-2.0, 0.5), (-1.0, 0.0),
+                                 (0.0, 1.0), (0.5, 0.0), (-1.0, 1.5)])
+def test_composite_verdict_agrees_with_the_characteristic_root(a, b):
+    """x' = a x + b x(t - 1) is stable exactly when its rightmost
+    characteristic root is negative: no stable system is falsified and
+    no unstable one is consistent."""
+    lam = _rightmost_root(a, b, 1.0)
+    assert abs(lam - a - b * math.exp(-lam)) < 1e-12
+    assert abs(lam) >= 0.1
+    rep = check_gas_vs_ugas(linear(1.0, a, b), SUP, [0.5, 1.0], [0.1], 3,
+                            h=0.05, grid_points=24, horizon=10.0, shells=3)
+    assert rep.verdict != ("falsified" if lam < 0.0 else "consistent")
+
+
+# -- block size --------------------------------------------------------
+
+
 VECTOR = make_system("linear_vector", r=0.25,
                      params={"A0": [[-1.0, 0.5], [0.2, -1.5]],
                              "A1": [[0.3, 0.1], [0.0, 0.4]]})
@@ -1055,7 +1239,10 @@ def _reports():
         check_uga(VECTOR, SpaceSpec.hoelder(0.5), 0.1, 1.0, 5, horizon=4.0,
                   h=0.02, grid_points=20),
         check_ga(VECTOR, SpaceSpec.hoelder(0.5), 1.0, 0.05, 5, horizon=4.0,
-                 h=0.02, grid_points=20)]
+                 h=0.02, grid_points=20),
+        # the one pass that puts histories of two radii into one block
+        check_gas_vs_ugas(QUAD, SUP, [1.0, 3.0], [0.5], 4, horizon=1.5,
+                          h=0.01, grid_points=20, shells=2, seed=1)]
     return env, [rep.to_json_dict() for rep in reports]
 
 
@@ -1122,7 +1309,7 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
     assert [rep["verdict"] for rep in reports] == [
         "inconclusive", "consistent", "consistent", "falsified",
         "consistent", "consistent", "consistent", "consistent",
-        "inconclusive"]
+        "inconclusive", "falsified"]
     for other_env, other_reports in results[1:]:
         assert other_reports == reports
         assert other_env.to_json_dict() == env.to_json_dict()

@@ -338,6 +338,9 @@ GROWTH = {"check": "growth", "system": LINEAR_DECAY,
           "functional": {"type": "weighted_sup", "lam": 1.0},
           "space": {"kind": "sup"}, "samples": 3, "mu": 1.0,
           "a": {"linear": math.exp(-1.0)}}
+GAS = {"property": "gas-vs-ugas", "system": LINEAR_DECAY,
+       "space": {"kind": "sup"}, "rho_list": [0.5, 1.0], "eps_list": [0.2],
+       "budget": 2, "horizon": 4.0, "h": 0.1}
 LS = {"property": "ls", "system": LINEAR_DECAY, "space": {"kind": "sup"},
       "eps_list": [0.5], "budget": 2, "horizon": 2.0}
 NORMS = {"sampler": {"family": "fourier", "order": 3,
@@ -417,6 +420,10 @@ BAD_VALUES = [
     ("check", {**GA, "rho": math.inf}, "positive and finite"),
     ("check", {**{k: v for k, v in GA.items() if k != "eps"},
                "property": "lags", "rho": math.inf}, "positive and finite"),
+    # each once raised only after the ls bisection had integrated
+    ("check", {**GAS, "rho_list": [0.5, -1.0]}, "rho"),
+    ("check", {**GAS, "rho_list": [0.5, math.inf]}, "target_norm"),
+    ("check", {**GAS, "shells": 0}, "shell"),
 ]
 
 

@@ -412,6 +412,22 @@ def test_growth_certificate_overflowing_limit_is_vacuous():
     assert rep.witness["index"] == 2
 
 
+@pytest.mark.parametrize("mu", [0.5, 5.0])
+@pytest.mark.parametrize("T", [-1.0, 0.0])
+def test_growth_certificate_rejects_its_horizon_before_sampling(
+        monkeypatch, T, mu):
+    """A horizon that is not positive is refused before any sample is
+    drawn, whether or not the prolongation pass would have falsified."""
+    drawn = []
+    monkeypatch.setattr(lyapunov, "_samples",
+                        lambda *args: drawn.append(args) or iter(()))
+    with pytest.raises(ParameterError, match="horizon"):
+        check_growth_certificate(linear(1.0, 0.0, 1.0), weighted_sup(1.0),
+                                 MonotoneGridFn.linear(math.exp(-1.0)), mu,
+                                 3, T=T)
+    assert drawn == []
+
+
 # -- cross-checks and continuity ---------------------------------------
 
 

@@ -134,3 +134,14 @@ def test_only_uga_reads_norms_at_a_level():
     assert exact < _callers("_norm_read")
     assert ("checkers", "verify_pair_bounds") in _callers("_norms")
     assert ("sampler", "sample_one") in _callers("space_norm")
+
+
+def test_composite_integrates_through_no_other_checker():
+    """check_gas_vs_ugas runs the ls bisection through check_ls and judges
+    ga, rfc and the envelope on its own single pass, so it calls none of
+    the checkers that would integrate those balls again."""
+    composite = ("checkers", "check_gas_vs_ugas")
+    assert composite in _callers("check_ls")
+    for name in ("check_ga", "check_rfc", "fit_kl_envelope", "check_lags",
+                 "check_uga", "check_envelope_lift"):
+        assert composite not in _callers(name), name
