@@ -47,6 +47,14 @@ moved on; a window that spans the horizon hands on one whole trajectory
 per member, which :func:`simulate` and :func:`simulate_many` return with
 its rows copied out of the window.
 
+Stages read the dense output through read plans: the block's stage times
+follow from its mesh, and a read at delay s that no plan covers computes,
+in one vectorised Hermite call, its values at this stage and at every later
+stage whose cells have both rows settled already, at most a share of
+BLOCK_BYTES; the later stages look their row up.  Each planned read is
+the formula of a read at its own stage on the same cell and fraction, so
+planning ahead moves no bit (see ``_SolutionView``).
+
 Ensembles integrate in memory-bounded blocks (``_block_members``): a
 block holds the most histories whose smallest windows, two delay
 intervals and three rows (16 n bytes a row, values plus derivatives),
@@ -84,7 +92,6 @@ from .segment import (
     _hermite,
     _hermite_slope,
     _integer,
-    _point_read,
     _points_read,
     _quadrature_weights,
     _real,
@@ -381,20 +388,32 @@ class _SolutionView:
     first row is refused.  Reads return (B, n) for a point and (B, m, n)
     for an array of m times, by the rules of the scalar reads.
 
-    Reads of dense output are memoised until set_stage moves settled or
-    stage_time: stages k2 and k3 share a stage time, and so do k4 and the
-    derivative at the fresh node, so each such read is computed once per
-    stage time.  Point reads are keyed by s, array reads by the values of
-    s; an array read keeps its dense columns and fills the late columns
-    afresh on every call, and a late point read is never memoised, since
-    both follow stage_value.  Memoised reads are read-only arrays.
+    Dense reads are planned a span of stages ahead.  mesh, the block's
+    full steps and short final step as _mesh gives them, fixes its
+    schedule: stage 0 at time 0, then stages 2k + 1 and 2k + 2 at
+    t_k + step / 2 and t_k + step of step k, both with k steps settled,
+    by the integrator's own arithmetic, so a stage time names its stage.
+    A read whose key (s for a point, the bytes of s for an array) has no
+    plan that holds the current stage time makes one: its dense reads at
+    this stage and at every later stage whose forward cells have both rows
+    settled now, at most as many as fit a plan's share of BLOCK_BYTES, in
+    one vectorised Hermite call.  Each is the scalar read's formula on the
+    same cell and fraction, so it is bitwise the read made at its own
+    stage.  A view without a mesh plans the current stage alone and drops
+    its plans when set_stage moves the stage; the integrator drops them
+    when the window moves, so that a read the window no longer holds is
+    refused as before.  Late reads follow stage_value and are made afresh
+    on every call: a late point read is not planned, and an array read
+    copies its planned row and fills its late columns.  Planned reads are
+    read-only.
     """
 
     __slots__ = ("delay_r", "dim", "h", "hist_values", "hist_derivs",
                  "values", "derivs", "first", "settled", "settled_time",
-                 "stage_time", "stage_value", "memo")
+                 "stage_time", "stage_value", "mesh", "plans")
 
-    def __init__(self, histories, values, derivs, h: float, first: int = 0):
+    def __init__(self, histories, values, derivs, h: float, first: int = 0,
+                 mesh: tuple[int, float] | None = None):
         self.delay_r = histories[0].delay_r
         self.dim = histories[0].dim
         self.h = h
@@ -407,11 +426,13 @@ class _SolutionView:
         self.settled_time = 0.0
         self.stage_time = 0.0
         self.stage_value = values[0]
-        self.memo = {}
+        self.mesh = mesh
+        self.plans = {}
 
     def set_stage(self, settled: int, stage_time: float, stage_value):
-        if settled != self.settled or stage_time != self.stage_time:
-            self.memo.clear()
+        if self.mesh is None and (settled != self.settled
+                                  or stage_time != self.stage_time):
+            self.plans.clear()
         self.settled = settled
         self.settled_time = settled * self.h
         self.stage_time = stage_time
@@ -423,6 +444,71 @@ class _SolutionView:
             raise ParameterError("right-hand side read x before t - r")
         return j - self.first
 
+    def _planned(self, key, s) -> np.ndarray:
+        """The planned read of key at the current stage: (B, n) for a
+        point s, (B, m, n) for an array."""
+        plan = self.plans.get(key)
+        row = None if plan is None else plan[0].get(self.stage_time)
+        if row is None:
+            rows, reads = self._plan(np.atleast_1d(s))
+            plan = self.plans[key] = \
+                rows, reads if np.ndim(s) else reads[:, :, 0]
+            row = rows[self.stage_time]
+        return plan[1][row]
+
+    def _plan(self, s: np.ndarray):
+        """A plan of the reads at the times s, (m,): the row of each stage
+        it covers, by stage time, and its reads there, (stages, B, m, n),
+        read-only, with each late column left unset."""
+        h = self.h
+        B = self.stage_value.shape[0]
+        # a plan's reads fit BLOCK_BYTES // 64: the Hermite formula makes
+        # about ten temporaries of their size
+        span = max(1, BLOCK_BYTES // (512 * B * s.size * self.dim))
+        if self.mesh is None:
+            times = np.array([self.stage_time])
+            settled = np.array([self.settled])
+        else:  # the schedule from the current stage to the last step's end
+            n_full, tail = self.mesh
+            k = self.settled
+            if self.stage_time == 0.0:
+                q0 = 0
+            elif self.stage_time == k * h + 0.5 * (h if k < n_full else tail):
+                q0 = 2 * k + 1
+            else:
+                q0 = 2 * k + 2
+            q = np.arange(q0, min(q0 + span, 2 * (n_full + (tail > 0)) + 1))
+            settled = np.maximum(q - 1, 0) // 2
+            step = np.where(settled < n_full, h, tail)
+            times = settled * h + np.where(q % 2, 0.5 * step, step)
+            times[q == 0] = 0.0
+        u = times[:, None] + s
+        late = u >= (settled * h)[:, None]
+        hist = ~late & (u <= 0.0)
+        fwd = ~late & ~hist
+        j = np.minimum((u / h).astype(int), settled[:, None] - 1)
+        # a later stage joins while each of its forward cells has both
+        # rows settled now; u < settled_time alone may round to a cell
+        # whose right row is not yet written
+        ahead = (fwd & (j >= self.settled)).any(axis=1)
+        stop = int(np.argmax(ahead)) if ahead.any() else times.size
+        u, hist, fwd, j = u[:stop], hist[:stop], fwd[:stop], j[:stop]
+        reads = np.empty((stop, B, s.size, self.dim))
+        by_time = reads.transpose(0, 2, 1, 3)
+        if hist.any():
+            by_time[hist] = _points_read(
+                self.hist_values, self.hist_derivs, self.delay_r,
+                u[hist]).transpose(1, 0, 2)
+        if fwd.any():
+            uf, jf = u[fwd], j[fwd]
+            self._row(int(jf.min()))
+            i = jf - self.first
+            by_time[fwd] = _hermite(self.values[i], self.derivs[i],
+                                    self.values[i + 1], self.derivs[i + 1],
+                                    ((uf - jf * h) / h)[:, None, None], h)
+        reads.flags.writeable = False
+        return dict(zip(times[:stop].tolist(), range(stop))), reads
+
     def value_at_point(self, s: float) -> np.ndarray:
         u = self.stage_time + s
         if u >= self.settled_time:
@@ -432,67 +518,24 @@ class _SolutionView:
             w = (u - self.settled_time) / gap
             return (1.0 - w) * self.values[self.settled - self.first] \
                 + w * self.stage_value
-        read = self.memo.get(s)
-        if read is None:
-            if u <= 0.0:
-                read = _point_read(self.hist_values, self.hist_derivs,
-                                   self.delay_r, u)
-            else:
-                h = self.h
-                j = min(int(u / h), self.settled - 1)
-                i = self._row(j)
-                read = _hermite(self.values[i], self.derivs[i],
-                                self.values[i + 1], self.derivs[i + 1],
-                                (u - j * h) / h, h)
-            read.flags.writeable = False
-            self.memo[s] = read
-        return read
+        return self._planned(s, s)
 
     def value_at(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        key = s.tobytes()
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self.memo[key] = self._dense_reads(self.stage_time + s)
-        out, late, ul = hit
-        if late.size:
-            out = out.copy()
-            mix = np.broadcast_to(self.stage_value[:, None],
-                                  (out.shape[0], ul.size, self.dim))
-            gap = self.stage_time - self.settled_time
-            if gap > 0.0:
-                w = ((ul - self.settled_time) / gap)[:, None]
-                node = self.values[self.settled - self.first]
-                mix = (1.0 - w) * node[:, None] + w * self.stage_value[:, None]
-                mix[:, ul >= self.stage_time] = self.stage_value[:, None]
-            out[:, late] = mix
-        return out
-
-    def _dense_reads(self, u: np.ndarray):
-        """The memo entry of an array read at absolute times u: the reads
-        with every column before settled_time filled (read-only),
-        and the indices and times of the late columns."""
-        out = np.empty(self.stage_value.shape[:1] + (u.size, self.dim))
+        out = self._planned(s.tobytes(), s)
+        u = self.stage_time + s
         late = u >= self.settled_time
-        hist = ~late & (u <= 0.0)
-        if np.any(hist):
-            out[:, hist] = _points_read(self.hist_values, self.hist_derivs,
-                                        self.delay_r, u[hist])
-        fwd = ~late & ~hist
-        if np.any(fwd):
-            uf = u[fwd]
-            h = self.h
-            j = np.minimum((uf / h).astype(int), self.settled - 1)
-            i = j
-            if self.first:  # a window that has moved on
-                self._row(int(j.min()))
-                i = j - self.first
-            cells = _hermite(self.values[i], self.derivs[i],
-                             self.values[i + 1], self.derivs[i + 1],
-                             ((uf - j * h) / h)[:, None, None], h)
-            out[:, fwd] = cells.transpose(1, 0, 2)
-        out.flags.writeable = False
-        return out, np.flatnonzero(late), u[late]
+        if late.any():
+            out = out.copy()
+            out[:, late] = self.stage_value[:, None]
+            mid = late & (u < self.stage_time)
+            if mid.any():
+                w = ((u[mid] - self.settled_time)
+                     / (self.stage_time - self.settled_time))[:, None]
+                node = self.values[self.settled - self.first]
+                out[:, mid] = (1.0 - w) * node[:, None] \
+                    + w * self.stage_value[:, None]
+        return out
 
 
 def _mesh(T: float, h: float) -> tuple[int, float]:
@@ -617,8 +660,10 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
 
     members = list(range(len(x0s)))
     first = 0  # the forward node in row 0 of the window
-    values = np.empty((window, len(x0s), sys.dimension))
-    derivs = np.empty_like(values)
+    # rows not yet written hold NaN (or, once the window has moved, rows
+    # it held before), so a read of one gives the same result every run
+    values = np.full((window, len(x0s), sys.dimension), np.nan)
+    derivs = np.full_like(values, np.nan)
     values[0] = [x0.values[-1] for x0 in x0s]
 
     def hand_on(pos: int, stop: int, final: bool = True,
@@ -630,7 +675,7 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                            derivs[:stop - first, pos], escape_time, first,
                            final))
 
-    view = _SolutionView(x0s, values, derivs, h_eff)
+    view = _SolutionView(x0s, values, derivs, h_eff, mesh=(n_full, tail))
     derivs[0] = np.asarray(sys.rhs(view), dtype=float)
     rhs = sys.rhs
     # components of at most screen give |x| <= sqrt(n) screen, half the
@@ -693,7 +738,7 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                     break
                 values, derivs = values[:, keep], derivs[:, keep]
                 view = _SolutionView([x0s[b] for b in members], values,
-                                     derivs, h_eff, first)
+                                     derivs, h_eff, first, (n_full, tail))
             # no room for the rows up to the next test: hand on the
             # settled rows and keep the last delay interval
             if k + 1 < n_steps \
@@ -704,6 +749,7 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 values[:back] = values[start - first:i + 2]
                 derivs[:back] = derivs[start - first:i + 2]
                 first = view.first = start
+                view.plans.clear()  # a read of a dropped row is refused
     for pos in range(len(members)):
         hand_on(pos, n_steps + 1)
     return out

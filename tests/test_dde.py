@@ -1,12 +1,17 @@
 """Tests for delay systems and the method-of-steps integrator."""
 
+import copy
 import io
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delaystab import dde
 from delaystab.dde import (
     ESCAPE_THRESHOLD,
     DelaySystem,
@@ -526,48 +531,144 @@ def test_non_finite_derivative_at_a_small_state_ends_the_interval():
             assert u.tobytes() == v.tobytes()
 
 
-def test_solution_view_memo_reads_equal_fresh_reads():
-    """Dense reads served from the memo, across repeated set_stage calls
-    that keep and that move the stage, equal the reads of a fresh view in
-    every bit; late reads follow the stage value every time."""
-    sys = make_system("saturating", 1.0, {"c": 1.0, "k": 0.5})
-    cfg = SamplerConfig(family="fourier", order=3, target_space=SpaceSpec.sup(),
-                        target_norm=1.0, dimension=1, delay_r=1.0, seed=0,
-                        n_nodes=65)
-    x0s = [sample_one(cfg, i) for i in range(3)]
-    trajs = simulate_many(sys, x0s, 3.0, 0.01)
-    values = np.stack([t.forward_values for t in trajs], axis=1)
-    derivs = np.stack([t.forward_derivs for t in trajs], axis=1)
-    h = trajs[0].step_h
-    memo = _SolutionView(x0s, values, derivs, h)
-    points = [-1.0, -0.73, -0.5, -0.02, -0.004, 0.0]
-    arrays = [np.linspace(-1.0, 0.0, 27), np.array([-0.3, -0.001, 0.0])]
-    rng = np.random.default_rng(1)
-    for settled in (0, 5, 100, 150, 299):
-        for frac in (0.0, 0.5, 0.5, 1.0, 1.0):
-            stage = rng.normal(size=(3, 1))
-            t = settled * h + frac * h
-            for _ in range(2):
-                memo.set_stage(settled, t, stage)
-                fresh = _SolutionView(x0s, values, derivs, h)
-                fresh.set_stage(settled, t, stage)
-                for s in points:
-                    got = memo.value_at_point(s)
-                    assert got.tobytes() == fresh.value_at_point(s).tobytes()
-                for s in arrays:
-                    got = memo.value_at(s)
-                    assert got.tobytes() == fresh.value_at(s).tobytes()
-                    assert got.tobytes() == fresh.value_at(
-                        s.tolist()).tobytes()
-                # the late read at s = 0 is the running stage value
-                assert memo.value_at_point(0.0) is stage
-                assert np.array_equal(memo.value_at(arrays[1])[:, -1], stage)
-                stage = stage + 1.0
-    # memoised reads cannot be changed in place
+def _one_stage(view):
+    """A view of the same rows and stage without a schedule: it plans the
+    current stage alone, the read of one stage time."""
+    fresh = copy.copy(view)
+    fresh.mesh, fresh.plans = None, {}
+    return fresh
+
+
+def test_planned_reads_equal_fresh_one_stage_reads():
+    """Every read a right-hand side makes through a block's schedule of
+    planned spans, point and array reads on history and forward cells,
+    with late and mid-step columns, equals in every bit the read of a
+    fresh view that plans only its own stage; across the tail step, a
+    window that has moved and a block rebuilt after a member escapes.
+    Planned reads are read-only; late reads follow the stage value."""
+    points = [-1.0, -0.73, -0.5, -0.04, -0.02, 0.0]
+    arrays = [np.linspace(-1.0, 0.0, 27), np.array([-0.3, -0.04, -0.001, 0.0])]
+    seen = {"calls": 0, "span": 0, "members": set(), "firsts": set()}
+    kept = []
+
+    def rhs(seg):
+        if not isinstance(seg, _SolutionView):
+            v = seg.value_at_point(0.0)
+            return -v + v ** 3
+        fresh = _one_stage(seg)
+        for s in points:
+            got = seg.value_at_point(s)
+            assert got.tobytes() == fresh.value_at_point(s).tobytes()
+        for s in arrays:
+            got = seg.value_at(s)
+            assert got.tobytes() == fresh.value_at(s).tobytes()
+            assert got.tobytes() == fresh.value_at(s.tolist()).tobytes()
+        # the late read at s = 0 is the running stage value
+        assert seg.value_at_point(0.0) is seg.stage_value
+        assert seg.value_at(arrays[1])[:, -1].tobytes() \
+            == seg.stage_value.tobytes()
+        planned = seg.value_at_point(-0.5)
+        assert not planned.flags.writeable
+        assert not seg.value_at(arrays[0][:5]).flags.writeable
+        kept[:] = [planned]
+        seen["calls"] += 1
+        seen["span"] = max([seen["span"]] + [len(rows) for rows, _
+                                             in seg.plans.values()])
+        seen["members"].add(seg.stage_value.shape[0])
+        seen["firsts"].add(seg.first)
+        v, w = seg.value_at_point(0.0), seg.value_at_point(-0.73)
+        return -v + 0.4 * w + 0.1 * (seg.value_at(arrays[0]).mean(axis=-2)
+                                     + v * v * v)
+
+    sys = DelaySystem("probe", 1, 1.0, rhs, lambda R: 1.0)
+    x0s = [const_history(value=c, n_nodes=33) for c in (0.3, -0.6, 2.5, 0.0)]
+    pieces = []
+    # a tail step of 0.03, and windows of 50 rows that move
+    held = dde.BLOCK_BYTES // len(x0s) - 16 * 50
+    simulate_many(sys, x0s, 6.03, 0.05, held=held,
+                  take=lambda b, p: pieces.append((b, p.escape_time)))
+    assert seen["calls"] > 4 * 120
+    assert seen["span"] > 20
+    assert seen["members"] == {3, 4}  # one member escaped
+    assert len(seen["firsts"]) > 2  # the window moved
+    assert sum(t is not None for _, t in pieces) == 1
     with pytest.raises(ValueError):
-        memo.value_at_point(-0.5)[...] = 0.0
-    with pytest.raises(ValueError):
-        memo.value_at(np.array([-0.7, -0.3]))[...] = 0.0
+        kept[0][...] = 0.0
+
+
+def test_planned_read_at_a_span_edge_reads_only_settled_rows():
+    """With h = r / 30, the stage time 95 h + h less r is a hair below
+    66 h, yet divided by h it rounds to 66: the read's cell is 66 and its
+    right row 67.  A plan made with 66 steps settled must stop before that
+    stage, though its time is below the settled time; rows not yet
+    written hold NaN, so a read of one shows."""
+    r, h = 1.0, 1.0 / 30.0
+    u = (95 * h + h) - r
+    assert u < 66 * h and u / h == 66.0 and int(u / h) == 66
+    sys = make_system("linear_scalar", r, {"a": -1.0, "b": 0.5})
+    x0 = const_history(n_nodes=31)
+    traj = simulate(sys, x0, 3.5, h)
+    assert traj.step_h == h
+    values = np.full((traj.forward_values.shape[0], 1, 1), np.nan)
+    derivs = np.full_like(values, np.nan)
+    view = _SolutionView([x0], values, derivs, h,
+                         mesh=(traj.forward_values.shape[0] - 1, 0.0))
+    for q in range(2 * 66 + 1, 2 * 97 + 1):
+        k = (q - 1) // 2
+        values[:k + 1, 0] = traj.forward_values[:k + 1]
+        derivs[:k + 1, 0] = traj.forward_derivs[:k + 1]
+        view.set_stage(k, k * h + (0.5 * h if q % 2 else h), values[k])
+        got = view.value_at_point(-r)
+        assert got.tobytes() == _one_stage(view).value_at_point(-r).tobytes()
+        assert np.isfinite(got).all()
+    # one plan served the stages up to the edge, another the edge on
+    rows, _ = view.plans[-r]
+    assert min(rows) == 95 * h + h
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_block_trajectories_do_not_depend_on_the_split(data):
+    """A block split into smaller blocks gives every member's trajectory
+    bitwise, escapes included, whatever the memory budget that sizes a
+    block's read plans."""
+    def cliff(seg):  # escapes once |x(t - r/2)| reaches 2
+        v = seg.value_at_point(-0.5)
+        return np.where(np.abs(v) < 2.0, v, np.inf)
+
+    sys = data.draw(st.sampled_from([
+        DelaySystem("cliff", 1, 1.0, cliff, lambda R: 1.0),
+        make_system("quadratic", 1.0, {"c": 1.0}),
+        make_system("linear_scalar", 1.0, {"a": -1.0, "b": 0.3}),
+        make_system("linear_vector", 1.0, {"A0": [[-1.0, 0.2], [0.1, -1.5]],
+                                           "A1": [[0.3, 0.0], [0.1, 0.2]]}),
+        make_system("distributed_linear", 1.0,
+                    {"A0": [[-2.0]], "K": [[[0.5]], [[0.3]]]}),
+        make_system("saturating", 1.0, {"c": 1.0, "k": 0.5}),
+    ]))
+    members = data.draw(st.integers(1, 9))
+    h = data.draw(st.sampled_from([0.02, 0.05, 0.1]))
+    T = data.draw(st.floats(0.3, 3.0))
+    cfg = SamplerConfig(family="fourier", order=3,
+                        target_space=SpaceSpec.sup(), target_norm=1.0,
+                        dimension=sys.dimension, delay_r=1.0,
+                        seed=data.draw(st.integers(0, 9)), n_nodes=33)
+    # every third history is large enough to escape where the system can
+    x0s = [sample_one(replace(cfg, target_norm=(0.5, 4.0, 1.5)[i % 3]), i)
+           for i in range(members)]
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, members),
+                                         max_size=3))) | {members})
+    whole = simulate_many(sys, x0s, T, h)
+    with mock.patch.object(dde, "BLOCK_BYTES", data.draw(
+            st.sampled_from([1, 1 << 12, dde.BLOCK_BYTES]))):
+        parts = [t for a, b in zip([0] + cuts, cuts)
+                 for t in simulate_many(sys, x0s[a:b], T, h)]
+    for got, want in zip(parts, whole, strict=True):
+        assert got.escape_time == want.escape_time
+        for a, b in ((got.forward_times, want.forward_times),
+                     (got.forward_values, want.forward_values),
+                     (got.forward_derivs, want.forward_derivs)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_window_pieces_are_the_whole_trajectories(monkeypatch):
