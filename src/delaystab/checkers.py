@@ -27,12 +27,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dde import DelaySystem, Trajectory, _block_members, _row_counts, \
-    _segment_chunk, _segment_nodes, simulate_many
+from .dde import DelaySystem, Trajectory, _Block, _block_members, \
+    _block_nodes, _block_of, _row_counts, _segment_chunk, _stack_chunk, \
+    simulate_many
 from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
 from .sampler import SamplerConfig, sample_one
 from .segment import DEFAULT_REFINE, ParameterError, Segment, SpaceSpec, \
-    _euclid, _norms, space_norm
+    _norms, _refined_count, _squares, _uniform_grid, \
+    _uniform_reads, space_norm
 
 __all__ = [
     "KLEnvelope",
@@ -131,113 +133,177 @@ def _json_safe(v):
 # -- norm tracking -----------------------------------------------------
 
 
-def _covered(traj: Trajectory, times) -> int:
+def _covered(traj: Trajectory | _Block, times) -> int:
     """How many leading times lie in the covered range (up to escape)."""
     tol = 1e-12 * max(traj.system.delay_r, 1.0)
     past = np.flatnonzero(np.asarray(times) > traj.end_time + tol)
     return int(past[0]) if past.size else len(times)
 
 
-def _segment_stacks(traj: Trajectory, times, seg_nodes: int):
-    """Yield (lo, s, values, derivs): the node data of the segments x_t
-    at times[lo:lo + K], stacked (K, seg_nodes, n), K times at a time as
-    dde._segment_chunk allows."""
+def _segment_stacks(piece: _Block, times, seg_nodes: int):
+    """Yield (s, values, derivs): the node data of the segments x_t of
+    each member of the piece at the times of times, member by member,
+    stacked (K, seg_nodes, n), K times at a time as dde._segment_chunk
+    allows.  A stack holds one member's times, as that member's own read
+    would: stacks across members grow the temporaries of small reads
+    (40 Dini ladders of 6 rungs in stacks of 31 took 930 KB at peak, not
+    212 KB) and join rows that prune different Hoelder lags (their lag
+    visits rose by two thirds)."""
     times = np.asarray(times, dtype=float)
-    size = _segment_chunk(seg_nodes, traj.system.dimension)
-    for lo in range(0, times.size, size):
-        yield (lo, *_segment_nodes(traj, times[lo:lo + size], seg_nodes))
+    size = _segment_chunk(seg_nodes, piece.system.dimension)
+    for pos in range(len(piece.members)):
+        for lo in range(0, times.size, size):
+            yield _block_nodes(piece, pos, times[lo:lo + size], seg_nodes)
 
 
 def _track(traj: Trajectory, times, seg_nodes: int | None,
            evaluate: Callable[..., np.ndarray] | None,
            lam: float | None = None) -> np.ndarray:
-    """A functional of the history segment x_t at each time.
+    """A functional of the history segment x_t of a whole trajectory at
+    each time: the track of the block of one that holds it."""
+    return _block_track(_block_of(traj), times, seg_nodes, evaluate, lam)[0]
+
+
+def _block_track(piece: _Block, times, seg_nodes: int | None,
+                 evaluate: Callable[..., np.ndarray] | None,
+                 lam: float | None = None) -> np.ndarray:
+    """A functional of the history segment x_t of each member of a piece
+    at each time, one row a member.
 
     Times past the covered end (escape) give +inf.  Without lam, evaluate
     takes stacked segments, (r, nodes, values, derivs) with node data
     (K, seg_nodes, n), to K values (or K arrays of one shape), and the
-    track reads a chunk of times at a time through _segment_stacks (each
-    row bitwise segment_at), so each value is evaluate of x_t alone
-    whatever the chunk size.
+    track reads each member's times a chunk at a time through
+    _segment_stacks (each row bitwise segment_at), so each value is
+    evaluate of x_t alone whatever the chunk.
 
-    With lam the value is the window max of e^(lam s)|x_t(s)|, taken over
-    one candidate set that every time shares: the initial segment's
-    refined grid plus the forward solver mesh, weighted once as
-    e^(lam u)|x(u)|.  Each window max then reads the same history points
-    as the t = 0 evaluation, so decay ratios carry no resampling noise
-    (exact on constants).  All windows [t - r, t] are located by two
-    searchsorted calls and their maxima taken by one maximum.reduceat,
-    which is exact, so each value is bitwise that of a per-time slice
-    max.  Weighting relative to u = 0 is kept where it loses nothing:
-    |lam| max(t, r) < 708, so that e^(lam u) and e^(-lam t) are normal
-    floats, and the window max and the value are normal floats too
-    (always so with lam = 0).  Any other window, such as one far along a
-    long horizon where e^(lam u) overflows or its product with |x(u)|
-    underflows, is weighted relative to its own time, as
-    e^(lam (u - t))|x(u)|, which is e^(lam s)|x_t(s)| itself.
+    With lam the value is the window max of e^(lam s)|x_t(s)| (see
+    _window_maxima).
 
-    traj may be a piece that dde.simulate_many hands on, if it holds
-    every row the times read: from the first row of each window (later
-    pieces start past the history) to the right node of the time's cell.
-    Every value is then bitwise that of the whole trajectory: the reads
-    of the cells gather fresh rows, and the window max takes the norms
-    of a contiguous copy of the piece's strided rows.
+    The piece must hold every row the times read: from the first row of
+    each window (later pieces start past the history) to the right node
+    of the time's cell.  Every value is then bitwise that of the
+    member's whole trajectory.
     """
-    r = traj.system.delay_r
-    covered = _covered(traj, times)
+    covered = _covered(piece, times)
     t = np.asarray(times[:covered], dtype=float)
-    if lam is None:
-        parts = [evaluate(r, s, vals, ders)
-                 for _, s, vals, ders in _segment_stacks(traj, t, seg_nodes)]
-        if not parts:
-            return np.full(len(times), np.inf)
-        got = np.concatenate(parts)
-        out = np.full((len(times),) + got.shape[1:], np.inf)
-        out[:covered] = got
-        return out
-    out = np.full(len(times), np.inf)
-    ft, fv = traj.forward_times, np.ascontiguousarray(traj.forward_values)
-    if traj.first_row == 0:
-        s, vals = traj.initial._refined_values(DEFAULT_REFINE)
+    if lam is not None:
+        return _window_maxima(piece, t, len(times), lam)
+    members = len(piece.members)
+    parts = [evaluate(piece.system.delay_r, s, vals, ders)
+             for s, vals, ders in _segment_stacks(piece, t, seg_nodes)]
+    if not parts:
+        return np.full((members, len(times)), np.inf)
+    got = np.concatenate(parts)
+    out = np.full((members, len(times)) + got.shape[1:], np.inf)
+    out[:, :covered] = got.reshape((members, covered) + got.shape[1:])
+    return out
+
+
+def _window_maxima(piece: _Block, t: np.ndarray, count: int,
+                   lam: float) -> np.ndarray:
+    """The window max of e^(lam s)|x_t(s)| of each member of the piece at
+    each covered time of t, (members, count), +inf past t.
+
+    The max is taken over one candidate set that every member and time
+    shares: the histories' refined grid plus the forward solver mesh,
+    weighted once as e^(lam u)|x(u)|.  Each window max then reads the
+    same history points as the t = 0 evaluation, so decay ratios carry no
+    resampling noise (exact on constants).  All windows [t - r, t] are
+    located by two searchsorted calls and their maxima taken by one
+    maximum.reduceat over the members' weighted magnitudes, a group of
+    members at a time, as many as dde._stack_chunk allows for three
+    arrays of their candidates; the max is exact, so each value is
+    bitwise that of a per-time slice max of the member alone.  Weighting
+    relative to u = 0 is kept where it loses nothing: |lam| max(t, r) <
+    708, so that e^(lam u) and e^(-lam t) are normal floats, and the
+    window max and the value are normal floats too (always so with lam =
+    0).  Any other window, such as one far along a long horizon where
+    e^(lam u) overflows or its product with |x(u)| underflows, is
+    weighted relative to its own time, as e^(lam (u - t))|x(u)|, which is
+    e^(lam s)|x_t(s)| itself.
+    """
+    r = piece.system.delay_r
+    out = np.full((len(piece.members), count), np.inf)
+    ft, fv = piece.forward_times, piece.forward_values
+    hist = piece.first_row == 0
+    if hist:
+        refined = _refined_count(piece.hist_nodes.size, DEFAULT_REFINE)
+        s = _uniform_grid(piece.hist_r, piece.hist_nodes.tobytes(),
+                          refined)[0]
         u = np.concatenate([s, ft[1:]])
-        mags = np.concatenate([_euclid(vals), _euclid(fv[1:])])
     else:
-        u, mags = ft, _euclid(fv)
+        u = ft
     lo = np.searchsorted(u, t - r - 1e-15 * r, side="left")
     hi = np.searchsorted(u, t + 1e-15 * np.maximum(r, np.abs(t)),
                          side="right")
     # every window holds a node: it is r long and no gap of the candidate
     # set (a refined history cell, a solver step) exceeds r / 10; in a
     # later piece every window starts past its first row
-    assert np.all(lo < hi) and (traj.first_row == 0 or np.all(lo > 0))
-    near = abs(lam) * np.maximum(t, r) < 708.0
-    if np.any(near):
+    assert np.all(lo < hi) and (hist or np.all(lo > 0))
+    within = abs(lam) * np.maximum(t, r) < 708.0
+    near, far = np.flatnonzero(within), np.flatnonzero(~within)
+    if near.size:
         top = int(hi[near].max())
         with np.errstate(over="ignore"):
-            g = np.exp(lam * u[:top]) * mags[:top]
-        # the -inf pad makes top a valid bound; no window reaches it
-        peaks = np.maximum.reduceat(
-            np.append(g, -np.inf),
-            np.column_stack([lo[near], hi[near]]).ravel())[::2]
-        got = np.array([math.exp(-lam * tk) * m for tk, m
-                        in zip(t[near].tolist(), peaks.tolist())])
-        out[:covered][near] = got
-        if lam != 0.0:
-            info = np.finfo(float)
-            near[near] = ((info.tiny <= peaks) & (peaks <= info.max)
+            weight = np.exp(lam * u[:top])
+        bounds = np.column_stack([lo[near], hi[near]]).ravel()
+        scale = np.array([math.exp(-lam * tk) for tk in t[near].tolist()])
+    info = np.finfo(float)
+
+    def group_maxima(at: slice):
+        """The window maxima of the members at positions at, into out."""
+        rows = out[at]
+        # |x(u)|, one row a member, then a -inf pad that makes top a
+        # valid bound of the reduceat; no window reaches it
+        mags = np.empty((rows.shape[0], u.size + 1))
+        tail = fv[1:, at] if hist else fv[:, at]
+        first = u.size - tail.shape[0]
+        if hist:
+            _squares(_uniform_reads(
+                piece.hist_r, piece.hist_nodes, piece.hist_values[at],
+                piece.hist_derivs[at], refined, False)[1],
+                out=mags[:, :first])
+        _squares(tail, out=mags[:, first:-1].T)
+        np.sqrt(mags[:, :-1], out=mags[:, :-1])
+        mags[:, -1] = -np.inf
+        if near.size:
+            weighted = mags  # weights of 1 (lam 0) change nothing
+            if lam != 0.0:
+                weighted = np.full((rows.shape[0], top + 1), -np.inf)
+                with np.errstate(over="ignore"):
+                    np.multiply(weight, mags[:, :top], out=weighted[:, :top])
+            peaks = np.maximum.reduceat(weighted, bounds, axis=1)[:, ::2]
+            got = scale * peaks
+            rows[:, near] = got
+            if lam != 0.0:
+                normal = ((info.tiny <= peaks) & (peaks <= info.max)
                           & (info.tiny <= got) & (got <= info.max))
-    for k in np.flatnonzero(~near):
-        w = slice(lo[k], hi[k])
-        out[k] = (np.exp(lam * (u[w] - t[k])) * mags[w]).max()
+                for m, c in zip(*np.nonzero(~normal)):
+                    k = near[c]
+                    w = slice(lo[k], hi[k])
+                    rows[m, k] = (np.exp(lam * (u[w] - t[k]))
+                                  * mags[m, w]).max()
+        for k in far:
+            w = slice(lo[k], hi[k])
+            rows[:, k] = (np.exp(lam * (u[w] - t[k])) * mags[:, w]).max(axis=1)
+
+    # a member's magnitudes, their weighted copy and the copy of its rows
+    # that einsum takes their squares from
+    group = _stack_chunk(3 * u.size)
+    for a in range(0, len(piece.members), group):
+        group_maxima(slice(a, a + group))
     return out
 
 
 class _Read(NamedTuple):
     """One track an ensemble takes of each member: _track(traj, times,
-    seg_nodes, evaluate, lam), with times nondecreasing.  With times None
-    it is evaluate of the forward rows, (m, n) to m values, one a mesh
-    node.  A value is width floats (evaluate's shape past the first axis),
-    which the ensemble counts against the block's memory."""
+    seg_nodes, evaluate, lam), with times nondecreasing, which the
+    ensemble takes of all of a piece's members at once (_block_track).
+    With times None it is evaluate of the forward rows, (m, n) to m
+    values, one a mesh node.  A value is width floats (evaluate's shape
+    past the first axis), which the ensemble counts against the block's
+    memory."""
 
     times: np.ndarray | None
     seg_nodes: int | None
@@ -246,7 +312,7 @@ class _Read(NamedTuple):
     width: int = 1
 
     def track(self, traj: Trajectory) -> np.ndarray:
-        """The track of a whole trajectory, or of a piece of its rows."""
+        """The track of a whole trajectory."""
         return _track(traj, self.times, self.seg_nodes, self.evaluate,
                       self.lam)
 
@@ -320,52 +386,67 @@ class _Run(NamedTuple):
 
 
 class _Reader:
-    """The reads of one member, taken piece by piece as its rows settle.
+    """The reads of the members of a block, taken piece by piece as their
+    rows settle, each read of a piece in one call for all its members.
 
-    A piece that is not the member's last reads the times whose cell,
-    int(t / h), ends at or before its last row; the final piece reads
-    the rest, +inf past the end.  Window maxima and stacked norms are
-    exact per time, so each value is bitwise that of the whole trajectory.
-    A row read takes each row once, and its values are one array at the
-    end.
+    A piece that is not final reads the times whose cell, int(t / h),
+    ends at or before its last row; a final piece reads the rest, +inf
+    past the end.  The members of a piece that is not final have read
+    the same times before, so one count a read serves them all; a member
+    that escapes reads its rest alone, from its block of one.  Window
+    maxima and stacked reads are exact per member and time, so each value
+    is bitwise that of the member's whole trajectory.  A row read takes
+    each row once, all the piece's rows in one call, and a member's
+    values are one array at the end (tracks).
     """
 
-    def __init__(self, reads: list):
+    def __init__(self, reads: list, members: int):
         self.reads = reads
         self.done = [0] * len(reads)
-        self.parts = [[] for _ in reads]
-        self.tracks = [None] * len(reads)
-        self.escape_time = None
+        self.row_parts = [[[] for _ in range(members)] for _ in reads]
+        self.time_tracks = [None] * len(reads)
+        self.escape_times = [None] * members
 
-    def __call__(self, piece: Trajectory):
+    def __call__(self, piece: _Block):
+        at = list(piece.members)
         last = piece.first_row + piece.forward_times.size - 1
         for q, read in enumerate(self.reads):
             done = self.done[q]
             if read.times is None:
-                self.parts[q].append(read.evaluate(
-                    piece.forward_values[done - piece.first_row:]))
-                self.done[q] = last + 1
-                if piece.final:
-                    self.tracks[q] = np.concatenate(self.parts[q])
-                continue
-            times = read.times
-            stop = times.size if piece.final else done + int(np.count_nonzero(
-                (times[done:] / piece.step_h).astype(int) < last))
-            if stop == done:
-                continue
-            got = read._replace(times=times[done:stop]).track(piece)
-            if self.tracks[q] is None:
-                self.tracks[q] = np.full((times.size,) + got.shape[1:],
-                                         np.inf)
-            # past the end a node-stack read is +inf in every entry
-            self.tracks[q][done:stop] = got.reshape(
-                got.shape + (1,) * (self.tracks[q].ndim - got.ndim))
-            self.done[q] = stop
+                rows = piece.forward_values[done - piece.first_row:]
+                got = read.evaluate(rows.reshape(-1, rows.shape[-1]))
+                got = got.reshape(rows.shape[:2] + got.shape[1:])
+                for pos, b in enumerate(at):
+                    self.row_parts[q][b].append(got[:, pos])
+                stop = last + 1
+            else:
+                times = read.times
+                stop = times.size if piece.final else done + int(
+                    np.count_nonzero((times[done:] / piece.step_h).astype(int)
+                                     < last))
+                if stop > done:
+                    got = _block_track(piece, times[done:stop], read.seg_nodes,
+                                       read.evaluate, read.lam)
+                    if self.time_tracks[q] is None:
+                        self.time_tracks[q] = np.full(
+                            (len(self.escape_times), times.size)
+                            + got.shape[2:], np.inf)
+                    track = self.time_tracks[q]
+                    # past the end a node-stack read is +inf in every entry
+                    track[at, done:stop] = got.reshape(
+                        got.shape + (1,) * (track.ndim - got.ndim))
+            if not piece.final:
+                self.done[q] = stop
         if piece.final:
-            self.escape_time = piece.escape_time
-            for q, read in enumerate(self.reads):
-                if self.tracks[q] is None:
-                    self.tracks[q] = np.full(read.times.size, np.inf)
+            for b in at:
+                self.escape_times[b] = piece.escape_time
+
+    def tracks(self, b: int) -> list:
+        """Member b's array of each read, once its last piece is read."""
+        return [np.concatenate(parts[b]) if read.times is None
+                else np.full(read.times.size, np.inf) if track is None
+                else track[b] for read, parts, track
+                in zip(self.reads, self.row_parts, self.time_tracks)]
 
 
 def _ensemble(sys: DelaySystem, x0s, T: float, h: float, reads: list,
@@ -381,10 +462,11 @@ def _ensemble(sys: DelaySystem, x0s, T: float, h: float, reads: list,
     dissipation certificate.  The histories are drawn from x0s and
     integrated a block at a time, as many as their windows of dense
     output fit dde.BLOCK_BYTES together with what their reads keep
-    (dde._block_members), and each member's reads are taken from its rows
-    chunk by chunk as they settle, so no whole trajectory is held.  A
-    horizon that fits one window is one chunk.  Lazy per block, so a
-    caller that stops at its first counterexample neither draws nor
+    (dde._block_members), and the block's reads are taken from its rows
+    chunk by chunk as they settle, each read of a chunk in one call for
+    all the members still running (_Reader), so no whole trajectory is
+    held.  A horizon that fits one window is one chunk.  Lazy per block,
+    so a caller that stops at its first counterexample neither draws nor
     integrates anything past its block.  Such a caller's first block holds
     only as many histories as whole horizons fit, one chunk, so an early
     counterexample costs no more than that; the blocks after it, and every
@@ -396,12 +478,12 @@ def _ensemble(sys: DelaySystem, x0s, T: float, h: float, reads: list,
     wide = _block_members(sys, T, h, held)
     size = wide if every else _block_members(sys, T, h, held, whole=True)
     while block := list(islice(x0s, size)):
-        readers = [_Reader(reads) for _ in block]
-        simulate_many(sys, block, T, h, held=held,
-                      take=lambda b, piece: readers[b](piece))
-        for x0, got in zip(block, readers):
-            yield _Run(x0, got.escape_time is not None, got.escape_time,
-                       got.tracks)
+        reader = _Reader(reads, len(block))
+        simulate_many(sys, block, T, h, held=held, take=reader)
+        for b, x0 in enumerate(block):
+            escape_time = reader.escape_times[b]
+            yield _Run(x0, escape_time is not None, escape_time,
+                       reader.tracks(b))
         size = wide
 
 

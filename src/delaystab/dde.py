@@ -40,12 +40,14 @@ The block's dense output is one time-major buffer, (rows, B, n): a window
 of forward rows, each read at its absolute cell index and fraction
 (j = int(u / h)) less the window's first row.  The method of steps only
 reads x back one delay, so a window needs the last delay interval plus
-the rows being built.  :func:`simulate_many` hands each member's settled
-rows on after each chunk's escape test, as a :class:`Trajectory` that
-views the window and starts at a later forward row once the window has
-moved on; a window that spans the horizon hands on one whole trajectory
-per member, which :func:`simulate` and :func:`simulate_many` return with
-its rows copied out of the window.
+the rows being built.  :func:`simulate_many` hands the settled rows on
+after each chunk's escape test, once for the whole block: one ``_Block``
+piece views the window's rows of every member still running, with their
+block indices and stacked histories, and starts at a later forward row
+once the window has moved on; a member that escapes gets its last rows
+as a block of one.  A window that spans the horizon hands on one piece
+of whole trajectories, which :func:`simulate` and :func:`simulate_many`
+return with each member's rows copied out of the window.
 
 Stages read the dense output through read plans: the block's stage times
 follow from its mesh, and a read at delay s that no plan covers computes,
@@ -66,18 +68,22 @@ and the rows past the kept delay interval are one chunk, a whole number
 of delay intervals.  A window that holds the horizon is a single chunk.
 A block sized by whole horizons instead (``whole``) is one chunk.
 
-Segments x_t are read the same way: ``_segment_nodes`` gathers the node
-values and slopes of x_t for many times t as one (K, N + 1, n) stack, from
-a whole trajectory or from a piece of its rows, and :func:`segment_at` is
-its batch of one.  Norm tracks read their times in chunks of the most
-whose refined values fit BLOCK_BYTES // 8 (``_segment_chunk``), so the
-stacked norms stay memory-bounded too.
+Segments x_t are read the same way: ``_block_nodes`` gathers the node
+values and slopes of x_t for many times t of one member of a piece as
+one (K, N + 1, n) stack, and a whole trajectory is read as the block of
+one that holds it (``_block_of``): ``_segment_nodes`` stacks its times
+and :func:`segment_at` is their batch of one.  Norm tracks read their
+times in chunks of the most whose refined values fit BLOCK_BYTES // 8
+(``_segment_chunk``), and window maxima take their members in groups
+whose candidates fit the same share (``_stack_chunk``), so the reads of
+a block stay memory-bounded too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +98,7 @@ from .segment import (
     _hermite,
     _hermite_slope,
     _integer,
+    _locate,
     _points_read,
     _quadrature_weights,
     _real,
@@ -315,19 +322,12 @@ class Trajectory:
     """Dense solution record over [-r, T] (or up to the escape time).
 
     The initial segment is kept whole, so history queries use its exact
-    grid, and the forward rows first_row, first_row + 1, ... follow it:
-    forward_times and the node values and derivatives (m, n) there.  A
-    whole trajectory starts at forward node 0 and is final; times,
-    values and derivs join its history nodes and forward rows, and
-    forward_start is the row index of t = 0 in them.  A trajectory ends
-    at end_time, at its escape_time if it escaped (else None).
-
-    simulate_many also hands a member's solution on in pieces, each a
-    trajectory of the rows it has settled since the last: a later piece
-    starts past forward node 0, and only the member's last piece is
-    final.  A read of x_t needs the rows from t - r to its cell's right
-    node.  A piece views the block's window, (m, n) with a stride of B
-    rows, valid until take returns.
+    grid, and the forward rows follow it: forward_times from t = 0 and
+    the node values and derivatives (m, n) there.  times, values and
+    derivs join its history nodes and forward rows, and forward_start is
+    the row index of t = 0 in them.  A trajectory ends at end_time, at
+    its escape_time if it escaped (else None).  Its reads are those of
+    the block of one that holds it (``_block_of``).
     """
 
     system: DelaySystem
@@ -337,8 +337,6 @@ class Trajectory:
     forward_values: np.ndarray
     forward_derivs: np.ndarray
     escape_time: float | None
-    first_row: int = 0
-    final: bool = True
 
     @property
     def escaped(self) -> bool:
@@ -371,6 +369,51 @@ class Trajectory:
         fileobj.write(",".join(header) + "\n")
         for t, x, dx in zip(self.times, self.values, self.derivs):
             fileobj.write(",".join(f"{v:.17g}" for v in (t, *x, *dx)) + "\n")
+
+
+class _Block(NamedTuple):
+    """The settled rows of members of a block, as simulate_many hands them
+    on to take: one piece for all the members still running, or a block
+    of one for a member that escaped.
+
+    members are the block indices of the piece's B' members, in the
+    order of its member axis.  Their histories are stacked on the shared
+    grid hist_nodes of window hist_r, hist_values and hist_derivs
+    (B', N + 1, n).  The forward rows first_row, first_row + 1, ... at
+    forward_times follow, forward_values and forward_derivs (m, B', n),
+    a view of the block's window valid until take returns.  A later
+    piece starts past forward node 0, so a read of x_t needs the rows
+    from t - r to its cell's right node.  Only a member's last piece is
+    final; escape_time is the escape of the member of a block of one
+    that escaped, else None.  Every member of a piece ends at end_time.
+    """
+
+    system: DelaySystem
+    step_h: float
+    members: tuple
+    hist_r: float
+    hist_nodes: np.ndarray
+    hist_values: np.ndarray
+    hist_derivs: np.ndarray
+    forward_times: np.ndarray
+    forward_values: np.ndarray
+    forward_derivs: np.ndarray
+    escape_time: float | None
+    first_row: int = 0
+    final: bool = True
+
+    @property
+    def end_time(self) -> float:
+        return float(self.forward_times[-1])
+
+
+def _block_of(traj: Trajectory) -> _Block:
+    """A whole trajectory as the block of one that holds it."""
+    x0 = traj.initial
+    return _Block(traj.system, traj.step_h, (0,), x0.delay_r, x0.nodes,
+                  x0.values[None], x0.derivs[None], traj.forward_times,
+                  traj.forward_values[:, None], traj.forward_derivs[:, None],
+                  traj.escape_time)
 
 
 class _SolutionView:
@@ -620,12 +663,14 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
     are returned, their rows copied out of the window.  With take the
     window holds _window_rows rows a member, leaving room for the held
     bytes that take keeps of each member until the block ends, and
-    take(b, piece) receives member b's settled rows as Trajectory pieces:
-    after each chunk's escape test, the rows since the window's first
-    row, then the window moves on and keeps the last delay interval
-    (r / h + 3 rows); a member's last piece is final.  A piece is a view
-    of the window, handed on once and valid until take returns; nothing
-    is returned.
+    take(piece) receives the settled rows as _Block pieces, one call for
+    all the members still running: after each chunk's escape test, the
+    rows since the window's first row, then the window moves on and
+    keeps the last delay interval (r / h + 3 rows).  A member that
+    escapes gets its last rows, up to its escape, as a block of one at
+    that test; the running members' last piece, after the last step, is
+    final too.  A piece views the window, handed on once and valid until
+    take returns; nothing is returned.
     """
     x0s = list(x0s)
     r = sys.delay_r
@@ -651,10 +696,13 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
         window = fwd_times.size
         out = [None] * len(x0s)
 
-        def take(b: int, piece: Trajectory):
-            out[b] = replace(piece, forward_times=piece.forward_times.copy(),
-                             forward_values=piece.forward_values.copy(),
-                             forward_derivs=piece.forward_derivs.copy())
+        def take(piece: _Block):
+            for pos, b in enumerate(piece.members):
+                out[b] = Trajectory(sys, x0s[b], h_eff,
+                                    piece.forward_times.copy(),
+                                    piece.forward_values[:, pos].copy(),
+                                    piece.forward_derivs[:, pos].copy(),
+                                    piece.escape_time)
     else:
         window = _window_rows(sys, T, h, len(x0s), held)
 
@@ -666,14 +714,14 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
     derivs = np.full_like(values, np.nan)
     values[0] = [x0.values[-1] for x0 in x0s]
 
-    def hand_on(pos: int, stop: int, final: bool = True,
+    def hand_on(at: slice, stop: int, final: bool = True,
                 escape_time: float | None = None):
-        """Forward rows first .. stop - 1 of the member at pos to take."""
-        b = members[pos]
-        take(b, Trajectory(sys, x0s[b], h_eff, fwd_times[first:stop],
-                           values[:stop - first, pos],
-                           derivs[:stop - first, pos], escape_time, first,
-                           final))
+        """Forward rows first .. stop - 1 of the members at positions at
+        to take, as one piece."""
+        take(_Block(sys, h_eff, tuple(members[at]), view.delay_r,
+                    x0s[0].nodes, view.hist_values[at], view.hist_derivs[at],
+                    fwd_times[first:stop], values[:stop - first, at],
+                    derivs[:stop - first, at], escape_time, first, final))
 
     view = _SolutionView(x0s, values, derivs, h_eff, mesh=(n_full, tail))
     derivs[0] = np.asarray(sys.rhs(view), dtype=float)
@@ -729,7 +777,8 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                     continue
                 kf = tested + int(np.argmax(fail))
                 t_fail = kf * h_eff + (h_eff if kf < n_full else tail)
-                hand_on(pos, kf + (1 if broken[kf - tested] else 2),
+                hand_on(slice(pos, pos + 1),
+                        kf + (1 if broken[kf - tested] else 2),
                         escape_time=t_fail)
             tested = k + 1
             if not keep.all():
@@ -743,15 +792,14 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
             # settled rows and keep the last delay interval
             if k + 1 < n_steps \
                     and i + 2 + min(per, n_steps - k - 1) > window:
-                for pos in range(len(members)):
-                    hand_on(pos, k + 2, final=False)
+                hand_on(slice(None), k + 2, final=False)
                 start = k + 2 - back
                 values[:back] = values[start - first:i + 2]
                 derivs[:back] = derivs[start - first:i + 2]
                 first = view.first = start
                 view.plans.clear()  # a read of a dropped row is refused
-    for pos in range(len(members)):
-        hand_on(pos, n_steps + 1)
+    if members:
+        hand_on(slice(None), n_steps + 1)
     return out
 
 
@@ -774,46 +822,61 @@ def _segment_nodes(traj: Trajectory, times: np.ndarray, n_nodes: int):
     """The node times s of the uniform grid of n_nodes on [-r, 0] and the
     node values and slopes of x_t there for every t of times, stacked as
     (K, n_nodes, n): row k is bitwise the nodes of segment_at(traj,
-    times[k], n_nodes).  traj may be a piece that simulate_many hands
-    on, if it holds every row the reads take: the cells are those of the
+    times[k], n_nodes).  The batch of one of :func:`_block_nodes`."""
+    return _block_nodes(_block_of(traj), 0, times, n_nodes)
+
+
+def _block_nodes(piece: _Block, pos: int, times: np.ndarray, n_nodes: int):
+    """The node times s of the uniform grid of n_nodes on [-r, 0] and the
+    node values and slopes of x_t there of the member at position pos of
+    the piece for every t of times, stacked as (K, n_nodes, n).  The
+    piece must hold every row the reads take: the cells are those of the
     whole trajectory, at the same absolute indices."""
-    r = traj.system.delay_r
-    end = traj.end_time
+    r = piece.system.delay_r
+    end = piece.end_time
     if not np.all((-1e-12 * r <= times) & (times <= end + 1e-12 * r)):
         raise ParameterError("segment time outside the covered range")
     s = np.linspace(-r, 0.0, n_nodes)
     u = np.minimum(np.maximum(times, 0.0), end)[:, None] + s
-    vals = np.empty(u.shape + (traj.system.dimension,))
+    vals = np.empty(u.shape + (piece.system.dimension,))
     ders = np.empty_like(vals)
     hist = u <= 1e-14 * r
     if np.any(hist):
-        q = np.clip(u[hist], -r, 0.0)
-        vals[hist] = traj.initial.value_at(q)
-        ders[hist] = traj.initial.deriv_at(q)
+        hr = piece.hist_r
+        j, f, w = _locate(hr, piece.hist_nodes, np.clip(u[hist], -hr, 0.0))
+        hv, hd = piece.hist_values[pos], piece.hist_derivs[pos]
+        cell = (hv[j], hd[j], hv[j + 1], hd[j + 1], f[:, None], w)
+        vals[hist] = _hermite(*cell)
+        ders[hist] = _hermite_slope(*cell)
     fwd = ~hist
     if np.any(fwd):
         # the integrator's cells: width h, a short final step its own
-        h = traj.step_h
-        fv, fd = traj.forward_values, traj.forward_derivs
+        h = piece.step_h
+        fv, fd = piece.forward_values, piece.forward_derivs
         n_full, tail = _mesh(end, h)
         q = np.minimum(u[fwd], end)
-        j = np.minimum((q / h).astype(int), traj.first_row + fv.shape[0] - 2)
+        j = np.minimum((q / h).astype(int), piece.first_row + fv.shape[0] - 2)
         width = np.where(j < n_full, h, tail)
-        i = j - traj.first_row
+        i = j - piece.first_row
         assert i.min() >= 0, "read before the first row of a piece"
-        cell = (fv[i], fd[i], fv[i + 1], fd[i + 1],
+        cell = (fv[i, pos], fd[i, pos], fv[i + 1, pos], fd[i + 1, pos],
                 ((q - j * h) / width)[:, None], width[:, None])
         vals[fwd] = _hermite(*cell)
         ders[fwd] = _hermite_slope(*cell)
     return s, vals, ders
 
 
+def _stack_chunk(values: int) -> int:
+    """Stacks of values floats per read: the most that fit
+    BLOCK_BYTES // 8, and at least one."""
+    return max(1, BLOCK_BYTES // (64 * values))
+
+
 def _segment_chunk(n_nodes: int, dim: int) -> int:
     """Times per stacked read of segments of n_nodes nodes: the most whose
     refined values (DEFAULT_REFINE samples a cell) fit BLOCK_BYTES // 8,
     and at least one."""
-    count = (n_nodes - 1) * DEFAULT_REFINE + 1
-    return max(1, BLOCK_BYTES // (64 * count * dim))
+    return _stack_chunk(((n_nodes - 1) * DEFAULT_REFINE + 1) * dim)
 
 
 # -- declared-modulus consistency --------------------------------------

@@ -119,13 +119,16 @@ def _fourier_candidate(cfg: SamplerConfig, rng: Generator):
     s = np.linspace(-cfg.delay_r, 0.0, cfg.n_nodes)
     vals = np.zeros((cfg.n_nodes, cfg.dimension))
     ders = np.zeros((cfg.n_nodes, cfg.dimension))
+    # each harmonic's wave on the nodes, shared by every component
+    waves = [(w, np.cos(w * s), np.sin(w * s))
+             for w in (k * math.pi / cfg.delay_r
+                       for k in range(1, cfg.order + 1))]
     for j in range(cfg.dimension):
         vals[:, j] = rng.standard_normal()
-        for k in range(1, cfg.order + 1):
+        for w, cos, sin in waves:
             a, b = rng.standard_normal(2)
-            w = k * math.pi / cfg.delay_r
-            vals[:, j] += a * np.cos(w * s) + b * np.sin(w * s)
-            ders[:, j] += w * (b * np.cos(w * s) - a * np.sin(w * s))
+            vals[:, j] += a * cos + b * sin
+            ders[:, j] += w * (b * cos - a * sin)
     return vals, ders
 
 

@@ -553,10 +553,11 @@ def _quadrature_weights(count: int, spacing: float) -> np.ndarray:
     return w
 
 
-def _squares(rows: np.ndarray) -> np.ndarray:
+def _squares(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean norm along the last axis, (m, n) -> (m,) or
-    (K, m, n) -> (K, m); a row's bits do not depend on the others."""
-    return np.einsum("...j,...j->...", rows, rows)
+    (K, m, n) -> (K, m), into out if given; a row's bits do not depend on
+    the others."""
+    return np.einsum("...j,...j->...", rows, rows, out=out)
 
 
 def _euclid(rows: np.ndarray) -> np.ndarray:

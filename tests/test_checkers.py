@@ -3,10 +3,15 @@
 import io
 import json
 import math
-from itertools import chain
+from dataclasses import replace
+from itertools import chain, islice
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaystab import checkers, dde, lyapunov, segment
 from delaystab.checkers import (
@@ -1314,3 +1319,280 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
         assert other_reports == reports
         assert other_env.to_json_dict() == env.to_json_dict()
         assert other_env.sigma.tobytes() == env.sigma.tobytes()
+
+
+# -- block reads against the per-member reads ---------------------------
+#
+# The oracle is the per-member read loop that block pieces replaced: each
+# member's rows of a piece read on their own, as a trajectory piece, by a
+# reader of that member alone, through the per-member window max and
+# segment reads.
+
+
+class _MemberPiece(NamedTuple):
+    """One member's rows of a block piece: a trajectory piece."""
+
+    system: DelaySystem
+    initial: Segment
+    step_h: float
+    forward_times: np.ndarray
+    forward_values: np.ndarray
+    forward_derivs: np.ndarray
+    escape_time: float | None
+    first_row: int
+    final: bool
+
+    @property
+    def end_time(self):
+        return float(self.forward_times[-1])
+
+
+def _member_piece(piece, pos, x0s):
+    return _MemberPiece(piece.system, x0s[piece.members[pos]], piece.step_h,
+                        piece.forward_times, piece.forward_values[:, pos],
+                        piece.forward_derivs[:, pos], piece.escape_time,
+                        piece.first_row, piece.final)
+
+
+def _member_nodes(traj, times, n_nodes):
+    """Node values and slopes of x_t at each time, from one member."""
+    r = traj.system.delay_r
+    end = traj.end_time
+    s = np.linspace(-r, 0.0, n_nodes)
+    u = np.minimum(np.maximum(times, 0.0), end)[:, None] + s
+    vals = np.empty(u.shape + (traj.system.dimension,))
+    ders = np.empty_like(vals)
+    hist = u <= 1e-14 * r
+    if np.any(hist):
+        q = np.clip(u[hist], -r, 0.0)
+        vals[hist] = traj.initial.value_at(q)
+        ders[hist] = traj.initial.deriv_at(q)
+    fwd = ~hist
+    if np.any(fwd):
+        h = traj.step_h
+        fv, fd = traj.forward_values, traj.forward_derivs
+        n_full, tail = dde._mesh(end, h)
+        q = np.minimum(u[fwd], end)
+        j = np.minimum((q / h).astype(int), traj.first_row + fv.shape[0] - 2)
+        width = np.where(j < n_full, h, tail)
+        i = j - traj.first_row
+        cell = (fv[i], fd[i], fv[i + 1], fd[i + 1],
+                ((q - j * h) / width)[:, None], width[:, None])
+        vals[fwd] = segment._hermite(*cell)
+        ders[fwd] = segment._hermite_slope(*cell)
+    return s, vals, ders
+
+
+def _member_track(traj, times, seg_nodes, evaluate, lam=None):
+    """The track of one member's piece, a chunk of times at a time."""
+    r = traj.system.delay_r
+    covered = checkers._covered(traj, times)
+    t = np.asarray(times[:covered], dtype=float)
+    if lam is None:
+        size = dde._segment_chunk(seg_nodes, traj.system.dimension)
+        parts = [evaluate(r, *_member_nodes(traj, t[lo:lo + size], seg_nodes))
+                 for lo in range(0, t.size, size)]
+        if not parts:
+            return np.full(len(times), np.inf)
+        got = np.concatenate(parts)
+        out = np.full((len(times),) + got.shape[1:], np.inf)
+        out[:covered] = got
+        return out
+    out = np.full(len(times), np.inf)
+    ft, fv = traj.forward_times, np.ascontiguousarray(traj.forward_values)
+    if traj.first_row == 0:
+        s, vals = traj.initial._refined_values(segment.DEFAULT_REFINE)
+        u = np.concatenate([s, ft[1:]])
+        mags = np.concatenate([segment._euclid(vals),
+                               segment._euclid(fv[1:])])
+    else:
+        u, mags = ft, segment._euclid(fv)
+    lo = np.searchsorted(u, t - r - 1e-15 * r, side="left")
+    hi = np.searchsorted(u, t + 1e-15 * np.maximum(r, np.abs(t)),
+                         side="right")
+    near = abs(lam) * np.maximum(t, r) < 708.0
+    if np.any(near):
+        top = int(hi[near].max())
+        with np.errstate(over="ignore"):
+            g = np.exp(lam * u[:top]) * mags[:top]
+        peaks = np.maximum.reduceat(
+            np.append(g, -np.inf),
+            np.column_stack([lo[near], hi[near]]).ravel())[::2]
+        got = np.array([math.exp(-lam * tk) * m for tk, m
+                        in zip(t[near].tolist(), peaks.tolist())])
+        out[:covered][near] = got
+        if lam != 0.0:
+            info = np.finfo(float)
+            near[near] = ((info.tiny <= peaks) & (peaks <= info.max)
+                          & (info.tiny <= got) & (got <= info.max))
+    for k in np.flatnonzero(~near):
+        w = slice(lo[k], hi[k])
+        out[k] = (np.exp(lam * (u[w] - t[k])) * mags[w]).max()
+    return out
+
+
+class _MemberReader:
+    """The reads of one member, taken from its own rows of each piece."""
+
+    def __init__(self, reads):
+        self.reads = reads
+        self.done = [0] * len(reads)
+        self.parts = [[] for _ in reads]
+        self.tracks = [None] * len(reads)
+        self.escape_time = None
+
+    def __call__(self, piece):
+        last = piece.first_row + piece.forward_times.size - 1
+        for q, read in enumerate(self.reads):
+            done = self.done[q]
+            if read.times is None:
+                self.parts[q].append(read.evaluate(
+                    piece.forward_values[done - piece.first_row:]))
+                self.done[q] = last + 1
+                if piece.final:
+                    self.tracks[q] = np.concatenate(self.parts[q])
+                continue
+            times = read.times
+            stop = times.size if piece.final else done + int(np.count_nonzero(
+                (times[done:] / piece.step_h).astype(int) < last))
+            if stop == done:
+                continue
+            got = _member_track(piece, times[done:stop], read.seg_nodes,
+                                read.evaluate, read.lam)
+            if self.tracks[q] is None:
+                self.tracks[q] = np.full((times.size,) + got.shape[1:],
+                                         np.inf)
+            self.tracks[q][done:stop] = got.reshape(
+                got.shape + (1,) * (self.tracks[q].ndim - got.ndim))
+            self.done[q] = stop
+        if piece.final:
+            self.escape_time = piece.escape_time
+            for q, read in enumerate(self.reads):
+                if self.tracks[q] is None:
+                    self.tracks[q] = np.full(read.times.size, np.inf)
+
+
+def _both_reads(sys, block, T, h, reads, held):
+    """The block reader and the per-member readers of one block, fed the
+    same pieces, and the first rows of the pieces."""
+    reader = checkers._Reader(reads, len(block))
+    members = [_MemberReader(reads) for _ in block]
+    firsts = set()
+
+    def take(piece):
+        firsts.add(piece.first_row)
+        reader(piece)
+        for pos, b in enumerate(piece.members):
+            members[b](_member_piece(piece, pos, block))
+
+    simulate_many(sys, block, T, h, held=held, take=take)
+    return reader, members, firsts
+
+
+def _oracle_ensemble(sys, x0s, T, h, reads, every=False):
+    """checkers._ensemble with the per-member readers."""
+    x0s = iter(x0s)
+    held = sum(read.held(dde._row_counts(sys, T, h)[0]) for read in reads)
+    wide = dde._block_members(sys, T, h, held)
+    size = wide if every else dde._block_members(sys, T, h, held, whole=True)
+    while block := list(islice(x0s, size)):
+        _, members, _ = _both_reads(sys, block, T, h, reads, held)
+        for x0, got in zip(block, members):
+            yield checkers._Run(x0, got.escape_time is not None,
+                                got.escape_time, got.tracks)
+        size = wide
+
+
+def _cliff(n):
+    """x' = x(t - r/2) until a component of it reaches 2, then inf."""
+    def rhs(seg):
+        v = seg.value_at_point(-0.25)
+        return np.where(np.abs(v) < 2.0, v, np.inf)
+
+    return DelaySystem(f"cliff{n}", n, 0.5, rhs, lambda R: 1.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_block_reads_are_the_per_member_reads_bitwise(data):
+    """Every read that a block takes of a piece for all its members at
+    once is, for each member, its own read of its rows in every bit:
+    window maxima (lam 0, 1 and 800, whose far windows weigh relative to
+    their time), stacked Sobolev and Hoelder norms and node stacks, and
+    row reads; whatever the blocks, the memory budget, the escapes and
+    the window moves.  Hoelder reads at a level keep the level rule: at
+    most the level exactly when the norm is, else above it and at most
+    the norm."""
+    sys = data.draw(st.sampled_from([
+        _cliff(1), _cliff(2), make_system("quadratic", 0.5, {"c": 1.0}),
+        make_system("linear_vector", 0.5, {"A0": [[-1.0, 0.2], [0.1, -1.5]],
+                                           "A1": [[0.3, 0.0], [0.1, 0.2]]}),
+        make_system("saturating", 0.5, {"c": 1.0, "k": 0.5})]))
+    count = data.draw(st.integers(1, 8))
+    h = data.draw(st.sampled_from([0.025, 0.05]))
+    T = data.draw(st.floats(0.3, 3.0))
+    lam = data.draw(st.sampled_from([0.0, 1.0, 800.0]))
+    level = data.draw(st.sampled_from([0.05, 0.5, 2.0]))
+    cfg = SamplerConfig(family="fourier", order=3, target_space=SUP,
+                        target_norm=1.0, dimension=sys.dimension,
+                        delay_r=0.5, seed=data.draw(st.integers(0, 9)),
+                        n_nodes=33)
+    # the second of every three histories is large enough to overflow
+    # e^(lam u)|x(u)| with lam 800 on a window that is near by its time,
+    # at t = 0.884, alone, and it and the third escape where the system can
+    x0s = [sample_one(replace(cfg, target_norm=(0.5, 1e6, 3.0)[i % 3]), i)
+           for i in range(count)]
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, count),
+                                         max_size=3))) | {count})
+    grid = np.unique(np.concatenate([
+        np.linspace(0.0, T + 0.2, data.draw(st.integers(2, 40))),
+        0.5 * np.arange(1, 7), [0.884]]))
+    hoelder = SpaceSpec.hoelder(0.5)
+    reads = [checkers._Read(grid, 33, None, lam),
+             checkers._norm_read(SOB2, grid, 33),
+             checkers._norm_read(hoelder, grid, 33),
+             checkers._Read(grid, 17, lambda r, s, v, d: np.stack((v, d), 1),
+                            width=2 * 17 * sys.dimension),
+             checkers._Read(None, None,
+                            lyapunov._row_rates(scaled_abs_rate(2.0))),
+             checkers._Read(None, None, lambda rows: rows.copy(),
+                            width=sys.dimension),
+             checkers._norm_read(hoelder, grid, 33, level)]
+    held = sum(read.held(dde._row_counts(sys, T, h)[0]) for read in reads)
+    budget = data.draw(st.sampled_from([1, 1 << 12, dde.BLOCK_BYTES]))
+    with mock.patch.object(dde, "BLOCK_BYTES", budget):
+        for a, b in zip([0] + cuts, cuts):
+            reader, members, firsts = _both_reads(sys, x0s[a:b], T, h,
+                                                  reads, held)
+            if budget == 1 and T > 1.2 \
+                    and any(m.escape_time is None for m in members):
+                assert len(firsts) > 1  # the window moved
+            for pos, want in enumerate(members):
+                assert reader.escape_times[pos] == want.escape_time
+                got = reader.tracks(pos)
+                for x, y in zip(got[:-1], want.tracks[:-1], strict=True):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes()
+                exact, at_level = got[2], got[-1]
+                below = exact <= level
+                assert np.array_equal(at_level <= level, below)
+                assert np.all(at_level[~below] <= exact[~below])
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 12, None])
+def test_uga_reports_are_those_of_per_member_reads(monkeypatch, budget):
+    """check_uga on a Hoelder ball, whose report times before the last are
+    read at the level eps, reports the same bytes from block reads as
+    from per-member reads, whether its ensemble stops at an escape or
+    settles."""
+    if budget is not None:
+        monkeypatch.setattr(dde, "BLOCK_BYTES", budget)
+    hoelder = SpaceSpec.hoelder(0.5)
+    cases = [(VECTOR, 0.1, 1.0), (VECTOR, 1e-3, 1.0), (QUAD, 0.1, 5.0)]
+    for sys, eps, rho in cases:
+        args = (sys, hoelder, eps, rho, 6)
+        kwargs = dict(horizon=2.0, h=0.025, grid_points=25)
+        got = check_uga(*args, **kwargs).to_json_dict()
+        with monkeypatch.context() as patched:
+            patched.setattr(checkers, "_ensemble", _oracle_ensemble)
+            want = check_uga(*args, **kwargs).to_json_dict()
+        assert json.dumps(got) == json.dumps(want)

@@ -586,7 +586,8 @@ def test_planned_reads_equal_fresh_one_stage_reads():
     # a tail step of 0.03, and windows of 50 rows that move
     held = dde.BLOCK_BYTES // len(x0s) - 16 * 50
     simulate_many(sys, x0s, 6.03, 0.05, held=held,
-                  take=lambda b, p: pieces.append((b, p.escape_time)))
+                  take=lambda p: pieces.extend((b, p.escape_time)
+                                               for b in p.members))
     assert seen["calls"] > 4 * 120
     assert seen["span"] > 20
     assert seen["members"] == {3, 4}  # one member escaped
@@ -689,11 +690,14 @@ def test_window_pieces_are_the_whole_trajectories(monkeypatch):
     assert dde._window_rows(cubic, 0.425, 0.01, len(x0s)) == 23
     pieces = [[] for _ in x0s]
 
-    def keep(b, rows):
-        # a piece is a view of the window, valid until take returns
-        pieces[b].append(replace(
-            rows, forward_values=rows.forward_values.copy(),
-            forward_derivs=rows.forward_derivs.copy()))
+    def keep(piece):
+        # a piece is a view of the window, valid until take returns: keep
+        # each member's rows
+        for pos, b in enumerate(piece.members):
+            pieces[b].append(piece._replace(
+                members=(b,),
+                forward_values=piece.forward_values[:, pos].copy(),
+                forward_derivs=piece.forward_derivs[:, pos].copy()))
 
     assert simulate_many(cubic, x0s, 0.425, 0.01, take=keep) is None
     assert sum(len(p) for p in pieces) > 2 * len(x0s)
@@ -721,7 +725,7 @@ def test_window_pieces_are_the_whole_trajectories(monkeypatch):
 
     far = DelaySystem("far", 1, 0.1, reaching_back, lambda R: 0.0)
     with pytest.raises(ParameterError, match="before t - r"):
-        simulate_many(far, x0s[:1], 1.0, 0.01, take=lambda b, rows: None)
+        simulate_many(far, x0s[:1], 1.0, 0.01, take=lambda piece: None)
 
 
 def test_simulate_many_trajectories_own_their_rows():

@@ -47,6 +47,19 @@ def test_every_integration_goes_through_one_path():
     assert _callers("Trajectory") == {("dde", "simulate_many")}
 
 
+def test_simulate_many_hands_on_through_one_block_path():
+    """take receives every piece as one _Block: simulate_many builds it
+    at one call site, for all the running members or for an escaping
+    member alone, and a whole trajectory is read as its block of one."""
+    sites = [(module, where) for module, where, called, _ in _calls()
+             if called == "_Block"]
+    assert sorted(sites) == [("dde", "_block_of"), ("dde", "simulate_many")]
+    assert _callers("hand_on") == {("dde", "simulate_many")}
+    assert _callers("take") == {("dde", "simulate_many")}
+    assert _callers("_block_of") == {("checkers", "_track"),
+                                     ("dde", "_segment_nodes")}
+
+
 def _referrers(name: str) -> set:
     """(module, top-level function) pairs whose code names `name` as a
     value, called or passed on."""
@@ -63,16 +76,20 @@ def _referrers(name: str) -> set:
 
 def test_norm_tracks_read_stacked_segments():
     """Norm and functional tracks, pair distances and Dini ladders read
-    the segments x_t of many times as one stack (dde._segment_nodes)
-    through the one track primitive, and tracks and pair distances take
-    their norms across it (segment._norms); the per-segment segment_at
-    and space_norm are left to single segments, of which they are the
-    batches of one."""
-    assert _callers("_segment_nodes") == {("dde", "segment_at"),
-                                          ("checkers", "_segment_stacks")}
+    the segments x_t of many times of a block member as one stack
+    (dde._block_nodes) through the one track primitive, and tracks and
+    pair distances take their norms across it (segment._norms); the
+    per-segment segment_at and space_norm are left to single segments,
+    of which they are the batches of one."""
+    assert _callers("_block_nodes") == {("dde", "_segment_nodes"),
+                                        ("checkers", "_segment_stacks")}
+    assert _callers("_segment_nodes") == {("dde", "segment_at")}
     # every track that is no window max reads chunks of stacked segments:
-    # the reads of an ensemble, piece by piece, and whole trajectories
-    assert _callers("_segment_stacks") == {("checkers", "_track")}
+    # the reads of an ensemble, block piece by block piece, and whole
+    # trajectories as blocks of one
+    assert _callers("_segment_stacks") == {("checkers", "_block_track")}
+    assert _callers("_block_track") == {("checkers", "_Reader"),
+                                        ("checkers", "_track")}
     assert _callers("_track") == {("checkers", "_Read")}
     # space_norm is the batch of one of _norms, and a segment keeps no
     # read of its own for a second path to norm

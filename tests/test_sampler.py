@@ -156,6 +156,38 @@ def test_fourier_derivatives_are_analytic():
     assert np.allclose(fd[1:-1], seg.derivs[1:-1, 0], atol=5e-3)
 
 
+
+def _fourier_wave_per_term(c, rng):
+    """The Fourier candidate with each harmonic's cosine and sine taken
+    afresh in each term that uses them, as the sampler took them before
+    it shared each harmonic's wave."""
+    s = np.linspace(-c.delay_r, 0.0, c.n_nodes)
+    vals = np.zeros((c.n_nodes, c.dimension))
+    ders = np.zeros((c.n_nodes, c.dimension))
+    for j in range(c.dimension):
+        vals[:, j] = rng.standard_normal()
+        for k in range(1, c.order + 1):
+            a, b = rng.standard_normal(2)
+            w = k * math.pi / c.delay_r
+            vals[:, j] += a * np.cos(w * s) + b * np.sin(w * s)
+            ders[:, j] += w * (b * np.cos(w * s) - a * np.sin(w * s))
+    return vals, ders
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_fourier_samples_share_each_wave_bitwise(monkeypatch, dim):
+    """Samples 0-49 of a Fourier stream are, in every byte, those whose
+    waves are taken afresh in each term."""
+    import delaystab.sampler as mod
+
+    c = cfg(space=SpaceSpec.sobolev(2.0), dim=dim, r=0.7, seed=4, n_nodes=65)
+    got = [sample_one(c, i) for i in range(50)]
+    monkeypatch.setitem(mod._BUILDERS, "fourier", _fourier_wave_per_term)
+    for i, seg in enumerate(got):
+        want = sample_one(c, i)
+        assert seg.values.tobytes() == want.values.tobytes()
+        assert seg.derivs.tobytes() == want.derivs.tobytes()
+
 def test_zero_norm_candidate_becomes_zero_segment(monkeypatch):
     import delaystab.sampler as mod
 
