@@ -458,8 +458,10 @@ def _ensemble(sys: DelaySystem, x0s, T: float, h: float, reads: list,
     Every integration of sampled histories goes through here: the
     checkers' ensembles, the `ls` bisection probes, the one pass of
     check_gas_vs_ugas (which validates every input first and integrates
-    each distinct history of its balls once) and the Dini ladders of the
-    dissipation certificate.  The histories are drawn from x0s and
+    each distinct history of its balls once) and the Dini ladders of
+    dini_derivative and of the dissipation certificate, which runs each
+    ladder only to the first mesh node past the largest rung its
+    estimate reads.  The histories are drawn from x0s and
     integrated a block at a time, as many as their windows of dense
     output fit dde.BLOCK_BYTES together with what their reads keep
     (dde._block_members), and the block's reads are taken from its rows

@@ -17,14 +17,20 @@ Every trajectory this module needs is integrated through the one
 ensemble primitive, checkers._ensemble, in memory-bounded blocks: the
 sampled trajectories of the three checks and the Dini ladders, one short
 simulation per sample, of the dissipation check and of dini_derivative,
-which is a block of one.  A caller declares what it reads of each
-trajectory (checkers._Read), and the ensemble takes those reads as the
-rows settle: V and the norm at the report times, V at the rungs of a
-ladder, and for the dissipation integral V at its checkpoints and the
-rate Q on every row of the mesh.  A check draws each sample index once
-and evaluates the functional at it once: the trajectory pass of the
-growth check and the integral pass of the dissipation check reuse the
-samples, and their values, of the pass before.
+which is a block of one.  dini_derivative integrates its ladder to the
+largest rung, 1e-2 r; the dissipation check, whose estimate reads only
+the three smallest rungs, integrates each ladder only to the first
+solver-mesh node past the largest of those (33 steps where
+dini_derivative takes 2048), so a block holds 1846 ladders at n = 1
+where it held 31, and each rung it reads is bitwise dini_derivative's.
+A caller declares what it reads of each trajectory (checkers._Read),
+and the ensemble takes those reads as the rows settle: V and the norm
+at the report times, V at the rungs of a ladder, and for the
+dissipation integral V at its checkpoints and the rate Q on every row
+of the mesh.  A check draws each sample index once and evaluates the
+functional at it once: the trajectory pass of the growth check and the
+integral pass of the dissipation check reuse the samples, and their
+values, of the pass before.
 
 The built-in rates (scaled_abs, scaled_square) evaluate the rows of a
 chunk at once, each value bitwise the rate of its row alone; a rate
@@ -397,26 +403,35 @@ def dini_derivative(sys: DelaySystem, V: Functional,
                     x: Segment) -> DiniEstimate:
     """Estimate the upper-right derivative of V along the flow at x.
 
-    One short simulation covers the whole ladder; the solver step, half
-    the smallest rung, divides every rung time exactly.  An escape before
-    the ladder's end raises EscapeError.  This is the batch of one of the
-    ladders that check_pointwise_dissipation integrates in blocks: one
-    checkers._ensemble member with _dini_read, then _dini_ladder.
+    One short simulation covers the whole ladder, to its largest rung
+    1e-2 r; the solver step, half the smallest rung, divides every rung
+    time exactly.  An escape before the ladder's end raises EscapeError.
+    One checkers._ensemble member with _dini_read, then _dini_ladder.
+    check_pointwise_dissipation integrates its ladders only as far as
+    its estimate reads (see there), and its estimate is this one's in
+    every bit.
     """
     r = sys.delay_r
     hs = _dini_steps(r)
     (run,) = _ensemble(sys, [x], float(hs[0]), hs[-1] / 2.0,
-                       [_dini_read(V, r, x.n_nodes)])
+                       [_dini_read(V, hs, x.n_nodes)])
     if run.escaped:
         raise EscapeError(run.escape_time)
     return _dini_ladder(r, V.evaluate(x), run.tracks[0])
 
 
-def _dini_read(V: Functional, r: float, n_nodes: int) -> _Read:
-    """V at the rungs x_h of a ladder, one for each step h, read as a
-    stacked track (each value bitwise V of segment_at); the steps go in
-    increasing order, as a track takes its times."""
-    return _Read(_dini_steps(r)[::-1], n_nodes, _stacked(V))
+def _dini_read(V: Functional, hs: np.ndarray, n_nodes: int) -> _Read:
+    """V at the rungs x_h of a ladder, one for each step h of the
+    decreasing hs, read as a stacked track (each value bitwise V of
+    segment_at); the steps go in increasing order, as a track takes its
+    times."""
+    return _Read(hs[::-1], n_nodes, _stacked(V))
+
+
+def _dini_quotients(hs: np.ndarray, v0: float, vs: np.ndarray) -> list:
+    """The forward quotient (V(x_h) - V(x)) / h for each step h of the
+    decreasing hs, from V(x) = v0 and the _dini_read values vs."""
+    return [(v - v0) / hk for hk, v in zip(hs.tolist(), vs[::-1].tolist())]
 
 
 def _dini_ladder(r: float, v0: float, vs: np.ndarray) -> DiniEstimate:
@@ -425,8 +440,7 @@ def _dini_ladder(r: float, v0: float, vs: np.ndarray) -> DiniEstimate:
     trend flag warns when the two smallest rungs still differ by more
     than 10 percent."""
     hs = _dini_steps(r)
-    quotients = [(hk, (v - v0) / hk)
-                 for hk, v in zip(hs.tolist(), vs[::-1].tolist())]
+    quotients = list(zip(hs.tolist(), _dini_quotients(hs, v0, vs)))
     tail = [q for _, q in quotients[-3:]]
     q_prev, q_last = quotients[-2][1], quotients[-1][1]
     scale = max(abs(q_prev), abs(q_last), 1e-9 * (1.0 + v0))
@@ -622,6 +636,13 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     Checks a1(|x(0)|) <= V(x) <= a2(||x||_X) and Dini V <= -Q(x(0)) on
     samples, then V(x_t) + integral of Q(x(s)) <= V(x_0) along simulated
     trajectories, the integral by composite quadrature on the solver mesh.
+
+    The Dini estimate is dini_derivative's, the max of the quotients at
+    the three smallest rungs, in every bit; the ladders run as one
+    ensemble, each only to the first mesh node past the largest rung it
+    reads (33 steps, not dini_derivative's 2048).  So a ladder that
+    escapes only after that node is judged by its estimate, where
+    dini_derivative would raise EscapeError.
     """
     if not (samples >= 1 and rho > 0.0 and integral_trajectories >= 1):
         raise ParameterError("need positive samples, rho and trajectories")
@@ -634,8 +655,15 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     worst_dini = -math.inf
     worst_integral = -math.inf
     hs = _dini_steps(r)
-    ladders = _ensemble(sys, _samples(cfg, samples), float(hs[0]),
-                        hs[-1] / 2.0, [_dini_read(V, r, n_nodes)])
+    rungs = hs[-3:]  # the estimate reads V at these only
+    # each ladder runs to the first node of dini_derivative's mesh past
+    # the largest of them, so every rung read is bitwise
+    # dini_derivative's (a ladder that ended on a rung could read it in
+    # a short or capped last step)
+    step = _working_step(r, float(hs[0]), hs[-1] / 2.0)
+    ladders = _ensemble(sys, _samples(cfg, samples),
+                        (math.floor(rungs[0] / step) + 1) * step,
+                        hs[-1] / 2.0, [_dini_read(V, rungs, n_nodes)])
     kept = []  # (x0, V(x0)) of the samples the integral pass reuses
     for i, (x0, escaped, escape_time, (vs,)) in enumerate(ladders):
         v0 = V.evaluate(x0)
@@ -652,7 +680,7 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
         if escaped:
             return fail(i, x0, escape_time, math.inf,
                         {"escape_time": escape_time}, "escape")
-        est = _dini_ladder(r, v0, vs).estimate
+        est = max(_dini_quotients(rungs, v0, vs))
         dissipation_tol = 1e-3 * (1.0 + v0)
         gap = est + Q(x0.values[-1])
         worst_dini = max(worst_dini, gap - dissipation_tol)

@@ -866,17 +866,21 @@ def test_dini_ladders_and_ls_probes_run_in_blocks(monkeypatch):
     monkeypatch.setattr(lyapunov, "simulate", counting_simulate)
     sys = linear(1.0, -1.0, 0.0)
     hs = lyapunov._dini_steps(1.0)
-    # a ladder's whole horizon of dense output and its read of V at hs
-    ladder_bytes = 16 * (round(hs[0] / (hs[-1] / 2.0)) + 1) + 8 * hs.size
+    # a ladder runs to the first mesh node past hs[-3], the largest of the
+    # three rungs its estimate reads
+    step = dde._working_step(1.0, float(hs[0]), hs[-1] / 2.0)
+    horizon = (math.floor(hs[-3] / step) + 1) * step
+    # a ladder's whole horizon of dense output and its read of V at the
+    # three rungs
+    ladder_bytes = 16 * (round(horizon / step) + 1) + 8 * 3
     monkeypatch.setattr(dde, "BLOCK_BYTES", 3 * ladder_bytes)
-    assert dde._block_members(sys, float(hs[0]), hs[-1] / 2.0,
-                              8 * hs.size) == 3
+    assert dde._block_members(sys, horizon, hs[-1] / 2.0, 8 * 3) == 3
     rep = check_pointwise_dissipation(
         sys, weighted_sup(1.0), MonotoneGridFn.linear(math.exp(-1.0)),
         MonotoneGridFn.linear(1.0), scaled_abs_rate(math.exp(-1.0)), SUP, 7,
         integral_trajectories=2, seed=0)
     assert rep.verdict == "consistent"
-    assert [n for T, n in calls if T == hs[0]] == [3, 3, 1]
+    assert [n for T, n in calls if T == horizon] == [3, 3, 1]
     assert serial == []
     calls.clear()
     # a probe member's 41 rows of dense output and its norm track

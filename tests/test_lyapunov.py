@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from delaystab import SpaceSpec, checkers, dde, lyapunov, make_system, sampler
-from delaystab.dde import _segment_nodes, segment_at, simulate
+from delaystab.dde import _segment_nodes, segment_at, simulate, \
+    simulate_many
 from delaystab.sampler import SamplerConfig, sample_one
 from delaystab.segment import ParameterError, Segment, _quadrature_weights, \
     prolong, space_norm
@@ -562,9 +563,9 @@ BUILT_IN = [weighted_sup(-0.5), weighted_sup(0.0), weighted_sup(1.0),
             space_norm_functional(SUP),
             space_norm_functional(SpaceSpec.sobolev(2.0)),
             space_norm_functional(SpaceSpec.hoelder(0.5))]
-VECTOR2 = make_system("linear_vector", 0.7,
-                      {"A0": [[-1.0, 0.2], [0.1, -0.8]],
-                       "A1": [[0.1, 0.0], [0.2, -0.1]]})
+VECTOR2_PARAMS = {"A0": [[-1.0, 0.2], [0.1, -0.8]],
+                  "A1": [[0.1, 0.0], [0.2, -0.1]]}
+VECTOR2 = make_system("linear_vector", 0.7, VECTOR2_PARAMS)
 
 
 def _histories(n, count, r=0.7, family="fourier", order=3):
@@ -776,3 +777,130 @@ def test_dissipation_check_draws_each_sample_once(monkeypatch):
                                       seed=0)
     assert drawn == list(range(5))
     assert rep.to_json_dict() == DISSIPATION_ABOVE
+
+
+# -- the dissipation check's short Dini ladders --------------------------
+
+# the systems of the sweep below, each built at delay r, with parameters
+# drawn from rng where they vary
+LADDER_SYSTEMS = {
+    "linear_scalar": lambda r, rng: linear(r, rng.uniform(-1.5, 1.0),
+                                           rng.uniform(0.1, 1.0)),
+    "distributed_linear": lambda r, rng: make_system(
+        "distributed_linear", r, {"A0": [[-2.0]], "K": [[[0.5]], [[0.3]]]}),
+    "linear_vector": lambda r, rng: make_system("linear_vector", r,
+                                                VECTOR2_PARAMS),
+}
+
+
+def _off_mesh(r):
+    """Whether the solver step of a Dini ladder at delay r leaves the rung
+    hs[-3] off its mesh nodes, so that a ladder ending on that rung would
+    end in a short step."""
+    hs = lyapunov._dini_steps(r)
+    q = hs[-3] / dde._working_step(r, float(hs[0]), hs[-1] / 2.0)
+    return abs(q - round(q)) > 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_SYSTEMS))
+def test_dissipation_estimate_is_dini_derivative_bitwise(name):
+    """The dissipation check integrates each Dini ladder only to the first
+    mesh node past the largest rung its estimate reads; the estimate is
+    dini_derivative's in every bit.  50 seeded delays in [0.01, 10] a
+    system, 150 in all, each with its own sampled history, for every
+    built-in functional and a per-segment one.  20 of the 50 leave that
+    rung off the mesh nodes (about 1 delay in 100 does), where a ladder
+    that ended on the rung would read it in a short last step; a ladder
+    that ended on it elsewhere could still read it in a capped cell.
+
+    A rate that no estimate meets puts the estimate of the check's one
+    sample in its report.  dini_derivative's ladders come from one
+    integration of its whole ladder a delay, with every functional's rung
+    read (its own _ensemble call, one read for each functional), which
+    is checked against dini_derivative itself at the first delay."""
+    rng = np.random.default_rng(sorted(LADDER_SYSTEMS).index(name))
+    pool = rng.uniform(0.01, 10.0, 5000).tolist()
+    delays = [r for r in pool if _off_mesh(r)][:20] + pool[:30]
+    assert len(delays) == 50
+    Vs = BUILT_IN + [DOUBLED]
+    for k, r in enumerate(delays):
+        sys = LADDER_SYSTEMS[name](r, rng)
+        x = sample_one(SamplerConfig(
+            family="fourier", order=3, target_space=SUP, target_norm=1.0,
+            dimension=sys.dimension, delay_r=r, seed=k, n_nodes=65), 0)
+        hs = lyapunov._dini_steps(r)
+        (run,) = checkers._ensemble(
+            sys, [x], float(hs[0]), hs[-1] / 2.0,
+            [lyapunov._dini_read(V, hs, 65) for V in Vs])
+        assert not run.escaped
+        for V, vs in zip(Vs, run.tracks):
+            want = lyapunov._dini_ladder(r, V.evaluate(x), vs)
+            if k == 0:
+                assert repr(dini_derivative(sys, V, x)) == repr(want)
+            rep = check_pointwise_dissipation(
+                sys, V, MonotoneGridFn.linear(0.0),
+                MonotoneGridFn.linear(1e12), lambda v: 1e300, SUP, 1,
+                seed=k)
+            assert rep.details["failed"] == "dissipation"
+            assert rep.witness["segment"] == x.to_json_dict()
+            assert _bits(rep.margins["dini_estimate"]) \
+                == _bits(want.estimate), (r, V.name)
+
+
+def test_dissipation_ladders_run_as_one_block_of_33_steps(monkeypatch):
+    """On the dissipation config of the certificates benchmark workload
+    the 40 ladders are one simulate_many call of 40 members over 33
+    steps, to the first mesh node past the rung hs[-3], where
+    dini_derivative's ladder is 2048 steps; the rest is the integral
+    pass over T = 2."""
+    calls = []
+
+    def counting(sys, x0s, T, h=None, **kwargs):
+        step = dde._working_step(sys.delay_r, T, h)
+        calls.append((T, step, len(x0s), dde._mesh_times(T, step).size - 1))
+        return simulate_many(sys, x0s, T, h, **kwargs)
+
+    monkeypatch.setattr(checkers, "simulate_many", counting)
+    rep = check_pointwise_dissipation(
+        linear(1.0, -1.0, 0.0), weighted_sup(1.0),
+        MonotoneGridFn.linear(E_INV), MonotoneGridFn.linear(1.0),
+        scaled_abs_rate(E_INV), SUP, 40, integral_trajectories=12, seed=0)
+    assert rep.verdict == "consistent"
+    (T, step, members, steps), *rest = calls
+    assert (members, steps) == (40, 33)
+    assert T - step <= lyapunov._dini_steps(1.0)[-3] < T
+    assert [call[0] for call in rest] == [2.0] * len(rest)
+
+
+def test_dissipation_ladder_escape_only_within_its_horizon():
+    """quadratic c = 1 from a constant history c0 > 0 escapes at about
+    1 / c0.  From 1e5 that is within the ladder the check integrates: an
+    escape, at dini_derivative's escape time.  From 2000 it is past that
+    ladder's 33 steps but within dini_derivative's 2048, so
+    dini_derivative raises EscapeError while the check judges its
+    estimate, and the dissipation fails."""
+    sys = make_system("quadratic", 1.0, {"c": 1.0})
+    args = (sys, weighted_sup(1.0), MonotoneGridFn.linear(0.0),
+            MonotoneGridFn.linear(1.0), scaled_abs_rate(1.0), SUP, 1)
+    for c0 in (1e5, 2000.0):
+        x = sample_one(ball_cfg(family="polynomial", order=0, seed=1,
+                                norm=c0), 0)
+        assert x.values[-1][0] == c0
+        with pytest.raises(EscapeError) as exc:
+            dini_derivative(sys, weighted_sup(1.0), x)
+        rep = check_pointwise_dissipation(*args, rho=c0, family="polynomial",
+                                          order=0, seed=1)
+        assert rep.verdict == "falsified"
+        assert rep.witness["segment"] == x.to_json_dict()
+        if c0 == 1e5:
+            assert exc.value.escape_time == 1.46484375e-05
+            assert rep.details["failed"] == "escape"
+            assert rep.margins == {"escape_time": exc.value.escape_time}
+            assert rep.witness["time"] == exc.value.escape_time
+            assert rep.witness["norm"] == math.inf
+        else:
+            assert exc.value.escape_time == 0.0005078125
+            assert rep.details["failed"] == "dissipation"
+            assert rep.margins == {"dini_estimate": 558349068.3598312,
+                                   "required": -2000.0, "tolerance": 2.001}
+            assert rep.witness["time"] == 0.0
