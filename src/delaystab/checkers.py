@@ -22,16 +22,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import chain, groupby, islice
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dde import DelaySystem, Trajectory, _Block, _block_members, \
-    _block_nodes, _block_of, _row_counts, _segment_chunk, _stack_chunk, \
-    simulate_many
+    _block_nodes, _block_of, _row_counts, _sample_stacks, _segment_chunk, \
+    _stack_chunk, simulate_many
 from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
-from .sampler import SamplerConfig, sample_one
+from .sampler import SamplerConfig
 from .segment import DEFAULT_REFINE, ParameterError, Segment, SpaceSpec, \
     _norms, _refined_count, _squares, _uniform_grid, \
     _uniform_reads, space_norm
@@ -468,12 +469,14 @@ def _ensemble(sys: DelaySystem, x0s, T: float, h: float, reads: list,
     chunk by chunk as they settle, each read of a chunk in one call for
     all the members still running (_Reader), so no whole trajectory is
     held.  A horizon that fits one window is one chunk.  Lazy per block,
-    so a caller that stops at its first counterexample neither draws nor
-    integrates anything past its block.  Such a caller's first block holds
-    only as many histories as whole horizons fit, one chunk, so an early
-    counterexample costs no more than that; the blocks after it, and every
-    block of a caller that reads every history (every), are as wide as
-    their windows allow.
+    so a caller that stops at its first counterexample integrates nothing
+    past its block; as the samples are drawn a stack at a time
+    (dde._sample_stacks), it draws past its block at most the rest of
+    the one sample stack the block ended in.  Such a caller's first
+    block holds only as many histories as whole horizons fit, one chunk,
+    so an early counterexample costs no more than that; the blocks after
+    it, and every block of a caller that reads every history (every),
+    are as wide as their windows allow.
     """
     x0s = iter(x0s)
     held = sum(read.held(_row_counts(sys, T, h)[0]) for read in reads)
@@ -490,8 +493,17 @@ def _ensemble(sys: DelaySystem, x0s, T: float, h: float, reads: list,
 
 
 def _samples(cfg: SamplerConfig, count: int):
-    """Samples 0 .. count-1 of cfg, drawn lazily."""
-    return (sample_one(cfg, i) for i in range(count))
+    """Samples 0 .. count-1 of cfg, drawn lazily a stack at a time."""
+    return chain.from_iterable(_sample_stacks(cfg, range(count)))
+
+
+def _keyed_samples(keys):
+    """The sample of each (cfg, index) of keys, in their order, drawn
+    lazily a stack at a time: each run of consecutive keys that share a
+    cfg in dde._sample_stacks of that cfg."""
+    return chain.from_iterable(
+        stack for cfg, run in groupby(keys, key=itemgetter(0))
+        for stack in _sample_stacks(cfg, [i for _, i in run]))
 
 
 def _witness(cfg: SamplerConfig, index: int, seg: Segment, time: float,
@@ -705,7 +717,7 @@ def fit_kl_envelope(sys: DelaySystem, space: SpaceSpec, rho_max: float,
     t_grid = _report_grid(t_grid, horizon, r, grid_points)
     if report_space is None:
         report_space = space
-    runs = _ensemble(sys, (sample_one(cfg, i) for _, cfg, i in members),
+    runs = _ensemble(sys, _keyed_samples((cfg, i) for _, cfg, i in members),
                      float(t_grid[-1]), h,
                      [_norm_read(report_space, t_grid, n_nodes)], every=True)
     return _close_envelope(s_grid, t_grid, counts,
@@ -1091,7 +1103,8 @@ def check_envelope_lift(sys: DelaySystem, space: SpaceSpec, rho_max: float,
     if lipschitz_modulus is None:
         lipschitz_modulus = sys.lipschitz_modulus
     runs = list(zip(members, _ensemble(
-        sys, (sample_one(cfg, i) for _, cfg, i in members), float(grid[-1]),
+        sys, _keyed_samples((cfg, i) for _, cfg, i in members),
+        float(grid[-1]),
         h, [_norm_read(SpaceSpec.sup(), grid, n_nodes),
             _norm_read(space, grid, n_nodes)], every=True)))
     env = _close_envelope(s_grid, grid, counts,
@@ -1162,7 +1175,7 @@ def check_gas_vs_ugas(sys: DelaySystem, space: SpaceSpec, rho_list, eps_list,
                           for i in range(budget)]
                          + [(cfg, i) for _, cfg, i in members])
     runs = dict(zip(keys, _ensemble(
-        sys, (sample_one(cfg, i) for cfg, i in keys), horizon, h,
+        sys, _keyed_samples(keys), horizon, h,
         [_norm_read(space, grid, n_nodes)], every=True)))
     ga_reports = [_ga_report(space, ball, min(eps_list),
                              (runs[ball.cfg, i] for i in range(budget)))

@@ -47,7 +47,8 @@ from .checkers import (
     fit_kl_envelope,
     lift_sup_envelope,
 )
-from .dde import segment_at, simulate, system_from_json_dict
+from .dde import _sample_stacks, segment_at, simulate, \
+    system_from_json_dict
 from .lyapunov import (
     check_exponential_certificate,
     check_growth_certificate,
@@ -58,8 +59,8 @@ from .lyapunov import (
 )
 from .sampler import SamplerConfig, sample_one
 from .segment import ParameterError, Segment, SegmentDataError, SpaceSpec, \
-    _check_keys, _field, _integer, _real, _reals, _select, _typed, \
-    space_norm
+    _check_keys, _field, _integer, _node_stack, _norms, _real, _reals, \
+    _select, _typed, space_norm
 
 __all__ = ["main"]
 
@@ -147,9 +148,9 @@ def cmd_norms(cfg: dict, seed: int, out: Path) -> int:
     if count < 1:
         raise ParameterError("norms config: count must be >= 1")
     rows = []
-    for i in range(count):
-        seg = sample_one(scfg, i)
-        rows.append([space_norm(seg, sp) for sp in spaces])
+    for segs in _sample_stacks(scfg, range(count)):
+        stack = _node_stack(segs)
+        rows += zip(*(_norms(*stack, sp).tolist() for sp in spaces))
 
     def body(fh):
         fh.write(",".join(["index"] + [sp.label for sp in spaces]) + "\n")

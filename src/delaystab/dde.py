@@ -83,11 +83,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .sampler import SamplerConfig, sample_one
+from .sampler import SamplerConfig, sample_many
 from .segment import (
     DEFAULT_REFINE,
     ParameterError,
@@ -879,6 +880,16 @@ def _segment_chunk(n_nodes: int, dim: int) -> int:
     return _stack_chunk(((n_nodes - 1) * DEFAULT_REFINE + 1) * dim)
 
 
+def _sample_stacks(cfg: SamplerConfig, indices):
+    """The samples of cfg at indices (a sequence), in their order, as
+    sample_many stacks drawn lazily one at a time: as many samples a
+    stack as the refined values and slopes of their candidates fit
+    BLOCK_BYTES // 8, and at least one."""
+    size = _segment_chunk(cfg.n_nodes, 2 * cfg.dimension)
+    for lo in range(0, len(indices), size):
+        yield sample_many(cfg, indices[lo:lo + size])
+
+
 # -- declared-modulus consistency --------------------------------------
 
 
@@ -898,9 +909,9 @@ def lipschitz_probe(sys: DelaySystem, R: float, trials: int,
                         delay_r=sys.delay_r, seed=seed, n_nodes=65)
     bound = float(sys.lipschitz_modulus(R)) + 1e-8
     worst = 0.0
-    for i in range(trials):
-        x = sample_one(cfg, 2 * i)
-        y = sample_one(cfg, 2 * i + 1)
+    samples = chain.from_iterable(_sample_stacks(cfg, range(2 * trials)))
+    # zip of one iterator with itself: the pairs of samples 2i, 2i + 1
+    for i, (x, y) in enumerate(zip(samples, samples)):
         gap = sup_norm(x - y)
         if gap == 0.0:
             continue

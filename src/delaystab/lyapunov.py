@@ -30,7 +30,10 @@ dissipation integral V at its checkpoints and the rate Q on every row
 of the mesh.  A check draws each sample index once and evaluates the
 functional at it once: the trajectory pass of the growth check and the
 integral pass of the dissipation check reuse the samples, and their
-values, of the pass before.
+values, of the pass before.  The samples are drawn in stacks
+(dde._sample_stacks), and V(x0), the norm of x0 and the growth check's
+prolongations of a weighted sup are read once a stack; the checks still
+judge sample by sample in index order.
 
 The built-in rates (scaled_abs, scaled_square) evaluate the rows of a
 chunk at once, each value bitwise the rate of its row alone; a rate
@@ -57,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, tee
 from typing import Callable
 
 import numpy as np
@@ -70,13 +73,12 @@ from .checkers import (
     _grown,
     _norm_read,
     _Read,
-    _samples,
     _step_defaults,
     _witness,
 )
-from .dde import DelaySystem, _mesh_times, _working_step
+from .dde import DelaySystem, _mesh_times, _sample_stacks, _working_step
 from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
-from .sampler import SamplerConfig, sample_one
+from .sampler import SamplerConfig
 from .segment import (
     DEFAULT_REFINE,
     ParameterError,
@@ -84,6 +86,7 @@ from .segment import (
     SpaceSpec,
     _check_keys,
     _euclid,
+    _node_stack,
     _norms,
     _quadrature_weights,
     _real,
@@ -452,28 +455,36 @@ def _dini_ladder(r: float, v0: float, vs: np.ndarray) -> DiniEstimate:
 # -- shared helpers ----------------------------------------------------
 
 
-def _prolonged_weighted_sups(x: Segment, f: np.ndarray, hs: np.ndarray,
+def _prolonged_weighted_sups(xs: list, fs: np.ndarray, hs: np.ndarray,
                              lam: float) -> np.ndarray:
-    """Weighted sup of the h-prolongation for each step h of hs, on shared
-    sample points.
+    """Weighted sup of the h-prolongation of each segment x of the stack
+    xs, whose head slope is its row of fs, for each step h of hs, on
+    shared sample points: (K, len(hs)).
 
     The shifted-history part reuses the original refined grid (points that
     remain in the window), so its candidates differ from the functional's
     own evaluation only by the weight shift; the linear tail is sampled
     densely, 17 points a step.  The sliver below one refined cell at the
     far end is dropped, making this a lower approximation like every
-    discrete sup here.  Row k of every array is step hs[k], computed as
-    that step alone would be.
+    discrete sup here.  Each element is computed as that segment and step
+    alone would be; the window part goes a step at a time, so that no
+    temporary holds more than one step of the stack.
     """
-    s, vals = x._refined_values(DEFAULT_REFINE)
-    r = x.delay_r
+    r, nodes, values, derivs = _node_stack(xs)
+    s, vals, _ = _uniform_reads(r, nodes, values, derivs,
+                                _refined_count(nodes.size, DEFAULT_REFINE),
+                                False)
+    mags = _euclid(vals)
     steps = hs[:, None]
     keep = s >= -r + steps - 1e-15 * r
-    cand = np.where(keep, np.exp(lam * (s - steps)) * _euclid(vals),
-                    -np.inf).max(axis=1)
+    weights = np.exp(lam * (s - steps))
+    cand = np.empty((len(xs), hs.size))
+    for k in range(hs.size):
+        cand[:, k] = np.where(keep[k], weights[k] * mags, -np.inf).max(axis=1)
     ss = np.linspace(-hs, 0.0, 17, axis=1)
-    tail = x.values[-1] + (ss + steps)[:, :, None] * f
-    cand_tail = (np.exp(lam * ss) * _euclid(tail)).max(axis=1)
+    tail = values[:, -1, None, None] + (ss + steps)[:, :, None] \
+        * fs[:, None, None]
+    cand_tail = (np.exp(lam * ss) * _euclid(tail)).max(axis=-1)
     return np.where(cand_tail > cand, cand_tail, cand)
 
 
@@ -492,20 +503,54 @@ def _functional_read(V: Functional, times, n_nodes: int) -> _Read:
     return _Read(times, n_nodes, _stacked(V), _weighted_kind(V))
 
 
-def _growth_quotients(U: Functional, x: Segment, u0: float, f: np.ndarray,
-                      hs: np.ndarray) -> np.ndarray:
-    """(U(P_h x) - U(x)) / h for each step h of hs, where U(x) = u0: a
-    weighted sup by its noise-free prolongation path, any other functional
-    on the stack of the prolongations."""
+def _growth_quotients(U: Functional, xs: list, u0s: list, fs: np.ndarray,
+                      hs: np.ndarray):
+    """(U(P_h x) - U(x)) / h for each step h of hs, one array for each
+    segment x of the stack xs, where U(x) is its u0 of u0s and its head
+    slope its row of fs: a weighted sup by its noise-free prolongation
+    path, for the whole stack at once, any other functional on the stack
+    of a segment's prolongations, one segment at a time as the arrays
+    are taken."""
     lam = _weighted_kind(U)
     if lam is not None:
-        up = _prolonged_weighted_sups(x, f, hs, lam)
-    else:
-        grown = [prolong(x, f, h) for h in hs.tolist()]
-        up = _stacked(U)(x.delay_r, grown[0].nodes,
-                         np.stack([p.values for p in grown]),
-                         np.stack([p.derivs for p in grown]))
-    return (up - u0) / hs
+        up = _prolonged_weighted_sups(xs, fs, hs, lam)
+        return list((up - np.array(u0s)[:, None]) / hs)
+
+    def quotients(x, u0, f):
+        up = _stacked(U)(*_node_stack([prolong(x, f, h)
+                                       for h in hs.tolist()]))
+        return (up - u0) / hs
+
+    return map(quotients, xs, u0s, fs)
+
+
+def _prolonged(sys: DelaySystem, U: Functional, stacks, hs: np.ndarray):
+    """(x, U(x), _growth_quotients of x) for each sample x of the sample
+    stacks, in their order; U, the head slopes and a weighted sup's
+    prolongations are read once a stack."""
+    for xs in stacks:
+        (u0s,) = _stack_reads(xs, _stacked(U))
+        fs = np.array([np.atleast_1d(np.asarray(sys.rhs(x), dtype=float))
+                       for x in xs])
+        yield from zip(xs, u0s, _growth_quotients(U, xs, u0s, fs, hs))
+
+
+def _stack_reads(xs: list, *reads) -> list:
+    """Each stacked read (see _stacked) of the segments xs as one stack,
+    a list of floats each, in the order of xs."""
+    stack = _node_stack(xs)
+    return [read(*stack).tolist() for read in reads]
+
+
+def _drawn(stacks, *reads):
+    """The samples of the sample stacks, and in step with them the tuple
+    of each one's values under reads, each read taken once a stack
+    (_stack_reads): two iterators, of which the second is taken behind
+    the first, so it reads only stacks the first has drawn."""
+    drawn, judged = tee(stacks)
+    return (chain.from_iterable(drawn),
+            chain.from_iterable(zip(*_stack_reads(xs, *reads))
+                                for xs in judged))
 
 
 def functional_lipschitz_probe(V: Functional, space: SpaceSpec, R: float,
@@ -519,9 +564,9 @@ def functional_lipschitz_probe(V: Functional, space: SpaceSpec, R: float,
                         target_norm=R, dimension=dimension, delay_r=r,
                         seed=seed, n_nodes=n_nodes)
     worst = 0.0
-    for i in range(trials):
-        x = sample_one(cfg, 2 * i)
-        y = sample_one(cfg, 2 * i + 1)
+    samples = chain.from_iterable(_sample_stacks(cfg, range(2 * trials)))
+    # zip of one iterator with itself: the pairs of samples 2i, 2i + 1
+    for x, y in zip(samples, samples):
         gap = space_norm(x - y, space)
         if gap < 1e-14:
             continue
@@ -582,10 +627,11 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
     worst_env = 0.0
     reads = [_functional_read(V, times, n_nodes),
              _norm_read(space, times, n_nodes)]
-    runs = _ensemble(sys, _samples(cfg, samples), T, ball.h, reads)
-    for i, (x0, escaped, escape_time, (vts, nts)) in enumerate(runs):
-        v0 = V.evaluate(x0)
-        nx = space_norm(x0, space)
+    x0s, starts = _drawn(_sample_stacks(cfg, range(samples)), _stacked(V),
+                         _stacked(space_norm_functional(space)))
+    runs = _ensemble(sys, x0s, T, ball.h, reads)
+    for i, ((x0, escaped, escape_time, (vts, nts)), (v0, nx)) in enumerate(
+            zip(runs, starts)):
         tol = 1e-12 * (1.0 + v0)
         lo, up = float(a1(nx)), float(a2(nx))
         if lo > v0 * (1.0 + 1e-6) + tol:
@@ -661,16 +707,16 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     # dini_derivative's (a ladder that ended on a rung could read it in
     # a short or capped last step)
     step = _working_step(r, float(hs[0]), hs[-1] / 2.0)
-    ladders = _ensemble(sys, _samples(cfg, samples),
-                        (math.floor(rungs[0] / step) + 1) * step,
+    x0s, starts = _drawn(_sample_stacks(cfg, range(samples)), _stacked(V),
+                         _stacked(space_norm_functional(space)))
+    ladders = _ensemble(sys, x0s, (math.floor(rungs[0] / step) + 1) * step,
                         hs[-1] / 2.0, [_dini_read(V, rungs, n_nodes)])
     kept = []  # (x0, V(x0)) of the samples the integral pass reuses
-    for i, (x0, escaped, escape_time, (vs,)) in enumerate(ladders):
-        v0 = V.evaluate(x0)
+    for i, ((x0, escaped, escape_time, (vs,)), (v0, nx)) in enumerate(
+            zip(ladders, starts)):
         if i < integral_trajectories:
             kept.append((x0, v0))
         head = float(np.linalg.norm(x0.values[-1]))
-        nx = space_norm(x0, space)
         tol = 1e-12 * (1.0 + v0)
         if float(a1(head)) > v0 * (1.0 + 1e-6) + tol \
                 or v0 > float(a2(nx)) * (1.0 + 1e-6) + tol:
@@ -698,11 +744,13 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     # V at the checkpoints, and Q on every row of the mesh
     reads = [_functional_read(V, times[idxs], n_nodes),
              _Read(None, None, _row_rates(Q))]
-    fresh = (sample_one(cfg, i)
-             for i in range(samples, integral_trajectories))
+    fresh, fresh_starts = _drawn(
+        _sample_stacks(cfg, range(samples, integral_trajectories)),
+        _stacked(V))
     runs = _ensemble(sys, chain((x0 for x0, _ in kept), fresh), T, h, reads)
-    for i, (x0, escaped, escape_time, (vts, rates)) in enumerate(runs):
-        v0 = kept[i][1] if i < len(kept) else V.evaluate(x0)
+    starts = chain((v0 for _, v0 in kept), (v0 for v0, in fresh_starts))
+    for i, ((x0, escaped, escape_time, (vts, rates)), v0) in enumerate(
+            zip(runs, starts)):
         if escaped:
             return fail(i, x0, escape_time, math.inf,
                         {"escape_time": escape_time}, "escape")
@@ -754,8 +802,8 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
     worst_quotient = -math.inf
     checked = min(traj_check, samples)
     kept = []  # (x0, U(x0)) of the samples the trajectory pass reuses
-    for i, x0 in enumerate(_samples(cfg, samples)):
-        u0 = U.evaluate(x0)
+    for i, (x0, u0, qs) in enumerate(
+            _prolonged(sys, U, _sample_stacks(cfg, range(samples)), hs)):
         if i < checked:
             kept.append((x0, u0))
         head = float(np.linalg.norm(x0.values[-1]))
@@ -763,9 +811,7 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
             return fail(i, x0, 0.0, u0,
                         {"value": u0, "required": float(a(head))},
                         "coercivity")
-        f = np.asarray(sys.rhs(x0), dtype=float)
         tol = 1e-3 * (1.0 + u0)
-        qs = _growth_quotients(U, x0, u0, f, hs)
         for hk, q in zip(hs.tolist(), qs.tolist()):
             excess = q - mu * u0
             worst_quotient = max(worst_quotient, excess - tol)

@@ -6,6 +6,12 @@ in isolation and enlarging a budget keeps every earlier sample bitwise
 identical.  Each candidate is drawn from one of three analytic families,
 measured in the configured space, and rescaled to land inside the ball.
 
+Samples are drawn in stacks (sample_many): each index keeps its own
+generator, and the stack's candidates are built, normed and scaled at
+once, each bitwise the candidate of its index alone, so sample_one is
+the stack of one and a sample does not depend on the stack it is drawn
+in.
+
 Radial placement: sample 0 is scaled onto the sphere itself (radius exactly
 target_norm), later samples get a radius factor drawn uniformly from
 (radial_min, 1].  The default radial_min = 0 covers the whole ball; a
@@ -17,14 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .segment import ParameterError, Segment, SpaceSpec, _check_keys, \
-    _field, _integer, _real, _typed, space_norm
+    _field, _integer, _norms, _real, _typed
 
-__all__ = ["FAMILIES", "SamplerConfig", "sample", "sample_one"]
+__all__ = ["FAMILIES", "SamplerConfig", "sample", "sample_many",
+           "sample_one"]
 
 FAMILIES = ("fourier", "polynomial", "piecewise_linear")
 
@@ -112,50 +120,89 @@ def _rng_for(cfg: SamplerConfig, index: int) -> Generator:
     return Generator(Philox(key=key))
 
 
+def _index(index) -> int:
+    """A sample index as an int: a whole number (segment._integer's rule)
+    in [0, 2^64), the range of the generator's counter key."""
+    try:
+        index = _integer(index)
+    except TypeError as exc:
+        raise ParameterError(f"sample index: {exc}") from None
+    if not 0 <= index < 1 << 64:
+        raise ParameterError(f"sample index must lie in [0, 2^64), "
+                             f"got {index}")
+    return index
+
+
 # -- candidate families ------------------------------------------------
+#
+# A builder takes the generators of a stack of samples, one per index,
+# and gives the stack's candidate values and slopes, (K, N, n) each.  It
+# draws from each generator what that sample alone needs, in the same
+# calls and order whatever the stack, and then computes the stack at
+# once; every element is the same sequence of float operations as in a
+# stack of one, so a candidate's bits do not depend on the stack.
 
 
-def _fourier_candidate(cfg: SamplerConfig, rng: Generator):
-    s = np.linspace(-cfg.delay_r, 0.0, cfg.n_nodes)
-    vals = np.zeros((cfg.n_nodes, cfg.dimension))
-    ders = np.zeros((cfg.n_nodes, cfg.dimension))
-    # each harmonic's wave on the nodes, shared by every component
-    waves = [(w, np.cos(w * s), np.sin(w * s))
-             for w in (k * math.pi / cfg.delay_r
-                       for k in range(1, cfg.order + 1))]
-    for j in range(cfg.dimension):
-        vals[:, j] = rng.standard_normal()
-        for w, cos, sin in waves:
-            a, b = rng.standard_normal(2)
-            vals[:, j] += a * cos + b * sin
-            ders[:, j] += w * (b * cos - a * sin)
+@lru_cache(maxsize=64)
+def _waves(r: float, n_nodes: int, order: int):
+    """Each harmonic's frequency, cosine and sine on the nodes, shared by
+    every component of every Fourier candidate of that grid."""
+    s = np.linspace(-r, 0.0, n_nodes)
+    ws = [k * math.pi / r for k in range(1, order + 1)]
+    cos = np.array([np.cos(w * s) for w in ws])[:, :, None]
+    sin = np.array([np.sin(w * s) for w in ws])[:, :, None]
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return ws, cos, sin
+
+
+def _fourier_block(cfg: SamplerConfig, rngs: list):
+    """Per component a constant, then each harmonic's two coefficients."""
+    coef = np.empty((len(rngs), cfg.dimension, 2 * cfg.order + 1))
+    for c, rng in zip(coef, rngs):
+        for row in c:
+            row[0] = rng.standard_normal()
+            for k in range(cfg.order):
+                row[2 * k + 1:2 * k + 3] = rng.standard_normal(2)
+    ws, cos, sin = _waves(cfg.delay_r, cfg.n_nodes, cfg.order)
+    vals = np.repeat(coef[:, None, :, 0], cfg.n_nodes, axis=1)
+    ders = np.zeros_like(vals)
+    for k, w in enumerate(ws):
+        a = coef[:, None, :, 2 * k + 1]
+        b = coef[:, None, :, 2 * k + 2]
+        vals += a * cos[k] + b * sin[k]
+        ders += w * (b * cos[k] - a * sin[k])
     return vals, ders
 
 
-def _polynomial_candidate(cfg: SamplerConfig, rng: Generator):
-    s = np.linspace(-cfg.delay_r, 0.0, cfg.n_nodes)
-    tau = s / cfg.delay_r
-    vals = np.zeros((cfg.n_nodes, cfg.dimension))
-    ders = np.zeros((cfg.n_nodes, cfg.dimension))
-    for j in range(cfg.dimension):
-        coeffs = rng.standard_normal(cfg.order + 1)
-        vals[:, j] = np.polynomial.polynomial.polyval(tau, coeffs)
-        dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-        if dcoeffs.size:
-            ders[:, j] = np.polynomial.polynomial.polyval(tau, dcoeffs) / cfg.delay_r
-    return vals, ders
+def _by_node(rows: np.ndarray, count: int) -> np.ndarray:
+    """(K n, N) component rows as a (K, N, n) stack."""
+    return np.ascontiguousarray(
+        rows.reshape(count, -1, rows.shape[-1]).transpose(0, 2, 1))
 
 
-def _breakpoint_cells(cfg: SamplerConfig, rng: Generator) -> np.ndarray:
-    """Cell indices of the interior breakpoints, pieces >= 2 cells wide."""
+def _polynomial_block(cfg: SamplerConfig, rngs: list):
+    """Per component the order + 1 coefficients in powers of s / r."""
+    coef = np.array([[rng.standard_normal(cfg.order + 1)
+                      for _ in range(cfg.dimension)] for rng in rngs])
+    tau = np.linspace(-cfg.delay_r, 0.0, cfg.n_nodes) / cfg.delay_r
+    # one coefficient column per (sample, component)
+    coef = coef.reshape(-1, cfg.order + 1).T
+    poly = np.polynomial.polynomial  # numpy imports it on first use
+    vals = poly.polyval(tau, coef)
+    ders = poly.polyval(tau, poly.polyder(coef)) / cfg.delay_r
+    return _by_node(vals, len(rngs)), _by_node(ders, len(rngs))
+
+
+def _piece_cells(cfg: SamplerConfig, rng: Generator) -> np.ndarray:
+    """Cells of each of the order + 1 pieces, at least 2 each."""
     k = cfg.order
-    n_cells = cfg.n_nodes - 1
     gaps = np.full(k + 1, 2, dtype=int)
-    spare = n_cells - 2 * (k + 1)
+    spare = cfg.n_nodes - 1 - 2 * (k + 1)
     if spare > 0:
         extra = rng.multinomial(spare, np.full(k + 1, 1.0 / (k + 1)))
         gaps = gaps + extra
-    return np.cumsum(gaps)[:-1]
+    return gaps
 
 
 def _tame_slopes(slopes: np.ndarray) -> np.ndarray:
@@ -182,61 +229,89 @@ def _tame_slopes(slopes: np.ndarray) -> np.ndarray:
     return m
 
 
-def _piecewise_linear_candidate(cfg: SamplerConfig, rng: Generator):
+def _piecewise_linear_block(cfg: SamplerConfig, rngs: list):
+    """Per component the piece widths, the tamed piece slopes and the
+    value at -r."""
     n_cells = cfg.n_nodes - 1
     h = cfg.delay_r / n_cells
-    vals = np.zeros((cfg.n_nodes, cfg.dimension))
-    ders = np.zeros((cfg.n_nodes, cfg.dimension))
-    for j in range(cfg.dimension):
-        breaks = _breakpoint_cells(cfg, rng)
-        slopes = _tame_slopes(rng.standard_normal(cfg.order + 1))
-        piece_of_cell = np.zeros(n_cells, dtype=int)
-        for b in breaks:
-            piece_of_cell[b:] += 1
-        cell_slope = slopes[piece_of_cell]
-        v0 = rng.standard_normal()
-        vals[0, j] = v0
-        vals[1:, j] = v0 + np.cumsum(cell_slope) * h
-        # node derivative: piece slope at interior nodes and window ends,
-        # the larger-magnitude adjacent slope at a kink
-        ders[0, j] = cell_slope[0]
-        ders[-1, j] = cell_slope[-1]
-        left = cell_slope[:-1]
-        right = cell_slope[1:]
-        ders[1:-1, j] = np.where(np.abs(left) >= np.abs(right), left, right)
-    return vals, ders
+    slopes = np.empty((len(rngs), cfg.dimension, n_cells))  # of each cell
+    v0 = np.empty((len(rngs), cfg.dimension))
+    for cell_slopes, starts, rng in zip(slopes, v0, rngs):
+        for j in range(cfg.dimension):
+            gaps = _piece_cells(cfg, rng)
+            pieces = _tame_slopes(rng.standard_normal(cfg.order + 1))
+            cell_slopes[j] = np.repeat(pieces, gaps)
+            starts[j] = rng.standard_normal()
+    vals = np.empty(slopes.shape[:2] + (cfg.n_nodes,))
+    vals[..., 0] = v0
+    vals[..., 1:] = v0[..., None] + np.cumsum(slopes, axis=-1) * h
+    # node derivative: piece slope at interior nodes and window ends,
+    # the larger-magnitude adjacent slope at a kink
+    ders = np.empty_like(vals)
+    ders[..., 0] = slopes[..., 0]
+    ders[..., -1] = slopes[..., -1]
+    left = slopes[..., :-1]
+    right = slopes[..., 1:]
+    ders[..., 1:-1] = np.where(np.abs(left) >= np.abs(right), left, right)
+    return (np.ascontiguousarray(vals.transpose(0, 2, 1)),
+            np.ascontiguousarray(ders.transpose(0, 2, 1)))
 
 
 _BUILDERS = {
-    "fourier": _fourier_candidate,
-    "polynomial": _polynomial_candidate,
-    "piecewise_linear": _piecewise_linear_candidate,
+    "fourier": _fourier_block,
+    "polynomial": _polynomial_block,
+    "piecewise_linear": _piecewise_linear_block,
 }
 
 
 # -- public API --------------------------------------------------------
 
 
+def sample_many(cfg: SamplerConfig, indices) -> list[Segment]:
+    """Regenerate samples `indices` of the stream (any order, repeats
+    allowed) as one stack, each bitwise its sample_one.
+
+    Each index keeps its own generator, drawn in the same calls and order
+    as alone; the family builder computes the stack's candidates at once,
+    one stacked segment._norms call norms them all, and one product
+    scales each onto its radius.  An index that is not a whole number in
+    [0, 2^64) is a ParameterError.  The norm's temporaries grow with the
+    stack; the package draws in the bounded stacks of dde._sample_stacks.
+    """
+    indices = [_index(i) for i in indices]
+    if not indices:
+        return []
+    rngs = [_rng_for(cfg, i) for i in indices]
+    vals, ders = _BUILDERS[cfg.family](cfg, rngs)
+    r = float(cfg.delay_r)
+    nodes = np.linspace(-r, 0.0, cfg.n_nodes)
+    norms = _norms(r, nodes, vals, ders, cfg.target_space).tolist()
+    out = []
+    for index, rng, norm, v, d in zip(indices, rngs, norms, vals, ders):
+        if norm == 0.0:
+            out.append(Segment.zero(r, cfg.dimension, cfg.n_nodes))
+            continue
+        if index == 0:
+            u = 1.0
+        else:
+            # 1 - random() lies in (0, 1]; radial_min shifts it into the
+            # annulus
+            u = cfg.radial_min + (1.0 - cfg.radial_min) * (1.0 - rng.random())
+        scale = u * cfg.target_norm / norm
+        out.append(Segment(r, nodes, scale * v, scale * d))
+    return out
+
+
 def sample_one(cfg: SamplerConfig, index: int) -> Segment:
-    """Regenerate sample `index` of the stream in isolation."""
-    if index < 0:
-        raise ParameterError("sample index must be nonnegative")
-    rng = _rng_for(cfg, index)
-    vals, ders = _BUILDERS[cfg.family](cfg, rng)
-    candidate = Segment.from_samples(cfg.delay_r, vals, ders)
-    norm = space_norm(candidate, cfg.target_space)
-    if norm == 0.0:
-        return Segment.zero(cfg.delay_r, cfg.dimension, cfg.n_nodes)
-    if index == 0:
-        u = 1.0
-    else:
-        # 1 - random() lies in (0, 1]; radial_min shifts it into the annulus
-        u = cfg.radial_min + (1.0 - cfg.radial_min) * (1.0 - rng.random())
-    return candidate * (u * cfg.target_norm / norm)
+    """Regenerate sample `index` of the stream in isolation: the batch of
+    one of sample_many."""
+    return sample_many(cfg, [index])[0]
 
 
 def sample(cfg: SamplerConfig, count: int) -> list[Segment]:
-    """The first `count` samples of the stream."""
+    """The first `count` samples of the stream, drawn in the bounded
+    stacks of dde._sample_stacks."""
     if count < 1:
         raise ParameterError("sample count must be positive")
-    return [sample_one(cfg, i) for i in range(count)]
+    from .dde import _sample_stacks  # dde imports this module
+    return [x for stack in _sample_stacks(cfg, range(count)) for x in stack]

@@ -332,6 +332,26 @@ def _uniform_reads(r: float, nodes, values, derivs, count: int,
     return s, _hermite(*cells), _hermite_slope(*cells) if slopes else None
 
 
+@lru_cache
+def _check_nodes(r: float, node_bytes: bytes) -> None:
+    """Raise SegmentDataError unless the nodes whose float64 bytes are
+    node_bytes are finite and run uniformly from -r to 0.  Memoised, like
+    _uniform_grid: the segments of a sample stream or a trajectory share
+    their nodes, so each array of nodes is checked once."""
+    nodes = np.frombuffer(node_bytes)
+    if not np.all(np.isfinite(nodes)):
+        raise SegmentDataError("segment data must be finite")
+    if abs(nodes[0] + r) > _UNIFORM_RTOL * r \
+            or abs(nodes[-1]) > _UNIFORM_RTOL * r:
+        raise SegmentDataError("nodes must run from -r to 0")
+    spacing = np.diff(nodes)
+    if np.any(spacing <= 0.0):
+        raise SegmentDataError("nodes must be strictly increasing")
+    h = r / (nodes.size - 1)
+    if np.any(np.abs(spacing - h) > _UNIFORM_RTOL * r):
+        raise SegmentDataError("nodes must be uniformly spaced")
+
+
 @dataclass(frozen=True, eq=False)
 class Segment:
     """A sampled history x : [-r, 0] -> R^n with cubic Hermite interpolation.
@@ -363,17 +383,9 @@ class Segment:
             raise SegmentDataError("values/derivs shape mismatch with nodes")
         if values.shape[1] < 1:
             raise SegmentDataError("state dimension must be at least 1")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))
-                and np.all(np.isfinite(derivs))):
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivs))):
             raise SegmentDataError("segment data must be finite")
-        if abs(nodes[0] + r) > _UNIFORM_RTOL * r or abs(nodes[-1]) > _UNIFORM_RTOL * r:
-            raise SegmentDataError("nodes must run from -r to 0")
-        spacing = np.diff(nodes)
-        if np.any(spacing <= 0.0):
-            raise SegmentDataError("nodes must be strictly increasing")
-        h = r / (nodes.size - 1)
-        if np.any(np.abs(spacing - h) > _UNIFORM_RTOL * r):
-            raise SegmentDataError("nodes must be uniformly spaced")
+        _check_nodes(r, nodes.tobytes())
         for arr in (nodes, values, derivs):
             arr.setflags(write=False)
         object.__setattr__(self, "delay_r", r)
@@ -521,6 +533,15 @@ class Segment:
         for i in range(self.n_nodes):
             row = [self.nodes[i], *self.values[i], *self.derivs[i]]
             fileobj.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _node_stack(segs) -> tuple:
+    """(r, nodes, values, derivs) of segments on one delay and one set of
+    nodes: their node data as the (K, N + 1, n) stacks that _norms and
+    the stacked functionals read."""
+    return (segs[0].delay_r, segs[0].nodes,
+            np.stack([seg.values for seg in segs]),
+            np.stack([seg.derivs for seg in segs]))
 
 
 # -- quadrature weights ------------------------------------------------

@@ -419,9 +419,7 @@ def test_growth_certificate_rejects_its_horizon_before_sampling(
         monkeypatch, T, mu):
     """A horizon that is not positive is refused before any sample is
     drawn, whether or not the prolongation pass would have falsified."""
-    drawn = []
-    monkeypatch.setattr(lyapunov, "_samples",
-                        lambda *args: drawn.append(args) or iter(()))
+    drawn = _count_draws(monkeypatch)
     with pytest.raises(ParameterError, match="horizon"):
         check_growth_certificate(linear(1.0, 0.0, 1.0), weighted_sup(1.0),
                                  MonotoneGridFn.linear(math.exp(-1.0)), mu,
@@ -627,17 +625,23 @@ def test_dini_rungs_as_one_stack_are_the_per_rung_ladder_bitwise():
 
 @pytest.mark.parametrize("U", BUILT_IN + [DOUBLED], ids=lambda U: U.name)
 def test_growth_quotients_of_all_rungs_are_the_per_rung_quotients(U):
-    """All rungs of a sample in one call, from the known U(x0), give the
-    old one-rung quotients in every bit: weighted sups through the shared
-    prolongation grid, the other functionals on stacked prolongations."""
+    """All rungs of a stack of samples in one call, from the known U(x0),
+    give the old one-rung quotients of each sample in every bit, alone
+    or in the stack: weighted sups through the shared prolongation grid,
+    the other functionals on stacked prolongations."""
     hs = lyapunov._dini_steps(0.7)
     for sys, n in ((linear(0.7, 0.0, 1.0), 1), (VECTOR2, 2)):
-        for x in _histories(n, 3) + _histories(n, 2, family="polynomial",
-                                                order=0):
-            f = np.asarray(sys.rhs(x), dtype=float)
-            got = lyapunov._growth_quotients(U, x, U.evaluate(x), f, hs)
-            want = [_old_growth_quotient(U, x, f, float(h)) for h in hs]
-            assert _bits(got) == _bits(want)
+        xs = _histories(n, 3) + _histories(n, 2, family="polynomial",
+                                           order=0)
+        fs = np.array([np.asarray(sys.rhs(x), dtype=float) for x in xs])
+        want = [[_old_growth_quotient(U, x, f, float(h)) for h in hs]
+                for x, f in zip(xs, fs)]
+        for lo, hi in [(k, k + 1) for k in range(len(xs))] + [(0, len(xs))]:
+            got = lyapunov._growth_quotients(
+                U, xs[lo:hi], [U.evaluate(x) for x in xs[lo:hi]],
+                fs[lo:hi], hs)
+            assert [_bits(q) for q in got] == [_bits(w)
+                                               for w in want[lo:hi]]
 
 
 @pytest.mark.parametrize("V", BUILT_IN + [DOUBLED], ids=lambda V: V.name)
@@ -700,17 +704,17 @@ def test_quadratic_certificate_equals_the_per_time_oracle(monkeypatch):
 
 
 def _count_draws(monkeypatch):
-    """Count the sample draws of the checks by index, wherever they are
-    drawn (the shared checkers._samples or lyapunov itself)."""
+    """Record the sample draws of the checks by index: every draw is a
+    sampler.sample_many stack of dde._sample_stacks, the one place the
+    checks draw from."""
     drawn = []
-    real = sampler.sample_one
+    real = sampler.sample_many
 
-    def counting(cfg, index):
-        drawn.append(index)
-        return real(cfg, index)
+    def counting(cfg, indices):
+        drawn.extend(indices)
+        return real(cfg, indices)
 
-    monkeypatch.setattr(checkers, "sample_one", counting)
-    monkeypatch.setattr(lyapunov, "sample_one", counting)
+    monkeypatch.setattr(dde, "sample_many", counting)
     return drawn
 
 
@@ -777,6 +781,26 @@ def test_dissipation_check_draws_each_sample_once(monkeypatch):
                                       seed=0)
     assert drawn == list(range(5))
     assert rep.to_json_dict() == DISSIPATION_ABOVE
+
+
+def test_checks_that_stop_early_draw_one_stack_past_their_witness(
+        monkeypatch):
+    """A check that falsifies at its first sample has drawn only that
+    sample's stack, not its whole budget, and its witness is the
+    sample of its index."""
+    drawn = _count_draws(monkeypatch)
+    stack = len(next(dde._sample_stacks(ball_cfg(), range(40))))
+    assert 1 < stack < 40
+    drawn.clear()
+    # coercivity fails at every sample: a(|x(0)|) is far above U(x)
+    rep = check_growth_certificate(
+        linear(1.0, 0.0, 1.0), weighted_sup(1.0), MonotoneGridFn.linear(1e6),
+        math.e, 40, T=2.0, seed=0)
+    assert (rep.verdict, rep.details["failed"]) == ("falsified",
+                                                    "coercivity")
+    assert rep.witness["index"] == 0
+    assert drawn == list(range(stack))
+    assert rep.witness["segment"] == sample_one(ball_cfg(), 0).to_json_dict()
 
 
 # -- the dissipation check's short Dini ladders --------------------------

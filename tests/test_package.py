@@ -78,9 +78,10 @@ def test_norm_tracks_read_stacked_segments():
     """Norm and functional tracks, pair distances and Dini ladders read
     the segments x_t of many times of a block member as one stack
     (dde._block_nodes) through the one track primitive, and tracks and
-    pair distances take their norms across it (segment._norms); the
-    per-segment segment_at and space_norm are left to single segments,
-    of which they are the batches of one."""
+    pair distances take their norms across it (segment._norms), as the
+    sampler norms its stacks of candidates and the norms command its
+    stack of samples; the per-segment segment_at and space_norm are left
+    to single segments, of which they are the batches of one."""
     assert _callers("_block_nodes") == {("dde", "_segment_nodes"),
                                         ("checkers", "_segment_stacks")}
     assert _callers("_segment_nodes") == {("dde", "segment_at")}
@@ -94,6 +95,8 @@ def test_norm_tracks_read_stacked_segments():
     # space_norm is the batch of one of _norms, and a segment keeps no
     # read of its own for a second path to norm
     assert _callers("_norms") == {("checkers", "verify_pair_bounds"),
+                                  ("cli", "cmd_norms"),
+                                  ("sampler", "sample_many"),
                                   ("segment", "space_norm")}
     assert not hasattr(delaystab.segment, "_read_norms")
     # norm reads and space-norm functionals hand _norms to the track
@@ -103,12 +106,15 @@ def test_norm_tracks_read_stacked_segments():
     assert _callers("segment_at") == {("cli", "cmd_simulate")}
     assert _callers("space_norm") == {
         ("checkers", "verify_pair_bounds"),  # the initial distance only
-        ("cli", "cmd_norms"), ("cli", "cmd_simulate"),
-        ("lyapunov", "check_exponential_certificate"),
-        ("lyapunov", "check_pointwise_dissipation"),
+        ("cli", "cmd_simulate"),
         ("lyapunov", "functional_lipschitz_probe"),
-        ("lyapunov", "space_norm_functional"),
-        ("sampler", "sample_one")}
+        ("lyapunov", "space_norm_functional")}
+    # samples are drawn in stacks, inside the package in the bounded
+    # stacks of dde._sample_stacks; sample_one is the stack of one, left
+    # to the one history of the simulate command
+    assert _callers("sample_many") == {("dde", "_sample_stacks"),
+                                       ("sampler", "sample_one")}
+    assert _callers("sample_one") == {("cli", "_history_segment")}
 
 
 def test_one_hoelder_kernel():
@@ -150,7 +156,7 @@ def test_only_uga_reads_norms_at_a_level():
         "check_ls", "check_ga")}
     assert exact < _callers("_norm_read")
     assert ("checkers", "verify_pair_bounds") in _callers("_norms")
-    assert ("sampler", "sample_one") in _callers("space_norm")
+    assert ("sampler", "sample_many") in _callers("_norms")
 
 
 def test_composite_integrates_through_no_other_checker():

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delaystab.sampler import FAMILIES, SamplerConfig, sample, sample_one
+import delaystab.sampler as mod
+from delaystab.sampler import FAMILIES, SamplerConfig, sample, sample_many, \
+    sample_one
 from delaystab.segment import (
     ParameterError,
     Segment,
@@ -174,31 +178,168 @@ def _fourier_wave_per_term(c, rng):
     return vals, ders
 
 
+def _polynomial_alone(c, rng):
+    """The polynomial candidate of one sample, one component at a time,
+    as the sampler built it before it built stacks."""
+    tau = np.linspace(-c.delay_r, 0.0, c.n_nodes) / c.delay_r
+    vals = np.zeros((c.n_nodes, c.dimension))
+    ders = np.zeros((c.n_nodes, c.dimension))
+    for j in range(c.dimension):
+        coeffs = rng.standard_normal(c.order + 1)
+        vals[:, j] = np.polynomial.polynomial.polyval(tau, coeffs)
+        dcoeffs = np.polynomial.polynomial.polyder(coeffs)
+        if dcoeffs.size:
+            ders[:, j] = np.polynomial.polynomial.polyval(tau, dcoeffs) \
+                / c.delay_r
+    return vals, ders
+
+
+def _piecewise_linear_alone(c, rng):
+    """The piecewise-linear candidate of one sample, one component at a
+    time, as the sampler built it before it built stacks."""
+    k, n_cells = c.order, c.n_nodes - 1
+    h = c.delay_r / n_cells
+    vals = np.zeros((c.n_nodes, c.dimension))
+    ders = np.zeros((c.n_nodes, c.dimension))
+    for j in range(c.dimension):
+        gaps = np.full(k + 1, 2, dtype=int)
+        spare = n_cells - 2 * (k + 1)
+        if spare > 0:
+            gaps = gaps + rng.multinomial(spare, np.full(k + 1, 1.0 / (k + 1)))
+        breaks = np.cumsum(gaps)[:-1]
+        slopes = mod._tame_slopes(rng.standard_normal(k + 1))
+        piece_of_cell = np.zeros(n_cells, dtype=int)
+        for b in breaks:
+            piece_of_cell[b:] += 1
+        cell_slope = slopes[piece_of_cell]
+        v0 = rng.standard_normal()
+        vals[0, j] = v0
+        vals[1:, j] = v0 + np.cumsum(cell_slope) * h
+        ders[0, j] = cell_slope[0]
+        ders[-1, j] = cell_slope[-1]
+        left, right = cell_slope[:-1], cell_slope[1:]
+        ders[1:-1, j] = np.where(np.abs(left) >= np.abs(right), left, right)
+    return vals, ders
+
+
+ALONE = {"fourier": _fourier_wave_per_term, "polynomial": _polynomial_alone,
+         "piecewise_linear": _piecewise_linear_alone}
+
+
+def _lone_sample(c, index):
+    """Sample `index` as the sampler drew it before it drew stacks: its
+    candidate alone, normed by space_norm and scaled as a Segment."""
+    rng = mod._rng_for(c, index)
+    vals, ders = ALONE[c.family](c, rng)
+    candidate = Segment.from_samples(c.delay_r, vals, ders)
+    norm = space_norm(candidate, c.target_space)
+    if norm == 0.0:
+        return Segment.zero(c.delay_r, c.dimension, c.n_nodes)
+    u = 1.0 if index == 0 else \
+        c.radial_min + (1.0 - c.radial_min) * (1.0 - rng.random())
+    return candidate * (u * c.target_norm / norm)
+
+
+def _stacked(builder):
+    """A block builder that builds each sample of a stack alone."""
+    def block(c, rngs):
+        vals, ders = zip(*(builder(c, rng) for rng in rngs))
+        return np.stack(vals), np.stack(ders)
+
+    return block
+
+
+def _same_bytes(a, b):
+    return (a.nodes.tobytes(), a.values.tobytes(), a.derivs.tobytes()) \
+        == (b.nodes.tobytes(), b.values.tobytes(), b.derivs.tobytes())
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 def test_fourier_samples_share_each_wave_bitwise(monkeypatch, dim):
     """Samples 0-49 of a Fourier stream are, in every byte, those whose
     waves are taken afresh in each term."""
-    import delaystab.sampler as mod
-
     c = cfg(space=SpaceSpec.sobolev(2.0), dim=dim, r=0.7, seed=4, n_nodes=65)
     got = [sample_one(c, i) for i in range(50)]
-    monkeypatch.setitem(mod._BUILDERS, "fourier", _fourier_wave_per_term)
+    monkeypatch.setitem(mod._BUILDERS, "fourier",
+                        _stacked(_fourier_wave_per_term))
     for i, seg in enumerate(got):
         want = sample_one(c, i)
         assert seg.values.tobytes() == want.values.tobytes()
         assert seg.derivs.tobytes() == want.derivs.tobytes()
 
-def test_zero_norm_candidate_becomes_zero_segment(monkeypatch):
-    import delaystab.sampler as mod
 
-    def zero_builder(c, rng):
-        n = (c.n_nodes, c.dimension)
+SPACES = [SpaceSpec.sup(), SpaceSpec.sobolev(2.0), SpaceSpec.sobolev(math.inf),
+          SpaceSpec.hoelder(0.5), SpaceSpec.hoelder(1.0)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_stacks_are_their_lone_samples_and_lie_in_their_ball(data):
+    """sample_many of any index list (repeats, any order, gaps) is in
+    every byte the list of sample_one draws and of the draws of the
+    per-sample sampler; every sample's norm lies in [radial_min rho,
+    rho] and sample 0 sits on the sphere, to 1e-12 relative."""
+    family, order = data.draw(st.sampled_from(
+        [("fourier", 1), ("fourier", 3), ("polynomial", 0),
+         ("polynomial", 4), ("piecewise_linear", 1),
+         ("piecewise_linear", 5)]))
+    space = data.draw(st.sampled_from(SPACES))
+    c = cfg(family=family, order=order, space=space,
+            radius=data.draw(st.sampled_from([1e-3, 1.0, 2.5])),
+            dim=data.draw(st.integers(1, 3)),
+            r=data.draw(st.sampled_from([0.3, 1.0, 7.0])),
+            seed=data.draw(st.integers(0, 2**40)),
+            n_nodes=data.draw(st.sampled_from([21, 65])),
+            radial_min=data.draw(st.sampled_from([0.0, 0.3, 0.9])))
+    indices = data.draw(st.lists(
+        st.one_of(st.integers(0, 40), st.integers(0, 2**64 - 1)),
+        min_size=1, max_size=12))
+    got = sample_many(c, indices)
+    assert len(got) == len(indices)
+    for index, seg in zip(indices, got):
+        assert _same_bytes(seg, sample_one(c, index))
+        assert _same_bytes(seg, _lone_sample(c, index))
+        norm = space_norm(seg, space)
+        rho = c.target_norm
+        assert c.radial_min * rho * (1.0 - 1e-12) <= norm \
+            <= rho * (1.0 + 1e-12)
+        if index == 0:
+            assert norm == pytest.approx(rho, rel=1e-12, abs=0.0)
+
+
+def test_zero_norm_candidate_becomes_zero_segment(monkeypatch):
+    def zero_builder(c, rngs):
+        n = (len(rngs), c.n_nodes, c.dimension)
         return np.zeros(n), np.zeros(n)
 
     monkeypatch.setitem(mod._BUILDERS, "fourier", zero_builder)
     seg = sample_one(cfg(seed=41), 3)
     assert sup_norm(seg) == 0.0
     assert isinstance(seg, Segment)
+    assert all(sup_norm(s) == 0.0 for s in sample_many(cfg(seed=41),
+                                                        [0, 5, 5]))
+
+
+@pytest.mark.parametrize("index", [0.5, 1.7, True, False, -1, 2**64, 1e20,
+                                   "1", None, math.nan])
+def test_bad_sample_indices_are_refused(index):
+    """An index that is not a whole number in [0, 2^64) is refused, in a
+    list as alone, before anything is drawn; 0.5 is no history of the
+    stream and 1.7 and True are not sample 1."""
+    with pytest.raises(ParameterError, match="sample index"):
+        sample_one(cfg(), index)
+    with pytest.raises(ParameterError, match="sample index"):
+        sample_many(cfg(), [0, index])
+
+
+def test_whole_number_indices_are_their_samples():
+    """segment._integer's rule: an integral float or numpy integer is
+    that index; the last index of the counter range is a sample."""
+    c = cfg(seed=43)
+    for alias, index in [(1.0, 1), (np.int64(7), 7), (np.uint64(3), 3)]:
+        assert _same_bytes(sample_one(c, alias), sample_one(c, index))
+    assert _same_bytes(sample_one(c, 2**64 - 1), _lone_sample(c, 2**64 - 1))
+    assert sample_many(c, []) == []
 
 
 # ------------------------------------------------------------- validation

@@ -91,6 +91,23 @@ def test_nodes_must_span_minus_r_to_zero():
         Segment(1.0, nodes, np.zeros((7, 1)), np.zeros((7, 1)))
 
 
+def test_node_checks_are_memoised_per_delay_and_node_bytes():
+    """Only nodes that passed are remembered, keyed on the delay and the
+    exact node bytes: nodes that pass for one delay are refused for
+    another, and refused nodes are refused again."""
+    nodes = np.linspace(-1.0, 0.0, 5)
+    zeros = np.zeros((5, 1))
+    Segment(1.0, nodes, zeros, zeros)
+    bad = [(2.0, nodes, "from -r to 0"),
+           (1.0, np.array([-1.0, -0.6, -0.5, -0.2, 0.0]), "uniformly"),
+           (1.0, np.array([-1.0, -0.75, np.nan, -0.25, 0.0]), "finite")]
+    for r, bad_nodes, message in bad:
+        for _ in range(2):
+            with pytest.raises(SegmentDataError, match=message):
+                Segment(r, bad_nodes, zeros, zeros)
+    assert Segment(1.0, nodes.copy(), zeros, zeros).n_nodes == 5
+
+
 def test_arrays_are_read_only():
     seg = Segment.constant(1.0, 2.0)
     with pytest.raises(ValueError):
