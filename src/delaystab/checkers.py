@@ -141,33 +141,42 @@ def _covered(traj: Trajectory | _Block, times) -> int:
     return int(past[0]) if past.size else len(times)
 
 
-def _segment_stacks(piece: _Block, times, seg_nodes: int):
+def _segment_stacks(piece: _Block, times, seg_nodes: int,
+                    at: int | None = None, backward: bool = False):
     """Yield (s, values, derivs): the node data of the segments x_t of
-    each member of the piece at the times of times, member by member,
-    stacked (K, seg_nodes, n), K times at a time as dde._segment_chunk
-    allows.  A stack holds one member's times, as that member's own read
-    would: stacks across members grow the temporaries of small reads
-    (40 Dini ladders of 6 rungs in stacks of 31 took 930 KB at peak, not
-    212 KB) and join rows that prune different Hoelder lags (their lag
-    visits rose by two thirds)."""
+    each member of the piece (of the member at position at alone, if
+    given) at the times of times, member by member, stacked (K, seg_nodes,
+    n), K times at a time as dde._segment_chunk allows: from the first
+    time on, or with backward from the last time back, so that the last
+    stack holds the first times.  A stack holds one member's times, as
+    that member's own read would: stacks across members grow the
+    temporaries of small reads (40 Dini ladders of 6 rungs in stacks of
+    31 took 930 KB at peak, not 212 KB) and join rows that prune different
+    Hoelder lags (their lag visits rose by two thirds)."""
     times = np.asarray(times, dtype=float)
     size = _segment_chunk(seg_nodes, piece.system.dimension)
-    for pos in range(len(piece.members)):
-        for lo in range(0, times.size, size):
-            yield _block_nodes(piece, pos, times[lo:lo + size], seg_nodes)
+    spans = ([slice(max(0, hi - size), hi)
+              for hi in range(times.size, 0, -size)] if backward
+             else [slice(lo, lo + size) for lo in range(0, times.size, size)])
+    for pos in range(len(piece.members)) if at is None else (at,):
+        for span in spans:
+            yield _block_nodes(piece, pos, times[span], seg_nodes)
 
 
 def _track(traj: Trajectory, times, seg_nodes: int | None,
            evaluate: Callable[..., np.ndarray] | None,
-           lam: float | None = None) -> np.ndarray:
+           lam: float | None = None,
+           level: float | None = None) -> np.ndarray:
     """A functional of the history segment x_t of a whole trajectory at
     each time: the track of the block of one that holds it."""
-    return _block_track(_block_of(traj), times, seg_nodes, evaluate, lam)[0]
+    return _block_track(_block_of(traj), times, seg_nodes, evaluate, lam,
+                        level)[0]
 
 
 def _block_track(piece: _Block, times, seg_nodes: int | None,
                  evaluate: Callable[..., np.ndarray] | None,
-                 lam: float | None = None) -> np.ndarray:
+                 lam: float | None = None,
+                 level: float | None = None) -> np.ndarray:
     """A functional of the history segment x_t of each member of a piece
     at each time, one row a member.
 
@@ -177,6 +186,17 @@ def _block_track(piece: _Block, times, seg_nodes: int | None,
     track reads each member's times a chunk at a time through
     _segment_stacks (each row bitwise segment_at), so each value is
     evaluate of x_t alone whatever the chunk.
+
+    With a level, evaluate gives one value a segment, exact only in how
+    it compares with the level (see _norm_read), and the track keeps only
+    what the suffix max of the piece's peak over its members needs.  The
+    members read in order, each from the last time back a stack at a
+    time, and stop after the first stack that holds a value above the
+    level (or NaN); no member reads a time at or before the latest such
+    value found so far in the piece, and no time is read if the piece
+    ends before the last time.  Times left unread are +inf, which is
+    above the level, so the suffix max of the peak compares with the
+    level at every time as that of exact reads does.
 
     With lam the value is the window max of e^(lam s)|x_t(s)| (see
     _window_maxima).
@@ -191,7 +211,24 @@ def _block_track(piece: _Block, times, seg_nodes: int | None,
     if lam is not None:
         return _window_maxima(piece, t, len(times), lam)
     members = len(piece.members)
-    parts = [evaluate(piece.system.delay_r, s, vals, ders)
+    r = piece.system.delay_r
+    if level is not None:
+        out = np.full((members, len(times)), np.inf)
+        floor = 0 if covered == len(times) else covered  # first time to read
+        for pos in range(members):
+            hi = covered
+            for s, vals, ders in _segment_stacks(piece, t[floor:], seg_nodes,
+                                                 pos, backward=True):
+                got = evaluate(r, s, vals, ders)
+                lo = hi - got.size
+                out[pos, lo:hi] = got
+                above = np.flatnonzero(~(got <= level))
+                if above.size:
+                    floor = lo + int(above[-1]) + 1
+                    break
+                hi = lo
+        return out
+    parts = [evaluate(r, s, vals, ders)
              for s, vals, ders in _segment_stacks(piece, t, seg_nodes)]
     if not parts:
         return np.full((members, len(times)), np.inf)
@@ -299,7 +336,7 @@ def _window_maxima(piece: _Block, t: np.ndarray, count: int,
 
 class _Read(NamedTuple):
     """One track an ensemble takes of each member: _track(traj, times,
-    seg_nodes, evaluate, lam), with times nondecreasing, which the
+    seg_nodes, evaluate, lam, level), with times nondecreasing, which the
     ensemble takes of all of a piece's members at once (_block_track).
     With times None it is evaluate of the forward rows, (m, n) to m
     values, one a mesh node.  A value is width floats (evaluate's shape
@@ -311,11 +348,12 @@ class _Read(NamedTuple):
     evaluate: Callable | None
     lam: float | None = None
     width: int = 1
+    level: float | None = None
 
     def track(self, traj: Trajectory) -> np.ndarray:
         """The track of a whole trajectory."""
         return _track(traj, self.times, self.seg_nodes, self.evaluate,
-                      self.lam)
+                      self.lam, self.level)
 
     def held(self, rows: int) -> int:
         """Bytes the track keeps of a member whose mesh has rows nodes."""
@@ -330,10 +368,13 @@ def _norm_read(space: SpaceSpec, grid: np.ndarray, seg_nodes: int,
     spaces are its stacked track with segment._norms, each value bitwise
     space_norm(segment_at(traj, t, seg_nodes), space).  With a level the
     values are _norms' at that level: exact only in how they compare
-    with it (Hoelder values above it may fall short of the norm)."""
+    with it (Hoelder values above it may fall short of the norm), and
+    only the times that the suffix max of a piece's peak needs are read
+    (see _block_track); the others are +inf."""
     if space.kind == "sup":
         return _Read(grid, seg_nodes, None, 0.0)
-    return _Read(grid, seg_nodes, partial(_norms, space=space, level=level))
+    return _Read(grid, seg_nodes, partial(_norms, space=space, level=level),
+                 level=level)
 
 
 def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,
@@ -427,7 +468,7 @@ class _Reader:
                                      < last))
                 if stop > done:
                     got = _block_track(piece, times[done:stop], read.seg_nodes,
-                                       read.evaluate, read.lam)
+                                       read.evaluate, read.lam, read.level)
                     if self.time_tracks[q] is None:
                         self.time_tracks[q] = np.full(
                             (len(self.escape_times), times.size)
@@ -974,8 +1015,11 @@ def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
     the samples stays within eps.  Of the report times before the last
     only that comparison matters, so they are read at the level
     eps (1 + 1e-9) (see segment._norms): a Hoelder sweep stops once a
-    block of lags lifts a sample above it.  The last time is read
-    exactly, as the residual of an inconclusive report.
+    block of lags lifts a sample above it.  Only the suffix max of the
+    peak is kept, so they are read back from the horizon, no further
+    than the last stack that lifts a sample above the level (see
+    _block_track).  The last time is read exactly, as the residual of
+    an inconclusive report.
     """
     ball = _ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
                  grid_points, horizon=horizon, eps=eps)

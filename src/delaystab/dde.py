@@ -57,6 +57,14 @@ BLOCK_BYTES; the later stages look their row up.  Each planned read is
 the formula of a read at its own stage on the same cell and fraction, so
 planning ahead moves no bit (see ``_SolutionView``).
 
+A step pays numpy's per-call cost and no more: its constants (step / 2,
+step, step / 6 and 2) are 0-d arrays cached per step width, and each
+stage state and partial sum is written into a preallocated buffer of
+its own, the new state straight into its window row, in the association
+y + (step / 2) k1, ..., y + (step / 6) (((k1 + 2 k2) + 2 k3) + k4).  The
+built-in scalar families hold their coefficients as 0-d arrays too.  A
+0-d factor makes the same products as a Python float, so no bit moves.
+
 Ensembles integrate in memory-bounded blocks (``_block_members``): a
 block holds the most histories whose smallest windows, two delay
 intervals and three rows (16 n bytes a row, values plus derivatives),
@@ -177,6 +185,10 @@ def _params_to_json(params: dict) -> dict:
 
 
 # -- builtin systems ---------------------------------------------------
+#
+# The scalar families hold their coefficients as 0-d arrays: a 0-d factor
+# of a (B, n) read costs numpy less than a Python float, and its products
+# are the same bits.
 
 
 def _param(params: dict, key: str, convert, family: str, *default):
@@ -199,13 +211,14 @@ def _linear_scalar(r: float, params: dict) -> DelaySystem:
     _check_keys(params, {"a", "b"}, set(), "linear_scalar params")
     a = _param(params, "a", _real, "linear_scalar")
     b = _param(params, "b", _real, "linear_scalar")
+    a0, b0 = np.array(a), np.array(b)
 
     if b != 0.0:
         def rhs(seg):
-            return a * seg.value_at_point(0.0) + b * seg.value_at_point(-r)
+            return a0 * seg.value_at_point(0.0) + b0 * seg.value_at_point(-r)
     else:
         def rhs(seg):
-            return a * seg.value_at_point(0.0)
+            return a0 * seg.value_at_point(0.0)
 
     L = abs(a) + abs(b)
     return DelaySystem("linear_scalar", 1, r, rhs, lambda R: L,
@@ -267,8 +280,11 @@ def _saturating(r: float, params: dict) -> DelaySystem:
     if c < 0.0:
         raise ParameterError("damping c must be nonnegative")
 
+    minus_c, k0 = np.array(-c), np.array(k)
+
     def rhs(seg):
-        return -c * seg.value_at_point(0.0) + k * np.tanh(seg.value_at_point(-r))
+        return minus_c * seg.value_at_point(0.0) \
+            + k0 * np.tanh(seg.value_at_point(-r))
 
     return DelaySystem("saturating", 1, r, rhs, lambda R: c + abs(k),
                        {"c": c, "k": k})
@@ -277,10 +293,11 @@ def _saturating(r: float, params: dict) -> DelaySystem:
 def _quadratic(r: float, params: dict) -> DelaySystem:
     _check_keys(params, set(), {"c"}, "quadratic params")
     c = _param(params, "c", _real, "quadratic", 1.0)
+    c0 = np.array(c)
 
     def rhs(seg):
         v = seg.value_at_point(0.0)
-        return c * v * v
+        return c0 * v * v
 
     # |c(u^2 - v^2)| <= 2 c R |u - v| on the R-ball
     return DelaySystem("quadratic", 1, r, rhs, lambda R: 2.0 * abs(c) * R,
@@ -554,6 +571,8 @@ class _SolutionView:
         return dict(zip(times[:stop].tolist(), range(stop))), reads
 
     def value_at_point(self, s: float) -> np.ndarray:
+        if s == 0.0:  # u = stage_time, at or past settled_time
+            return self.stage_value
         u = self.stage_time + s
         if u >= self.settled_time:
             gap = self.stage_time - self.settled_time
@@ -731,24 +750,40 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
     # threshold, so no state they make can fail the bound
     screen = ESCAPE_THRESHOLD / (2.0 * math.sqrt(sys.dimension))
     tested = 0  # forward rows 1 .. tested have passed the escape test
+    # the stage states and the partial sums, one buffer each, none both
+    # read and written by one call (an in-place ufunc on a block of one
+    # scalar costs numpy twice a plain one), and an rhs that returns its
+    # stage state (k2 is y2) aliases no buffer still to be written
+    y2, y3, y4, scaled, part, total = np.empty((6, len(x0s), sys.dimension))
+    two = np.array(2.0)
+    # 0-d step constants by width: a 0-d factor costs numpy less than a
+    # Python float, and its products are the same bits
+    weights = {width: (np.array(0.5 * width), np.array(width),
+                       np.array(width / 6.0)) for width in (h_eff, tail)}
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             i = k - first
             t_k = k * h_eff
             step = h_eff if k < n_full else tail
+            half, whole, sixth = weights[step]
             y = values[i]
             k1 = derivs[i]
-            y2 = y + (0.5 * step) * k1
+            np.add(y, np.multiply(half, k1, scaled), y2)
             view.set_stage(k, t_k + 0.5 * step, y2)
             k2 = np.asarray(rhs(view), dtype=float)
-            y3 = y + (0.5 * step) * k2
+            np.add(y, np.multiply(half, k2, scaled), y3)
             view.set_stage(k, t_k + 0.5 * step, y3)
             k3 = np.asarray(rhs(view), dtype=float)
-            y4 = y + step * k3
+            np.add(y, np.multiply(whole, k3, scaled), y4)
             view.set_stage(k, t_k + step, y4)
             k4 = np.asarray(rhs(view), dtype=float)
-            y_next = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            values[i + 1] = y_next
+            # y + (step / 6) (((k1 + 2 k2) + 2 k3) + k4), straight into
+            # its window row
+            np.add(k1, np.multiply(two, k2, scaled), part)
+            np.add(part, np.multiply(two, k3, scaled), total)
+            np.add(total, k4, part)
+            y_next = values[i + 1]
+            np.add(y, np.multiply(sixth, part, scaled), y_next)
             # derivative at the fresh node: the step interior is still the
             # linear overlay (its Hermite data needs this very derivative)
             view.set_stage(k, t_k + step, y_next)
@@ -787,6 +822,8 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 if not members:
                     break
                 values, derivs = values[:, keep], derivs[:, keep]
+                y2, y3, y4, scaled, part, total = np.empty(
+                    (6,) + values.shape[1:])
                 view = _SolutionView([x0s[b] for b in members], values,
                                      derivs, h_eff, first, (n_full, tail))
             # no room for the rows up to the next test: hand on the

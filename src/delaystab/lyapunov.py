@@ -162,6 +162,10 @@ class MonotoneGridFn:
             raise ParameterError("ordinates must be nondecreasing")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+        # the ends and end slopes, as Python floats for the scalar path
+        object.__setattr__(self, "_ends", tuple(map(float, (
+            xs[0], ys[0], (ys[1] - ys[0]) / (xs[1] - xs[0]),
+            xs[-1], ys[-1], (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])))))
 
     @classmethod
     def linear(cls, slope: float) -> "MonotoneGridFn":
@@ -170,14 +174,18 @@ class MonotoneGridFn:
         return cls(np.array([0.0, 1.0]), np.array([0.0, slope]))
 
     def __call__(self, v):
+        x_lo, y_lo, slope_lo, x_hi, y_hi, slope_hi = self._ends
+        if isinstance(v, (int, float)):  # the same float arithmetic
+            v = float(v)
+            if v < x_lo:
+                return y_lo + (v - x_lo) * slope_lo
+            if v > x_hi:
+                return y_hi + (v - x_hi) * slope_hi
+            return float(np.interp(v, self.xs, self.ys))
         v = np.asarray(v, dtype=float)
         out = np.interp(v, self.xs, self.ys)
-        slope_lo = (self.ys[1] - self.ys[0]) / (self.xs[1] - self.xs[0])
-        slope_hi = (self.ys[-1] - self.ys[-2]) / (self.xs[-1] - self.xs[-2])
-        out = np.where(v < self.xs[0],
-                       self.ys[0] + (v - self.xs[0]) * slope_lo, out)
-        out = np.where(v > self.xs[-1],
-                       self.ys[-1] + (v - self.xs[-1]) * slope_hi, out)
+        out = np.where(v < x_lo, y_lo + (v - x_lo) * slope_lo, out)
+        out = np.where(v > x_hi, y_hi + (v - x_hi) * slope_hi, out)
         return float(out) if out.ndim == 0 else out
 
     def invert(self) -> "MonotoneGridFn":

@@ -388,9 +388,10 @@ def test_uga_and_ga_refuse_a_tolerance_outside_the_positive_reals(check,
 # checks as they read every report time exactly.
 
 
-def _exact_uga(sys, space, eps, rho, budget, *, horizon, h, seed):
+def _exact_uga(sys, space, eps, rho, budget, *, horizon, h, seed,
+               grid_points=200):
     r = sys.delay_r
-    grid = default_time_grid(horizon, r, 200)
+    grid = default_time_grid(horizon, r, grid_points)
     cfg = checkers._ball_cfg(sys, space, rho, "fourier", 3, seed, 65)
     peak = np.zeros(grid.size)
     runs = checkers._ensemble(sys, checkers._samples(cfg, budget), horizon,
@@ -494,6 +495,52 @@ def test_uga_at_its_level_and_ga_on_its_tail_report_as_exact_reads(
     ga = [json.dumps(check(sys, space, rho, eps, 4, **kw).to_json_dict())
           for check in (_exact_ga, check_ga)]
     assert ga[1] == ga[0]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_uga_read_back_from_the_horizon_reports_as_exact_reads(data):
+    """check_uga reads its level times back from the horizon and leaves
+    unread what its suffix max cannot need; its report is byte for byte
+    the one built from exact reads of every report time, whatever the
+    system, space, ball, tolerance and memory budget."""
+    sys, rho = data.draw(st.sampled_from([
+        (make_system("saturating", r=1.0, params={"c": 1.0, "k": 0.5}), 1.0),
+        (linear(1.0, -1.0, 0.3), 1.0),
+        (linear(1.0, -0.2, 0.1), 1.0),
+        (make_system("linear_vector", r=1.0,
+                     params={"A0": [[-1.0, 0.2], [0.1, -1.5]],
+                             "A1": [[0.3, 0.0], [0.1, 0.2]]}), 1.0),
+        (make_system("quadratic", r=1.0, params={"c": 1.0}), 2.0)]))
+    space = data.draw(st.sampled_from([SpaceSpec.hoelder(0.5), SOB2, SUP]))
+    eps = data.draw(st.sampled_from([0.5, 0.05, 1e-3]))
+    args = (sys, space, eps, rho, data.draw(st.integers(1, 8)))
+    kw = {"horizon": data.draw(st.sampled_from([3.0, 8.0])), "h": 0.05,
+          "seed": data.draw(st.integers(0, 9)), "grid_points": 40}
+    want = json.dumps(_exact_uga(*args, **kw).to_json_dict())
+    with mock.patch.object(dde, "BLOCK_BYTES", data.draw(
+            st.sampled_from([1, 1 << 12, dde.BLOCK_BYTES]))):
+        got = json.dumps(check_uga(*args, **kw).to_json_dict())
+    assert got == want
+
+
+def test_uga_hands_few_rows_to_the_level_norms(monkeypatch):
+    """On the saturating Hoelder(0.5) ball of radius 1 at eps 0.05 (budget
+    4, seed 0), check_uga hands _norms at most 350 rows at its level, of
+    the 796 that a read of every time before the last takes."""
+    rows = []
+    norms = checkers._norms
+
+    def counting(r, nodes, values, derivs, space, refine=8, level=None):
+        if level is not None:
+            rows.append(values.shape[0])
+        return norms(r, nodes, values, derivs, space, refine, level)
+
+    monkeypatch.setattr(checkers, "_norms", counting)
+    sat = make_system("saturating", r=1.0, params={"c": 1.0, "k": 0.5})
+    rep = check_uga(sat, SpaceSpec.hoelder(0.5), 0.05, 1.0, 4, seed=0)
+    assert rep.verdict == "consistent"
+    assert 0 < sum(rows) <= 350
 
 
 # -- envelope fitting --------------------------------------------------
@@ -1478,19 +1525,24 @@ class _MemberReader:
 
 def _both_reads(sys, block, T, h, reads, held):
     """The block reader and the per-member readers of one block, fed the
-    same pieces, and the first rows of the pieces."""
+    same pieces, the first rows of the pieces, and each piece's members
+    and the span of the times of the last read that it read."""
     reader = checkers._Reader(reads, len(block))
     members = [_MemberReader(reads) for _ in block]
     firsts = set()
+    spans = []
 
     def take(piece):
         firsts.add(piece.first_row)
+        lo = reader.done[-1]
         reader(piece)
+        spans.append((piece.members, lo, reads[-1].times.size
+                      if piece.final else reader.done[-1]))
         for pos, b in enumerate(piece.members):
             members[b](_member_piece(piece, pos, block))
 
     simulate_many(sys, block, T, h, held=held, take=take)
-    return reader, members, firsts
+    return reader, members, firsts, spans
 
 
 def _oracle_ensemble(sys, x0s, T, h, reads, every=False):
@@ -1500,7 +1552,7 @@ def _oracle_ensemble(sys, x0s, T, h, reads, every=False):
     wide = dde._block_members(sys, T, h, held)
     size = wide if every else dde._block_members(sys, T, h, held, whole=True)
     while block := list(islice(x0s, size)):
-        _, members, _ = _both_reads(sys, block, T, h, reads, held)
+        members = _both_reads(sys, block, T, h, reads, held)[1]
         for x0, got in zip(block, members):
             yield checkers._Run(x0, got.escape_time is not None,
                                 got.escape_time, got.tracks)
@@ -1524,9 +1576,10 @@ def test_block_reads_are_the_per_member_reads_bitwise(data):
     window maxima (lam 0, 1 and 800, whose far windows weigh relative to
     their time), stacked Sobolev and Hoelder norms and node stacks, and
     row reads; whatever the blocks, the memory budget, the escapes and
-    the window moves.  Hoelder reads at a level keep the level rule: at
-    most the level exactly when the norm is, else above it and at most
-    the norm."""
+    the window moves.  Hoelder reads at a level keep the level rule where
+    they read: at most the level exactly when the norm is, else above it
+    and at most the norm; and the suffix max of each piece's peak over
+    its members compares with the level as that of the exact reads."""
     sys = data.draw(st.sampled_from([
         _cliff(1), _cliff(2), make_system("quadratic", 0.5, {"c": 1.0}),
         make_system("linear_vector", 0.5, {"A0": [[-1.0, 0.2], [0.1, -1.5]],
@@ -1566,8 +1619,8 @@ def test_block_reads_are_the_per_member_reads_bitwise(data):
     budget = data.draw(st.sampled_from([1, 1 << 12, dde.BLOCK_BYTES]))
     with mock.patch.object(dde, "BLOCK_BYTES", budget):
         for a, b in zip([0] + cuts, cuts):
-            reader, members, firsts = _both_reads(sys, x0s[a:b], T, h,
-                                                  reads, held)
+            reader, members, firsts, spans = _both_reads(
+                sys, x0s[a:b], T, h, reads, held)
             if budget == 1 and T > 1.2 \
                     and any(m.escape_time is None for m in members):
                 assert len(firsts) > 1  # the window moved
@@ -1578,8 +1631,15 @@ def test_block_reads_are_the_per_member_reads_bitwise(data):
                     assert x.shape == y.shape and x.tobytes() == y.tobytes()
                 exact, at_level = got[2], got[-1]
                 below = exact <= level
-                assert np.array_equal(at_level <= level, below)
-                assert np.all(at_level[~below] <= exact[~below])
+                read = np.isfinite(at_level)
+                assert np.array_equal((at_level <= level)[read], below[read])
+                assert np.all(at_level[read & ~below] <= exact[read & ~below])
+            for at, lo, hi in spans:
+                # the suffix max of each piece's peak over its members
+                exact, at_level = (np.maximum.accumulate(np.max(
+                    [reader.tracks(b)[q][lo:hi] for b in at], axis=0)[::-1])
+                    for q in (2, -1))
+                assert np.array_equal(at_level <= level, exact <= level)
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 12, None])

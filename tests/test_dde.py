@@ -1,6 +1,7 @@
 """Tests for delay systems and the method-of-steps integrator."""
 
 import copy
+import hashlib
 import io
 import math
 from dataclasses import replace
@@ -670,6 +671,102 @@ def test_block_trajectories_do_not_depend_on_the_split(data):
                      (got.forward_values, want.forward_values),
                      (got.forward_derivs, want.forward_derivs)):
             assert a.tobytes() == b.tobytes()
+
+
+PINNED_SYSTEMS = {
+    "linear_scalar": {"a": -1.0, "b": 0.3},
+    "linear_scalar_b0": {"a": -1.0, "b": 0.0},
+    "linear_vector": {"A0": [[-1.0, 0.2], [0.1, -1.5]],
+                      "A1": [[0.3, 0.0], [0.1, 0.2]]},
+    "distributed_linear": {"A0": [[-2.0]], "K": [[[0.5]], [[0.3]]]},
+    "saturating": {"c": 1.0, "k": 0.5},
+    "quadratic": {"c": 1.0},
+}
+# sha256 of the integrator's output on each pinned case (_pinned_digest),
+# recorded before the step's arithmetic was last reworked
+PINNED_DIGESTS = {
+    ('distributed_linear', 1, False):
+        "d468f29b9c78769f6d17df08143ac7e26c85a924c2a7a01b30e491a60d8e1844",
+    ('distributed_linear', 17, False):
+        "1818ba2f30ebef2b07708c9110ecf0e228d56c91a95ae3bf5ba160be0b4e2d54",
+    ('distributed_linear', 17, True):
+        "9d2c960a612b0aa1fa629ba395c160e3d42f0bc1bdedf6949ee5be5621501250",
+    ('linear_scalar', 1, False):
+        "0acc0f18bdc43e84bcbee70e63bac41ddf42e1fa476e9abe4c0645ab950f90e3",
+    ('linear_scalar', 17, False):
+        "064ac61e9505a05cebc4fbb2a861da70868b19b6c63ab5449a006a9f54c9fefd",
+    ('linear_scalar', 17, True):
+        "0586d90f2cea0ca1e656d7c8b53156cbf631475727491d755d65eca77a9d39f7",
+    ('linear_scalar_b0', 1, False):
+        "dfcc175f0d7f8ab2742d736186c38f9cb045a0adfcc513b28435f5765fa29d0b",
+    ('linear_scalar_b0', 17, False):
+        "c3b665b6be8d6da4801efcbab07c160334b0916b1ef3a27164ad51289bcfdb44",
+    ('linear_scalar_b0', 17, True):
+        "c52e3aca353139c6ee91f271e778eec612f53d4807ca2609bae8693eb2f839c6",
+    ('linear_vector', 1, False):
+        "ddfc320fcec721bb1a39bbff278bf302ac3bd7a5a7a752154b4289d024450325",
+    ('linear_vector', 17, False):
+        "1482b2896e7b477f7da333081c7c5f530d05f3ea9978e6b973ed6dd32c00fabf",
+    ('linear_vector', 17, True):
+        "eb14e60942616cbb9dd2a9e32cc8bf29bb158cb089a342b25353d40f054953a1",
+    ('quadratic', 1, False):
+        "35f8ba6ba89ac08ed8629cffc455b49f0e228d52aef868ea01d184433bb92b63",
+    ('quadratic', 17, False):
+        "44f7fad712aa4c269b59a9e179346724935a567ca1f9fce9e1c61aa3c54aeca2",
+    ('quadratic', 17, True):
+        "71c0cd871b021ab6fbbe24d47bca817ff71b4e0e9f975eb6730e202ef7594a96",
+    ('saturating', 1, False):
+        "a2b56da31a0df5068e6c6e5ad70c2e6cdf141e833cc2c30deaf98989e056d092",
+    ('saturating', 17, False):
+        "b4cfbca66112a9c894084c1082329e6dd6d5e7c7fa78d511de5df3a56a1edc3c",
+    ('saturating', 17, True):
+        "80f973e6232cbd9c3b7c1134da0d0b9afc502465a16710c3b0a5407794bf15c0",
+}
+
+
+def _pinned_digest(label: str, members: int, moving: bool) -> str:
+    """sha256 of forward_values, forward_derivs and escape_time of a
+    fourier block of members histories (norms 0.5, 4, 1.5 in turn, so
+    quadratic members escape) over T = 3.537 at h = 0.05, whose last step
+    is short.  moving hands the rows on as pieces of a window of the
+    smallest size, which moves on twice, and hashes the pieces in order."""
+    sys = make_system(label.removesuffix("_b0"), 1.0, PINNED_SYSTEMS[label])
+    cfg = SamplerConfig(family="fourier", order=3,
+                        target_space=SpaceSpec.sup(), target_norm=1.0,
+                        dimension=sys.dimension, delay_r=1.0, seed=5,
+                        n_nodes=33)
+    x0s = [sample_one(replace(cfg, target_norm=(1.5, 0.5, 4.0)[i % 3]), i)
+           for i in range(members)]
+    digest = hashlib.sha256()
+
+    def feed(rows):
+        for values, derivs, escape in rows:
+            digest.update(values.tobytes())
+            digest.update(derivs.tobytes())
+            digest.update(repr(escape).encode())
+
+    if moving:
+        with mock.patch.object(dde, "BLOCK_BYTES", 1):
+            simulate_many(sys, x0s, 3.537, 0.05, take=lambda piece: feed(
+                (piece.forward_values[:, pos], piece.forward_derivs[:, pos],
+                 (b, piece.first_row, piece.final, piece.escape_time))
+                for pos, b in enumerate(piece.members)))
+    else:
+        feed((t.forward_values, t.forward_derivs, t.escape_time)
+             for t in simulate_many(sys, x0s, 3.537, 0.05))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_SYSTEMS))
+@pytest.mark.parametrize("members, moving", [(1, False), (17, False),
+                                             (17, True)])
+def test_integrator_output_is_pinned_bitwise(label, members, moving):
+    """Every built-in family integrates to the recorded bits, at B = 1 and
+    B = 17, with a short final step, an escaping quadratic member and a
+    moving window: a change to the step's arithmetic that moves one bit
+    of any trajectory fails here."""
+    assert _pinned_digest(label, members, moving) \
+        == PINNED_DIGESTS[label, members, moving]
 
 
 def test_window_pieces_are_the_whole_trajectories(monkeypatch):

@@ -55,6 +55,28 @@ def test_grid_fn_linear_and_extrapolation():
     assert f(-1.0) == pytest.approx(-2.0)
 
 
+def test_grid_fn_scalar_reads_are_the_array_reads_bitwise():
+    """A scalar argument takes the Python-float path; its value is that of
+    the array path in every bit, inside, at the nodes and on both
+    extrapolation sides."""
+    rng = np.random.default_rng(3)
+    xs = np.sort(rng.uniform(-2.0, 3.0, 7)) + 1e-3 * np.arange(7)
+    ys = np.cumsum(rng.uniform(0.0, 2.0, 7))
+    for f in (MonotoneGridFn(xs, ys), MonotoneGridFn.linear(0.7),
+              MonotoneGridFn.linear(0.0)):
+        probes = np.concatenate([
+            f.xs, rng.uniform(f.xs[0], f.xs[-1], 50),
+            f.xs[0] - rng.exponential(3.0, 20),
+            f.xs[-1] + rng.exponential(3.0, 20), [1e300, -1e300]])
+        want = f(probes)
+        for v, w in zip(probes, want):
+            for arg in (float(v), np.float64(v)):
+                got = f(arg)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == w.tobytes()
+            assert np.float64(f(np.array(v))).tobytes() == w.tobytes()
+
+
 def test_grid_fn_validation():
     with pytest.raises(ParameterError):
         MonotoneGridFn(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
