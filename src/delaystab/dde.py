@@ -18,7 +18,9 @@ settled.
 
 Right-hand sides access the state only through ``value_at_point(s)`` /
 ``value_at(array)`` queries with s in [-r, 0], which keeps distributed
-delays first class.  On a plain :class:`Segment` the reads return (n,) and
+delays first class; the integrator calls them on a block view, except for
+the families that declare parts (below), which it steps from their parts
+and never calls rhs.  On a plain :class:`Segment` the reads return (n,) and
 (m, n); during integration the block view returns (B, n) and (B, m, n), one
 row per member, so a right-hand side must act row-wise on the last axis
 (write ``A @ v`` as a product that maps rows, as the built-ins do).  During
@@ -26,6 +28,27 @@ a step, queries into the not yet settled part of the current interval (an
 overlap of at most one step) are answered by linear interpolation toward
 the running stage value; this is the standard method-of-steps compromise
 and is documented behavior, not an accident.
+
+The discrete-delay families (linear_scalar, linear_vector, saturating and
+quadratic) declare f as two parts, f(x_t) = instant(x(t)) + delayed(x(t -
+r)) (``DelaySystem.parts``; quadratic and linear_scalar at b = 0 have no
+delayed part), and build their rhs from them, so a segment's read is
+unchanged.  The integrator steps them without the view's point reads:
+with r >= 10 h, x(t - r) is settled data a delay interval ahead, so it
+applies delayed once to a read plan at -r, over all the plan's stages
+and members, and each stage slope is instant(stage state) plus its
+planned row, added into a preallocated buffer.  The half-step stage's
+row serves k2 and k3, the full-step stage's k4 and the fresh node's
+derivative, which is the next step's k1: four slopes a step.  A plan can
+hold a single stage, so each of the two rows is looked up, and planned
+anew, on its own; the plan is dropped when the window moves or members
+escape.  A family without a delayed part never reads the view.  Both
+paths give the same bits: planned reads are the one-stage reads, and
+each part acts row by row, so one call on many stages rounds every row
+as a call on one.  distributed_linear keeps the view path: its
+quadrature reads x across [-r, 0], the unsettled overlap at s = 0
+included, and splitting it would reassociate its sum.  So does every
+system built without parts.
 
 Solutions that leave the ball |x| <= 1e12, or turn non-finite, end their
 integration early and mark the trajectory ``escaped`` with the crossing
@@ -53,9 +76,10 @@ Stages read the dense output through read plans: the block's stage times
 follow from its mesh, and a read at delay s that no plan covers computes,
 in one vectorised Hermite call, its values at this stage and at every later
 stage whose cells have both rows settled already, at most a share of
-BLOCK_BYTES; the later stages look their row up.  Each planned read is
-the formula of a read at its own stage on the same cell and fraction, so
-planning ahead moves no bit (see ``_SolutionView``).
+BLOCK_BYTES; on the view path the later stages look their row up by
+stage time, and the parts path takes the plan at -r whole.  Each planned
+read is the formula of a read at its own stage on the same cell and
+fraction, so planning ahead moves no bit (see ``_SolutionView``).
 
 A step pays numpy's per-call cost and no more: its constants (step / 2,
 step, step / 6 and 2) are 0-d arrays cached per step width, and each
@@ -150,6 +174,18 @@ class DelaySystem:
     in BLOCK_BYTES (see the module doc).  lipschitz_modulus(R) bounds the
     sup-norm Lipschitz constant of rhs on the R-ball.  Construction checks
     that the zero segment is an equilibrium.
+
+    parts is structure, not an option: the discrete-delay families
+    (linear_scalar, linear_vector, saturating, quadratic) are f(x_t) =
+    instant(x(t)) + delayed(x(t - r)) and give the pair (instant,
+    delayed), delayed None where f reads x(t) alone (quadratic,
+    linear_scalar at b = 0).  Each part maps (..., n) to (..., n) row by
+    row, and rhs is built from them (_from_parts), so the integrator may
+    apply delayed to a plan's stages at once with the bits of rhs.  A
+    system without parts is integrated through rhs and the block view:
+    one built by hand, or distributed_linear, whose quadrature reads x
+    across [-r, 0], the step being built included, and would sum in
+    another order if split (see the module doc).
     """
 
     name: str
@@ -158,6 +194,7 @@ class DelaySystem:
     rhs: object
     lipschitz_modulus: object
     params: dict = field(default_factory=dict)
+    parts: tuple | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -207,22 +244,31 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ M.T)[..., 0, :]
 
 
+def _from_parts(name: str, n: int, r: float, instant, delayed, L,
+                params: dict) -> DelaySystem:
+    """The family f(x_t) = instant(x(t)) + delayed(x(t - r)), or
+    instant(x(t)) alone if delayed is None: its rhs is built from the
+    parts, the family's one formula, and the parts ride along for the
+    integrator."""
+    if delayed is None:
+        def rhs(seg):
+            return instant(seg.value_at_point(0.0))
+    else:
+        def rhs(seg):
+            return instant(seg.value_at_point(0.0)) \
+                + delayed(seg.value_at_point(-r))
+    return DelaySystem(name, n, r, rhs, L, params, (instant, delayed))
+
+
 def _linear_scalar(r: float, params: dict) -> DelaySystem:
     _check_keys(params, {"a", "b"}, set(), "linear_scalar params")
     a = _param(params, "a", _real, "linear_scalar")
     b = _param(params, "b", _real, "linear_scalar")
     a0, b0 = np.array(a), np.array(b)
-
-    if b != 0.0:
-        def rhs(seg):
-            return a0 * seg.value_at_point(0.0) + b0 * seg.value_at_point(-r)
-    else:
-        def rhs(seg):
-            return a0 * seg.value_at_point(0.0)
-
     L = abs(a) + abs(b)
-    return DelaySystem("linear_scalar", 1, r, rhs, lambda R: L,
-                       {"a": a, "b": b})
+    return _from_parts("linear_scalar", 1, r, lambda v: a0 * v,
+                       (lambda w: b0 * w) if b != 0.0 else None,
+                       lambda R: L, {"a": a, "b": b})
 
 
 def _linear_vector(r: float, params: dict) -> DelaySystem:
@@ -231,15 +277,10 @@ def _linear_vector(r: float, params: dict) -> DelaySystem:
     A1 = _param(params, "A1", _reals, "linear_vector")
     if A0.ndim != 2 or A0.shape[0] != A0.shape[1] or A0.shape != A1.shape:
         raise ParameterError("A0 and A1 must be equal square matrices")
-    n = A0.shape[0]
-
-    def rhs(seg):
-        return _matvec(A0, seg.value_at_point(0.0)) \
-            + _matvec(A1, seg.value_at_point(-r))
-
     L = np.linalg.norm(A0, 2) + np.linalg.norm(A1, 2)
-    return DelaySystem("linear_vector", n, r, rhs, lambda R: L,
-                       {"A0": A0, "A1": A1})
+    return _from_parts("linear_vector", A0.shape[0], r,
+                       lambda v: _matvec(A0, v), lambda w: _matvec(A1, w),
+                       lambda R: L, {"A0": A0, "A1": A1})
 
 
 def _distributed_linear(r: float, params: dict) -> DelaySystem:
@@ -281,12 +322,8 @@ def _saturating(r: float, params: dict) -> DelaySystem:
         raise ParameterError("damping c must be nonnegative")
 
     minus_c, k0 = np.array(-c), np.array(k)
-
-    def rhs(seg):
-        return minus_c * seg.value_at_point(0.0) \
-            + k0 * np.tanh(seg.value_at_point(-r))
-
-    return DelaySystem("saturating", 1, r, rhs, lambda R: c + abs(k),
+    return _from_parts("saturating", 1, r, lambda v: minus_c * v,
+                       lambda w: k0 * np.tanh(w), lambda R: c + abs(k),
                        {"c": c, "k": k})
 
 
@@ -294,14 +331,9 @@ def _quadratic(r: float, params: dict) -> DelaySystem:
     _check_keys(params, set(), {"c"}, "quadratic params")
     c = _param(params, "c", _real, "quadratic", 1.0)
     c0 = np.array(c)
-
-    def rhs(seg):
-        v = seg.value_at_point(0.0)
-        return c0 * v * v
-
     # |c(u^2 - v^2)| <= 2 c R |u - v| on the R-ball
-    return DelaySystem("quadratic", 1, r, rhs, lambda R: 2.0 * abs(c) * R,
-                       {"c": c})
+    return _from_parts("quadratic", 1, r, lambda v: c0 * v * v, None,
+                       lambda R: 2.0 * abs(c) * R, {"c": c})
 
 
 SYSTEM_BUILDERS = {
@@ -466,7 +498,9 @@ class _SolutionView:
     refused as before.  Late reads follow stage_value and are made afresh
     on every call: a late point read is not planned, and an array read
     copies its planned row and fills its late columns.  Planned reads are
-    read-only.
+    read-only.  The integrator's parts path calls _plan at -r itself,
+    after set_stage to the stage the plan starts at, and keeps the plan
+    outside plans.
     """
 
     __slots__ = ("delay_r", "dim", "h", "hist_values", "hist_derivs",
@@ -744,17 +778,38 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                     derivs[:stop - first, at], escape_time, first, final))
 
     view = _SolutionView(x0s, values, derivs, h_eff, mesh=(n_full, tail))
-    derivs[0] = np.asarray(sys.rhs(view), dtype=float)
     rhs = sys.rhs
+    instant, delayed = sys.parts or (None, None)
+    # delayed(x(t - r)) at the stages lo .. hi - 1, (stages, B, n): the
+    # view's read plan at -r with delayed applied to it at once
+    lo = hi = 0
+    terms = d_half = d_full = None
+
+    def plan(q: int, k: int, stage_time: float):
+        """The delayed terms of the plan from stage q, at stage_time with
+        k steps settled, and the stages they cover."""
+        view.set_stage(k, stage_time, values[k - first])
+        _, reads = view._plan(np.array([-r]))
+        return q, q + len(reads), delayed(reads[:, :, 0])
+
+    if instant is None:
+        derivs[0] = np.asarray(rhs(view), dtype=float)
+    elif delayed is None:
+        derivs[0] = instant(values[0])
+    else:
+        lo, hi, terms = plan(0, 0, 0.0)
+        np.add(instant(values[0]), terms[0], derivs[0])
     # components of at most screen give |x| <= sqrt(n) screen, half the
     # threshold, so no state they make can fail the bound
     screen = ESCAPE_THRESHOLD / (2.0 * math.sqrt(sys.dimension))
     tested = 0  # forward rows 1 .. tested have passed the escape test
-    # the stage states and the partial sums, one buffer each, none both
-    # read and written by one call (an in-place ufunc on a block of one
-    # scalar costs numpy twice a plain one), and an rhs that returns its
-    # stage state (k2 is y2) aliases no buffer still to be written
-    y2, y3, y4, scaled, part, total = np.empty((6, len(x0s), sys.dimension))
+    # the stage states, the stage slopes of a system with a delayed part
+    # and the partial sums, one buffer each, none both read and written
+    # by one call (an in-place ufunc on a block of one scalar costs numpy
+    # twice a plain one), and an rhs that returns its stage state (k2 is
+    # y2) aliases no buffer still to be written
+    y2, y3, y4, f2, f3, f4, scaled, part, total = np.empty(
+        (9, len(x0s), sys.dimension))
     two = np.array(2.0)
     # 0-d step constants by width: a 0-d factor costs numpy less than a
     # Python float, and its products are the same bits
@@ -768,15 +823,38 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
             half, whole, sixth = weights[step]
             y = values[i]
             k1 = derivs[i]
+            if delayed is not None:
+                # the half-step stage 2k + 1 and the full-step stage
+                # 2k + 2, each from the plan that holds it: a plan may
+                # hold a single stage
+                q = 2 * k + 1
+                if q >= hi:
+                    lo, hi, terms = plan(q, k, t_k + 0.5 * step)
+                d_half = terms[q - lo]
+                if q + 1 >= hi:
+                    lo, hi, terms = plan(q + 1, k, t_k + step)
+                d_full = terms[q + 1 - lo]
             np.add(y, np.multiply(half, k1, scaled), y2)
-            view.set_stage(k, t_k + 0.5 * step, y2)
-            k2 = np.asarray(rhs(view), dtype=float)
+            if instant is None:
+                view.set_stage(k, t_k + 0.5 * step, y2)
+                k2 = np.asarray(rhs(view), dtype=float)
+            else:
+                k2 = instant(y2) if d_half is None \
+                    else np.add(instant(y2), d_half, f2)
             np.add(y, np.multiply(half, k2, scaled), y3)
-            view.set_stage(k, t_k + 0.5 * step, y3)
-            k3 = np.asarray(rhs(view), dtype=float)
+            if instant is None:
+                view.set_stage(k, t_k + 0.5 * step, y3)
+                k3 = np.asarray(rhs(view), dtype=float)
+            else:
+                k3 = instant(y3) if d_half is None \
+                    else np.add(instant(y3), d_half, f3)
             np.add(y, np.multiply(whole, k3, scaled), y4)
-            view.set_stage(k, t_k + step, y4)
-            k4 = np.asarray(rhs(view), dtype=float)
+            if instant is None:
+                view.set_stage(k, t_k + step, y4)
+                k4 = np.asarray(rhs(view), dtype=float)
+            else:
+                k4 = instant(y4) if d_full is None \
+                    else np.add(instant(y4), d_full, f4)
             # y + (step / 6) (((k1 + 2 k2) + 2 k3) + k4), straight into
             # its window row
             np.add(k1, np.multiply(two, k2, scaled), part)
@@ -784,10 +862,16 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
             np.add(total, k4, part)
             y_next = values[i + 1]
             np.add(y, np.multiply(sixth, part, scaled), y_next)
-            # derivative at the fresh node: the step interior is still the
-            # linear overlay (its Hermite data needs this very derivative)
-            view.set_stage(k, t_k + step, y_next)
-            derivs[i + 1] = np.asarray(rhs(view), dtype=float)
+            # derivative at the fresh node, the next step's k1: the step
+            # interior is still the linear overlay (its Hermite data needs
+            # this very derivative); its delayed term is k4's
+            if instant is None:
+                view.set_stage(k, t_k + step, y_next)
+                derivs[i + 1] = np.asarray(rhs(view), dtype=float)
+            elif d_full is None:
+                derivs[i + 1] = instant(y_next)
+            else:
+                np.add(instant(y_next), d_full, derivs[i + 1])
             if (k + 1) % per and k + 1 < n_steps:
                 continue
             # one test of the interval's fresh nodes.  Rows are
@@ -822,10 +906,11 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 if not members:
                     break
                 values, derivs = values[:, keep], derivs[:, keep]
-                y2, y3, y4, scaled, part, total = np.empty(
-                    (6,) + values.shape[1:])
+                y2, y3, y4, f2, f3, f4, scaled, part, total = np.empty(
+                    (9,) + values.shape[1:])
                 view = _SolutionView([x0s[b] for b in members], values,
                                      derivs, h_eff, first, (n_full, tail))
+                hi = 0  # the planned terms are of the old members
             # no room for the rows up to the next test: hand on the
             # settled rows and keep the last delay interval
             if k + 1 < n_steps \
@@ -836,6 +921,7 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 derivs[:back] = derivs[start - first:i + 2]
                 first = view.first = start
                 view.plans.clear()  # a read of a dropped row is refused
+                hi = 0
     if members:
         hand_on(slice(None), n_steps + 1)
     return out

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import io
+import json
 import math
 from dataclasses import replace
 from unittest import mock
@@ -28,6 +29,11 @@ from delaystab.dde import (
     simulate,
     simulate_many,
     system_from_json_dict,
+)
+from delaystab.lyapunov import (
+    MonotoneGridFn,
+    check_growth_certificate,
+    weighted_sup,
 )
 from delaystab.sampler import SamplerConfig, sample_one
 from delaystab.segment import (
@@ -767,6 +773,207 @@ def test_integrator_output_is_pinned_bitwise(label, members, moving):
     of any trajectory fails here."""
     assert _pinned_digest(label, members, moving) \
         == PINNED_DIGESTS[label, members, moving]
+
+
+# the families with parts, as (family, params); at a = 12 histories of
+# norm 4 escape near t = 2.2 and of norm 1e-4 near t = 3, and quadratic
+# ones of norm 4 at once
+SPLIT_SYSTEMS = [
+    ("linear_scalar", PINNED_SYSTEMS["linear_scalar"]),
+    ("linear_scalar", PINNED_SYSTEMS["linear_scalar_b0"]),
+    ("linear_scalar", {"a": 12.0, "b": 0.3}),
+    ("linear_vector", PINNED_SYSTEMS["linear_vector"]),
+    ("saturating", PINNED_SYSTEMS["saturating"]),
+    ("quadratic", PINNED_SYSTEMS["quadratic"]),
+]
+
+
+def _view_twin(sys: DelaySystem) -> DelaySystem:
+    """The same rhs as a system without parts, integrated through the
+    block view."""
+    return DelaySystem(sys.name, sys.dimension, sys.delay_r, sys.rhs,
+                       sys.lipschitz_modulus)
+
+
+def _fourier_block(sys: DelaySystem, members: int, seed: int = 5,
+                   norms=(1.5, 0.5, 4.0)):
+    """members fourier histories of sys, of sup norms taken from norms in
+    turn."""
+    cfg = SamplerConfig(family="fourier", order=3,
+                        target_space=SpaceSpec.sup(), target_norm=1.0,
+                        dimension=sys.dimension, delay_r=sys.delay_r,
+                        seed=seed, n_nodes=33)
+    return [sample_one(replace(cfg, target_norm=norms[i % len(norms)]), i)
+            for i in range(members)]
+
+
+def _split_and_twin(name: str, params: dict, members: int, h: float,
+                    T: float, budget: int, seed: int):
+    """The runs of a family with parts and of its view twin on the same
+    fourier block, under a BLOCK_BYTES of budget: each as its whole
+    trajectories (escape_time, forward_times, forward_values and
+    forward_derivs as bytes) and as the pieces it hands on to take."""
+    split = make_system(name, 1.0, params)
+    twin = _view_twin(split)
+    assert split.parts is not None and twin.parts is None
+    x0s = _fourier_block(split, members, seed, norms=(1.5, 0.5, 4.0, 1e-4))
+
+    def run(sys):
+        pieces = []
+        with mock.patch.object(dde, "BLOCK_BYTES", budget):
+            whole = simulate_many(sys, x0s, T, h)
+            simulate_many(sys, x0s, T, h, take=lambda piece: pieces.extend(
+                (b, piece.first_row, piece.final, piece.escape_time,
+                 piece.forward_values[:, pos].tobytes(),
+                 piece.forward_derivs[:, pos].tobytes())
+                for pos, b in enumerate(piece.members)))
+        return [(t.escape_time, t.forward_times.tobytes(),
+                 t.forward_values.tobytes(), t.forward_derivs.tobytes())
+                for t in whole], pieces
+
+    return run(split), run(twin)
+
+
+def test_split_families_integrate_as_their_view_twins():
+    """A family with parts integrates, through its delayed terms applied a
+    plan at a time, to the bits of its own rhs integrated through the
+    block view: forward_values, forward_derivs and escape_time, as whole
+    trajectories and as the pieces of a window that moves, at B = 1, 4,
+    17 and 48, with a short final step, escaping members, and a
+    BLOCK_BYTES of 1 that leaves each plan a single stage."""
+    seen = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        (name, params), members, h, T, budget, seed = (
+            data.draw(st.sampled_from(SPLIT_SYSTEMS)),
+            data.draw(st.sampled_from([1, 4, 17, 48])),
+            data.draw(st.sampled_from([0.05, 0.1])),
+            data.draw(st.floats(0.3, 3.6)),
+            data.draw(st.sampled_from([1, dde.BLOCK_BYTES])),
+            data.draw(st.integers(0, 9)))
+        got, want = _split_and_twin(name, params, members, h, T, budget, seed)
+        assert got == want
+        if _mesh(T, h)[1] > 0.0:
+            seen.add("short final step")
+        if any(t[0] is not None for t in got[0]):
+            seen.add("escape")
+        if budget == 1 and any(first > 0 for _, first, *_ in got[1]):
+            seen.add("moved")
+        seen.add(members)
+
+    check()
+    assert {1, 4, 17, 48, "short final step", "escape", "moved"} <= seen
+
+
+def test_split_family_member_escapes_inside_a_plan():
+    """Members escape while the rest of their block carries on: at a = 12
+    some members of this block escape in (2, 3], found by the test after
+    step 59, while the plan of delayed terms made at stage 118 still
+    holds the next stages.  The others go on, with their own terms,
+    bitwise as in the view twin, and escape after t = 3."""
+    got, want = _split_and_twin("linear_scalar", {"a": 12.0, "b": 0.3}, 8,
+                                0.05, 3.6, dde.BLOCK_BYTES, 3)
+    assert got == want
+    escapes = sorted(t[0] for t in got[0])
+    assert 2.0 < escapes[0] <= 3.0 < escapes[-1]
+
+
+def test_split_families_read_the_view_only_to_plan(monkeypatch):
+    """A block of a family with parts makes no point or array read of
+    the view: its delayed terms come from one _plan call per span of
+    stages (a family without a delayed part makes none).  A user-built
+    system and distributed_linear read through the view."""
+    calls = {}
+
+    def counted(name):
+        method = getattr(_SolutionView, name)
+
+        def wrapper(self, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return method(self, *args)
+        return wrapper
+
+    for name in ("value_at_point", "value_at", "_planned", "_plan"):
+        monkeypatch.setattr(_SolutionView, name, counted(name))
+    budget = 1 << 16
+    monkeypatch.setattr(dde, "BLOCK_BYTES", budget)
+    T, h, members = 3.537, 0.05, 4
+    n_full, tail = _mesh(T, h)
+    assert tail > 0.0  # a short final step
+    steps = n_full + 1
+    stages = 2 * steps + 1
+    for name, params in SPLIT_SYSTEMS:
+        sys = make_system(name, 1.0, params)
+        calls.clear()
+        simulate_many(sys, _fourier_block(sys, members, norms=(0.5,)), T, h)
+        assert "value_at_point" not in calls and "value_at" not in calls
+        assert "_planned" not in calls
+        if sys.parts[1] is None:
+            assert "_plan" not in calls
+        else:
+            # a plan's reads fit BLOCK_BYTES // 64 (see _SolutionView._plan)
+            span = budget // (512 * members * sys.dimension)
+            assert 0 < calls["_plan"] <= math.ceil(stages / span)
+    user = DelaySystem("user", 1, 1.0, lambda seg: -seg.value_at_point(-0.5),
+                       lambda R: 1.0)
+    for sys in (user, make_system("distributed_linear", 1.0,
+                                  PINNED_SYSTEMS["distributed_linear"])):
+        calls.clear()
+        simulate_many(sys, _fourier_block(sys, members, norms=(0.5,)), T, h)
+        assert calls["_planned"] >= 4 * steps
+
+
+@pytest.mark.parametrize("name, params", SPLIT_SYSTEMS)
+def test_split_family_rhs_is_its_parts(name, params):
+    """On a segment, the rhs of a family with parts is bitwise instant at
+    x(0) plus delayed at x(-r), or instant alone without a delayed part."""
+    sys = make_system(name, 1.0, params)
+    instant, delayed = sys.parts
+    assert (delayed is None) == (name == "quadratic" or params.get("b") == 0)
+    for seg in _fourier_block(sys, 20, seed=2, norms=(0.5, 4.0, 1.5, 30.0)):
+        want = instant(seg.value_at_point(0.0))
+        if delayed is not None:
+            want = want + delayed(seg.value_at_point(-sys.delay_r))
+        assert np.asarray(sys.rhs(seg)).tobytes() == want.tobytes()
+
+
+# lipschitz_probe(sys, 1.5, 20, seed=3).hex() and the sha256 of the JSON
+# of check_growth_certificate(sys, weighted_sup(1), a(s) = s / e, mu = 2,
+# 6 samples, T = 1, seed = 1), recorded before the families were split
+# into parts
+SEGMENT_CALLER_REPORTS = {
+    "linear_scalar": (
+        "0x1.32c1a14358f2dp+0",
+        "f2024393703085c5a6e151073e7214e9c9a2c8d32f22e8c63aa27b540b0717ee"),
+    "linear_scalar_b0": (
+        "0x1.0000000000000p+0",
+        "3133b4ac37db3daa93df90867a438790143663040e67def97018423376ddf04b"),
+    "linear_vector": (
+        "0x1.6102f36a90b71p+0",
+        "4dd3e4689fbf4dc889b38c79fcc0baf410d9f89a640f4834e1ab5d52f9c7fd3d"),
+    "saturating": (
+        "0x1.510adf4b0622fp+0",
+        "a83b084866873dd6b17fd0ec9ab224795b2a7b6c2490cb08dfd98faf5596dd54"),
+    "quadratic": (
+        "0x1.b1a3d0dcb3cc8p+0",
+        "bae07674c5937f6dee69d85473917d8a4589735455a882f164faa67a6189f418"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SEGMENT_CALLER_REPORTS))
+def test_segment_callers_of_split_families_keep_their_reports(label):
+    """lipschitz_probe and the growth check's head slopes call rhs on
+    segments; for the families with parts they report the recorded
+    bits."""
+    sys = make_system(label.removesuffix("_b0"), 1.0, PINNED_SYSTEMS[label])
+    rep = check_growth_certificate(
+        sys, weighted_sup(1.0), MonotoneGridFn.linear(EXP_MINUS_ONE), 2.0, 6,
+        T=1.0, seed=1)
+    doc = json.dumps(rep.to_json_dict(), sort_keys=True).encode()
+    assert (lipschitz_probe(sys, 1.5, 20, seed=3).hex(),
+            hashlib.sha256(doc).hexdigest()) == SEGMENT_CALLER_REPORTS[label]
 
 
 def test_window_pieces_are_the_whole_trajectories(monkeypatch):
