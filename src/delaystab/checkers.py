@@ -141,26 +141,20 @@ def _covered(traj: Trajectory | _Block, times) -> int:
     return int(past[0]) if past.size else len(times)
 
 
-def _segment_stacks(piece: _Block, times, seg_nodes: int,
-                    at: int | None = None, backward: bool = False):
+def _segment_stacks(piece: _Block, pos: int, times, seg_nodes: int):
     """Yield (s, values, derivs): the node data of the segments x_t of
-    each member of the piece (of the member at position at alone, if
-    given) at the times of times, member by member, stacked (K, seg_nodes,
-    n), K times at a time as dde._segment_chunk allows: from the first
-    time on, or with backward from the last time back, so that the last
-    stack holds the first times.  A stack holds one member's times, as
-    that member's own read would: stacks across members grow the
-    temporaries of small reads (40 Dini ladders of 6 rungs in stacks of
-    31 took 930 KB at peak, not 212 KB) and join rows that prune different
-    Hoelder lags (their lag visits rose by two thirds)."""
+    the member at position pos of the piece at the times of times,
+    stacked (K, seg_nodes, n), K times at a time as dde._segment_chunk
+    allows, from the last time back, so that the last stack holds the
+    first times.  A stack holds one member's times, as that member's own
+    read would: stacks across members grow the temporaries of small reads
+    (40 Dini ladders of 6 rungs in stacks of 31 took 930 KB at peak, not
+    212 KB) and join rows that prune different Hoelder lags (their lag
+    visits rose by two thirds)."""
     times = np.asarray(times, dtype=float)
     size = _segment_chunk(seg_nodes, piece.system.dimension)
-    spans = ([slice(max(0, hi - size), hi)
-              for hi in range(times.size, 0, -size)] if backward
-             else [slice(lo, lo + size) for lo in range(0, times.size, size)])
-    for pos in range(len(piece.members)) if at is None else (at,):
-        for span in spans:
-            yield _block_nodes(piece, pos, times[span], seg_nodes)
+    for hi in range(times.size, 0, -size):
+        yield _block_nodes(piece, pos, times[max(0, hi - size):hi], seg_nodes)
 
 
 def _track(traj: Trajectory, times, seg_nodes: int | None,
@@ -183,15 +177,15 @@ def _block_track(piece: _Block, times, seg_nodes: int | None,
     Times past the covered end (escape) give +inf.  Without lam, evaluate
     takes stacked segments, (r, nodes, values, derivs) with node data
     (K, seg_nodes, n), to K values (or K arrays of one shape), and the
-    track reads each member's times a chunk at a time through
-    _segment_stacks (each row bitwise segment_at), so each value is
-    evaluate of x_t alone whatever the chunk.
+    track reads the members in order, each from the last time back a
+    chunk at a time through _segment_stacks (each row bitwise
+    segment_at), so each value is evaluate of x_t alone whatever the
+    chunk.
 
     With a level, evaluate gives one value a segment, exact only in how
     it compares with the level (see _norm_read), and the track keeps only
-    what the suffix max of the piece's peak over its members needs.  The
-    members read in order, each from the last time back a stack at a
-    time, and stop after the first stack that holds a value above the
+    what the suffix max of the piece's peak over its members needs.  A
+    member stops after the first stack that holds a value above the
     level (or NaN); no member reads a time at or before the latest such
     value found so far in the piece, and no time is read if the piece
     ends before the last time.  Times left unread are +inf, which is
@@ -212,29 +206,23 @@ def _block_track(piece: _Block, times, seg_nodes: int | None,
         return _window_maxima(piece, t, len(times), lam)
     members = len(piece.members)
     r = piece.system.delay_r
-    if level is not None:
-        out = np.full((members, len(times)), np.inf)
-        floor = 0 if covered == len(times) else covered  # first time to read
-        for pos in range(members):
-            hi = covered
-            for s, vals, ders in _segment_stacks(piece, t[floor:], seg_nodes,
-                                                 pos, backward=True):
-                got = evaluate(r, s, vals, ders)
-                lo = hi - got.size
-                out[pos, lo:hi] = got
+    out = np.full((members, len(times)), np.inf)
+    floor = 0 if level is None or covered == len(times) else covered
+    for pos in range(members):
+        hi = covered
+        for s, vals, ders in _segment_stacks(piece, pos, t[floor:],
+                                             seg_nodes):
+            got = evaluate(r, s, vals, ders)
+            if out.shape[2:] != got.shape[1:]:  # values of evaluate's shape
+                out = np.full(out.shape[:2] + got.shape[1:], np.inf)
+            lo = hi - got.shape[0]
+            out[pos, lo:hi] = got
+            hi = lo
+            if level is not None:
                 above = np.flatnonzero(~(got <= level))
                 if above.size:
                     floor = lo + int(above[-1]) + 1
                     break
-                hi = lo
-        return out
-    parts = [evaluate(r, s, vals, ders)
-             for s, vals, ders in _segment_stacks(piece, t, seg_nodes)]
-    if not parts:
-        return np.full((members, len(times)), np.inf)
-    got = np.concatenate(parts)
-    out = np.full((members, len(times)) + got.shape[1:], np.inf)
-    out[:, :covered] = got.reshape((members, covered) + got.shape[1:])
     return out
 
 

@@ -11,10 +11,12 @@ so results do not depend on how histories are grouped into blocks.  The
 forward mesh is chosen so that every multiple of the delay r is a mesh
 point; the derivative discontinuities that the method of steps propagates
 from t = 0 therefore always land on nodes and each step integrates smooth
-data.  Stages and :func:`segment_at` read x through the one Hermite formula
-of :mod:`segment` on the same cells, so each node of x_t left of its right
-end is bitwise the value a stage reads at that time once its step has
-settled.
+data.  Stages and :func:`segment_at` read x through the one cell read of
+:mod:`segment` on the same cells, history cells placed by its one locate
+rule, so each node of x_t left of its right end is bitwise the value a
+stage reads at that time once its step has settled.  That holds at u = 0
+too: a node of x_t at absolute time 0 reads the history's stored end
+node, as a stage's history read of that time does.
 
 Right-hand sides access the state only through ``value_at_point(s)`` /
 ``value_at(array)`` queries with s in [-r, 0], which keeps distributed
@@ -126,13 +128,11 @@ from .segment import (
     ParameterError,
     Segment,
     SpaceSpec,
+    _cell_reads,
     _check_keys,
     _field,
-    _hermite,
-    _hermite_slope,
     _integer,
     _locate,
-    _points_read,
     _quadrature_weights,
     _real,
     _reals,
@@ -471,47 +471,50 @@ class _SolutionView:
 
     Queries are relative to stage_time: s in [-r, 0] maps to absolute time
     stage_time + s, the same for every member.  Absolute times at or before
-    settled_time use dense output (the stacked history nodes or the forward
-    Hermite cells); later times lie in the overlap of the step being built
-    and interpolate linearly toward the running stage value.  values and
-    derivs are the block's window of dense output, time-major (rows, B, n):
-    row i holds forward node first + i of every member.  A forward read
-    locates its cell j by its absolute time, as over the whole horizon, and
-    reads rows j - first and j + 1 - first; a read before the window's
-    first row is refused.  Reads return (B, n) for a point and (B, m, n)
-    for an array of m times, by the rules of the scalar reads.
+    settled_time use dense output (the stacked history nodes, located by
+    segment's rule on their shared nodes, or the forward Hermite cells);
+    later times lie in the overlap of the step being built and interpolate
+    linearly toward the running stage value.  values and derivs are the
+    block's window of dense output, time-major (rows, B, n): row i holds
+    forward node first + i of every member.  A forward read locates its
+    cell j by its absolute time, as over the whole horizon, and reads rows
+    j - first and j + 1 - first; a read before the window's first row is
+    refused.  Reads return (B, m, n) for an array of m times; a point read
+    at s = 0 is the stage value, at any other s the array read of s alone,
+    (B, n).
 
     Dense reads are planned a span of stages ahead.  mesh, the block's
     full steps and short final step as _mesh gives them, fixes its
     schedule: stage 0 at time 0, then stages 2k + 1 and 2k + 2 at
     t_k + step / 2 and t_k + step of step k, both with k steps settled,
     by the integrator's own arithmetic, so a stage time names its stage.
-    A read whose key (s for a point, the bytes of s for an array) has no
-    plan that holds the current stage time makes one: its dense reads at
-    this stage and at every later stage whose forward cells have both rows
-    settled now, at most as many as fit a plan's share of BLOCK_BYTES, in
-    one vectorised Hermite call.  Each is the scalar read's formula on the
-    same cell and fraction, so it is bitwise the read made at its own
-    stage.  A view without a mesh plans the current stage alone and drops
-    its plans when set_stage moves the stage; the integrator drops them
-    when the window moves, so that a read the window no longer holds is
-    refused as before.  Late reads follow stage_value and are made afresh
-    on every call: a late point read is not planned, and an array read
-    copies its planned row and fills its late columns.  Planned reads are
-    read-only.  The integrator's parts path calls _plan at -r itself,
-    after set_stage to the stage the plan starts at, and keeps the plan
-    outside plans.
+    A read whose times (keyed by their bytes) have no plan that holds the
+    current stage time makes one: its dense reads at this stage and at
+    every later stage whose forward cells have both rows settled now, at
+    most as many as fit a plan's share of BLOCK_BYTES, in one vectorised
+    Hermite call.  Each is the one-stage read's formula on the same cell
+    and fraction, so it is bitwise the read made at its own stage.  A
+    view without a mesh plans the current stage alone and drops its plans
+    when set_stage moves the stage; the integrator drops them when the
+    window moves, so that a read the window no longer holds is refused as
+    before.  Late reads follow stage_value and are made afresh on every
+    call: a read copies its planned row and fills its late columns.
+    Planned reads are read-only.  The integrator's parts path calls _plan
+    at -r itself, after set_stage to the stage the plan starts at, and
+    keeps the plan outside plans.
     """
 
-    __slots__ = ("delay_r", "dim", "h", "hist_values", "hist_derivs",
-                 "values", "derivs", "first", "settled", "settled_time",
-                 "stage_time", "stage_value", "mesh", "plans")
+    __slots__ = ("delay_r", "dim", "h", "hist_nodes", "hist_values",
+                 "hist_derivs", "values", "derivs", "first", "settled",
+                 "settled_time", "stage_time", "stage_value", "mesh",
+                 "plans")
 
     def __init__(self, histories, values, derivs, h: float, first: int = 0,
                  mesh: tuple[int, float] | None = None):
         self.delay_r = histories[0].delay_r
         self.dim = histories[0].dim
         self.h = h
+        self.hist_nodes = histories[0].nodes
         self.hist_values = np.stack([x.values for x in histories])
         self.hist_derivs = np.stack([x.derivs for x in histories])
         self.values = values
@@ -539,16 +542,15 @@ class _SolutionView:
             raise ParameterError("right-hand side read x before t - r")
         return j - self.first
 
-    def _planned(self, key, s) -> np.ndarray:
-        """The planned read of key at the current stage: (B, n) for a
-        point s, (B, m, n) for an array."""
+    def _planned(self, s: np.ndarray) -> np.ndarray:
+        """The planned read of the times s, (m,), at the current stage,
+        (B, m, n)."""
+        key = s.tobytes()
         plan = self.plans.get(key)
         row = None if plan is None else plan[0].get(self.stage_time)
         if row is None:
-            rows, reads = self._plan(np.atleast_1d(s))
-            plan = self.plans[key] = \
-                rows, reads if np.ndim(s) else reads[:, :, 0]
-            row = rows[self.stage_time]
+            plan = self.plans[key] = self._plan(s)
+            row = plan[0][self.stage_time]
         return plan[1][row]
 
     def _plan(self, s: np.ndarray):
@@ -591,35 +593,27 @@ class _SolutionView:
         reads = np.empty((stop, B, s.size, self.dim))
         by_time = reads.transpose(0, 2, 1, 3)
         if hist.any():
-            by_time[hist] = _points_read(
-                self.hist_values, self.hist_derivs, self.delay_r,
-                u[hist]).transpose(1, 0, 2)
+            by_time[hist] = _cell_reads(
+                self.hist_values, self.hist_derivs,
+                *_locate(self.delay_r, self.hist_nodes, u[hist]))[0] \
+                .transpose(1, 0, 2)
         if fwd.any():
             uf, jf = u[fwd], j[fwd]
             self._row(int(jf.min()))
-            i = jf - self.first
-            by_time[fwd] = _hermite(self.values[i], self.derivs[i],
-                                    self.values[i + 1], self.derivs[i + 1],
-                                    ((uf - jf * h) / h)[:, None, None], h)
+            by_time[fwd] = _cell_reads(
+                self.values.transpose(1, 0, 2), self.derivs.transpose(1, 0, 2),
+                jf - self.first, (uf - jf * h) / h, h)[0].transpose(1, 0, 2)
         reads.flags.writeable = False
         return dict(zip(times[:stop].tolist(), range(stop))), reads
 
     def value_at_point(self, s: float) -> np.ndarray:
         if s == 0.0:  # u = stage_time, at or past settled_time
             return self.stage_value
-        u = self.stage_time + s
-        if u >= self.settled_time:
-            gap = self.stage_time - self.settled_time
-            if gap <= 0.0 or u >= self.stage_time:
-                return self.stage_value
-            w = (u - self.settled_time) / gap
-            return (1.0 - w) * self.values[self.settled - self.first] \
-                + w * self.stage_value
-        return self._planned(s, s)
+        return self.value_at(s)[:, 0]
 
     def value_at(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = self._planned(s.tobytes(), s)
+        out = self._planned(s)
         u = self.stage_time + s
         late = u >= self.settled_time
         if late.any():
@@ -967,26 +961,24 @@ def _block_nodes(piece: _Block, pos: int, times: np.ndarray, n_nodes: int):
     hist = u <= 1e-14 * r
     if np.any(hist):
         hr = piece.hist_r
-        j, f, w = _locate(hr, piece.hist_nodes, np.clip(u[hist], -hr, 0.0))
-        hv, hd = piece.hist_values[pos], piece.hist_derivs[pos]
-        cell = (hv[j], hd[j], hv[j + 1], hd[j + 1], f[:, None], w)
-        vals[hist] = _hermite(*cell)
-        ders[hist] = _hermite_slope(*cell)
+        vals[hist], ders[hist] = _cell_reads(
+            piece.hist_values[pos], piece.hist_derivs[pos],
+            *_locate(hr, piece.hist_nodes, np.clip(u[hist], -hr, 0.0)),
+            slopes=True)
     fwd = ~hist
     if np.any(fwd):
         # the integrator's cells: width h, a short final step its own
         h = piece.step_h
-        fv, fd = piece.forward_values, piece.forward_derivs
         n_full, tail = _mesh(end, h)
         q = np.minimum(u[fwd], end)
-        j = np.minimum((q / h).astype(int), piece.first_row + fv.shape[0] - 2)
+        j = np.minimum((q / h).astype(int),
+                       piece.first_row + piece.forward_values.shape[0] - 2)
         width = np.where(j < n_full, h, tail)
         i = j - piece.first_row
         assert i.min() >= 0, "read before the first row of a piece"
-        cell = (fv[i, pos], fd[i, pos], fv[i + 1, pos], fd[i + 1, pos],
-                ((q - j * h) / width)[:, None], width[:, None])
-        vals[fwd] = _hermite(*cell)
-        ders[fwd] = _hermite_slope(*cell)
+        vals[fwd], ders[fwd] = _cell_reads(
+            piece.forward_values[:, pos], piece.forward_derivs[:, pos], i,
+            (q - j * h) / width, width[:, None], slopes=True)
     return s, vals, ders
 
 

@@ -9,10 +9,12 @@ integral quantities are quadrature approximations; both are exact statements
 about the concrete piecewise-cubic function the segment represents, which is
 what keeps the inequality checks in the rest of the toolkit honest.
 
-One value and one slope formula (``_hermite``, ``_hermite_slope``) serve
-every read of x here, in the integrator and in ``dde.segment_at``, so two
-reads of one time agree bitwise.  The exception is the right window end:
-``value_at(0)`` interpolates at u ~ 1, ``value_at_point(0)`` returns the node.
+One rule places a time in a history cell (``_locate``), and one cell
+read (``_cell_reads``, by the value and slope formulas ``_hermite`` and
+``_hermite_slope``) serves every read of x here, in the integrator and in
+``dde.segment_at``, so two reads of one time agree bitwise; a time at or
+past a window end reads the end node and slope themselves, signed zeros
+included.  ``_point_read`` is the scalar fast path of the same rule.
 
 The norm kernels work on stacks: K segments on one node grid, as
 (K, N + 1, n) node data, are refined and normed at once by ``_norms``,
@@ -247,57 +249,56 @@ def _hermite_slope(v0, d0, v1, d1, u, h):
     return g00 * v0 + g10 * d0 + g01 * v1 + g11 * d1
 
 
-def _point_read(values, derivs, r: float, s: float):
-    """x(s) from uniform nodes on [-r, 0] by the scalar cell rule.
+def _locate(r: float, nodes, s: np.ndarray):
+    """The one rule that places times in a history cell: each time of the
+    array s in [-r, 0] lies in cell j of the uniform nodes from -r to 0,
+    at fraction u = (s - nodes[j]) / h of its width h.  The times s <= -r
+    and s >= 0 read the end nodes themselves: ends holds their positions
+    in s and the index of their node, 0 or -1."""
+    h = r / (nodes.size - 1)
+    j = np.clip(((s + r) / h).astype(int), 0, nodes.size - 2)
+    at = np.flatnonzero((s <= -r) | (s >= 0.0))
+    return j, (s - nodes[j]) / h, h, (at, np.where(s[at] < 0.0, 0, -1))
+
+
+def _point_read(r: float, nodes, values, derivs, s: float):
+    """x(s) at one time s by the rule of _locate, bitwise its array read.
 
     The node axis is the second to last, so values (N + 1, n) give an (n,)
-    row and stacked nodes (B, N + 1, n) give (B, n).  s >= 0 and s <= -r
-    return the end nodes exactly.
+    row and stacked nodes (B, N + 1, n) give (B, n).
     """
     if s >= 0.0:
         return values[..., -1, :]
     if s <= -r:
         return values[..., 0, :]
-    cells = values.shape[-2] - 1
+    cells = nodes.size - 1
     h = r / cells
     j = min(int((s + r) / h), cells - 1)
     return _hermite(values[..., j, :], derivs[..., j, :],
                     values[..., j + 1, :], derivs[..., j + 1, :],
-                    (s - (j * h - r)) / h, h)
+                    (s - nodes[j]) / h, h)
 
 
-def _points_read(values, derivs, r: float, s: np.ndarray):
-    """:func:`_point_read` at each time of the array s, bitwise alike;
-    returns (m, n) or, for stacked nodes, (B, m, n)."""
-    cells = values.shape[-2] - 1
-    h = r / cells
-    j = np.clip(((s + r) / h).astype(int), 0, cells - 1)
-    out = _hermite(values[..., j, :], derivs[..., j, :],
-                   values[..., j + 1, :], derivs[..., j + 1, :],
-                   ((s - (j * h - r)) / h)[:, None], h)
-    out[..., s >= 0.0, :] = values[..., -1, None, :]
-    out[..., s <= -r, :] = values[..., 0, None, :]
-    return out
+def _cell_reads(values, derivs, j, u, h, ends=None, slopes: bool = False):
+    """x at fraction u of the cells j, each of width h, and x' if slopes
+    (else None): the one read of a cell's node rows.
 
-
-def _locate(r: float, nodes, s: np.ndarray):
-    """Cell index j, fraction u and width h of each time s in [-r, 0] on
-    the uniform nodes from -r to 0: the locate rule of every array read."""
-    h = r / (nodes.size - 1)
-    j = np.clip(((s + r) / h).astype(int), 0, nodes.size - 2)
-    return j, (s - nodes[j]) / h, h
-
-
-def _cells(values, derivs, j, u, h):
-    """Hermite cell data of the located times (j, u, h), in the order
-    _hermite takes.
-
-    Node rows (N + 1, n) give cell rows (m, n); stacked node data
-    (K, N + 1, n) give (K, m, n), each segment of the stack read by the
-    same formula on the same cells as it would be alone.
+    The node axis of values and derivs is the second to last: node rows
+    (N + 1, n) give reads (m, n), and stacked node data (K, N + 1, n)
+    give (K, m, n), each segment of the stack read by the same formula on
+    the same cells as it would be alone.  h is a scalar or an (m, 1)
+    column.  The times at ends, as _locate gives them, read their end
+    node and slope themselves.
     """
-    return (values[..., j, :], derivs[..., j, :], values[..., j + 1, :],
+    cell = (values[..., j, :], derivs[..., j, :], values[..., j + 1, :],
             derivs[..., j + 1, :], u[:, None], h)
+    reads = _hermite(*cell), _hermite_slope(*cell) if slopes else None
+    if ends is not None:
+        at, node = ends
+        for out, data in zip(reads, (values, derivs)):
+            if out is not None:
+                out[..., at, :] = data[..., node, :]
+    return reads
 
 
 def _refined_count(n_nodes: int, refine) -> int:
@@ -314,13 +315,13 @@ def _refined_count(n_nodes: int, refine) -> int:
 @lru_cache
 def _uniform_grid(r: float, node_bytes: bytes, count: int):
     """The count uniform times s from -r to 0 located on the nodes whose
-    float64 bytes are node_bytes, (s, j, u, h) with read-only arrays: pure
-    grid arithmetic, memoised, holding no data values."""
+    float64 bytes are node_bytes, (s, j, u, h, ends) with read-only
+    arrays: pure grid arithmetic, memoised, holding no data values."""
     s = np.linspace(-r, 0.0, count)
-    j, u, h = _locate(r, np.frombuffer(node_bytes), s)
-    for arr in (s, j, u):
+    j, u, h, ends = _locate(r, np.frombuffer(node_bytes), s)
+    for arr in (s, j, u, *ends):
         arr.setflags(write=False)
-    return s, j, u, h
+    return s, j, u, h, ends
 
 
 def _uniform_reads(r: float, nodes, values, derivs, count: int,
@@ -328,8 +329,7 @@ def _uniform_reads(r: float, nodes, values, derivs, count: int,
     """The count uniform times s from -r to 0, x at them and, if slopes,
     x' (else None); (m, n) reads for node rows, (K, m, n) for stacks."""
     s, *grid = _uniform_grid(r, nodes.tobytes(), count)
-    cells = _cells(values, derivs, *grid)
-    return s, _hermite(*cells), _hermite_slope(*cells) if slopes else None
+    return (s, *_cell_reads(values, derivs, *grid, slopes=slopes))
 
 
 @lru_cache
@@ -438,27 +438,29 @@ class Segment:
 
     # -- evaluation ----------------------------------------------------
 
-    def _cells(self, s):
-        """Hermite cell data of the times s, in the order _hermite takes."""
+    def _reads(self, s, slopes: bool):
+        """The cell reads of the times s (scalar or array)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         r = self.delay_r
         tol = 1e-9 * r
         if np.any(s < -r - tol) or np.any(s > tol):
             raise ParameterError("evaluation time outside [-r, 0]")
-        return _cells(self.values, self.derivs,
-                      *_locate(r, self.nodes, np.clip(s, -r, 0.0)))
+        return _cell_reads(self.values, self.derivs,
+                           *_locate(r, self.nodes, np.clip(s, -r, 0.0)),
+                           slopes=slopes)
 
     def value_at(self, s) -> np.ndarray:
         """Hermite value at times s (scalar or array); returns (m, n)."""
-        return _hermite(*self._cells(s))
+        return self._reads(s, False)[0]
 
     def deriv_at(self, s) -> np.ndarray:
         """Derivative of the Hermite interpolant at times s; returns (m, n)."""
-        return _hermite_slope(*self._cells(s))
+        return self._reads(s, True)[1]
 
     def value_at_point(self, s: float) -> np.ndarray:
         """Scalar-time fast path used by right-hand-side evaluation."""
-        return _point_read(self.values, self.derivs, self.delay_r, s)
+        return _point_read(self.delay_r, self.nodes, self.values,
+                           self.derivs, s)
 
     def refined(self, refine: int = DEFAULT_REFINE):
         """Sample grid, values and derivatives at refine points per cell."""
@@ -599,15 +601,18 @@ def _sup_norms(vals: np.ndarray) -> np.ndarray:
 
 
 def _lp_norms(ders: np.ndarray, p: float, spacing: float) -> np.ndarray:
-    """L^p norm of each segment's sampled derivative; p = inf the max."""
+    """L^p norm of each segment's sampled derivative; p = inf the max.
+
+    The weighted powers are laid out row by row (order="C"), so that numpy
+    sums each row pairwise in the order its length fixes and a value does
+    not depend on the other rows: a stack's reads are laid out sample by
+    sample, and a sum across that layout adds each row in sequence.
+    """
     mags = _euclid(ders)
     if math.isinf(p):
         return mags.max(axis=1)
     w = _quadrature_weights(mags.shape[1], spacing)
-    powered = mags ** p
-    # one dot of fresh rows a segment: the BLAS dot rounds differently on
-    # a row view that starts off the alignment of a fresh array
-    return np.array([np.dot(w, row.copy()) ** (1.0 / p) for row in powered])
+    return np.multiply(mags ** p, w, order="C").sum(axis=1) ** (1.0 / p)
 
 
 def _lag_maxima(vals: np.ndarray, k: int, width: int) -> np.ndarray:
@@ -783,8 +788,7 @@ def prolong(seg: Segment, f_value, h: float) -> Segment:
     new_ders = np.empty_like(seg.derivs)
     if np.any(old_side):
         q = np.minimum(shifted[old_side], 0.0)
-        new_vals[old_side] = seg.value_at(q)
-        new_ders[old_side] = seg.deriv_at(q)
+        new_vals[old_side], new_ders[old_side] = seg._reads(q, True)
     lin = ~old_side
     if np.any(lin):
         new_vals[lin] = seg.values[-1] + shifted[lin, None] * f

@@ -630,7 +630,7 @@ def test_planned_read_at_a_span_edge_reads_only_settled_rows():
         assert got.tobytes() == _one_stage(view).value_at_point(-r).tobytes()
         assert np.isfinite(got).all()
     # one plan served the stages up to the edge, another the edge on
-    rows, _ = view.plans[-r]
+    rows, _ = view.plans[np.array([-r]).tobytes()]
     assert min(rows) == 95 * h + h
 
 

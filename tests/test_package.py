@@ -127,6 +127,26 @@ def test_one_hoelder_kernel():
     assert not hasattr(delaystab.segment, "_lag_profiles")
 
 
+def test_one_locate_rule_and_one_cell_read():
+    """A time is placed in a history cell by segment._locate alone, for
+    segments, uniform refined reads, the integrator's history reads and
+    segment_at; the scalar fast path _point_read follows its rule and is
+    tested bitwise against it.  One cell read, segment._cell_reads,
+    gathers the node rows of every array read, history and forward, and
+    the Hermite formulas are called nowhere else."""
+    assert not hasattr(delaystab.segment, "_points_read")
+    assert not hasattr(delaystab.segment, "_cells")
+    readers = {("segment", "Segment"), ("dde", "_SolutionView"),
+               ("dde", "_block_nodes")}
+    assert _callers("_locate") == readers | {("segment", "_uniform_grid")}
+    assert _callers("_cell_reads") == readers | {("segment",
+                                                  "_uniform_reads")}
+    assert _callers("_hermite") == {("segment", "_cell_reads"),
+                                    ("segment", "_point_read")}
+    assert _callers("_hermite_slope") == {("segment", "_cell_reads")}
+    assert _callers("_point_read") == {("segment", "Segment")}
+
+
 def _passing(name: str, keyword: str, position: int) -> set:
     """(module, top-level function) pairs whose code calls `name`, or
     binds it with functools.partial, passing the parameter `keyword` by

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaystab import checkers, dde, lyapunov, segment
 from delaystab.segment import (
@@ -140,7 +142,7 @@ def test_value_at_point_matches_vectorized():
 @pytest.mark.parametrize("r", [1.0, 0.3, 0.04])
 def test_point_and_array_reads_agree_bitwise(family, r):
     # one Hermite formula serves both reads, so they agree to the last bit
-    # inside the window (the right end s = 0 is the documented exception)
+    # inside the window (the window ends are the next test's)
     rng = np.random.default_rng(11)
     cfg = SamplerConfig(family=family, order=3, target_space=SpaceSpec.sup(),
                         target_norm=1.0, dimension=2, delay_r=r, seed=5,
@@ -152,6 +154,76 @@ def test_point_and_array_reads_agree_bitwise(family, r):
         arr = seg.value_at(s)
         pts = np.array([seg.value_at_point(float(x)) for x in s])
         assert np.array_equal(arr, pts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_read_of_a_time_is_one_located_read(data):
+    """value_at, deriv_at, value_at_point, the refined reads and the
+    integrator's history reads place a time in its cell by one rule and
+    read the cell by one formula, so they agree bitwise at every time; at
+    both window ends they are the stored end nodes and slopes, signed
+    zeros included.  Nodes on the linspace grid or an ulp off it, dyadic
+    and non-dyadic delays.  An integrated history's node at absolute time
+    0 in segment_at(traj, t) is x0(0), for t = r and for a t < r at which
+    a node of x_t falls on time 0."""
+    r = data.draw(st.sampled_from([1.0, 0.5, 0.3, 0.04, 0.7]), label="r")
+    cells = data.draw(st.integers(2, 70), label="cells")
+    dim = data.draw(st.integers(1, 2), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    nodes = np.linspace(-r, 0.0, cells + 1)
+    if data.draw(st.booleans(), label="off the grid"):
+        toward = rng.integers(-1, 2, nodes.size)
+        nodes = np.where(toward == 0, nodes,
+                         np.nextafter(nodes, np.copysign(np.inf, toward)))
+    values = rng.standard_normal((cells + 1, dim))
+    derivs = rng.standard_normal((cells + 1, dim))
+    ends = st.sampled_from([-0.0, 0.0, 1.5, -2.25])
+    for data_rows in (values, derivs):
+        data_rows[0, 0], data_rows[-1, 0] = data.draw(ends), data.draw(ends)
+    seg = Segment(r, nodes, values, derivs)
+    end_times = np.array([-r, 0.0])
+    s = np.concatenate([end_times, [-0.0, np.nextafter(-r, 0.0),
+                                    np.nextafter(0.0, -1.0)],
+                        nodes[1:-1], rng.uniform(-r, 0.0, 40)])
+
+    def bits(a):
+        return np.asarray(a).tobytes()
+
+    vals, ders = seg.value_at(s), seg.deriv_at(s)
+    assert bits(vals) == bits([seg.value_at_point(float(x)) for x in s])
+    assert bits(vals[:2]) == bits(values[[0, -1]])
+    assert bits(ders[:2]) == bits(derivs[[0, -1]])
+    assert bits(seg.value_at(-0.0)) == bits(values[-1:])
+    for x, row in zip(end_times, (0, -1)):
+        assert bits(seg.value_at_point(x)) == bits(values[row])
+    refine = data.draw(st.integers(1, 9), label="refine")
+    grid, ref_vals, ref_ders = seg.refined(refine)
+    assert bits(ref_vals) == bits(seg.value_at(grid))
+    assert bits(ref_ders) == bits(seg.deriv_at(grid))
+    assert bits(seg._refined_values(refine)[1]) == bits(ref_vals)
+    assert bits(ref_vals[[0, -1]]) == bits(values[[0, -1]])
+    assert bits(ref_ders[[0, -1]]) == bits(derivs[[0, -1]])
+    # the integrator's history reads, at stage 0 of a block of one
+    window = np.zeros((4, 1, dim))
+    window[0, 0] = values[-1]
+    view = dde._SolutionView([seg], window, window.copy(), r / 10.0)
+    inside = s[s < 0.0]
+    assert bits(view.value_at(inside)) == bits(seg.value_at(inside)[None])
+    assert bits([view.value_at_point(float(x))[0] for x in inside]) \
+        == bits(vals[s < 0.0])
+    # an integrated history at absolute time 0
+    sys = dde.make_system("linear_scalar" if dim == 1 else "linear_vector",
+                          r, {"a": -1.0, "b": 0.3} if dim == 1 else
+                          {"A0": [[-1.0, 0.2], [0.1, -1.5]],
+                           "A1": [[0.3, 0.0], [0.1, 0.2]]})
+    traj = dde.simulate(sys, seg, r, r / 10.0)
+    k = data.draw(st.integers(1, cells - 1), label="node at time 0")
+    at = -np.linspace(-r, 0.0, cells + 1)[k]  # x_at has node k at time 0
+    for t, node in ((r, 0), (at, k)):
+        x_t = dde.segment_at(traj, t)
+        assert bits(x_t.values[node]) == bits(values[-1])
+        assert bits(x_t.derivs[node]) == bits(derivs[-1])
 
 
 def test_evaluation_outside_window_raises():
