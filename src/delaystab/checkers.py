@@ -141,20 +141,27 @@ def _covered(traj: Trajectory | _Block, times) -> int:
     return int(past[0]) if past.size else len(times)
 
 
-def _segment_stacks(piece: _Block, pos: int, times, seg_nodes: int):
-    """Yield (s, values, derivs): the node data of the segments x_t of
-    the member at position pos of the piece at the times of times,
-    stacked (K, seg_nodes, n), K times at a time as dde._segment_chunk
-    allows, from the last time back, so that the last stack holds the
-    first times.  A stack holds one member's times, as that member's own
-    read would: stacks across members grow the temporaries of small reads
-    (40 Dini ladders of 6 rungs in stacks of 31 took 930 KB at peak, not
-    212 KB) and join rows that prune different Hoelder lags (their lag
-    visits rose by two thirds)."""
+def _segment_stacks(piece: _Block, at: slice, times, seg_nodes: int):
+    """Yield (rows, cols, s, values, derivs): the node data of the
+    segments x_t of the members at positions rows of the piece at the
+    times times[cols], stacked member by member as (M K, seg_nodes, n),
+    for the members at positions at (a slice), at most
+    dde._segment_chunk (member, time) pairs a stack.  When a member's
+    times fit a stack, a stack takes all the times of as many members as
+    fit; otherwise it takes one member's times a chunk at a time, from
+    the last time back, so that the member's last stack holds its first
+    times."""
     times = np.asarray(times, dtype=float)
     size = _segment_chunk(seg_nodes, piece.system.dimension)
-    for hi in range(times.size, 0, -size):
-        yield _block_nodes(piece, pos, times[max(0, hi - size):hi], seg_nodes)
+    group = max(1, size // max(1, times.size))
+    first, stop, _ = at.indices(len(piece.members))
+    for a in range(first, stop, group):
+        rows = slice(a, min(a + group, stop))
+        for hi in range(times.size, 0, -size):
+            cols = slice(max(0, hi - size), hi)
+            s, vals, ders = _block_nodes(piece, rows, times[cols], seg_nodes)
+            yield (rows, cols, s, vals.reshape((-1,) + vals.shape[2:]),
+                   ders.reshape((-1,) + ders.shape[2:]))
 
 
 def _track(traj: Trajectory, times, seg_nodes: int | None,
@@ -177,20 +184,22 @@ def _block_track(piece: _Block, times, seg_nodes: int | None,
     Times past the covered end (escape) give +inf.  Without lam, evaluate
     takes stacked segments, (r, nodes, values, derivs) with node data
     (K, seg_nodes, n), to K values (or K arrays of one shape), and the
-    track reads the members in order, each from the last time back a
-    chunk at a time through _segment_stacks (each row bitwise
-    segment_at), so each value is evaluate of x_t alone whatever the
-    chunk.
+    track reads the piece's members together through _segment_stacks,
+    as many (member, time) pairs a stack as dde._segment_chunk allows
+    (each row bitwise segment_at), so each value is evaluate of x_t alone
+    whatever the stack.
 
     With a level, evaluate gives one value a segment, exact only in how
     it compares with the level (see _norm_read), and the track keeps only
     what the suffix max of the piece's peak over its members needs.  A
-    member stops after the first stack that holds a value above the
-    level (or NaN); no member reads a time at or before the latest such
-    value found so far in the piece, and no time is read if the piece
-    ends before the last time.  Times left unread are +inf, which is
-    above the level, so the suffix max of the peak compares with the
-    level at every time as that of exact reads does.
+    stack then holds one member's times: stacks across members join rows
+    that prune different Hoelder lags, and their lag visits rose by two
+    thirds.  A member stops after the first stack that holds a value
+    above the level (or NaN); no member reads a time at or before the
+    latest such value found so far in the piece, and no time is read if
+    the piece ends before the last time.  Times left unread are +inf,
+    which is above the level, so the suffix max of the peak compares with
+    the level at every time as that of exact reads does.
 
     With lam the value is the window max of e^(lam s)|x_t(s)| (see
     _window_maxima).
@@ -208,20 +217,20 @@ def _block_track(piece: _Block, times, seg_nodes: int | None,
     r = piece.system.delay_r
     out = np.full((members, len(times)), np.inf)
     floor = 0 if level is None or covered == len(times) else covered
-    for pos in range(members):
-        hi = covered
-        for s, vals, ders in _segment_stacks(piece, pos, t[floor:],
-                                             seg_nodes):
+    groups = [slice(None)] if level is None \
+        else [slice(pos, pos + 1) for pos in range(members)]
+    for at in groups:
+        for rows, cols, s, vals, ders in _segment_stacks(piece, at, t[floor:],
+                                                         seg_nodes):
             got = evaluate(r, s, vals, ders)
             if out.shape[2:] != got.shape[1:]:  # values of evaluate's shape
                 out = np.full(out.shape[:2] + got.shape[1:], np.inf)
-            lo = hi - got.shape[0]
-            out[pos, lo:hi] = got
-            hi = lo
+            out[rows, floor + cols.start:floor + cols.stop] = got.reshape(
+                (-1, cols.stop - cols.start) + got.shape[1:])
             if level is not None:
                 above = np.flatnonzero(~(got <= level))
                 if above.size:
-                    floor = lo + int(above[-1]) + 1
+                    floor += cols.start + int(above[-1]) + 1
                     break
     return out
 

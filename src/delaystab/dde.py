@@ -103,14 +103,14 @@ of delay intervals.  A window that holds the horizon is a single chunk.
 A block sized by whole horizons instead (``whole``) is one chunk.
 
 Segments x_t are read the same way: ``_block_nodes`` gathers the node
-values and slopes of x_t for many times t of one member of a piece as
-one (K, N + 1, n) stack, and a whole trajectory is read as the block of
-one that holds it (``_block_of``): ``_segment_nodes`` stacks its times
-and :func:`segment_at` is their batch of one.  Norm tracks read their
-times in chunks of the most whose refined values fit BLOCK_BYTES // 8
-(``_segment_chunk``), and window maxima take their members in groups
-whose candidates fit the same share (``_stack_chunk``), so the reads of
-a block stay memory-bounded too.
+values and slopes of x_t for many times t of many members of a piece as
+one (M, K, N + 1, n) stack, and a whole trajectory is read as the block
+of one that holds it (``_block_of``): ``_segment_nodes`` stacks its
+times and :func:`segment_at` is their batch of one.  Norm tracks read
+(member, time) pairs in stacks of the most whose refined values fit
+BLOCK_BYTES // 8 (``_segment_chunk``), and window maxima take their
+members in groups whose candidates fit the same share
+(``_stack_chunk``), so the reads of a block stay memory-bounded too.
 """
 
 from __future__ import annotations
@@ -941,28 +941,33 @@ def _segment_nodes(traj: Trajectory, times: np.ndarray, n_nodes: int):
     node values and slopes of x_t there for every t of times, stacked as
     (K, n_nodes, n): row k is bitwise the nodes of segment_at(traj,
     times[k], n_nodes).  The batch of one of :func:`_block_nodes`."""
-    return _block_nodes(_block_of(traj), 0, times, n_nodes)
+    s, vals, ders = _block_nodes(_block_of(traj), slice(0, 1), times, n_nodes)
+    return s, vals[0], ders[0]
 
 
-def _block_nodes(piece: _Block, pos: int, times: np.ndarray, n_nodes: int):
+def _block_nodes(piece: _Block, at: slice, times: np.ndarray, n_nodes: int):
     """The node times s of the uniform grid of n_nodes on [-r, 0] and the
-    node values and slopes of x_t there of the member at position pos of
-    the piece for every t of times, stacked as (K, n_nodes, n).  The
-    piece must hold every row the reads take: the cells are those of the
-    whole trajectory, at the same absolute indices."""
+    node values and slopes of x_t there of the members at positions at
+    (a slice) of the piece for every t of times, stacked as (M, K,
+    n_nodes, n).  Each member's rows are the same Hermite formula on the
+    same cells as its read alone, so every row is bitwise that of the
+    member's own read.  The piece must hold every row the reads take:
+    the cells are those of the whole trajectory, at the same absolute
+    indices."""
     r = piece.system.delay_r
     end = piece.end_time
     if not np.all((-1e-12 * r <= times) & (times <= end + 1e-12 * r)):
         raise ParameterError("segment time outside the covered range")
     s = np.linspace(-r, 0.0, n_nodes)
     u = np.minimum(np.maximum(times, 0.0), end)[:, None] + s
-    vals = np.empty(u.shape + (piece.system.dimension,))
+    hist_values = piece.hist_values[at]
+    vals = np.empty((len(hist_values),) + u.shape + (piece.system.dimension,))
     ders = np.empty_like(vals)
     hist = u <= 1e-14 * r
     if np.any(hist):
         hr = piece.hist_r
-        vals[hist], ders[hist] = _cell_reads(
-            piece.hist_values[pos], piece.hist_derivs[pos],
+        vals[:, hist], ders[:, hist] = _cell_reads(
+            hist_values, piece.hist_derivs[at],
             *_locate(hr, piece.hist_nodes, np.clip(u[hist], -hr, 0.0)),
             slopes=True)
     fwd = ~hist
@@ -976,8 +981,9 @@ def _block_nodes(piece: _Block, pos: int, times: np.ndarray, n_nodes: int):
         width = np.where(j < n_full, h, tail)
         i = j - piece.first_row
         assert i.min() >= 0, "read before the first row of a piece"
-        vals[fwd], ders[fwd] = _cell_reads(
-            piece.forward_values[:, pos], piece.forward_derivs[:, pos], i,
+        vals[:, fwd], ders[:, fwd] = _cell_reads(
+            piece.forward_values[:, at].transpose(1, 0, 2),
+            piece.forward_derivs[:, at].transpose(1, 0, 2), i,
             (q - j * h) / width, width[:, None], slopes=True)
     return s, vals, ders
 

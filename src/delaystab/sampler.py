@@ -157,13 +157,10 @@ def _waves(r: float, n_nodes: int, order: int):
 
 
 def _fourier_block(cfg: SamplerConfig, rngs: list):
-    """Per component a constant, then each harmonic's two coefficients."""
-    coef = np.empty((len(rngs), cfg.dimension, 2 * cfg.order + 1))
-    for c, rng in zip(coef, rngs):
-        for row in c:
-            row[0] = rng.standard_normal()
-            for k in range(cfg.order):
-                row[2 * k + 1:2 * k + 3] = rng.standard_normal(2)
+    """Per component a constant, then each harmonic's two coefficients,
+    a sample's all in one draw."""
+    coef = np.array([rng.standard_normal((cfg.dimension, 2 * cfg.order + 1))
+                     for rng in rngs])
     ws, cos, sin = _waves(cfg.delay_r, cfg.n_nodes, cfg.order)
     vals = np.repeat(coef[:, None, :, 0], cfg.n_nodes, axis=1)
     ders = np.zeros_like(vals)

@@ -1660,3 +1660,101 @@ def test_uga_reports_are_those_of_per_member_reads(monkeypatch, budget):
             patched.setattr(checkers, "_ensemble", _oracle_ensemble)
             want = check_uga(*args, **kwargs).to_json_dict()
         assert json.dumps(got) == json.dumps(want)
+
+
+# exact stacked evaluations of segments, by name
+GROUPED_EVALUATES = {
+    "weighted_sup": lyapunov._stacked(lyapunov.weighted_sup(1.0)),
+    "quadratic_integral": lyapunov._stacked(lyapunov.quadratic_integral(0.5)),
+    "sobolev(p=2)": lambda r, s, v, d: segment._norms(r, s, v, d, SOB2),
+    "hoelder(a=0.5)": lambda r, s, v, d: segment._norms(
+        r, s, v, d, SpaceSpec.hoelder(0.5))}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_grouped_exact_reads_are_each_members_own_track_bitwise(data):
+    """An exact stacked read takes the members of a piece together, as
+    many (member, time) pairs a stack as dde._segment_chunk allows, and
+    each row of its track is bitwise the member's own track on its whole
+    simulate trajectory: for blocks of 1 to 40 members, 1 to 40 times
+    (one stack of many members, of one member, and one member's times in
+    chunks), the memory budget at 1 byte and at its default, the built-in
+    functionals and the Sobolev and exact Hoelder norms, a member that
+    escapes mid-block, and pieces whose covered times are empty."""
+    evaluate = GROUPED_EVALUATES[data.draw(st.sampled_from(
+        sorted(GROUPED_EVALUATES)))]
+    sys = data.draw(st.sampled_from([
+        _cliff(1), _cliff(2), make_system("saturating", 0.5,
+                                          {"c": 1.0, "k": 0.5})]))
+    members = data.draw(st.sampled_from([1, 3, 17, 40]))
+    count = data.draw(st.sampled_from([1, 3, 31, 40]))
+    T = data.draw(st.sampled_from([0.6, 1.7]))
+    first = data.draw(st.sampled_from([0.0, 0.45 * T]))
+    times = np.linspace(first, T + 0.2, count)
+    escaping = data.draw(st.integers(-1, members - 1))
+    cfg = SamplerConfig(family="fourier", order=3, target_space=SUP,
+                        target_norm=1.0, dimension=sys.dimension,
+                        delay_r=0.5, seed=data.draw(st.integers(0, 9)),
+                        n_nodes=65)
+    x0s = [sample_one(replace(cfg, target_norm=1e6 if b == escaping
+                              else 0.5), b) for b in range(members)]
+    read = checkers._Read(times, 65, evaluate)
+    budget = data.draw(st.sampled_from([1, dde.BLOCK_BYTES]))
+    stacks = []
+    block_nodes = checkers._block_nodes
+
+    def counting(piece, at, t, n_nodes):
+        got = block_nodes(piece, at, t, n_nodes)
+        stacks.append(got[1].shape[0] * got[1].shape[1])
+        return got
+
+    reader = checkers._Reader([read], members)
+
+    def take(piece):
+        reader(piece)
+        if piece.final:  # a piece read past its end reads no time
+            past = [piece.end_time + 0.1, piece.end_time + 1.0]
+            assert np.all(checkers._block_track(
+                piece, past, 65, evaluate) == np.inf)
+
+    with mock.patch.object(dde, "BLOCK_BYTES", budget), \
+            mock.patch.object(checkers, "_block_nodes", counting):
+        simulate_many(sys, x0s, T, 0.025, held=read.held(1), take=take)
+        size = dde._segment_chunk(65, sys.dimension)
+    assert stacks and max(stacks) <= size
+    if budget == 1:
+        assert set(stacks) == {1}
+    for b, x0 in enumerate(x0s):
+        traj = simulate(sys, x0, T, 0.025)
+        assert traj.escaped == (reader.escape_times[b] is not None)
+        want = checkers._track(traj, times, 65, evaluate)
+        got = reader.tracks(b)[0]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid_points", [200, 8])
+def test_uga_reads_at_its_level_one_member_a_stack(monkeypatch, grid_points):
+    """On the uga_hoelder benchmark workload's config, and on it with 8
+    report times, whose level reads would fit a stack of several
+    members, every stack read at the level holds one member's times, as
+    Hoelder rows that prune differently would cost each other lag
+    visits; only the exact read of the last report time takes the
+    block's members together."""
+    stacks = []
+
+    def counting(piece, at, times, n_nodes):
+        got = dde._block_nodes(piece, at, times, n_nodes)
+        stacks.append((got[1].shape[0], times.size, float(times[-1])))
+        return got
+
+    monkeypatch.setattr(checkers, "_block_nodes", counting)
+    sys = make_system("saturating", 1.0, {"c": 1.0, "k": 0.5})
+    rep = check_uga(sys, SpaceSpec.hoelder(0.5), 0.05, 1.0, 4, seed=0,
+                    grid_points=grid_points)
+    assert rep.verdict == "consistent"
+    horizon = rep.details["horizon"]
+    last = [m for m, k, end in stacks if k == 1 and end == horizon]
+    assert last == [4]
+    assert len(stacks) > 1
+    assert all(m == 1 for m, k, end in stacks if (k, end) != (1, horizon))

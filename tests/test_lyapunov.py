@@ -1,5 +1,7 @@
 """Tests for energy functionals, Dini estimates, and certificate checks."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -950,3 +952,97 @@ def test_dissipation_ladder_escape_only_within_its_horizon():
             assert rep.margins == {"dini_estimate": 558349068.3598312,
                                    "required": -2000.0, "tolerance": 2.001}
             assert rep.witness["time"] == 0.0
+
+
+QUAD_ONE = make_system("quadratic", 1.0, {"c": 1.0})
+# the certificates benchmark workload's configs and falsifying cases
+CERTIFICATE_CASES = {
+    "growth_workload": lambda: check_growth_certificate(
+        linear(1.0, 0.0, 1.0), weighted_sup(1.0), MonotoneGridFn.linear(1.0),
+        math.e, 80, traj_check=80, T=2.0, seed=0),
+    "growth_trajectory_falsified": lambda: check_growth_certificate(
+        linear(1.0, 1.0, 0.0), space_norm_functional(SUP),
+        MonotoneGridFn.linear(0.1), 0.5, 6, T=2.0, seed=0),
+    "growth_overflowing_limit": lambda: check_growth_certificate(
+        QUAD_ONE, weighted_sup(1.0), MonotoneGridFn.linear(1.0), 3000.0, 2,
+        rho=3.0, T=1.0, family="polynomial", order=0, seed=2),
+    "growth_overflowing_limit_escape": lambda: check_growth_certificate(
+        QUAD_ONE, weighted_sup(1.0), MonotoneGridFn.linear(1.0), 3000.0, 4,
+        rho=3.0, T=1.0, family="polynomial", order=0, seed=2),
+    "dissipation_workload": lambda: check_pointwise_dissipation(
+        linear(1.0, -1.0, 0.0), weighted_sup(1.0),
+        MonotoneGridFn.linear(E_INV), MonotoneGridFn.linear(1.0),
+        scaled_abs_rate(E_INV), SUP, 40, integral_trajectories=12, seed=0),
+    "dissipation_off_the_step_grid": lambda: check_pointwise_dissipation(
+        linear(1.0, -1.0, 0.0), weighted_sup(1.0), MonotoneGridFn.linear(1.0),
+        MonotoneGridFn.linear(1.0), scaled_abs_rate(1.0), SUP, 1,
+        integral_trajectories=3, T=2.005, family="polynomial", order=0,
+        h=0.01, seed=0),
+}
+# (verdict, failed, sha256 of the sorted report JSON), recorded when the
+# growth check computed e^(mu t) once per sample and time and the
+# dissipation check its quadrature weights once per sample and checkpoint
+CERTIFICATE_REPORTS = {
+    "growth_workload": (
+        "consistent", None,
+        "2bc8e7c63837e6889e3a1960d5b847c5883cb7888a58208ed3589ef07defd3eb"),
+    "growth_trajectory_falsified": (
+        "falsified", "trajectory_growth",
+        "5b8bf34fe24373c5d9eac2a38463ecf9cb8d71bcb17e211061cba724f0c8cf31"),
+    "growth_overflowing_limit": (
+        "consistent", None,
+        "95679645039bcd3a74e42e175f2655f3365cb2fbc911c6f89eb3e3ea4b3373b7"),
+    "growth_overflowing_limit_escape": (
+        "falsified", "escape",
+        "35221ffb9ec001cd5e852d8a14fa459a8b4b60575db6f3dfdc58a43fe8af88a3"),
+    "dissipation_workload": (
+        "consistent", None,
+        "fa27c989ecb2b4c81d9bb4feabd6a55d1433f567652a0a3c48831809e173da26"),
+    "dissipation_off_the_step_grid": (
+        "consistent", None,
+        "501a256c4c61ec36f9849cc008ab98c1342eb522802ad8b11bc51917a9c7bd70"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_certificate_reports_keep_their_bytes(monkeypatch, case):
+    """Each time's e^(mu t) and each checkpoint's quadrature weights are
+    computed once a check, not once a sample, and every report keeps its
+    bytes, including a trajectory_growth witness and limits that
+    overflow to +inf."""
+    counts = {"_grown": 0, "_mesh_weights": 0}
+    for name in counts:
+        def counting(*args, _name=name, _f=getattr(lyapunov, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(lyapunov, name, counting)
+    rep = CERTIFICATE_CASES[case]()
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    assert (rep.verdict, rep.details.get("failed"),
+            hashlib.sha256(text.encode()).hexdigest()) \
+        == CERTIFICATE_REPORTS[case]
+    if case == "growth_workload":  # one a report time
+        assert counts["_grown"] == 29
+    if case == "dissipation_workload":  # one a checkpoint
+        assert counts["_mesh_weights"] == lyapunov.DISSIPATION_CHECKPOINTS
+
+
+def test_dissipation_ladders_read_in_grouped_stacks(monkeypatch):
+    """On the dissipation config of the certificates benchmark workload
+    the 40 ladders of 3 rungs are read as stacks of whole ladders, at
+    most dde._segment_chunk (member, rung) pairs a stack: 4 reads of
+    node data, where a stack of one ladder each made 40."""
+    stacks = []
+
+    def counting(piece, at, times, n_nodes):
+        got = dde._block_nodes(piece, at, times, n_nodes)
+        stacks.append(got[1].shape[:2])
+        return got
+
+    monkeypatch.setattr(checkers, "_block_nodes", counting)
+    rep = CERTIFICATE_CASES["dissipation_workload"]()
+    assert rep.verdict == "consistent"
+    size = dde._segment_chunk(65, 1)
+    assert len(stacks) <= math.ceil(40 * 3 / size) == 4
+    assert all(k == 3 and m * k <= size for m, k in stacks)
+    assert sum(m for m, _ in stacks) == 40
