@@ -8,6 +8,16 @@ sampled evidence fits the property at the configured tolerances, and
 "inconclusive" means the horizon or the sample budget ended the experiment
 before either of the other verdicts was earned.
 
+Each check is a ball of samples (_ball, or _shell_plan for the envelope
+checks), the reads it declares of each trajectory (_Read), one _ensemble
+pass over the ball, and a judge over the pass's runs (_rfc_report,
+_lags_report, _ga_report, _uga_report, _pair_report, _lift_report, and
+_close_envelope for the envelope).  A judge takes the samples in index
+order and compares each run's reads with their limits as arrays; the
+first failure it finds is its report (_falsified), with the sample as
+witness, and each worst ratio is a max over the arrays.
+check_gas_vs_ugas judges ga, rfc and the envelope from one shared pass.
+
 The envelope fitter bins initial norms into geometric shells, records the
 worst observed trajectory norm per shell per report time, and then closes
 the table upward into a two-argument monotone shape (nondecreasing in the
@@ -545,13 +555,10 @@ def _keyed_samples(keys):
 
 
 def _witness(cfg: SamplerConfig, index: int, seg: Segment, time: float,
-             norm: float, scale: float | None = None) -> dict:
-    w = {"sampler": cfg.to_json_dict(), "index": int(index),
-         "time": float(time), "norm": float(norm),
-         "segment": seg.to_json_dict()}
-    if scale is not None:
-        w["scale"] = float(scale)
-    return w
+             norm: float) -> dict:
+    return {"sampler": cfg.to_json_dict(), "index": int(index),
+            "time": float(time), "norm": float(norm),
+            "segment": seg.to_json_dict()}
 
 
 # -- report ------------------------------------------------------------
@@ -585,6 +592,29 @@ class StabilityReport:
             "sample_budget": self.sample_budget,
             "details": self.details,
         })
+
+
+def _falsified(prop: str, space: SpaceSpec, cfg: SamplerConfig, index: int,
+               x0: Segment, time: float, margins: dict, budgets: dict,
+               details: dict | None = None, norm: float = math.inf,
+               **witness) -> StabilityReport:
+    """The falsified report whose witness is sample index of cfg, x0, at
+    time with norm, plus the fields of witness; by default x0 escaped at
+    time."""
+    return StabilityReport(
+        prop, space, "falsified",
+        {**_witness(cfg, index, x0, time, norm), **witness}, margins,
+        budgets, {"escape_time": time} if details is None else details)
+
+
+def _worst(worst: float, values: np.ndarray,
+           den: np.ndarray | None = None) -> float:
+    """max(worst, *values), or of values / den over the entries where
+    den > 0, as a loop of max takes it: a NaN changes nothing."""
+    if den is not None:
+        pos = den > 0.0
+        values = values[pos] / den[pos]
+    return float(np.fmax.reduce(values, initial=worst))
 
 
 # -- KL envelopes ------------------------------------------------------
@@ -730,6 +760,28 @@ def _close_envelope(s_grid: np.ndarray, t_grid: np.ndarray,
     return _envelope(s_grid, t_grid, sigma, counts, interpolated)
 
 
+def _shell_pass(sys: DelaySystem, space: SpaceSpec, report_spaces: list,
+                rho_max: float, shells: int, budget: int, t_grid, family: str,
+                order: int, seed: int, n_nodes: int, h: float | None,
+                horizon: float | None, grid_points: int):
+    """The one pass of the envelope checks over the shell plan of the
+    space ball of radius rho_max, reading the norm of each space of
+    report_spaces at the report times: the envelope of the first, and
+    each shell member (j, cfg, i) with its run."""
+    s_grid, counts, members = _shell_plan(
+        sys, space, rho_max, shells, budget, family, order, seed, n_nodes)
+    r = sys.delay_r
+    h, horizon = _step_defaults(r, h, horizon)
+    grid = _report_grid(t_grid, horizon, r, grid_points)
+    runs = list(_ensemble(
+        sys, _keyed_samples((cfg, i) for _, cfg, i in members),
+        float(grid[-1]), h, [_norm_read(s, grid, n_nodes)
+                             for s in report_spaces], every=True))
+    env = _close_envelope(s_grid, grid, counts,
+                          (run.tracks[0] for run in runs))
+    return env, list(zip(members, runs))
+
+
 def fit_kl_envelope(sys: DelaySystem, space: SpaceSpec, rho_max: float,
                     shells: int, t_grid: np.ndarray | None, budget: int, *,
                     report_space: SpaceSpec | None = None,
@@ -748,18 +800,10 @@ def fit_kl_envelope(sys: DelaySystem, space: SpaceSpec, rho_max: float,
     envelope usable as a bound at t = 0.  Escaped trajectories contribute
     +inf beyond their coverage.
     """
-    s_grid, counts, members = _shell_plan(
-        sys, space, rho_max, shells, budget, family, order, seed, n_nodes)
-    r = sys.delay_r
-    h, horizon = _step_defaults(r, h, horizon)
-    t_grid = _report_grid(t_grid, horizon, r, grid_points)
-    if report_space is None:
-        report_space = space
-    runs = _ensemble(sys, _keyed_samples((cfg, i) for _, cfg, i in members),
-                     float(t_grid[-1]), h,
-                     [_norm_read(report_space, t_grid, n_nodes)], every=True)
-    return _close_envelope(s_grid, t_grid, counts,
-                           (run.tracks[0] for run in runs))
+    return _shell_pass(sys, space,
+                       [space if report_space is None else report_space],
+                       rho_max, shells, budget, t_grid, family, order, seed,
+                       n_nodes, h, horizon, grid_points)[0]
 
 
 def lift_sup_envelope(sigma_env: KLEnvelope, r: float, p: float,
@@ -833,9 +877,8 @@ def _rfc_report(space: SpaceSpec, ball: _Ball, runs) -> StabilityReport:
     budgets = {"samples": ball.budget}
     if escapes:
         e_time, idx, x0 = min(escapes, key=lambda e: (e[0], e[1]))
-        wit = _witness(ball.cfg, idx, x0, e_time, math.inf)
-        return StabilityReport("rfc", space, "falsified", wit, margins,
-                               budgets, {"escape_time": e_time})
+        return _falsified("rfc", space, ball.cfg, idx, x0, e_time, margins,
+                          budgets)
     return StabilityReport("rfc", space, "consistent", None, margins, budgets)
 
 
@@ -851,6 +894,35 @@ def check_rfc(sys: DelaySystem, space: SpaceSpec, rho: float, T: float,
     return _rfc_report(space, ball, runs)
 
 
+def _peak(prop: str, space: SpaceSpec, ball: _Ball, margins: dict, runs):
+    """(None, the peak over the ball of each run's tracks joined), or
+    (the escape report, with margins, of the first run that escapes,
+    None)."""
+    peak = np.zeros(ball.grid.size)
+    for i, run in enumerate(runs):
+        if run.escaped:
+            return _falsified(prop, space, ball.cfg, i, run.x0,
+                              run.escape_time, margins,
+                              {"samples": ball.budget}), None
+        peak = np.maximum(peak, np.concatenate(run.tracks))
+    return None, peak
+
+
+def _lags_report(space: SpaceSpec, ball: _Ball, runs) -> StabilityReport:
+    """The lags judge of runs read at every report time: their running
+    peak may not still rise over the last quarter of the report times."""
+    escape, peak = _peak("lags", space, ball, {"sup": math.inf}, runs)
+    if escape:
+        return escape
+    running = np.maximum.accumulate(peak)
+    margins = {"sup": float(running[-1])}
+    budgets = {"samples": ball.budget}
+    if running[-1] > running[-ball.tail.size] * (1.0 + _REL_TOL):
+        return StabilityReport("lags", space, "inconclusive", None, margins,
+                               budgets, {"still_growing": True})
+    return StabilityReport("lags", space, "consistent", None, margins, budgets)
+
+
 def check_lags(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int, *,
                horizon: float | None = None, family: str = "fourier",
                order: int = 3, seed: int = 0, n_nodes: int = 65,
@@ -859,25 +931,9 @@ def check_lags(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int, *,
     """Uniform boundedness from the ball, truncated at the horizon."""
     ball = _ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
                  grid_points, horizon=horizon)
-    peak = np.full(ball.grid.size, 0.0)
     runs = _ensemble(sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
                      [_norm_read(space, ball.grid, n_nodes)])
-    for i, (x0, escaped, escape_time, (track,)) in enumerate(runs):
-        if escaped:
-            wit = _witness(ball.cfg, i, x0, escape_time, math.inf)
-            return StabilityReport(
-                "lags", space, "falsified", wit,
-                {"sup": math.inf}, {"samples": budget},
-                {"escape_time": escape_time})
-        peak = np.maximum(peak, track)
-    running = np.maximum.accumulate(peak)
-    sup = float(running[-1])
-    margins = {"sup": sup}
-    budgets = {"samples": budget}
-    if running[-1] > running[-ball.tail.size] * (1.0 + _REL_TOL):
-        return StabilityReport("lags", space, "inconclusive", None, margins,
-                               budgets, {"still_growing": True})
-    return StabilityReport("lags", space, "consistent", None, margins, budgets)
+    return _lags_report(space, ball, runs)
 
 
 def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
@@ -916,8 +972,6 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
         return None
 
     margins = {}
-    verdict = "consistent"
-    witness = None
     first_bad = None
     for eps in eps_list:
         lo, hi = 1e-6 * eps, 10.0 * eps
@@ -937,18 +991,19 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
                     hi, leak = mid, bad
             delta, frontier = lo, hi
         margins[f"delta({eps:g})"] = delta
-        if frontier is not None and frontier <= 1e-3 * eps and verdict != "falsified":
-            verdict = "falsified"
-            i, t_bad, v_bad = leak
-            witness = _witness(ball.cfg, i, frontier * base[i], t_bad, v_bad,
-                               scale=frontier)
-            first_bad = {"eps": eps, "frontier": frontier}
+        if frontier is not None and frontier <= 1e-3 * eps \
+                and first_bad is None:
+            first_bad = (eps, frontier, leak)
     details = {"horizon": ball.horizon}
-    if first_bad:
-        details.update(first_bad)
-    return StabilityReport("ls", space, verdict, witness, margins,
-                           {"samples": budget,
-                            "bisection_steps": bisection_steps}, details)
+    budgets = {"samples": budget, "bisection_steps": bisection_steps}
+    if first_bad is None:
+        return StabilityReport("ls", space, "consistent", None, margins,
+                               budgets, details)
+    eps, frontier, (i, t_bad, v_bad) = first_bad
+    return _falsified("ls", space, ball.cfg, i, frontier * base[i], t_bad,
+                      margins, budgets,
+                      {**details, "eps": eps, "frontier": frontier}, v_bad,
+                      scale=frontier)
 
 
 def _ga_report(space: SpaceSpec, ball: _Ball, eps: float,
@@ -965,12 +1020,11 @@ def _ga_report(space: SpaceSpec, ball: _Ball, eps: float,
         stagnant = (not math.isfinite(plateau)) or \
             tail[-1] >= 0.99 * plateau
         if stagnant:
-            wit = _witness(ball.cfg, i, x0, float(ball.grid[-1]),
-                           float(tail[-1]))
-            return StabilityReport(
-                "ga", space, "falsified", wit,
+            return _falsified(
+                "ga", space, ball.cfg, i, x0, float(ball.grid[-1]),
                 {"residual_norm": float(tail[-1]), "eps": eps},
-                {"samples": ball.budget}, {"horizon": ball.horizon})
+                {"samples": ball.budget}, {"horizon": ball.horizon},
+                float(tail[-1]))
         undecided = True
     margins = {"worst_end_norm": worst_end, "eps": eps}
     budgets = {"samples": ball.budget}
@@ -1001,6 +1055,27 @@ def check_ga(sys: DelaySystem, space: SpaceSpec, rho: float, eps: float,
     return _ga_report(space, ball, eps, runs)
 
 
+def _uga_report(space: SpaceSpec, ball: _Ball, eps: float, rho: float,
+                runs) -> StabilityReport:
+    """The uga judge of runs read as check_uga reads them."""
+    margins = {"eps": eps, "rho": rho}
+    escape, peak = _peak("uga", space, ball, margins, runs)
+    if escape:
+        return escape
+    suffix = np.maximum.accumulate(peak[::-1])[::-1]
+    ok = np.nonzero(suffix <= eps * (1.0 + _REL_TOL))[0]
+    budgets = {"samples": ball.budget}
+    details = {"horizon": ball.horizon}
+    if ok.size == 0:
+        return StabilityReport("uga", space, "inconclusive", None,
+                               {**margins, "residual": float(suffix[-1])},
+                               budgets, details)
+    return StabilityReport(
+        "uga", space, "consistent", None,
+        {**margins, "settle_time": float(ball.grid[int(ok[0])])}, budgets,
+        details)
+
+
 def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
               budget: int, *, horizon: float | None = None,
               family: str = "fourier", order: int = 3, seed: int = 0,
@@ -1020,30 +1095,70 @@ def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
     """
     ball = _ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
                  grid_points, horizon=horizon, eps=eps)
-    level = eps * (1.0 + _REL_TOL)
-    peak = np.zeros(ball.grid.size)
     runs = _ensemble(sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
-                     [_norm_read(space, ball.grid[:-1], n_nodes, level),
+                     [_norm_read(space, ball.grid[:-1], n_nodes,
+                                 eps * (1.0 + _REL_TOL)),
                       _norm_read(space, ball.grid[-1:], n_nodes)])
-    for i, (x0, escaped, escape_time, tracks) in enumerate(runs):
-        if escaped:
-            wit = _witness(ball.cfg, i, x0, escape_time, math.inf)
-            return StabilityReport(
-                "uga", space, "falsified", wit, {"eps": eps, "rho": rho},
-                {"samples": budget}, {"escape_time": escape_time})
-        peak = np.maximum(peak, np.concatenate(tracks))
-    suffix = np.maximum.accumulate(peak[::-1])[::-1]
-    ok = np.nonzero(suffix <= level)[0]
-    budgets = {"samples": budget}
-    if ok.size == 0:
-        return StabilityReport("uga", space, "inconclusive", None,
-                               {"eps": eps, "rho": rho,
-                                "residual": float(suffix[-1])},
-                               budgets, {"horizon": ball.horizon})
-    T_est = float(ball.grid[int(ok[0])])
-    return StabilityReport("uga", space, "consistent", None,
-                           {"eps": eps, "rho": rho, "settle_time": T_est},
-                           budgets, {"horizon": ball.horizon})
+    return _uga_report(space, ball, eps, rho, runs)
+
+
+def _stack_norms(r: float, s: np.ndarray, values: np.ndarray,
+                 derivs: np.ndarray, space: SpaceSpec) -> np.ndarray:
+    """_norms of a stack of segments, node data (K, N + 1, n), at most
+    dde._segment_chunk segments a call, as a track reads them."""
+    size = _segment_chunk(s.size, values.shape[-1])
+    return np.concatenate([
+        _norms(r, s, values[lo:lo + size], derivs[lo:lo + size], space)
+        for lo in range(0, len(values), size)])
+
+
+def _pair_report(space: SpaceSpec, ball: _Ball, growth: float, M: float,
+                 sigma0: float, runs) -> StabilityReport:
+    """The pair-bounds judge of runs in pairs (2i, 2i + 1), each read as
+    its node values and slopes at the report times: the sup distance of
+    a pair may grow by at most growth, its full distance by M."""
+    margins = {"growth_factor": growth, "propagation_constant": M}
+    budgets = {"pairs": ball.budget}
+    sup = SpaceSpec.sup()
+    r = ball.cfg.delay_r
+    s = np.linspace(-r, 0.0, ball.cfg.n_nodes)
+    worst_sup = worst_full = 0.0
+    runs = enumerate(runs)
+    for (i, run_x), (k, run_y) in zip(runs, runs):
+        x0, y0 = run_x.x0, run_y.x0
+        escapes = [(run.escape_time, j, run.x0)
+                   for j, run in ((i, run_x), (k, run_y)) if run.escaped]
+        if escapes:
+            e_time, j, z0 = min(escapes)
+            return _falsified("pair_bounds", space, ball.cfg, j, z0, e_time,
+                              margins, budgets,
+                              pair_index=k if j == i else i)
+        d0_sup = space_norm(x0 - y0, sup)
+        d0_full = space_norm(x0 - y0, space)
+        # an infinite factor on a zero distance still bounds by 0
+        lim_sup = growth * d0_sup if d0_sup else 0.0
+        lim_full = M * d0_full if d0_full else 0.0
+        gap = run_x.tracks[0] - run_y.tracks[0]
+        d_sup, d_full = (_stack_norms(r, s, gap[:, 0], gap[:, 1], norm)
+                         for norm in (sup, space))
+        bad = np.flatnonzero((d_sup > lim_sup * (1.0 + 1e-6) + 1e-15)
+                             | (d_full > lim_full * (1.0 + 1e-6) + 1e-15))
+        if bad.size:
+            t = int(bad[0])
+            ds, df = float(d_sup[t]), float(d_full[t])
+            return _falsified(
+                "pair_bounds", space, ball.cfg, i, x0, float(ball.grid[t]),
+                margins, budgets, {"d_sup": ds, "limit_sup": lim_sup,
+                                   "d_full": df, "limit_full": lim_full},
+                max(ds, df), pair_index=k)
+        if lim_sup > 0.0:
+            worst_sup = _worst(worst_sup, d_sup / lim_sup)
+        if lim_full > 0.0:
+            worst_full = _worst(worst_full, d_full / lim_full)
+    return StabilityReport(
+        "pair_bounds", space, "consistent", None,
+        {**margins, "worst_sup_ratio": worst_sup,
+         "worst_full_ratio": worst_full}, budgets, {"sigma0": sigma0})
 
 
 def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
@@ -1060,65 +1175,44 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
     """
     ball = _ball(sys, space, R, pairs, family, order, seed, n_nodes, h,
                  grid_points, T=T, error="need positive R, T and pairs")
-    r, grid = sys.delay_r, ball.grid
     L = sys.lipschitz_modulus
     if sigma0 is None:
         sigma0 = _grown(R, float(L(R)) * T)
     growth = _grown(1.0, float(L(sigma0)) * T)
-    p = _exponent_of(space)
-    M = lipschitz_propagation_bound(R, T, r, p, L, sigma0)
-    margins = {"growth_factor": growth, "propagation_constant": M}
-    sup_space = SpaceSpec.sup()
-    worst_sup = 0.0
-    worst_full = 0.0
+    M = lipschitz_propagation_bound(R, T, sys.delay_r, _exponent_of(space),
+                                    L, sigma0)
     # each member's node values and slopes of x_t at the grid times
-    nodes = _Read(grid, n_nodes, lambda r, s, v, d: np.stack((v, d), axis=1),
+    nodes = _Read(ball.grid, n_nodes,
+                  lambda r, s, v, d: np.stack((v, d), axis=1),
                   width=2 * n_nodes * sys.dimension)
-    s = np.linspace(-r, 0.0, n_nodes)
-    size = _segment_chunk(n_nodes, sys.dimension)
-    runs = enumerate(_ensemble(sys, _samples(ball.cfg, 2 * pairs), T,
-                               ball.h, [nodes]))
-    for (i, run_x), (k, run_y) in zip(runs, runs):
-        x0, y0 = run_x.x0, run_y.x0
-        escapes = [(run.escape_time, j, run.x0)
-                   for j, run in ((i, run_x), (k, run_y)) if run.escaped]
-        if escapes:
-            e_time, j, z0 = min(escapes)
-            wit = _witness(ball.cfg, j, z0, e_time, math.inf)
-            wit["pair_index"] = k if j == i else i
-            return StabilityReport("pair_bounds", space, "falsified", wit,
-                                   margins, {"pairs": pairs},
-                                   {"escape_time": e_time})
-        d0_sup = space_norm(x0 - y0, sup_space)
-        d0_full = space_norm(x0 - y0, space)
-        # an infinite factor on a zero distance still bounds by 0
-        lim_sup = growth * d0_sup if d0_sup else 0.0
-        lim_full = M * d0_full if d0_full else 0.0
-        gap = run_x.tracks[0] - run_y.tracks[0]
-        for lo in range(0, grid.size, size):
-            diff = (r, s, gap[lo:lo + size, 0], gap[lo:lo + size, 1])
-            for t, d_sup, d_full in zip(grid[lo:],
-                                        _norms(*diff, sup_space).tolist(),
-                                        _norms(*diff, space).tolist()):
-                if d_sup > lim_sup * (1.0 + 1e-6) + 1e-15 \
-                        or d_full > lim_full * (1.0 + 1e-6) + 1e-15:
-                    wit = _witness(ball.cfg, i, x0, float(t),
-                                   float(max(d_sup, d_full)))
-                    wit["pair_index"] = k
-                    return StabilityReport(
-                        "pair_bounds", space, "falsified", wit, margins,
-                        {"pairs": pairs},
-                        {"d_sup": d_sup, "limit_sup": lim_sup,
-                         "d_full": d_full, "limit_full": lim_full})
-                if lim_sup > 0.0:
-                    worst_sup = max(worst_sup, d_sup / lim_sup)
-                if lim_full > 0.0:
-                    worst_full = max(worst_full, d_full / lim_full)
+    runs = _ensemble(sys, _samples(ball.cfg, 2 * pairs), T, ball.h, [nodes])
+    return _pair_report(space, ball, growth, M, sigma0, runs)
+
+
+def _lift_report(space: SpaceSpec, env: KLEnvelope, lifted: KLEnvelope,
+                 budgets: dict, runs: list) -> StabilityReport:
+    """The lift judge of the shell members and their runs, each read in
+    the sup norm and the full norm at the report times: the lifted
+    envelope of the member's shell must dominate the full norm."""
+    tracks = np.array([run.tracks[1] for _, run in runs])
+    bounds = lifted.sigma[[j for (j, _, _), _ in runs]]
+    # (member, time) of each breach, the first member's first time first
+    breaches = np.argwhere(tracks > bounds * (1.0 + 1e-6) + 1e-12)
+    if breaches.size:
+        m, k = breaches[0]
+        (j, cfg, i), run = runs[m]
+        measured = float(tracks[m, k])
+        return _falsified(
+            "envelope_lift", space, cfg, i, run.x0, float(env.t_grid[k]),
+            {"bound": float(bounds[m, k]), "measured": measured}, budgets,
+            {"envelope": env.to_json_dict()}, measured, shell=int(j))
+    with np.errstate(invalid="ignore"):
+        ratios = tracks / bounds
     return StabilityReport(
-        "pair_bounds", space, "consistent", None,
-        {**margins, "worst_sup_ratio": worst_sup,
-         "worst_full_ratio": worst_full},
-        {"pairs": pairs}, {"sigma0": sigma0})
+        "envelope_lift", space, "consistent", None,
+        {"worst_ratio": _worst(0.0, ratios[np.isfinite(ratios)]),
+         "trajectories_checked": float(len(runs))}, budgets,
+        {"envelope": env.to_json_dict(), "decayed": env.decayed})
 
 
 def check_envelope_lift(sys: DelaySystem, space: SpaceSpec, rho_max: float,
@@ -1136,45 +1230,15 @@ def check_envelope_lift(sys: DelaySystem, space: SpaceSpec, rho_max: float,
     measured full norm of every sampled trajectory at every report time.
     Each sample is integrated once and yields both tracks.
     """
-    s_grid, counts, members = _shell_plan(
-        sys, space, rho_max, shells, budget, family, order, seed, n_nodes)
-    r = sys.delay_r
-    h, horizon = _step_defaults(r, h, horizon)
-    grid = _report_grid(t_grid, horizon, r, grid_points)
-    if lipschitz_modulus is None:
-        lipschitz_modulus = sys.lipschitz_modulus
-    runs = list(zip(members, _ensemble(
-        sys, _keyed_samples((cfg, i) for _, cfg, i in members),
-        float(grid[-1]),
-        h, [_norm_read(SpaceSpec.sup(), grid, n_nodes),
-            _norm_read(space, grid, n_nodes)], every=True)))
-    env = _close_envelope(s_grid, grid, counts,
-                          (run.tracks[0] for _, run in runs))
-    lifted = lift_sup_envelope(env, r, _exponent_of(space), lipschitz_modulus)
-    worst = 0.0
-    for (j, cfg, i), run in runs:
-        track = run.tracks[1]
-        bound = lifted.sigma[j]
-        bad = np.nonzero(track > bound * (1.0 + 1e-6) + 1e-12)[0]
-        if bad.size:
-            k = int(bad[0])
-            wit = _witness(cfg, i, run.x0, float(grid[k]), float(track[k]))
-            wit["shell"] = int(j)
-            return StabilityReport(
-                "envelope_lift", space, "falsified", wit,
-                {"bound": float(bound[k]), "measured": float(track[k])},
-                {"samples": budget, "shells": shells},
-                {"envelope": env.to_json_dict()})
-        with np.errstate(invalid="ignore"):
-            ratios = track / bound
-        finite = ratios[np.isfinite(ratios)]
-        if finite.size:
-            worst = max(worst, float(finite.max()))
-    return StabilityReport(
-        "envelope_lift", space, "consistent", None,
-        {"worst_ratio": worst, "trajectories_checked": float(len(runs))},
-        {"samples": budget, "shells": shells},
-        {"envelope": env.to_json_dict(), "decayed": env.decayed})
+    env, runs = _shell_pass(sys, space, [SpaceSpec.sup(), space], rho_max,
+                            shells, budget, t_grid, family, order, seed,
+                            n_nodes, h, horizon, grid_points)
+    lifted = lift_sup_envelope(
+        env, sys.delay_r, _exponent_of(space),
+        sys.lipschitz_modulus if lipschitz_modulus is None
+        else lipschitz_modulus)
+    return _lift_report(space, env, lifted,
+                        {"samples": budget, "shells": shells}, runs)
 
 
 def check_gas_vs_ugas(sys: DelaySystem, space: SpaceSpec, rho_list, eps_list,

@@ -13,27 +13,27 @@ functional under window prolongation (which rules out finite-time escape).
 None of the checks prove anything; they falsify with witnesses or report
 consistency at stated tolerances, like the rest of the toolkit.
 
-Every trajectory this module needs is integrated through the one
-ensemble primitive, checkers._ensemble, in memory-bounded blocks: the
-sampled trajectories of the three checks and the Dini ladders, one short
-simulation per sample, of the dissipation check and of dini_derivative,
-which is a block of one.  dini_derivative integrates its ladder to the
-largest rung, 1e-2 r; the dissipation check, whose estimate reads only
-the three smallest rungs, integrates each ladder only to the first
-solver-mesh node past the largest of those (33 steps where
-dini_derivative takes 2048), so a block holds 1846 ladders at n = 1
-where it held 31, and each rung it reads is bitwise dini_derivative's.
-A caller declares what it reads of each trajectory (checkers._Read),
-and the ensemble takes those reads as the rows settle: V and the norm
-at the report times, V at the rungs of a ladder, and for the
-dissipation integral V at its checkpoints and the rate Q on every row
-of the mesh.  A check draws each sample index once and evaluates the
-functional at it once: the trajectory pass of the growth check and the
-integral pass of the dissipation check reuse the samples, and their
-values, of the pass before.  The samples are drawn in stacks
-(dde._sample_stacks), and V(x0), the norm of x0 and the growth check's
-prolongations of a weighted sup are read once a stack; the checks still
-judge sample by sample in index order.
+Each check is a ball of samples, the reads it declares of each
+trajectory (checkers._Read), one checkers._ensemble pass a phase, and a
+judge over the pass's runs: _exponential_report; _dini_report over the
+Dini ladders, then _dissipation_report over the integral pass;
+_prolongation_report over the prolongation quotients, which need no
+pass, then _growth_report over the trajectories.  A judge takes the
+samples in index order and compares each one's reads with their limits
+as arrays, a report time or rung an entry; the first failure it finds
+is its report (_failed), and each worst ratio is a max over the arrays.
+A limit that involves e^(rate t) uses libm's value, computed once a
+report time (_exp_factors).
+
+The samples are drawn once, in stacks (dde._sample_stacks), with V(x0),
+the norm of x0 and the growth check's prolongations of a weighted sup
+read once a stack; the second pass of the dissipation and growth checks
+reuses the first pass's samples and their values.  Every trajectory goes
+through the ensemble, Dini ladders included: dini_derivative integrates
+its ladder to the largest rung, 1e-2 r, and the dissipation check each
+ladder only to the first solver-mesh node past the largest rung its
+estimate reads (33 steps, not 2048), so that each rung it reads is
+bitwise dini_derivative's.
 
 The built-in rates (scaled_abs, scaled_square) evaluate the rows of a
 chunk at once, each value bitwise the rate of its row alone; a rate
@@ -69,14 +69,16 @@ import numpy as np
 
 from .checkers import (
     StabilityReport,
+    _Ball,
     _ball,
     _ball_cfg,
     _ensemble,
+    _falsified,
     _grown,
     _norm_read,
     _Read,
     _step_defaults,
-    _witness,
+    _worst,
 )
 from .dde import DelaySystem, _mesh_times, _sample_stacks, _working_step
 from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
@@ -441,10 +443,11 @@ def _dini_read(V: Functional, hs: np.ndarray, n_nodes: int) -> _Read:
     return _Read(hs[::-1], n_nodes, _stacked(V))
 
 
-def _dini_quotients(hs: np.ndarray, v0: float, vs: np.ndarray) -> list:
+def _dini_quotients(hs: np.ndarray, v0: float,
+                    vs: np.ndarray) -> np.ndarray:
     """The forward quotient (V(x_h) - V(x)) / h for each step h of the
     decreasing hs, from V(x) = v0 and the _dini_read values vs."""
-    return [(v - v0) / hk for hk, v in zip(hs.tolist(), vs[::-1].tolist())]
+    return (vs[::-1] - v0) / hs
 
 
 def _dini_ladder(r: float, v0: float, vs: np.ndarray) -> DiniEstimate:
@@ -453,7 +456,7 @@ def _dini_ladder(r: float, v0: float, vs: np.ndarray) -> DiniEstimate:
     trend flag warns when the two smallest rungs still differ by more
     than 10 percent."""
     hs = _dini_steps(r)
-    quotients = list(zip(hs.tolist(), _dini_quotients(hs, v0, vs)))
+    quotients = list(zip(hs.tolist(), _dini_quotients(hs, v0, vs).tolist()))
     tail = [q for _, q in quotients[-3:]]
     q_prev, q_last = quotients[-2][1], quotients[-1][1]
     scale = max(abs(q_prev), abs(q_last), 1e-9 * (1.0 + v0))
@@ -587,15 +590,22 @@ def functional_lipschitz_probe(V: Functional, space: SpaceSpec, R: float,
 # -- certificate checks ------------------------------------------------
 
 
-def _falsifier(prop: str, space: SpaceSpec, cfg: SamplerConfig,
-               samples: int):
-    """Report builder for a failed certificate condition of sample i."""
-    def falsified(i: int, x0: Segment, t: float, v: float, margins: dict,
-                  failed: str) -> StabilityReport:
-        return StabilityReport(prop, space, "falsified",
-                               _witness(cfg, i, x0, t, v), margins,
-                               {"samples": samples}, {"failed": failed})
-    return falsified
+def _failed(prop: str, space: SpaceSpec, ball: _Ball, i: int, x0: Segment,
+            t: float, failed: str = "escape", v: float = math.inf,
+            margins: dict | None = None) -> StabilityReport:
+    """The falsified report of a certificate check of the ball's samples:
+    sample i, x0, fails the condition failed at time t with value v, by
+    default by its escape at t."""
+    return _falsified(prop, space, ball.cfg, i, x0, t,
+                      {"escape_time": t} if margins is None else margins,
+                      {"samples": ball.budget}, {"failed": failed}, v)
+
+
+def _exp_factors(rate: float, times: np.ndarray) -> np.ndarray:
+    """e^(rate t) at each time, +inf past the float range: libm's value
+    (checkers._grown), which numpy's exp may not round alike, once a
+    time."""
+    return np.array([_grown(1.0, rate * t) for t in times.tolist()])
 
 
 def _mesh_weights(times: np.ndarray, h: float) -> np.ndarray:
@@ -613,6 +623,53 @@ def _mesh_weights(times: np.ndarray, h: float) -> np.ndarray:
     return w
 
 
+def _exponential_report(space: SpaceSpec, ball: _Ball, a1: MonotoneGridFn,
+                        a2: MonotoneGridFn, starts, runs) -> StabilityReport:
+    """The exponential-certificate judge of runs read as V and the norm at
+    the report times past 0, each with its (V(x0), ||x0||) of starts."""
+    fail = partial(_failed, "exponential_certificate", space, ball)
+    times = ball.grid[1:]
+    decay = _exp_factors(-1.0, times)
+    a1_inv = a1.invert()
+    worst_low = worst_up = worst_decay = worst_env = 0.0
+    for i, ((x0, escaped, escape_time, (vts, nts)), (v0, nx)) in enumerate(
+            zip(runs, starts)):
+        tol = 1e-12 * (1.0 + v0)
+        lo, up = float(a1(nx)), float(a2(nx))
+        if lo > v0 * (1.0 + 1e-6) + tol:
+            return fail(i, x0, 0.0, "lower_sandwich", v0,
+                        {"lower_bound": lo, "value": v0})
+        if v0 > up * (1.0 + 1e-6) + tol:
+            return fail(i, x0, 0.0, "upper_sandwich", v0,
+                        {"upper_bound": up, "value": v0})
+        if v0 > 0.0:
+            worst_low = max(worst_low, lo / v0)
+        if up > 0.0:
+            worst_up = max(worst_up, v0 / up)
+        if escaped:
+            return fail(i, x0, escape_time)
+        limit = decay * v0
+        env = a1_inv(decay * up)
+        over = vts > limit * (1.0 + 1e-6) + tol
+        above = nts > env * (1.0 + 1e-6) + 1e-9 * (1.0 + env)
+        bad = np.flatnonzero(over | above)
+        if bad.size:
+            k = int(bad[0])
+            vt, nt = float(vts[k]), float(nts[k])
+            if over[k]:
+                return fail(i, x0, float(times[k]), "decay", vt,
+                            {"value": vt, "limit": float(limit[k])})
+            return fail(i, x0, float(times[k]), "implied_envelope", nt,
+                        {"norm": nt, "envelope": float(env[k])})
+        worst_decay = _worst(worst_decay, vts, limit)
+        worst_env = _worst(worst_env, nts, env)
+    return StabilityReport(
+        "exponential_certificate", space, "consistent", None,
+        {"worst_lower_ratio": worst_low, "worst_upper_ratio": worst_up,
+         "worst_decay_ratio": worst_decay, "worst_envelope_ratio": worst_env},
+        {"samples": ball.budget}, {"T": ball.horizon})
+
+
 def check_exponential_certificate(sys: DelaySystem, V: Functional,
                                   a1: MonotoneGridFn, a2: MonotoneGridFn,
                                   space: SpaceSpec, samples: int, T: float, *,
@@ -628,53 +685,80 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
     """
     ball = _ball(sys, space, rho, samples, family, order, seed, n_nodes, h,
                  grid_points, T=T, error="need positive samples, T and rho")
-    a1_inv = a1.invert()
-    times, cfg = ball.grid[1:], ball.cfg
-    fail = _falsifier("exponential_certificate", space, cfg, samples)
-    worst_low = 0.0
-    worst_up = 0.0
-    worst_decay = 0.0
-    worst_env = 0.0
+    times = ball.grid[1:]
     reads = [_functional_read(V, times, n_nodes),
              _norm_read(space, times, n_nodes)]
-    x0s, starts = _drawn(_sample_stacks(cfg, range(samples)), _stacked(V),
-                         _stacked(space_norm_functional(space)))
+    x0s, starts = _drawn(_sample_stacks(ball.cfg, range(samples)),
+                         _stacked(V), _stacked(space_norm_functional(space)))
     runs = _ensemble(sys, x0s, T, ball.h, reads)
-    for i, ((x0, escaped, escape_time, (vts, nts)), (v0, nx)) in enumerate(
+    return _exponential_report(space, ball, a1, a2, starts, runs)
+
+
+def _dini_report(space: SpaceSpec, ball: _Ball, a1: MonotoneGridFn,
+                 a2: MonotoneGridFn, Q: Callable, keep: int, starts,
+                 runs) -> tuple:
+    """The sandwich and Dini judge of ladder runs read at the rungs
+    ball.grid, each with its (V(x0), ||x0||) of starts: the first
+    failure's report (or None), the worst Dini excess, and (x0, V(x0)) of
+    the first keep samples."""
+    fail = partial(_failed, "pointwise_dissipation", space, ball)
+    rungs = ball.grid[::-1]
+    worst = -math.inf
+    kept = []
+    for i, ((x0, escaped, escape_time, (vs,)), (v0, nx)) in enumerate(
             zip(runs, starts)):
+        if i < keep:
+            kept.append((x0, v0))
+        lo = float(a1(float(np.linalg.norm(x0.values[-1]))))
+        up = float(a2(nx))
         tol = 1e-12 * (1.0 + v0)
-        lo, up = float(a1(nx)), float(a2(nx))
-        if lo > v0 * (1.0 + 1e-6) + tol:
-            return fail(i, x0, 0.0, v0, {"lower_bound": lo, "value": v0},
-                        "lower_sandwich")
-        if v0 > up * (1.0 + 1e-6) + tol:
-            return fail(i, x0, 0.0, v0, {"upper_bound": up, "value": v0},
-                        "upper_sandwich")
-        if v0 > 0.0:
-            worst_low = max(worst_low, lo / v0)
-        if up > 0.0:
-            worst_up = max(worst_up, v0 / up)
+        if lo > v0 * (1.0 + 1e-6) + tol or v0 > up * (1.0 + 1e-6) + tol:
+            return fail(i, x0, 0.0, "sandwich", v0,
+                        {"value": v0, "lower": lo, "upper": up}), worst, kept
         if escaped:
-            return fail(i, x0, escape_time, math.inf,
-                        {"escape_time": escape_time}, "escape")
-        for t, vt, nt in zip(times, vts.tolist(), nts.tolist()):
-            limit = math.exp(-t) * v0
-            if vt > limit * (1.0 + 1e-6) + tol:
-                return fail(i, x0, float(t), vt,
-                            {"value": vt, "limit": limit}, "decay")
-            env = float(a1_inv(math.exp(-t) * up))
-            if nt > env * (1.0 + 1e-6) + 1e-9 * (1.0 + env):
-                return fail(i, x0, float(t), nt,
-                            {"norm": nt, "envelope": env}, "implied_envelope")
-            if limit > 0.0:
-                worst_decay = max(worst_decay, vt / limit)
-            if env > 0.0:
-                worst_env = max(worst_env, nt / env)
+            return fail(i, x0, escape_time), worst, kept
+        est = float(_dini_quotients(rungs, v0, vs).max())
+        dissipation_tol = 1e-3 * (1.0 + v0)
+        rate = Q(x0.values[-1])
+        gap = est + rate
+        worst = max(worst, gap - dissipation_tol)
+        if gap > dissipation_tol:
+            return fail(i, x0, 0.0, "dissipation", est,
+                        {"dini_estimate": est, "required": -rate,
+                         "tolerance": dissipation_tol}), worst, kept
+    return None, worst, kept
+
+
+def _dissipation_report(space: SpaceSpec, ball: _Ball, trajectories: int,
+                        worst_dini: float, weights: list, starts,
+                        runs) -> StabilityReport:
+    """The integral judge of runs read as V at the checkpoints ball.grid
+    and Q on every mesh row, each with its V(x0) of starts; weights are
+    each checkpoint's quadrature weights from t = 0."""
+    fail = partial(_failed, "pointwise_dissipation", space, ball)
+    worst = -math.inf
+    for i, ((x0, escaped, escape_time, (vts, rates)), v0) in enumerate(
+            zip(runs, starts)):
+        if escaped:
+            return fail(i, x0, escape_time)
+        slack = 1e-4 * (1.0 + v0)
+        # one dot a checkpoint: a product with padded weights rounds
+        # differently
+        integrals = np.array([float(w @ rates[:w.size]) for w in weights])
+        excess = vts + integrals - v0
+        bad = np.flatnonzero(excess > slack)
+        if bad.size:
+            c = int(bad[0])
+            vt = float(vts[c])
+            return fail(i, x0, float(ball.grid[c]), "integral", vt,
+                        {"value": vt, "integral": float(integrals[c]),
+                         "start": v0})
+        worst = _worst(worst, excess - slack)
     return StabilityReport(
-        "exponential_certificate", space, "consistent", None,
-        {"worst_lower_ratio": worst_low, "worst_upper_ratio": worst_up,
-         "worst_decay_ratio": worst_decay, "worst_envelope_ratio": worst_env},
-        {"samples": samples}, {"T": T})
+        "pointwise_dissipation", space, "consistent", None,
+        {"worst_dini_excess": worst_dini, "worst_integral_excess": worst},
+        {"samples": ball.budget, "integral_trajectories": trajectories},
+        {"T": ball.horizon})
 
 
 def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
@@ -693,12 +777,10 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     samples, then V(x_t) + integral of Q(x(s)) <= V(x_0) along simulated
     trajectories, the integral by composite quadrature on the solver mesh.
 
-    The Dini estimate is dini_derivative's, the max of the quotients at
-    the three smallest rungs, in every bit; the ladders run as one
-    ensemble, each only to the first mesh node past the largest rung it
-    reads (33 steps, not dini_derivative's 2048).  So a ladder that
-    escapes only after that node is judged by its estimate, where
-    dini_derivative would raise EscapeError.
+    The Dini estimate is dini_derivative's in every bit, from ladders
+    run only past the three rungs it reads, so a ladder that escapes
+    later is judged by its estimate, where dini_derivative would raise
+    EscapeError.
     """
     if not (samples >= 1 and rho > 0.0 and integral_trajectories >= 1):
         raise ParameterError("need positive samples, rho and trajectories")
@@ -707,9 +789,6 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     if T is None:
         T = 2.0 * r
     cfg = _ball_cfg(sys, space, rho, family, order, seed, n_nodes)
-    fail = _falsifier("pointwise_dissipation", space, cfg, samples)
-    worst_dini = -math.inf
-    worst_integral = -math.inf
     hs = _dini_steps(r)
     rungs = hs[-3:]  # the estimate reads V at these only
     # each ladder runs to the first node of dini_derivative's mesh past
@@ -717,33 +796,16 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     # dini_derivative's (a ladder that ended on a rung could read it in
     # a short or capped last step)
     step = _working_step(r, float(hs[0]), hs[-1] / 2.0)
+    ladder = _Ball(cfg, samples, hs[-1] / 2.0,
+                   (math.floor(rungs[0] / step) + 1) * step, rungs[::-1])
     x0s, starts = _drawn(_sample_stacks(cfg, range(samples)), _stacked(V),
                          _stacked(space_norm_functional(space)))
-    ladders = _ensemble(sys, x0s, (math.floor(rungs[0] / step) + 1) * step,
-                        hs[-1] / 2.0, [_dini_read(V, rungs, n_nodes)])
-    kept = []  # (x0, V(x0)) of the samples the integral pass reuses
-    for i, ((x0, escaped, escape_time, (vs,)), (v0, nx)) in enumerate(
-            zip(ladders, starts)):
-        if i < integral_trajectories:
-            kept.append((x0, v0))
-        head = float(np.linalg.norm(x0.values[-1]))
-        tol = 1e-12 * (1.0 + v0)
-        if float(a1(head)) > v0 * (1.0 + 1e-6) + tol \
-                or v0 > float(a2(nx)) * (1.0 + 1e-6) + tol:
-            return fail(i, x0, 0.0, v0,
-                        {"value": v0, "lower": float(a1(head)),
-                         "upper": float(a2(nx))}, "sandwich")
-        if escaped:
-            return fail(i, x0, escape_time, math.inf,
-                        {"escape_time": escape_time}, "escape")
-        est = max(_dini_quotients(rungs, v0, vs))
-        dissipation_tol = 1e-3 * (1.0 + v0)
-        gap = est + Q(x0.values[-1])
-        worst_dini = max(worst_dini, gap - dissipation_tol)
-        if gap > dissipation_tol:
-            return fail(i, x0, 0.0, est,
-                        {"dini_estimate": est, "required": -Q(x0.values[-1]),
-                         "tolerance": dissipation_tol}, "dissipation")
+    ladders = _ensemble(sys, x0s, ladder.horizon, ladder.h,
+                        [_dini_read(V, rungs, n_nodes)])
+    failed, worst_dini, kept = _dini_report(
+        space, ladder, a1, a2, Q, integral_trajectories, starts, ladders)
+    if failed:
+        return failed
     # the solver mesh of a trajectory that reaches T, and the checkpoints
     step = _working_step(r, T, h)
     times = _mesh_times(T, step)
@@ -751,35 +813,77 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     idxs = [c * n_steps // DISSIPATION_CHECKPOINTS
             for c in range(1, DISSIPATION_CHECKPOINTS + 1)]
     idxs = [idx for idx in idxs if idx >= 2]
+    ball = _Ball(cfg, samples, h, T, times[idxs])
     # V at the checkpoints, and Q on every row of the mesh
-    reads = [_functional_read(V, times[idxs], n_nodes),
+    reads = [_functional_read(V, ball.grid, n_nodes),
              _Read(None, None, _row_rates(Q))]
     fresh, fresh_starts = _drawn(
         _sample_stacks(cfg, range(samples, integral_trajectories)),
         _stacked(V))
     runs = _ensemble(sys, chain((x0 for x0, _ in kept), fresh), T, h, reads)
-    starts = chain((v0 for _, v0 in kept), (v0 for v0, in fresh_starts))
-    weights = [_mesh_weights(times[:idx + 1], step) for idx in idxs]
-    for i, ((x0, escaped, escape_time, (vts, rates)), v0) in enumerate(
-            zip(runs, starts)):
+    return _dissipation_report(
+        space, ball, integral_trajectories, worst_dini,
+        [_mesh_weights(times[:idx + 1], step) for idx in idxs],
+        chain((v0 for _, v0 in kept), (v0 for v0, in fresh_starts)), runs)
+
+
+def _prolongation_report(space: SpaceSpec, ball: _Ball, a: MonotoneGridFn,
+                         mu: float, hs: np.ndarray, keep: int,
+                         quotients) -> tuple:
+    """The coercivity and prolongation judge of each sample's (x0, U(x0),
+    its quotients at the steps hs): the first failure's report (or
+    None), the worst quotient excess, and (x0, U(x0)) of the first keep
+    samples."""
+    fail = partial(_failed, "growth_certificate", space, ball)
+    worst = -math.inf
+    kept = []
+    for i, (x0, u0, qs) in enumerate(quotients):
+        if i < keep:
+            kept.append((x0, u0))
+        required = float(a(float(np.linalg.norm(x0.values[-1]))))
+        if required > u0 * (1.0 + 1e-6) + 1e-12 * (1.0 + u0):
+            return fail(i, x0, 0.0, "coercivity", u0,
+                        {"value": u0, "required": required}), worst, kept
+        tol = 1e-3 * (1.0 + u0)
+        excess = qs - mu * u0
+        bad = np.flatnonzero(excess > tol)
+        if bad.size:
+            k = int(bad[0])
+            q = float(qs[k])
+            return fail(i, x0, 0.0, "prolongation", q,
+                        {"quotient": q, "limit": mu * u0,
+                         "step": float(hs[k])}), worst, kept
+        worst = _worst(worst, excess - tol)
+    return None, worst, kept
+
+
+def _growth_report(space: SpaceSpec, ball: _Ball, mu: float,
+                   worst_quotient: float, kept: list,
+                   runs) -> StabilityReport:
+    """The trajectory judge of the runs of the kept samples, (x0, U(x0)),
+    read as U at the report times past 0: U(x_t) <= e^(mu t) U(x0)."""
+    fail = partial(_failed, "growth_certificate", space, ball)
+    times = ball.grid[1:]
+    growth = _exp_factors(mu, times)
+    worst = 0.0
+    for i, ((x0, escaped, escape_time, (uts,)), (_, u0)) in enumerate(
+            zip(runs, kept)):
         if escaped:
-            return fail(i, x0, escape_time, math.inf,
-                        {"escape_time": escape_time}, "escape")
-        slack = 1e-4 * (1.0 + v0)
-        for idx, w, vt in zip(idxs, weights, vts.tolist()):
-            integral = float(w @ rates[:idx + 1])
-            excess = vt + integral - v0
-            worst_integral = max(worst_integral, excess - slack)
-            if excess > slack:
-                return fail(i, x0, float(times[idx]), vt,
-                            {"value": vt, "integral": integral, "start": v0},
-                            "integral")
+            return fail(i, x0, escape_time)
+        limit = u0 * growth if u0 != 0.0 else np.zeros(times.size)
+        bad = np.flatnonzero(uts > limit * (1.0 + 1e-3) + 1e-12 * (1.0 + u0))
+        if bad.size:
+            k = int(bad[0])
+            ut = float(uts[k])
+            return fail(i, x0, float(times[k]), "trajectory_growth", ut,
+                        {"value": ut, "limit": float(limit[k])})
+        worst = _worst(worst, uts, limit)
     return StabilityReport(
-        "pointwise_dissipation", space, "consistent", None,
-        {"worst_dini_excess": worst_dini,
-         "worst_integral_excess": worst_integral},
-        {"samples": samples, "integral_trajectories": integral_trajectories},
-        {"T": T})
+        "growth_certificate", space, "consistent", None,
+        {"worst_quotient_excess": worst_quotient,
+         "worst_trajectory_ratio": worst},
+        {"samples": ball.budget, "trajectories": len(kept)},
+        {"mu": mu, "T": ball.horizon})
 
 
 def check_growth_certificate(sys: DelaySystem, U: Functional,
@@ -806,50 +910,12 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
         space = SpaceSpec.sup()
     ball = _ball(sys, space, rho, samples, family, order, seed, n_nodes, h,
                  grid_points, horizon=2.0 * r if T is None else T)
-    cfg, T, times = ball.cfg, ball.horizon, ball.grid[1:]
-    fail = _falsifier("growth_certificate", space, cfg, samples)
     hs = _dini_steps(r)
-    worst_quotient = -math.inf
-    checked = min(traj_check, samples)
-    kept = []  # (x0, U(x0)) of the samples the trajectory pass reuses
-    for i, (x0, u0, qs) in enumerate(
-            _prolonged(sys, U, _sample_stacks(cfg, range(samples)), hs)):
-        if i < checked:
-            kept.append((x0, u0))
-        head = float(np.linalg.norm(x0.values[-1]))
-        if float(a(head)) > u0 * (1.0 + 1e-6) + 1e-12 * (1.0 + u0):
-            return fail(i, x0, 0.0, u0,
-                        {"value": u0, "required": float(a(head))},
-                        "coercivity")
-        tol = 1e-3 * (1.0 + u0)
-        for hk, q in zip(hs.tolist(), qs.tolist()):
-            excess = q - mu * u0
-            worst_quotient = max(worst_quotient, excess - tol)
-            if excess > tol:
-                return fail(i, x0, 0.0, q,
-                            {"quotient": q, "limit": mu * u0,
-                             "step": hk}, "prolongation")
-    worst_traj = 0.0
-    # e^(mu t) at each time, +inf past the float range
-    growth = [_grown(1.0, mu * t) for t in times.tolist()]
-    runs = _ensemble(sys, (x0 for x0, _ in kept), T, ball.h,
-                     [_functional_read(U, times, n_nodes)])
-    for i, ((x0, escaped, escape_time, (uts,)), (_, u0)) in enumerate(
-            zip(runs, kept)):
-        if escaped:
-            return fail(i, x0, escape_time, math.inf,
-                        {"escape_time": escape_time}, "escape")
-        for t, g, ut in zip(times, growth, uts.tolist()):
-            limit = u0 * g if u0 != 0.0 else 0.0
-            if ut > limit * (1.0 + 1e-3) + 1e-12 * (1.0 + u0):
-                return fail(i, x0, float(t), ut,
-                            {"value": ut, "limit": limit},
-                            "trajectory_growth")
-            if limit > 0.0:
-                worst_traj = max(worst_traj, ut / limit)
-    return StabilityReport(
-        "growth_certificate", space, "consistent", None,
-        {"worst_quotient_excess": worst_quotient,
-         "worst_trajectory_ratio": worst_traj},
-        {"samples": samples, "trajectories": checked},
-        {"mu": mu, "T": T})
+    failed, worst_quotient, kept = _prolongation_report(
+        space, ball, a, mu, hs, min(traj_check, samples),
+        _prolonged(sys, U, _sample_stacks(ball.cfg, range(samples)), hs))
+    if failed:
+        return failed
+    runs = _ensemble(sys, (x0 for x0, _ in kept), ball.horizon, ball.h,
+                     [_functional_read(U, ball.grid[1:], n_nodes)])
+    return _growth_report(space, ball, mu, worst_quotient, kept, runs)

@@ -1,5 +1,6 @@
 """Tests for the empirical stability checkers and envelope machinery."""
 
+import hashlib
 import io
 import json
 import math
@@ -1758,3 +1759,127 @@ def test_uga_reads_at_its_level_one_member_a_stack(monkeypatch, grid_points):
     assert last == [4]
     assert len(stacks) > 1
     assert all(m == 1 for m, k, end in stacks if (k, end) != (1, horizon))
+
+
+# -- judged reports keep their bytes ----------------------------------
+
+
+def _echo(seg):
+    return np.atleast_1d(seg.value_at_point(0.0))
+
+
+# x' = x(t) and x' = 0.5 x(t) with understated Lipschitz moduli
+LIAR = DelaySystem(name="liar", dimension=1, delay_r=0.5, rhs=_echo,
+                   lipschitz_modulus=lambda R: 0.0, params={})
+UNDERSTATED = replace(linear(1.0, 0.5, 0.0), lipschitz_modulus=lambda R: 0.4)
+SATURATING = make_system("saturating", r=1.0, params={"c": 1.0, "k": 0.5})
+# configs that reach each verdict of lags, uga, the pair bounds and the
+# envelope lift; a falsifying sample or pair is a later one where it can be
+JUDGED_CASES = {
+    "lags_consistent": lambda: check_lags(
+        linear(0.5, 0.0, 0.0), SUP, 1.25, 3, family="polynomial", order=0,
+        h=0.02, grid_points=40),
+    "lags_sobolev": lambda: check_lags(
+        linear(1.0, -1.0, 0.3), SOB2, 1.0, 5, horizon=4.0, h=0.02,
+        grid_points=30),
+    "lags_still_growing": lambda: check_lags(
+        linear(1.0, 0.0, 1.0), SUP, 1.0, 3, h=0.04, grid_points=40),
+    "lags_escape": lambda: check_lags(
+        QUAD, SUP, 2.0, 6, horizon=1.5, seed=0, h=0.01, grid_points=20),
+    "uga_consistent": lambda: check_uga(
+        make_system("saturating", r=0.5, params={"c": 1.0, "k": 0.5}), SUP,
+        0.2, 1.0, 3, h=0.02, grid_points=60),
+    "uga_hoelder": lambda: check_uga(
+        linear(0.25, -1.0, 0.3), SpaceSpec.hoelder(0.5), 0.1, 1.0, 5,
+        horizon=4.0, h=0.02, grid_points=20),
+    "uga_inconclusive": lambda: check_uga(
+        linear(0.5, 0.0, 0.0), SUP, 0.1, 1.0, 3, family="polynomial",
+        order=0, h=0.02, grid_points=30),
+    "uga_escape": lambda: check_uga(
+        QUAD, SUP, 0.1, 2.0, 6, horizon=1.5, seed=0, h=0.01, grid_points=20),
+    "pairs_consistent": lambda: verify_pair_bounds(
+        SATURATING, SUP, 1.0, 2.0, 6, h=0.04, grid_points=12),
+    "pairs_sobolev": lambda: verify_pair_bounds(
+        SATURATING, SOB2, 1.0, 2.0, 6, h=0.04, grid_points=12),
+    "pairs_overflowing_factors": lambda: verify_pair_bounds(
+        SATURATING, SUP, 1.0, 500.0, 1, h=0.1),
+    "pairs_bound_falsified": lambda: verify_pair_bounds(
+        LIAR, SUP, 1.0, 1.0, 2, family="polynomial", order=0, h=0.02,
+        grid_points=10),
+    "pairs_bound_falsified_late": lambda: verify_pair_bounds(
+        UNDERSTATED, SUP, 1.0, 2.0, 8, h=0.04, grid_points=12, seed=1),
+    "pairs_escape": lambda: verify_pair_bounds(
+        make_system("quadratic", r=1.0, params={"c": 1.0}), SUP, 1.0, 1.5,
+        1, family="polynomial", order=0, seed=0, h=0.01, grid_points=10),
+    "lift_consistent": lambda: check_envelope_lift(
+        linear(1.0, -1.0, 0.3), SOB2, 1.5, 4, 16, horizon=8.0, h=0.02,
+        grid_points=50),
+    "lift_falsified": lambda: check_envelope_lift(
+        linear(1.0, -200.0, 0.0), SOB2, 1.5, 4, 8,
+        lipschitz_modulus=lambda R: 1.0, horizon=2.0, h=0.005,
+        grid_points=30),
+}
+# (verdict, sha256 of the sorted report JSON), recorded when each of
+# these checks judged its runs inline, a sample and a report time at a
+# time
+JUDGED_REPORTS = {
+    "lags_consistent": (
+        "consistent",
+        "e980949fcb274161619a0d0d3a0738fb0003a49825864b4a7513203e9f78b780"),
+    "lags_escape": (
+        "falsified",
+        "ca0ff445af28d4c11f4648e698ee25f53a1941e60a32a4ec3634306a2056da5e"),
+    "lags_sobolev": (
+        "consistent",
+        "18031e2f175ada3dbd5edd932e07191639721adf20f6b6f2ce64df5837f953f1"),
+    "lags_still_growing": (
+        "inconclusive",
+        "87c918105bd37c741bbc98233b9bc3cf11d6c4863d21a8fc6dddf7fd5a65fa20"),
+    "lift_consistent": (
+        "consistent",
+        "93cf59e25d02f14aca0c2b6e68a667afec4fb6029d507d0536879314c6e5f3ac"),
+    "lift_falsified": (
+        "falsified",
+        "351b8a22bd8a9fa43e2faae9a36452d3a9ece17f8b328ee9c13f363abeb17393"),
+    "pairs_bound_falsified": (
+        "falsified",
+        "192d35d565b17544366f56fa2e8e22a909f7af092923ef20558d3e0967c40e86"),
+    "pairs_bound_falsified_late": (
+        "falsified",
+        "474def1d3978dc861d677a582b29cb148c1f8f1f779440713c368be3df92497d"),
+    "pairs_consistent": (
+        "consistent",
+        "e2a4dde1cbfb98434ecabcc4e9bcd0dfbe7bdea4c11bc4b231087120a38cc181"),
+    "pairs_escape": (
+        "falsified",
+        "78031f34b19e3e860e62fa117c263c5f84850a9dbf42966157336cf383f58163"),
+    "pairs_overflowing_factors": (
+        "consistent",
+        "7b3e33673dca4cff96b959fdc6d779d363284f9717c873798748d33296ca1c78"),
+    "pairs_sobolev": (
+        "consistent",
+        "1f4941135066aef94d38f9d193e5a45a348ac0e87792c6e28d95283eb70b0f12"),
+    "uga_consistent": (
+        "consistent",
+        "dabbb4ed84412d9cea8d5cb7cf086742375a837f88debb80d6ae1ef4cfb4f418"),
+    "uga_escape": (
+        "falsified",
+        "1f00691cb6d145c8b2f370b83070c76ba9ba31b373b81e413a6ff83fb87bc81b"),
+    "uga_hoelder": (
+        "consistent",
+        "4bf943311d853f25fb879182650206bcc59210e5af77551319856dfa2dbcb173"),
+    "uga_inconclusive": (
+        "inconclusive",
+        "4e23c247e9440fd419e17b9a1d0b5f37fa24307afc5ae4da45b58131042a0af3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JUDGED_CASES))
+def test_judged_reports_keep_their_bytes(case):
+    """Every verdict of lags, uga, the pair bounds and the envelope lift
+    keeps its report bytes: witnesses, escape times, settle times,
+    residuals and worst-ratio margins."""
+    rep = JUDGED_CASES[case]()
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    assert (rep.verdict, hashlib.sha256(text.encode()).hexdigest()) \
+        == JUDGED_REPORTS[case]

@@ -978,10 +978,70 @@ CERTIFICATE_CASES = {
         MonotoneGridFn.linear(1.0), scaled_abs_rate(1.0), SUP, 1,
         integral_trajectories=3, T=2.005, family="polynomial", order=0,
         h=0.01, seed=0),
+    "growth_coercivity": lambda: check_growth_certificate(
+        linear(1.0, 0.0, 0.0), weighted_sup(1.0), MonotoneGridFn.linear(10.0),
+        0.0, 5, family="polynomial", order=0, seed=0),
+    "growth_prolongation": lambda: check_growth_certificate(
+        linear(1.0, 0.0, 1.0), weighted_sup(1.0),
+        MonotoneGridFn.linear(E_INV), 0.0, 5, family="polynomial", order=0,
+        seed=0),
+    "dissipation_sandwich": lambda: check_pointwise_dissipation(
+        linear(1.0, -1.0, 0.0), weighted_sup(1.0), MonotoneGridFn.linear(1.0),
+        MonotoneGridFn.linear(0.1), scaled_abs_rate(1.0), SUP, 5,
+        integral_trajectories=2, seed=0),
+    "dissipation_unstable": lambda: check_pointwise_dissipation(
+        linear(1.0, 1.0, 0.0), weighted_sup(1.0), MonotoneGridFn.linear(1.0),
+        MonotoneGridFn.linear(1.0), scaled_abs_rate(E_INV), SUP, 5,
+        integral_trajectories=5, family="polynomial", order=0, seed=0),
+    # a rate 5e-4 above the decay passes the Dini tolerance and breaks the
+    # integral at its second checkpoint
+    "dissipation_integral": lambda: check_pointwise_dissipation(
+        linear(1.0, -1.0, 0.0), weighted_sup(1.0),
+        MonotoneGridFn.linear(E_INV), MonotoneGridFn.linear(1.0),
+        scaled_abs_rate(1.0005), SUP, 3, integral_trajectories=3,
+        family="polynomial", order=0, seed=0),
+    "exponential_workload": lambda: check_exponential_certificate(
+        linear(1.0, -1.0, 0.0), weighted_sup(1.0),
+        MonotoneGridFn.linear(E_INV), MonotoneGridFn.linear(1.0), SUP, 40,
+        2.0, seed=0),
+    "exponential_quadratic": lambda: check_exponential_certificate(
+        linear(1.0, -1.0, 0.0), quadratic_integral(2.0),
+        MonotoneGridFn.linear(1e-3), MonotoneGridFn.linear(2.0), SUP, 4, 3.0,
+        seed=0, grid_points=30),
+    "exponential_lower_sandwich": lambda: check_exponential_certificate(
+        linear(1.0, -1.0, 0.0), weighted_sup(1.0), MonotoneGridFn.linear(2.0),
+        MonotoneGridFn.linear(1.0), SUP, 5, 3.0, seed=0),
+    "exponential_upper_sandwich": lambda: check_exponential_certificate(
+        linear(1.0, -1.0, 0.0),
+        Functional("doubled", lambda s: 2.0 * weighted_sup(1.0).evaluate(s)),
+        MonotoneGridFn.linear(E_INV), MonotoneGridFn.linear(1.0), SUP, 5,
+        3.0, seed=0),
+    "exponential_escape": lambda: check_exponential_certificate(
+        QUAD_ONE, space_norm_functional(SUP), MonotoneGridFn.linear(1.0),
+        MonotoneGridFn.linear(1.0), SUP, 1, 1.0, family="polynomial",
+        order=0, seed=1, rho=3.0),
+    "exponential_decay": lambda: check_exponential_certificate(
+        linear(1.0, 0.0, 0.0), space_norm_functional(SUP),
+        MonotoneGridFn.linear(1.0), MonotoneGridFn.linear(1.0), SUP, 3, 2.0,
+        seed=0),
+    # sample 0 decays; sample 1 breaks the rate at a late report time
+    "exponential_decay_late": lambda: check_exponential_certificate(
+        linear(1.0, -1.0, 0.1), weighted_sup(1.0),
+        MonotoneGridFn.linear(E_INV), MonotoneGridFn.linear(1.0), SUP, 10,
+        2.0, seed=2),
+    # V(x_t) = e^(-t) V(x0) on constants while the window still holds
+    # them, so the sup norm outlives the envelope the sandwich implies
+    "exponential_implied_envelope": lambda: check_exponential_certificate(
+        linear(1.0, -1.0, 0.0), weighted_sup(5.0), MonotoneGridFn.linear(1.0),
+        MonotoneGridFn.linear(1.0), SUP, 3, 2.0, family="polynomial",
+        order=0, seed=0),
 }
 # (verdict, failed, sha256 of the sorted report JSON), recorded when the
 # growth check computed e^(mu t) once per sample and time and the
-# dissipation check its quadrature weights once per sample and checkpoint
+# dissipation check its quadrature weights once per sample and checkpoint;
+# the failing growth and dissipation cases and the exponential cases
+# when those checks judged each sample, rung and report time inline and
+# the exponential one computed e^(-t) once per sample and time
 CERTIFICATE_REPORTS = {
     "growth_workload": (
         "consistent", None,
@@ -1001,15 +1061,55 @@ CERTIFICATE_REPORTS = {
     "dissipation_off_the_step_grid": (
         "consistent", None,
         "501a256c4c61ec36f9849cc008ab98c1342eb522802ad8b11bc51917a9c7bd70"),
+    "growth_coercivity": (
+        "falsified", "coercivity",
+        "7131758b5fdfe354ffb93f8c7691fa5f8a513b910f951a690bb23e1bc950291a"),
+    "growth_prolongation": (
+        "falsified", "prolongation",
+        "0fe97a602deee4fa593b69c548a95d5ab66b08079525923b4e4d19aa09ed8b05"),
+    "dissipation_sandwich": (
+        "falsified", "sandwich",
+        "7921d30d1adfdebf62c229f84d7edee609cc8518bd0f7cfe20c782e7bed72dea"),
+    "dissipation_unstable": (
+        "falsified", "dissipation",
+        "1b2fd5d3f5d0c83445ebc6755d13056f7c6c3795c0a3f412de357577f0e3e134"),
+    "dissipation_integral": (
+        "falsified", "integral",
+        "b117e4e1eeb1d7d906943c2bfb8d546b6f335f4a883c49af2c782858bb5ef6c3"),
+    "exponential_decay": (
+        "falsified", "decay",
+        "40b628f333420f8f120c92b2e1340be882e1e67b35c5482faa0bb2b53a4c4766"),
+    "exponential_decay_late": (
+        "falsified", "decay",
+        "caff46899015601155e2dfed7324dbb417410e6af6806c09773d9e3b3dbe35cb"),
+    "exponential_escape": (
+        "falsified", "escape",
+        "9767338418b92e8ad2f7de1a5ea2638bcdc6973d16963aad8d8382fe16ba1861"),
+    "exponential_implied_envelope": (
+        "falsified", "implied_envelope",
+        "b8ba9f01c6a6a6c30b8a4aafc8cea7a4456492a8525886675c85981142da53da"),
+    "exponential_lower_sandwich": (
+        "falsified", "lower_sandwich",
+        "f0afd250def8acf820de8cedad7adab23f8d99617cb9225d30c4536ba32269a5"),
+    "exponential_quadratic": (
+        "consistent", None,
+        "caf6dca6f88a39968d2b18644b402de59e483ef0fd129c22beaf4ad89c10c285"),
+    "exponential_upper_sandwich": (
+        "falsified", "upper_sandwich",
+        "9fee4021dabeebc4f0d4582d942729149276e97be91f4dff12746c3e82f4bfcb"),
+    "exponential_workload": (
+        "consistent", None,
+        "62af50608663dbb0957ab6e2786aa64564ada6db49172643fe357a161dc3ffba"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
 def test_certificate_reports_keep_their_bytes(monkeypatch, case):
-    """Each time's e^(mu t) and each checkpoint's quadrature weights are
-    computed once a check, not once a sample, and every report keeps its
-    bytes, including a trajectory_growth witness and limits that
-    overflow to +inf."""
+    """Each time's e^(mu t) or e^(-t) and each checkpoint's quadrature
+    weights are computed once a check, not once a sample, and every
+    report keeps its bytes, including a trajectory_growth witness, limits
+    that overflow to +inf and each way the exponential certificate
+    fails."""
     counts = {"_grown": 0, "_mesh_weights": 0}
     for name in counts:
         def counting(*args, _name=name, _f=getattr(lyapunov, name)):
@@ -1023,6 +1123,8 @@ def test_certificate_reports_keep_their_bytes(monkeypatch, case):
         == CERTIFICATE_REPORTS[case]
     if case == "growth_workload":  # one a report time
         assert counts["_grown"] == 29
+    if case == "exponential_workload":  # one a report time, for 40 samples
+        assert counts["_grown"] == 39
     if case == "dissipation_workload":  # one a checkpoint
         assert counts["_mesh_weights"] == lyapunov.DISSIPATION_CHECKPOINTS
 

@@ -94,7 +94,8 @@ def test_norm_tracks_read_stacked_segments():
     assert _callers("_track") == {("checkers", "_Read")}
     # space_norm is the batch of one of _norms, and a segment keeps no
     # read of its own for a second path to norm
-    assert _callers("_norms") == {("checkers", "verify_pair_bounds"),
+    # the pair distances norm their stacks in _segment_chunk pieces
+    assert _callers("_norms") == {("checkers", "_stack_norms"),
                                   ("cli", "cmd_norms"),
                                   ("sampler", "sample_many"),
                                   ("segment", "space_norm")}
@@ -105,7 +106,7 @@ def test_norm_tracks_read_stacked_segments():
     # no track reads its segments one time at a time
     assert _callers("segment_at") == {("cli", "cmd_simulate")}
     assert _callers("space_norm") == {
-        ("checkers", "verify_pair_bounds"),  # the initial distance only
+        ("checkers", "_pair_report"),  # the initial distance only
         ("cli", "cmd_simulate"),
         ("lyapunov", "functional_lipschitz_probe"),
         ("lyapunov", "space_norm_functional")}
@@ -165,17 +166,17 @@ def _passing(name: str, keyword: str, position: int) -> set:
 def test_only_uga_reads_norms_at_a_level():
     """A value read at a level is exact only against that level, so only
     check_uga, which judges nothing else of the times it reads so, may
-    ask for one.  The exact consumers of norm reads (the envelope fits
-    and lift, rfc, lags, ls, ga, the pair bounds and the sampler) pass
-    none, and the level reaches the Hoelder sweep only as its cap."""
+    ask for one.  The exact consumers of norm reads (the shell pass of
+    the envelope fits and lift, rfc, lags, ls, ga, the pair bounds and
+    the sampler) pass none, and the level reaches the Hoelder sweep only
+    as its cap."""
     assert _passing("_norm_read", "level", 3) == {("checkers", "check_uga")}
     assert _passing("_norms", "level", 6) == {("checkers", "_norm_read")}
     assert _passing("_hoelder_norms", "cap", 4) == {("segment", "_norms")}
     exact = {("checkers", name) for name in (
-        "fit_kl_envelope", "check_envelope_lift", "check_rfc", "check_lags",
-        "check_ls", "check_ga")}
+        "_shell_pass", "check_rfc", "check_lags", "check_ls", "check_ga")}
     assert exact < _callers("_norm_read")
-    assert ("checkers", "verify_pair_bounds") in _callers("_norms")
+    assert ("checkers", "_stack_norms") in _callers("_norms")
     assert ("sampler", "sample_many") in _callers("_norms")
 
 
@@ -188,3 +189,16 @@ def test_composite_integrates_through_no_other_checker():
     for name in ("check_ga", "check_rfc", "fit_kl_envelope", "check_lags",
                  "check_uga", "check_envelope_lift"):
         assert composite not in _callers(name), name
+
+
+def test_falsified_reports_come_from_one_helper_a_format():
+    """Every witness is built by checkers._falsified, the falsified
+    report of the checkers (an escape by default), and the certificate
+    checks' reports by lyapunov._failed on top of it (also an escape by
+    default); the per-check report builder it replaced is gone."""
+    assert _callers("_witness") == {("checkers", "_falsified")}
+    assert _callers("_falsified") == {
+        ("checkers", name) for name in (
+            "_rfc_report", "_peak", "check_ls", "_ga_report",
+            "_pair_report", "_lift_report")} | {("lyapunov", "_failed")}
+    assert not hasattr(delaystab.lyapunov, "_falsifier")
