@@ -1133,14 +1133,18 @@ def _pair_report(space: SpaceSpec, ball: _Ball, growth: float, M: float,
             return _falsified("pair_bounds", space, ball.cfg, j, z0, e_time,
                               margins, budgets,
                               pair_index=k if j == i else i)
-        d0_sup = space_norm(x0 - y0, sup)
-        d0_full = space_norm(x0 - y0, space)
+        d0 = x0 - y0
+        gap = run_x.tracks[0] - run_y.tracks[0]
+        d0_sup = space_norm(d0, sup)
+        d_sup = _stack_norms(r, s, gap[:, 0], gap[:, 1], sup)
+        if space == sup:  # the full distance is the sup distance
+            d0_full, d_full = d0_sup, d_sup
+        else:
+            d0_full = space_norm(d0, space)
+            d_full = _stack_norms(r, s, gap[:, 0], gap[:, 1], space)
         # an infinite factor on a zero distance still bounds by 0
         lim_sup = growth * d0_sup if d0_sup else 0.0
         lim_full = M * d0_full if d0_full else 0.0
-        gap = run_x.tracks[0] - run_y.tracks[0]
-        d_sup, d_full = (_stack_norms(r, s, gap[:, 0], gap[:, 1], norm)
-                         for norm in (sup, space))
         bad = np.flatnonzero((d_sup > lim_sup * (1.0 + 1e-6) + 1e-15)
                              | (d_full > lim_full * (1.0 + 1e-6) + 1e-15))
         if bad.size:

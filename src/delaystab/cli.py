@@ -26,6 +26,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -303,7 +304,11 @@ DISPATCH = {"simulate": cmd_simulate, "norms": cmd_norms,
             "lyapunov": cmd_lyapunov}
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every
+    later main call of the process: building it and its five subparsers
+    costs milliseconds, mostly argparse's gettext and regex set-up."""
     parser = argparse.ArgumentParser(
         prog="delaystab",
         description="Stability experiments for delay differential "
@@ -321,7 +326,11 @@ def main(argv=None) -> int:
                        help="sampling seed (default 0)")
         p.add_argument("--out", default=".",
                        help="output directory (default .)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)

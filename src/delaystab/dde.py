@@ -31,26 +31,32 @@ overlap of at most one step) are answered by linear interpolation toward
 the running stage value; this is the standard method-of-steps compromise
 and is documented behavior, not an accident.
 
-The discrete-delay families (linear_scalar, linear_vector, saturating and
-quadratic) declare f as two parts, f(x_t) = instant(x(t)) + delayed(x(t -
-r)) (``DelaySystem.parts``; quadratic and linear_scalar at b = 0 have no
-delayed part), and build their rhs from them, so a segment's read is
-unchanged.  The integrator steps them without the view's point reads:
-with r >= 10 h, x(t - r) is settled data a delay interval ahead, so it
-applies delayed once to a read plan at -r, over all the plan's stages
-and members, and each stage slope is instant(stage state) plus its
-planned row, added into a preallocated buffer.  The half-step stage's
-row serves k2 and k3, the full-step stage's k4 and the fresh node's
-derivative, which is the next step's k1: four slopes a step.  A plan can
-hold a single stage, so each of the two rows is looked up, and planned
-anew, on its own; the plan is dropped when the window moves or members
-escape.  A family without a delayed part never reads the view.  Both
-paths give the same bits: planned reads are the one-stage reads, and
-each part acts row by row, so one call on many stages rounds every row
-as a call on one.  distributed_linear keeps the view path: its
-quadrature reads x across [-r, 0], the unsettled overlap at s = 0
-included, and splitting it would reassociate its sum.  So does every
-system built without parts.
+The families whose x(t) term is linear (linear_scalar, linear_vector and
+saturating) declare f as two parts, f(x_t) = A0 x(t) + delayed(x(t - r))
+(``DelaySystem.parts``; linear_scalar at b = 0 has no delayed part), and
+build their rhs from them, so a segment's read is unchanged.  With
+r >= 10 h, x(t - r) is settled data a delay interval ahead: the
+integrator applies delayed once to a read plan at -r, over all the plan's
+stages and members, and within a step g(t) = delayed(x(t - r)) is known
+forcing.  Classical RK4 on x' = A0 x + g(t) is then exactly the affine
+map y <- M y + F, F = (c0 g0 + ch gh) + cf gf from the planned terms at
+the step's start, middle and end, M the RK4 stability function of w A0
+and all four built once per step width w (``_affine_step``; Hairer,
+Norsett and Wanner, Solving ODEs I, for the stability function; Bellen
+and Zennaro 2003 for RK inside the method of steps).  A step makes the
+forcing, one product with M and one add, written straight into its
+window row, and the fresh node's derivative A0 y + gf, the next step's
+k1 (gf is its g0).  A plan can hold a single stage, so each of the
+two rows is looked up, and planned anew, on its own; the plan is
+dropped when the window moves or members escape.  A family without a
+delayed part never reads the view: its step is y <- M y.  The affine map
+sums RK4's terms in another order than its stages do, so it matches
+the stage form through rhs to rounding, not bitwise; every product maps
+rows (a 0-d factor for n = 1, else ``_matvec``), so a member's bits still
+do not depend on its block.  quadratic, whose x(t) term is not linear,
+distributed_linear, whose quadrature reads x across [-r, 0], the
+unsettled overlap at s = 0 included, and every system built without
+parts step in the stage form through rhs and the block view.
 
 Solutions that leave the ball |x| <= 1e12, or turn non-finite, end their
 integration early and mark the trajectory ``escaped`` with the crossing
@@ -79,17 +85,19 @@ follow from its mesh, and a read at delay s that no plan covers computes,
 in one vectorised Hermite call, its values at this stage and at every later
 stage whose cells have both rows settled already, at most a share of
 BLOCK_BYTES; on the view path the later stages look their row up by
-stage time, and the parts path takes the plan at -r whole.  Each planned
+stage time, and the affine step takes the plan at -r whole.  Each planned
 read is the formula of a read at its own stage on the same cell and
 fraction, so planning ahead moves no bit (see ``_SolutionView``).
 
-A step pays numpy's per-call cost and no more: its constants (step / 2,
-step, step / 6 and 2) are 0-d arrays cached per step width, and each
-stage state and partial sum is written into a preallocated buffer of
-its own, the new state straight into its window row, in the association
-y + (step / 2) k1, ..., y + (step / 6) (((k1 + 2 k2) + 2 k3) + k4).  The
-built-in scalar families hold their coefficients as 0-d arrays too.  A
-0-d factor makes the same products as a Python float, so no bit moves.
+A step pays numpy's per-call cost, about the same whatever the block
+size, so its cost is its count of numpy calls: the affine step makes
+two products without a delayed part and nine products and adds with
+one; the stage form makes four rhs calls and its stage sums, in the
+association y + (step / 2) k1, ..., y + (step / 6) (((k1 + 2 k2) + 2 k3)
++ k4).  The coefficients of both are 0-d arrays (matrices for n > 1)
+cached per step width, and the built-in scalar families hold theirs as
+0-d arrays too: a 0-d factor costs numpy less than a Python float and
+makes the same products, so no bit moves.
 
 Ensembles integrate in memory-bounded blocks (``_block_members``): a
 block holds the most histories whose smallest windows, two delay
@@ -175,17 +183,18 @@ class DelaySystem:
     sup-norm Lipschitz constant of rhs on the R-ball.  Construction checks
     that the zero segment is an equilibrium.
 
-    parts is structure, not an option: the discrete-delay families
-    (linear_scalar, linear_vector, saturating, quadratic) are f(x_t) =
-    instant(x(t)) + delayed(x(t - r)) and give the pair (instant,
-    delayed), delayed None where f reads x(t) alone (quadratic,
-    linear_scalar at b = 0).  Each part maps (..., n) to (..., n) row by
-    row, and rhs is built from them (_from_parts), so the integrator may
-    apply delayed to a plan's stages at once with the bits of rhs.  A
-    system without parts is integrated through rhs and the block view:
-    one built by hand, or distributed_linear, whose quadrature reads x
-    across [-r, 0], the step being built included, and would sum in
-    another order if split (see the module doc).
+    parts is structure, not an option: the families whose x(t) term is
+    linear (linear_scalar, linear_vector, saturating) are f(x_t) = A0 x(t)
+    + delayed(x(t - r)) and give the pair (A0, delayed): A0 the (n, n)
+    coefficient of x(t) ([[a]], [[-c]] or A0), delayed a map of (..., n)
+    to (..., n) row by row, or None where f reads x(t) alone
+    (linear_scalar at b = 0).  rhs is built from them (_from_parts), and
+    the integrator steps such a system by RK4's affine map, applying
+    delayed to a plan's stages at once (see the module doc).  A system
+    without parts is integrated in the stage form through rhs and the
+    block view: one built by hand, quadratic, whose x(t) term is not
+    linear, or distributed_linear, whose quadrature reads x across
+    [-r, 0], the step being built included.
     """
 
     name: str
@@ -223,7 +232,7 @@ def _params_to_json(params: dict) -> dict:
 
 # -- builtin systems ---------------------------------------------------
 #
-# The scalar families hold their coefficients as 0-d arrays: a 0-d factor
+# The scalar families apply their coefficients as 0-d arrays: a 0-d factor
 # of a (B, n) read costs numpy less than a Python float, and its products
 # are the same bits.
 
@@ -237,36 +246,49 @@ def _param(params: dict, key: str, convert, family: str, *default):
     return v
 
 
-def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M x for each row x of v, (n,) or (B, n): v @ M.T, one (1, n) @ (n, n)
-    product per row, so a row's bits do not depend on how many rows are
-    stacked (a (B, n) @ (n, n) product rounds differently at B = 1)."""
-    return (v[..., None, :] @ M.T)[..., 0, :]
+def _matvec(M: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    """M x for each row x of v, (n,) or (B, n), into out if given: a 0-d M
+    scales the rows, an (n, n) M is v @ M.T, one (1, n) @ (n, n) product
+    per row, so a row's bits do not depend on how many rows are stacked
+    (a (B, n) @ (n, n) product rounds differently at B = 1)."""
+    if M.ndim == 0:
+        return np.multiply(M, v, out)
+    if out is None:
+        return (v[..., None, :] @ M.T)[..., 0, :]
+    np.matmul(v[..., None, :], M.T, out[..., None, :])
+    return out
 
 
-def _from_parts(name: str, n: int, r: float, instant, delayed, L,
+def _factor(C: np.ndarray) -> np.ndarray:
+    """C as _matvec applies it: a 0-d factor if C is 1 x 1 (a 0-d factor
+    of a (B, 1) read costs numpy less than a matrix product and is its
+    bits), else C."""
+    return np.array(C[0, 0]) if C.shape == (1, 1) else C
+
+
+def _from_parts(name: str, r: float, A0: np.ndarray, delayed, L,
                 params: dict) -> DelaySystem:
-    """The family f(x_t) = instant(x(t)) + delayed(x(t - r)), or
-    instant(x(t)) alone if delayed is None: its rhs is built from the
-    parts, the family's one formula, and the parts ride along for the
-    integrator."""
+    """The family f(x_t) = A0 x(t) + delayed(x(t - r)), or A0 x(t) alone
+    if delayed is None: its rhs is built from the parts, the family's one
+    formula, and the parts ride along for the integrator."""
+    A = _factor(A0)
     if delayed is None:
         def rhs(seg):
-            return instant(seg.value_at_point(0.0))
+            return _matvec(A, seg.value_at_point(0.0))
     else:
         def rhs(seg):
-            return instant(seg.value_at_point(0.0)) \
+            return _matvec(A, seg.value_at_point(0.0)) \
                 + delayed(seg.value_at_point(-r))
-    return DelaySystem(name, n, r, rhs, L, params, (instant, delayed))
+    return DelaySystem(name, A0.shape[0], r, rhs, L, params, (A0, delayed))
 
 
 def _linear_scalar(r: float, params: dict) -> DelaySystem:
     _check_keys(params, {"a", "b"}, set(), "linear_scalar params")
     a = _param(params, "a", _real, "linear_scalar")
     b = _param(params, "b", _real, "linear_scalar")
-    a0, b0 = np.array(a), np.array(b)
+    b0 = np.array(b)
     L = abs(a) + abs(b)
-    return _from_parts("linear_scalar", 1, r, lambda v: a0 * v,
+    return _from_parts("linear_scalar", r, np.array([[a]]),
                        (lambda w: b0 * w) if b != 0.0 else None,
                        lambda R: L, {"a": a, "b": b})
 
@@ -278,8 +300,7 @@ def _linear_vector(r: float, params: dict) -> DelaySystem:
     if A0.ndim != 2 or A0.shape[0] != A0.shape[1] or A0.shape != A1.shape:
         raise ParameterError("A0 and A1 must be equal square matrices")
     L = np.linalg.norm(A0, 2) + np.linalg.norm(A1, 2)
-    return _from_parts("linear_vector", A0.shape[0], r,
-                       lambda v: _matvec(A0, v), lambda w: _matvec(A1, w),
+    return _from_parts("linear_vector", r, A0, lambda w: _matvec(A1, w),
                        lambda R: L, {"A0": A0, "A1": A1})
 
 
@@ -321,8 +342,8 @@ def _saturating(r: float, params: dict) -> DelaySystem:
     if c < 0.0:
         raise ParameterError("damping c must be nonnegative")
 
-    minus_c, k0 = np.array(-c), np.array(k)
-    return _from_parts("saturating", 1, r, lambda v: minus_c * v,
+    k0 = np.array(k)
+    return _from_parts("saturating", r, np.array([[-c]]),
                        lambda w: k0 * np.tanh(w), lambda R: c + abs(k),
                        {"c": c, "k": k})
 
@@ -331,9 +352,14 @@ def _quadratic(r: float, params: dict) -> DelaySystem:
     _check_keys(params, set(), {"c"}, "quadratic params")
     c = _param(params, "c", _real, "quadratic", 1.0)
     c0 = np.array(c)
+
+    def rhs(seg):
+        v = seg.value_at_point(0.0)
+        return c0 * v * v
+
     # |c(u^2 - v^2)| <= 2 c R |u - v| on the R-ball
-    return _from_parts("quadratic", 1, r, lambda v: c0 * v * v, None,
-                       lambda R: 2.0 * abs(c) * R, {"c": c})
+    return DelaySystem("quadratic", 1, r, rhs, lambda R: 2.0 * abs(c) * R,
+                       {"c": c})
 
 
 SYSTEM_BUILDERS = {
@@ -499,7 +525,7 @@ class _SolutionView:
     window moves, so that a read the window no longer holds is refused as
     before.  Late reads follow stage_value and are made afresh on every
     call: a read copies its planned row and fills its late columns.
-    Planned reads are read-only.  The integrator's parts path calls _plan
+    Planned reads are read-only.  The integrator's affine step calls _plan
     at -r itself, after set_stage to the stage the plan starts at, and
     keeps the plan outside plans.
     """
@@ -647,6 +673,22 @@ def _mesh_times(T: float, h: float) -> np.ndarray:
     return times
 
 
+def _affine_step(A0: np.ndarray, w: float) -> tuple:
+    """Classical RK4 on x' = A0 x + g(t) over a step of width w is the
+    affine map y <- M y + (c0 g0 + ch gh) + cf gf, g0, gh and gf the
+    forcing at the step's start, middle and end: with Z = w A0, M =
+    R(Z) = I + Z + Z^2 / 2 + Z^3 / 6 + Z^4 / 24 (RK4's stability function),
+    c0 = (w / 6)(I + Z + Z^2 / 2 + Z^3 / 4), ch = (w / 6)(4 I + 2 Z +
+    Z^2 / 2) and cf = (w / 6) I, each in Horner form.  M, c0 and ch come as
+    _factor gives them, cf as the 0-d w / 6."""
+    I = np.eye(A0.shape[0])
+    Z = w * A0
+    M = I + Z @ (I + Z @ (I / 2.0 + Z @ (I / 6.0 + Z / 24.0)))
+    c0 = (w / 6.0) * (I + Z @ (I + Z @ (I / 2.0 + Z / 4.0)))
+    ch = (w / 6.0) * (4.0 * I + Z @ (2.0 * I + Z / 2.0))
+    return _factor(M), _factor(c0), _factor(ch), np.array(w / 6.0)
+
+
 def _working_step(r: float, T: float, h: float | None) -> float:
     """The solver step for a request: h (default r/200) shrunk to divide r."""
     if not (T > 0.0 and math.isfinite(T)):
@@ -773,11 +815,11 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
 
     view = _SolutionView(x0s, values, derivs, h_eff, mesh=(n_full, tail))
     rhs = sys.rhs
-    instant, delayed = sys.parts or (None, None)
+    A0, delayed = sys.parts or (None, None)
     # delayed(x(t - r)) at the stages lo .. hi - 1, (stages, B, n): the
     # view's read plan at -r with delayed applied to it at once
     lo = hi = 0
-    terms = d_half = d_full = None
+    terms = g_full = None  # g_full: the delayed term of the last full step
 
     def plan(q: int, k: int, stage_time: float):
         """The delayed terms of the plan from stage q, at stage_time with
@@ -786,86 +828,69 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
         _, reads = view._plan(np.array([-r]))
         return q, q + len(reads), delayed(reads[:, :, 0])
 
-    if instant is None:
+    if A0 is None:
+        # 0-d stage weights by width: a 0-d factor costs numpy less than a
+        # Python float, and its products are the same bits
+        weights = {width: (np.array(0.5 * width), np.array(width),
+                           np.array(width / 6.0)) for width in (h_eff, tail)}
         derivs[0] = np.asarray(rhs(view), dtype=float)
-    elif delayed is None:
-        derivs[0] = instant(values[0])
     else:
-        lo, hi, terms = plan(0, 0, 0.0)
-        np.add(instant(values[0]), terms[0], derivs[0])
+        weights = {width: _affine_step(A0, width) for width in (h_eff, tail)}
+        A = _factor(A0)
+        if delayed is None:
+            _matvec(A, values[0], derivs[0])
+        else:
+            lo, hi, terms = plan(0, 0, 0.0)
+            g_full = terms[0]
+            np.add(_matvec(A, values[0]), g_full, derivs[0])
     # components of at most screen give |x| <= sqrt(n) screen, half the
     # threshold, so no state they make can fail the bound
     screen = ESCAPE_THRESHOLD / (2.0 * math.sqrt(sys.dimension))
     tested = 0  # forward rows 1 .. tested have passed the escape test
-    # the stage states, the stage slopes of a system with a delayed part
-    # and the partial sums, one buffer each, none both read and written
-    # by one call (an in-place ufunc on a block of one scalar costs numpy
-    # twice a plain one), and an rhs that returns its stage state (k2 is
-    # y2) aliases no buffer still to be written
-    y2, y3, y4, f2, f3, f4, scaled, part, total = np.empty(
-        (9, len(x0s), sys.dimension))
-    two = np.array(2.0)
-    # 0-d step constants by width: a 0-d factor costs numpy less than a
-    # Python float, and its products are the same bits
-    weights = {width: (np.array(0.5 * width), np.array(width),
-                       np.array(width / 6.0)) for width in (h_eff, tail)}
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             i = k - first
             t_k = k * h_eff
             step = h_eff if k < n_full else tail
-            half, whole, sixth = weights[step]
             y = values[i]
-            k1 = derivs[i]
-            if delayed is not None:
-                # the half-step stage 2k + 1 and the full-step stage
-                # 2k + 2, each from the plan that holds it: a plan may
-                # hold a single stage
+            y_next = values[i + 1]
+            if A0 is None:
+                # the stage form through rhs and the block view, in the
+                # association y + (step / 6) (((k1 + 2 k2) + 2 k3) + k4)
+                half, whole, sixth = weights[step]
+                k1 = derivs[i]
+                view.set_stage(k, t_k + 0.5 * step, y + half * k1)
+                k2 = np.asarray(rhs(view), dtype=float)
+                view.set_stage(k, t_k + 0.5 * step, y + half * k2)
+                k3 = np.asarray(rhs(view), dtype=float)
+                view.set_stage(k, t_k + step, y + whole * k3)
+                k4 = np.asarray(rhs(view), dtype=float)
+                np.add(y, sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4), y_next)
+                # derivative at the fresh node, the next step's k1: the
+                # step interior is still the linear overlay (its Hermite
+                # data needs this very derivative)
+                view.set_stage(k, t_k + step, y_next)
+                derivs[i + 1] = np.asarray(rhs(view), dtype=float)
+            elif delayed is None:
+                _matvec(weights[step][0], y, y_next)
+                _matvec(A, y_next, derivs[i + 1])
+            else:
+                # the affine step y <- M y + F, F from the delayed terms
+                # of the step's three stages, each from the plan that
+                # holds it: a plan may hold a single stage
+                M, c0, ch, cf = weights[step]
                 q = 2 * k + 1
                 if q >= hi:
                     lo, hi, terms = plan(q, k, t_k + 0.5 * step)
-                d_half = terms[q - lo]
+                g_half = terms[q - lo]
                 if q + 1 >= hi:
                     lo, hi, terms = plan(q + 1, k, t_k + step)
-                d_full = terms[q + 1 - lo]
-            np.add(y, np.multiply(half, k1, scaled), y2)
-            if instant is None:
-                view.set_stage(k, t_k + 0.5 * step, y2)
-                k2 = np.asarray(rhs(view), dtype=float)
-            else:
-                k2 = instant(y2) if d_half is None \
-                    else np.add(instant(y2), d_half, f2)
-            np.add(y, np.multiply(half, k2, scaled), y3)
-            if instant is None:
-                view.set_stage(k, t_k + 0.5 * step, y3)
-                k3 = np.asarray(rhs(view), dtype=float)
-            else:
-                k3 = instant(y3) if d_half is None \
-                    else np.add(instant(y3), d_half, f3)
-            np.add(y, np.multiply(whole, k3, scaled), y4)
-            if instant is None:
-                view.set_stage(k, t_k + step, y4)
-                k4 = np.asarray(rhs(view), dtype=float)
-            else:
-                k4 = instant(y4) if d_full is None \
-                    else np.add(instant(y4), d_full, f4)
-            # y + (step / 6) (((k1 + 2 k2) + 2 k3) + k4), straight into
-            # its window row
-            np.add(k1, np.multiply(two, k2, scaled), part)
-            np.add(part, np.multiply(two, k3, scaled), total)
-            np.add(total, k4, part)
-            y_next = values[i + 1]
-            np.add(y, np.multiply(sixth, part, scaled), y_next)
-            # derivative at the fresh node, the next step's k1: the step
-            # interior is still the linear overlay (its Hermite data needs
-            # this very derivative); its delayed term is k4's
-            if instant is None:
-                view.set_stage(k, t_k + step, y_next)
-                derivs[i + 1] = np.asarray(rhs(view), dtype=float)
-            elif d_full is None:
-                derivs[i + 1] = instant(y_next)
-            else:
-                np.add(instant(y_next), d_full, derivs[i + 1])
+                g0, g_full = g_full, terms[q + 1 - lo]
+                F = np.add(np.add(_matvec(c0, g0), _matvec(ch, g_half)),
+                           np.multiply(cf, g_full))
+                np.add(_matvec(M, y), F, y_next)
+                # the fresh node's derivative, the next step's k1
+                np.add(_matvec(A, y_next), g_full, derivs[i + 1])
             if (k + 1) % per and k + 1 < n_steps:
                 continue
             # one test of the interval's fresh nodes.  Rows are
@@ -900,8 +925,8 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 if not members:
                     break
                 values, derivs = values[:, keep], derivs[:, keep]
-                y2, y3, y4, f2, f3, f4, scaled, part, total = np.empty(
-                    (9,) + values.shape[1:])
+                if g_full is not None:
+                    g_full = g_full[keep]
                 view = _SolutionView([x0s[b] for b in members], values,
                                      derivs, h_eff, first, (n_full, tail))
                 hi = 0  # the planned terms are of the old members

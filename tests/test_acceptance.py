@@ -44,11 +44,14 @@ SOB2 = SpaceSpec.sobolev(2.0)
 
 
 def test_criterion_01_integrator_accuracy():
-    """Max error <= 1e-8 against the interval-by-interval closed form."""
-    start = time.perf_counter()
+    """Max error <= 1e-8 against the interval-by-interval closed form;
+    the integration alone, not the oracle's construction, takes under a
+    second."""
     sys_lin = make_system("linear_scalar", 1.0, {"a": -1.0, "b": 0.5})
     x0 = Segment.constant(1.0, np.array([1.0]), 201)
+    start = time.perf_counter()
     traj = simulate(sys_lin, x0, 3.0, 1.0 / 200.0)
+    elapsed = time.perf_counter() - start
 
     # On [k, k+1] the delayed term is known data, so the solution is
     # x(t) = e^{-(t-k)} x(k) + (1/2) int_k^t e^{-(t-u)} x(u-1) du,
@@ -70,7 +73,6 @@ def test_criterion_01_integrator_accuracy():
         mask = (ft >= k - 1e-12) & (ft <= k + 1 + 1e-12)
         oracle = sp.lambdify(t, pieces[k + 1], "numpy")
         err = max(err, float(np.max(np.abs(oracle(ft[mask]) - fx[mask]))))
-    elapsed = time.perf_counter() - start
 
     assert err <= 1e-8
     assert elapsed < 1.0

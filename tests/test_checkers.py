@@ -1821,7 +1821,8 @@ JUDGED_CASES = {
 }
 # (verdict, sha256 of the sorted report JSON), recorded when each of
 # these checks judged its runs inline, a sample and a report time at a
-# time
+# time; lift_consistent and pairs_bound_falsified_late when linear_scalar
+# took the affine step
 JUDGED_REPORTS = {
     "lags_consistent": (
         "consistent",
@@ -1837,7 +1838,7 @@ JUDGED_REPORTS = {
         "87c918105bd37c741bbc98233b9bc3cf11d6c4863d21a8fc6dddf7fd5a65fa20"),
     "lift_consistent": (
         "consistent",
-        "93cf59e25d02f14aca0c2b6e68a667afec4fb6029d507d0536879314c6e5f3ac"),
+        "9114eaa47d2f16865ef719d441efb32df1f5733e60547c8033204d031f28a8e9"),
     "lift_falsified": (
         "falsified",
         "351b8a22bd8a9fa43e2faae9a36452d3a9ece17f8b328ee9c13f363abeb17393"),
@@ -1846,7 +1847,7 @@ JUDGED_REPORTS = {
         "192d35d565b17544366f56fa2e8e22a909f7af092923ef20558d3e0967c40e86"),
     "pairs_bound_falsified_late": (
         "falsified",
-        "474def1d3978dc861d677a582b29cb148c1f8f1f779440713c368be3df92497d"),
+        "08c72417d9d2455e24be8660cf94156d1d67533cac169c2115e297644e8bdcce"),
     "pairs_consistent": (
         "consistent",
         "e2a4dde1cbfb98434ecabcc4e9bcd0dfbe7bdea4c11bc4b231087120a38cc181"),

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front door, via subprocess or
 in-process through `main`."""
 
+import hashlib
 import inspect
 import json
 import math
@@ -460,3 +461,64 @@ def test_config_tables_bind_checker_parameters():
                                   param.KEYWORD_ONLY), (fn.__name__, key)
         assert "seed" in params and "space" in params
     assert used == set(CONVERT)
+
+
+def _main_output(argv, capsys) -> str:
+    """sha256 of main's exit code, stdout and stderr on argv."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return hashlib.sha256(f"{code}\0{out.out}\0{out.err}".encode()) \
+        .hexdigest()
+
+
+# _main_output of usage errors and help requests at 80 columns, recorded
+# while main built its parser on every call
+PARSER_OUTPUTS = {
+    ():
+        "9304cbbab729fbc849e157ae461bc651e9c9dffe672c50365f6bbfe76c2fbe8b",
+    ('--help',):
+        "7b407371a6bf6cb55e17af1b1f32bc3e553ace04a8dac8129ee559f5379649b5",
+    ('simulate', '--help'):
+        "b93353dd6e5b5e53fce8b40499885146ae5c6e03f95f2e3ed69b4030df01812f",
+    ('norms', '--help'):
+        "8daa28f9260a5fd3b1d2eb7cab347d4ebd39d4120e0a20bc8fed569ed846229d",
+    ('check', '--help'):
+        "4c1bb5ea473bf85410c293744cc285ada1a1fa35b9c4cb622594c0cc88f684d5",
+    ('envelope', '--help'):
+        "f5b65f3b5e51bb60bc11c6922d394aa78e800edd49c7fd0bfebda7d998dbed8c",
+    ('lyapunov', '--help'):
+        "31f46518f58e2e57743f9b2ecc8a0c537c71de2903db3546ff615511f9732f68",
+    ('bogus',):
+        "515d9b212725bd08c307f71e75c834fcb2757528f45c45a2f332d9367dab698c",
+    ('check',):
+        "9b0c449b5122ebecd6683c92c23636c8a1118d9ee5b56cdca36c3e976b49ea36",
+    ('simulate', '--config', 'c.json', '--seed', 'abc'):
+        "8278c825fbe98d79aaa690a4c1c7f655abe3b8c5f63f29072f2e50c538d49b9e",
+    ('norms', '--config', 'c.json', '--threads', '2'):
+        "fdd90e50b41470f40e0400f838557d7adc601d14a8c89428ab4eaacbd2a10201",
+}
+
+
+def test_parser_usage_help_and_exit_codes_keep_their_bytes(monkeypatch,
+                                                           capsys):
+    """main builds its parser once a process; usage, --help text and exit
+    codes are the bytes of a parser built afresh on every call, on the
+    first call and on the second alike."""
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, want in PARSER_OUTPUTS.items():
+        assert [_main_output(argv, capsys) for _ in range(2)] == [want] * 2
+
+
+def test_two_main_calls_in_one_process_both_succeed(tmp_path):
+    cfg = {"system": LINEAR_DECAY, "history": {"constant": [1.0]}, "T": 0.5}
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    outs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(tmp_path / "config.json"),
+                     "--out", str(out)]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outs[0] == outs[1] and outs[0]

@@ -21,6 +21,8 @@ from delaystab.dde import (
     SYSTEM_BUILDERS,
     Trajectory,
     _SolutionView,
+    _factor,
+    _matvec,
     _mesh,
     _working_step,
     lipschitz_probe,
@@ -208,6 +210,32 @@ def test_fourth_order_convergence():
         return abs(t.forward_values[-1, 0] - math.exp(-1.0))
 
     assert err(1.0 / 20) / err(1.0 / 40) >= 12.0
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.7])
+def test_undelayed_linear_scalar_steps_by_its_stability_function(a):
+    """x' = a x integrates, at every forward node k, to x0(0) M^k in every
+    bit, built by repeated 0-d products with M = R(w a) the RK4 stability
+    function in Horner form, w the step's width (the short final step
+    its own); each node's derivative is a times its value."""
+    sys = make_system("linear_scalar", 1.0, {"a": a, "b": 0.0})
+    x0 = _fourier_block(sys, 1, seed=4)[0]
+    T = 3.537
+    traj = simulate(sys, x0, T, 0.05)
+    n_full, tail = _mesh(T, traj.step_h)
+    assert tail > 0.0
+
+    def stability(w):
+        z = np.array(w * a)
+        return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+
+    y = np.array(x0.values[-1, 0])
+    want = [y]
+    for k in range(n_full + 1):
+        y = stability(traj.step_h if k < n_full else tail) * y
+        want.append(y)
+    assert traj.forward_values[:, 0].tobytes() == np.array(want).tobytes()
+    assert traj.forward_derivs.tobytes() == (a * traj.forward_values).tobytes()
 
 
 def test_fourth_order_with_active_delay():
@@ -499,7 +527,7 @@ def test_escapes_near_the_threshold_are_the_per_step_escapes():
                       for v in ([5e11, 5e11], [-3e11, 2e11],
                                 [7.07e11, 0.0])])]
     for sys, x0s in cases:
-        got = simulate_many(sys, x0s, 1.0, 0.01)
+        got = simulate_many(_view_twin(sys), x0s, 1.0, 0.01)
         want = _per_step_escapes(sys, x0s, 1.0, 0.01)
         assert [t.escaped for t in got] == [t.escaped for t in want]
         assert sum(t.escaped for t in got) == len(x0s) - 1
@@ -508,6 +536,9 @@ def test_escapes_near_the_threshold_are_the_per_step_escapes():
             for u, v in ((a.times, b.times), (a.values, b.values),
                          (a.derivs, b.derivs)):
                 assert u.tobytes() == v.tobytes()
+        # the affine step escapes where its view twin does
+        split = simulate_many(sys, x0s, 1.0, 0.01)
+        assert [t.escape_time for t in split] == [t.escape_time for t in want]
 
 
 def test_non_finite_derivative_at_a_small_state_ends_the_interval():
@@ -689,7 +720,9 @@ PINNED_SYSTEMS = {
     "quadratic": {"c": 1.0},
 }
 # sha256 of the integrator's output on each pinned case (_pinned_digest),
-# recorded before the step's arithmetic was last reworked
+# recorded before the step's arithmetic was last reworked; those of the
+# linear_scalar, linear_vector and saturating cases when they took the
+# affine step
 PINNED_DIGESTS = {
     ('distributed_linear', 1, False):
         "d468f29b9c78769f6d17df08143ac7e26c85a924c2a7a01b30e491a60d8e1844",
@@ -698,23 +731,23 @@ PINNED_DIGESTS = {
     ('distributed_linear', 17, True):
         "9d2c960a612b0aa1fa629ba395c160e3d42f0bc1bdedf6949ee5be5621501250",
     ('linear_scalar', 1, False):
-        "0acc0f18bdc43e84bcbee70e63bac41ddf42e1fa476e9abe4c0645ab950f90e3",
+        "181964b8777ad4d1cb3a2b4bc7ae005ec1cb33169a028134cd88357fc94818f2",
     ('linear_scalar', 17, False):
-        "064ac61e9505a05cebc4fbb2a861da70868b19b6c63ab5449a006a9f54c9fefd",
+        "9758f609917b251c36c4c29c59cfbc70bd8850fa5975b76f35d599052c64707b",
     ('linear_scalar', 17, True):
-        "0586d90f2cea0ca1e656d7c8b53156cbf631475727491d755d65eca77a9d39f7",
+        "dd20526f1e7f4d8a1f6a7d18278c389c37b8e502030387587cb64d0a801d6f29",
     ('linear_scalar_b0', 1, False):
-        "dfcc175f0d7f8ab2742d736186c38f9cb045a0adfcc513b28435f5765fa29d0b",
+        "e0956ae2086d8f0946cb123d2f5c0434c1c7df6090c463fa3206eac378b3edb1",
     ('linear_scalar_b0', 17, False):
-        "c3b665b6be8d6da4801efcbab07c160334b0916b1ef3a27164ad51289bcfdb44",
+        "4231ac6f721bc7c425836f41bf399d37b856140b8eda9785357320783b5b45c8",
     ('linear_scalar_b0', 17, True):
-        "c52e3aca353139c6ee91f271e778eec612f53d4807ca2609bae8693eb2f839c6",
+        "6e649c96334110eeec8d8bb36e915899d4a4f4999671dad48d0634699bf55755",
     ('linear_vector', 1, False):
-        "ddfc320fcec721bb1a39bbff278bf302ac3bd7a5a7a752154b4289d024450325",
+        "8ce49af23c6c021ee621d218106408d099bb45f12087c6cc96a002506508e078",
     ('linear_vector', 17, False):
-        "1482b2896e7b477f7da333081c7c5f530d05f3ea9978e6b973ed6dd32c00fabf",
+        "620c2e1711a61af7b4cd96dcd64ac5709d3c3005ca0bcd77537aa7069d4ee95c",
     ('linear_vector', 17, True):
-        "eb14e60942616cbb9dd2a9e32cc8bf29bb158cb089a342b25353d40f054953a1",
+        "52f427db07751479aa19a72923a81e97d9912a8b3fa8d6f5372c070004af3774",
     ('quadratic', 1, False):
         "35f8ba6ba89ac08ed8629cffc455b49f0e228d52aef868ea01d184433bb92b63",
     ('quadratic', 17, False):
@@ -722,11 +755,11 @@ PINNED_DIGESTS = {
     ('quadratic', 17, True):
         "71c0cd871b021ab6fbbe24d47bca817ff71b4e0e9f975eb6730e202ef7594a96",
     ('saturating', 1, False):
-        "a2b56da31a0df5068e6c6e5ad70c2e6cdf141e833cc2c30deaf98989e056d092",
+        "29f54fb0020581e3824264107e3f13afe13247ab963d9af487e30ee51f186c19",
     ('saturating', 17, False):
-        "b4cfbca66112a9c894084c1082329e6dd6d5e7c7fa78d511de5df3a56a1edc3c",
+        "b5c68529b03bb05669449bdc679b86c5d0f5a2df73ba9a6bf703fee99f567358",
     ('saturating', 17, True):
-        "80f973e6232cbd9c3b7c1134da0d0b9afc502465a16710c3b0a5407794bf15c0",
+        "77eb19d83c449d08e35a5876b67894d9d2506c00be0fc59472362dc2c037c0a6",
 }
 
 
@@ -776,16 +809,17 @@ def test_integrator_output_is_pinned_bitwise(label, members, moving):
 
 
 # the families with parts, as (family, params); at a = 12 histories of
-# norm 4 escape near t = 2.2 and of norm 1e-4 near t = 3, and quadratic
-# ones of norm 4 at once
+# norm 4 escape near t = 2.2 and of norm 1e-4 near t = 3
 SPLIT_SYSTEMS = [
     ("linear_scalar", PINNED_SYSTEMS["linear_scalar"]),
     ("linear_scalar", PINNED_SYSTEMS["linear_scalar_b0"]),
     ("linear_scalar", {"a": 12.0, "b": 0.3}),
     ("linear_vector", PINNED_SYSTEMS["linear_vector"]),
     ("saturating", PINNED_SYSTEMS["saturating"]),
-    ("quadratic", PINNED_SYSTEMS["quadratic"]),
 ]
+# the affine step against the stage form of its view twin: values within
+# TWIN_TOL of the member's sup |x|, derivatives of its sup |x'|
+TWIN_TOL = 1e-11
 
 
 def _view_twin(sys: DelaySystem) -> DelaySystem:
@@ -811,8 +845,8 @@ def _split_and_twin(name: str, params: dict, members: int, h: float,
                     T: float, budget: int, seed: int):
     """The runs of a family with parts and of its view twin on the same
     fourier block, under a BLOCK_BYTES of budget: each as its whole
-    trajectories (escape_time, forward_times, forward_values and
-    forward_derivs as bytes) and as the pieces it hands on to take."""
+    trajectories and as the pieces it hands on to take, (member,
+    first_row, final, escape_time, forward_values, forward_derivs)."""
     split = make_system(name, 1.0, params)
     twin = _view_twin(split)
     assert split.parts is not None and twin.parts is None
@@ -824,23 +858,49 @@ def _split_and_twin(name: str, params: dict, members: int, h: float,
             whole = simulate_many(sys, x0s, T, h)
             simulate_many(sys, x0s, T, h, take=lambda piece: pieces.extend(
                 (b, piece.first_row, piece.final, piece.escape_time,
-                 piece.forward_values[:, pos].tobytes(),
-                 piece.forward_derivs[:, pos].tobytes())
+                 piece.forward_values[:, pos].copy(),
+                 piece.forward_derivs[:, pos].copy())
                 for pos, b in enumerate(piece.members)))
-        return [(t.escape_time, t.forward_times.tobytes(),
-                 t.forward_values.tobytes(), t.forward_derivs.tobytes())
-                for t in whole], pieces
+        return whole, pieces
 
     return run(split), run(twin)
 
 
+def _twin_deviation(got, want) -> float:
+    """The largest deviation of the runs got of a family with parts from
+    want, its view twin's, each value over the member's sup |x| and each
+    derivative over its sup |x'| (in the twin's whole run); the escapes,
+    forward times and piece layout must be equal."""
+    (whole, pieces), (twin_whole, twin_pieces) = got, want
+    assert len(whole) == len(twin_whole) and len(pieces) == len(twin_pieces)
+    scales = [(np.abs(t.forward_values).max(), np.abs(t.forward_derivs).max())
+              for t in twin_whole]
+    pairs = []
+    for a, b, scale in zip(whole, twin_whole, scales):
+        assert a.escape_time == b.escape_time
+        assert a.forward_times.tobytes() == b.forward_times.tobytes()
+        pairs.append((a.forward_values, a.forward_derivs, b.forward_values,
+                      b.forward_derivs, scale))
+    for a, b in zip(pieces, twin_pieces):
+        assert a[:4] == b[:4]
+        pairs.append(a[4:] + b[4:] + (scales[a[0]],))
+    worst = 0.0
+    for values, derivs, twin_values, twin_derivs, (sx, sd) in pairs:
+        assert values.shape == twin_values.shape
+        assert derivs.shape == twin_derivs.shape
+        worst = max(worst, np.abs(values - twin_values).max() / sx,
+                    np.abs(derivs - twin_derivs).max() / sd)
+    return worst
+
+
 def test_split_families_integrate_as_their_view_twins():
-    """A family with parts integrates, through its delayed terms applied a
-    plan at a time, to the bits of its own rhs integrated through the
-    block view: forward_values, forward_derivs and escape_time, as whole
-    trajectories and as the pieces of a window that moves, at B = 1, 4,
-    17 and 48, with a short final step, escaping members, and a
-    BLOCK_BYTES of 1 that leaves each plan a single stage."""
+    """A family with parts integrates, by the affine step and its delayed
+    terms applied a plan at a time, to its own rhs integrated through the
+    block view in the stage form: forward_values and forward_derivs within
+    TWIN_TOL and the same escape_time, as whole trajectories and as the
+    pieces of a window that moves, at B = 1, 4, 17 and 48, with a short
+    final step, escaping members, and a BLOCK_BYTES of 1 that leaves each
+    plan a single stage."""
     seen = set()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -854,10 +914,10 @@ def test_split_families_integrate_as_their_view_twins():
             data.draw(st.sampled_from([1, dde.BLOCK_BYTES])),
             data.draw(st.integers(0, 9)))
         got, want = _split_and_twin(name, params, members, h, T, budget, seed)
-        assert got == want
+        assert _twin_deviation(got, want) <= TWIN_TOL
         if _mesh(T, h)[1] > 0.0:
             seen.add("short final step")
-        if any(t[0] is not None for t in got[0]):
+        if any(t.escaped for t in got[0]):
             seen.add("escape")
         if budget == 1 and any(first > 0 for _, first, *_ in got[1]):
             seen.add("moved")
@@ -871,13 +931,27 @@ def test_split_family_member_escapes_inside_a_plan():
     """Members escape while the rest of their block carries on: at a = 12
     some members of this block escape in (2, 3], found by the test after
     step 59, while the plan of delayed terms made at stage 118 still
-    holds the next stages.  The others go on, with their own terms,
-    bitwise as in the view twin, and escape after t = 3."""
+    holds the next stages.  The others go on, with their own terms, as
+    in the view twin to within TWIN_TOL, and escape after t = 3."""
     got, want = _split_and_twin("linear_scalar", {"a": 12.0, "b": 0.3}, 8,
                                 0.05, 3.6, dde.BLOCK_BYTES, 3)
-    assert got == want
-    escapes = sorted(t[0] for t in got[0])
+    assert _twin_deviation(got, want) <= TWIN_TOL
+    escapes = sorted(t.escape_time for t in got[0])
     assert 2.0 < escapes[0] <= 3.0 < escapes[-1]
+
+
+def test_hand_built_vector_parts_without_a_delayed_part_step_as_the_twin():
+    """A system built by hand with parts (A0, None) and n = 2 steps by
+    the affine map y <- M y, written into its window row by matrix
+    products, to within TWIN_TOL of its view twin."""
+    A0 = np.array([[-0.5, 2.0], [-2.0, -0.5]])
+    sys = DelaySystem("spiral", 2, 1.0,
+                      lambda seg: _matvec(A0, seg.value_at_point(0.0)),
+                      lambda R: 2.1, parts=(A0, None))
+    x0s = _fourier_block(sys, 3)
+    runs = [(simulate_many(s, x0s, 2.537, 0.05), []) for s in
+            (sys, _view_twin(sys))]
+    assert _twin_deviation(*runs) <= TWIN_TOL
 
 
 def test_split_families_read_the_view_only_to_plan(monkeypatch):
@@ -927,13 +1001,15 @@ def test_split_families_read_the_view_only_to_plan(monkeypatch):
 
 @pytest.mark.parametrize("name, params", SPLIT_SYSTEMS)
 def test_split_family_rhs_is_its_parts(name, params):
-    """On a segment, the rhs of a family with parts is bitwise instant at
-    x(0) plus delayed at x(-r), or instant alone without a delayed part."""
+    """On a segment, the rhs of a family with parts is bitwise A0 x(0)
+    plus delayed at x(-r), or A0 x(0) alone without a delayed part, A0
+    its (n, n) coefficient of x(t)."""
     sys = make_system(name, 1.0, params)
-    instant, delayed = sys.parts
-    assert (delayed is None) == (name == "quadratic" or params.get("b") == 0)
+    A0, delayed = sys.parts
+    assert A0.shape == (sys.dimension, sys.dimension)
+    assert (delayed is None) == (params.get("b") == 0)
     for seg in _fourier_block(sys, 20, seed=2, norms=(0.5, 4.0, 1.5, 30.0)):
-        want = instant(seg.value_at_point(0.0))
+        want = _matvec(_factor(A0), seg.value_at_point(0.0))
         if delayed is not None:
             want = want + delayed(seg.value_at_point(-sys.delay_r))
         assert np.asarray(sys.rhs(seg)).tobytes() == want.tobytes()
@@ -942,7 +1018,8 @@ def test_split_family_rhs_is_its_parts(name, params):
 # lipschitz_probe(sys, 1.5, 20, seed=3).hex() and the sha256 of the JSON
 # of check_growth_certificate(sys, weighted_sup(1), a(s) = s / e, mu = 2,
 # 6 samples, T = 1, seed = 1), recorded before the families were split
-# into parts
+# into parts; linear_vector's report when it took the affine step, which
+# moved its worst_trajectory_ratio by one ulp
 SEGMENT_CALLER_REPORTS = {
     "linear_scalar": (
         "0x1.32c1a14358f2dp+0",
@@ -952,7 +1029,7 @@ SEGMENT_CALLER_REPORTS = {
         "3133b4ac37db3daa93df90867a438790143663040e67def97018423376ddf04b"),
     "linear_vector": (
         "0x1.6102f36a90b71p+0",
-        "4dd3e4689fbf4dc889b38c79fcc0baf410d9f89a640f4834e1ab5d52f9c7fd3d"),
+        "037417037203b1ab9a356f852e1662cb731a127ecb5172ac8084b41d3d8c9f4c"),
     "saturating": (
         "0x1.510adf4b0622fp+0",
         "a83b084866873dd6b17fd0ec9ab224795b2a7b6c2490cb08dfd98faf5596dd54"),
