@@ -36,25 +36,30 @@ saturating) declare f as two parts, f(x_t) = A0 x(t) + delayed(x(t - r))
 (``DelaySystem.parts``; linear_scalar at b = 0 has no delayed part), and
 build their rhs from them, so a segment's read is unchanged.  With
 r >= 10 h, x(t - r) is settled data a delay interval ahead: the
-integrator applies delayed once to a read plan at -r, over all the plan's
-stages and members, and within a step g(t) = delayed(x(t - r)) is known
-forcing.  Classical RK4 on x' = A0 x + g(t) is then exactly the affine
-map y <- M y + F, F = (c0 g0 + ch gh) + cf gf from the planned terms at
-the step's start, middle and end, M the RK4 stability function of w A0
-and all four built once per step width w (``_affine_step``; Hairer,
-Norsett and Wanner, Solving ODEs I, for the stability function; Bellen
-and Zennaro 2003 for RK inside the method of steps).  A step makes the
-forcing, one product with M and one add, written straight into its
-window row, and the fresh node's derivative A0 y + gf, the next step's
-k1 (gf is its g0).  A plan can hold a single stage, so each of the
-two rows is looked up, and planned anew, on its own; the plan is
-dropped when the window moves or members escape.  A family without a
-delayed part never reads the view: its step is y <- M y.  The affine map
-sums RK4's terms in another order than its stages do, so it matches
+integrator applies delayed once to a read plan at -r, over all the
+plan's stages and members, and within a step g(t) = delayed(x(t - r)) is
+known forcing.  Classical RK4 on x' = A0 x + g(t) is then exactly the
+affine map y <- M y + F, F = (c0 g0 + ch gh) + cf gf from the planned
+terms at the step's start, middle and end, M the RK4 stability function
+of w A0 and all four built once per step width w (``_affine_step``;
+Hairer, Norsett and Wanner, Solving ODEs I, for the stability function;
+Bellen and Zennaro 2003 for RK inside the method of steps).  It steps a
+run of full steps at once, up to the next escape test or the last step
+whose two stages the plan holds: the run's forcing comes at once from
+strided slices of the plan's terms (gh the odd stages, gf the even ones,
+g0 the step before's gf), each step is then y <- M y + F alone, written
+straight into its window row, and the run's node derivatives A0 y + gf,
+each the next step's k1, come in one product and one add before the next
+plan is made.  The short final step is a run of one, and so is a step
+whose plan ends between its two stages, which plans its second stage
+anew; the plan is dropped when the window moves or members escape.  A
+family without a delayed part never reads the view: its run is y <- M y,
+for a 0-d M one multiply.accumulate over its window rows.  The affine
+map sums RK4's terms in another order than its stages do, so it matches
 the stage form through rhs to rounding, not bitwise; every product maps
-rows (a 0-d factor for n = 1, else ``_matvec``), so a member's bits still
-do not depend on its block.  quadratic, whose x(t) term is not linear,
-distributed_linear, whose quadrature reads x across [-r, 0], the
+rows (a 0-d factor for n = 1, else ``_matvec``), so a member's bits
+still do not depend on its block.  quadratic, whose x(t) term is not
+linear, distributed_linear, whose quadrature reads x across [-r, 0], the
 unsettled overlap at s = 0 included, and every system built without
 parts step in the stage form through rhs and the block view.
 
@@ -90,14 +95,15 @@ read is the formula of a read at its own stage on the same cell and
 fraction, so planning ahead moves no bit (see ``_SolutionView``).
 
 A step pays numpy's per-call cost, about the same whatever the block
-size, so its cost is its count of numpy calls: the affine step makes
-two products without a delayed part and nine products and adds with
-one; the stage form makes four rhs calls and its stage sums, in the
-association y + (step / 2) k1, ..., y + (step / 6) (((k1 + 2 k2) + 2 k3)
-+ k4).  The coefficients of both are 0-d arrays (matrices for n > 1)
-cached per step width, and the built-in scalar families hold theirs as
-0-d arrays too: a 0-d factor costs numpy less than a Python float and
-makes the same products, so no bit moves.
+size, so its cost is its count of numpy calls: the affine step makes one
+product and one add a step with a delayed part, none without one
+for n = 1, and a few calls a run; the stage form makes four rhs calls
+and its stage sums, in the association y + (step / 2) k1, ...,
+y + (step / 6) (((k1 + 2 k2) + 2 k3) + k4).  The coefficients of both
+are 0-d arrays (matrices for n > 1) cached per step width, and the
+built-in scalar families hold theirs as 0-d arrays too: a 0-d factor
+costs numpy less than a Python float and makes the same products, so no
+bit moves.
 
 Ensembles integrate in memory-bounded blocks (``_block_members``): a
 block holds the most histories whose smallest windows, two delay
@@ -828,14 +834,16 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
         _, reads = view._plan(np.array([-r]))
         return q, q + len(reads), delayed(reads[:, :, 0])
 
+    # the step widths that occur: full steps, and the short final step
+    widths = [w for w, used in ((h_eff, n_full), (tail, tail)) if used]
     if A0 is None:
         # 0-d stage weights by width: a 0-d factor costs numpy less than a
         # Python float, and its products are the same bits
         weights = {width: (np.array(0.5 * width), np.array(width),
-                           np.array(width / 6.0)) for width in (h_eff, tail)}
+                           np.array(width / 6.0)) for width in widths}
         derivs[0] = np.asarray(rhs(view), dtype=float)
     else:
-        weights = {width: _affine_step(A0, width) for width in (h_eff, tail)}
+        weights = {width: _affine_step(A0, width) for width in widths}
         A = _factor(A0)
         if delayed is None:
             _matvec(A, values[0], derivs[0])
@@ -847,18 +855,20 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
     # threshold, so no state they make can fail the bound
     screen = ESCAPE_THRESHOLD / (2.0 * math.sqrt(sys.dimension))
     tested = 0  # forward rows 1 .. tested have passed the escape test
+    k = 0  # steps settled
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
+        while k < n_steps:
             i = k - first
             t_k = k * h_eff
             step = h_eff if k < n_full else tail
-            y = values[i]
-            y_next = values[i + 1]
+            # a run of m steps: the affine step takes the full steps up to
+            # the next escape test at once, the short final step alone
+            m = 1 if A0 is None else max(1, min(per - k % per, n_full - k))
             if A0 is None:
                 # the stage form through rhs and the block view, in the
                 # association y + (step / 6) (((k1 + 2 k2) + 2 k3) + k4)
                 half, whole, sixth = weights[step]
-                k1 = derivs[i]
+                y, y_next, k1 = values[i], values[i + 1], derivs[i]
                 view.set_stage(k, t_k + 0.5 * step, y + half * k1)
                 k2 = np.asarray(rhs(view), dtype=float)
                 view.set_stage(k, t_k + 0.5 * step, y + half * k2)
@@ -872,33 +882,50 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 view.set_stage(k, t_k + step, y_next)
                 derivs[i + 1] = np.asarray(rhs(view), dtype=float)
             elif delayed is None:
-                _matvec(weights[step][0], y, y_next)
-                _matvec(A, y_next, derivs[i + 1])
+                M = weights[step][0]
+                ys = values[i:i + m + 1]
+                if M.ndim == 0:  # y <- M y for the run in one call
+                    ys[1:] = M
+                    np.multiply.accumulate(ys, out=ys)
+                else:
+                    for y, y_next in zip(ys, ys[1:]):
+                        _matvec(M, y, y_next)
+                _matvec(A, ys[1:], derivs[i + 1:i + m + 1])
             else:
-                # the affine step y <- M y + F, F from the delayed terms
-                # of the step's three stages, each from the plan that
-                # holds it: a plan may hold a single stage
+                # the affine step y <- M y + F[j] of the run's steps, F
+                # from the delayed terms of each step's three stages: Gh
+                # the odd stages, Gf the even ones and G0 the step
+                # before's end.  The run ends with the plan's last whole
+                # step; a step whose plan ends between its two stages is
+                # a run of one that plans its second stage anew.
                 M, c0, ch, cf = weights[step]
                 q = 2 * k + 1
                 if q >= hi:
                     lo, hi, terms = plan(q, k, t_k + 0.5 * step)
-                g_half = terms[q - lo]
+                m = max(1, min(m, (hi - q) // 2))
+                Gh = terms[q - lo:q + 2 * m - lo:2]
                 if q + 1 >= hi:
                     lo, hi, terms = plan(q + 1, k, t_k + step)
-                g0, g_full = g_full, terms[q + 1 - lo]
-                F = np.add(np.add(_matvec(c0, g0), _matvec(ch, g_half)),
-                           np.multiply(cf, g_full))
-                np.add(_matvec(M, y), F, y_next)
-                # the fresh node's derivative, the next step's k1
-                np.add(_matvec(A, y_next), g_full, derivs[i + 1])
-            if (k + 1) % per and k + 1 < n_steps:
+                Gf = terms[q + 1 - lo:q + 2 * m - lo:2]
+                G0 = np.concatenate((g_full[None], Gf[:-1]))
+                g_full = Gf[-1]
+                F = np.add(np.add(_matvec(c0, G0), _matvec(ch, Gh)),
+                           np.multiply(cf, Gf))
+                ys = values[i:i + m + 1]
+                for y, y_next, f in zip(ys, ys[1:], F):
+                    np.add(_matvec(M, y, y_next), f, y_next)
+                # the fresh nodes' derivatives, each the next step's k1
+                np.add(_matvec(A, ys[1:]), Gf, derivs[i + 1:i + m + 1])
+            k += m
+            i = k - first  # the row of the last fresh node
+            if k % per and k < n_steps:
                 continue
             # one test of the interval's fresh nodes.  Rows are
             # independent, so a member that failed early in the interval
             # has stepped on alone.  The screen allocates nothing the size
             # of the rows: a NaN or inf shows in a max or a min.
-            ys = values[tested + 1 - first:i + 2]
-            ds = derivs[tested + 1 - first:i + 2]
+            ys = values[tested + 1 - first:i + 1]
+            ds = derivs[tested + 1 - first:i + 1]
             big = np.maximum(ys.max(axis=(0, 2)), -ys.min(axis=(0, 2)))
             steep = np.maximum(ds.max(axis=(0, 2)), -ds.min(axis=(0, 2)))
             keep = (big <= screen) & (steep < np.inf)
@@ -919,7 +946,7 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 hand_on(slice(pos, pos + 1),
                         kf + (1 if broken[kf - tested] else 2),
                         escape_time=t_fail)
-            tested = k + 1
+            tested = k
             if not keep.all():
                 members = [b for b, kept in zip(members, keep) if kept]
                 if not members:
@@ -932,12 +959,11 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 hi = 0  # the planned terms are of the old members
             # no room for the rows up to the next test: hand on the
             # settled rows and keep the last delay interval
-            if k + 1 < n_steps \
-                    and i + 2 + min(per, n_steps - k - 1) > window:
-                hand_on(slice(None), k + 2, final=False)
-                start = k + 2 - back
-                values[:back] = values[start - first:i + 2]
-                derivs[:back] = derivs[start - first:i + 2]
+            if k < n_steps and i + 1 + min(per, n_steps - k) > window:
+                hand_on(slice(None), k + 1, final=False)
+                start = k + 1 - back
+                values[:back] = values[start - first:i + 1]
+                derivs[:back] = derivs[start - first:i + 1]
                 first = view.first = start
                 view.plans.clear()  # a read of a dropped row is refused
                 hi = 0

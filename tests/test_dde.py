@@ -698,8 +698,10 @@ def test_block_trajectories_do_not_depend_on_the_split(data):
     cuts = sorted(set(data.draw(st.lists(st.integers(1, members),
                                          max_size=3))) | {members})
     whole = simulate_many(sys, x0s, T, h)
+    # 512 * 45 gives plans of odd spans: 45, 22, 15, ... stages at 1, 2,
+    # 3, ... members of one dimension
     with mock.patch.object(dde, "BLOCK_BYTES", data.draw(
-            st.sampled_from([1, 1 << 12, dde.BLOCK_BYTES]))):
+            st.sampled_from([1, 512 * 45, 1 << 12, dde.BLOCK_BYTES]))):
         parts = [t for a, b in zip([0] + cuts, cuts)
                  for t in simulate_many(sys, x0s[a:b], T, h)]
     for got, want in zip(parts, whole, strict=True):
@@ -899,8 +901,9 @@ def test_split_families_integrate_as_their_view_twins():
     block view in the stage form: forward_values and forward_derivs within
     TWIN_TOL and the same escape_time, as whole trajectories and as the
     pieces of a window that moves, at B = 1, 4, 17 and 48, with a short
-    final step, escaping members, and a BLOCK_BYTES of 1 that leaves each
-    plan a single stage."""
+    final step, escaping members, a BLOCK_BYTES of 1 that leaves each
+    plan a single stage and one of 512 * 45 that gives plans of odd
+    spans, which end between a step's two stages."""
     seen = set()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -911,7 +914,7 @@ def test_split_families_integrate_as_their_view_twins():
             data.draw(st.sampled_from([1, 4, 17, 48])),
             data.draw(st.sampled_from([0.05, 0.1])),
             data.draw(st.floats(0.3, 3.6)),
-            data.draw(st.sampled_from([1, dde.BLOCK_BYTES])),
+            data.draw(st.sampled_from([1, 512 * 45, dde.BLOCK_BYTES])),
             data.draw(st.integers(0, 9)))
         got, want = _split_and_twin(name, params, members, h, T, budget, seed)
         assert _twin_deviation(got, want) <= TWIN_TOL
@@ -925,6 +928,40 @@ def test_split_families_integrate_as_their_view_twins():
 
     check()
     assert {1, 4, 17, 48, "short final step", "escape", "moved"} <= seen
+
+
+# every built-in family, and linear_scalar at a = 12, whose histories of
+# norm 4 and 1e-4 escape
+BUDGET_SYSTEMS = [(label.removesuffix("_b0"), params) for label, params
+                  in sorted(PINNED_SYSTEMS.items())] + [SPLIT_SYSTEMS[2]]
+
+
+@pytest.mark.parametrize("name, params", BUDGET_SYSTEMS)
+@pytest.mark.parametrize("members", [1, 5, 17])
+def test_trajectories_do_not_depend_on_the_plan_budget(name, params,
+                                                       members):
+    """A block integrates to the same whole trajectories in every bit,
+    escapes included, under a BLOCK_BYTES of 1 (plans of one stage, each
+    step on its own), of 512 * 7 B n (plans of 7 stages, which end
+    between a step's two stages, so the affine step's runs end there) and
+    the default, with a short final step."""
+    sys = make_system(name, 1.0, params)
+    x0s = _fourier_block(sys, members, norms=(1.5, 0.5, 4.0, 1e-4))
+    T, h = 3.537, 0.05
+    assert _mesh(T, h)[1] > 0.0
+    runs = []
+    for budget in (1, 512 * 7 * members * sys.dimension, dde.BLOCK_BYTES):
+        with mock.patch.object(dde, "BLOCK_BYTES", budget):
+            runs.append(simulate_many(sys, x0s, T, h))
+    if members > 2 and (name == "quadratic" or params.get("a") == 12.0):
+        assert any(t.escaped for t in runs[-1])
+    for run in runs[:-1]:
+        for got, want in zip(run, runs[-1], strict=True):
+            assert got.escape_time == want.escape_time
+            for a, b in ((got.forward_times, want.forward_times),
+                         (got.forward_values, want.forward_values),
+                         (got.forward_derivs, want.forward_derivs)):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_split_family_member_escapes_inside_a_plan():
