@@ -85,12 +85,12 @@ as a block of one.  A window that spans the horizon hands on one piece
 of whole trajectories, which :func:`simulate` and :func:`simulate_many`
 return with each member's rows copied out of the window.
 
-Stages read the dense output through read plans: the block's stage times
-follow from its mesh, and a read at delay s that no plan covers computes,
-in one vectorised Hermite call, its values at this stage and at every later
+Stages read the dense output through read plans, by stage number
+(``_stages``): a read at delay s that no plan covers computes, in one
+vectorised Hermite call, its values at this stage and at every later
 stage whose cells have both rows settled already, at most a share of
-BLOCK_BYTES; on the view path the later stages look their row up by
-stage time, and the affine step takes the plan at -r whole.  Each planned
+BLOCK_BYTES; on the view path stage q takes row q - q0 of the plan made
+at q0, and the affine step takes the plan at -r whole.  Each planned
 read is the formula of a read at its own stage on the same cell and
 fraction, so planning ahead moves no bit (see ``_SolutionView``).
 
@@ -498,51 +498,59 @@ def _block_of(traj: Trajectory) -> _Block:
                   traj.escape_time)
 
 
+class _Plan(NamedTuple):
+    """Reads of the times s, (m,), at stages q0, q0 + 1, ...: reads (stages,
+    B, m, n), read-only, late columns unset; late and mid mark a stage's
+    columns at or past its settled time and, of those, before its time, w
+    a mid weight; overlay: a stage's any late, any mid, settled node row."""
+
+    q0: int
+    reads: np.ndarray
+    late: np.ndarray | None
+    mid: np.ndarray | None
+    w: np.ndarray | None
+    overlay: list
+
+
 class _SolutionView:
     """Segment-like read access to the partially built solutions of a block.
 
-    Queries are relative to stage_time: s in [-r, 0] maps to absolute time
-    stage_time + s, the same for every member.  Absolute times at or before
-    settled_time use dense output (the stacked history nodes, located by
-    segment's rule on their shared nodes, or the forward Hermite cells);
-    later times lie in the overlap of the step being built and interpolate
-    linearly toward the running stage value.  values and derivs are the
-    block's window of dense output, time-major (rows, B, n): row i holds
-    forward node first + i of every member.  A forward read locates its
-    cell j by its absolute time, as over the whole horizon, and reads rows
-    j - first and j + 1 - first; a read before the window's first row is
-    refused.  Reads return (B, m, n) for an array of m times; a point read
-    at s = 0 is the stage value, at any other s the array read of s alone,
-    (B, n).
+    The view is at stage q of the block's mesh, (n_full, tail) as _mesh
+    gives it, with k steps settled (_stages); s in [-r, 0] maps to
+    absolute time u = stage time + s, the same for every member.  Times
+    before the settled time k h use dense output (the stacked history
+    nodes, located by segment's rule on their shared nodes, or the
+    forward Hermite cells); later times lie in the overlap of the step
+    being built and interpolate linearly from node k toward the running
+    stage value.  values and derivs are the block's window of dense
+    output, time-major (rows, B, n): row i holds forward node first + i
+    of every member.  A forward read locates its cell j by its absolute
+    time, as over the whole horizon, and reads rows j - first and
+    j + 1 - first; a read before the window's first row is refused.
+    Reads return (B, m, n) for an array of m times; a point read at s = 0
+    is the stage value, at any other s the array read of s alone, (B, n).
 
-    Dense reads are planned a span of stages ahead.  mesh, the block's
-    full steps and short final step as _mesh gives them, fixes its
-    schedule: stage 0 at time 0, then stages 2k + 1 and 2k + 2 at
-    t_k + step / 2 and t_k + step of step k, both with k steps settled,
-    by the integrator's own arithmetic, so a stage time names its stage.
-    A read whose times (keyed by their bytes) have no plan that holds the
-    current stage time makes one: its dense reads at this stage and at
-    every later stage whose forward cells have both rows settled now, at
-    most as many as fit a plan's share of BLOCK_BYTES, in one vectorised
-    Hermite call.  Each is the one-stage read's formula on the same cell
-    and fraction, so it is bitwise the read made at its own stage.  A
-    view without a mesh plans the current stage alone and drops its plans
-    when set_stage moves the stage; the integrator drops them when the
-    window moves, so that a read the window no longer holds is refused as
-    before.  Late reads follow stage_value and are made afresh on every
-    call: a read copies its planned row and fills its late columns.
-    Planned reads are read-only.  The integrator's affine step calls _plan
-    at -r itself, after set_stage to the stage the plan starts at, and
-    keeps the plan outside plans.
+    Reads are planned a span of stages ahead, by stage number.  A read
+    whose times (keyed by their bytes) have no plan that holds stage q
+    makes one: its dense reads at q and at every later stage whose
+    forward cells have both rows settled now, at most as many as fit a
+    plan's share of BLOCK_BYTES, in one vectorised Hermite call, and each
+    stage's overlay of late columns.  Each is the one-stage read's formula
+    on the same cell and fraction, so it is bitwise the read made at its
+    own stage: a plan made at q has the one-stage read as its first row.
+    A read copies its planned row and fills its late columns from the
+    stage value by the overlay.  Planned reads are read-only.  The
+    integrator drops the plans when the window moves, so that a read the
+    window no longer holds is refused as before; its affine step calls
+    _plan at -r itself and keeps the plan outside plans.
     """
 
     __slots__ = ("delay_r", "dim", "h", "hist_nodes", "hist_values",
-                 "hist_derivs", "values", "derivs", "first", "settled",
-                 "settled_time", "stage_time", "stage_value", "mesh",
-                 "plans")
+                 "hist_derivs", "values", "derivs", "mesh", "first", "q",
+                 "stage_value", "plans")
 
-    def __init__(self, histories, values, derivs, h: float, first: int = 0,
-                 mesh: tuple[int, float] | None = None):
+    def __init__(self, histories, values, derivs, h: float,
+                 mesh: tuple[int, float], first: int = 0):
         self.delay_r = histories[0].delay_r
         self.dim = histories[0].dim
         self.h = h
@@ -551,77 +559,48 @@ class _SolutionView:
         self.hist_derivs = np.stack([x.derivs for x in histories])
         self.values = values
         self.derivs = derivs
-        self.first = first
-        self.settled = 0
-        self.settled_time = 0.0
-        self.stage_time = 0.0
-        self.stage_value = values[0]
         self.mesh = mesh
+        self.first = first
+        self.q = 0
+        self.stage_value = values[0]
         self.plans = {}
 
-    def set_stage(self, settled: int, stage_time: float, stage_value):
-        if self.mesh is None and (settled != self.settled
-                                  or stage_time != self.stage_time):
-            self.plans.clear()
-        self.settled = settled
-        self.settled_time = settled * self.h
-        self.stage_time = stage_time
+    def set_stage(self, q: int, stage_value):
+        self.q = q
         self.stage_value = stage_value
 
-    def _row(self, j: int) -> int:
-        """The window row of forward node j."""
-        if j < self.first:
-            raise ParameterError("right-hand side read x before t - r")
-        return j - self.first
-
-    def _planned(self, s: np.ndarray) -> np.ndarray:
-        """The planned read of the times s, (m,), at the current stage,
-        (B, m, n)."""
+    def _planned(self, s: np.ndarray) -> tuple[_Plan, int]:
+        """The plan of the reads at the times s, (m,), that holds the
+        current stage, made now if none does, and the stage's row in it."""
         key = s.tobytes()
         plan = self.plans.get(key)
-        row = None if plan is None else plan[0].get(self.stage_time)
-        if row is None:
-            plan = self.plans[key] = self._plan(s)
-            row = plan[0][self.stage_time]
-        return plan[1][row]
+        if plan is None or not 0 <= self.q - plan.q0 < len(plan.reads):
+            plan = self.plans[key] = self._plan(s, self.q)
+        return plan, self.q - plan.q0
 
-    def _plan(self, s: np.ndarray):
-        """A plan of the reads at the times s, (m,): the row of each stage
-        it covers, by stage time, and its reads there, (stages, B, m, n),
-        read-only, with each late column left unset."""
+    def _plan(self, s: np.ndarray, q: int) -> _Plan:
+        """The plan of the reads at the times s, (m,), from stage q."""
         h = self.h
-        B = self.stage_value.shape[0]
+        B = self.values.shape[1]
         # a plan's reads fit BLOCK_BYTES // 64: the Hermite formula makes
         # about ten temporaries of their size
         span = max(1, BLOCK_BYTES // (512 * B * s.size * self.dim))
-        if self.mesh is None:
-            times = np.array([self.stage_time])
-            settled = np.array([self.settled])
-        else:  # the schedule from the current stage to the last step's end
-            n_full, tail = self.mesh
-            k = self.settled
-            if self.stage_time == 0.0:
-                q0 = 0
-            elif self.stage_time == k * h + 0.5 * (h if k < n_full else tail):
-                q0 = 2 * k + 1
-            else:
-                q0 = 2 * k + 2
-            q = np.arange(q0, min(q0 + span, 2 * (n_full + (tail > 0)) + 1))
-            settled = np.maximum(q - 1, 0) // 2
-            step = np.where(settled < n_full, h, tail)
-            times = settled * h + np.where(q % 2, 0.5 * step, step)
-            times[q == 0] = 0.0
+        n_full, tail = self.mesh
+        times, settled = _stages(
+            n_full, tail, h, q, min(q + span, 2 * (n_full + (tail > 0)) + 1))
+        start = (settled * h)[:, None]
         u = times[:, None] + s
-        late = u >= (settled * h)[:, None]
+        late = u >= start
         hist = ~late & (u <= 0.0)
         fwd = ~late & ~hist
         j = np.minimum((u / h).astype(int), settled[:, None] - 1)
         # a later stage joins while each of its forward cells has both
-        # rows settled now; u < settled_time alone may round to a cell
+        # rows settled now; u < settled time alone may round to a cell
         # whose right row is not yet written
-        ahead = (fwd & (j >= self.settled)).any(axis=1)
+        ahead = (fwd & (j >= settled[0])).any(axis=1)
         stop = int(np.argmax(ahead)) if ahead.any() else times.size
-        u, hist, fwd, j = u[:stop], hist[:stop], fwd[:stop], j[:stop]
+        u, late, hist, fwd, j = u[:stop], late[:stop], hist[:stop], \
+            fwd[:stop], j[:stop]
         reads = np.empty((stop, B, s.size, self.dim))
         by_time = reads.transpose(0, 2, 1, 3)
         if hist.any():
@@ -631,34 +610,56 @@ class _SolutionView:
                 .transpose(1, 0, 2)
         if fwd.any():
             uf, jf = u[fwd], j[fwd]
-            self._row(int(jf.min()))
+            if jf.min() < self.first:
+                raise ParameterError("right-hand side read x before t - r")
             by_time[fwd] = _cell_reads(
                 self.values.transpose(1, 0, 2), self.derivs.transpose(1, 0, 2),
                 jf - self.first, (uf - jf * h) / h, h)[0].transpose(1, 0, 2)
         reads.flags.writeable = False
-        return dict(zip(times[:stop].tolist(), range(stop))), reads
+        if not late.any():
+            return _Plan(q, reads, None, None, None,
+                         [(False, False, 0)] * stop)
+        start, times = start[:stop], times[:stop, None]
+        mid = late & (u < times)
+        w = np.divide(u - start, times - start, out=np.zeros_like(u),
+                      where=mid)
+        return _Plan(q, reads, late, mid, w, list(zip(
+            late.any(axis=1).tolist(), mid.any(axis=1).tolist(),
+            (settled[:stop] - self.first).tolist())))
 
     def value_at_point(self, s: float) -> np.ndarray:
-        if s == 0.0:  # u = stage_time, at or past settled_time
+        if s == 0.0:  # u = stage time, at or past the settled time
             return self.stage_value
         return self.value_at(s)[:, 0]
 
     def value_at(self, s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = self._planned(s)
-        u = self.stage_time + s
-        late = u >= self.settled_time
-        if late.any():
+        plan, i = self._planned(s)
+        out = plan.reads[i]
+        late, mid, row = plan.overlay[i]
+        if late:
+            stage = self.stage_value[:, None]
             out = out.copy()
-            out[:, late] = self.stage_value[:, None]
-            mid = late & (u < self.stage_time)
-            if mid.any():
-                w = ((u[mid] - self.settled_time)
-                     / (self.stage_time - self.settled_time))[:, None]
-                node = self.values[self.settled - self.first]
-                out[:, mid] = (1.0 - w) * node[:, None] \
-                    + w * self.stage_value[:, None]
+            out[:, plan.late[i]] = stage
+            if mid:
+                cols = plan.mid[i]
+                w = plan.w[i, cols][:, None]
+                out[:, cols] = (1.0 - w) * self.values[row][:, None] \
+                    + w * stage
         return out
+
+
+def _stages(n_full: int, tail: float, h: float, lo: int, hi: int):
+    """The times and settled-step counts of the stages lo .. hi - 1 of a
+    mesh (n_full, tail): stage 0 at time 0, then 2k + 1 and 2k + 2 at
+    k h + step / 2 and k h + step, with k steps settled."""
+    q = np.arange(lo, hi)
+    settled = np.maximum(q - 1, 0) // 2
+    step = np.where(settled < n_full, h, tail)
+    times = settled * h + np.where(q % 2, 0.5 * step, step)
+    if lo == 0:
+        times[0] = 0.0
+    return times, settled
 
 
 def _mesh(T: float, h: float) -> tuple[int, float]:
@@ -819,19 +820,18 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                     fwd_times[first:stop], values[:stop - first, at],
                     derivs[:stop - first, at], escape_time, first, final))
 
-    view = _SolutionView(x0s, values, derivs, h_eff, mesh=(n_full, tail))
+    view = _SolutionView(x0s, values, derivs, h_eff, (n_full, tail))
     rhs = sys.rhs
     A0, delayed = sys.parts or (None, None)
     # delayed(x(t - r)) at the stages lo .. hi - 1, (stages, B, n): the
     # view's read plan at -r with delayed applied to it at once
     lo = hi = 0
     terms = g_full = None  # g_full: the delayed term of the last full step
+    minus_r = np.array([-r])
 
-    def plan(q: int, k: int, stage_time: float):
-        """The delayed terms of the plan from stage q, at stage_time with
-        k steps settled, and the stages they cover."""
-        view.set_stage(k, stage_time, values[k - first])
-        _, reads = view._plan(np.array([-r]))
+    def plan(q: int):
+        """The delayed terms planned from stage q, and their stages."""
+        reads = view._plan(minus_r, q).reads
         return q, q + len(reads), delayed(reads[:, :, 0])
 
     # the step widths that occur: full steps, and the short final step
@@ -848,7 +848,7 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
         if delayed is None:
             _matvec(A, values[0], derivs[0])
         else:
-            lo, hi, terms = plan(0, 0, 0.0)
+            lo, hi, terms = plan(0)
             g_full = terms[0]
             np.add(_matvec(A, values[0]), g_full, derivs[0])
     # components of at most screen give |x| <= sqrt(n) screen, half the
@@ -859,7 +859,6 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n_steps:
             i = k - first
-            t_k = k * h_eff
             step = h_eff if k < n_full else tail
             # a run of m steps: the affine step takes the full steps up to
             # the next escape test at once, the short final step alone
@@ -869,17 +868,17 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 # association y + (step / 6) (((k1 + 2 k2) + 2 k3) + k4)
                 half, whole, sixth = weights[step]
                 y, y_next, k1 = values[i], values[i + 1], derivs[i]
-                view.set_stage(k, t_k + 0.5 * step, y + half * k1)
+                view.set_stage(2 * k + 1, y + half * k1)
                 k2 = np.asarray(rhs(view), dtype=float)
-                view.set_stage(k, t_k + 0.5 * step, y + half * k2)
+                view.set_stage(2 * k + 1, y + half * k2)
                 k3 = np.asarray(rhs(view), dtype=float)
-                view.set_stage(k, t_k + step, y + whole * k3)
+                view.set_stage(2 * k + 2, y + whole * k3)
                 k4 = np.asarray(rhs(view), dtype=float)
                 np.add(y, sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4), y_next)
                 # derivative at the fresh node, the next step's k1: the
                 # step interior is still the linear overlay (its Hermite
                 # data needs this very derivative)
-                view.set_stage(k, t_k + step, y_next)
+                view.set_stage(2 * k + 2, y_next)
                 derivs[i + 1] = np.asarray(rhs(view), dtype=float)
             elif delayed is None:
                 M = weights[step][0]
@@ -901,11 +900,11 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 M, c0, ch, cf = weights[step]
                 q = 2 * k + 1
                 if q >= hi:
-                    lo, hi, terms = plan(q, k, t_k + 0.5 * step)
+                    lo, hi, terms = plan(q)
                 m = max(1, min(m, (hi - q) // 2))
                 Gh = terms[q - lo:q + 2 * m - lo:2]
                 if q + 1 >= hi:
-                    lo, hi, terms = plan(q + 1, k, t_k + step)
+                    lo, hi, terms = plan(q + 1)
                 Gf = terms[q + 1 - lo:q + 2 * m - lo:2]
                 G0 = np.concatenate((g_full[None], Gf[:-1]))
                 g_full = Gf[-1]
@@ -955,7 +954,7 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 if g_full is not None:
                     g_full = g_full[keep]
                 view = _SolutionView([x0s[b] for b in members], values,
-                                     derivs, h_eff, first, (n_full, tail))
+                                     derivs, h_eff, (n_full, tail), first)
                 hi = 0  # the planned terms are of the old members
             # no room for the rows up to the next test: hand on the
             # settled rows and keep the last delay interval

@@ -359,24 +359,31 @@ def test_segment_derivs_track_rhs():
 
 def test_segment_nodes_are_the_integrator_reads():
     # segment_at reads the cells the integrator built, by its own rule, so
-    # every node left of the window end is bitwise the value a right-hand
-    # side would read at that absolute time once all steps have settled
+    # every node of x_t left of the settled time of the stage at time t is
+    # bitwise the value a right-hand side reads there at that stage
     sys = make_system("saturating", 1.0, {"c": 1.0, "k": 0.5})
     cfg = SamplerConfig(family="fourier", order=3, target_space=SpaceSpec.sup(),
                         target_norm=1.0, dimension=1, delay_r=1.0, seed=0,
                         n_nodes=65)
     traj = simulate(sys, sample_one(cfg, 0), 3.0, h=0.01)
-    # the block view of this one trajectory, all of its steps settled
+    h = traj.step_h
+    n_full, tail = _mesh(traj.end_time, h)
+    assert tail == 0.0
+    # the block view of this one trajectory, at every stage of its mesh
     view = _SolutionView([traj.initial], traj.forward_values[:, None],
-                         traj.forward_derivs[:, None], traj.step_h)
-    times = np.random.default_rng(0).uniform(0.0, traj.end_time, 300)
-    for t in np.concatenate([[0.0, 0.5, 1.0, traj.end_time], times]):
-        seg = segment_at(traj, float(t))
-        view.set_stage(traj.forward_values.shape[0] - 1, float(t),
-                       traj.forward_values[-1][None])
-        reads = np.array([view.value_at_point(float(s))[0]
-                          for s in seg.nodes[:-1]])
-        assert np.array_equal(seg.values[:-1], reads)
+                         traj.forward_derivs[:, None], h, (n_full, tail))
+    compared = 0
+    for q in range(2 * n_full + 1):
+        k = max(q - 1, 0) // 2  # steps settled
+        t = 0.0 if q == 0 else k * h + (0.5 * h if q % 2 else h)
+        seg = segment_at(traj, t)
+        view.set_stage(q, traj.forward_values[k][None])
+        for s, node in zip(seg.nodes[:-1], seg.values[:-1]):
+            if t + s < k * h:
+                assert view.value_at_point(float(s))[0].tobytes() \
+                    == node.tobytes()
+                compared += 1
+    assert compared > 60 * 2 * n_full
 
 
 def test_block_members_escape_like_their_serial_runs():
@@ -430,24 +437,23 @@ def _per_step_escapes(sys, x0s, T, h):
     values = np.empty((n_steps + 1, len(x0s), sys.dimension))
     derivs = np.empty_like(values)
     values[0] = [x0.values[-1] for x0 in x0s]
-    view = _SolutionView(x0s, values, derivs, h_eff)
+    view = _SolutionView(x0s, values, derivs, h_eff, (n_full, tail))
     vals, ders = view.values, view.derivs
     ders[0] = sys.rhs(view)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            t_k = k * h_eff
             step = h_eff if k < n_full else tail
             y, k1 = vals[k], ders[k]
-            view.set_stage(k, t_k + 0.5 * step, y + (0.5 * step) * k1)
+            view.set_stage(2 * k + 1, y + (0.5 * step) * k1)
             k2 = sys.rhs(view)
-            view.set_stage(k, t_k + 0.5 * step, y + (0.5 * step) * k2)
+            view.set_stage(2 * k + 1, y + (0.5 * step) * k2)
             k3 = sys.rhs(view)
-            view.set_stage(k, t_k + step, y + step * k3)
+            view.set_stage(2 * k + 2, y + step * k3)
             k4 = sys.rhs(view)
             y_next = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_next = t_k + step
+            t_next = k * h_eff + step
             vals[k + 1] = y_next
-            view.set_stage(k, t_next, y_next)
+            view.set_stage(2 * k + 2, y_next)
             d_next = sys.rhs(view)
             ders[k + 1] = d_next
             sq = np.sum(y_next * y_next, axis=1)
@@ -466,7 +472,7 @@ def _per_step_escapes(sys, x0s, T, h):
             members = [b for b, g in zip(members, gone) if not g]
             values, derivs = values[:, ~gone], derivs[:, ~gone]
             view = _SolutionView([x0s[b] for b in members], values, derivs,
-                                 h_eff)
+                                 h_eff, (n_full, tail))
             vals, ders = view.values, view.derivs
     for pos, b in enumerate(members):
         if out[b] is None:
@@ -570,10 +576,11 @@ def test_non_finite_derivative_at_a_small_state_ends_the_interval():
 
 
 def _one_stage(view):
-    """A view of the same rows and stage without a schedule: it plans the
-    current stage alone, the read of one stage time."""
+    """A view of the same rows and stage without plans: its first read of
+    a time offset plans from the current stage, whose row is the read of
+    this stage alone."""
     fresh = copy.copy(view)
-    fresh.mesh, fresh.plans = None, {}
+    fresh.plans = {}
     return fresh
 
 
@@ -610,7 +617,7 @@ def test_planned_reads_equal_fresh_one_stage_reads():
         assert not seg.value_at(arrays[0][:5]).flags.writeable
         kept[:] = [planned]
         seen["calls"] += 1
-        seen["span"] = max([seen["span"]] + [len(rows) for rows, _
+        seen["span"] = max([seen["span"]] + [len(plan.reads) for plan
                                              in seg.plans.values()])
         seen["members"].add(seg.stage_value.shape[0])
         seen["firsts"].add(seg.first)
@@ -651,18 +658,82 @@ def test_planned_read_at_a_span_edge_reads_only_settled_rows():
     values = np.full((traj.forward_values.shape[0], 1, 1), np.nan)
     derivs = np.full_like(values, np.nan)
     view = _SolutionView([x0], values, derivs, h,
-                         mesh=(traj.forward_values.shape[0] - 1, 0.0))
+                         (traj.forward_values.shape[0] - 1, 0.0))
     for q in range(2 * 66 + 1, 2 * 97 + 1):
         k = (q - 1) // 2
         values[:k + 1, 0] = traj.forward_values[:k + 1]
         derivs[:k + 1, 0] = traj.forward_derivs[:k + 1]
-        view.set_stage(k, k * h + (0.5 * h if q % 2 else h), values[k])
+        view.set_stage(q, values[k])
         got = view.value_at_point(-r)
         assert got.tobytes() == _one_stage(view).value_at_point(-r).tobytes()
         assert np.isfinite(got).all()
     # one plan served the stages up to the edge, another the edge on
-    rows, _ = view.plans[np.array([-r]).tobytes()]
-    assert min(rows) == 95 * h + h
+    assert view.plans[np.array([-r]).tobytes()].q0 == 2 * 95 + 2
+
+
+@pytest.mark.parametrize("members", [1, 4])
+@pytest.mark.parametrize("budget", [1, 512 * 45, dde.BLOCK_BYTES])
+def test_late_reads_are_the_overlap_formula(monkeypatch, members, budget):
+    """At every stage of a distributed_linear block and of a hand-built
+    system that reads inside the step, each read at or past the stage's
+    settled time k h is bitwise the overlap formula, by scalar division:
+    with u = stage time + s, the stage value where u is the stage time,
+    else (1 - w) x(k h) + w stage value, w = (u - k h) / (stage time -
+    k h), whatever the budget that sizes the view's plans."""
+    monkeypatch.setattr(dde, "BLOCK_BYTES", budget)
+    r, h, T = 1.0, 0.01, 0.537
+    offsets = [np.array([x]) for x in (-0.001, -h / 2, -1e-12, 0.0)] \
+        + [np.linspace(-r, 0.0, 27)]
+    seen = {"stages": set(), "late": 0, "mid": 0}
+
+    def check(view):
+        n_full, tail = view.mesh
+        q = view.q
+        k = max(q - 1, 0) // 2  # steps settled
+        step = h if k < n_full else tail
+        t = 0.0 if q == 0 else k * h + (0.5 * step if q % 2 else step)
+        settled = k * h
+        node, stage = view.values[k - view.first], view.stage_value
+        seen["stages"].add(q)
+        for s in offsets:
+            got = view.value_at(s)
+            for col, x in enumerate(s.tolist()):
+                u = t + x
+                if u < settled:
+                    continue
+                seen["late"] += 1
+                for b, d in np.ndindex(stage.shape):
+                    if u == t:
+                        want = stage[b, d]
+                    else:
+                        w = (u - settled) / (t - settled)
+                        want = (1.0 - w) * node[b, d] + w * stage[b, d]
+                        seen["mid"] += 1
+                    assert got[b, col, d].tobytes() \
+                        == np.float64(want).tobytes()
+
+    def checked(sys):
+        def rhs(seg):
+            if isinstance(seg, _SolutionView):
+                check(seg)
+            return sys.rhs(seg)
+        return DelaySystem(sys.name, sys.dimension, r, rhs,
+                           sys.lipschitz_modulus, sys.params)
+
+    def inside(seg):  # reads x(t - 0.004), inside the step being built
+        v = seg.value_at_point(0.0)
+        return -v + 0.5 * seg.value_at_point(-0.004) \
+            + 0.2 * seg.value_at_point(-0.6)
+
+    for sys in (make_system("distributed_linear", r,
+                            PINNED_SYSTEMS["distributed_linear"]),
+                DelaySystem("inside", 1, r, inside, lambda R: 1.7)):
+        seen["stages"].clear()
+        simulate_many(checked(sys), _fourier_block(sys, members), T, h)
+        n_full, tail = _mesh(T, h)
+        assert tail > 0.0
+        assert seen["stages"] == set(range(2 * (n_full + 1) + 1))
+    assert seen["late"] > 0 and seen["mid"] > 0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -993,20 +1064,24 @@ def test_hand_built_vector_parts_without_a_delayed_part_step_as_the_twin():
 
 def test_split_families_read_the_view_only_to_plan(monkeypatch):
     """A block of a family with parts makes no point or array read of
-    the view: its delayed terms come from one _plan call per span of
-    stages (a family without a delayed part makes none).  A user-built
+    the view and never sets its stage: its delayed terms come from one
+    _plan call per span of stages, at increasing stage numbers from
+    stage 0 (a family without a delayed part makes none).  A user-built
     system and distributed_linear read through the view."""
-    calls = {}
+    calls, planned = {}, []
 
     def counted(name):
         method = getattr(_SolutionView, name)
 
         def wrapper(self, *args):
             calls[name] = calls.get(name, 0) + 1
+            if name == "_plan":
+                planned.append(args[1])
             return method(self, *args)
         return wrapper
 
-    for name in ("value_at_point", "value_at", "_planned", "_plan"):
+    for name in ("value_at_point", "value_at", "_planned", "_plan",
+                 "set_stage"):
         monkeypatch.setattr(_SolutionView, name, counted(name))
     budget = 1 << 16
     monkeypatch.setattr(dde, "BLOCK_BYTES", budget)
@@ -1018,15 +1093,17 @@ def test_split_families_read_the_view_only_to_plan(monkeypatch):
     for name, params in SPLIT_SYSTEMS:
         sys = make_system(name, 1.0, params)
         calls.clear()
+        planned.clear()
         simulate_many(sys, _fourier_block(sys, members, norms=(0.5,)), T, h)
         assert "value_at_point" not in calls and "value_at" not in calls
-        assert "_planned" not in calls
+        assert "_planned" not in calls and "set_stage" not in calls
         if sys.parts[1] is None:
             assert "_plan" not in calls
         else:
             # a plan's reads fit BLOCK_BYTES // 64 (see _SolutionView._plan)
             span = budget // (512 * members * sys.dimension)
             assert 0 < calls["_plan"] <= math.ceil(stages / span)
+            assert planned[0] == 0 and planned == sorted(set(planned))
     user = DelaySystem("user", 1, 1.0, lambda seg: -seg.value_at_point(-0.5),
                        lambda R: 1.0)
     for sys in (user, make_system("distributed_linear", 1.0,

@@ -148,6 +148,26 @@ def test_one_locate_rule_and_one_cell_read():
     assert _callers("_point_read") == {("segment", "Segment")}
 
 
+def test_stages_are_scheduled_in_one_place():
+    """The block view plans by stage number: dde._stages is the one stage
+    schedule, which only _SolutionView calls, the view always has a mesh
+    and set_stage takes a stage number, and no package code keeps a
+    stage or settled time of its own."""
+    view = delaystab.dde._SolutionView
+    assert _callers("_stages") == {("dde", "_SolutionView")}
+    mesh = inspect.signature(view).parameters["mesh"]
+    assert mesh.default is inspect.Parameter.empty
+    assert list(inspect.signature(view.set_stage).parameters) \
+        == ["self", "q", "stage_value"]
+    names = set()
+    for path in Path(delaystab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names.add(getattr(node, "id", None) or getattr(node, "attr", None)
+                      or getattr(node, "arg", None))
+    assert not names & {"stage_time", "settled_time", "t_k"}
+    assert "settled" not in view.__slots__
+
+
 def _passing(name: str, keyword: str, position: int) -> set:
     """(module, top-level function) pairs whose code calls `name`, or
     binds it with functools.partial, passing the parameter `keyword` by

@@ -207,7 +207,8 @@ def test_every_read_of_a_time_is_one_located_read(data):
     # the integrator's history reads, at stage 0 of a block of one
     window = np.zeros((4, 1, dim))
     window[0, 0] = values[-1]
-    view = dde._SolutionView([seg], window, window.copy(), r / 10.0)
+    view = dde._SolutionView([seg], window, window.copy(), r / 10.0,
+                             (3, 0.0))
     inside = s[s < 0.0]
     assert bits(view.value_at(inside)) == bits(seg.value_at(inside)[None])
     assert bits([view.value_at_point(float(x))[0] for x in inside]) \
