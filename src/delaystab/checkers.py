@@ -45,7 +45,7 @@ from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
 from .sampler import SamplerConfig
 from .segment import DEFAULT_REFINE, ParameterError, Segment, SpaceSpec, \
     _norms, _refined_count, _squares, _uniform_grid, \
-    _uniform_reads, space_norm
+    _uniform_reads, _write_table, space_norm
 
 __all__ = [
     "KLEnvelope",
@@ -502,7 +502,15 @@ def _ensemble(sys: DelaySystem, x0s, T: float, h: float, reads: list,
               every: bool = False):
     """Yield a _Run per history x0 of the iterable x0s, in their order:
     x0 integrated over [0, T], its escape, and one array per read of
-    reads (see _Read).
+    reads (see _Read); the runs of _ensemble_blocks, one at a time."""
+    return chain.from_iterable(_ensemble_blocks(sys, x0s, T, h, reads, every))
+
+
+def _ensemble_blocks(sys: DelaySystem, x0s, T: float, h: float, reads: list,
+                     every: bool = False):
+    """Yield the _Run of each history x0 of the iterable x0s, in their
+    order, as a list a block: x0 integrated over [0, T], its escape, and
+    one array per read of reads (see _Read).
 
     Every integration of sampled histories goes through here: the
     checkers' ensembles, the `ls` bisection probes, the one pass of
@@ -533,10 +541,10 @@ def _ensemble(sys: DelaySystem, x0s, T: float, h: float, reads: list,
     while block := list(islice(x0s, size)):
         reader = _Reader(reads, len(block))
         simulate_many(sys, block, T, h, held=held, take=reader)
-        for b, x0 in enumerate(block):
-            escape_time = reader.escape_times[b]
-            yield _Run(x0, escape_time is not None, escape_time,
-                       reader.tracks(b))
+        yield [_Run(x0, escape_time is not None, escape_time,
+                    reader.tracks(b))
+               for b, (x0, escape_time) in enumerate(
+                   zip(block, reader.escape_times))]
         size = wide
 
 
@@ -610,11 +618,12 @@ def _falsified(prop: str, space: SpaceSpec, cfg: SamplerConfig, index: int,
 def _worst(worst: float, values: np.ndarray,
            den: np.ndarray | None = None) -> float:
     """max(worst, *values), or of values / den over the entries where
-    den > 0, as a loop of max takes it: a NaN changes nothing."""
+    den > 0, as a loop of max takes it, in row order over every axis of
+    a stack of runs: a NaN changes nothing."""
     if den is not None:
         pos = den > 0.0
         values = values[pos] / den[pos]
-    return float(np.fmax.reduce(values, initial=worst))
+    return float(np.fmax.reduce(values, axis=None, initial=worst))
 
 
 # -- KL envelopes ------------------------------------------------------
@@ -671,12 +680,9 @@ class KLEnvelope:
         return float(self.sigma[j, k])
 
     def write_csv(self, fileobj):
-        head = ["s/t"] + [f"{t:.17g}" for t in self.t_grid]
-        fileobj.write(",".join(head) + "\n")
-        for j in range(self.s_grid.size):
-            row = [f"{self.s_grid[j]:.17g}"] \
-                + [f"{v:.17g}" for v in self.sigma[j]]
-            fileobj.write(",".join(row) + "\n")
+        _write_table(fileobj,
+                     ["s/t"] + [f"{t:.17g}" for t in self.t_grid.tolist()],
+                     np.column_stack([self.s_grid, self.sigma]))
 
     def to_json_dict(self) -> dict:
         return _json_safe({

@@ -151,6 +151,7 @@ from .segment import (
     _real,
     _reals,
     _typed,
+    _write_table,
     sup_norm,
 )
 
@@ -448,9 +449,8 @@ class Trajectory:
         n = self.system.dimension
         header = ["t"] + [f"x_{j+1}" for j in range(n)] \
             + [f"dx_{j+1}" for j in range(n)]
-        fileobj.write(",".join(header) + "\n")
-        for t, x, dx in zip(self.times, self.values, self.derivs):
-            fileobj.write(",".join(f"{v:.17g}" for v in (t, *x, *dx)) + "\n")
+        _write_table(fileobj, header, np.column_stack(
+            [self.times, self.values, self.derivs]))
 
 
 class _Block(NamedTuple):

@@ -14,20 +14,25 @@ None of the checks prove anything; they falsify with witnesses or report
 consistency at stated tolerances, like the rest of the toolkit.
 
 Each check is a ball of samples, the reads it declares of each
-trajectory (checkers._Read), one checkers._ensemble pass a phase, and a
-judge over the pass's runs: _exponential_report; _dini_report over the
-Dini ladders, then _dissipation_report over the integral pass;
-_prolongation_report over the prolongation quotients, which need no
-pass, then _growth_report over the trajectories.  A judge takes the
-samples in index order and compares each one's reads with their limits
-as arrays, a report time or rung an entry; the first failure it finds
-is its report (_failed), and each worst ratio is a max over the arrays.
-A limit that involves e^(rate t) uses libm's value, computed once a
-report time (_exp_factors).
+trajectory (checkers._Read), one checkers._ensemble_blocks pass a phase,
+and a judge over the pass's blocks of runs: _exponential_report;
+_dini_report over the Dini ladders, then _dissipation_report over the
+integral pass; _prolongation_report over the sample stacks and their
+prolongation quotients, which need no pass, then _growth_report over
+the trajectories.  A judge takes one sample stack or one ensemble block
+at a time, so it draws and integrates nothing past the one it fails in,
+and compares the reads of all its samples with their limits as arrays,
+a row a sample and a column a report time or rung.  Its report is the
+first failing sample's first failing condition, in the order a sample
+is judged (_first_failure, _failed), and each worst ratio is one fmax
+reduction over a stack (checkers._worst), as a loop of max would take
+it.  A limit that involves e^(rate t) uses libm's value, computed once
+a report time (_exp_factors).
 
 The samples are drawn once, in stacks (dde._sample_stacks), with V(x0),
 the norm of x0 and the growth check's prolongations of a weighted sup
-read once a stack; the second pass of the dissipation and growth checks
+read once a stack, all from the stack's one refined read
+(segment._Refined); the second pass of the dissipation and growth checks
 reuses the first pass's samples and their values.  Every trajectory goes
 through the ensemble, Dini ladders included: dini_derivative integrates
 its ladder to the largest rung, 1e-2 r, and the dissipation check each
@@ -62,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, tee
+from itertools import chain, islice, tee
 from typing import Callable
 
 import numpy as np
@@ -73,6 +78,7 @@ from .checkers import (
     _ball,
     _ball_cfg,
     _ensemble,
+    _ensemble_blocks,
     _falsified,
     _grown,
     _norm_read,
@@ -95,10 +101,9 @@ from .segment import (
     _quadrature_weights,
     _real,
     _reals,
-    _refined_count,
+    _Refined,
     _select,
     _squares,
-    _uniform_reads,
     prolong,
     space_norm,
 )
@@ -287,33 +292,44 @@ def space_norm_functional(space: SpaceSpec) -> Functional:
 
 def _stacked(V: Functional) -> Callable:
     """V of each segment of a stack: (r, nodes, values, derivs), node data
-    (K, N + 1, n) on the uniform nodes from -r to 0, gives K values.
+    (K, N + 1, n) on the uniform nodes from -r to 0, gives K values; a
+    keyword refined, the stack's segment._Refined read, is shared with
+    the caller's other kernels of the stack.
 
     The built-in kinds read the whole stack at once, each value bitwise
     V.evaluate of its segment alone: a weighted sup or quadratic integral
     by its kernel on the stack's refined values, which
     Segment._refined_values reads alike, and a space norm by
     segment._norms, of which space_norm is the batch of one.  Any other
-    functional is read one segment at a time.
+    functional is read one segment at a time, and reads no shared read.
     """
     if V.kind == "space_norm":
         return partial(_norms, space=V.param)
     kernel = {"weighted_sup": _weighted_sups,
               "quadratic_integral": _quadratic_integrals}.get(V.kind)
     if kernel is None:
-        def one_at_a_time(r, nodes, values, derivs):
+        def one_at_a_time(r, nodes, values, derivs, refined=None):
             return np.array([V.evaluate(Segment(r, nodes, v.copy(),
                                                 d.copy()))
                              for v, d in zip(values, derivs)])
 
         return one_at_a_time
 
-    def stacked(r, nodes, values, derivs):
-        count = _refined_count(nodes.size, DEFAULT_REFINE)
-        s, vals, _ = _uniform_reads(r, nodes, values, derivs, count, False)
+    def stacked(r, nodes, values, derivs, refined=None):
+        if refined is None:
+            refined = _Refined(r, nodes, values, derivs)
+        s, vals, _ = refined()
         return kernel(V.param, s, vals)
 
     return stacked
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of (m, n) states, bitwise: the norm is
+    the root of the row's dot with itself, and a stack of (1, n) @ (n, 1)
+    products takes that same dot per row, where a row-sum or einsum
+    rounds differently for n > 1."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -332,10 +348,7 @@ class _Rate:
         return self.c * float(norm if self.power == 1 else norm ** 2)
 
     def rows(self, rows: np.ndarray) -> np.ndarray:
-        # np.linalg.norm is the root of the row's dot with itself; a stack
-        # of (1, n) @ (n, 1) products takes that same dot per row, where
-        # a row-sum or einsum rounds differently for n > 1
-        norms = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+        norms = _row_norms(rows)
         if self.power == 1:
             return self.c * norms
         # the scalar power of a norm is libm's pow, which an array power
@@ -443,11 +456,11 @@ def _dini_read(V: Functional, hs: np.ndarray, n_nodes: int) -> _Read:
     return _Read(hs[::-1], n_nodes, _stacked(V))
 
 
-def _dini_quotients(hs: np.ndarray, v0: float,
-                    vs: np.ndarray) -> np.ndarray:
+def _dini_quotients(hs: np.ndarray, v0, vs: np.ndarray) -> np.ndarray:
     """The forward quotient (V(x_h) - V(x)) / h for each step h of the
-    decreasing hs, from V(x) = v0 and the _dini_read values vs."""
-    return (vs[::-1] - v0) / hs
+    decreasing hs, from V(x) = v0 and the _dini_read values vs: of one
+    ladder, or of a stack of ladders, a row each, with a column of v0."""
+    return (vs[..., ::-1] - v0) / hs
 
 
 def _dini_ladder(r: float, v0: float, vs: np.ndarray) -> DiniEstimate:
@@ -468,11 +481,11 @@ def _dini_ladder(r: float, v0: float, vs: np.ndarray) -> DiniEstimate:
 # -- shared helpers ----------------------------------------------------
 
 
-def _prolonged_weighted_sups(xs: list, fs: np.ndarray, hs: np.ndarray,
-                             lam: float) -> np.ndarray:
-    """Weighted sup of the h-prolongation of each segment x of the stack
-    xs, whose head slope is its row of fs, for each step h of hs, on
-    shared sample points: (K, len(hs)).
+def _prolonged_weighted_sups(refined: _Refined, fs: np.ndarray,
+                             hs: np.ndarray, lam: float) -> np.ndarray:
+    """Weighted sup of the h-prolongation of each segment x of a stack,
+    whose head slope is its row of fs, for each step h of hs, on shared
+    sample points: (K, len(hs)), from the stack's refined read.
 
     The shifted-history part reuses the original refined grid (points that
     remain in the window), so its candidates differ from the functional's
@@ -483,15 +496,13 @@ def _prolonged_weighted_sups(xs: list, fs: np.ndarray, hs: np.ndarray,
     alone would be; the window part goes a step at a time, so that no
     temporary holds more than one step of the stack.
     """
-    r, nodes, values, derivs = _node_stack(xs)
-    s, vals, _ = _uniform_reads(r, nodes, values, derivs,
-                                _refined_count(nodes.size, DEFAULT_REFINE),
-                                False)
+    r, _, values, _ = refined.data
+    s, vals, _ = refined()
     mags = _euclid(vals)
     steps = hs[:, None]
     keep = s >= -r + steps - 1e-15 * r
     weights = np.exp(lam * (s - steps))
-    cand = np.empty((len(xs), hs.size))
+    cand = np.empty((values.shape[0], hs.size))
     for k in range(hs.size):
         cand[:, k] = np.where(keep[k], weights[k] * mags, -np.inf).max(axis=1)
     ss = np.linspace(-hs, 0.0, 17, axis=1)
@@ -516,43 +527,47 @@ def _functional_read(V: Functional, times, n_nodes: int) -> _Read:
     return _Read(times, n_nodes, _stacked(V), _weighted_kind(V))
 
 
-def _growth_quotients(U: Functional, xs: list, u0s: list, fs: np.ndarray,
-                      hs: np.ndarray):
-    """(U(P_h x) - U(x)) / h for each step h of hs, one array for each
-    segment x of the stack xs, where U(x) is its u0 of u0s and its head
-    slope its row of fs: a weighted sup by its noise-free prolongation
-    path, for the whole stack at once, any other functional on the stack
-    of a segment's prolongations, one segment at a time as the arrays
-    are taken."""
+def _growth_quotients(U: Functional, xs: list, u0s, fs: np.ndarray,
+                      hs: np.ndarray, refined: _Refined | None = None
+                      ) -> np.ndarray:
+    """(U(P_h x) - U(x)) / h for each step h of hs, a row for each segment
+    x of the stack xs, where U(x) is its u0 of u0s and its head slope its
+    row of fs: a weighted sup by its noise-free prolongation path, from
+    the stack's refined read (refined, or a read of its own), any other
+    functional on the stack of a segment's prolongations, one segment at
+    a time."""
     lam = _weighted_kind(U)
+    u0s = np.asarray(u0s, dtype=float)
     if lam is not None:
-        up = _prolonged_weighted_sups(xs, fs, hs, lam)
-        return list((up - np.array(u0s)[:, None]) / hs)
-
-    def quotients(x, u0, f):
-        up = _stacked(U)(*_node_stack([prolong(x, f, h)
-                                       for h in hs.tolist()]))
-        return (up - u0) / hs
-
-    return map(quotients, xs, u0s, fs)
+        if refined is None:
+            refined = _Refined(*_node_stack(xs))
+        up = _prolonged_weighted_sups(refined, fs, hs, lam)
+        return (up - u0s[:, None]) / hs
+    return np.array([(_stacked(U)(*_node_stack([prolong(x, f, h)
+                                                for h in hs.tolist()]))
+                      - u0) / hs for x, u0, f in zip(xs, u0s.tolist(), fs)])
 
 
 def _prolonged(sys: DelaySystem, U: Functional, stacks, hs: np.ndarray):
-    """(x, U(x), _growth_quotients of x) for each sample x of the sample
-    stacks, in their order; U, the head slopes and a weighted sup's
-    prolongations are read once a stack."""
+    """(xs, U(x) of each, _growth_quotients of each) for each stack xs of
+    the sample stacks, in their order: U and a weighted sup's
+    prolongations share the stack's one refined read."""
     for xs in stacks:
-        (u0s,) = _stack_reads(xs, _stacked(U))
+        stack = _node_stack(xs)
+        refined = _Refined(*stack)
+        u0s = _stacked(U)(*stack, refined=refined)
         fs = np.array([np.atleast_1d(np.asarray(sys.rhs(x), dtype=float))
                        for x in xs])
-        yield from zip(xs, u0s, _growth_quotients(U, xs, u0s, fs, hs))
+        yield xs, u0s, _growth_quotients(U, xs, u0s, fs, hs, refined)
 
 
 def _stack_reads(xs: list, *reads) -> list:
     """Each stacked read (see _stacked) of the segments xs as one stack,
-    a list of floats each, in the order of xs."""
+    which all share its one refined read, a list of floats each, in the
+    order of xs."""
     stack = _node_stack(xs)
-    return [read(*stack).tolist() for read in reads]
+    refined = _Refined(*stack)
+    return [read(*stack, refined=refined).tolist() for read in reads]
 
 
 def _drawn(stacks, *reads):
@@ -601,6 +616,33 @@ def _failed(prop: str, space: SpaceSpec, ball: _Ball, i: int, x0: Segment,
                       {"samples": ball.budget}, {"failed": failed}, v)
 
 
+def _first_failure(checks: list):
+    """The first row of a stack that fails a check, and the first check it
+    fails: checks are (name, fails) in the order a row is judged, fails
+    (K,) booleans, or (K, T) for a check of each report time or rung,
+    which fails at its first failing column.  (row, name, column), the
+    column None for a (K,) check, or None when every row passes."""
+    rows = [fails if fails.ndim == 1 else fails.any(axis=1)
+            for _, fails in checks]
+    failing = np.logical_or.reduce(rows)
+    if not failing.any():
+        return None
+    i = int(failing.argmax())
+    for (name, fails), row in zip(checks, rows):
+        if row[i]:
+            return i, name, int(fails[i].argmax()) if fails.ndim == 2 \
+                else None
+
+
+def _stacked_runs(runs: list, starts):
+    """A block of runs as arrays: whether each escaped, its first track,
+    a row a run, and the next len(runs) tuples of starts, a row a field
+    of them."""
+    escaped = np.array([run.escaped for run in runs])
+    tracks = np.array([run.tracks[0] for run in runs])
+    return escaped, tracks, np.array(list(islice(starts, len(runs)))).T
+
+
 def _exp_factors(rate: float, times: np.ndarray) -> np.ndarray:
     """e^(rate t) at each time, +inf past the float range: libm's value
     (checkers._grown), which numpy's exp may not round alike, once a
@@ -624,45 +666,51 @@ def _mesh_weights(times: np.ndarray, h: float) -> np.ndarray:
 
 
 def _exponential_report(space: SpaceSpec, ball: _Ball, a1: MonotoneGridFn,
-                        a2: MonotoneGridFn, starts, runs) -> StabilityReport:
-    """The exponential-certificate judge of runs read as V and the norm at
-    the report times past 0, each with its (V(x0), ||x0||) of starts."""
+                        a2: MonotoneGridFn, starts, blocks) -> StabilityReport:
+    """The exponential-certificate judge of blocks of runs read as V and
+    the norm at the report times past 0, each run with its (V(x0), ||x0||)
+    of starts."""
     fail = partial(_failed, "exponential_certificate", space, ball)
     times = ball.grid[1:]
     decay = _exp_factors(-1.0, times)
     a1_inv = a1.invert()
     worst_low = worst_up = worst_decay = worst_env = 0.0
-    for i, ((x0, escaped, escape_time, (vts, nts)), (v0, nx)) in enumerate(
-            zip(runs, starts)):
+    done = 0
+    for runs in blocks:
+        escaped, vts, (v0, nx) = _stacked_runs(runs, starts)
+        nts = np.array([run.tracks[1] for run in runs])
         tol = 1e-12 * (1.0 + v0)
-        lo, up = float(a1(nx)), float(a2(nx))
-        if lo > v0 * (1.0 + 1e-6) + tol:
-            return fail(i, x0, 0.0, "lower_sandwich", v0,
-                        {"lower_bound": lo, "value": v0})
-        if v0 > up * (1.0 + 1e-6) + tol:
-            return fail(i, x0, 0.0, "upper_sandwich", v0,
-                        {"upper_bound": up, "value": v0})
-        if v0 > 0.0:
-            worst_low = max(worst_low, lo / v0)
-        if up > 0.0:
-            worst_up = max(worst_up, v0 / up)
-        if escaped:
-            return fail(i, x0, escape_time)
-        limit = decay * v0
-        env = a1_inv(decay * up)
-        over = vts > limit * (1.0 + 1e-6) + tol
+        lo, up = a1(nx), a2(nx)
+        limit = decay * v0[:, None]
+        env = a1_inv(decay * up[:, None])
+        over = vts > limit * (1.0 + 1e-6) + tol[:, None]
         above = nts > env * (1.0 + 1e-6) + 1e-9 * (1.0 + env)
-        bad = np.flatnonzero(over | above)
-        if bad.size:
-            k = int(bad[0])
-            vt, nt = float(vts[k]), float(nts[k])
-            if over[k]:
-                return fail(i, x0, float(times[k]), "decay", vt,
-                            {"value": vt, "limit": float(limit[k])})
-            return fail(i, x0, float(times[k]), "implied_envelope", nt,
-                        {"norm": nt, "envelope": float(env[k])})
+        found = _first_failure([
+            ("lower_sandwich", lo > v0 * (1.0 + 1e-6) + tol),
+            ("upper_sandwich", v0 > up * (1.0 + 1e-6) + tol),
+            ("escape", escaped), ("decay", over | above)])
+        if found:
+            i, name, k = found
+            x0, v = runs[i].x0, float(v0[i])
+            if name == "lower_sandwich":
+                return fail(done + i, x0, 0.0, name, v,
+                            {"lower_bound": float(lo[i]), "value": v})
+            if name == "upper_sandwich":
+                return fail(done + i, x0, 0.0, name, v,
+                            {"upper_bound": float(up[i]), "value": v})
+            if name == "escape":
+                return fail(done + i, x0, runs[i].escape_time)
+            vt, nt = float(vts[i, k]), float(nts[i, k])
+            if over[i, k]:
+                return fail(done + i, x0, float(times[k]), "decay", vt,
+                            {"value": vt, "limit": float(limit[i, k])})
+            return fail(done + i, x0, float(times[k]), "implied_envelope", nt,
+                        {"norm": nt, "envelope": float(env[i, k])})
+        worst_low = _worst(worst_low, lo, v0)
+        worst_up = _worst(worst_up, v0, up)
         worst_decay = _worst(worst_decay, vts, limit)
         worst_env = _worst(worst_env, nts, env)
+        done += len(runs)
     return StabilityReport(
         "exponential_certificate", space, "consistent", None,
         {"worst_lower_ratio": worst_low, "worst_upper_ratio": worst_up,
@@ -690,75 +738,101 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
              _norm_read(space, times, n_nodes)]
     x0s, starts = _drawn(_sample_stacks(ball.cfg, range(samples)),
                          _stacked(V), _stacked(space_norm_functional(space)))
-    runs = _ensemble(sys, x0s, T, ball.h, reads)
-    return _exponential_report(space, ball, a1, a2, starts, runs)
+    blocks = _ensemble_blocks(sys, x0s, T, ball.h, reads)
+    return _exponential_report(space, ball, a1, a2, starts, blocks)
 
 
 def _dini_report(space: SpaceSpec, ball: _Ball, a1: MonotoneGridFn,
                  a2: MonotoneGridFn, Q: Callable, keep: int, starts,
-                 runs) -> tuple:
-    """The sandwich and Dini judge of ladder runs read at the rungs
-    ball.grid, each with its (V(x0), ||x0||) of starts: the first
-    failure's report (or None), the worst Dini excess, and (x0, V(x0)) of
-    the first keep samples."""
+                 blocks) -> tuple:
+    """The sandwich and Dini judge of blocks of ladder runs read at the
+    rungs ball.grid, each run with its (V(x0), ||x0||) of starts: the
+    first failure's report (or None), the worst Dini excess, and (x0,
+    V(x0)) of the first keep samples."""
     fail = partial(_failed, "pointwise_dissipation", space, ball)
     rungs = ball.grid[::-1]
+    rates = _row_rates(Q)
     worst = -math.inf
     kept = []
-    for i, ((x0, escaped, escape_time, (vs,)), (v0, nx)) in enumerate(
-            zip(runs, starts)):
-        if i < keep:
-            kept.append((x0, v0))
-        lo = float(a1(float(np.linalg.norm(x0.values[-1]))))
-        up = float(a2(nx))
+    done = 0
+    for runs in blocks:
+        escaped, vs, (v0, nx) = _stacked_runs(runs, starts)
+        x0s = [run.x0 for run in runs]
+        kept += list(zip(x0s, v0.tolist()))[:keep - len(kept)]
+        heads = np.array([x0.values[-1] for x0 in x0s])
+        lo, up = a1(_row_norms(heads)), a2(nx)
         tol = 1e-12 * (1.0 + v0)
-        if lo > v0 * (1.0 + 1e-6) + tol or v0 > up * (1.0 + 1e-6) + tol:
-            return fail(i, x0, 0.0, "sandwich", v0,
-                        {"value": v0, "lower": lo, "upper": up}), worst, kept
-        if escaped:
-            return fail(i, x0, escape_time), worst, kept
-        est = float(_dini_quotients(rungs, v0, vs).max())
+        est = _dini_quotients(rungs, v0[:, None], vs).max(axis=1)
         dissipation_tol = 1e-3 * (1.0 + v0)
-        rate = Q(x0.values[-1])
+        rate = rates(heads)
         gap = est + rate
-        worst = max(worst, gap - dissipation_tol)
-        if gap > dissipation_tol:
-            return fail(i, x0, 0.0, "dissipation", est,
-                        {"dini_estimate": est, "required": -rate,
-                         "tolerance": dissipation_tol}), worst, kept
+        found = _first_failure([
+            ("sandwich", (lo > v0 * (1.0 + 1e-6) + tol)
+             | (v0 > up * (1.0 + 1e-6) + tol)),
+            ("escape", escaped), ("dissipation", gap > dissipation_tol)])
+        if found:
+            i, name, _ = found
+            x0, v = x0s[i], float(v0[i])
+            if name == "sandwich":
+                return fail(done + i, x0, 0.0, name, v,
+                            {"value": v, "lower": float(lo[i]),
+                             "upper": float(up[i])}), worst, kept
+            if name == "escape":
+                return fail(done + i, x0, runs[i].escape_time), worst, kept
+            e = float(est[i])
+            return fail(done + i, x0, 0.0, name, e,
+                        {"dini_estimate": e, "required": -float(rate[i]),
+                         "tolerance": float(dissipation_tol[i])}), worst, kept
+        worst = _worst(worst, gap - dissipation_tol)
+        done += len(runs)
     return None, worst, kept
 
 
 def _dissipation_report(space: SpaceSpec, ball: _Ball, trajectories: int,
                         worst_dini: float, weights: list, starts,
-                        runs) -> StabilityReport:
-    """The integral judge of runs read as V at the checkpoints ball.grid
-    and Q on every mesh row, each with its V(x0) of starts; weights are
-    each checkpoint's quadrature weights from t = 0."""
+                        blocks) -> StabilityReport:
+    """The integral judge of blocks of runs read as V at the checkpoints
+    ball.grid and Q on every mesh row, each run with its V(x0) of starts;
+    weights are each checkpoint's quadrature weights from t = 0."""
     fail = partial(_failed, "pointwise_dissipation", space, ball)
     worst = -math.inf
-    for i, ((x0, escaped, escape_time, (vts, rates)), v0) in enumerate(
-            zip(runs, starts)):
-        if escaped:
-            return fail(i, x0, escape_time)
+    done = 0
+    for runs in blocks:
+        escaped, vts, (v0,) = _stacked_runs(runs, starts)
         slack = 1e-4 * (1.0 + v0)
-        # one dot a checkpoint: a product with padded weights rounds
-        # differently
-        integrals = np.array([float(w @ rates[:w.size]) for w in weights])
-        excess = vts + integrals - v0
-        bad = np.flatnonzero(excess > slack)
-        if bad.size:
-            c = int(bad[0])
-            vt = float(vts[c])
-            return fail(i, x0, float(ball.grid[c]), "integral", vt,
-                        {"value": vt, "integral": float(integrals[c]),
-                         "start": v0})
-        worst = _worst(worst, excess - slack)
+        integrals = _integrals(weights, [run.tracks[1] for run in runs],
+                               escaped)
+        excess = vts + integrals - v0[:, None]
+        bad = excess > slack[:, None]
+        found = _first_failure([("escape", escaped), ("integral", bad)])
+        if found:
+            i, name, c = found
+            x0 = runs[i].x0
+            if name == "escape":
+                return fail(done + i, x0, runs[i].escape_time)
+            vt = float(vts[i, c])
+            return fail(done + i, x0, float(ball.grid[c]), name, vt,
+                        {"value": vt, "integral": float(integrals[i, c]),
+                         "start": float(v0[i])})
+        worst = _worst(worst, excess - slack[:, None])
+        done += len(runs)
     return StabilityReport(
         "pointwise_dissipation", space, "consistent", None,
         {"worst_dini_excess": worst_dini, "worst_integral_excess": worst},
         {"samples": ball.budget, "integral_trajectories": trajectories},
         {"T": ball.horizon})
+
+
+def _integrals(weights: list, rates: list, escaped: np.ndarray) -> np.ndarray:
+    """The integral of each run's rates from t = 0 to each checkpoint, a
+    row a run, NaN for a run that escaped: one dot of a run's own rates
+    a checkpoint, as a product with padded weights, or of a stack of
+    runs, rounds differently."""
+    out = np.full((len(rates), len(weights)), np.nan)
+    for row, run_rates, gone in zip(out, rates, escaped.tolist()):
+        if not gone:
+            row[:] = [w @ run_rates[:w.size] for w in weights]
+    return out
 
 
 def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
@@ -800,8 +874,8 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
                    (math.floor(rungs[0] / step) + 1) * step, rungs[::-1])
     x0s, starts = _drawn(_sample_stacks(cfg, range(samples)), _stacked(V),
                          _stacked(space_norm_functional(space)))
-    ladders = _ensemble(sys, x0s, ladder.horizon, ladder.h,
-                        [_dini_read(V, rungs, n_nodes)])
+    ladders = _ensemble_blocks(sys, x0s, ladder.horizon, ladder.h,
+                               [_dini_read(V, rungs, n_nodes)])
     failed, worst_dini, kept = _dini_report(
         space, ladder, a1, a2, Q, integral_trajectories, starts, ladders)
     if failed:
@@ -820,64 +894,79 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional,
     fresh, fresh_starts = _drawn(
         _sample_stacks(cfg, range(samples, integral_trajectories)),
         _stacked(V))
-    runs = _ensemble(sys, chain((x0 for x0, _ in kept), fresh), T, h, reads)
+    blocks = _ensemble_blocks(sys, chain((x0 for x0, _ in kept), fresh), T,
+                              h, reads)
     return _dissipation_report(
         space, ball, integral_trajectories, worst_dini,
         [_mesh_weights(times[:idx + 1], step) for idx in idxs],
-        chain((v0 for _, v0 in kept), (v0 for v0, in fresh_starts)), runs)
+        chain(((v0,) for _, v0 in kept), fresh_starts), blocks)
 
 
 def _prolongation_report(space: SpaceSpec, ball: _Ball, a: MonotoneGridFn,
                          mu: float, hs: np.ndarray, keep: int,
-                         quotients) -> tuple:
-    """The coercivity and prolongation judge of each sample's (x0, U(x0),
-    its quotients at the steps hs): the first failure's report (or
-    None), the worst quotient excess, and (x0, U(x0)) of the first keep
-    samples."""
+                         stacks) -> tuple:
+    """The coercivity and prolongation judge of sample stacks, each (its
+    samples x0, U(x0) of each, their quotients at the steps hs, a row
+    each): the first failure's report (or None), the worst quotient
+    excess, and (x0, U(x0)) of the first keep samples."""
     fail = partial(_failed, "growth_certificate", space, ball)
     worst = -math.inf
     kept = []
-    for i, (x0, u0, qs) in enumerate(quotients):
-        if i < keep:
-            kept.append((x0, u0))
-        required = float(a(float(np.linalg.norm(x0.values[-1]))))
-        if required > u0 * (1.0 + 1e-6) + 1e-12 * (1.0 + u0):
-            return fail(i, x0, 0.0, "coercivity", u0,
-                        {"value": u0, "required": required}), worst, kept
+    done = 0
+    for xs, u0, qs in stacks:
+        kept += list(zip(xs, u0.tolist()))[:keep - len(kept)]
+        required = a(_row_norms(np.array([x.values[-1] for x in xs])))
         tol = 1e-3 * (1.0 + u0)
-        excess = qs - mu * u0
-        bad = np.flatnonzero(excess > tol)
-        if bad.size:
-            k = int(bad[0])
-            q = float(qs[k])
-            return fail(i, x0, 0.0, "prolongation", q,
-                        {"quotient": q, "limit": mu * u0,
+        excess = qs - (mu * u0)[:, None]
+        found = _first_failure([
+            ("coercivity", required > u0 * (1.0 + 1e-6) + 1e-12 * (1.0 + u0)),
+            ("prolongation", excess > tol[:, None])])
+        if found:
+            i, name, k = found
+            x0, u = xs[i], float(u0[i])
+            if name == "coercivity":
+                return fail(done + i, x0, 0.0, name, u,
+                            {"value": u, "required": float(required[i])}
+                            ), worst, kept
+            q = float(qs[i, k])
+            return fail(done + i, x0, 0.0, name, q,
+                        {"quotient": q, "limit": mu * u,
                          "step": float(hs[k])}), worst, kept
-        worst = _worst(worst, excess - tol)
+        worst = _worst(worst, excess - tol[:, None])
+        done += len(xs)
     return None, worst, kept
 
 
 def _growth_report(space: SpaceSpec, ball: _Ball, mu: float,
                    worst_quotient: float, kept: list,
-                   runs) -> StabilityReport:
-    """The trajectory judge of the runs of the kept samples, (x0, U(x0)),
-    read as U at the report times past 0: U(x_t) <= e^(mu t) U(x0)."""
+                   blocks) -> StabilityReport:
+    """The trajectory judge of the blocks of runs of the kept samples, (x0,
+    U(x0)), read as U at the report times past 0: U(x_t) <= e^(mu t)
+    U(x0)."""
     fail = partial(_failed, "growth_certificate", space, ball)
     times = ball.grid[1:]
     growth = _exp_factors(mu, times)
     worst = 0.0
-    for i, ((x0, escaped, escape_time, (uts,)), (_, u0)) in enumerate(
-            zip(runs, kept)):
-        if escaped:
-            return fail(i, x0, escape_time)
-        limit = u0 * growth if u0 != 0.0 else np.zeros(times.size)
-        bad = np.flatnonzero(uts > limit * (1.0 + 1e-3) + 1e-12 * (1.0 + u0))
-        if bad.size:
-            k = int(bad[0])
-            ut = float(uts[k])
-            return fail(i, x0, float(times[k]), "trajectory_growth", ut,
-                        {"value": ut, "limit": float(limit[k])})
+    starts = ((u0,) for _, u0 in kept)
+    done = 0
+    for runs in blocks:
+        escaped, uts, (u0,) = _stacked_runs(runs, starts)
+        # 0 where U(x0) is 0, which the product would make NaN at +inf
+        limit = np.zeros(uts.shape)
+        np.multiply(u0[:, None], growth, out=limit, where=u0[:, None] != 0.0)
+        bad = uts > limit * (1.0 + 1e-3) + (1e-12 * (1.0 + u0))[:, None]
+        found = _first_failure([("escape", escaped),
+                                ("trajectory_growth", bad)])
+        if found:
+            i, name, k = found
+            x0 = runs[i].x0
+            if name == "escape":
+                return fail(done + i, x0, runs[i].escape_time)
+            ut = float(uts[i, k])
+            return fail(done + i, x0, float(times[k]), name, ut,
+                        {"value": ut, "limit": float(limit[i, k])})
         worst = _worst(worst, uts, limit)
+        done += len(runs)
     return StabilityReport(
         "growth_certificate", space, "consistent", None,
         {"worst_quotient_excess": worst_quotient,
@@ -916,6 +1005,7 @@ def check_growth_certificate(sys: DelaySystem, U: Functional,
         _prolonged(sys, U, _sample_stacks(ball.cfg, range(samples)), hs))
     if failed:
         return failed
-    runs = _ensemble(sys, (x0 for x0, _ in kept), ball.horizon, ball.h,
-                     [_functional_read(U, ball.grid[1:], n_nodes)])
-    return _growth_report(space, ball, mu, worst_quotient, kept, runs)
+    blocks = _ensemble_blocks(sys, (x0 for x0, _ in kept), ball.horizon,
+                              ball.h,
+                              [_functional_read(U, ball.grid[1:], n_nodes)])
+    return _growth_report(space, ball, mu, worst_quotient, kept, blocks)

@@ -6,11 +6,12 @@ in isolation and enlarging a budget keeps every earlier sample bitwise
 identical.  Each candidate is drawn from one of three analytic families,
 measured in the configured space, and rescaled to land inside the ball.
 
-Samples are drawn in stacks (sample_many): each index keeps its own
-generator, and the stack's candidates are built, normed and scaled at
-once, each bitwise the candidate of its index alone, so sample_one is
-the stack of one and a sample does not depend on the stack it is drawn
-in.
+Samples are drawn in stacks (sample_many) from one generator a stack,
+re-keyed for each index to the state a fresh generator of (seed, i)
+starts in, so each index draws its own stream.  The stack's candidates
+are built, normed, scaled and checked at once, each bitwise the
+candidate of its index alone, so sample_one is the stack of one and a
+sample does not depend on the stack it is drawn in.
 
 Radial placement: sample 0 is scaled onto the sphere itself (radius exactly
 target_norm), later samples get a radius factor drawn uniformly from
@@ -28,8 +29,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .segment import ParameterError, Segment, SpaceSpec, _check_keys, \
-    _field, _integer, _norms, _real, _typed
+from .segment import ParameterError, Segment, SegmentDataError, \
+    SpaceSpec, _check_keys, _check_nodes, _field, _integer, _norms, _real, \
+    _typed
 
 __all__ = ["FAMILIES", "SamplerConfig", "sample", "sample_many",
            "sample_one"]
@@ -115,9 +117,22 @@ class SamplerConfig:
 
 
 def _rng_for(cfg: SamplerConfig, index: int) -> Generator:
+    """The generator of sample index: Philox keyed by (seed, index)."""
     key = np.array([np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF),
                     np.uint64(index)], dtype=np.uint64)
     return Generator(Philox(key=key))
+
+
+def _rekey(rng: Generator, cfg: SamplerConfig, index: int) -> None:
+    """Set rng to the state _rng_for(cfg, index) starts in: counter 0,
+    key (seed, index) and an empty buffer, so it draws that stream
+    bitwise.  Generator itself holds no stream state."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0),
+                  "key": (cfg.seed & 0xFFFFFFFFFFFFFFFF, index)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0}
 
 
 def _index(index) -> int:
@@ -135,10 +150,10 @@ def _index(index) -> int:
 
 # -- candidate families ------------------------------------------------
 #
-# A builder takes the generators of a stack of samples, one per index,
-# and gives the stack's candidate values and slopes, (K, N, n) each.  It
-# draws from each generator what that sample alone needs, in the same
-# calls and order whatever the stack, and then computes the stack at
+# A family is a draw and a builder.  The draw takes from a sample's
+# generator what that sample alone needs, in the same calls and order
+# whatever the stack.  The builder takes the draws of a stack of samples
+# and gives the stack's candidate values and slopes, (K, N, n) each, at
 # once; every element is the same sequence of float operations as in a
 # stack of one, so a candidate's bits do not depend on the stack.
 
@@ -156,11 +171,14 @@ def _waves(r: float, n_nodes: int, order: int):
     return ws, cos, sin
 
 
-def _fourier_block(cfg: SamplerConfig, rngs: list):
+def _fourier_draw(cfg: SamplerConfig, rng: Generator) -> np.ndarray:
     """Per component a constant, then each harmonic's two coefficients,
-    a sample's all in one draw."""
-    coef = np.array([rng.standard_normal((cfg.dimension, 2 * cfg.order + 1))
-                     for rng in rngs])
+    all in one draw."""
+    return rng.standard_normal((cfg.dimension, 2 * cfg.order + 1))
+
+
+def _fourier_block(cfg: SamplerConfig, draws: list):
+    coef = np.array(draws)
     ws, cos, sin = _waves(cfg.delay_r, cfg.n_nodes, cfg.order)
     vals = np.repeat(coef[:, None, :, 0], cfg.n_nodes, axis=1)
     ders = np.zeros_like(vals)
@@ -178,17 +196,21 @@ def _by_node(rows: np.ndarray, count: int) -> np.ndarray:
         rows.reshape(count, -1, rows.shape[-1]).transpose(0, 2, 1))
 
 
-def _polynomial_block(cfg: SamplerConfig, rngs: list):
-    """Per component the order + 1 coefficients in powers of s / r."""
-    coef = np.array([[rng.standard_normal(cfg.order + 1)
-                      for _ in range(cfg.dimension)] for rng in rngs])
+def _polynomial_draw(cfg: SamplerConfig, rng: Generator) -> np.ndarray:
+    """Per component the order + 1 coefficients in powers of s / r, all
+    in one draw."""
+    return rng.standard_normal((cfg.dimension, cfg.order + 1))
+
+
+def _polynomial_block(cfg: SamplerConfig, draws: list):
+    coef = np.array(draws)
     tau = np.linspace(-cfg.delay_r, 0.0, cfg.n_nodes) / cfg.delay_r
     # one coefficient column per (sample, component)
     coef = coef.reshape(-1, cfg.order + 1).T
     poly = np.polynomial.polynomial  # numpy imports it on first use
     vals = poly.polyval(tau, coef)
     ders = poly.polyval(tau, poly.polyder(coef)) / cfg.delay_r
-    return _by_node(vals, len(rngs)), _by_node(ders, len(rngs))
+    return _by_node(vals, len(draws)), _by_node(ders, len(draws))
 
 
 def _piece_cells(cfg: SamplerConfig, rng: Generator) -> np.ndarray:
@@ -226,19 +248,23 @@ def _tame_slopes(slopes: np.ndarray) -> np.ndarray:
     return m
 
 
-def _piecewise_linear_block(cfg: SamplerConfig, rngs: list):
+def _piecewise_linear_draw(cfg: SamplerConfig, rng: Generator) -> tuple:
     """Per component the piece widths, the tamed piece slopes and the
-    value at -r."""
-    n_cells = cfg.n_nodes - 1
-    h = cfg.delay_r / n_cells
-    slopes = np.empty((len(rngs), cfg.dimension, n_cells))  # of each cell
-    v0 = np.empty((len(rngs), cfg.dimension))
-    for cell_slopes, starts, rng in zip(slopes, v0, rngs):
-        for j in range(cfg.dimension):
-            gaps = _piece_cells(cfg, rng)
-            pieces = _tame_slopes(rng.standard_normal(cfg.order + 1))
-            cell_slopes[j] = np.repeat(pieces, gaps)
-            starts[j] = rng.standard_normal()
+    value at -r: the slope of each cell, (n, N), and the starts, (n,)."""
+    slopes = np.empty((cfg.dimension, cfg.n_nodes - 1))
+    starts = np.empty(cfg.dimension)
+    for j in range(cfg.dimension):
+        gaps = _piece_cells(cfg, rng)
+        pieces = _tame_slopes(rng.standard_normal(cfg.order + 1))
+        slopes[j] = np.repeat(pieces, gaps)
+        starts[j] = rng.standard_normal()
+    return slopes, starts
+
+
+def _piecewise_linear_block(cfg: SamplerConfig, draws: list):
+    h = cfg.delay_r / (cfg.n_nodes - 1)
+    slopes = np.array([cell_slopes for cell_slopes, _ in draws])
+    v0 = np.array([starts for _, starts in draws])
     vals = np.empty(slopes.shape[:2] + (cfg.n_nodes,))
     vals[..., 0] = v0
     vals[..., 1:] = v0[..., None] + np.cumsum(slopes, axis=-1) * h
@@ -254,6 +280,11 @@ def _piecewise_linear_block(cfg: SamplerConfig, rngs: list):
             np.ascontiguousarray(ders.transpose(0, 2, 1)))
 
 
+_DRAWS = {
+    "fourier": _fourier_draw,
+    "polynomial": _polynomial_draw,
+    "piecewise_linear": _piecewise_linear_draw,
+}
 _BUILDERS = {
     "fourier": _fourier_block,
     "polynomial": _polynomial_block,
@@ -268,35 +299,49 @@ def sample_many(cfg: SamplerConfig, indices) -> list[Segment]:
     """Regenerate samples `indices` of the stream (any order, repeats
     allowed) as one stack, each bitwise its sample_one.
 
-    Each index keeps its own generator, drawn in the same calls and order
-    as alone; the family builder computes the stack's candidates at once,
-    one stacked segment._norms call norms them all, and one product
-    scales each onto its radius.  An index that is not a whole number in
-    [0, 2^64) is a ParameterError.  The norm's temporaries grow with the
-    stack; the package draws in the bounded stacks of dde._sample_stacks.
+    One generator serves the call: re-keyed for each index (_rekey), it
+    gives that index's draws, its candidate's and then its radius's, in
+    the calls and order of a fresh generator of the index; the radius is
+    drawn even where it goes unused (sample 0, a zero candidate).  The
+    family builder computes the stack's candidates at once, one stacked
+    segment._norms call norms them all and one product scales them onto
+    their radii.  The scaled stack is checked once, as Segment checks
+    its data (finite values and slopes, its nodes), and its rows become
+    read-only segments without a check each; the first sample that is
+    not finite raises the SegmentDataError its Segment would.  An index
+    that is not a whole number in [0, 2^64) is a ParameterError.  The
+    norm's temporaries grow with the stack; the package draws in the
+    bounded stacks of dde._sample_stacks.
     """
     indices = [_index(i) for i in indices]
     if not indices:
         return []
-    rngs = [_rng_for(cfg, i) for i in indices]
-    vals, ders = _BUILDERS[cfg.family](cfg, rngs)
+    rng = _rng_for(cfg, indices[0])
+    draw = _DRAWS[cfg.family]
+    draws, radial = [], []
+    for index in indices:
+        _rekey(rng, cfg, index)
+        draws.append(draw(cfg, rng))
+        radial.append(rng.random())
+    vals, ders = _BUILDERS[cfg.family](cfg, draws)
     r = float(cfg.delay_r)
     nodes = np.linspace(-r, 0.0, cfg.n_nodes)
-    norms = _norms(r, nodes, vals, ders, cfg.target_space).tolist()
-    out = []
-    for index, rng, norm, v, d in zip(indices, rngs, norms, vals, ders):
-        if norm == 0.0:
-            out.append(Segment.zero(r, cfg.dimension, cfg.n_nodes))
-            continue
-        if index == 0:
-            u = 1.0
-        else:
-            # 1 - random() lies in (0, 1]; radial_min shifts it into the
-            # annulus
-            u = cfg.radial_min + (1.0 - cfg.radial_min) * (1.0 - rng.random())
-        scale = u * cfg.target_norm / norm
-        out.append(Segment(r, nodes, scale * v, scale * d))
-    return out
+    norms = _norms(r, nodes, vals, ders, cfg.target_space)
+    zero = norms == 0.0
+    # 1 - random() lies in (0, 1]; radial_min shifts it into the annulus
+    u = cfg.radial_min + (1.0 - cfg.radial_min) * (1.0 - np.array(radial))
+    u[[index == 0 for index in indices]] = 1.0
+    scale = np.divide(u * cfg.target_norm, norms, out=np.zeros(len(indices)),
+                      where=~zero)[:, None, None]
+    vals, ders = scale * vals, scale * ders
+    finite = zero | (np.isfinite(vals).all(axis=(1, 2))
+                     & np.isfinite(ders).all(axis=(1, 2)))
+    if not finite.all():
+        raise SegmentDataError("segment data must be finite")
+    _check_nodes(r, nodes.tobytes())
+    return [Segment.zero(r, cfg.dimension, cfg.n_nodes) if z
+            else Segment._of_checked(r, nodes, v, d)
+            for z, v, d in zip(zero.tolist(), vals, ders)]
 
 
 def sample_one(cfg: SamplerConfig, index: int) -> Segment:

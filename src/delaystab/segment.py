@@ -279,9 +279,12 @@ def _point_read(r: float, nodes, values, derivs, s: float):
                     (s - nodes[j]) / h, h)
 
 
-def _cell_reads(values, derivs, j, u, h, ends=None, slopes: bool = False):
-    """x at fraction u of the cells j, each of width h, and x' if slopes
-    (else None): the one read of a cell's node rows.
+def _cell_reads(values, derivs, j, u, h, ends=None, slopes: bool = False,
+                value: bool = True):
+    """x at fraction u of the cells j, each of width h, if value, and x'
+    if slopes (each else None): the one read of a cell's node rows.  A
+    read of slopes only computes no value, and its slopes are bitwise
+    those of a read of both.
 
     The node axis of values and derivs is the second to last: node rows
     (N + 1, n) give reads (m, n), and stacked node data (K, N + 1, n)
@@ -292,7 +295,8 @@ def _cell_reads(values, derivs, j, u, h, ends=None, slopes: bool = False):
     """
     cell = (values[..., j, :], derivs[..., j, :], values[..., j + 1, :],
             derivs[..., j + 1, :], u[:, None], h)
-    reads = _hermite(*cell), _hermite_slope(*cell) if slopes else None
+    reads = (_hermite(*cell) if value else None,
+             _hermite_slope(*cell) if slopes else None)
     if ends is not None:
         at, node = ends
         for out, data in zip(reads, (values, derivs)):
@@ -325,11 +329,42 @@ def _uniform_grid(r: float, node_bytes: bytes, count: int):
 
 
 def _uniform_reads(r: float, nodes, values, derivs, count: int,
-                   slopes: bool):
-    """The count uniform times s from -r to 0, x at them and, if slopes,
-    x' (else None); (m, n) reads for node rows, (K, m, n) for stacks."""
+                   slopes: bool, value: bool = True):
+    """The count uniform times s from -r to 0, x at them if value and, if
+    slopes, x' (each else None); (m, n) reads for node rows, (K, m, n)
+    for stacks."""
     s, *grid = _uniform_grid(r, nodes.tobytes(), count)
-    return (s, *_cell_reads(values, derivs, *grid, slopes=slopes))
+    return (s, *_cell_reads(values, derivs, *grid, slopes=slopes,
+                            value=value))
+
+
+class _Refined:
+    """The uniform read of a stack of node data, data = (r, nodes, values,
+    derivs), at count samples (by default the DEFAULT_REFINE grid), each
+    part read at most once, for every kernel of the stack that reads
+    that grid to share.
+
+    Called with slopes False it gives (s, vals, None), with slopes True
+    (s, vals, ders): the values on the first call, together with the
+    slopes if that call asks for them, and the slopes alone on the first
+    later call that does; every array is bitwise _uniform_reads'.
+    """
+
+    def __init__(self, r: float, nodes, values, derivs,
+                 count: int | None = None):
+        self.data = (r, nodes, values, derivs)
+        self.count = _refined_count(nodes.size, DEFAULT_REFINE) \
+            if count is None else count
+        self.s = self.vals = self.ders = None
+
+    def __call__(self, slopes: bool = False):
+        if self.vals is None:
+            self.s, self.vals, self.ders = _uniform_reads(
+                *self.data, self.count, slopes)
+        elif slopes and self.ders is None:
+            self.ders = _uniform_reads(*self.data, self.count, True,
+                                       value=False)[2]
+        return self.s, self.vals, self.ders if slopes else None
 
 
 @lru_cache
@@ -393,6 +428,21 @@ class Segment:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivs", derivs)
 
+    @classmethod
+    def _of_checked(cls, r: float, nodes, values, derivs) -> "Segment":
+        """The segment of data that its caller has checked as __post_init__
+        checks it: r a positive finite float, nodes passed by _check_nodes,
+        values and derivs finite C-contiguous float (N + 1, n) arrays.
+        The arrays are marked read-only here.  For a caller that checks a
+        whole stack of segments at once (sampler.sample_many)."""
+        seg = object.__new__(cls)
+        for name, arr in (("nodes", nodes), ("values", values),
+                          ("derivs", derivs)):
+            arr.setflags(write=False)
+            object.__setattr__(seg, name, arr)
+        object.__setattr__(seg, "delay_r", r)
+        return seg
+
     # -- shape helpers -------------------------------------------------
 
     @property
@@ -438,7 +488,7 @@ class Segment:
 
     # -- evaluation ----------------------------------------------------
 
-    def _reads(self, s, slopes: bool):
+    def _reads(self, s, slopes: bool, value: bool = True):
         """The cell reads of the times s (scalar or array)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         r = self.delay_r
@@ -447,7 +497,7 @@ class Segment:
             raise ParameterError("evaluation time outside [-r, 0]")
         return _cell_reads(self.values, self.derivs,
                            *_locate(r, self.nodes, np.clip(s, -r, 0.0)),
-                           slopes=slopes)
+                           slopes=slopes, value=value)
 
     def value_at(self, s) -> np.ndarray:
         """Hermite value at times s (scalar or array); returns (m, n)."""
@@ -455,7 +505,7 @@ class Segment:
 
     def deriv_at(self, s) -> np.ndarray:
         """Derivative of the Hermite interpolant at times s; returns (m, n)."""
-        return self._reads(s, True)[1]
+        return self._reads(s, True, value=False)[1]
 
     def value_at_point(self, s: float) -> np.ndarray:
         """Scalar-time fast path used by right-hand-side evaluation."""
@@ -531,10 +581,18 @@ class Segment:
         """Columns s, x_1..x_n, dx_1..dx_n with 17 significant digits."""
         n = self.dim
         header = ["s"] + [f"x_{j+1}" for j in range(n)] + [f"dx_{j+1}" for j in range(n)]
-        fileobj.write(",".join(header) + "\n")
-        for i in range(self.n_nodes):
-            row = [self.nodes[i], *self.values[i], *self.derivs[i]]
-            fileobj.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_table(fileobj, header, np.column_stack(
+            [self.nodes, self.values, self.derivs]))
+
+
+def _write_table(fileobj, header: list, table: np.ndarray) -> None:
+    """The CSV lines of header and of each row of the 2-D table, every
+    entry with 17 significant digits.  The rows are formatted as Python
+    floats, whose format is bitwise a numpy float64's, inf, nan, -0 and
+    subnormals included."""
+    lines = [",".join(header)]
+    lines += [",".join([f"{v:.17g}" for v in row]) for row in table.tolist()]
+    fileobj.write("\n".join(lines) + "\n")
 
 
 def _node_stack(segs) -> tuple:
@@ -691,13 +749,14 @@ def _hoelder_norms(vals: np.ndarray, a: float, r: float,
 
 
 def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
-           refine: int = DEFAULT_REFINE, level: float | None = None
-           ) -> np.ndarray:
+           refine: int = DEFAULT_REFINE, level: float | None = None,
+           refined: _Refined | None = None) -> np.ndarray:
     """space_norm of each segment of a stack: node data (K, N + 1, n) on
     the uniform nodes from -r to 0 give K norms, each bitwise the norm of
     that segment alone.  Sobolev refines slopes too, and the Hoelder
     seminorm reads its own grid when the refined one exceeds
-    HOELDER_GRID_CAP samples.
+    HOELDER_GRID_CAP samples.  refined, if given, is the stack's read at
+    refine, which the norm shares with the caller's other kernels.
 
     With a level, a value is exact only in how it compares with the
     level: it is at most the level exactly when the norm is, and
@@ -707,8 +766,9 @@ def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
     skips every lag whose bound stays below it; sup and Sobolev values
     stay exact."""
     count = _refined_count(nodes.size, refine)
-    s, vals, ders = _uniform_reads(r, nodes, values, derivs, count,
-                                   space.kind == "sobolev")
+    if refined is None:
+        refined = _Refined(r, nodes, values, derivs, count)
+    s, vals, ders = refined(space.kind == "sobolev")
     sup = _sup_norms(vals)
     if space.kind == "sup":
         return sup
@@ -733,7 +793,9 @@ def lp_deriv_norm(seg: Segment, p: float, refine: int = DEFAULT_REFINE) -> float
     p = float(p)
     if not p > 1.0:
         raise ParameterError("derivative exponent must satisfy p > 1")
-    s, _, ders = seg.refined(refine)
+    s, _, ders = _uniform_reads(seg.delay_r, seg.nodes, seg.values,
+                                seg.derivs, _refined_count(seg.n_nodes, refine),
+                                True, value=False)
     return float(_lp_norms(ders[None], p, s[1] - s[0])[0])
 
 

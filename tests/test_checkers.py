@@ -949,7 +949,7 @@ def test_blocks_keep_their_reads_within_block_bytes(monkeypatch):
     integral shrink the block, and what a run keeps is what its block
     counted."""
     blocks, kept = [], []
-    ensemble = checkers._ensemble
+    ensemble_blocks = checkers._ensemble_blocks
 
     def recording(sys, x0s, T, h=None, **kwargs):
         blocks.append((len(x0s), kwargs["held"],
@@ -958,13 +958,14 @@ def test_blocks_keep_their_reads_within_block_bytes(monkeypatch):
         return simulate_many(sys, x0s, T, h, **kwargs)
 
     def spying(*args, **kwargs):
-        for run in ensemble(*args, **kwargs):
-            kept.append(sum(track.nbytes for track in run.tracks))
-            yield run
+        for runs in ensemble_blocks(*args, **kwargs):
+            kept.extend(sum(track.nbytes for track in run.tracks)
+                        for run in runs)
+            yield runs
 
     monkeypatch.setattr(checkers, "simulate_many", recording)
-    monkeypatch.setattr(checkers, "_ensemble", spying)
-    monkeypatch.setattr(lyapunov, "_ensemble", spying)
+    monkeypatch.setattr(checkers, "_ensemble_blocks", spying)
+    monkeypatch.setattr(lyapunov, "_ensemble_blocks", spying)
     sys = make_system("saturating", 1.0, {"c": 1.0, "k": 0.5})
     rep = verify_pair_bounds(sys, SOB2, 1.0, 2.0, 60, seed=0)
     assert rep.verdict == "consistent"

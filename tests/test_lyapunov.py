@@ -955,6 +955,9 @@ def test_dissipation_ladder_escape_only_within_its_horizon():
 
 
 QUAD_ONE = make_system("quadratic", 1.0, {"c": 1.0})
+# max(0, x(0)): 0 on every history whose head is not positive
+HEAD_PART = Functional("head_positive_part",
+                       lambda s: max(0.0, float(s.values[-1][0])))
 # the certificates benchmark workload's configs and falsifying cases
 CERTIFICATE_CASES = {
     "growth_workload": lambda: check_growth_certificate(
@@ -1035,6 +1038,31 @@ CERTIFICATE_CASES = {
         linear(1.0, -1.0, 0.0), weighted_sup(5.0), MonotoneGridFn.linear(1.0),
         MonotoneGridFn.linear(1.0), SUP, 3, 2.0, family="polynomial",
         order=0, seed=0),
+    # the judges of stacks and blocks: sample 10's quotient breaks the
+    # limit only at the smallest rung
+    "growth_prolongation_late_rung": lambda: check_growth_certificate(
+        linear(1.0, 0.0, 1.0), quadratic_integral(1.0),
+        MonotoneGridFn.linear(0.01), 3.0, 20, family="polynomial", order=2,
+        seed=0),
+    # U(x0) = 0 for the samples whose head is negative, so their limits
+    # are 0 at every report time and stay out of the worst ratio
+    "growth_zero_limit": lambda: check_growth_certificate(
+        linear(1.0, -1.0, 0.0), HEAD_PART, MonotoneGridFn.linear(0.0),
+        math.e, 20, traj_check=20, T=2.0, seed=0),
+    # samples 0-24 pass; sample 25, in the second stack of 15, does not
+    "growth_second_stack": lambda: check_growth_certificate(
+        linear(1.0, 0.0, 1.0), weighted_sup(1.0), MonotoneGridFn.linear(1.0),
+        1.5, 40, seed=3),
+    # the Dini estimate of sample 16 misses the rate; samples 0-15 meet it
+    "dissipation_second_stack": lambda: check_pointwise_dissipation(
+        linear(1.0, -1.0, 0.0), weighted_sup(1.0),
+        MonotoneGridFn.linear(E_INV), MonotoneGridFn.linear(1.0),
+        scaled_square_rate(1.8), SUP, 40, integral_trajectories=12, seed=0),
+    # sample 17's norm outlives the implied envelope; samples 0-16 decay
+    "exponential_implied_envelope_late": lambda: check_exponential_certificate(
+        linear(1.0, -1.0, 0.0), weighted_sup(1.0),
+        MonotoneGridFn.linear(0.39), MonotoneGridFn.linear(1.0), SUP, 40, 2.0,
+        seed=1),
 }
 # (verdict, failed, sha256 of the sorted report JSON), recorded when the
 # growth check computed e^(mu t) once per sample and time and the
@@ -1042,7 +1070,8 @@ CERTIFICATE_CASES = {
 # the failing growth and dissipation cases and the exponential cases
 # when those checks judged each sample, rung and report time inline and
 # the exponential one computed e^(-t) once per sample and time; the
-# seven whose numbers moved when linear_scalar took the affine step, then
+# seven whose numbers moved when linear_scalar took the affine step, then;
+# the five of the stack judges when every judge took one sample at a time
 CERTIFICATE_REPORTS = {
     "growth_workload": (
         "consistent", None,
@@ -1101,6 +1130,21 @@ CERTIFICATE_REPORTS = {
     "exponential_workload": (
         "consistent", None,
         "d2c3d0e03cf361e48c2725d41d60acc8b58d67828466afc8f7f23e25f21c0a3d"),
+    "growth_prolongation_late_rung": (
+        "falsified", "prolongation",
+        "87bd56fa1d2ce56a96446fff0b4782df2a3550afef593731c82899503f9108a6"),
+    "growth_zero_limit": (
+        "consistent", None,
+        "5b1fa0f4703b5f78386fed81fe08654ca454ac8451fbfe8b2f5f01277afa0817"),
+    "growth_second_stack": (
+        "falsified", "prolongation",
+        "5ccf22cae4558fdcbf261aed7504f82378726d8757620a6291d88839b59b30c0"),
+    "dissipation_second_stack": (
+        "falsified", "dissipation",
+        "97f61bd4854ffe56accdc7202fe2742fde3c5651fe729f10720496f4c2e74657"),
+    "exponential_implied_envelope_late": (
+        "falsified", "implied_envelope",
+        "9b8887e4f2c68e63fee654baff645107ec9c66ac92ab972dd37aa309912512b1"),
 }
 
 
@@ -1128,6 +1172,23 @@ def test_certificate_reports_keep_their_bytes(monkeypatch, case):
         assert counts["_grown"] == 39
     if case == "dissipation_workload":  # one a checkpoint
         assert counts["_mesh_weights"] == lyapunov.DISSIPATION_CHECKPOINTS
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_certificate_reports_do_not_depend_on_blocks_or_stacks(monkeypatch,
+                                                               case):
+    """The judges take one sample stack or one ensemble block at a time;
+    with BLOCK_BYTES at 8 KiB the samples come in stacks of one and the
+    runs in blocks of at most 14 (the dissipation ladders) or 2, so the
+    later failures above lie in later stacks and blocks, and every
+    report keeps its bytes."""
+    monkeypatch.setattr(dde, "BLOCK_BYTES", 8192)
+    assert len(next(dde._sample_stacks(ball_cfg(), range(40)))) == 1
+    rep = CERTIFICATE_CASES[case]()
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    assert (rep.verdict, rep.details.get("failed"),
+            hashlib.sha256(text.encode()).hexdigest()) \
+        == CERTIFICATE_REPORTS[case]
 
 
 def test_dissipation_ladders_read_in_grouped_stacks(monkeypatch):

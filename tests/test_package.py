@@ -37,12 +37,14 @@ def _callers(name: str) -> set:
 
 
 def test_every_integration_goes_through_one_path():
-    """Ensembles integrate only in checkers._ensemble, Dini ladders
-    included; the serial simulate is left to the single run of the CLI.
-    The one solution record, whole or in pieces, is built only where
-    the integrator hands its rows on."""
-    assert _callers("simulate_many") == {("checkers", "_ensemble"),
+    """Ensembles integrate only in checkers._ensemble_blocks, of which
+    _ensemble gives the runs one at a time, Dini ladders included; the
+    serial simulate is left to the single run of the CLI.  The one
+    solution record, whole or in pieces, is built only where the
+    integrator hands its rows on."""
+    assert _callers("simulate_many") == {("checkers", "_ensemble_blocks"),
                                          ("dde", "simulate")}
+    assert _callers("_ensemble_blocks") >= {("checkers", "_ensemble")}
     assert _callers("simulate") == {("cli", "cmd_simulate")}
     assert _callers("Trajectory") == {("dde", "simulate_many")}
 
@@ -222,3 +224,72 @@ def test_falsified_reports_come_from_one_helper_a_format():
             "_rfc_report", "_peak", "check_ls", "_ga_report",
             "_pair_report", "_lift_report")} | {("lyapunov", "_failed")}
     assert not hasattr(delaystab.lyapunov, "_falsifier")
+
+
+def test_a_sample_stack_keys_one_generator(monkeypatch):
+    """sample_many builds one Philox bit generator a call, whatever the
+    stack, and re-keys it for each index."""
+    made = []
+    real = delaystab.sampler.Philox
+
+    def counting(*args, **kwargs):
+        made.append(args or kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(delaystab.sampler, "Philox", counting)
+    cfg = delaystab.SamplerConfig(
+        family="piecewise_linear", order=2,
+        target_space=delaystab.SpaceSpec.sup(), target_norm=1.0,
+        dimension=2, delay_r=1.0, seed=3, n_nodes=33)
+    for indices in ([4], range(15), [9, 2**64 - 1, 9, 0]):
+        made.clear()
+        delaystab.sample_many(cfg, indices)
+        assert len(made) == 1
+
+
+def test_growth_prolongations_share_their_stack_read(monkeypatch):
+    """On the growth config of the certificates benchmark workload (80
+    samples in 6 stacks, U a weighted sup) U(x0) and the prolongation
+    sups of a stack come from one refined read of it: 6 uniform reads,
+    where reading the stack for each made 12."""
+    from delaystab import dde, lyapunov, segment
+    sys = delaystab.make_system("linear_scalar", 1.0, {"a": 0.0, "b": 1.0})
+    cfg = delaystab.SamplerConfig(
+        family="fourier", order=3, target_space=delaystab.SpaceSpec.sup(),
+        target_norm=1.0, dimension=1, delay_r=1.0, seed=0, n_nodes=65)
+    stacks = list(dde._sample_stacks(cfg, range(80)))
+    assert len(stacks) == 6
+    reads = []
+    real = segment._uniform_reads
+
+    def counting(*args, **kwargs):
+        reads.append(args[2].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(segment, "_uniform_reads", counting)
+    monkeypatch.setattr(lyapunov, "_uniform_reads", counting, raising=False)
+    list(lyapunov._prolonged(sys, delaystab.weighted_sup(1.0), stacks,
+                             lyapunov._dini_steps(1.0)))
+    assert [shape[0] for shape in reads] == [len(xs) for xs in stacks]
+
+
+JUDGES = ("_prolongation_report", "_growth_report", "_dini_report",
+          "_dissipation_report", "_exponential_report")
+
+
+def test_certificate_judges_take_a_stack_at_a_time():
+    """Each certificate judge loops once, over its sample stacks or its
+    ensemble blocks, and judges the samples of one as arrays: it has no
+    loop over single runs or samples."""
+    tree = ast.parse(inspect.getsource(delaystab.lyapunov))
+    judges = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in JUDGES}
+    assert sorted(judges) == sorted(JUDGES)
+    for name, judge in judges.items():
+        loops = [node for node in ast.walk(judge)
+                 if isinstance(node, (ast.For, ast.While))]
+        assert len(loops) == 1, name
+        (loop,) = loops
+        assert isinstance(loop.iter, ast.Name), name
+        assert loop.iter.id == judge.args.args[-1].arg \
+            in ("stacks", "blocks"), name

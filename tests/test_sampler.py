@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.random import Generator, Philox
 from hypothesis import strategies as st
 
 import delaystab.sampler as mod
@@ -15,6 +16,7 @@ from delaystab.sampler import FAMILIES, SamplerConfig, sample, sample_many, \
 from delaystab.segment import (
     ParameterError,
     Segment,
+    SegmentDataError,
     SpaceSpec,
     hoelder_seminorm,
     space_norm,
@@ -227,10 +229,17 @@ ALONE = {"fourier": _fourier_wave_per_term, "polynomial": _polynomial_alone,
          "piecewise_linear": _piecewise_linear_alone}
 
 
+def _key_rng(c, index):
+    """A fresh generator of sample index: Philox keyed by (seed, index)."""
+    return Generator(Philox(key=np.array(
+        [c.seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)))
+
+
 def _lone_sample(c, index):
     """Sample `index` as the sampler drew it before it drew stacks: its
-    candidate alone, normed by space_norm and scaled as a Segment."""
-    rng = mod._rng_for(c, index)
+    candidate alone, from a fresh generator of its key, normed by
+    space_norm and scaled as a Segment."""
+    rng = _key_rng(c, index)
     vals, ders = ALONE[c.family](c, rng)
     candidate = Segment.from_samples(c.delay_r, vals, ders)
     norm = space_norm(candidate, c.target_space)
@@ -241,10 +250,24 @@ def _lone_sample(c, index):
     return candidate * (u * c.target_norm / norm)
 
 
+class _Replay:
+    """The normals of a sample's draw, handed out again in their order,
+    as its generator gave them."""
+
+    def __init__(self, draw):
+        self.left = iter(np.ravel(draw).tolist())
+
+    def standard_normal(self, size=None):
+        if size is None:
+            return next(self.left)
+        return np.array([next(self.left) for _ in range(size)])
+
+
 def _stacked(builder):
-    """A block builder that builds each sample of a stack alone."""
-    def block(c, rngs):
-        vals, ders = zip(*(builder(c, rng) for rng in rngs))
+    """A block builder that builds each sample of a stack alone, from the
+    normals its family's draw took."""
+    def block(c, draws):
+        vals, ders = zip(*(builder(c, _Replay(d)) for d in draws))
         return np.stack(vals), np.stack(ders)
 
     return block
@@ -329,6 +352,66 @@ def test_stacks_are_their_lone_samples_and_lie_in_their_ball(data):
             <= rho * (1.0 + 1e-12)
         if index == 0:
             assert norm == pytest.approx(rho, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("family, order, space", [
+    ("fourier", 3, SpaceSpec.sobolev(2.0)), ("polynomial", 2, SpaceSpec.sup()),
+    ("piecewise_linear", 3, SpaceSpec.hoelder(0.5))])
+def test_stacks_are_the_streams_of_fresh_keyed_generators(family, order,
+                                                          space):
+    """sample_many draws every index of a stack from one generator that
+    it re-keys; each sample is bitwise the one drawn from a fresh
+    Generator(Philox(key=[seed, index])) of its own, for stacks of 1 to
+    40 shuffled indices with repeats, the last index of the counter
+    range among them, and a seed past 2^63."""
+    c = cfg(family=family, order=order, space=space, dim=2, r=0.7,
+            seed=2**63 + 11, n_nodes=33, radial_min=0.2)
+    pool = list(range(25)) + [2**64 - 1, 2**63, 2**32 + 1]
+    lone = {index: _lone_sample(c, index) for index in pool}
+    shuffle = np.random.default_rng(7)
+    for size in range(1, 41):
+        indices = shuffle.choice(len(pool), size).tolist()  # repeats too
+        indices = [pool[k] for k in indices]
+        for index, seg in zip(indices, sample_many(c, indices)):
+            assert _same_bytes(seg, lone[index]), (size, index)
+
+
+def _spoiled(monkeypatch, at, part):
+    """Let the Fourier builder make part (0 values, 1 slopes) of the
+    candidate at stack row at NaN in one node."""
+    build = mod._BUILDERS["fourier"]
+
+    def spoiled(c, draws):
+        out = build(c, draws)
+        if at < len(draws):
+            out[part][at, 5, 0] = math.nan
+        return out
+
+    monkeypatch.setitem(mod._BUILDERS, "fourier", spoiled)
+
+
+@pytest.mark.parametrize("part", [0, 1])
+@pytest.mark.parametrize("at", [0, 4, 9])
+def test_a_sample_that_is_not_finite_raises_as_its_segment_does(monkeypatch,
+                                                                at, part):
+    """The scaled stack is checked once, values and slopes: a NaN in the
+    candidate of the sample at stack position at raises the
+    SegmentDataError that its Segment raises, with every stack that holds
+    it, and no stack of the samples before it raises."""
+    c = cfg(seed=3, n_nodes=33)
+    good = sample_many(c, range(at))
+    _spoiled(monkeypatch, at, part)
+    assert all(_same_bytes(x, y) for x, y in zip(sample_many(c, range(at)),
+                                                 good))
+    with pytest.raises(SegmentDataError) as alone:
+        x = sample_one(c, at) if at == 0 else good[0]
+        data = [x.values.copy(), x.derivs.copy()]
+        data[part][5, 0] = math.nan
+        Segment(x.delay_r, x.nodes, *data)
+    for stop in (at + 1, 10):
+        with pytest.raises(SegmentDataError) as stacked:
+            sample_many(c, range(stop))
+        assert str(stacked.value) == str(alone.value)
 
 
 def test_zero_norm_candidate_becomes_zero_segment(monkeypatch):

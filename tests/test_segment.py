@@ -864,6 +864,94 @@ def test_segment_csv_export():
     assert first == [-1.0, 1.0, -2.0, 0.0, 0.0]
 
 
+def test_slope_only_reads_are_the_slopes_of_full_reads_bitwise():
+    """A read of slopes only computes no values, and its slopes are
+    bitwise those of a read of both: for cell reads of node rows and of
+    stacks, Segment.deriv_at and lp_deriv_norm, and the shared refined
+    read of a stack when its slopes are asked for second."""
+    cfg = SamplerConfig(family="fourier", order=4,
+                        target_space=SpaceSpec.sup(), target_norm=1.0,
+                        dimension=2, delay_r=0.7, seed=9, n_nodes=33)
+    segs = [sample_one(cfg, i) for i in range(5)]
+    r, nodes = segs[0].delay_r, segs[0].nodes
+    values = np.stack([x.values for x in segs])
+    derivs = np.stack([x.derivs for x in segs])
+    s = np.concatenate([[-0.7, -0.7 - 1e-12], np.linspace(-0.7, 0.0, 97),
+                        [0.0, 1e-13]])
+    grid = segment._locate(r, nodes, np.clip(s, -r, 0.0))
+    for vals, ders in ((values[1], derivs[1]), (values, derivs)):
+        both = segment._cell_reads(vals, ders, *grid, slopes=True)
+        only = segment._cell_reads(vals, ders, *grid, slopes=True,
+                                   value=False)
+        assert only[0] is None
+        assert only[1].tobytes() == both[1].tobytes()
+    for x in segs:
+        assert x.deriv_at(s).tobytes() == x._reads(s, True)[1].tobytes()
+        for p in (2.0, 3.5, math.inf):
+            grid, _, ders = x.refined(DEFAULT_REFINE)
+            assert lp_deriv_norm(x, p) == float(segment._lp_norms(
+                ders[None], p, grid[1] - grid[0])[0])
+    refined = segment._Refined(r, nodes, values, derivs)
+    full = segment._uniform_reads(r, nodes, values, derivs,
+                                  refined.count, True)
+    for got, want in zip(refined(False)[:2] + refined(True)[2:], full):
+        assert got.tobytes() == want.tobytes()
+
+
+# the values whose format a CSV row must keep: signed zeros, the
+# smallest subnormal and normal, the largest float, inf, nan, and
+# integral, round and 17-digit values
+CSV_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, math.inf, -math.inf, math.nan, 1.0,
+                -2.5, 0.1, 1 / 3, 1e16, 123456789012345678.0]
+
+
+def _old_csv_row(row):
+    """A CSV row as the writers formatted it, one numpy scalar at a time."""
+    return ",".join(f"{v:.17g}" for v in row) + "\n"
+
+
+def test_csv_rows_keep_the_per_scalar_format():
+    """The CSV writers format the rows of tolist(), Python floats; every
+    line is bitwise the per-scalar format of the numpy values, on an
+    8 x 200 table of special and random values (envelope), a segment with
+    signed zeros and subnormals, and a trajectory."""
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((8, 200)) * 10.0 ** rng.integers(
+        -320, 300, (8, 200))
+    table.flat[:len(CSV_SPECIALS)] = CSV_SPECIALS
+    buf = io.StringIO()
+    segment._write_table(buf, ["a", "b"], table)
+    assert buf.getvalue() == "a,b\n" + "".join(map(_old_csv_row, table))
+
+    s_grid, t_grid = np.arange(1.0, 9.0), np.linspace(0.0, 3.0, 199)
+    env = checkers.KLEnvelope(s_grid, t_grid, table[:, 1:],
+                              np.ones(8, int), np.zeros(8, bool), False,
+                              True)
+    buf = io.StringIO()
+    env.write_csv(buf)
+    head = ",".join(["s/t"] + [f"{t:.17g}" for t in t_grid]) + "\n"
+    assert buf.getvalue() == head + "".join(
+        _old_csv_row([s_grid[j], *env.sigma[j]]) for j in range(8))
+
+    finite = [v for v in CSV_SPECIALS if math.isfinite(v)] * 2
+    values = np.array(finite[:21]).reshape(7, 3)
+    seg = Segment.from_samples(1.0, values, -values)
+    buf = io.StringIO()
+    seg.write_csv(buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert lines[1:] == [_old_csv_row([seg.nodes[i], *seg.values[i],
+                                       *seg.derivs[i]]) for i in range(7)]
+
+    sys = dde.make_system("linear_scalar", 1.0, {"a": -1.0, "b": 0.3})
+    traj = dde.simulate(sys, Segment.constant(1.0, [-0.0], 11), 0.5, 0.05)
+    buf = io.StringIO()
+    traj.write_csv(buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert lines[1:] == [_old_csv_row((t, *x, *dx)) for t, x, dx in zip(
+        traj.times, traj.values, traj.derivs)]
+
+
 # ----------------------------------------------------------------- arithmetic
 
 
