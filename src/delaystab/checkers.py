@@ -9,12 +9,13 @@ sampled evidence fits the property at the configured tolerances, and
 before either of the other verdicts was earned.
 
 Each check is a ball of samples (_ball, or _shell_plan for the envelope
-checks), the reads it declares of each trajectory (_Read), one _ensemble
-pass over the ball, and a judge over the pass's runs (_rfc_report,
-_lags_report, _ga_report, _uga_report, _pair_report, _lift_report, and
-_close_envelope for the envelope).  A judge takes the samples in index
-order and compares each run's reads with their limits as arrays; the
-first failure it finds is its report (_falsified), with the sample as
+checks), the reads it declares of each trajectory (_Read), one
+_ensemble_blocks pass over the ball, and a judge over the pass's blocks
+(_rfc_report, _lags_report, _ga_report, _uga_report, _pair_report,
+_lift_report, and _close_envelope for the envelope).  A judge takes a
+block (_Runs) at a time and compares the reads of all its samples, a
+row each, with their limits as arrays; the first failing row's first
+failure (_first_failure) is its report (_falsified), with the sample as
 witness, and each worst ratio is a max over the arrays.
 check_gas_vs_ugas judges ga, rfc and the envelope from one shared pass.
 
@@ -425,13 +426,34 @@ def _ball(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int,
                  budget, h, horizon, grid)
 
 
-class _Run(NamedTuple):
-    """One history of an ensemble: its escape, if any, and its reads."""
+class _Runs(NamedTuple):
+    """A block of an ensemble: its histories, their escape times (None
+    for none, escaped their mask), the position of its first history in
+    the ensemble, and each read as _Reader holds it: a (members, times,
+    ...) array for a time read, +inf past a member's end, and the
+    members' arrays of values, one a mesh row, for a row read."""
 
-    x0: Segment
-    escaped: bool
-    escape_time: float | None
+    x0s: list
+    escape_times: list
+    first: int
     tracks: list
+
+    @property
+    def escaped(self) -> np.ndarray:
+        return np.array([t is not None for t in self.escape_times])
+
+    def rows(self, at, first: int = 0) -> "_Runs":
+        """The rows at (of time reads) as a block whose first is first."""
+        return _Runs([self.x0s[b] for b in at],
+                     [self.escape_times[b] for b in at], first,
+                     [track[at] for track in self.tracks])
+
+
+def _joined(blocks) -> _Runs:
+    """The blocks of a pass of time reads as one block, in their order."""
+    x0s, times, firsts, tracks = zip(*blocks)
+    return _Runs(list(chain(*x0s)), list(chain(*times)), firsts[0],
+                 [np.concatenate(track) for track in zip(*tracks)])
 
 
 class _Reader:
@@ -446,7 +468,7 @@ class _Reader:
     maxima and stacked reads are exact per member and time, so each value
     is bitwise that of the member's whole trajectory.  A row read takes
     each row once, all the piece's rows in one call, and a member's
-    values are one array at the end (tracks).
+    values are one array at the end (see _Runs).
     """
 
     def __init__(self, reads: list, members: int):
@@ -490,61 +512,46 @@ class _Reader:
             for b in at:
                 self.escape_times[b] = piece.escape_time
 
-    def tracks(self, b: int) -> list:
-        """Member b's array of each read, once its last piece is read."""
-        return [np.concatenate(parts[b]) if read.times is None
-                else np.full(read.times.size, np.inf) if track is None
-                else track[b] for read, parts, track
+    def tracks(self) -> list:
+        """Each read of the block once its last piece is read (_Runs)."""
+        return [[np.concatenate(part) for part in parts] if read.times is None
+                else np.full((len(self.escape_times), read.times.size),
+                             np.inf) if track is None
+                else track for read, parts, track
                 in zip(self.reads, self.row_parts, self.time_tracks)]
-
-
-def _ensemble(sys: DelaySystem, x0s, T: float, h: float, reads: list,
-              every: bool = False):
-    """Yield a _Run per history x0 of the iterable x0s, in their order:
-    x0 integrated over [0, T], its escape, and one array per read of
-    reads (see _Read); the runs of _ensemble_blocks, one at a time."""
-    return chain.from_iterable(_ensemble_blocks(sys, x0s, T, h, reads, every))
 
 
 def _ensemble_blocks(sys: DelaySystem, x0s, T: float, h: float, reads: list,
                      every: bool = False):
-    """Yield the _Run of each history x0 of the iterable x0s, in their
-    order, as a list a block: x0 integrated over [0, T], its escape, and
-    one array per read of reads (see _Read).
+    """Yield the histories of the iterable x0s, in their order, a block
+    at a time, each as its _Runs: integrated over [0, T], with their
+    escapes and each read of reads (see _Read) as one array.
 
-    Every integration of sampled histories goes through here: the
-    checkers' ensembles, the `ls` bisection probes, the one pass of
-    check_gas_vs_ugas (which validates every input first and integrates
-    each distinct history of its balls once) and the Dini ladders of
-    dini_derivative and of the dissipation certificate, which runs each
-    ladder only to the first mesh node past the largest rung its
-    estimate reads.  The histories are drawn from x0s and
-    integrated a block at a time, as many as their windows of dense
-    output fit dde.BLOCK_BYTES together with what their reads keep
-    (dde._block_members), and the block's reads are taken from its rows
-    chunk by chunk as they settle, each read of a chunk in one call for
-    all the members still running (_Reader), so no whole trajectory is
-    held.  A horizon that fits one window is one chunk.  Lazy per block,
-    so a caller that stops at its first counterexample integrates nothing
-    past its block; as the samples are drawn a stack at a time
-    (dde._sample_stacks), it draws past its block at most the rest of
-    the one sample stack the block ended in.  Such a caller's first
-    block holds only as many histories as whole horizons fit, one chunk,
-    so an early counterexample costs no more than that; the blocks after
-    it, and every block of a caller that reads every history (every),
-    are as wide as their windows allow.
+    Every integration of sampled histories goes through here, the `ls`
+    probes and the Dini ladders included.  A block holds as many
+    histories as their windows of dense output fit dde.BLOCK_BYTES
+    together with what their reads keep (dde._block_members), and its
+    reads are taken from its rows chunk by chunk as they settle, each in
+    one call for all the members still running (_Reader), so no whole
+    trajectory is held; a horizon that fits one window is one chunk.
+    Lazy per block, so a caller that stops at its first counterexample
+    integrates nothing past its block, and draws past it at most the
+    rest of the sample stack (dde._sample_stacks) the block ended in.
+    Such a caller's first block holds only as many histories as whole
+    horizons fit, one chunk; the blocks after it, and every block of a
+    caller that reads every history (every), are as wide as their
+    windows allow.
     """
     x0s = iter(x0s)
     held = sum(read.held(_row_counts(sys, T, h)[0]) for read in reads)
     wide = _block_members(sys, T, h, held)
     size = wide if every else _block_members(sys, T, h, held, whole=True)
+    first = 0
     while block := list(islice(x0s, size)):
         reader = _Reader(reads, len(block))
         simulate_many(sys, block, T, h, held=held, take=reader)
-        yield [_Run(x0, escape_time is not None, escape_time,
-                    reader.tracks(b))
-               for b, (x0, escape_time) in enumerate(
-                   zip(block, reader.escape_times))]
+        yield _Runs(block, reader.escape_times, first, reader.tracks())
+        first += len(block)
         size = wide
 
 
@@ -624,6 +631,24 @@ def _worst(worst: float, values: np.ndarray,
         pos = den > 0.0
         values = values[pos] / den[pos]
     return float(np.fmax.reduce(values, axis=None, initial=worst))
+
+
+def _first_failure(checks: list):
+    """The first row of a block that fails a check, and the first check it
+    fails: checks are (name, fails) in the order a row is judged, fails
+    (K,) booleans, or (K, T) for a check of each report time or rung,
+    which fails at its first failing column.  (row, name, column), the
+    column None for a (K,) check, or None when every row passes."""
+    rows = [fails if fails.ndim == 1 else fails.any(axis=1)
+            for _, fails in checks]
+    failing = np.logical_or.reduce(rows)
+    if not failing.any():
+        return None
+    i = int(failing.argmax())
+    for (name, fails), row in zip(checks, rows):
+        if row[i]:
+            return i, name, int(fails[i].argmax()) if fails.ndim == 2 \
+                else None
 
 
 # -- KL envelopes ------------------------------------------------------
@@ -743,12 +768,12 @@ def _shell_plan(sys: DelaySystem, space: SpaceSpec, rho_max: float,
 
 
 def _close_envelope(s_grid: np.ndarray, t_grid: np.ndarray,
-                    counts: np.ndarray, tracks) -> KLEnvelope:
-    """The envelope judge: the worst track of each shell (tracks in shell
-    plan order), empty shells interpolated, closed to the KL shape."""
+                    counts: np.ndarray, tracks: np.ndarray) -> KLEnvelope:
+    """The envelope judge: the worst track of each shell (tracks, a row a
+    member, in shell plan order), empty shells interpolated, closed to
+    the KL shape."""
     raw = np.full((s_grid.size, t_grid.size), -np.inf)
-    for j, track in zip(np.repeat(np.arange(s_grid.size), counts), tracks):
-        raw[j] = np.maximum(raw[j], track)
+    np.maximum.at(raw, np.repeat(np.arange(s_grid.size), counts), tracks)
     interpolated = counts == 0
     if np.all(interpolated):
         raise ParameterError("budget too small: every shell is empty")
@@ -772,20 +797,19 @@ def _shell_pass(sys: DelaySystem, space: SpaceSpec, report_spaces: list,
                 horizon: float | None, grid_points: int):
     """The one pass of the envelope checks over the shell plan of the
     space ball of radius rho_max, reading the norm of each space of
-    report_spaces at the report times: the envelope of the first, and
-    each shell member (j, cfg, i) with its run."""
+    report_spaces at the report times: the envelope of the first, each
+    shell member (j, cfg, i), and their runs as one block."""
     s_grid, counts, members = _shell_plan(
         sys, space, rho_max, shells, budget, family, order, seed, n_nodes)
     r = sys.delay_r
     h, horizon = _step_defaults(r, h, horizon)
     grid = _report_grid(t_grid, horizon, r, grid_points)
-    runs = list(_ensemble(
+    runs = _joined(_ensemble_blocks(
         sys, _keyed_samples((cfg, i) for _, cfg, i in members),
         float(grid[-1]), h, [_norm_read(s, grid, n_nodes)
                              for s in report_spaces], every=True))
-    env = _close_envelope(s_grid, grid, counts,
-                          (run.tracks[0] for run in runs))
-    return env, list(zip(members, runs))
+    return _close_envelope(s_grid, grid, counts, runs.tracks[0]), members, \
+        runs
 
 
 def fit_kl_envelope(sys: DelaySystem, space: SpaceSpec, rho_max: float,
@@ -869,16 +893,17 @@ def lipschitz_propagation_bound(R: float, T: float, r: float, p: float,
 # -- property checkers -------------------------------------------------
 
 
-def _rfc_report(space: SpaceSpec, ball: _Ball, runs) -> StabilityReport:
-    """The rfc judge of runs read at every report time: none may escape."""
+def _rfc_report(space: SpaceSpec, ball: _Ball, blocks) -> StabilityReport:
+    """The rfc judge of blocks read at every report time: none may
+    escape."""
     sup = 0.0
     escapes = []
-    for i, (x0, escaped, escape_time, (track,)) in enumerate(runs):
-        finite = track[np.isfinite(track)]
-        if finite.size:
-            sup = max(sup, float(finite.max()))
-        if escaped:
-            escapes.append((escape_time, i, x0))
+    for runs in blocks:
+        (track,) = runs.tracks
+        sup = max(sup, float(np.max(track, initial=0.0,
+                                    where=np.isfinite(track))))
+        escapes += [(runs.escape_times[i], runs.first + i, runs.x0s[i])
+                    for i in np.flatnonzero(runs.escaped).tolist()]
     margins = {"sup": sup, "escape_count": float(len(escapes))}
     budgets = {"samples": ball.budget}
     if escapes:
@@ -895,29 +920,32 @@ def check_rfc(sys: DelaySystem, space: SpaceSpec, rho: float, T: float,
     """Bounded reachable sets: no sampled trajectory may escape before T."""
     ball = _ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
                  grid_points, T=T, error="need positive rho, T and budget")
-    runs = _ensemble(sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
-                     [_norm_read(space, ball.grid, n_nodes)], every=True)
-    return _rfc_report(space, ball, runs)
+    return _rfc_report(space, ball, _ensemble_blocks(
+        sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
+        [_norm_read(space, ball.grid, n_nodes)], every=True))
 
 
-def _peak(prop: str, space: SpaceSpec, ball: _Ball, margins: dict, runs):
+def _peak(prop: str, space: SpaceSpec, ball: _Ball, margins: dict, blocks):
     """(None, the peak over the ball of each run's tracks joined), or
     (the escape report, with margins, of the first run that escapes,
     None)."""
     peak = np.zeros(ball.grid.size)
-    for i, run in enumerate(runs):
-        if run.escaped:
-            return _falsified(prop, space, ball.cfg, i, run.x0,
-                              run.escape_time, margins,
+    for runs in blocks:
+        found = _first_failure([("escape", runs.escaped)])
+        if found:
+            i = found[0]
+            return _falsified(prop, space, ball.cfg, runs.first + i,
+                              runs.x0s[i], runs.escape_times[i], margins,
                               {"samples": ball.budget}), None
-        peak = np.maximum(peak, np.concatenate(run.tracks))
+        peak = np.maximum(peak,
+                          np.concatenate(runs.tracks, axis=1).max(axis=0))
     return None, peak
 
 
-def _lags_report(space: SpaceSpec, ball: _Ball, runs) -> StabilityReport:
-    """The lags judge of runs read at every report time: their running
+def _lags_report(space: SpaceSpec, ball: _Ball, blocks) -> StabilityReport:
+    """The lags judge of blocks read at every report time: their running
     peak may not still rise over the last quarter of the report times."""
-    escape, peak = _peak("lags", space, ball, {"sup": math.inf}, runs)
+    escape, peak = _peak("lags", space, ball, {"sup": math.inf}, blocks)
     if escape:
         return escape
     running = np.maximum.accumulate(peak)
@@ -937,9 +965,9 @@ def check_lags(sys: DelaySystem, space: SpaceSpec, rho: float, budget: int, *,
     """Uniform boundedness from the ball, truncated at the horizon."""
     ball = _ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
                  grid_points, horizon=horizon)
-    runs = _ensemble(sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
-                     [_norm_read(space, ball.grid, n_nodes)])
-    return _lags_report(space, ball, runs)
+    return _lags_report(space, ball, _ensemble_blocks(
+        sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
+        [_norm_read(space, ball.grid, n_nodes)]))
 
 
 def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
@@ -968,26 +996,28 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
     reads = [_norm_read(space, ball.grid, n_nodes)]
 
     def probe(delta: float, eps: float):
-        runs = _ensemble(sys, (delta * seg for seg in base), ball.horizon,
-                         ball.h, reads)
-        for i, (_, _, _, (track,)) in enumerate(runs):
-            bad = np.nonzero(track > eps * (1.0 + _REL_TOL))[0]
-            if bad.size:
-                k = int(bad[0])
-                return (i, float(ball.grid[k]), float(track[k]))
+        """(sample, time, norm) of the delta ball's first leak, or None."""
+        blocks = _ensemble_blocks(sys, (delta * seg for seg in base),
+                                  ball.horizon, ball.h, reads)
+        for runs in blocks:
+            (track,) = runs.tracks
+            found = _first_failure([("leak", track > eps * (1.0 + _REL_TOL))])
+            if found:
+                i, _, k = found
+                return (runs.first + i, float(ball.grid[k]),
+                        float(track[i, k]))
         return None
 
     margins = {}
     first_bad = None
     for eps in eps_list:
+        # the ball of radius hi = 10 eps always leaks: sample 0 lies on its
+        # sphere, so its norm at t = 0 is 10 eps
         lo, hi = 1e-6 * eps, 10.0 * eps
-        bad_lo = probe(lo, eps)
-        if bad_lo is not None:
-            delta, frontier, leak = 0.0, lo, bad_lo
-        elif probe(hi, eps) is None:
-            delta, frontier, leak = hi, None, None
+        leak = probe(lo, eps)
+        if leak is not None:
+            delta, frontier = 0.0, lo
         else:
-            leak = None
             for _ in range(bisection_steps):
                 mid = math.sqrt(lo * hi)
                 bad = probe(mid, eps)
@@ -997,8 +1027,7 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
                     hi, leak = mid, bad
             delta, frontier = lo, hi
         margins[f"delta({eps:g})"] = delta
-        if frontier is not None and frontier <= 1e-3 * eps \
-                and first_bad is None:
+        if frontier <= 1e-3 * eps and first_bad is None:
             first_bad = (eps, frontier, leak)
     details = {"horizon": ball.horizon}
     budgets = {"samples": budget, "bisection_steps": bisection_steps}
@@ -1013,25 +1042,25 @@ def check_ls(sys: DelaySystem, space: SpaceSpec, eps_list, budget: int, *,
 
 
 def _ga_report(space: SpaceSpec, ball: _Ball, eps: float,
-               runs) -> StabilityReport:
-    """The ga judge of runs read at least at ball.tail, all it judges."""
+               blocks) -> StabilityReport:
+    """The ga judge of blocks read at least at ball.tail, all it judges."""
     worst_end = 0.0
     undecided = False
-    for i, (x0, _, _, (track,)) in enumerate(runs):
-        tail = track[-ball.tail.size:]
-        worst_end = max(worst_end, float(tail[-1]))
-        if np.all(tail <= eps * (1.0 + _REL_TOL)):
-            continue
-        plateau = float(tail.max())
-        stagnant = (not math.isfinite(plateau)) or \
-            tail[-1] >= 0.99 * plateau
-        if stagnant:
+    for runs in blocks:
+        tail = runs.tracks[0][:, -ball.tail.size:]
+        above = ~np.all(tail <= eps * (1.0 + _REL_TOL), axis=1)
+        plateau = tail.max(axis=1)
+        found = _first_failure([("stagnant", above & (
+            ~np.isfinite(plateau) | (tail[:, -1] >= 0.99 * plateau)))])
+        if found:
+            i = found[0]
+            end = float(tail[i, -1])
             return _falsified(
-                "ga", space, ball.cfg, i, x0, float(ball.grid[-1]),
-                {"residual_norm": float(tail[-1]), "eps": eps},
-                {"samples": ball.budget}, {"horizon": ball.horizon},
-                float(tail[-1]))
-        undecided = True
+                "ga", space, ball.cfg, runs.first + i, runs.x0s[i],
+                float(ball.grid[-1]), {"residual_norm": end, "eps": eps},
+                {"samples": ball.budget}, {"horizon": ball.horizon}, end)
+        worst_end = _worst(worst_end, tail[:, -1])
+        undecided |= bool(above.any())
     margins = {"worst_end_norm": worst_end, "eps": eps}
     budgets = {"samples": ball.budget}
     if undecided:
@@ -1056,16 +1085,16 @@ def check_ga(sys: DelaySystem, space: SpaceSpec, rho: float, eps: float,
     """
     ball = _ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
                  grid_points, horizon=horizon, eps=eps)
-    runs = _ensemble(sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
-                     [_norm_read(space, ball.tail, n_nodes)])
-    return _ga_report(space, ball, eps, runs)
+    return _ga_report(space, ball, eps, _ensemble_blocks(
+        sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
+        [_norm_read(space, ball.tail, n_nodes)]))
 
 
 def _uga_report(space: SpaceSpec, ball: _Ball, eps: float, rho: float,
-                runs) -> StabilityReport:
-    """The uga judge of runs read as check_uga reads them."""
+                blocks) -> StabilityReport:
+    """The uga judge of blocks read as check_uga reads them."""
     margins = {"eps": eps, "rho": rho}
-    escape, peak = _peak("uga", space, ball, margins, runs)
+    escape, peak = _peak("uga", space, ball, margins, blocks)
     if escape:
         return escape
     suffix = np.maximum.accumulate(peak[::-1])[::-1]
@@ -1101,70 +1130,86 @@ def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
     """
     ball = _ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
                  grid_points, horizon=horizon, eps=eps)
-    runs = _ensemble(sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
-                     [_norm_read(space, ball.grid[:-1], n_nodes,
-                                 eps * (1.0 + _REL_TOL)),
-                      _norm_read(space, ball.grid[-1:], n_nodes)])
-    return _uga_report(space, ball, eps, rho, runs)
+    return _uga_report(space, ball, eps, rho, _ensemble_blocks(
+        sys, _samples(ball.cfg, budget), ball.horizon, ball.h,
+        [_norm_read(space, ball.grid[:-1], n_nodes, eps * (1.0 + _REL_TOL)),
+         _norm_read(space, ball.grid[-1:], n_nodes)]))
 
 
-def _stack_norms(r: float, s: np.ndarray, values: np.ndarray,
-                 derivs: np.ndarray, space: SpaceSpec) -> np.ndarray:
-    """_norms of a stack of segments, node data (K, N + 1, n), at most
-    dde._segment_chunk segments a call, as a track reads them."""
-    size = _segment_chunk(s.size, values.shape[-1])
-    return np.concatenate([
-        _norms(r, s, values[lo:lo + size], derivs[lo:lo + size], space)
-        for lo in range(0, len(values), size)])
+def _stack_norms(r: float, s: np.ndarray, nodes: np.ndarray,
+                 space: SpaceSpec) -> np.ndarray:
+    """_norms of an array of segments' node values and slopes (..., 2,
+    N + 1, n), at most dde._segment_chunk segments a call, as tracks."""
+    flat = nodes.reshape((-1,) + nodes.shape[-3:])
+    size = _segment_chunk(s.size, nodes.shape[-1])
+    out = np.empty(len(flat))
+    for lo in range(0, len(flat), size):
+        out[lo:lo + size] = _norms(r, s, flat[lo:lo + size, 0],
+                                   flat[lo:lo + size, 1], space)
+    return out.reshape(nodes.shape[:-3])
+
+
+def _limits(factor: float, d0: np.ndarray) -> np.ndarray:
+    """factor times each initial distance of d0, as a column, 0 where it
+    is 0: an infinite factor on a zero distance still bounds by 0."""
+    return np.multiply(factor, d0, out=np.zeros(d0.shape),
+                       where=d0 != 0.0)[:, None]
 
 
 def _pair_report(space: SpaceSpec, ball: _Ball, growth: float, M: float,
-                 sigma0: float, runs) -> StabilityReport:
-    """The pair-bounds judge of runs in pairs (2i, 2i + 1), each read as
-    its node values and slopes at the report times: the sup distance of
-    a pair may grow by at most growth, its full distance by M."""
+                 sigma0: float, blocks) -> StabilityReport:
+    """The pair-bounds judge of blocks of runs in pairs (2i, 2i + 1), a
+    pair maybe across two blocks, each read as its node values and slopes
+    at the report times: the sup distance of a pair may grow by at most
+    growth, its full distance by M."""
     margins = {"growth_factor": growth, "propagation_constant": M}
     budgets = {"pairs": ball.budget}
     sup = SpaceSpec.sup()
     r = ball.cfg.delay_r
     s = np.linspace(-r, 0.0, ball.cfg.n_nodes)
     worst_sup = worst_full = 0.0
-    runs = enumerate(runs)
-    for (i, run_x), (k, run_y) in zip(runs, runs):
-        x0, y0 = run_x.x0, run_y.x0
-        escapes = [(run.escape_time, j, run.x0)
-                   for j, run in ((i, run_x), (k, run_y)) if run.escaped]
-        if escapes:
-            e_time, j, z0 = min(escapes)
-            return _falsified("pair_bounds", space, ball.cfg, j, z0, e_time,
-                              margins, budgets,
-                              pair_index=k if j == i else i)
-        d0 = x0 - y0
-        gap = run_x.tracks[0] - run_y.tracks[0]
-        d0_sup = space_norm(d0, sup)
-        d_sup = _stack_norms(r, s, gap[:, 0], gap[:, 1], sup)
+    odd = None  # the unpaired last run of a block, paired in the next
+    for runs in blocks:
+        runs = runs if odd is None else _joined([odd, runs])
+        end = len(runs.x0s) // 2 * 2
+        odd = runs.rows([end], runs.first + end) if end < len(runs.x0s) \
+            else None
+        escaped = runs.escaped[0:end:2] | runs.escaped[1:end:2]
+        gone = _first_failure([("escape", escaped)])
+        end = end if gone is None else 2 * gone[0]  # the pairs judged
+        xs, ys, track = runs.x0s[0:end:2], runs.x0s[1:end:2], runs.tracks[0]
+        gap = track[0:end:2] - track[1:end:2]
+        d0_sup = np.array([space_norm(x - y, sup) for x, y in zip(xs, ys)])
+        d_sup = _stack_norms(r, s, gap, sup)
         if space == sup:  # the full distance is the sup distance
             d0_full, d_full = d0_sup, d_sup
         else:
-            d0_full = space_norm(d0, space)
-            d_full = _stack_norms(r, s, gap[:, 0], gap[:, 1], space)
-        # an infinite factor on a zero distance still bounds by 0
-        lim_sup = growth * d0_sup if d0_sup else 0.0
-        lim_full = M * d0_full if d0_full else 0.0
-        bad = np.flatnonzero((d_sup > lim_sup * (1.0 + 1e-6) + 1e-15)
-                             | (d_full > lim_full * (1.0 + 1e-6) + 1e-15))
-        if bad.size:
-            t = int(bad[0])
-            ds, df = float(d_sup[t]), float(d_full[t])
+            d0_full = np.array([space_norm(x - y, space)
+                                for x, y in zip(xs, ys)])
+            d_full = _stack_norms(r, s, gap, space)
+        lim_sup, lim_full = _limits(growth, d0_sup), _limits(M, d0_full)
+        found = _first_failure([("bound", (
+            d_sup > lim_sup * (1.0 + 1e-6) + 1e-15)
+            | (d_full > lim_full * (1.0 + 1e-6) + 1e-15))])
+        if found:
+            i, _, t = found
+            ds, df = float(d_sup[i, t]), float(d_full[i, t])
             return _falsified(
-                "pair_bounds", space, ball.cfg, i, x0, float(ball.grid[t]),
-                margins, budgets, {"d_sup": ds, "limit_sup": lim_sup,
-                                   "d_full": df, "limit_full": lim_full},
-                max(ds, df), pair_index=k)
-        if lim_sup > 0.0:
-            worst_sup = _worst(worst_sup, d_sup / lim_sup)
-        if lim_full > 0.0:
-            worst_full = _worst(worst_full, d_full / lim_full)
+                "pair_bounds", space, ball.cfg, runs.first + 2 * i, xs[i],
+                float(ball.grid[t]), margins, budgets,
+                {"d_sup": ds, "limit_sup": float(lim_sup[i, 0]),
+                 "d_full": df, "limit_full": float(lim_full[i, 0])},
+                max(ds, df), pair_index=runs.first + 2 * i + 1)
+        if gone is not None:  # the pair's first escape, pair_index its twin
+            e_time, b = min((runs.escape_times[b], b) for b in (end, end + 1)
+                            if runs.escaped[b])
+            return _falsified("pair_bounds", space, ball.cfg, runs.first + b,
+                              runs.x0s[b], e_time, margins, budgets,
+                              pair_index=runs.first + 2 * end + 1 - b)
+        worst_sup = _worst(worst_sup, d_sup,
+                           np.broadcast_to(lim_sup, d_sup.shape))
+        worst_full = _worst(worst_full, d_full,
+                            np.broadcast_to(lim_full, d_full.shape))
     return StabilityReport(
         "pair_bounds", space, "consistent", None,
         {**margins, "worst_sup_ratio": worst_sup,
@@ -1195,25 +1240,25 @@ def verify_pair_bounds(sys: DelaySystem, space: SpaceSpec, R: float, T: float,
     nodes = _Read(ball.grid, n_nodes,
                   lambda r, s, v, d: np.stack((v, d), axis=1),
                   width=2 * n_nodes * sys.dimension)
-    runs = _ensemble(sys, _samples(ball.cfg, 2 * pairs), T, ball.h, [nodes])
-    return _pair_report(space, ball, growth, M, sigma0, runs)
+    return _pair_report(space, ball, growth, M, sigma0, _ensemble_blocks(
+        sys, _samples(ball.cfg, 2 * pairs), T, ball.h, [nodes]))
 
 
 def _lift_report(space: SpaceSpec, env: KLEnvelope, lifted: KLEnvelope,
-                 budgets: dict, runs: list) -> StabilityReport:
-    """The lift judge of the shell members and their runs, each read in
-    the sup norm and the full norm at the report times: the lifted
+                 budgets: dict, members: list, runs: _Runs) -> StabilityReport:
+    """The lift judge of the shell members and their runs, one block read
+    in the sup norm and the full norm at the report times: the lifted
     envelope of the member's shell must dominate the full norm."""
-    tracks = np.array([run.tracks[1] for _, run in runs])
-    bounds = lifted.sigma[[j for (j, _, _), _ in runs]]
-    # (member, time) of each breach, the first member's first time first
-    breaches = np.argwhere(tracks > bounds * (1.0 + 1e-6) + 1e-12)
-    if breaches.size:
-        m, k = breaches[0]
-        (j, cfg, i), run = runs[m]
+    tracks = runs.tracks[1]
+    bounds = lifted.sigma[[j for j, _, _ in members]]
+    found = _first_failure([("breach",
+                             tracks > bounds * (1.0 + 1e-6) + 1e-12)])
+    if found:
+        m, _, k = found
+        j, cfg, i = members[m]
         measured = float(tracks[m, k])
         return _falsified(
-            "envelope_lift", space, cfg, i, run.x0, float(env.t_grid[k]),
+            "envelope_lift", space, cfg, i, runs.x0s[m], float(env.t_grid[k]),
             {"bound": float(bounds[m, k]), "measured": measured}, budgets,
             {"envelope": env.to_json_dict()}, measured, shell=int(j))
     with np.errstate(invalid="ignore"):
@@ -1221,7 +1266,7 @@ def _lift_report(space: SpaceSpec, env: KLEnvelope, lifted: KLEnvelope,
     return StabilityReport(
         "envelope_lift", space, "consistent", None,
         {"worst_ratio": _worst(0.0, ratios[np.isfinite(ratios)]),
-         "trajectories_checked": float(len(runs))}, budgets,
+         "trajectories_checked": float(len(members))}, budgets,
         {"envelope": env.to_json_dict(), "decayed": env.decayed})
 
 
@@ -1240,15 +1285,15 @@ def check_envelope_lift(sys: DelaySystem, space: SpaceSpec, rho_max: float,
     measured full norm of every sampled trajectory at every report time.
     Each sample is integrated once and yields both tracks.
     """
-    env, runs = _shell_pass(sys, space, [SpaceSpec.sup(), space], rho_max,
-                            shells, budget, t_grid, family, order, seed,
-                            n_nodes, h, horizon, grid_points)
+    env, members, runs = _shell_pass(
+        sys, space, [SpaceSpec.sup(), space], rho_max, shells, budget, t_grid,
+        family, order, seed, n_nodes, h, horizon, grid_points)
     lifted = lift_sup_envelope(
         env, sys.delay_r, _exponent_of(space),
         sys.lipschitz_modulus if lipschitz_modulus is None
         else lipschitz_modulus)
     return _lift_report(space, env, lifted,
-                        {"samples": budget, "shells": shells}, runs)
+                        {"samples": budget, "shells": shells}, members, runs)
 
 
 def check_gas_vs_ugas(sys: DelaySystem, space: SpaceSpec, rho_list, eps_list,
@@ -1286,19 +1331,21 @@ def check_gas_vs_ugas(sys: DelaySystem, space: SpaceSpec, rho_list, eps_list,
                   h=h, grid_points=grid_points)
     # the envelope's T is its last report time: one pass needs T = horizon
     assert grid[-1] == horizon
-    keys = dict.fromkeys([(ball.cfg, i) for ball in balls
-                          for i in range(budget)]
-                         + [(cfg, i) for _, cfg, i in members])
-    runs = dict(zip(keys, _ensemble(
-        sys, _keyed_samples(keys), horizon, h,
-        [_norm_read(space, grid, n_nodes)], every=True)))
-    ga_reports = [_ga_report(space, ball, min(eps_list),
-                             (runs[ball.cfg, i] for i in range(budget)))
-                  for ball in balls]
-    rfc = _rfc_report(space, rfc_ball,
-                      (runs[rfc_ball.cfg, i] for i in range(budget)))
-    env = _close_envelope(s_grid, grid, counts,
-                          (runs[cfg, i].tracks[0] for _, cfg, i in members))
+    # the row of each distinct (cfg, index) in the pass
+    at = {key: row for row, key in enumerate(dict.fromkeys(
+        [(ball.cfg, i) for ball in balls for i in range(budget)]
+        + [(cfg, i) for _, cfg, i in members]))}
+    runs = _joined(_ensemble_blocks(
+        sys, _keyed_samples(at), horizon, h,
+        [_norm_read(space, grid, n_nodes)], every=True))
+    # each ball's samples 0 .. budget-1 as one block
+    picked = [runs.rows([at[ball.cfg, i] for i in range(budget)])
+              for ball in balls]
+    ga_reports = [_ga_report(space, ball, min(eps_list), [rows])
+                  for ball, rows in zip(balls, picked)]
+    rfc = _rfc_report(space, rfc_ball, [picked[rho_list.index(rho_max)]])
+    env = _close_envelope(s_grid, grid, counts, runs.tracks[0][
+        [at[cfg, i] for _, cfg, i in members]])
     parts = {"ls": ls.verdict, "rfc": rfc.verdict,
              "ga": [g.verdict for g in ga_reports],
              "envelope_decayed": env.decayed,

@@ -777,8 +777,9 @@ def simulate_many(sys: DelaySystem, x0s, T: float, h: float | None = None,
                 "history window does not match the system delay")
         if x0.dim != sys.dimension:
             raise ParameterError("history dimension does not match the system")
-        if x0.delay_r != x0s[0].delay_r \
-                or not np.array_equal(x0.nodes, x0s[0].nodes):
+        if x0.delay_r != x0s[0].delay_r or (  # a stack shares its nodes
+                x0.nodes is not x0s[0].nodes
+                and not np.array_equal(x0.nodes, x0s[0].nodes)):
             raise ParameterError("histories of one block must share a grid")
     h_eff = _working_step(r, T, h)
     if not x0s:

@@ -15,7 +15,7 @@ consistency at stated tolerances, like the rest of the toolkit.
 
 Each check is a ball of samples, the reads it declares of each
 trajectory (checkers._Read), one checkers._ensemble_blocks pass a phase,
-and a judge over the pass's blocks of runs: _exponential_report;
+and a judge over the pass's blocks, as in checkers: _exponential_report;
 _dini_report over the Dini ladders, then _dissipation_report over the
 integral pass; _prolongation_report over the sample stacks and their
 prolongation quotients, which need no pass, then _growth_report over
@@ -23,11 +23,10 @@ the trajectories.  A judge takes one sample stack or one ensemble block
 at a time, so it draws and integrates nothing past the one it fails in,
 and compares the reads of all its samples with their limits as arrays,
 a row a sample and a column a report time or rung.  Its report is the
-first failing sample's first failing condition, in the order a sample
-is judged (_first_failure, _failed), and each worst ratio is one fmax
-reduction over a stack (checkers._worst), as a loop of max would take
-it.  A limit that involves e^(rate t) uses libm's value, computed once
-a report time (_exp_factors).
+first failing sample's first failing condition (checkers._first_failure,
+_failed), and each worst ratio is one fmax reduction over a stack
+(checkers._worst).  A limit that involves e^(rate t) uses libm's value,
+computed once a report time (_exp_factors).
 
 The samples are drawn once, in stacks (dde._sample_stacks), with V(x0),
 the norm of x0 and the growth check's prolongations of a weighted sup
@@ -41,18 +40,19 @@ estimate reads (33 steps, not 2048), so that each rung it reads is
 bitwise dini_derivative's.
 
 The built-in rates (scaled_abs, scaled_square) evaluate the rows of a
-chunk at once, each value bitwise the rate of its row alone; a rate
-given only as a callable is called once a row.
+chunk at once, each value bitwise the rate of its row alone, and a call
+on one state is its row of one; a rate given only as a callable is
+called once a row.  A MonotoneGridFn reads a scalar as an array of one.
 
 The built-in functionals evaluate stacks of segments, node data
 (K, N + 1, n) to K values, the way segment._norms norms them (see
-_stacked); Functional.evaluate is the batch of one, so a value does not
-depend on the stack it is read in.  A functional track reads the report
-times of as many members of a block piece as fit as one stack, so the
-Dini ladders of a block read their rungs together (40 ladders of three
-rungs at 65 nodes in 4 stacks), and a growth quotient reads all the
-prolongations of a sample.  A functional given only by its per-segment
-callable is read one segment at a time.
+_stacked), and Functional.evaluate is the batch of one (_built_in), so
+a value does not depend on the stack it is read in.  A functional track
+reads the report times of as many members of a block piece as fit as
+one stack, so the Dini ladders of a block read their rungs together (40
+ladders of three rungs at 65 nodes in 4 stacks), and a growth quotient
+reads all the prolongations of a sample.  A functional given only by
+its per-segment callable is read one segment at a time.
 
 Forward quotients of a sup-type functional are delicate: the quotient
 divides by steps down to 1e-7 of the delay, so the two sup evaluations
@@ -77,9 +77,9 @@ from .checkers import (
     _Ball,
     _ball,
     _ball_cfg,
-    _ensemble,
     _ensemble_blocks,
     _falsified,
+    _first_failure,
     _grown,
     _norm_read,
     _Read,
@@ -90,7 +90,6 @@ from .dde import DelaySystem, _mesh_times, _sample_stacks, _working_step
 from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
 from .sampler import SamplerConfig
 from .segment import (
-    DEFAULT_REFINE,
     ParameterError,
     Segment,
     SpaceSpec,
@@ -171,10 +170,6 @@ class MonotoneGridFn:
             raise ParameterError("ordinates must be nondecreasing")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        # the ends and end slopes, as Python floats for the scalar path
-        object.__setattr__(self, "_ends", tuple(map(float, (
-            xs[0], ys[0], (ys[1] - ys[0]) / (xs[1] - xs[0]),
-            xs[-1], ys[-1], (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])))))
 
     @classmethod
     def linear(cls, slope: float) -> "MonotoneGridFn":
@@ -183,18 +178,14 @@ class MonotoneGridFn:
         return cls(np.array([0.0, 1.0]), np.array([0.0, slope]))
 
     def __call__(self, v):
-        x_lo, y_lo, slope_lo, x_hi, y_hi, slope_hi = self._ends
-        if isinstance(v, (int, float)):  # the same float arithmetic
-            v = float(v)
-            if v < x_lo:
-                return y_lo + (v - x_lo) * slope_lo
-            if v > x_hi:
-                return y_hi + (v - x_hi) * slope_hi
-            return float(np.interp(v, self.xs, self.ys))
+        """The value at each entry of v, a float for a scalar v."""
+        xs, ys = self.xs, self.ys
         v = np.asarray(v, dtype=float)
-        out = np.interp(v, self.xs, self.ys)
-        out = np.where(v < x_lo, y_lo + (v - x_lo) * slope_lo, out)
-        out = np.where(v > x_hi, y_hi + (v - x_hi) * slope_hi, out)
+        out = np.interp(v, xs, ys)
+        out = np.where(v < xs[0], ys[0] + (v - xs[0])
+                       * ((ys[1] - ys[0]) / (xs[1] - xs[0])), out)
+        out = np.where(v > xs[-1], ys[-1] + (v - xs[-1])
+                       * ((ys[-1] - ys[-2]) / (xs[-1] - xs[-2])), out)
         return float(out) if out.ndim == 0 else out
 
     def invert(self) -> "MonotoneGridFn":
@@ -225,7 +216,7 @@ class Functional:
     evaluate gives the value of one segment.  The built-in kinds
     (weighted_sup, quadratic_integral, space_norm, with their param) also
     evaluate a stack of segments at once, and their evaluate is the batch
-    of one of the same kernel (see _stacked).  A functional given
+    of one of that stacked read (see _built_in).  A functional given
     only by its per-segment callable is read one segment at a time.
     """
 
@@ -254,18 +245,23 @@ def _quadratic_integrals(mu: float, s: np.ndarray,
     return sq[:, -1] + np.array([w @ row.copy() for row in weighted])
 
 
+def _built_in(name: str, kind: str, param) -> Functional:
+    """The built-in functional of kind with param, whose evaluate is the
+    batch of one of its stacked read (_stacked)."""
+    def evaluate(seg: Segment) -> float:
+        return float(_stacked(V)(seg.delay_r, seg.nodes, seg.values[None],
+                                 seg.derivs[None])[0])
+
+    V = Functional(name, evaluate, kind, param)
+    return V
+
+
 def weighted_sup(lam: float) -> Functional:
     """V(x) = sup over the window of e^(lam s) |x(s)|."""
     lam = _real(lam)
     if not math.isfinite(lam):
         raise ParameterError("weight exponent must be finite")
-
-    def evaluate(seg: Segment) -> float:
-        s, vals = seg._refined_values(DEFAULT_REFINE)
-        return float(_weighted_sups(lam, s, vals[None])[0])
-
-    return Functional(name=f"weighted_sup({lam:g})", evaluate=evaluate,
-                      kind="weighted_sup", param=lam)
+    return _built_in(f"weighted_sup({lam:g})", "weighted_sup", lam)
 
 
 def quadratic_integral(mu: float) -> Functional:
@@ -273,21 +269,11 @@ def quadratic_integral(mu: float) -> Functional:
     mu = _real(mu)
     if not math.isfinite(mu):
         raise ParameterError("weight exponent must be finite")
-
-    def evaluate(seg: Segment) -> float:
-        s, vals = seg._refined_values(DEFAULT_REFINE)
-        return float(_quadratic_integrals(mu, s, vals[None])[0])
-
-    return Functional(name=f"quadratic_integral({mu:g})", evaluate=evaluate,
-                      kind="quadratic_integral", param=mu)
+    return _built_in(f"quadratic_integral({mu:g})", "quadratic_integral", mu)
 
 
 def space_norm_functional(space: SpaceSpec) -> Functional:
-    def evaluate(seg: Segment) -> float:
-        return space_norm(seg, space)
-
-    return Functional(name=f"space_norm[{space.label}]", evaluate=evaluate,
-                      kind="space_norm", param=space)
+    return _built_in(f"space_norm[{space.label}]", "space_norm", space)
 
 
 def _stacked(V: Functional) -> Callable:
@@ -297,11 +283,11 @@ def _stacked(V: Functional) -> Callable:
     the caller's other kernels of the stack.
 
     The built-in kinds read the whole stack at once, each value bitwise
-    V.evaluate of its segment alone: a weighted sup or quadratic integral
-    by its kernel on the stack's refined values, which
-    Segment._refined_values reads alike, and a space norm by
-    segment._norms, of which space_norm is the batch of one.  Any other
-    functional is read one segment at a time, and reads no shared read.
+    that of its segment alone, which V.evaluate reads as a stack of one:
+    a weighted sup or quadratic integral by its kernel on the stack's
+    refined values, and a space norm by segment._norms, of which
+    space_norm is the batch of one.  Any other functional is read one
+    segment at a time, and reads no shared read.
     """
     if V.kind == "space_norm":
         return partial(_norms, space=V.param)
@@ -334,18 +320,16 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Rate:
-    """A built-in rate, Q(v) = c |v| (power 1) or c |v|^2 (power 2).
-
-    Called on one state it gives Q of it; rows gives Q of each row of
-    (m, n) states at once, each value bitwise the call on its row.
-    """
+    """A built-in rate, Q(v) = c |v| (power 1) or c |v|^2 (power 2):
+    rows gives Q of each row of (m, n) states at once, each value that of
+    its row alone, and a call on one state is its row of one."""
 
     c: float
     power: int
 
     def __call__(self, v) -> float:
-        norm = np.linalg.norm(np.atleast_1d(v))
-        return self.c * float(norm if self.power == 1 else norm ** 2)
+        return float(self.rows(np.atleast_1d(np.asarray(v, dtype=float))
+                               [None])[0])
 
     def rows(self, rows: np.ndarray) -> np.ndarray:
         norms = _row_norms(rows)
@@ -434,18 +418,19 @@ def dini_derivative(sys: DelaySystem, V: Functional,
     One short simulation covers the whole ladder, to its largest rung
     1e-2 r; the solver step, half the smallest rung, divides every rung
     time exactly.  An escape before the ladder's end raises EscapeError.
-    One checkers._ensemble member with _dini_read, then _dini_ladder.
+    One checkers._ensemble_blocks block of one with _dini_read, then
+    _dini_ladder.
     check_pointwise_dissipation integrates its ladders only as far as
     its estimate reads (see there), and its estimate is this one's in
     every bit.
     """
     r = sys.delay_r
     hs = _dini_steps(r)
-    (run,) = _ensemble(sys, [x], float(hs[0]), hs[-1] / 2.0,
-                       [_dini_read(V, hs, x.n_nodes)])
-    if run.escaped:
-        raise EscapeError(run.escape_time)
-    return _dini_ladder(r, V.evaluate(x), run.tracks[0])
+    (run,) = _ensemble_blocks(sys, [x], float(hs[0]), hs[-1] / 2.0,
+                              [_dini_read(V, hs, x.n_nodes)])
+    if run.escaped[0]:
+        raise EscapeError(run.escape_times[0])
+    return _dini_ladder(r, V.evaluate(x), run.tracks[0][0])
 
 
 def _dini_read(V: Functional, hs: np.ndarray, n_nodes: int) -> _Read:
@@ -616,33 +601,6 @@ def _failed(prop: str, space: SpaceSpec, ball: _Ball, i: int, x0: Segment,
                       {"samples": ball.budget}, {"failed": failed}, v)
 
 
-def _first_failure(checks: list):
-    """The first row of a stack that fails a check, and the first check it
-    fails: checks are (name, fails) in the order a row is judged, fails
-    (K,) booleans, or (K, T) for a check of each report time or rung,
-    which fails at its first failing column.  (row, name, column), the
-    column None for a (K,) check, or None when every row passes."""
-    rows = [fails if fails.ndim == 1 else fails.any(axis=1)
-            for _, fails in checks]
-    failing = np.logical_or.reduce(rows)
-    if not failing.any():
-        return None
-    i = int(failing.argmax())
-    for (name, fails), row in zip(checks, rows):
-        if row[i]:
-            return i, name, int(fails[i].argmax()) if fails.ndim == 2 \
-                else None
-
-
-def _stacked_runs(runs: list, starts):
-    """A block of runs as arrays: whether each escaped, its first track,
-    a row a run, and the next len(runs) tuples of starts, a row a field
-    of them."""
-    escaped = np.array([run.escaped for run in runs])
-    tracks = np.array([run.tracks[0] for run in runs])
-    return escaped, tracks, np.array(list(islice(starts, len(runs)))).T
-
-
 def _exp_factors(rate: float, times: np.ndarray) -> np.ndarray:
     """e^(rate t) at each time, +inf past the float range: libm's value
     (checkers._grown), which numpy's exp may not round alike, once a
@@ -667,18 +625,17 @@ def _mesh_weights(times: np.ndarray, h: float) -> np.ndarray:
 
 def _exponential_report(space: SpaceSpec, ball: _Ball, a1: MonotoneGridFn,
                         a2: MonotoneGridFn, starts, blocks) -> StabilityReport:
-    """The exponential-certificate judge of blocks of runs read as V and
-    the norm at the report times past 0, each run with its (V(x0), ||x0||)
-    of starts."""
+    """The exponential-certificate judge of blocks read as V and the
+    norm at the report times past 0, each run with its (V(x0), ||x0||) of
+    starts."""
     fail = partial(_failed, "exponential_certificate", space, ball)
     times = ball.grid[1:]
     decay = _exp_factors(-1.0, times)
     a1_inv = a1.invert()
     worst_low = worst_up = worst_decay = worst_env = 0.0
-    done = 0
     for runs in blocks:
-        escaped, vts, (v0, nx) = _stacked_runs(runs, starts)
-        nts = np.array([run.tracks[1] for run in runs])
+        vts, nts = runs.tracks
+        v0, nx = np.array(list(islice(starts, len(runs.x0s)))).T
         tol = 1e-12 * (1.0 + v0)
         lo, up = a1(nx), a2(nx)
         limit = decay * v0[:, None]
@@ -688,29 +645,28 @@ def _exponential_report(space: SpaceSpec, ball: _Ball, a1: MonotoneGridFn,
         found = _first_failure([
             ("lower_sandwich", lo > v0 * (1.0 + 1e-6) + tol),
             ("upper_sandwich", v0 > up * (1.0 + 1e-6) + tol),
-            ("escape", escaped), ("decay", over | above)])
+            ("escape", runs.escaped), ("decay", over | above)])
         if found:
             i, name, k = found
-            x0, v = runs[i].x0, float(v0[i])
+            at, x0, v = runs.first + i, runs.x0s[i], float(v0[i])
             if name == "lower_sandwich":
-                return fail(done + i, x0, 0.0, name, v,
+                return fail(at, x0, 0.0, name, v,
                             {"lower_bound": float(lo[i]), "value": v})
             if name == "upper_sandwich":
-                return fail(done + i, x0, 0.0, name, v,
+                return fail(at, x0, 0.0, name, v,
                             {"upper_bound": float(up[i]), "value": v})
             if name == "escape":
-                return fail(done + i, x0, runs[i].escape_time)
+                return fail(at, x0, runs.escape_times[i])
             vt, nt = float(vts[i, k]), float(nts[i, k])
             if over[i, k]:
-                return fail(done + i, x0, float(times[k]), "decay", vt,
+                return fail(at, x0, float(times[k]), "decay", vt,
                             {"value": vt, "limit": float(limit[i, k])})
-            return fail(done + i, x0, float(times[k]), "implied_envelope", nt,
+            return fail(at, x0, float(times[k]), "implied_envelope", nt,
                         {"norm": nt, "envelope": float(env[i, k])})
         worst_low = _worst(worst_low, lo, v0)
         worst_up = _worst(worst_up, v0, up)
         worst_decay = _worst(worst_decay, vts, limit)
         worst_env = _worst(worst_env, nts, env)
-        done += len(runs)
     return StabilityReport(
         "exponential_certificate", space, "consistent", None,
         {"worst_lower_ratio": worst_low, "worst_upper_ratio": worst_up,
@@ -745,19 +701,18 @@ def check_exponential_certificate(sys: DelaySystem, V: Functional,
 def _dini_report(space: SpaceSpec, ball: _Ball, a1: MonotoneGridFn,
                  a2: MonotoneGridFn, Q: Callable, keep: int, starts,
                  blocks) -> tuple:
-    """The sandwich and Dini judge of blocks of ladder runs read at the
-    rungs ball.grid, each run with its (V(x0), ||x0||) of starts: the
-    first failure's report (or None), the worst Dini excess, and (x0,
-    V(x0)) of the first keep samples."""
+    """The sandwich and Dini judge of blocks of ladders read at the rungs
+    ball.grid, each run with its (V(x0), ||x0||) of starts: the first
+    failure's report (or None), the worst Dini excess, and (x0, V(x0)) of
+    the first keep samples."""
     fail = partial(_failed, "pointwise_dissipation", space, ball)
     rungs = ball.grid[::-1]
     rates = _row_rates(Q)
     worst = -math.inf
     kept = []
-    done = 0
     for runs in blocks:
-        escaped, vs, (v0, nx) = _stacked_runs(runs, starts)
-        x0s = [run.x0 for run in runs]
+        (vs,), x0s = runs.tracks, runs.x0s
+        v0, nx = np.array(list(islice(starts, len(runs.x0s)))).T
         kept += list(zip(x0s, v0.tolist()))[:keep - len(kept)]
         heads = np.array([x0.values[-1] for x0 in x0s])
         lo, up = a1(_row_norms(heads)), a2(nx)
@@ -769,53 +724,51 @@ def _dini_report(space: SpaceSpec, ball: _Ball, a1: MonotoneGridFn,
         found = _first_failure([
             ("sandwich", (lo > v0 * (1.0 + 1e-6) + tol)
              | (v0 > up * (1.0 + 1e-6) + tol)),
-            ("escape", escaped), ("dissipation", gap > dissipation_tol)])
+            ("escape", runs.escaped),
+            ("dissipation", gap > dissipation_tol)])
         if found:
             i, name, _ = found
-            x0, v = x0s[i], float(v0[i])
+            at, x0, v = runs.first + i, x0s[i], float(v0[i])
             if name == "sandwich":
-                return fail(done + i, x0, 0.0, name, v,
+                return fail(at, x0, 0.0, name, v,
                             {"value": v, "lower": float(lo[i]),
                              "upper": float(up[i])}), worst, kept
             if name == "escape":
-                return fail(done + i, x0, runs[i].escape_time), worst, kept
+                return fail(at, x0, runs.escape_times[i]), worst, kept
             e = float(est[i])
-            return fail(done + i, x0, 0.0, name, e,
+            return fail(at, x0, 0.0, name, e,
                         {"dini_estimate": e, "required": -float(rate[i]),
                          "tolerance": float(dissipation_tol[i])}), worst, kept
         worst = _worst(worst, gap - dissipation_tol)
-        done += len(runs)
     return None, worst, kept
 
 
 def _dissipation_report(space: SpaceSpec, ball: _Ball, trajectories: int,
                         worst_dini: float, weights: list, starts,
                         blocks) -> StabilityReport:
-    """The integral judge of blocks of runs read as V at the checkpoints
-    ball.grid and Q on every mesh row, each run with its V(x0) of starts;
-    weights are each checkpoint's quadrature weights from t = 0."""
+    """The integral judge of blocks read as V at the checkpoints ball.grid
+    and Q on every mesh row, each run with its V(x0) of starts; weights
+    are each checkpoint's quadrature weights from t = 0."""
     fail = partial(_failed, "pointwise_dissipation", space, ball)
     worst = -math.inf
-    done = 0
     for runs in blocks:
-        escaped, vts, (v0,) = _stacked_runs(runs, starts)
+        vts, rates = runs.tracks
+        (v0,) = np.array(list(islice(starts, len(runs.x0s)))).T
         slack = 1e-4 * (1.0 + v0)
-        integrals = _integrals(weights, [run.tracks[1] for run in runs],
-                               escaped)
+        integrals = _integrals(weights, rates, runs.escaped)
         excess = vts + integrals - v0[:, None]
         bad = excess > slack[:, None]
-        found = _first_failure([("escape", escaped), ("integral", bad)])
+        found = _first_failure([("escape", runs.escaped), ("integral", bad)])
         if found:
             i, name, c = found
-            x0 = runs[i].x0
+            at, x0 = runs.first + i, runs.x0s[i]
             if name == "escape":
-                return fail(done + i, x0, runs[i].escape_time)
+                return fail(at, x0, runs.escape_times[i])
             vt = float(vts[i, c])
-            return fail(done + i, x0, float(ball.grid[c]), name, vt,
+            return fail(at, x0, float(ball.grid[c]), name, vt,
                         {"value": vt, "integral": float(integrals[i, c]),
                          "start": float(v0[i])})
         worst = _worst(worst, excess - slack[:, None])
-        done += len(runs)
     return StabilityReport(
         "pointwise_dissipation", space, "consistent", None,
         {"worst_dini_excess": worst_dini, "worst_integral_excess": worst},
@@ -940,7 +893,7 @@ def _prolongation_report(space: SpaceSpec, ball: _Ball, a: MonotoneGridFn,
 def _growth_report(space: SpaceSpec, ball: _Ball, mu: float,
                    worst_quotient: float, kept: list,
                    blocks) -> StabilityReport:
-    """The trajectory judge of the blocks of runs of the kept samples, (x0,
+    """The trajectory judge of the blocks of the kept samples, (x0,
     U(x0)), read as U at the report times past 0: U(x_t) <= e^(mu t)
     U(x0)."""
     fail = partial(_failed, "growth_certificate", space, ball)
@@ -948,25 +901,24 @@ def _growth_report(space: SpaceSpec, ball: _Ball, mu: float,
     growth = _exp_factors(mu, times)
     worst = 0.0
     starts = ((u0,) for _, u0 in kept)
-    done = 0
     for runs in blocks:
-        escaped, uts, (u0,) = _stacked_runs(runs, starts)
+        (uts,) = runs.tracks
+        (u0,) = np.array(list(islice(starts, len(runs.x0s)))).T
         # 0 where U(x0) is 0, which the product would make NaN at +inf
         limit = np.zeros(uts.shape)
         np.multiply(u0[:, None], growth, out=limit, where=u0[:, None] != 0.0)
         bad = uts > limit * (1.0 + 1e-3) + (1e-12 * (1.0 + u0))[:, None]
-        found = _first_failure([("escape", escaped),
+        found = _first_failure([("escape", runs.escaped),
                                 ("trajectory_growth", bad)])
         if found:
             i, name, k = found
-            x0 = runs[i].x0
+            at, x0 = runs.first + i, runs.x0s[i]
             if name == "escape":
-                return fail(done + i, x0, runs[i].escape_time)
+                return fail(at, x0, runs.escape_times[i])
             ut = float(uts[i, k])
-            return fail(done + i, x0, float(times[k]), name, ut,
+            return fail(at, x0, float(times[k]), name, ut,
                         {"value": ut, "limit": float(limit[i, k])})
         worst = _worst(worst, uts, limit)
-        done += len(runs)
     return StabilityReport(
         "growth_certificate", space, "consistent", None,
         {"worst_quotient_excess": worst_quotient,

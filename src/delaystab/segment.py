@@ -784,8 +784,7 @@ def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
 
 def sup_norm(seg: Segment, refine: int = DEFAULT_REFINE) -> float:
     """Max Euclidean norm of x over the refined grid (nodes included)."""
-    _, vals = seg._refined_values(refine)
-    return float(_sup_norms(vals[None])[0])
+    return space_norm(seg, SpaceSpec.sup(), refine)
 
 
 def lp_deriv_norm(seg: Segment, p: float, refine: int = DEFAULT_REFINE) -> float:

@@ -300,6 +300,36 @@ def test_ls_growth_is_falsified_with_tiny_frontier():
     assert rep.margins["delta(0.1)"] < rep.details["frontier"]
 
 
+@pytest.mark.parametrize("sys,probes", [
+    (linear(0.5, -1.0, 0.0), [1e-6, 1, 2, 3, 1e-6, 1, 2, 3]),
+    (linear(0.5, 10.0, 0.0), [1e-6, 1e-6])])
+def test_ls_probes_the_lower_radius_then_once_a_bisection_step(
+        monkeypatch, sys, probes):
+    """Each eps probes the ball of radius 1e-6 eps, then, unless that one
+    leaks, once a bisection step; the ball of radius 10 eps, which always
+    leaks (sample 0 lies on its sphere, so its norm at t = 0 is 10 eps),
+    is not probed."""
+    radii = []
+    ensemble_blocks = checkers._ensemble_blocks
+
+    def counting(sys, x0s, *args, **kwargs):
+        x0s = list(x0s)
+        radii.append(space_norm(x0s[0], SUP))
+        return ensemble_blocks(sys, x0s, *args, **kwargs)
+
+    monkeypatch.setattr(checkers, "_ensemble_blocks", counting)
+    eps_list = [0.5, 0.1]
+    check_ls(sys, SUP, eps_list, 3, horizon=2.0, bisection_steps=3, h=0.02,
+             grid_points=20)
+    assert len(radii) == len(probes)
+    # the lower probe is the first of its eps, and no probe is 10 eps
+    firsts = [k for k, p in enumerate(probes) if p == 1e-6]
+    for k, eps in zip(firsts, eps_list):
+        assert radii[k] == pytest.approx(1e-6 * eps, rel=1e-12)
+    assert not any(r == pytest.approx(10.0 * eps, rel=1e-9)
+                   for r in radii for eps in eps_list)
+
+
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
 def test_ls_refuses_a_tolerance_outside_the_positive_reals(eps):
     # a NaN once passed the test and died as non-finite segment data
@@ -389,14 +419,24 @@ def test_uga_and_ga_refuse_a_tolerance_outside_the_positive_reals(check,
 # checks as they read every report time exactly.
 
 
+def _runs(blocks):
+    """Each history of an ensemble's blocks, in their order, as (x0,
+    escaped, escape time, its row of each read)."""
+    for block in blocks:
+        for m, x0 in enumerate(block.x0s):
+            yield (x0, bool(block.escaped[m]), block.escape_times[m],
+                   [track[m] for track in block.tracks])
+
+
 def _exact_uga(sys, space, eps, rho, budget, *, horizon, h, seed,
                grid_points=200):
     r = sys.delay_r
     grid = default_time_grid(horizon, r, grid_points)
     cfg = checkers._ball_cfg(sys, space, rho, "fourier", 3, seed, 65)
     peak = np.zeros(grid.size)
-    runs = checkers._ensemble(sys, checkers._samples(cfg, budget), horizon,
-                              h, [checkers._norm_read(space, grid, 65)])
+    runs = _runs(checkers._ensemble_blocks(
+        sys, checkers._samples(cfg, budget), horizon, h,
+        [checkers._norm_read(space, grid, 65)]))
     for i, (x0, escaped, escape_time, (track,)) in enumerate(runs):
         if escaped:
             wit = checkers._witness(cfg, i, x0, escape_time, math.inf)
@@ -425,8 +465,9 @@ def _exact_ga(sys, space, rho, eps, budget, *, horizon, h, seed):
     q = 3 * grid.size // 4
     worst_end = 0.0
     undecided = False
-    runs = checkers._ensemble(sys, checkers._samples(cfg, budget), horizon,
-                              h, [checkers._norm_read(space, grid, 65)])
+    runs = _runs(checkers._ensemble_blocks(
+        sys, checkers._samples(cfg, budget), horizon, h,
+        [checkers._norm_read(space, grid, 65)]))
     for i, (x0, _, _, (track,)) in enumerate(runs):
         tail = track[q:]
         worst_end = max(worst_end, float(track[-1]))
@@ -959,8 +1000,8 @@ def test_blocks_keep_their_reads_within_block_bytes(monkeypatch):
 
     def spying(*args, **kwargs):
         for runs in ensemble_blocks(*args, **kwargs):
-            kept.extend(sum(track.nbytes for track in run.tracks)
-                        for run in runs)
+            kept.extend(sum(track.nbytes for track in tracks)
+                        for _, _, _, tracks in _runs([runs]))
             yield runs
 
     monkeypatch.setattr(checkers, "simulate_many", recording)
@@ -1113,10 +1154,10 @@ def test_composite_is_its_checkers_run_one_after_another(case):
 
 
 def _entered_ensembles(monkeypatch):
-    """The number of members of each _ensemble call made outside check_ls,
-    filled in as the calls run."""
+    """The number of members of each _ensemble_blocks call made outside
+    check_ls, filled in as the calls run."""
     outside, inside_ls = [], []
-    ensemble, ls = checkers._ensemble, checkers.check_ls
+    ensemble, ls = checkers._ensemble_blocks, checkers.check_ls
 
     def counting(sys, x0s, *args, **kwargs):
         x0s = list(x0s)
@@ -1131,13 +1172,13 @@ def _entered_ensembles(monkeypatch):
         finally:
             inside_ls.pop()
 
-    monkeypatch.setattr(checkers, "_ensemble", counting)
+    monkeypatch.setattr(checkers, "_ensemble_blocks", counting)
     monkeypatch.setattr(checkers, "check_ls", marked)
     return outside
 
 
 def test_composite_integrates_each_distinct_history_once(monkeypatch):
-    """Past the ls probes the composite enters _ensemble once, with one
+    """Past the ls probes the composite enters _ensemble_blocks once, with one
     member per distinct (sampler config, index): 4 histories at rho 0.5,
     4 at rho 1.0 that rfc shares, and one in each of 4 shells; with one
     sample and one shell, the shell's history is that of the rho 1.0
@@ -1264,10 +1305,11 @@ def _ensemble_runs(monkeypatch, sys, rho, T, h, every):
         return simulate_many(sys, x0s, T, h, **kwargs)
 
     monkeypatch.setattr(checkers, "simulate_many", recording)
-    runs = [(run.escaped, run.escape_time, _bits(run.tracks))
-            for run in checkers._ensemble(
-                sys, checkers._samples(_cfg(sys, rho), 11), T, h,
-                _reads(sys, T), every)]
+    runs = [(escaped, escape_time, _bits(tracks))
+            for _, escaped, escape_time, tracks in _runs(
+                checkers._ensemble_blocks(
+                    sys, checkers._samples(_cfg(sys, rho), 11), T, h,
+                    _reads(sys, T), every))]
     monkeypatch.setattr(checkers, "simulate_many", simulate_many)
     return runs, blocks
 
@@ -1548,16 +1590,20 @@ def _both_reads(sys, block, T, h, reads, held):
 
 
 def _oracle_ensemble(sys, x0s, T, h, reads, every=False):
-    """checkers._ensemble with the per-member readers."""
+    """checkers._ensemble_blocks of time reads with the per-member
+    readers."""
     x0s = iter(x0s)
     held = sum(read.held(dde._row_counts(sys, T, h)[0]) for read in reads)
     wide = dde._block_members(sys, T, h, held)
     size = wide if every else dde._block_members(sys, T, h, held, whole=True)
+    first = 0
     while block := list(islice(x0s, size)):
         members = _both_reads(sys, block, T, h, reads, held)[1]
-        for x0, got in zip(block, members):
-            yield checkers._Run(x0, got.escape_time is not None,
-                                got.escape_time, got.tracks)
+        yield checkers._Runs(
+            block, [got.escape_time for got in members], first,
+            [np.array([got.tracks[q] for got in members])
+             for q in range(len(reads))])
+        first += len(block)
         size = wide
 
 
@@ -1626,9 +1672,10 @@ def test_block_reads_are_the_per_member_reads_bitwise(data):
             if budget == 1 and T > 1.2 \
                     and any(m.escape_time is None for m in members):
                 assert len(firsts) > 1  # the window moved
+            tracks = reader.tracks()
             for pos, want in enumerate(members):
                 assert reader.escape_times[pos] == want.escape_time
-                got = reader.tracks(pos)
+                got = [track[pos] for track in tracks]
                 for x, y in zip(got[:-1], want.tracks[:-1], strict=True):
                     assert x.shape == y.shape and x.tobytes() == y.tobytes()
                 exact, at_level = got[2], got[-1]
@@ -1639,7 +1686,7 @@ def test_block_reads_are_the_per_member_reads_bitwise(data):
             for at, lo, hi in spans:
                 # the suffix max of each piece's peak over its members
                 exact, at_level = (np.maximum.accumulate(np.max(
-                    [reader.tracks(b)[q][lo:hi] for b in at], axis=0)[::-1])
+                    [tracks[q][b][lo:hi] for b in at], axis=0)[::-1])
                     for q in (2, -1))
                 assert np.array_equal(at_level <= level, exact <= level)
 
@@ -1659,7 +1706,7 @@ def test_uga_reports_are_those_of_per_member_reads(monkeypatch, budget):
         kwargs = dict(horizon=2.0, h=0.025, grid_points=25)
         got = check_uga(*args, **kwargs).to_json_dict()
         with monkeypatch.context() as patched:
-            patched.setattr(checkers, "_ensemble", _oracle_ensemble)
+            patched.setattr(checkers, "_ensemble_blocks", _oracle_ensemble)
             want = check_uga(*args, **kwargs).to_json_dict()
         assert json.dumps(got) == json.dumps(want)
 
@@ -1731,7 +1778,7 @@ def test_grouped_exact_reads_are_each_members_own_track_bitwise(data):
         traj = simulate(sys, x0, T, 0.025)
         assert traj.escaped == (reader.escape_times[b] is not None)
         want = checkers._track(traj, times, 65, evaluate)
-        got = reader.tracks(b)[0]
+        got = reader.tracks()[0][b]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -1819,6 +1866,10 @@ JUDGED_CASES = {
         linear(1.0, -200.0, 0.0), SOB2, 1.5, 4, 8,
         lipschitz_modulus=lambda R: 1.0, horizon=2.0, h=0.005,
         grid_points=30),
+    # even the smallest probe radius, 1e-6 eps, leaks, so delta is 0
+    "ls_smallest_probe_leaks": lambda: check_ls(
+        linear(0.5, 10.0, 0.0), SUP, [0.5, 0.1], 3, horizon=2.0,
+        bisection_steps=3, h=0.02, grid_points=20),
 }
 # (verdict, sha256 of the sorted report JSON), recorded when each of
 # these checks judged its runs inline, a sample and a report time at a
@@ -1843,6 +1894,9 @@ JUDGED_REPORTS = {
     "lift_falsified": (
         "falsified",
         "351b8a22bd8a9fa43e2faae9a36452d3a9ece17f8b328ee9c13f363abeb17393"),
+    "ls_smallest_probe_leaks": (
+        "falsified",
+        "21ccbb3d1bf4ca1f3492a4058b5b80935059028df0cd6ff747a75d47fc3c2b46"),
     "pairs_bound_falsified": (
         "falsified",
         "192d35d565b17544366f56fa2e8e22a909f7af092923ef20558d3e0967c40e86"),
@@ -1878,9 +1932,10 @@ JUDGED_REPORTS = {
 
 @pytest.mark.parametrize("case", sorted(JUDGED_CASES))
 def test_judged_reports_keep_their_bytes(case):
-    """Every verdict of lags, uga, the pair bounds and the envelope lift
-    keeps its report bytes: witnesses, escape times, settle times,
-    residuals and worst-ratio margins."""
+    """Every verdict of lags, uga, the pair bounds and the envelope lift,
+    and ls when its smallest probe leaks, keeps its report bytes:
+    witnesses, escape times, settle times, residuals and worst-ratio
+    margins."""
     rep = JUDGED_CASES[case]()
     text = json.dumps(rep.to_json_dict(), sort_keys=True)
     assert (rep.verdict, hashlib.sha256(text.encode()).hexdigest()) \

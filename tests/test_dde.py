@@ -1249,6 +1249,32 @@ def test_block_histories_share_one_grid():
     assert simulate_many(sys, [], 1.0) == []
 
 
+def test_block_grid_check_compares_distinct_node_arrays_only(monkeypatch):
+    """The samples of one stack share one nodes array, which passes the
+    grid check without a comparison; equal nodes in another array are
+    compared once and pass."""
+    sys = make_system("linear_scalar", 1.0, {"a": -1.0, "b": 0.3})
+    cfg = SamplerConfig(family="fourier", order=3,
+                        target_space=SpaceSpec.sup(), target_norm=1.0,
+                        dimension=1, delay_r=1.0, seed=0, n_nodes=33)
+    (stack,) = dde._sample_stacks(cfg, range(4))
+    assert all(x0.nodes is stack[0].nodes for x0 in stack)
+    calls = []
+    equal = np.array_equal
+
+    def counting(a, b):
+        calls.append(1)
+        return equal(a, b)
+
+    monkeypatch.setattr(np, "array_equal", counting)
+    simulate_many(sys, stack, 1.0)
+    assert calls == []
+    twin = Segment.from_samples(1.0, stack[1].values, stack[1].derivs)
+    assert twin.nodes is not stack[0].nodes
+    simulate_many(sys, [stack[0], twin], 1.0)
+    assert calls == [1]
+
+
 def test_semigroup_restart_smooth_history():
     # history on the characteristic curve e^{lam s}: no derivative jump at
     # t=0, so the restart only pays smooth resampling error

@@ -58,7 +58,7 @@ def test_grid_fn_linear_and_extrapolation():
 
 
 def test_grid_fn_scalar_reads_are_the_array_reads_bitwise():
-    """A scalar argument takes the Python-float path; its value is that of
+    """A scalar argument is read as an array of one; its value is that of
     the array path in every bit, inside, at the nodes and on both
     extrapolation sides."""
     rng = np.random.default_rng(3)
@@ -864,7 +864,7 @@ def test_dissipation_estimate_is_dini_derivative_bitwise(name):
     A rate that no estimate meets puts the estimate of the check's one
     sample in its report.  dini_derivative's ladders come from one
     integration of its whole ladder a delay, with every functional's rung
-    read (its own _ensemble call, one read for each functional), which
+    read (its own _ensemble_blocks call, one read for each functional), which
     is checked against dini_derivative itself at the first delay."""
     rng = np.random.default_rng(sorted(LADDER_SYSTEMS).index(name))
     pool = rng.uniform(0.01, 10.0, 5000).tolist()
@@ -877,11 +877,11 @@ def test_dissipation_estimate_is_dini_derivative_bitwise(name):
             family="fourier", order=3, target_space=SUP, target_norm=1.0,
             dimension=sys.dimension, delay_r=r, seed=k, n_nodes=65), 0)
         hs = lyapunov._dini_steps(r)
-        (run,) = checkers._ensemble(
+        (run,) = checkers._ensemble_blocks(
             sys, [x], float(hs[0]), hs[-1] / 2.0,
             [lyapunov._dini_read(V, hs, 65) for V in Vs])
-        assert not run.escaped
-        for V, vs in zip(Vs, run.tracks):
+        assert not run.escaped[0]
+        for V, vs in zip(Vs, (track[0] for track in run.tracks)):
             want = lyapunov._dini_ladder(r, V.evaluate(x), vs)
             if k == 0:
                 assert repr(dini_derivative(sys, V, x)) == repr(want)
@@ -1058,6 +1058,14 @@ CERTIFICATE_CASES = {
         linear(1.0, -1.0, 0.0), weighted_sup(1.0),
         MonotoneGridFn.linear(E_INV), MonotoneGridFn.linear(1.0),
         scaled_square_rate(1.8), SUP, 40, integral_trajectories=12, seed=0),
+    # constant histories: V = e^r |c| holds still while the window shifts,
+    # so every Dini estimate is 0; sample 2 is the first to escape in the
+    # integral pass
+    "dissipation_escape": lambda: check_pointwise_dissipation(
+        QUAD_ONE, weighted_sup(-1.0), MonotoneGridFn.linear(1.0),
+        MonotoneGridFn.linear(10.0), scaled_abs_rate(1e-6), SUP, 3,
+        integral_trajectories=3, family="polynomial", order=0, seed=2,
+        rho=3.0),
     # sample 17's norm outlives the implied envelope; samples 0-16 decay
     "exponential_implied_envelope_late": lambda: check_exponential_certificate(
         linear(1.0, -1.0, 0.0), weighted_sup(1.0),
@@ -1145,6 +1153,9 @@ CERTIFICATE_REPORTS = {
     "exponential_implied_envelope_late": (
         "falsified", "implied_envelope",
         "9b8887e4f2c68e63fee654baff645107ec9c66ac92ab972dd37aa309912512b1"),
+    "dissipation_escape": (
+        "falsified", "escape",
+        "dbd8e5760ab4a1ff627fbd4f737ff591af19e62a4b8e129a1b673670cd08e799"),
 }
 
 

@@ -37,14 +37,15 @@ def _callers(name: str) -> set:
 
 
 def test_every_integration_goes_through_one_path():
-    """Ensembles integrate only in checkers._ensemble_blocks, of which
-    _ensemble gives the runs one at a time, Dini ladders included; the
-    serial simulate is left to the single run of the CLI.  The one
-    solution record, whole or in pieces, is built only where the
-    integrator hands its rows on."""
+    """Ensembles integrate only in checkers._ensemble_blocks, the ls
+    probes and Dini ladders included; the serial simulate is left to the
+    single run of the CLI.  The one solution record, whole or in pieces,
+    is built only where the integrator hands its rows on."""
     assert _callers("simulate_many") == {("checkers", "_ensemble_blocks"),
                                          ("dde", "simulate")}
-    assert _callers("_ensemble_blocks") >= {("checkers", "_ensemble")}
+    assert _callers("_ensemble_blocks") >= {
+        ("checkers", "check_ls"), ("lyapunov", "dini_derivative"),
+        ("lyapunov", "check_pointwise_dissipation")}
     assert _callers("simulate") == {("cli", "cmd_simulate")}
     assert _callers("Trajectory") == {("dde", "simulate_many")}
 
@@ -111,7 +112,7 @@ def test_norm_tracks_read_stacked_segments():
         ("checkers", "_pair_report"),  # the initial distance only
         ("cli", "cmd_simulate"),
         ("lyapunov", "functional_lipschitz_probe"),
-        ("lyapunov", "space_norm_functional")}
+        ("segment", "sup_norm")}
     # samples are drawn in stacks, inside the package in the bounded
     # stacks of dde._sample_stacks; sample_one is the stack of one, left
     # to the one history of the simulate command
@@ -275,21 +276,40 @@ def test_growth_prolongations_share_their_stack_read(monkeypatch):
 
 JUDGES = ("_prolongation_report", "_growth_report", "_dini_report",
           "_dissipation_report", "_exponential_report")
+# the checkers' judges that loop over an ensemble pass, and the ls probe
+CHECKER_JUDGES = ("_rfc_report", "_peak", "_ga_report", "_pair_report",
+                  "probe")
 
 
 def test_certificate_judges_take_a_stack_at_a_time():
     """Each certificate judge loops once, over its sample stacks or its
     ensemble blocks, and judges the samples of one as arrays: it has no
-    loop over single runs or samples."""
-    tree = ast.parse(inspect.getsource(delaystab.lyapunov))
-    judges = {node.name: node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name in JUDGES}
-    assert sorted(judges) == sorted(JUDGES)
+    loop over single runs or samples.  So do the checkers' judges of rfc,
+    lags and uga (_peak), ga and the pair bounds, and the ls probe."""
+    judges = {}
+    for module, names in ((delaystab.lyapunov, JUDGES),
+                          (delaystab.checkers, CHECKER_JUDGES)):
+        tree = ast.parse(inspect.getsource(module))
+        judges.update({node.name: node for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name in names})
+    assert sorted(judges) == sorted(JUDGES + CHECKER_JUDGES)
     for name, judge in judges.items():
         loops = [node for node in ast.walk(judge)
                  if isinstance(node, (ast.For, ast.While))]
         assert len(loops) == 1, name
         (loop,) = loops
         assert isinstance(loop.iter, ast.Name), name
-        assert loop.iter.id == judge.args.args[-1].arg \
-            in ("stacks", "blocks"), name
+        assert loop.iter.id in ("stacks", "blocks"), name
+        if name != "probe":  # the probe's blocks are its own pass
+            assert loop.iter.id == judge.args.args[-1].arg, name
+
+
+def test_ensembles_yield_blocks_only():
+    """An ensemble yields blocks and every judge reads their arrays: the
+    run-at-a-time view, the re-stacking of its runs and the scalar path
+    of grid functions are gone."""
+    assert not hasattr(delaystab.checkers, "_Run")
+    assert not hasattr(delaystab.checkers, "_ensemble")
+    assert not hasattr(delaystab.lyapunov, "_stacked_runs")
+    assert not hasattr(delaystab.MonotoneGridFn.linear(1.0), "_ends")

@@ -252,7 +252,7 @@ def test_reads_store_nothing_on_the_segment():
         V.evaluate(seg)
     sys = dde.make_system("linear_scalar", 1.0, {"a": -1.0, "b": 0.5})
     grid = np.linspace(0.0, 2.0, 5)
-    (run,) = checkers._ensemble(
+    (run,) = checkers._ensemble_blocks(
         sys, [seg], 2.0, 0.01,
         [checkers._norm_read(space, grid, seg.n_nodes) for space in SPACES])
     assert all(np.all(np.isfinite(track)) for track in run.tracks)
