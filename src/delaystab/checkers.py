@@ -40,13 +40,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dde import DelaySystem, Trajectory, _Block, _block_members, \
-    _block_nodes, _block_of, _row_counts, _sample_stacks, _segment_chunk, \
-    _stack_chunk, simulate_many
+    _block_nodes, _block_of, _mesh, _row_counts, _sample_stacks, \
+    _segment_chunk, _stack_chunk, simulate_many
 from .dde import simulate  # noqa: F401  (unused; bench tests look it up here)
 from .sampler import SamplerConfig
-from .segment import DEFAULT_REFINE, ParameterError, Segment, SpaceSpec, \
-    _norms, _refined_count, _squares, _uniform_grid, \
-    _uniform_reads, _write_table, space_norm
+from .segment import DEFAULT_REFINE, HOELDER_GRID_CAP, ParameterError, \
+    Segment, SpaceSpec, _cell_bounds, _hoelder_bound, _norms, \
+    _refined_count, _squares, _uniform_grid, _uniform_reads, _write_table, \
+    space_norm
 
 __all__ = [
     "KLEnvelope",
@@ -178,17 +179,19 @@ def _segment_stacks(piece: _Block, at: slice, times, seg_nodes: int):
 def _track(traj: Trajectory, times, seg_nodes: int | None,
            evaluate: Callable[..., np.ndarray] | None,
            lam: float | None = None,
-           level: float | None = None) -> np.ndarray:
+           level: float | None = None,
+           a: float | None = None) -> np.ndarray:
     """A functional of the history segment x_t of a whole trajectory at
     each time: the track of the block of one that holds it."""
     return _block_track(_block_of(traj), times, seg_nodes, evaluate, lam,
-                        level)[0]
+                        level, a)[0]
 
 
 def _block_track(piece: _Block, times, seg_nodes: int | None,
                  evaluate: Callable[..., np.ndarray] | None,
                  lam: float | None = None,
-                 level: float | None = None) -> np.ndarray:
+                 level: float | None = None,
+                 a: float | None = None) -> np.ndarray:
     """A functional of the history segment x_t of each member of a piece
     at each time, one row a member.
 
@@ -212,6 +215,18 @@ def _block_track(piece: _Block, times, seg_nodes: int | None,
     which is above the level, so the suffix max of the peak compares with
     the level at every time as that of exact reads does.
 
+    When evaluate is the Hoelder(a) norm at the level, a time is first
+    screened by bound, before any resample: the cell bounds of the
+    piece's own history and forward cells (segment._cell_bounds), their
+    maxima over the window of each time (one maximum.reduceat, as in
+    _window_maxima), and from them a bound of x_t's node data and so of
+    its norm (segment._hoelder_bound, which derives the rounding
+    allowance).  A time whose bound is finite and at most the level is
+    cleared: it reads as the level, bitwise what its sweep would give,
+    and each member reads back, under the rule above, only the times
+    that are not cleared.  A cleared time at or before the final floor
+    is +inf like every time there.
+
     With lam the value is the window max of e^(lam s)|x_t(s)| (see
     _window_maxima).
 
@@ -227,23 +242,79 @@ def _block_track(piece: _Block, times, seg_nodes: int | None,
     members = len(piece.members)
     r = piece.system.delay_r
     out = np.full((members, len(times)), np.inf)
-    floor = 0 if level is None or covered == len(times) else covered
-    groups = [slice(None)] if level is None \
-        else [slice(pos, pos + 1) for pos in range(members)]
-    for at in groups:
-        for rows, cols, s, vals, ders in _segment_stacks(piece, at, t[floor:],
-                                                         seg_nodes):
+    if level is None:
+        for rows, cols, s, vals, ders in _segment_stacks(piece, slice(None),
+                                                         t, seg_nodes):
             got = evaluate(r, s, vals, ders)
             if out.shape[2:] != got.shape[1:]:  # values of evaluate's shape
                 out = np.full(out.shape[:2] + got.shape[1:], np.inf)
-            out[rows, floor + cols.start:floor + cols.stop] = got.reshape(
+            out[rows, cols] = got.reshape(
                 (-1, cols.stop - cols.start) + got.shape[1:])
-            if level is not None:
-                above = np.flatnonzero(~(got <= level))
-                if above.size:
-                    floor += cols.start + int(above[-1]) + 1
-                    break
+        return out
+    if covered < len(times):
+        return out
+    clear = np.zeros(out.shape, dtype=bool)
+    if a is not None and t.size:
+        lo, hi, w, cells = _piece_cells(piece, t)
+        # the cells' bounds, one row a member, then a pad column that
+        # makes hi a valid bound of the reduceat; no window reaches it
+        pad = np.zeros((members, 1))
+        bounds = np.column_stack([lo, hi]).ravel()
+        wv, wd = (np.maximum.reduceat(np.concatenate([*part, pad], axis=1),
+                                      bounds, axis=1)[:, ::2]
+                  for part in zip(*(_cell_bounds(*cell) for cell in cells)))
+        g = r / (seg_nodes - 1)
+        count = min(_refined_count(seg_nodes, DEFAULT_REFINE),
+                    HOELDER_GRID_CAP)
+        with np.errstate(all="ignore"):
+            # x_t's node data from its window (see segment._hoelder_bound)
+            e = 128.0 * np.finfo(float).eps * (wv + (w + np.abs(t) + r) * wd)
+            clear = _hoelder_bound(wv + g / 3.0 * wd + e * (1.0 + g / w),
+                                   5.0 * wd + e * (2.0 / w + 8.0 / g), a, r,
+                                   count) <= level
+    floor = 0
+    for pos in range(members):
+        left = floor + np.flatnonzero(~clear[pos, floor:])
+        for _, cols, s, vals, ders in _segment_stacks(
+                piece, slice(pos, pos + 1), t[left], seg_nodes):
+            got = evaluate(r, s, vals, ders)
+            out[pos, left[cols]] = got
+            above = np.flatnonzero(~(got <= level))
+            if above.size:
+                floor = int(left[cols][above[-1]]) + 1
+                break
+    out[:, floor:][clear[:, floor:]] = level
     return out
+
+
+def _piece_cells(piece: _Block, t: np.ndarray):
+    """The cells of a piece's dense output that the windows [t - r, t]
+    of the times t read: (lo, hi, w, cells), the window of t[k] the
+    cells lo[k] .. hi[k] - 1 (with a cell of rounding to spare at each
+    end), w the narrowest cell's width, and cells the (values, derivs,
+    width) node data of the history cells, when the piece starts at the
+    history, and of the forward cells, members first, in time order."""
+    r, h = piece.system.delay_r, piece.step_h
+    ft = piece.forward_times
+    n_full, tail = _mesh(piece.end_time, h)
+    j = piece.first_row + np.arange(ft.size - 1)
+    widths = np.where(j < n_full, h, tail)
+    cells = [(piece.forward_values.transpose(1, 0, 2),
+              piece.forward_derivs.transpose(1, 0, 2), widths)]
+    starts, stops = ft[:-1], ft[1:]
+    if piece.first_row == 0:
+        nodes = piece.hist_nodes
+        width = np.full(nodes.size - 1, piece.hist_r / (nodes.size - 1))
+        cells.insert(0, (piece.hist_values, piece.hist_derivs, width))
+        starts = np.concatenate([nodes[:-1], starts])
+        stops = np.concatenate([nodes[1:], stops])
+    w = float(min(cell[2].min() for cell in cells if cell[2].size))
+    tol = 1e-9 * (r + np.abs(t))
+    lo = np.maximum(np.searchsorted(stops, t - r - tol, side="left") - 1, 0)
+    hi = np.minimum(np.searchsorted(starts, t + tol, side="right") + 1,
+                    starts.size)
+    assert np.all(lo < hi)
+    return lo, hi, w, cells
 
 
 def _window_maxima(piece: _Block, t: np.ndarray, count: int,
@@ -344,12 +415,13 @@ def _window_maxima(piece: _Block, t: np.ndarray, count: int,
 
 class _Read(NamedTuple):
     """One track an ensemble takes of each member: _track(traj, times,
-    seg_nodes, evaluate, lam, level), with times nondecreasing, which the
+    seg_nodes, evaluate, lam, level, a), with times nondecreasing, which the
     ensemble takes of all of a piece's members at once (_block_track).
     With times None it is evaluate of the forward rows, (m, n) to m
     values, one a mesh node.  A value is width floats (evaluate's shape
     past the first axis), which the ensemble counts against the block's
-    memory."""
+    memory.  a is the exponent of a Hoelder norm, by which a track at a
+    level screens its times (see _block_track)."""
 
     times: np.ndarray | None
     seg_nodes: int | None
@@ -357,11 +429,12 @@ class _Read(NamedTuple):
     lam: float | None = None
     width: int = 1
     level: float | None = None
+    a: float | None = None
 
     def track(self, traj: Trajectory) -> np.ndarray:
         """The track of a whole trajectory."""
         return _track(traj, self.times, self.seg_nodes, self.evaluate,
-                      self.lam, self.level)
+                      self.lam, self.level, self.a)
 
     def held(self, rows: int) -> int:
         """Bytes the track keeps of a member whose mesh has rows nodes."""
@@ -378,11 +451,12 @@ def _norm_read(space: SpaceSpec, grid: np.ndarray, seg_nodes: int,
     values are _norms' at that level: exact only in how they compare
     with it (Hoelder values above it may fall short of the norm), and
     only the times that the suffix max of a piece's peak needs are read
-    (see _block_track); the others are +inf."""
+    (see _block_track); the others are +inf, or the level itself where a
+    bound of a Hoelder norm settles a time before any read."""
     if space.kind == "sup":
         return _Read(grid, seg_nodes, None, 0.0)
     return _Read(grid, seg_nodes, partial(_norms, space=space, level=level),
-                 level=level)
+                 level=level, a=space.a)
 
 
 def _ball_cfg(sys: DelaySystem, space: SpaceSpec, radius: float, family: str,
@@ -497,7 +571,8 @@ class _Reader:
                                      < last))
                 if stop > done:
                     got = _block_track(piece, times[done:stop], read.seg_nodes,
-                                       read.evaluate, read.lam, read.level)
+                                       read.evaluate, read.lam, read.level,
+                                       read.a)
                     if self.time_tracks[q] is None:
                         self.time_tracks[q] = np.full(
                             (len(self.escape_times), times.size)
@@ -1125,8 +1200,11 @@ def check_uga(sys: DelaySystem, space: SpaceSpec, eps: float, rho: float,
     block of lags lifts a sample above it.  Only the suffix max of the
     peak is kept, so they are read back from the horizon, no further
     than the last stack that lifts a sample above the level (see
-    _block_track).  The last time is read exactly, as the residual of
-    an inconclusive report.
+    _block_track).  A Hoelder time that a certified bound already puts
+    at or below the level is not read: the bound of a sample's window
+    of dense output clears it before the resample, and the bound of
+    the resampled node data before the refine.  The last time is read
+    exactly, as the residual of an inconclusive report.
     """
     ball = _ball(sys, space, rho, budget, family, order, seed, n_nodes, h,
                  grid_points, horizon=horizon, eps=eps)

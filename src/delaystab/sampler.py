@@ -292,6 +292,17 @@ _BUILDERS = {
 }
 
 
+@lru_cache
+def _shared_nodes(r: float, count: int) -> np.ndarray:
+    """The count uniform nodes from -r to 0, read-only: one array for the
+    samples of every stream of that delay and node count, so that the
+    grid check of a block of them (dde.simulate_many) is an identity
+    test."""
+    nodes = np.linspace(-r, 0.0, count)
+    nodes.setflags(write=False)
+    return nodes
+
+
 # -- public API --------------------------------------------------------
 
 
@@ -307,7 +318,8 @@ def sample_many(cfg: SamplerConfig, indices) -> list[Segment]:
     segment._norms call norms them all and one product scales them onto
     their radii.  The scaled stack is checked once, as Segment checks
     its data (finite values and slopes, its nodes), and its rows become
-    read-only segments without a check each; the first sample that is
+    read-only segments on the one nodes array of their delay and node
+    count (_shared_nodes), without a check each; the first sample that is
     not finite raises the SegmentDataError its Segment would.  An index
     that is not a whole number in [0, 2^64) is a ParameterError.  The
     norm's temporaries grow with the stack; the package draws in the
@@ -325,7 +337,7 @@ def sample_many(cfg: SamplerConfig, indices) -> list[Segment]:
         radial.append(rng.random())
     vals, ders = _BUILDERS[cfg.family](cfg, draws)
     r = float(cfg.delay_r)
-    nodes = np.linspace(-r, 0.0, cfg.n_nodes)
+    nodes = _shared_nodes(r, cfg.n_nodes)
     norms = _norms(r, nodes, vals, ders, cfg.target_space)
     zero = norms == 0.0
     # 1 - random() lies in (0, 1]; radial_min shifts it into the annulus
@@ -339,8 +351,9 @@ def sample_many(cfg: SamplerConfig, indices) -> list[Segment]:
     if not finite.all():
         raise SegmentDataError("segment data must be finite")
     _check_nodes(r, nodes.tobytes())
-    return [Segment.zero(r, cfg.dimension, cfg.n_nodes) if z
-            else Segment._of_checked(r, nodes, v, d)
+    shape = (cfg.n_nodes, cfg.dimension)
+    return [Segment._of_checked(r, nodes, np.zeros(shape), np.zeros(shape))
+            if z else Segment._of_checked(r, nodes, v, d)
             for z, v, d in zip(zero.tolist(), vals, ders)]
 
 

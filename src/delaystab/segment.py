@@ -28,6 +28,13 @@ norm, so its value is the max over all lags in every bit.  A caller
 that only compares norms with a level can ask ``_norms`` for values
 exact only against it; the sweep then stops where a value passes it.
 
+Next to these lower sampled reads stands one certified upper bound:
+the Bernstein control points of each Hermite cell bound |x| and |x'|
+on the whole cell (``_cell_bounds``), and from them, with an allowance
+for rounding, the Hoelder norm that ``_norms`` computes
+(``_hoelder_bound``).  Level reads use it to settle, without any read,
+the segments it already puts at or below the level.
+
 Segments are plain values: every read of one is taken afresh from its four
 fields.  Only the grid arithmetic of a uniform read (``_uniform_grid``) is
 memoised, keyed on the exact nodes; it holds no data values.
@@ -518,12 +525,6 @@ class Segment:
                               self.derivs, _refined_count(self.n_nodes, refine),
                               True)
 
-    def _refined_values(self, refine: int = DEFAULT_REFINE):
-        """The sample grid and values of refined(refine), without slopes."""
-        return _uniform_reads(self.delay_r, self.nodes, self.values,
-                              self.derivs, _refined_count(self.n_nodes, refine),
-                              False)[:2]
-
     # -- linear structure ----------------------------------------------
 
     def _check_compatible(self, other: "Segment"):
@@ -748,6 +749,98 @@ def _hoelder_norms(vals: np.ndarray, a: float, r: float,
     return thr
 
 
+def _cell_bounds(values, derivs, width):
+    """Upper bounds of |x| and |x'| on each cubic Hermite cell of node
+    data (..., N + 1, n), the cells of width width (a scalar, or one
+    width a cell, (N,)): two (..., N) arrays, the largest Euclidean norm
+    of the cell's Bernstein control points of x, v0, v0 + w d0 / 3,
+    v1 - w d1 / 3 and v1, and of its slope x', d0, 3 (v1 - v0) / w - d0
+    - d1 and d1, each raised by 1e-150.
+
+    On a cell, x is a convex combination of its control points and x'
+    of its slope's, and the Euclidean norm is convex, so neither norm
+    exceeds its largest control point's anywhere on the cell (the
+    convex-hull property of the Bernstein form; Farouki, CAGD 29 (2012)
+    379-419).  The 1e-150 covers norms whose squares underflow, as in
+    _hoelder_norms; the rest of the rounding is relative, a few n eps,
+    which _hoelder_bound's factor takes.  Non-finite data, and data
+    whose control points overflow, give inf or NaN bounds.
+    """
+    w = np.asarray(width, dtype=float)[..., None]
+    v0, v1 = values[..., :-1, :], values[..., 1:, :]
+    d0, d1 = derivs[..., :-1, :], derivs[..., 1:, :]
+    with np.errstate(all="ignore"):
+        nv, nd = _euclid(values), _euclid(derivs)
+        cv = np.maximum(nv[..., :-1], nv[..., 1:])
+        cd = np.maximum(nd[..., :-1], nd[..., 1:])
+        # the inner control points, one (..., N, n) scratch array for all
+        inner = np.multiply(d0, w / 3.0)
+        np.maximum(cv, _euclid(np.add(v0, inner, out=inner)), out=cv)
+        np.multiply(d1, w / 3.0, out=inner)
+        np.maximum(cv, _euclid(np.subtract(v1, inner, out=inner)), out=cv)
+        np.subtract(v1, v0, out=inner)
+        inner *= 3.0 / w
+        inner -= d0
+        inner -= d1
+        np.maximum(cd, _euclid(inner), out=cd)
+        cv += 1e-150
+        cd += 1e-150
+    return cv, cd
+
+
+def _hoelder_bound(sv, sd, a: float, r: float, count: int) -> np.ndarray:
+    """An upper bound of the Hoelder(a) norm that _norms computes for a
+    segment on [-r, 0] whose interpolant y has |y| <= sv and |y'| <= sd
+    (the maxima of _cell_bounds over its cells), its seminorm read on a
+    grid of count samples: inf or NaN where no finite bound is found.
+
+    Continuum: |y(p) - y(q)| <= min(sd d, 2 sv) at distance d <= r, and
+    min(sd d, 2 sv) / d^a, which rises up to d = 2 sv / sd and falls
+    after it, is at most its value at d = min(r, 2 sv / sd), semi =
+    sd^a min(r sd, 2 sv)^(1 - a): sd^a (2 sv)^(1 - a), or sd r^(1 - a)
+    where the window is shorter than 2 sv / sd.  So the norm, the max of
+    the sup and the seminorm, is at most max(sv, semi).
+
+    Rounding of the reads.  A refined read of y at fraction u of a cell
+    of width g <= r / 2 errs by at most 16 eps sv + 8 eps (r + 3 g) sd:
+    the Hermite sum rounds over node values at most sv and slopes times
+    g at most g sd, and u strays off [0, 1] by at most 4 eps (r / g + 2),
+    which extends the cubic by at most 2 g sd times that.  A difference
+    of two reads thus errs by at most e = 128 eps (sv + r sd), plus
+    1e-150 for a square that underflows, and e / (r / (m - 1))^a bounds
+    its error as a quotient over the smallest lag of the m = count
+    samples, largest at a = 1 and small r.  The rest is relative: the
+    lags are within 4 eps (m - 1) of k r / (m - 1), and norms, quotients
+    and powers round by (n + 10) eps.  The bound is therefore
+    max(sv + e, semi + e / (r / (m - 1))^a), times
+    1 + 1e-6 for the relative part, for the relative rounding of sv, sd
+    and of this arithmetic, far below 1e-6 at m <= HOELDER_GRID_CAP.
+
+    A segment whose bound is at most a level has its sup and every lag
+    quotient that _hoelder_norms computes at most the level, so its
+    sweep at that level gives the level itself.
+
+    Window maxima (checkers._block_track).  When the segment x_t is
+    resampled from a piece's dense output (dde._block_nodes), with cells
+    at least w wide and times within span = |t| + r of 0, and wv and wd
+    are the maxima of _cell_bounds over the cells of its window, the
+    node values and slopes read from them lie within wv + e' and
+    wd + e' / w, e' = 128 eps (wv + (w + span) wd): the same sums,
+    positions off by eps span, and a slope's two value terms each
+    1.5 / w times a value.  By the mean value theorem on the continuous,
+    piecewise-C^1 dense output, two nodes g apart differ by at most
+    g wd + 2 e' plus eps span wd and the 1e-14 r of a history read
+    clipped to 0, so the resampled cells' control points give
+    sv = wv + (g / 3) wd + e' (1 + g / w) and
+    sd = 5 wd + e' (2 / w + 8 / g).
+    """
+    with np.errstate(all="ignore"):
+        e = 128.0 * np.finfo(float).eps * (sv + r * sd) + 1e-150
+        semi = sd ** a * np.minimum(r * sd, 2.0 * sv) ** (1.0 - a)
+        return np.maximum(sv + e, semi + e / (r / (count - 1)) ** a) \
+            * (1.0 + 1e-6)
+
+
 def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
            refine: int = DEFAULT_REFINE, level: float | None = None,
            refined: _Refined | None = None) -> np.ndarray:
@@ -760,12 +853,26 @@ def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
 
     With a level, a value is exact only in how it compares with the
     level: it is at most the level exactly when the norm is, and
-    otherwise above the level and at most the norm.  Hoelder rows then
-    sweep with floor max(sup, level) and cap level, so a row leaves
-    after the first block of lags that lifts it above the level and
-    skips every lag whose bound stays below it; sup and Sobolev values
-    stay exact."""
+    otherwise above the level and at most the norm.  A Hoelder row is
+    then first screened by the bound of its node data (_cell_bounds,
+    _hoelder_bound): a finite bound at most the level gives the level
+    itself, bitwise what the row's sweep would give, with no read.  The
+    other rows alone are refined (afresh, if refined was given and some
+    row is settled), and sweep with floor max(sup, level) and cap level,
+    so a row leaves after the first block of lags that lifts it above
+    the level and skips every lag whose bound stays below it; sup and
+    Sobolev values stay exact."""
     count = _refined_count(nodes.size, refine)
+    screened = level is not None and space.kind == "hoelder"
+    if screened:
+        cv, cd = _cell_bounds(values, derivs, r / (nodes.size - 1))
+        swept = ~(_hoelder_bound(cv.max(axis=-1), cd.max(axis=-1), space.a,
+                                 r, min(count, HOELDER_GRID_CAP)) <= level)
+        out = np.full(len(values), float(level))
+        if not swept.any():
+            return out
+        if not swept.all():
+            values, derivs, refined = values[swept], derivs[swept], None
     if refined is None:
         refined = _Refined(r, nodes, values, derivs, count)
     s, vals, ders = refined(space.kind == "sobolev")
@@ -777,9 +884,11 @@ def _norms(r: float, nodes, values, derivs, space: SpaceSpec,
     if count > HOELDER_GRID_CAP:
         vals = _uniform_reads(r, nodes, values, derivs, HOELDER_GRID_CAP,
                               False)[1]
-    if level is None:
+    if not screened:
         return _hoelder_norms(vals, space.a, r, sup)
-    return _hoelder_norms(vals, space.a, r, np.maximum(sup, level), level)
+    out[swept] = _hoelder_norms(vals, space.a, r, np.maximum(sup, level),
+                                level)
+    return out
 
 
 def sup_norm(seg: Segment, refine: int = DEFAULT_REFINE) -> float:

@@ -1496,7 +1496,11 @@ def _member_track(traj, times, seg_nodes, evaluate, lam=None):
     out = np.full(len(times), np.inf)
     ft, fv = traj.forward_times, np.ascontiguousarray(traj.forward_values)
     if traj.first_row == 0:
-        s, vals = traj.initial._refined_values(segment.DEFAULT_REFINE)
+        x0 = traj.initial
+        s, vals = segment._uniform_reads(
+            x0.delay_r, x0.nodes, x0.values, x0.derivs,
+            segment._refined_count(x0.n_nodes, segment.DEFAULT_REFINE),
+            False)[:2]
         u = np.concatenate([s, ft[1:]])
         mags = np.concatenate([segment._euclid(vals),
                                segment._euclid(fv[1:])])
@@ -1807,6 +1811,148 @@ def test_uga_reads_at_its_level_one_member_a_stack(monkeypatch, grid_points):
     assert last == [4]
     assert len(stacks) > 1
     assert all(m == 1 for m, k, end in stacks if (k, end) != (1, horizon))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_window_bounds_hold_above_resampled_norms(monkeypatch, a):
+    """The bound a level track builds from a piece's own cells, before
+    any resample, holds for every (member, time) it screens: its value
+    and slope bounds are above the cell bounds of segment_at's node
+    data, and its norm bound above the exact Hoelder norm of that
+    segment.  The pieces include later ones (the window moves) and those
+    of a member that escapes later; a member's piece past its escape
+    screens nothing."""
+    monkeypatch.setattr(dde, "BLOCK_BYTES", 1 << 12)
+    space = SpaceSpec.hoelder(a)
+    seen = []
+    bound, track = checkers._hoelder_bound, checkers._block_track
+
+    def recording(sv, sd, *rest):
+        got = bound(sv, sd, *rest)
+        seen[-1].append((sv, sd, got))
+        return got
+
+    def tracking(piece, times, *args):
+        seen.append([piece.members, piece.first_row, piece.final,
+                     np.array(times, dtype=float)])
+        return track(piece, times, *args)
+
+    monkeypatch.setattr(checkers, "_hoelder_bound", recording)
+    monkeypatch.setattr(checkers, "_block_track", tracking)
+    sys, T, h, seg_nodes = _cliff(2), 2.0, 0.025, 17
+    cfg = SamplerConfig(family="fourier", order=3, target_space=SUP,
+                        target_norm=1.0, dimension=2, delay_r=0.5, seed=3,
+                        n_nodes=33)
+    x0s = [sample_one(replace(cfg, target_norm=(0.3, 1.5)[b % 2]), b)
+           for b in range(5)]
+    trajs = [simulate(sys, x0, T, h) for x0 in x0s]
+    escaped = {b for b, traj in enumerate(trajs) if traj.escaped}
+    assert escaped and len(escaped) < 5
+    read = checkers._norm_read(space, np.linspace(0.0, T, 41), seg_nodes, 0.5)
+    simulate_many(sys, x0s, T, h, held=read.held(1),
+                  take=checkers._Reader([read], len(x0s)))
+    screened = [entry for entry in seen if len(entry) == 5]
+    assert any(first > 0 for _, first, *_ in screened)
+    assert any(set(members) & escaped for members, *_ in screened)
+    # a member's escape piece reads past its end and screens nothing
+    assert all(len(entry) == 4 for entry in seen
+               if entry[2] and set(entry[0]) <= escaped)
+    for members, _, _, times, (sv, sd, upper) in screened:
+        for pos, b in enumerate(members):
+            for k, t in enumerate(times.tolist()):
+                seg = segment_at(trajs[b], t, seg_nodes)
+                cv, cd = segment._cell_bounds(seg.values, seg.derivs,
+                                              seg.spacing)
+                assert cv.max() <= sv[pos, k] and cd.max() <= sd[pos, k]
+                assert space_norm(seg, space) <= upper[pos, k]
+
+
+def _unbounded(sv, *_):
+    """A bound that settles nothing: every level read is swept."""
+    return np.full(np.shape(sv), np.inf)
+
+
+# (system, eps, rho, family, horizon): settled, inconclusive (a
+# marginally stable system) and escaping balls
+SCREEN_CASES = [
+    (make_system("saturating", 0.5, {"c": 1.0, "k": 0.5}), 0.05, 1.0,
+     "fourier", 6.0),
+    (linear(0.5, -1.0, 0.3), 0.05, 1.0, "polynomial", 6.0),
+    (make_system("linear_vector", 0.5,
+                 {"A0": [[-1.0, 0.5], [0.2, -1.5]],
+                  "A1": [[0.3, 0.1], [0.0, 0.4]]}), 0.05, 1.0,
+     "piecewise_linear", 6.0),
+    (linear(0.5, 0.0, 0.0), 0.1, 1.0, "fourier", 3.0),
+    (_cliff(1), 0.1, 3.0, "fourier", 3.0),
+]
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_uga_reports_are_those_of_unscreened_reads(monkeypatch, a, seed):
+    """check_uga reports the same bytes whether its level reads screen
+    times by bound or sweep every one (the bound forced to +inf): on
+    saturating, linear_scalar and linear_vector balls of the three
+    sample families, an inconclusive ball and one whose sample escapes.
+    The screen leaves fewer times to resample."""
+    space = SpaceSpec.hoelder(a)
+    pairs = {True: 0, False: 0}
+    block_nodes = checkers._block_nodes
+    verdicts = set()
+    for sys, eps, rho, family, horizon in SCREEN_CASES:
+        args = (sys, space, eps, rho, 4)
+        kwargs = dict(horizon=horizon, family=family, seed=seed, h=0.02,
+                      grid_points=40)
+        reports = {}
+        for screen in (True, False):
+            def resampling(piece, at, times, n_nodes, screen=screen):
+                got = block_nodes(piece, at, times, n_nodes)
+                pairs[screen] += got[1].shape[0] * got[1].shape[1]
+                return got
+
+            with monkeypatch.context() as patched:
+                patched.setattr(checkers, "_block_nodes", resampling)
+                if not screen:
+                    patched.setattr(segment, "_hoelder_bound", _unbounded)
+                    patched.setattr(checkers, "_hoelder_bound", _unbounded)
+                reports[screen] = check_uga(*args, **kwargs).to_json_dict()
+        assert json.dumps(reports[True]) == json.dumps(reports[False])
+        verdicts.add(reports[True]["verdict"])
+    assert verdicts == {"consistent", "inconclusive", "falsified"}
+    assert pairs[True] < pairs[False]
+
+
+def test_uga_hoelder_reads_only_what_no_bound_settles(monkeypatch):
+    """On the uga_hoelder benchmark workload's config (seed 0), the
+    screens leave at most 140 (member, time) pairs to resample and 70
+    Hoelder rows to sweep at the level, of 339 and 335 unscreened; the
+    counts are deterministic."""
+    pairs, rows = [], []
+    block_nodes, sweep = checkers._block_nodes, segment._hoelder_norms
+
+    def resampling(piece, at, times, n_nodes):
+        got = block_nodes(piece, at, times, n_nodes)
+        pairs.append(got[1].shape[0] * got[1].shape[1])
+        return got
+
+    def sweeping(vals, a, r, floor, cap=math.inf):
+        if cap < math.inf:
+            rows.append(vals.shape[0])
+        return sweep(vals, a, r, floor, cap)
+
+    monkeypatch.setattr(checkers, "_block_nodes", resampling)
+    monkeypatch.setattr(segment, "_hoelder_norms", sweeping)
+    sys = make_system("saturating", 1.0, {"c": 1.0, "k": 0.5})
+    args = (sys, SpaceSpec.hoelder(0.5), 0.05, 1.0, 4)
+    report = check_uga(*args, seed=0).to_json_dict()
+    assert sum(pairs) <= 140 and sum(rows) <= 70
+    screened = sum(pairs), sum(rows)
+    pairs.clear()
+    rows.clear()
+    monkeypatch.setattr(segment, "_hoelder_bound", _unbounded)
+    monkeypatch.setattr(checkers, "_hoelder_bound", _unbounded)
+    assert check_uga(*args, seed=0).to_json_dict() == report
+    assert (sum(pairs), sum(rows)) == (339, 335) != screened
 
 
 # -- judged reports keep their bytes ----------------------------------

@@ -313,3 +313,38 @@ def test_ensembles_yield_blocks_only():
     assert not hasattr(delaystab.checkers, "_ensemble")
     assert not hasattr(delaystab.lyapunov, "_stacked_runs")
     assert not hasattr(delaystab.MonotoneGridFn.linear(1.0), "_ends")
+
+
+def test_only_level_reads_use_the_bernstein_bound(monkeypatch):
+    """The certified upper bound of a segment (segment._cell_bounds and
+    segment._hoelder_bound) settles level reads only: _norms calls it on
+    the node data of a stack read at a level, and _block_track on a
+    piece's cells before a level track resamples.  No exact read calls
+    it: with both refusing, the exact Hoelder reads of rfc, lags, ga,
+    the pair bounds, the sampler and space_norm run as before."""
+    for name in ("_cell_bounds", "_hoelder_bound"):
+        assert _callers(name) == {("segment", "_norms"),
+                                  ("checkers", "_block_track")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bound on an exact read")
+
+    for module in (delaystab.segment, delaystab.checkers):
+        for name in ("_cell_bounds", "_hoelder_bound"):
+            monkeypatch.setattr(module, name, refuse)
+    from delaystab import checkers
+    from delaystab.dde import make_system
+    from delaystab.sampler import SamplerConfig, sample_one
+    from delaystab.segment import SpaceSpec, space_norm
+
+    space = SpaceSpec.hoelder(0.5)
+    sys = make_system("saturating", 0.5, {"c": 1.0, "k": 0.5})
+    small = dict(h=0.05, grid_points=12)
+    checkers.check_rfc(sys, space, 1.0, 1.0, 2, **small)
+    checkers.check_lags(sys, space, 1.0, 2, horizon=1.0, **small)
+    checkers.check_ga(sys, space, 1.0, 0.5, 2, horizon=1.0, **small)
+    checkers.verify_pair_bounds(sys, space, 1.0, 1.0, 2, **small)
+    x0 = sample_one(SamplerConfig(family="fourier", order=3,
+                                  target_space=space, target_norm=1.0,
+                                  dimension=1, delay_r=0.5, seed=0), 1)
+    space_norm(x0, space)

@@ -201,7 +201,10 @@ def test_every_read_of_a_time_is_one_located_read(data):
     grid, ref_vals, ref_ders = seg.refined(refine)
     assert bits(ref_vals) == bits(seg.value_at(grid))
     assert bits(ref_ders) == bits(seg.deriv_at(grid))
-    assert bits(seg._refined_values(refine)[1]) == bits(ref_vals)
+    assert bits(segment._uniform_reads(
+        seg.delay_r, seg.nodes, seg.values, seg.derivs,
+        segment._refined_count(seg.n_nodes, refine), False)[1]) \
+        == bits(ref_vals)
     assert bits(ref_vals[[0, -1]]) == bits(values[[0, -1]])
     assert bits(ref_ders[[0, -1]]) == bits(derivs[[0, -1]])
     # the integrator's history reads, at stage 0 of a block of one
@@ -299,7 +302,9 @@ def test_refined_reads_are_point_reads_on_the_exact_nodes():
         assert s.size == 64 * 4 + 1 and not s.flags.writeable
         assert vals.tobytes() == x.value_at(s).tobytes()
         assert ders.tobytes() == x.deriv_at(s).tobytes()
-        assert x._refined_values(4)[1].tobytes() == vals.tobytes()
+        assert segment._uniform_reads(
+            x.delay_r, x.nodes, x.values, x.derivs,
+            segment._refined_count(x.n_nodes, 4), False)[1].tobytes() == vals.tobytes()
 
 
 # ----------------------------------------------------------------- quadrature
@@ -698,6 +703,102 @@ def test_norms_at_a_level_compare_with_it_as_the_norms(space):
         short |= bool((got < exact).any())
     # at a = 1 the lag-1 quotient, read first, is about all of the norm
     assert short == (space == SpaceSpec.hoelder(0.5))
+
+
+# ------------------------------------------------- certified upper bounds
+
+BOUND_SCALES = [1e-300, 1e-150, 1.0, 1e150, 1e300]
+
+
+def _hermite_rows(rng, n, r, scale):
+    """Node data of three segments of two cells on [-r, 0], values of
+    about scale and slopes of about scale / r: random data, a line (on
+    which the slope bound is tight) and a nearly constant row."""
+    nodes = np.linspace(-r, 0.0, 3)
+    vals = rng.normal(size=(3, 3, n))
+    ders = rng.normal(size=(3, 3, n)) / r
+    ders[1] = rng.normal(size=n) / r
+    vals[1] = vals[1, 0] + nodes[:, None] * ders[1]
+    ders[2] *= 1e-6
+    return r, nodes, vals * scale, ders * scale
+
+
+def _dense(r, nodes, vals, ders, a):
+    """The sup, slope sup and Hoelder(a) norm of each row read at 2000
+    points a cell, the norm the max over every pair of them."""
+    count = 2000 * (nodes.size - 1) + 1
+    _, v, d = segment._uniform_reads(r, nodes, vals, ders, count, True)
+    sup = np.sqrt(segment._squares(v).max(axis=1))
+    return (sup, np.sqrt(segment._squares(d).max(axis=1)),
+            segment._hoelder_norms(v, a, r, sup))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("r", [1e-6, 1.0, 1e6])
+def test_bernstein_bounds_hold_above_dense_reads(monkeypatch, n, a, r):
+    """On random Hermite data, lower <= dense <= upper: the refined read
+    of _norms, the read at 2000 points a cell, and the cell bounds (sup
+    and slope) and _hoelder_bound (the norm), at data scales from 1e-300
+    to 1e300, the dense norm at one scale a case.  A row whose bound is
+    finite reads, at a level at its bound, as the level itself, bitwise
+    what its capped sweep gives unscreened."""
+    rng = np.random.default_rng(int(n + 10 * a + 100 * math.log10(r) + 700))
+    space = SpaceSpec.hoelder(a)
+    case = n + 3 * int(a) + 6 * round(math.log10(r) / 6 + 1)
+    for k, scale in enumerate(BOUND_SCALES):
+        stack = _hermite_rows(rng, n, r, scale)
+        cv, cd = segment._cell_bounds(*stack[2:], r / 2)
+        upper = segment._hoelder_bound(cv.max(axis=1), cd.max(axis=1), a, r,
+                                       17)
+        assert not np.isnan(upper).any()
+        assert np.isfinite(upper).all() or scale > 1.0
+        with np.errstate(all="ignore"):
+            lower = segment._norms(*stack, space)
+            lower_sup = segment._norms(*stack, SpaceSpec.sup())
+            if k == case % len(BOUND_SCALES):
+                sup, slope, dense = _dense(*stack, a)
+                # the reads' rounding: 128 eps (sv + r sd) for a value,
+                # 64 eps sv / h for a slope (h = r / 2)
+                sv, sd = cv.max(axis=1), cd.max(axis=1)
+                eps = np.finfo(float).eps
+                assert np.all(sup <= sv + 128.0 * eps * (sv + r * sd))
+                assert np.all(slope <= sd + 128.0 * eps * (sd + sv / r))
+                assert np.all(dense <= upper)
+                assert np.all(lower <= dense + 1e-9 * upper)
+                assert np.all(lower_sup <= sup + 1e-9 * upper)
+        assert np.all(lower <= upper) and np.all(lower_sup <= cv.max(axis=1))
+        for row in np.flatnonzero(np.isfinite(upper)):
+            one = (r, stack[1], stack[2][row:row + 1], stack[3][row:row + 1])
+            level = upper[row]
+            got = segment._norms(*one, space, level=level)
+            with monkeypatch.context() as patched:
+                patched.setattr(segment, "_hoelder_bound",
+                                lambda sv, *_: np.full(np.shape(sv), np.inf))
+                with np.errstate(all="ignore"):
+                    swept = segment._norms(*one, space, level=level)
+            assert got.tobytes() == swept.tobytes() == np.array(
+                [level]).tobytes()
+
+
+def test_non_finite_data_never_clears():
+    """A cell with a NaN or an infinite value or slope gives a bound that
+    is not finite, and a level read never settles its row."""
+    rng = np.random.default_rng(4)
+    r, nodes, vals, ders = _hermite_rows(rng, 2, 1.0, 1.0)
+    space = SpaceSpec.hoelder(0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        for data in (0, 1):
+            v, d = vals.copy(), ders.copy()
+            (v, d)[data][1, 1, 0] = bad
+            cv, cd = segment._cell_bounds(v, d, r / 2)
+            bound = segment._hoelder_bound(cv.max(axis=1), cd.max(axis=1),
+                                           0.5, r, 17)
+            assert not np.isfinite(bound[1])
+            assert np.isfinite(bound[[0, 2]]).all()
+            with np.errstate(all="ignore"):
+                got = segment._norms(r, nodes, v, d, space, level=1e300)
+            assert not got[1] <= 1e300
 
 
 # ---------------------------------------------------------- norm inequalities
